@@ -77,7 +77,8 @@
 //! stays under 2% of the run. Each dataset block embeds the cold cached
 //! run's tree as `stage_breakdown`. The full-size hospital sequential run
 //! additionally asserts the non-LLM wall stays torn down: the `sampling` +
-//! `detector` spans together must cover < 50% of the detect wall (see
+//! `detector` spans together must cover < 90% of the *non-LLM* wall, the
+//! detect wall minus the `criteria_llm` and `labeling` spans (see
 //! `assert_non_llm_wall` for the scoping rationale and `ARCHITECTURE.md`,
 //! "The non-LLM wall").
 //!

@@ -203,8 +203,8 @@ pub fn train_and_predict(
     };
     let mlp = Mlp::fit_weighted(&scaled_train, &labels, &weights, &mlp_config);
 
-    // Predict each distinct vector once (parallel batch) and scatter the
-    // flags back to rows by code.
+    // Predict each distinct vector once and scatter the flags back to rows
+    // by code.
     let scaled_refs: Vec<&[f32]> = scaled_uniques.iter().map(|r| r.as_slice()).collect();
     let flags: Vec<bool> = mlp
         .predict_proba_batch(&scaled_refs)

@@ -8,23 +8,34 @@
 //! * [`Mlp::train`] — the scalar per-example loop, kept as the equivalence
 //!   oracle.
 //! * [`Mlp::train_batched`] / [`Mlp::train_weighted`] — the production fast
-//!   path: per batch, the forward pass runs in parallel over examples and the
-//!   backward pass in parallel over *hidden units* (each unit owns its `w1`
-//!   gradient row, its `b1` entry and its `w2` entry, accumulating over the
-//!   batch in example order). Because every output location has exactly one
-//!   owner and each owner adds in the same order as the scalar loop, the
-//!   gradients — and therefore the trained parameters — are bit-identical to
-//!   [`Mlp::train`]'s under any thread count. [`Mlp::train_weighted`] folds a
-//!   per-example weight into `dL/dlogit` (and the loss), which with unit
-//!   weights multiplies by `1.0` exactly — so `train_batched` *is*
-//!   `train_weighted` with weights of one, and both are covered by the same
-//!   oracle. The weighted form is what lets `zeroed-core`'s detector train on
-//!   deduplicated feature rows weighted by multiplicity instead of `n`
-//!   expanded copies.
+//!   path. It runs entirely on the calling thread; parallelism comes from the
+//!   caller training one network per attribute on separate workers.
+//!
+//! The fast path is a *lane-wise* kernel. Once per mini-batch it transposes
+//! `w1` into an `input_dim × hidden` buffer, so the weights every hidden unit
+//! applies to input `i` sit in one contiguous row. The forward pass then
+//! sweeps the inputs once per example with the hidden units as independent
+//! lanes, `h[j] += w1t[i * hidden + j] * x[i]`, writing into one reused
+//! `batch × hidden` buffer. No per-example `Vec` is allocated. Each `h[j]`
+//! still receives its terms in the scalar `i = 0..input_dim` order, with no
+//! fused multiply-add and no reassociation. The backward pass walks hidden
+//! units in order and sums each unit's batch contributions in example order:
+//! `gb1[j]`/`gw2[j]` accumulate over examples, and row `j` of the `w1`
+//! gradient is an axpy per example that skips the examples where unit `j`
+//! is inactive. Every f32 location therefore adds the same terms in the
+//! same order as the scalar loop, and the trained parameters are
+//! bit-identical to [`Mlp::train`]'s. [`Mlp::predict_proba_batch`] runs the
+//! same forward kernel with one transpose per call.
+//!
+//! [`Mlp::train_weighted`] folds a per-example weight into `dL/dlogit` (and
+//! the loss), which with unit weights multiplies by `1.0` exactly — so
+//! `train_batched` *is* `train_weighted` with weights of one, and both are
+//! covered by the same oracle. The weighted form is what lets
+//! `zeroed-core`'s detector train on deduplicated feature rows weighted by
+//! multiplicity instead of `n` expanded copies.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// MLP hyper-parameters.
@@ -160,6 +171,36 @@ impl Mlp {
         (h, sigmoid(out))
     }
 
+    /// Writes `w1` transposed into `w1t`: `input_dim × hidden`, row `i`
+    /// holding every hidden unit's weight on input `i`.
+    fn transpose_w1(&self, w1t: &mut [f32]) {
+        for (i, lanes) in w1t.chunks_exact_mut(self.hidden).enumerate() {
+            for (j, w) in lanes.iter_mut().enumerate() {
+                *w = self.w1.value[j * self.input_dim + i];
+            }
+        }
+    }
+
+    /// The lane-wise forward pass of one example against a transposed `w1`
+    /// ([`Mlp::transpose_w1`]): fills `h` with the hidden activations and
+    /// returns the probability. Bit-identical to [`Mlp::forward`], because
+    /// every `h[j]` adds its terms in the same `i = 0..input_dim` order.
+    fn forward_lanes(&self, w1t: &[f32], x: &[f32], h: &mut [f32]) -> f32 {
+        debug_assert_eq!(x.len(), self.input_dim);
+        h.copy_from_slice(&self.b1.value);
+        for (&xi, lanes) in x.iter().zip(w1t.chunks_exact(self.hidden)) {
+            for (hj, &w) in h.iter_mut().zip(lanes) {
+                *hj += w * xi;
+            }
+        }
+        let mut out = self.b2.value[0];
+        for (hj, &w) in h.iter_mut().zip(&self.w2.value) {
+            *hj = hj.max(0.0);
+            out += w * *hj;
+        }
+        sigmoid(out)
+    }
+
     /// Predicted probability that the row is an error (positive class).
     pub fn predict_proba(&self, x: &[f32]) -> f32 {
         self.forward(x).1
@@ -249,9 +290,8 @@ impl Mlp {
         last_epoch_loss
     }
 
-    /// Batched fast-path trainer: bit-identical to [`Mlp::train`] (see the
-    /// module docs), with the forward pass parallel over examples and the
-    /// backward pass parallel over hidden units.
+    /// Batched fast-path trainer: the lane-wise kernel of the module docs,
+    /// bit-identical to [`Mlp::train`].
     pub fn train_batched(&mut self, rows: &[&[f32]], labels: &[f32], config: &MlpConfig) -> f32 {
         self.train_weighted(rows, labels, &vec![1.0f32; rows.len()], config)
     }
@@ -283,10 +323,17 @@ impl Mlp {
         let total_weight: f32 = weights.iter().sum();
         let mut last_epoch_loss = 0.0f32;
 
+        let (input_dim, hidden) = (self.input_dim, self.hidden);
         let mut gw1 = vec![0.0f32; self.w1.value.len()];
         let mut gb1 = vec![0.0f32; self.b1.value.len()];
         let mut gw2 = vec![0.0f32; self.w2.value.len()];
         let mut gb2 = vec![0.0f32; 1];
+        // Kernel buffers reused across batches: the transposed `w1`, the
+        // batch's hidden activations (one `hidden`-wide row per example) and
+        // its weighted `dL/dlogit`s.
+        let mut w1t = vec![0.0f32; self.w1.value.len()];
+        let mut acts = vec![0.0f32; batch.min(n) * hidden];
+        let mut wdlogits = Vec::with_capacity(batch.min(n));
 
         for _epoch in 0..config.epochs {
             // Fisher-Yates shuffle — same RNG stream as the scalar trainer.
@@ -296,19 +343,16 @@ impl Mlp {
             }
             let mut epoch_loss = 0.0f32;
             for chunk in order.chunks(batch) {
-                // Forward the whole batch (parallel over examples; the
-                // parameters are frozen within a batch, so each forward is
-                // independent and the results match the scalar interleaving).
-                let fwd: Vec<(Vec<f32>, f32)> = chunk
-                    .par_iter()
-                    .map(|&idx| self.forward(rows[idx]))
-                    .collect();
-                // Weighted `dL/dlogit` per example, plus the serial loss and
-                // `b2` accumulations (scalar-order f32 sums).
+                // Forward the batch against this step's frozen parameters,
+                // accumulating the loss, `b2` and the batch weight in
+                // example order (scalar-order f32 sums).
+                self.transpose_w1(&mut w1t);
+                let acts = &mut acts[..chunk.len() * hidden];
                 gb2[0] = 0.0;
                 let mut chunk_weight = 0.0f32;
-                let mut wdlogits = Vec::with_capacity(chunk.len());
-                for (&idx, (_, p)) in chunk.iter().zip(fwd.iter()) {
+                wdlogits.clear();
+                for (&idx, h) in chunk.iter().zip(acts.chunks_exact_mut(hidden)) {
+                    let p = self.forward_lanes(&w1t, rows[idx], h);
                     let y = labels[idx];
                     let w = weights[idx];
                     let p_clamped = p.clamp(1e-7, 1.0 - 1e-7);
@@ -319,46 +363,32 @@ impl Mlp {
                     chunk_weight += w;
                     wdlogits.push(wdlogit);
                 }
-                // Backward, parallel over hidden units: unit `j` owns
-                // `gb1[j]`, `gw2[j]` and `gw1` row `j`, and accumulates over
-                // the batch in example order — exactly the scalar trainer's
-                // addition order for that location.
-                let per_unit: Vec<(f32, f32)> = (0..self.hidden)
-                    .into_par_iter()
-                    .map(|j| {
-                        let mut gb1_j = 0.0f32;
-                        let mut gw2_j = 0.0f32;
-                        for ((h, _), &wdlogit) in fwd.iter().zip(wdlogits.iter()) {
-                            gw2_j += wdlogit * h[j];
-                            if h[j] > 0.0 {
-                                gb1_j += wdlogit * self.w2.value[j];
-                            }
+                // Backward, one hidden unit at a time: unit `j` sums its
+                // `gb1`, `gw2` and `gw1`-row terms over the batch in example
+                // order — the scalar trainer's addition order for each
+                // location.
+                for j in 0..hidden {
+                    let w2_j = self.w2.value[j];
+                    let grad_row = &mut gw1[j * input_dim..(j + 1) * input_dim];
+                    grad_row.fill(0.0);
+                    let mut gb1_j = 0.0f32;
+                    let mut gw2_j = 0.0f32;
+                    for ((&idx, h), &wdlogit) in
+                        chunk.iter().zip(acts.chunks_exact(hidden)).zip(&wdlogits)
+                    {
+                        gw2_j += wdlogit * h[j];
+                        if h[j] <= 0.0 {
+                            continue;
                         }
-                        (gb1_j, gw2_j)
-                    })
-                    .collect();
-                for (j, (gb1_j, gw2_j)) in per_unit.into_iter().enumerate() {
+                        let dh = wdlogit * w2_j;
+                        gb1_j += dh;
+                        for (g, &xi) in grad_row.iter_mut().zip(rows[idx]) {
+                            *g += dh * xi;
+                        }
+                    }
                     gb1[j] = gb1_j;
                     gw2[j] = gw2_j;
                 }
-                let input_dim = self.input_dim;
-                let w2 = &self.w2.value;
-                gw1.par_chunks_mut(input_dim)
-                    .enumerate()
-                    .for_each(|(j, grad_row)| {
-                        grad_row.iter_mut().for_each(|g| *g = 0.0);
-                        for (&idx, ((h, _), &wdlogit)) in
-                            chunk.iter().zip(fwd.iter().zip(wdlogits.iter()))
-                        {
-                            if h[j] <= 0.0 {
-                                continue;
-                            }
-                            let dh = wdlogit * w2[j];
-                            for (g, &xi) in grad_row.iter_mut().zip(rows[idx].iter()) {
-                                *g += dh * xi;
-                            }
-                        }
-                    });
                 let scale = 1.0 / chunk_weight;
                 gw1.iter_mut().for_each(|g| *g *= scale);
                 gb1.iter_mut().for_each(|g| *g *= scale);
@@ -378,11 +408,16 @@ impl Mlp {
         last_epoch_loss
     }
 
-    /// Predicted probabilities for a batch of rows (parallel over rows; each
-    /// forward is independent, so the results are identical to calling
-    /// [`Mlp::predict_proba`] per row).
+    /// Predicted probabilities for a batch of rows through the lane-wise
+    /// forward kernel (one `w1` transpose per call); bit-identical to calling
+    /// [`Mlp::predict_proba`] per row.
     pub fn predict_proba_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        rows.par_iter().map(|row| self.forward(row).1).collect()
+        let mut w1t = vec![0.0f32; self.w1.value.len()];
+        self.transpose_w1(&mut w1t);
+        let mut h = vec![0.0f32; self.hidden];
+        rows.iter()
+            .map(|row| self.forward_lanes(&w1t, row, &mut h))
+            .collect()
     }
 
     /// Convenience: constructs and trains an MLP in one call through the
@@ -540,7 +575,6 @@ mod tests {
     #[test]
     fn batched_training_is_bit_identical_to_scalar() {
         let (rows, labels) = messy_data(203);
-        let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         let config = MlpConfig {
             hidden: 8,
             epochs: 5,
@@ -548,21 +582,7 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        let mut scalar = Mlp::new(3, &config);
-        let scalar_loss = scalar.train(&refs, &labels, &config);
-        let mut batched = Mlp::new(3, &config);
-        let batched_loss = batched.train_batched(&refs, &labels, &config);
-        assert_eq!(scalar_loss.to_bits(), batched_loss.to_bits());
-        assert_eq!(scalar.w1.value, batched.w1.value);
-        assert_eq!(scalar.b1.value, batched.b1.value);
-        assert_eq!(scalar.w2.value, batched.w2.value);
-        assert_eq!(scalar.b2.value, batched.b2.value);
-        for row in &refs {
-            assert_eq!(
-                scalar.predict_proba(row).to_bits(),
-                batched.predict_proba(row).to_bits()
-            );
-        }
+        assert_kernel_matches_scalar(&rows, &labels, &config);
     }
 
     /// Unit weights must reduce `train_weighted` to `train_batched` exactly.
@@ -618,7 +638,120 @@ mod tests {
         assert!(correct >= 110, "only {correct}/120 correct");
     }
 
-    /// The parallel batch prediction must match per-row prediction bitwise.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Trains the scalar oracle, `train_batched` and `fit_weighted` (unit
+    /// weights) from the same initialisation, asserts that the loss, all four
+    /// parameter vectors and every batch prediction are bit-identical, and
+    /// returns the oracle.
+    fn assert_kernel_matches_scalar(rows: &[Vec<f32>], labels: &[f32], config: &MlpConfig) -> Mlp {
+        let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let mut scalar = Mlp::new(refs.first().map_or(0, |r| r.len()), config);
+        let scalar_loss = scalar.train(&refs, labels, config);
+        let mut batched = Mlp::new(scalar.input_dim(), config);
+        let batched_loss = batched.train_batched(&refs, labels, config);
+        assert_eq!(scalar_loss.to_bits(), batched_loss.to_bits(), "loss");
+        let fitted = Mlp::fit_weighted(&refs, labels, &vec![1.0; refs.len()], config);
+        for kernel in [&batched, &fitted] {
+            assert_eq!(bits(&scalar.w1.value), bits(&kernel.w1.value), "w1");
+            assert_eq!(bits(&scalar.b1.value), bits(&kernel.b1.value), "b1");
+            assert_eq!(bits(&scalar.w2.value), bits(&kernel.w2.value), "w2");
+            assert_eq!(bits(&scalar.b2.value), bits(&kernel.b2.value), "b2");
+        }
+        let batch = fitted.predict_proba_batch(&refs);
+        assert_eq!(batch.len(), refs.len());
+        for (row, p) in refs.iter().zip(batch) {
+            assert_eq!(scalar.predict_proba(row).to_bits(), p.to_bits());
+        }
+        scalar
+    }
+
+    /// Rows at the detector's shape from a SplitMix64 hash: values in
+    /// (-4, 4) with exact `0.0` and `-0.0` entries mixed in, and every fifth
+    /// row scaled by 50 so that it drives many hidden units inactive.
+    fn detector_shape_data(n: usize, dim: usize) -> (Vec<Vec<f32>>, Vec<f32>) {
+        let mix = |mut z: u64| {
+            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let rows = (0..n)
+            .map(|r| {
+                let gain = if r % 5 == 0 { 50.0 } else { 1.0 };
+                (0..dim)
+                    .map(|c| {
+                        let z = mix((r * dim + c) as u64);
+                        match z % 9 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => ((z >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 8.0 * gain,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let labels = (0..n)
+            .map(|r| (mix(!(r as u64)) % 3 == 0) as u8 as f32)
+            .collect();
+        (rows, labels)
+    }
+
+    /// The kernel at the production detector's shape (hidden 64, batch 64)
+    /// with an odd input width (113: vector loops over inputs end in a
+    /// remainder) and a ragged last chunk (203 = 3 × 64 + 11).
+    #[test]
+    fn detector_shape_kernel_is_bit_identical_to_scalar() {
+        let (rows, labels) = detector_shape_data(203, 113);
+        let config = MlpConfig {
+            hidden: 64,
+            epochs: 3,
+            batch_size: 64,
+            seed: 17,
+            ..Default::default()
+        };
+        let oracle = assert_kernel_matches_scalar(&rows, &labels, &config);
+        // The inputs must exercise both backward branches.
+        let (mut active, mut inactive) = (0usize, 0usize);
+        for row in &rows {
+            let (h, _) = oracle.forward(row);
+            active += h.iter().filter(|&&a| a > 0.0).count();
+            inactive += h.iter().filter(|&&a| a <= 0.0).count();
+        }
+        assert!(
+            active > 0 && inactive > 0,
+            "active {active}, inactive {inactive}"
+        );
+        // A hidden width that is not a multiple of any vector width covers
+        // the remainder lanes of the forward kernel.
+        let odd = MlpConfig {
+            hidden: 61,
+            ..config
+        };
+        assert_kernel_matches_scalar(&rows, &labels, &odd);
+    }
+
+    /// Zero-width rows (the `w1` gradient has empty rows) and single-row
+    /// training sets finish and equal the scalar path.
+    #[test]
+    fn zero_width_and_single_rows_match_scalar() {
+        let config = MlpConfig {
+            hidden: 6,
+            epochs: 3,
+            batch_size: 4,
+            seed: 5,
+            ..Default::default()
+        };
+        let labels = [1.0f32, 0.0, 0.0, 1.0, 0.0];
+        assert_kernel_matches_scalar(&vec![Vec::new(); 5], &labels, &config);
+        assert_kernel_matches_scalar(&[Vec::new()], &[1.0], &config);
+        let (rows, _) = detector_shape_data(1, 113);
+        assert_kernel_matches_scalar(&rows, &[0.0], &config);
+    }
+
+    /// Batch prediction must match per-row prediction bitwise.
     #[test]
     fn batch_prediction_matches_per_row() {
         let (rows, labels) = messy_data(64);
