@@ -1,7 +1,10 @@
 //! Clustering cost in rows and dimensions (sampling step, paper §III-C).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use zeroed_cluster::{cluster, kmeans, kmeans_reference, KMeansConfig, SamplingMethod};
+use zeroed_cluster::{
+    assign_to_nearest, assign_to_nearest_reference, cluster, kmeans, kmeans_reference,
+    KMeansConfig, SamplingMethod,
+};
 
 fn synthetic(n: usize, dim: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -78,5 +81,22 @@ fn bench_kmeans_dedup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cluster, bench_kmeans_dedup);
+/// One nearest-centroid pass at the sampling stage's shape on movies (370
+/// centroids of 108 dimensions): the lane-wise kernel against the scalar
+/// `sq_dist` scan it replaced.
+fn bench_assign_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("assign_370x108");
+    let data = synthetic(2_000, 108);
+    let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
+    let centroids = data[..370].to_vec();
+    group.bench_with_input(BenchmarkId::new("lanes", 2_000), &rows, |b, rows| {
+        b.iter(|| black_box(assign_to_nearest(rows, &centroids)))
+    });
+    group.bench_with_input(BenchmarkId::new("scalar", 2_000), &rows, |b, rows| {
+        b.iter(|| black_box(assign_to_nearest_reference(rows, &centroids)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_cluster, bench_kmeans_dedup, bench_assign_kernel);
 criterion_main!(benches);

@@ -16,8 +16,8 @@
 //! running it on every duplicate row — the property the equivalence oracles
 //! in `kmeans` and `zeroed-ml` assert.
 
+use crate::lanes::{CentroidLanes, PointLanes};
 use crate::{sq_dist, Clustering};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -183,24 +183,19 @@ impl DedupPoints {
             .collect()
     }
 
-    /// Nearest-centroid index per *distinct* vector (parallel).
+    /// Nearest-centroid index per *distinct* vector, through the
+    /// centroid-lane kernel (one centroid transpose per call).
     pub fn assign_unique(&self, centroids: &[Vec<f32>]) -> Vec<usize> {
+        let mut lanes = CentroidLanes::new(centroids);
         (0..self.n_unique())
-            .into_par_iter()
-            .map(|u| {
-                let row = self.unique_row(u);
-                let mut best = 0usize;
-                let mut best_d = f32::INFINITY;
-                for (c, centroid) in centroids.iter().enumerate() {
-                    let d = sq_dist(row, centroid);
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                best
-            })
+            .map(|u| lanes.nearest(self.unique_row(u)))
             .collect()
+    }
+
+    /// The distinct vectors transposed into lanes, for distance sweeps
+    /// against one centre at a time (k-means++ seeding).
+    pub(crate) fn point_lanes(&self) -> PointLanes {
+        PointLanes::new(&self.unique, self.n_unique())
     }
 
     /// Nearest-centroid index per input row: one distance evaluation per
@@ -289,7 +284,7 @@ mod tests {
         let centroids = vec![vec![0.0f32, 0.0], vec![5.0, 2.0]];
         assert_eq!(
             dd.assign_to_nearest(&centroids),
-            crate::assign_to_nearest(&r, &centroids)
+            crate::assign_to_nearest_reference(&r, &centroids)
         );
     }
 

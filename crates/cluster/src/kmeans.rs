@@ -6,12 +6,20 @@
 //!   [`DedupPoints`] and runs every O(n·k·d) inner loop per *distinct* vector
 //!   instead (O(u·k·d), `u` distinct rows), scattering assignments back by
 //!   code. Seeding stays row-weighted (the D² scan walks rows, not
-//!   distincts), so the sampled centres are exactly the reference's.
+//!   distincts), so the sampled centres are exactly the reference's. Its
+//!   distances come from the lane-wise kernels of [`crate::lanes`]: each
+//!   assignment pass transposes the centroids once and sweeps every distinct
+//!   vector against all of them with the centroids as lanes, and seeding
+//!   transposes the distinct vectors once and sweeps each new centre against
+//!   all of them with the points as lanes. Both add every distance's terms
+//!   in [`sq_dist`]'s order, so they change no bit. Everything runs on the
+//!   calling thread.
 //! * [`kmeans_reference`] — the scalar full-row oracle, kept for the
-//!   equivalence suite. On inputs whose weighted centroid sums are exact in
-//!   f64 (e.g. integer-valued features, and any input with no duplicate
-//!   rows) the fast path is bit-identical to it; otherwise the two differ
-//!   only by f64 summation order in the centroid update.
+//!   equivalence suite. Its distances are [`sq_dist`] calls. On inputs whose
+//!   weighted centroid sums are exact in f64 (e.g. integer-valued features,
+//!   and any input with no duplicate rows) the fast path is bit-identical to
+//!   it; otherwise the two differ only by f64 summation order in the centroid
+//!   update.
 //!
 //! Empty clusters are re-seeded *iteratively*: after the surviving centroids
 //! move, each empty cluster in turn takes the point farthest from its
@@ -24,7 +32,7 @@
 //! so the regression test can plant that exact situation.)
 
 use crate::dedup::DedupPoints;
-use crate::{assign_to_nearest, sq_dist, Clustering};
+use crate::{assign_to_nearest_reference, sq_dist, Clustering};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Ordering;
@@ -118,7 +126,7 @@ pub fn kmeans_reference(data: &[&[f32]], k: usize, config: &KMeansConfig, seed: 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut centroids = plus_plus_init(data, k, &mut rng);
     lloyd_reference(data, &mut centroids, config);
-    let assignments = assign_to_nearest(data, &centroids);
+    let assignments = assign_to_nearest_reference(data, &centroids);
     Clustering {
         k,
         assignments,
@@ -137,7 +145,7 @@ pub fn kmeans_reference_with_initial(
     }
     let mut centroids = initial.to_vec();
     lloyd_reference(data, &mut centroids, config);
-    let assignments = assign_to_nearest(data, &centroids);
+    let assignments = assign_to_nearest_reference(data, &centroids);
     Clustering {
         k: centroids.len(),
         assignments,
@@ -168,7 +176,7 @@ fn lloyd_dedup(dd: &DedupPoints, centroids: &mut [Vec<f32>], config: &KMeansConf
     let dim = dd.dim();
     let nu = dd.n_unique();
     for _ in 0..config.max_iters {
-        // Assignment step, per distinct vector (parallel).
+        // Assignment step, per distinct vector (centroid-lane kernel).
         let uassign = dd.assign_unique(centroids);
 
         // Update step: multiplicity-weighted sums.
@@ -229,7 +237,7 @@ fn lloyd_reference(data: &[&[f32]], centroids: &mut [Vec<f32>], config: &KMeansC
     let k = centroids.len();
     let dim = data[0].len();
     for _ in 0..config.max_iters {
-        let assignments = assign_to_nearest(data, centroids);
+        let assignments = assign_to_nearest_reference(data, centroids);
 
         let mut sums = vec![vec![0.0f64; dim]; k];
         let mut counts = vec![0u64; k];
@@ -317,19 +325,18 @@ fn plus_plus_init(data: &[&[f32]], k: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f3
     centroids
 }
 
-/// [`plus_plus_init`] with distances evaluated once per distinct vector.
+/// [`plus_plus_init`] with distances evaluated once per distinct vector,
+/// through the point-lane kernel (the distinct vectors are transposed once).
 ///
 /// The D² scan still walks *rows* (each row contributes its distinct's
 /// distance), so the consumed RNG stream and the sampled centres are
 /// bit-identical to the reference's.
 fn plus_plus_init_dedup(dd: &DedupPoints, k: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f32>> {
     let n = dd.n_rows();
-    let nu = dd.n_unique();
+    let mut points = dd.point_lanes();
     let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
     centroids.push(dd.row(rng.gen_range(0..n)).to_vec());
-    let mut udists: Vec<f32> = (0..nu)
-        .map(|u| sq_dist(dd.unique_row(u), &centroids[0]))
-        .collect();
+    let mut udists = points.sq_dists(&centroids[0]).to_vec();
     while centroids.len() < k {
         let total: f64 = dd
             .codes()
@@ -351,9 +358,8 @@ fn plus_plus_init_dedup(dd: &DedupPoints, k: usize, rng: &mut ChaCha8Rng) -> Vec
             chosen
         };
         centroids.push(dd.row(next).to_vec());
-        let last = centroids.last().expect("just pushed");
-        for (u, d) in udists.iter_mut().enumerate() {
-            let nd = sq_dist(dd.unique_row(u), last);
+        let fresh = points.sq_dists(centroids.last().expect("just pushed"));
+        for (d, &nd) in udists.iter_mut().zip(fresh) {
             if nd < *d {
                 *d = nd;
             }

@@ -20,7 +20,8 @@
 //! experiment binary) can swap them without touching call sites:
 //!
 //! * [`kmeans()`] — Lloyd's iterations with k-means++-style seeding, the
-//!   §III-C default. O(iters · k · n · d).
+//!   §III-C default. O(iters · k · u · d) over the `u` distinct vectors, with
+//!   the distances computed by the lane-wise kernels of [`lanes`].
 //! * [`agglomerative()`] — bottom-up Ward merging ("AGC" in Table VI); more
 //!   faithful to irregular cluster shapes, quadratic in n, so the pipeline
 //!   caps its input size (`max_cluster_rows`).
@@ -40,10 +41,13 @@
 //!   `zeroed-runtime` content-hashes).
 //! * **Degenerate inputs stay total.** `k` is clamped to the point count;
 //!   empty inputs yield an empty clustering rather than panicking.
+//! * **One CPU per call.** Every function runs on the calling thread; the
+//!   pipeline parallelises by clustering one attribute per scheduler worker.
 
 pub mod agglomerative;
 pub mod dedup;
 pub mod kmeans;
+pub mod lanes;
 
 pub use agglomerative::agglomerative;
 pub use dedup::DedupPoints;
@@ -51,11 +55,11 @@ pub use kmeans::{
     kmeans, kmeans_dedup, kmeans_reference, kmeans_reference_with_initial, kmeans_with_initial,
     KMeansConfig,
 };
+pub use lanes::CentroidLanes;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Which sampling strategy to use when picking representative cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -201,11 +205,19 @@ pub fn random_clustering(data: &[&[f32]], k: usize, seed: u64) -> Clustering {
     }
 }
 
-/// Assigns each point to the index of its nearest centroid (parallel over
-/// points; each element is an independent argmin, so the result is identical
-/// to the sequential scan under any thread count).
+/// Assigns each point to the index of its nearest centroid through the
+/// centroid-lane kernel ([`CentroidLanes`]); bit-identical to
+/// [`assign_to_nearest_reference`].
 pub fn assign_to_nearest(data: &[&[f32]], centroids: &[Vec<f32>]) -> Vec<usize> {
-    data.par_iter()
+    let mut lanes = CentroidLanes::new(centroids);
+    data.iter().map(|row| lanes.nearest(row)).collect()
+}
+
+/// The scalar nearest-centroid scan (one [`sq_dist`] per point and centroid,
+/// first minimal distance wins), kept as the oracle for
+/// [`assign_to_nearest`] and the distance path of [`kmeans_reference`].
+pub fn assign_to_nearest_reference(data: &[&[f32]], centroids: &[Vec<f32>]) -> Vec<usize> {
+    data.iter()
         .map(|row| {
             let mut best = 0usize;
             let mut best_d = f32::INFINITY;

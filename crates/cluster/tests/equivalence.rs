@@ -6,9 +6,13 @@
 //! bit-identical to the full-row oracle (see the `kmeans` module docs). The
 //! all-distinct tables exercise the regime where the two paths coincide
 //! unconditionally (every multiplicity is 1, and `1.0 * x == x` exactly).
+//! The fast path computes its distances with the lane-wise kernels and the
+//! oracle with scalar `sq_dist` calls, so every comparison here also checks
+//! the kernels.
 
 use zeroed_cluster::{
-    assign_to_nearest, kmeans, kmeans_reference, DedupPoints, KMeansConfig, SamplingMethod,
+    assign_to_nearest, assign_to_nearest_reference, kmeans, kmeans_dedup, kmeans_reference,
+    sq_dist, CentroidLanes, DedupPoints, KMeansConfig, SamplingMethod,
 };
 
 fn refs(data: &[Vec<f32>]) -> Vec<&[f32]> {
@@ -116,10 +120,125 @@ fn dedup_assignment_matches_full_assignment_on_large_input() {
     let rows = refs(&data);
     let dd = DedupPoints::build(&rows);
     let c = kmeans(&rows, 10, &KMeansConfig::default(), 3);
-    assert_eq!(
-        dd.assign_to_nearest(&c.centroids),
-        assign_to_nearest(&rows, &c.centroids)
-    );
+    let oracle = assign_to_nearest_reference(&rows, &c.centroids);
+    assert_eq!(dd.assign_to_nearest(&c.centroids), oracle);
+    assert_eq!(assign_to_nearest(&rows, &c.centroids), oracle);
+}
+
+/// SplitMix64 finaliser: a seeded stream of test values.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// All-distinct rows shaped like the sampling stage's input: values in
+/// (-4, 4) with exact `0.0` and `-0.0` entries mixed in, and every seventh
+/// row scaled by 1e3 so that some squared distances need the full f32 range.
+fn sampling_shape_table(n: usize, dim: usize, salt: u64) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|r| {
+            let gain = if r % 7 == 0 { 1e3 } else { 1.0 };
+            (0..dim)
+                .map(|c| {
+                    let z = mix(salt ^ (r * dim + c) as u64);
+                    match z % 9 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => ((z >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 8.0 * gain,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The centroid-lane kernel at the sampling stage's shape on movies (370
+/// centroids of 108 dimensions) and at odd widths that leave a remainder in
+/// any vector loop (371 centroids, 37 and 1 dimensions): every distance
+/// equals `sq_dist` bit for bit, and every assignment equals the scalar
+/// scan's, on points that include rows equal to a centroid.
+#[test]
+fn centroid_lanes_match_the_scalar_scan_at_the_sampling_shape() {
+    for (n, k, dim) in [(300usize, 370usize, 108usize), (257, 371, 37), (64, 9, 1)] {
+        let points = sampling_shape_table(n, dim, 1);
+        let mut centroids = sampling_shape_table(k, dim, 2);
+        // A duplicated centroid: the tie must go to the lower index.
+        centroids[k / 2] = centroids[1].clone();
+        let mut rows = refs(&points);
+        rows.extend(centroids.iter().step_by(17).map(|c| c.as_slice()));
+        let mut lanes = CentroidLanes::new(&centroids);
+        for row in &rows {
+            let scalar: Vec<u32> = centroids.iter().map(|c| sq_dist(row, c).to_bits()).collect();
+            let lane: Vec<u32> = lanes.sq_dists(row).iter().map(|d| d.to_bits()).collect();
+            assert_eq!(lane, scalar, "n={n} k={k} dim={dim}");
+        }
+        let oracle = assign_to_nearest_reference(&rows, &centroids);
+        assert_eq!(assign_to_nearest(&rows, &centroids), oracle, "k={k} dim={dim}");
+        let dd = DedupPoints::build(&rows);
+        assert_eq!(dd.assign_to_nearest(&centroids), oracle, "k={k} dim={dim}");
+    }
+}
+
+/// The dedup path end to end (point-lane seeding, centroid-lane Lloyd
+/// passes, final assignment) against the scalar oracle under the sampling
+/// stage's Lloyd budget, with `k` and `dim` at odd widths.
+#[test]
+fn lane_kmeans_is_bit_identical_to_the_oracle_at_an_odd_shape() {
+    let data = sampling_shape_table(403, 37, 3);
+    let rows = refs(&data);
+    let config = KMeansConfig {
+        max_iters: 12,
+        tolerance: 1e-3,
+    };
+    for (k, seed) in [(75usize, 1u64), (403, 2)] {
+        let fast = kmeans(&rows, k, &config, seed);
+        let oracle = kmeans_reference(&rows, k, &config, seed);
+        assert_eq!(fast.assignments, oracle.assignments, "k={k}");
+        let bits = |c: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            c.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&fast.centroids), bits(&oracle.centroids), "k={k}");
+    }
+}
+
+/// Zero-width rows, a single row, and a single distinct vector behind many
+/// rows finish and equal the oracle. With zero width every distance is 0,
+/// so seeding takes its all-coincident branch and every row joins cluster 0.
+#[test]
+fn degenerate_shapes_match_the_oracle() {
+    let config = KMeansConfig::default();
+    let zero_width = vec![Vec::<f32>::new(); 9];
+    let one_row = vec![vec![1.5f32, -0.0, 3.0]];
+    let one_distinct = vec![vec![2.0f32, 7.0]; 40];
+    for data in [&zero_width, &one_row, &one_distinct] {
+        let rows = refs(data);
+        for k in [1usize, 3] {
+            let fast = kmeans(&rows, k, &config, 4);
+            let oracle = kmeans_reference(&rows, k, &config, 4);
+            assert_eq!(fast.k, oracle.k);
+            assert_eq!(fast.assignments, oracle.assignments);
+            assert_eq!(fast.centroids, oracle.centroids);
+            assert_eq!(
+                kmeans_dedup(&DedupPoints::build(&rows), k, &config, 4).assignments,
+                oracle.assignments
+            );
+        }
+        let dd = DedupPoints::build(&rows);
+        assert_eq!(dd.assign_to_nearest(&[]), vec![0; rows.len()]);
+        assert_eq!(assign_to_nearest(&rows, &[]), vec![0; rows.len()]);
+    }
+    let rows = refs(&zero_width);
+    assert_eq!(kmeans(&rows, 3, &config, 4).assignments, vec![0; 9]);
+    for method in [
+        SamplingMethod::KMeans,
+        SamplingMethod::Agglomerative,
+        SamplingMethod::Random,
+    ] {
+        let c = zeroed_cluster::cluster(method, &rows, 3, 4);
+        assert_eq!(c.assignments.len(), 9, "{}", method.name());
+    }
 }
 
 /// The empty-cluster re-seed fix's global property: whenever the input holds

@@ -16,7 +16,7 @@ pub fn parse_csv(name: &str, text: &str) -> Result<Table> {
     let mut iter = records.into_iter();
     let header = iter.next().ok_or(TableError::EmptyInput)?;
     let ncols = header.len();
-    let mut rows = Vec::new();
+    let mut rows = Vec::with_capacity(iter.len());
     for (i, rec) in iter.enumerate() {
         // A completely empty trailing record (e.g. trailing newline) is skipped.
         if rec.len() == 1 && rec[0].is_empty() {
@@ -86,49 +86,69 @@ fn write_record<'a>(out: &mut String, fields: impl Iterator<Item = &'a str>) {
     out.push('\n');
 }
 
+/// Whether byte `b` ends a run of ordinary field content: inside quotes only
+/// a quote does, outside quotes any of the four structural characters.
+#[inline]
+fn ends_run(b: u8, in_quotes: bool) -> bool {
+    if in_quotes {
+        b == b'"'
+    } else {
+        matches!(b, b'"' | b',' | b'\r' | b'\n')
+    }
+}
+
+/// Moves the finished field out of the reused buffer as a string of exactly
+/// its length (one allocation, none when empty).
+fn finish_field(field: &mut String) -> String {
+    let done = String::from(field.as_str());
+    field.clear();
+    done
+}
+
 /// Low-level record parser: splits CSV text into records of fields.
+///
+/// It scans bytes. The four structural characters (`"`, `,`, `\r`, `\n`)
+/// are ASCII, so every cut falls on a UTF-8 character boundary, and each run
+/// of ordinary characters is copied as one slice into a reused buffer.
 fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
+    let bytes = text.as_bytes();
     let mut records = Vec::new();
     let mut record: Vec<String> = Vec::new();
     let mut field = String::new();
     let mut in_quotes = false;
-    let mut chars = text.chars().peekable();
     let mut record_idx = 0usize;
+    let mut i = 0usize;
 
-    while let Some(ch) = chars.next() {
+    while i < bytes.len() {
+        let start = i;
+        while i < bytes.len() && !ends_run(bytes[i], in_quotes) {
+            i += 1;
+        }
+        field.push_str(&text[start..i]);
+        let Some(&b) = bytes.get(i) else { break };
+        i += 1;
+        let next = bytes.get(i).copied();
         if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => field.push(ch),
+            // `b` is a quote: a doubled quote is a literal one, a single one
+            // closes the quoted section.
+            if next == Some(b'"') {
+                i += 1;
+                field.push('"');
+            } else {
+                in_quotes = false;
             }
-        } else {
-            match ch {
-                '"' => in_quotes = true,
-                ',' => {
-                    record.push(std::mem::take(&mut field));
-                }
-                '\r' => {
-                    // Swallow \r in \r\n; a lone \r also terminates the record.
-                    if chars.peek() == Some(&'\n') {
-                        continue;
-                    }
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                    record_idx += 1;
-                }
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                    record_idx += 1;
-                }
-                _ => field.push(ch),
+            continue;
+        }
+        match b {
+            b'"' => in_quotes = true,
+            b',' => record.push(finish_field(&mut field)),
+            // Swallow \r in \r\n; a lone \r also terminates the record.
+            b'\r' if next == Some(b'\n') => {}
+            _ => {
+                record.push(finish_field(&mut field));
+                let width = record.len();
+                records.push(std::mem::replace(&mut record, Vec::with_capacity(width)));
+                record_idx += 1;
             }
         }
     }
@@ -148,6 +168,96 @@ fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The former char-at-a-time parser, kept as the oracle for
+    /// [`parse_records`].
+    fn parse_records_reference(text: &str) -> Result<Vec<Vec<String>>> {
+        let mut records = Vec::new();
+        let mut record: Vec<String> = Vec::new();
+        let mut field = String::new();
+        let mut in_quotes = false;
+        let mut chars = text.chars().peekable();
+        let mut record_idx = 0usize;
+
+        while let Some(ch) = chars.next() {
+            if in_quotes {
+                match ch {
+                    '"' => {
+                        if chars.peek() == Some(&'"') {
+                            chars.next();
+                            field.push('"');
+                        } else {
+                            in_quotes = false;
+                        }
+                    }
+                    _ => field.push(ch),
+                }
+            } else {
+                match ch {
+                    '"' => in_quotes = true,
+                    ',' => {
+                        record.push(std::mem::take(&mut field));
+                    }
+                    '\r' => {
+                        if chars.peek() == Some(&'\n') {
+                            continue;
+                        }
+                        record.push(std::mem::take(&mut field));
+                        records.push(std::mem::take(&mut record));
+                        record_idx += 1;
+                    }
+                    '\n' => {
+                        record.push(std::mem::take(&mut field));
+                        records.push(std::mem::take(&mut record));
+                        record_idx += 1;
+                    }
+                    _ => field.push(ch),
+                }
+            }
+        }
+        if in_quotes {
+            return Err(TableError::UnterminatedQuote { row: record_idx });
+        }
+        if !field.is_empty() || !record.is_empty() {
+            record.push(field);
+            records.push(record);
+        }
+        if records.is_empty() {
+            return Err(TableError::EmptyInput);
+        }
+        Ok(records)
+    }
+
+    /// The byte parser and the char oracle agree on every input of a corpus
+    /// that covers quotes mid-field, doubled and trailing quotes, lone and
+    /// paired `\r`, separators inside quotes, blank lines, empty fields,
+    /// multi-byte characters next to every structural character, and
+    /// unterminated quotes.
+    #[test]
+    fn byte_parser_matches_the_char_oracle() {
+        let pieces = [
+            "", "a", "é", "日本", ",", "\"", "\"\"", "\n", "\r", "\r\n", "x\"y", " ", "€,",
+            "\"q,\nq\"",
+        ];
+        let mut corpus = vec![
+            String::new(),
+            "a,b\n1,2\n".to_string(),
+            "h\n\n\nx\n".to_string(),
+            "a,b\r1,2\r\r".to_string(),
+            "\"unterminated\nline".to_string(),
+        ];
+        for (i, a) in pieces.iter().enumerate() {
+            for (j, b) in pieces.iter().enumerate() {
+                for c in &pieces[(i * 7 + j) % pieces.len()..] {
+                    corpus.push(format!("{a}{b}{c}"));
+                    corpus.push(format!("h1,h2\n{a},{b}{c}\n{c}{a}"));
+                }
+            }
+        }
+        for text in &corpus {
+            assert_eq!(parse_records(text), parse_records_reference(text), "{text:?}");
+        }
+    }
 
     #[test]
     fn parses_simple_csv() {
