@@ -179,10 +179,12 @@ pub fn train_and_predict(
     // Hard ceiling on the Adam steps any single attribute may spend. The
     // configured schedule (epochs × rows / batch) grows linearly with the
     // table, so at 50k rows a high-cardinality attribute would pay ~9400
-    // steps — ~19x what the 24-hidden-unit detector needs to converge. The
-    // budget (~2.6 passes over 50k rows at batch 64) only binds on large
-    // attributes; every configured schedule below it is untouched, so
-    // small-table behaviour — and every quality test — is unchanged.
+    // steps, over 18x the `DEDUP_STEP_CAP` that the detector (64 hidden units
+    // by default, 24 in `ZeroEdConfig::fast()`) trains with when dedup
+    // collapses its set. The budget (~2.6 passes over 50k rows at batch 64)
+    // only binds on large attributes; every configured schedule below it is
+    // untouched, so small-table behaviour — and every quality test — is
+    // unchanged.
     const TRAIN_STEP_BUDGET: usize = 2_048;
     let batch = config.mlp.batch_size.max(1);
     let expanded = weights.iter().sum::<f32>().round() as usize;

@@ -5,34 +5,58 @@
 //!
 //! Two trainers share the algorithm:
 //!
-//! * [`Mlp::train`] — the scalar per-example loop, kept as the equivalence
-//!   oracle.
-//! * [`Mlp::train_batched`] / [`Mlp::train_weighted`] — the production fast
+//! * [`Mlp::train_weighted_scalar`] — the scalar per-example loop with a
+//!   positive weight per example, kept as the equivalence oracle.
+//!   [`Mlp::train`] is its unit-weight call.
+//! * [`Mlp::train_weighted`] / [`Mlp::train_batched`] — the production fast
 //!   path. It runs entirely on the calling thread; parallelism comes from the
 //!   caller training one network per attribute on separate workers.
 //!
-//! The fast path is a *lane-wise* kernel. Once per mini-batch it transposes
-//! `w1` into an `input_dim × hidden` buffer, so the weights every hidden unit
-//! applies to input `i` sit in one contiguous row. The forward pass then
-//! sweeps the inputs once per example with the hidden units as independent
-//! lanes, `h[j] += w1t[i * hidden + j] * x[i]`, writing into one reused
-//! `batch × hidden` buffer. No per-example `Vec` is allocated. Each `h[j]`
-//! still receives its terms in the scalar `i = 0..input_dim` order, with no
-//! fused multiply-add and no reassociation. The backward pass walks hidden
-//! units in order and sums each unit's batch contributions in example order:
-//! `gb1[j]`/`gw2[j]` accumulate over examples, and row `j` of the `w1`
-//! gradient is an axpy per example that skips the examples where unit `j`
-//! is inactive. Every f32 location therefore adds the same terms in the
-//! same order as the scalar loop, and the trained parameters are
-//! bit-identical to [`Mlp::train`]'s. [`Mlp::predict_proba_batch`] runs the
-//! same forward kernel with one transpose per call.
+//! The fast path is a register-blocked *lane* kernel. Every f32 location it
+//! writes receives the same terms, rounded by the same IEEE-754 operations
+//! in the same order, as in the scalar loop — no fused multiply-add and no
+//! reassociation — so the trained parameters are bit-identical. What changes
+//! is which independent sums run side by side:
+//!
+//! * For the whole call, `w1` and its Adam moments are held input-major,
+//!   `input_dim` rows of `width` lanes (`width` is `hidden` rounded up to a
+//!   multiple of 8; the padding lanes stay zero), and copied back at the
+//!   end. The Adam update is elementwise, so the layout changes no bit. Each
+//!   mini-batch is copied into a zero-padded `batch × stride` buffer
+//!   (`stride` is `input_dim` rounded up to a multiple of 8).
+//! * **Forward:** the hidden units are the lanes. One example sweeps its
+//!   inputs once per block of up to 64 units, with the block's running sums
+//!   `h[j] += w1[j][i] · x[i]` in registers for the whole sweep; each sum
+//!   still starts at `b1[j]` and adds its terms in `i` order. The output
+//!   logits, each one dependent chain over `j`, are summed for eight
+//!   examples side by side.
+//! * **`gw2` and `gb1`:** summed example by example with the hidden units as
+//!   lanes. An inactive unit adds `+0.0` to `gb1[j]` instead of being
+//!   skipped. That is exact: `gb1[j]` starts at `+0.0`, and a round-to-nearest
+//!   sum is `-0.0` only when both operands are, so it never becomes `-0.0`,
+//!   and `s + 0.0 == s` for every other `s`.
+//! * **`w1` gradient:** each unit first lists its active examples (the ones
+//!   with `h[j] > 0`), branch-free. Its gradient row is then summed over that
+//!   list in register blocks of up to 64 inputs of the padded batch — the
+//!   scalar loop's per-location order — and written into the unit's lane of
+//!   the input-major gradient.
+//!
+//! On x86-64 CPUs with AVX the whole call runs a copy of the same code
+//! compiled for 256-bit vectors, chosen once per call at run time as
+//! `zeroed_cluster::lanes` does. No `fma` target feature is enabled, and
+//! every lane performs the same rounded multiply, add, square root and
+//! divide at any vector width, so the choice changes no bit.
+//! [`Mlp::predict_proba_batch`] runs the same forward kernel, dispatched the
+//! same way, with one transpose per call. At the detector's shape (1,200
+//! weighted rows × 111 inputs, hidden 64, batch 64, 570 Adam steps) the
+//! kernel trains about 3x faster than the lane-wise loop it replaced
+//! (`mlp_bench` on a 2-core Xeon with AVX-512: 130–145 ms → 39–46 ms).
 //!
 //! [`Mlp::train_weighted`] folds a per-example weight into `dL/dlogit` (and
 //! the loss), which with unit weights multiplies by `1.0` exactly — so
-//! `train_batched` *is* `train_weighted` with weights of one, and both are
-//! covered by the same oracle. The weighted form is what lets
-//! `zeroed-core`'s detector train on deduplicated feature rows weighted by
-//! multiplicity instead of `n` expanded copies.
+//! `train_batched` *is* `train_weighted` with weights of one. The weighted
+//! form is what lets `zeroed-core`'s detector train on deduplicated feature
+//! rows weighted by multiplicity instead of `n` expanded copies.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -85,7 +109,10 @@ impl Param {
         }
     }
 
-    fn adam_step(&mut self, grad: &[f32], lr: f32, t: usize, weight_decay: f32) {
+    /// One Adam update with the gradient `grad · scale` (the batch sum times
+    /// one over the batch weight).
+    #[inline(always)]
+    fn adam_step(&mut self, grad: &[f32], scale: f32, lr: f32, t: usize, weight_decay: f32) {
         const B1: f32 = 0.9;
         const B2: f32 = 0.999;
         const EPS: f32 = 1e-8;
@@ -94,13 +121,14 @@ impl Param {
         let t = t as i32;
         let m_corr = 1.0 / (1.0 - B1.powi(t));
         let v_corr = 1.0 / (1.0 - B2.powi(t));
-        for i in 0..self.value.len() {
-            let g = grad[i] + weight_decay * self.value[i];
-            self.m[i] = B1 * self.m[i] + (1.0 - B1) * g;
-            self.v[i] = B2 * self.v[i] + (1.0 - B2) * g * g;
-            let m_hat = self.m[i] * m_corr;
-            let v_hat = self.v[i] * v_corr;
-            self.value[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
+        let params = self.value.iter_mut().zip(&mut self.m).zip(&mut self.v);
+        for (((value, m), v), &grad) in params.zip(grad) {
+            let g = grad * scale + weight_decay * *value;
+            *m = B1 * *m + (1.0 - B1) * g;
+            *v = B2 * *v + (1.0 - B2) * g * g;
+            let m_hat = *m * m_corr;
+            let v_hat = *v * v_corr;
+            *value -= lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 }
@@ -119,6 +147,13 @@ pub struct Mlp {
 
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
+}
+
+/// The weighted binary cross-entropy of probability `p` against label `y`.
+#[inline(always)]
+fn weighted_loss(p: f32, y: f32, w: f32) -> f32 {
+    let p_clamped = p.clamp(1e-7, 1.0 - 1e-7);
+    w * -(y * p_clamped.ln() + (1.0 - y) * (1.0 - p_clamped).ln())
 }
 
 impl Mlp {
@@ -171,36 +206,6 @@ impl Mlp {
         (h, sigmoid(out))
     }
 
-    /// Writes `w1` transposed into `w1t`: `input_dim × hidden`, row `i`
-    /// holding every hidden unit's weight on input `i`.
-    fn transpose_w1(&self, w1t: &mut [f32]) {
-        for (i, lanes) in w1t.chunks_exact_mut(self.hidden).enumerate() {
-            for (j, w) in lanes.iter_mut().enumerate() {
-                *w = self.w1.value[j * self.input_dim + i];
-            }
-        }
-    }
-
-    /// The lane-wise forward pass of one example against a transposed `w1`
-    /// ([`Mlp::transpose_w1`]): fills `h` with the hidden activations and
-    /// returns the probability. Bit-identical to [`Mlp::forward`], because
-    /// every `h[j]` adds its terms in the same `i = 0..input_dim` order.
-    fn forward_lanes(&self, w1t: &[f32], x: &[f32], h: &mut [f32]) -> f32 {
-        debug_assert_eq!(x.len(), self.input_dim);
-        h.copy_from_slice(&self.b1.value);
-        for (&xi, lanes) in x.iter().zip(w1t.chunks_exact(self.hidden)) {
-            for (hj, &w) in h.iter_mut().zip(lanes) {
-                *hj += w * xi;
-            }
-        }
-        let mut out = self.b2.value[0];
-        for (hj, &w) in h.iter_mut().zip(&self.w2.value) {
-            *hj = hj.max(0.0);
-            out += w * *hj;
-        }
-        sigmoid(out)
-    }
-
     /// Predicted probability that the row is an error (positive class).
     pub fn predict_proba(&self, x: &[f32]) -> f32 {
         self.forward(x).1
@@ -211,14 +216,31 @@ impl Mlp {
         self.predict_proba(x) >= 0.5
     }
 
-    /// Trains the network on `(rows, labels)` (labels in `{0.0, 1.0}`) and
-    /// returns the mean training loss of the final epoch.
+    /// Trains the network on `(rows, labels)` (labels in `{0.0, 1.0}`) with
+    /// the scalar oracle loop and returns the mean training loss of the final
+    /// epoch: [`Mlp::train_weighted_scalar`] with every weight `1.0`.
     ///
     /// Rows must all have the configured input dimension; label and row counts
     /// must match. An empty training set leaves the network untouched and
     /// returns 0.
     pub fn train(&mut self, rows: &[&[f32]], labels: &[f32], config: &MlpConfig) -> f32 {
+        self.train_weighted_scalar(rows, labels, &vec![1.0; rows.len()], config)
+    }
+
+    /// The scalar per-example trainer, the bit-identity oracle of
+    /// [`Mlp::train_weighted`]: the same weighted objective, one example and
+    /// one hidden unit at a time. With unit weights every weight multiplies
+    /// by `1.0` and every batch weight is the batch length, both exactly, so
+    /// this is the unweighted loop bit for bit.
+    pub fn train_weighted_scalar(
+        &mut self,
+        rows: &[&[f32]],
+        labels: &[f32],
+        weights: &[f32],
+        config: &MlpConfig,
+    ) -> f32 {
         assert_eq!(rows.len(), labels.len(), "rows and labels must align");
+        assert_eq!(rows.len(), weights.len(), "rows and weights must align");
         if rows.is_empty() {
             return 0.0;
         }
@@ -226,6 +248,7 @@ impl Mlp {
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(1));
         let batch = config.batch_size.max(1);
+        let total_weight: f32 = weights.iter().sum();
         let mut last_epoch_loss = 0.0f32;
 
         // Gradient buffers reused across batches.
@@ -246,24 +269,24 @@ impl Mlp {
                 gb1.iter_mut().for_each(|g| *g = 0.0);
                 gw2.iter_mut().for_each(|g| *g = 0.0);
                 gb2[0] = 0.0;
+                let mut chunk_weight = 0.0f32;
                 for &idx in chunk {
                     let x = rows[idx];
-                    let y = labels[idx];
+                    let (y, w) = (labels[idx], weights[idx]);
                     let (h, p) = self.forward(x);
-                    let p_clamped = p.clamp(1e-7, 1.0 - 1e-7);
-                    epoch_loss +=
-                        -(y * p_clamped.ln() + (1.0 - y) * (1.0 - p_clamped).ln());
-                    // dL/dlogit = p - y
-                    let dlogit = p - y;
-                    gb2[0] += dlogit;
+                    epoch_loss += weighted_loss(p, y, w);
+                    // dL/dlogit = w · (p - y)
+                    let wdlogit = w * (p - y);
+                    gb2[0] += wdlogit;
+                    chunk_weight += w;
                     for j in 0..self.hidden {
-                        gw2[j] += dlogit * h[j];
+                        gw2[j] += wdlogit * h[j];
                     }
                     for j in 0..self.hidden {
                         if h[j] <= 0.0 {
                             continue;
                         }
-                        let dh = dlogit * self.w2.value[j];
+                        let dh = wdlogit * self.w2.value[j];
                         gb1[j] += dh;
                         let grad_row = &mut gw1[j * self.input_dim..(j + 1) * self.input_dim];
                         for (g, &xi) in grad_row.iter_mut().zip(x.iter()) {
@@ -271,26 +294,20 @@ impl Mlp {
                         }
                     }
                 }
-                let scale = 1.0 / chunk.len() as f32;
-                gw1.iter_mut().for_each(|g| *g *= scale);
-                gb1.iter_mut().for_each(|g| *g *= scale);
-                gw2.iter_mut().for_each(|g| *g *= scale);
-                gb2[0] *= scale;
-                self.steps += 1;
-                let t = self.steps;
-                self.w1
-                    .adam_step(&gw1, config.learning_rate, t, config.weight_decay);
-                self.b1.adam_step(&gb1, config.learning_rate, t, 0.0);
-                self.w2
-                    .adam_step(&gw2, config.learning_rate, t, config.weight_decay);
-                self.b2.adam_step(&gb2, config.learning_rate, t, 0.0);
+                adam_step(
+                    &mut self.steps,
+                    [&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2],
+                    [&gw1, &gb1, &gw2, &gb2],
+                    1.0 / chunk_weight,
+                    config,
+                );
             }
-            last_epoch_loss = epoch_loss / n as f32;
+            last_epoch_loss = epoch_loss / total_weight;
         }
         last_epoch_loss
     }
 
-    /// Batched fast-path trainer: the lane-wise kernel of the module docs,
+    /// Batched fast-path trainer: the lane kernel of the module docs,
     /// bit-identical to [`Mlp::train`].
     pub fn train_batched(&mut self, rows: &[&[f32]], labels: &[f32], config: &MlpConfig) -> f32 {
         self.train_weighted(rows, labels, &vec![1.0f32; rows.len()], config)
@@ -299,11 +316,39 @@ impl Mlp {
     /// [`Mlp::train_batched`] with a positive weight per example: each
     /// example's gradient and loss contribution is scaled by its weight, and
     /// batch gradients are weighted means (divided by the batch's total
-    /// weight instead of its length). With unit weights this is bit-identical
-    /// to [`Mlp::train`]; with integer weights it trains on a deduplicated
-    /// set as if each row appeared `weight` times in every batch its distinct
-    /// vector lands in.
+    /// weight instead of its length). Bit-identical to
+    /// [`Mlp::train_weighted_scalar`]; with integer weights it trains on a
+    /// deduplicated set as if each row appeared `weight` times in every batch
+    /// its distinct vector lands in.
     pub fn train_weighted(
+        &mut self,
+        rows: &[&[f32]],
+        labels: &[f32],
+        weights: &[f32],
+        config: &MlpConfig,
+    ) -> f32 {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            #[target_feature(enable = "avx")]
+            fn avx(
+                mlp: &mut Mlp,
+                rows: &[&[f32]],
+                labels: &[f32],
+                weights: &[f32],
+                config: &MlpConfig,
+            ) -> f32 {
+                mlp.train_lanes(rows, labels, weights, config)
+            }
+            // SAFETY: the CPU supports AVX, checked just above.
+            return unsafe { avx(self, rows, labels, weights, config) };
+        }
+        self.train_lanes(rows, labels, weights, config)
+    }
+
+    /// The lane kernel behind [`Mlp::train_weighted`], compiled into each
+    /// build its dispatch chooses from.
+    #[inline(always)]
+    fn train_lanes(
         &mut self,
         rows: &[&[f32]],
         labels: &[f32],
@@ -312,6 +357,10 @@ impl Mlp {
     ) -> f32 {
         assert_eq!(rows.len(), labels.len(), "rows and labels must align");
         assert_eq!(rows.len(), weights.len(), "rows and weights must align");
+        assert!(
+            rows.iter().all(|r| r.len() == self.input_dim),
+            "rows must have the input dimension"
+        );
         debug_assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
         if rows.is_empty() {
             return 0.0;
@@ -319,21 +368,35 @@ impl Mlp {
         let n = rows.len();
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(1));
-        let batch = config.batch_size.max(1);
+        let batch = config.batch_size.max(1).min(n);
         let total_weight: f32 = weights.iter().sum();
         let mut last_epoch_loss = 0.0f32;
 
         let (input_dim, hidden) = (self.input_dim, self.hidden);
-        let mut gw1 = vec![0.0f32; self.w1.value.len()];
-        let mut gb1 = vec![0.0f32; self.b1.value.len()];
-        let mut gw2 = vec![0.0f32; self.w2.value.len()];
-        let mut gb2 = vec![0.0f32; 1];
-        // Kernel buffers reused across batches: the transposed `w1`, the
-        // batch's hidden activations (one `hidden`-wide row per example) and
-        // its weighted `dL/dlogit`s.
-        let mut w1t = vec![0.0f32; self.w1.value.len()];
-        let mut acts = vec![0.0f32; batch.min(n) * hidden];
-        let mut wdlogits = Vec::with_capacity(batch.min(n));
+        let width = hidden.next_multiple_of(LANES);
+        // At least one lane wide, so that zero-width rows still step
+        // through the batch.
+        let stride = input_dim.max(1).next_multiple_of(LANES);
+        // `w1` and its Adam moments stay input-major for the whole call, so
+        // the forward pass reads the weights as lanes directly.
+        let mut w1t = Param {
+            value: to_lanes(&self.w1.value, input_dim, width),
+            m: to_lanes(&self.w1.m, input_dim, width),
+            v: to_lanes(&self.w1.v, input_dim, width),
+        };
+        let mut gw1t = vec![0.0f32; input_dim * width];
+        let mut b1 = vec![0.0f32; width];
+        let mut gb1 = vec![0.0f32; hidden];
+        let mut gw2 = vec![0.0f32; hidden];
+        // Per step: the zero-padded batch; its hidden activations (one
+        // `width`-lane row per example, in whole groups of `GROUP` rows) and
+        // logits, which become the weighted `dL/dlogit`s; and one unit's
+        // active examples.
+        let groups = batch.div_ceil(GROUP);
+        let mut xs = vec![0.0f32; batch * stride];
+        let mut acts = vec![0.0f32; groups * GROUP * width];
+        let mut wdlogits = vec![0.0f32; groups * GROUP];
+        let mut active = vec![0usize; batch];
 
         for _epoch in 0..config.epochs {
             // Fisher-Yates shuffle — same RNG stream as the scalar trainer.
@@ -344,80 +407,130 @@ impl Mlp {
             let mut epoch_loss = 0.0f32;
             for chunk in order.chunks(batch) {
                 // Forward the batch against this step's frozen parameters,
-                // accumulating the loss, `b2` and the batch weight in
+                // then accumulate the loss, `b2` and the batch weight in
                 // example order (scalar-order f32 sums).
-                self.transpose_w1(&mut w1t);
-                let acts = &mut acts[..chunk.len() * hidden];
-                gb2[0] = 0.0;
+                b1[..hidden].copy_from_slice(&self.b1.value);
+                let net = LaneForward {
+                    width,
+                    w1t: &w1t.value,
+                    b1: &b1,
+                    w2: &self.w2.value,
+                    b2: self.b2.value[0],
+                };
+                let rows_and_acts = xs
+                    .chunks_exact_mut(stride)
+                    .zip(acts.chunks_exact_mut(width));
+                for (&idx, (x, h)) in chunk.iter().zip(rows_and_acts) {
+                    let x = &mut x[..input_dim];
+                    x.copy_from_slice(rows[idx]);
+                    net.hidden(x, h);
+                }
+                let used = chunk.len().div_ceil(GROUP) * GROUP;
+                net.logits(&acts[..used * width], &mut wdlogits[..used]);
+                let mut gb2 = 0.0f32;
                 let mut chunk_weight = 0.0f32;
-                wdlogits.clear();
-                for (&idx, h) in chunk.iter().zip(acts.chunks_exact_mut(hidden)) {
-                    let p = self.forward_lanes(&w1t, rows[idx], h);
-                    let y = labels[idx];
-                    let w = weights[idx];
-                    let p_clamped = p.clamp(1e-7, 1.0 - 1e-7);
-                    epoch_loss +=
-                        w * -(y * p_clamped.ln() + (1.0 - y) * (1.0 - p_clamped).ln());
-                    let wdlogit = w * (p - y);
-                    gb2[0] += wdlogit;
+                for (&idx, wdlogit) in chunk.iter().zip(wdlogits.iter_mut()) {
+                    let p = sigmoid(*wdlogit);
+                    let (y, w) = (labels[idx], weights[idx]);
+                    epoch_loss += weighted_loss(p, y, w);
+                    *wdlogit = w * (p - y);
+                    gb2 += *wdlogit;
                     chunk_weight += w;
-                    wdlogits.push(wdlogit);
                 }
-                // Backward, one hidden unit at a time: unit `j` sums its
-                // `gb1`, `gw2` and `gw1`-row terms over the batch in example
-                // order — the scalar trainer's addition order for each
-                // location.
-                for j in 0..hidden {
-                    let w2_j = self.w2.value[j];
-                    let grad_row = &mut gw1[j * input_dim..(j + 1) * input_dim];
-                    grad_row.fill(0.0);
-                    let mut gb1_j = 0.0f32;
-                    let mut gw2_j = 0.0f32;
-                    for ((&idx, h), &wdlogit) in
-                        chunk.iter().zip(acts.chunks_exact(hidden)).zip(&wdlogits)
-                    {
-                        gw2_j += wdlogit * h[j];
-                        if h[j] <= 0.0 {
-                            continue;
-                        }
-                        let dh = wdlogit * w2_j;
-                        gb1_j += dh;
-                        for (g, &xi) in grad_row.iter_mut().zip(rows[idx]) {
-                            *g += dh * xi;
-                        }
+                let acts = &acts[..chunk.len() * width];
+                let wdlogits = &wdlogits[..chunk.len()];
+
+                // `gw2` and `gb1`, example by example with the units as
+                // lanes; an inactive unit adds an exact `+0.0` to `gb1`.
+                gw2.fill(0.0);
+                gb1.fill(0.0);
+                for (h, &wdlogit) in acts.chunks_exact(width).zip(wdlogits) {
+                    let units = gw2.iter_mut().zip(&mut gb1).zip(h).zip(&self.w2.value);
+                    for (((gw2_j, gb1_j), &h_j), &w2_j) in units {
+                        *gw2_j += wdlogit * h_j;
+                        *gb1_j += if h_j > 0.0 { wdlogit * w2_j } else { 0.0 };
                     }
-                    gb1[j] = gb1_j;
-                    gw2[j] = gw2_j;
                 }
-                let scale = 1.0 / chunk_weight;
-                gw1.iter_mut().for_each(|g| *g *= scale);
-                gb1.iter_mut().for_each(|g| *g *= scale);
-                gw2.iter_mut().for_each(|g| *g *= scale);
-                gb2[0] *= scale;
-                self.steps += 1;
-                let t = self.steps;
-                self.w1
-                    .adam_step(&gw1, config.learning_rate, t, config.weight_decay);
-                self.b1.adam_step(&gb1, config.learning_rate, t, 0.0);
-                self.w2
-                    .adam_step(&gw2, config.learning_rate, t, config.weight_decay);
-                self.b2.adam_step(&gb2, config.learning_rate, t, 0.0);
+
+                // Unit `j`'s `w1` gradient over its active examples, in
+                // example order.
+                if input_dim > 0 {
+                    for (unit, &w2_j) in self.w2.value.iter().enumerate() {
+                        let active =
+                            active_examples(&acts[unit..], width, &mut active[..wdlogits.len()]);
+                        let mut block = GradBlock {
+                            xs: &xs,
+                            stride,
+                            active,
+                            wdlogits,
+                            w2_j,
+                            input_dim,
+                            unit,
+                            width,
+                            gw1t: &mut gw1t,
+                        };
+                        for_each_block(stride, &mut block);
+                    }
+                }
+                adam_step(
+                    &mut self.steps,
+                    [&mut w1t, &mut self.b1, &mut self.w2, &mut self.b2],
+                    [&gw1t, &gb1, &gw2, &[gb2]],
+                    1.0 / chunk_weight,
+                    config,
+                );
             }
             last_epoch_loss = epoch_loss / total_weight;
         }
+        from_lanes(&w1t.value, &mut self.w1.value, width);
+        from_lanes(&w1t.m, &mut self.w1.m, width);
+        from_lanes(&w1t.v, &mut self.w1.v, width);
         last_epoch_loss
     }
 
-    /// Predicted probabilities for a batch of rows through the lane-wise
-    /// forward kernel (one `w1` transpose per call); bit-identical to calling
+    /// Predicted probabilities for a batch of rows through the lane forward
+    /// kernel (one `w1` transpose per call, AVX-dispatched like
+    /// [`Mlp::train_weighted`]); bit-identical to calling
     /// [`Mlp::predict_proba`] per row.
     pub fn predict_proba_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        let mut w1t = vec![0.0f32; self.w1.value.len()];
-        self.transpose_w1(&mut w1t);
-        let mut h = vec![0.0f32; self.hidden];
-        rows.iter()
-            .map(|row| self.forward_lanes(&w1t, row, &mut h))
-            .collect()
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            #[target_feature(enable = "avx")]
+            fn avx(mlp: &Mlp, rows: &[&[f32]]) -> Vec<f32> {
+                mlp.predict_lanes(rows)
+            }
+            // SAFETY: the CPU supports AVX, checked just above.
+            return unsafe { avx(self, rows) };
+        }
+        self.predict_lanes(rows)
+    }
+
+    /// The forward kernel behind [`Mlp::predict_proba_batch`].
+    #[inline(always)]
+    fn predict_lanes(&self, rows: &[&[f32]]) -> Vec<f32> {
+        let width = self.hidden.next_multiple_of(LANES);
+        let w1t = to_lanes(&self.w1.value, self.input_dim, width);
+        let mut b1 = vec![0.0f32; width];
+        b1[..self.hidden].copy_from_slice(&self.b1.value);
+        let net = LaneForward {
+            width,
+            w1t: &w1t,
+            b1: &b1,
+            w2: &self.w2.value,
+            b2: self.b2.value[0],
+        };
+        let mut acts = vec![0.0f32; GROUP * width];
+        let mut logits = [0.0f32; GROUP];
+        let mut probs = Vec::with_capacity(rows.len());
+        for group in rows.chunks(GROUP) {
+            for (x, h) in group.iter().zip(acts.chunks_exact_mut(width)) {
+                debug_assert_eq!(x.len(), self.input_dim);
+                net.hidden(x, h);
+            }
+            net.logits(&acts, &mut logits);
+            probs.extend(logits[..group.len()].iter().map(|&z| sigmoid(z)));
+        }
+        probs
     }
 
     /// Convenience: constructs and trains an MLP in one call through the
@@ -436,6 +549,223 @@ impl Mlp {
         let mut mlp = Mlp::new(input_dim, config);
         mlp.train_weighted(rows, labels, weights, config);
         mlp
+    }
+}
+
+/// One Adam step of the parameters `[w1, b1, w2, b2]` from their batch
+/// gradient sums and `scale = 1 / batch weight`.
+#[inline(always)]
+fn adam_step(
+    steps: &mut usize,
+    params: [&mut Param; 4],
+    grads: [&[f32]; 4],
+    scale: f32,
+    config: &MlpConfig,
+) {
+    *steps += 1;
+    let decays = [config.weight_decay, 0.0, config.weight_decay, 0.0];
+    for ((param, grad), decay) in params.into_iter().zip(grads).zip(decays) {
+        param.adam_step(grad, scale, config.learning_rate, *steps, decay);
+    }
+}
+
+/// The narrowest register block: lane widths and padded strides are
+/// multiples of it. Eight f32 lanes are one 256-bit vector.
+const LANES: usize = 8;
+
+/// Examples whose output logits are summed side by side: each logit is one
+/// dependent chain of `hidden` adds, and eight chains in flight hide the add
+/// latency.
+const GROUP: usize = 8;
+
+/// `w` (`hidden` rows of `input_dim` weights, unit-major as [`Mlp`] keeps
+/// `w1`) transposed to input-major lanes: `input_dim` rows of `width`, row
+/// `i` holding every unit's weight on input `i`, zero past `hidden`.
+fn to_lanes(w: &[f32], input_dim: usize, width: usize) -> Vec<f32> {
+    let mut lanes = vec![0.0f32; input_dim * width];
+    if input_dim > 0 {
+        for (j, row) in w.chunks_exact(input_dim).enumerate() {
+            for (&x, lane_row) in row.iter().zip(lanes.chunks_exact_mut(width)) {
+                lane_row[j] = x;
+            }
+        }
+    }
+    lanes
+}
+
+/// The inverse of [`to_lanes`]: writes the lanes back into unit-major `w`.
+fn from_lanes(lanes: &[f32], w: &mut [f32], width: usize) {
+    let input_dim = lanes.len() / width;
+    if input_dim > 0 {
+        for (j, row) in w.chunks_exact_mut(input_dim).enumerate() {
+            for (x, lane_row) in row.iter_mut().zip(lanes.chunks_exact(width)) {
+                *x = lane_row[j];
+            }
+        }
+    }
+}
+
+/// The active examples of one unit, in order: the `e < active.len()` whose
+/// activation `acts[e · width]` is positive, listed at the front of
+/// `active`. Branch-free: every example is written, and only an active one
+/// advances the count. Kept out of line, where its few pointers and
+/// counters get registers of their own.
+#[inline(never)]
+fn active_examples<'a>(acts: &[f32], width: usize, active: &'a mut [usize]) -> &'a [usize] {
+    let mut n_active = 0;
+    for e in 0..active.len() {
+        active[n_active] = e;
+        n_active += (acts[e * width] > 0.0) as usize;
+    }
+    &active[..n_active]
+}
+
+/// Writes `values` down lane `lane` of consecutive `width`-lane rows of
+/// `rows`. Kept out of line, where the strided stores get registers of
+/// their own.
+#[inline(never)]
+fn scatter_lane(values: &[f32], rows: &mut [f32], width: usize, lane: usize) {
+    for (row, &v) in rows.chunks_exact_mut(width).zip(values) {
+        row[lane] = v;
+    }
+}
+
+/// A loop over `L` adjacent lanes whose running sums stay in registers.
+trait LaneBlock {
+    /// Runs the loop over lanes `off..off + L`.
+    fn run<const L: usize>(&mut self, off: usize);
+}
+
+/// Runs `block` over lanes `0..width` (a multiple of [`LANES`]): 64-lane
+/// blocks, then one block of the rest. A 64-lane block keeps its sums in
+/// eight 256-bit registers, leaving half the register file for operands,
+/// and one block of the rest keeps as many sums in flight as it can, where
+/// 8-lane blocks would each wait on one add chain.
+#[inline(always)]
+fn for_each_block(width: usize, block: &mut impl LaneBlock) {
+    debug_assert_eq!(width % LANES, 0, "unpadded width");
+    let mut off = 0;
+    while off < width {
+        let lanes = (width - off).min(64);
+        match lanes {
+            64 => block.run::<64>(off),
+            56 => block.run::<56>(off),
+            48 => block.run::<48>(off),
+            40 => block.run::<40>(off),
+            32 => block.run::<32>(off),
+            24 => block.run::<24>(off),
+            16 => block.run::<16>(off),
+            _ => block.run::<LANES>(off),
+        }
+        off += lanes;
+    }
+}
+
+/// The forward pass in lane form: `w1` as input-major lanes ([`to_lanes`])
+/// and `b1` padded to `width` lanes, zero past `hidden`, and the output
+/// layer as is.
+struct LaneForward<'a> {
+    /// `hidden` rounded up to a multiple of [`LANES`].
+    width: usize,
+    w1t: &'a [f32],
+    b1: &'a [f32],
+    w2: &'a [f32],
+    b2: f32,
+}
+
+impl LaneForward<'_> {
+    /// Fills `h` (`width` lanes) with the hidden activations of `x`,
+    /// bit-identical to [`Mlp::forward`]'s: each lane starts at `b1[j]`,
+    /// adds `w1[j][i] · x[i]` in `i` order and goes through the ReLU.
+    #[inline(always)]
+    fn hidden(&self, x: &[f32], h: &mut [f32]) {
+        debug_assert_eq!(x.len() * self.width, self.w1t.len(), "input width");
+        for_each_block(self.width, &mut HiddenBlock { net: self, x, h });
+    }
+
+    /// The output logits of whole groups of [`GROUP`] activation rows:
+    /// `out[e] = b2 + Σⱼ w2[j] · h_e[j]`, added in `j` order as
+    /// [`Mlp::forward`] adds them.
+    #[inline(always)]
+    fn logits(&self, acts: &[f32], out: &mut [f32]) {
+        let hidden = self.w2.len();
+        for (group, out) in acts
+            .chunks_exact(GROUP * self.width)
+            .zip(out.chunks_exact_mut(GROUP))
+        {
+            let rows: [&[f32]; GROUP] = std::array::from_fn(|e| &group[e * self.width..][..hidden]);
+            let mut acc = [self.b2; GROUP];
+            for (j, &w) in self.w2.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(rows) {
+                    *a += w * row[j];
+                }
+            }
+            out.copy_from_slice(&acc);
+        }
+    }
+}
+
+/// One block of [`LaneForward::hidden`].
+struct HiddenBlock<'a> {
+    net: &'a LaneForward<'a>,
+    x: &'a [f32],
+    h: &'a mut [f32],
+}
+
+impl LaneBlock for HiddenBlock<'_> {
+    #[inline(always)]
+    fn run<const L: usize>(&mut self, off: usize) {
+        let width = self.net.width;
+        let mut acc: [f32; L] = self.net.b1[off..off + L]
+            .try_into()
+            .expect("block within the width");
+        for (&x_i, lanes) in self.x.iter().zip(self.net.w1t.chunks_exact(width)) {
+            let w: &[f32; L] = lanes[off..off + L]
+                .try_into()
+                .expect("block within the width");
+            for (a, &w) in acc.iter_mut().zip(w) {
+                *a += w * x_i;
+            }
+        }
+        for (h_j, a) in self.h[off..off + L].iter_mut().zip(acc) {
+            *h_j = a.max(0.0);
+        }
+    }
+}
+
+/// One block of a unit's `w1`-gradient row: `Σ dh · x[i]` with
+/// `dh = wdlogit · w2_j`, over the unit's active examples in order, from
+/// `0.0`, for inputs `off..off + L` of the zero-padded batch `xs`. The sums
+/// land in the unit's lane of the input-major gradient `gw1t`; the padding
+/// inputs past `input_dim` are dropped.
+struct GradBlock<'a> {
+    xs: &'a [f32],
+    stride: usize,
+    active: &'a [usize],
+    wdlogits: &'a [f32],
+    w2_j: f32,
+    input_dim: usize,
+    unit: usize,
+    width: usize,
+    gw1t: &'a mut [f32],
+}
+
+impl LaneBlock for GradBlock<'_> {
+    #[inline(always)]
+    fn run<const L: usize>(&mut self, off: usize) {
+        let mut acc = [0.0f32; L];
+        for &e in self.active {
+            let dh = self.wdlogits[e] * self.w2_j;
+            let x: &[f32; L] = self.xs[e * self.stride + off..][..L]
+                .try_into()
+                .expect("block within the stride");
+            for (a, &x_i) in acc.iter_mut().zip(x) {
+                *a += dh * x_i;
+            }
+        }
+        let end = self.input_dim.min(off + L);
+        let lanes = &mut self.gw1t[off * self.width..];
+        scatter_lane(&acc[..end - off], lanes, self.width, self.unit);
     }
 }
 
@@ -582,7 +912,7 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        assert_kernel_matches_scalar(&rows, &labels, &config);
+        assert_kernel_matches_scalar(&rows, &labels, &vec![1.0; rows.len()], &config);
     }
 
     /// Unit weights must reduce `train_weighted` to `train_batched` exactly.
@@ -642,30 +972,77 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Trains the scalar oracle, `train_batched` and `fit_weighted` (unit
-    /// weights) from the same initialisation, asserts that the loss, all four
-    /// parameter vectors and every batch prediction are bit-identical, and
-    /// returns the oracle.
-    fn assert_kernel_matches_scalar(rows: &[Vec<f32>], labels: &[f32], config: &MlpConfig) -> Mlp {
+    /// Trains the weighted scalar oracle and both builds of the kernel — the
+    /// dispatched one (the AVX build on CPUs that have it) and the baseline
+    /// build — from the same initialisation, twice, so that the second call
+    /// starts from trained weights and non-zero Adam moments. Asserts after
+    /// each call that both builds' losses, parameters and moments are
+    /// bit-identical to the oracle's, then that their batch predictions are
+    /// too, and returns the oracle.
+    fn assert_kernel_matches_scalar(
+        rows: &[Vec<f32>],
+        labels: &[f32],
+        weights: &[f32],
+        config: &MlpConfig,
+    ) -> Mlp {
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut scalar = Mlp::new(refs.first().map_or(0, |r| r.len()), config);
-        let scalar_loss = scalar.train(&refs, labels, config);
-        let mut batched = Mlp::new(scalar.input_dim(), config);
-        let batched_loss = batched.train_batched(&refs, labels, config);
-        assert_eq!(scalar_loss.to_bits(), batched_loss.to_bits(), "loss");
-        let fitted = Mlp::fit_weighted(&refs, labels, &vec![1.0; refs.len()], config);
-        for kernel in [&batched, &fitted] {
-            assert_eq!(bits(&scalar.w1.value), bits(&kernel.w1.value), "w1");
-            assert_eq!(bits(&scalar.b1.value), bits(&kernel.b1.value), "b1");
-            assert_eq!(bits(&scalar.w2.value), bits(&kernel.w2.value), "w2");
-            assert_eq!(bits(&scalar.b2.value), bits(&kernel.b2.value), "b2");
+        let dim = refs.first().map_or(0, |r| r.len());
+        let mut oracle = Mlp::new(dim, config);
+        let mut dispatched = oracle.clone();
+        let mut baseline = oracle.clone();
+        for call in 1..=2 {
+            let oracle_loss = oracle.train_weighted_scalar(&refs, labels, weights, config);
+            let dispatched_loss = dispatched.train_weighted(&refs, labels, weights, config);
+            let baseline_loss = baseline.train_lanes(&refs, labels, weights, config);
+            for (build, kernel, loss) in [
+                ("dispatched", &dispatched, dispatched_loss),
+                ("baseline", &baseline, baseline_loss),
+            ] {
+                assert_eq!(
+                    oracle_loss.to_bits(),
+                    loss.to_bits(),
+                    "call {call}: {build} loss"
+                );
+                assert_eq!(oracle.steps, kernel.steps, "call {call}: {build} steps");
+                for (name, want, got) in [
+                    ("w1", &oracle.w1, &kernel.w1),
+                    ("b1", &oracle.b1, &kernel.b1),
+                    ("w2", &oracle.w2, &kernel.w2),
+                    ("b2", &oracle.b2, &kernel.b2),
+                ] {
+                    assert_eq!(
+                        bits(&want.value),
+                        bits(&got.value),
+                        "call {call}: {build} {name}"
+                    );
+                    assert_eq!(
+                        bits(&want.m),
+                        bits(&got.m),
+                        "call {call}: {build} {name} moment 1"
+                    );
+                    assert_eq!(
+                        bits(&want.v),
+                        bits(&got.v),
+                        "call {call}: {build} {name} moment 2"
+                    );
+                }
+            }
         }
-        let batch = fitted.predict_proba_batch(&refs);
-        assert_eq!(batch.len(), refs.len());
-        for (row, p) in refs.iter().zip(batch) {
-            assert_eq!(scalar.predict_proba(row).to_bits(), p.to_bits());
-        }
-        scalar
+        let expected: Vec<u32> = refs
+            .iter()
+            .map(|r| oracle.predict_proba(r).to_bits())
+            .collect();
+        assert_eq!(
+            bits(&oracle.predict_proba_batch(&refs)),
+            expected,
+            "dispatched predictions"
+        );
+        assert_eq!(
+            bits(&oracle.predict_lanes(&refs)),
+            expected,
+            "baseline predictions"
+        );
+        oracle
     }
 
     /// Rows at the detector's shape from a SplitMix64 hash: values in
@@ -712,7 +1089,8 @@ mod tests {
             seed: 17,
             ..Default::default()
         };
-        let oracle = assert_kernel_matches_scalar(&rows, &labels, &config);
+        let ones = vec![1.0; rows.len()];
+        let oracle = assert_kernel_matches_scalar(&rows, &labels, &ones, &config);
         // The inputs must exercise both backward branches.
         let (mut active, mut inactive) = (0usize, 0usize);
         for row in &rows {
@@ -730,7 +1108,7 @@ mod tests {
             hidden: 61,
             ..config
         };
-        assert_kernel_matches_scalar(&rows, &labels, &odd);
+        assert_kernel_matches_scalar(&rows, &labels, &ones, &odd);
     }
 
     /// Zero-width rows (the `w1` gradient has empty rows) and single-row
@@ -745,10 +1123,64 @@ mod tests {
             ..Default::default()
         };
         let labels = [1.0f32, 0.0, 0.0, 1.0, 0.0];
-        assert_kernel_matches_scalar(&vec![Vec::new(); 5], &labels, &config);
-        assert_kernel_matches_scalar(&[Vec::new()], &[1.0], &config);
+        assert_kernel_matches_scalar(&vec![Vec::new(); 5], &labels, &[1.0; 5], &config);
+        assert_kernel_matches_scalar(&[Vec::new()], &[1.0], &[1.0], &config);
         let (rows, _) = detector_shape_data(1, 113);
-        assert_kernel_matches_scalar(&rows, &[0.0], &config);
+        assert_kernel_matches_scalar(&rows, &[0.0], &[1.0], &config);
+    }
+
+    /// Weights shaped like the detector's: an integer multiplicity 1–7 per
+    /// row, times an oversample of 3 on the error rows.
+    fn detector_weights(labels: &[f32]) -> Vec<f32> {
+        labels
+            .iter()
+            .enumerate()
+            .map(|(r, &y)| (1 + (r * 5 + 3) % 7) as f32 * if y > 0.5 { 3.0 } else { 1.0 })
+            .collect()
+    }
+
+    /// Both builds of the kernel equal the weighted scalar oracle bit for
+    /// bit at the detector's shape, with the detector's kind of weights,
+    /// across hidden widths of 64 and 61 (a remainder past the last full
+    /// vector), 113 and 0 inputs, and a ragged last batch (203 = 3 × 64 + 11).
+    #[test]
+    fn both_builds_match_the_weighted_oracle() {
+        for dim in [113, 0] {
+            let (rows, labels) = detector_shape_data(203, dim);
+            let weights = detector_weights(&labels);
+            for hidden in [64, 61] {
+                let config = MlpConfig {
+                    hidden,
+                    epochs: 3,
+                    batch_size: 64,
+                    seed: 23,
+                    ..Default::default()
+                };
+                assert_kernel_matches_scalar(&rows, &labels, &weights, &config);
+            }
+        }
+    }
+
+    /// `Mlp::train` keeps the bits the scalar loop produced before it took
+    /// weights: a checksum of the loss and every prediction after training
+    /// at the detector's shape.
+    #[test]
+    fn scalar_oracle_keeps_its_bits() {
+        let (rows, labels) = detector_shape_data(203, 113);
+        let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let config = MlpConfig {
+            hidden: 64,
+            epochs: 3,
+            batch_size: 64,
+            seed: 17,
+            ..Default::default()
+        };
+        let mut mlp = Mlp::new(113, &config);
+        let loss = mlp.train(&refs, &labels, &config);
+        let checksum = refs.iter().fold(loss.to_bits() as u64, |h, r| {
+            h.rotate_left(5) ^ mlp.predict_proba(r).to_bits() as u64
+        });
+        assert_eq!(checksum, 0xe495_de3b_e2fa_af2b);
     }
 
     /// Batch prediction must match per-row prediction bitwise.
