@@ -5,9 +5,10 @@
 //! (50k rows by default; `--quick` drops to 5k for CI smoke runs) with the
 //! simulated serving-latency model enabled, through:
 //!
-//! 1. **sequential** — the seed path: every LLM call blocks the pipeline;
-//! 2. **concurrent** — per-attribute fan-out on the `zeroed-runtime`
-//!    scheduler, no cache;
+//! 1. **sequential** — one worker, no cache: the scheduler runs every task in
+//!    order on the calling thread, so every LLM call blocks the pipeline;
+//! 2. **concurrent** — per-attribute fan-out across the `zeroed-runtime`
+//!    scheduler's worker pool, no cache;
 //! 3. **concurrent+cache (cold)** — same, with the request-dedup cache on;
 //! 4. **concurrent+cache (warm)** — a second detection against the same
 //!    detector: every request replays from the cache (the re-run /
@@ -138,11 +139,17 @@ fn run_mode_with(
     let outcome = detector.detect(&ds.dirty, llm);
     let total_ms = t.elapsed().as_secs_f64() * 1e3;
     let usage = llm.ledger().usage();
-    let timings = &outcome.timings;
+    let profile = outcome
+        .stats
+        .stage_profile
+        .as_ref()
+        .expect("a benchmark run must carry a stage profile");
+    let stage_nanos = |name: &str| profile.child(name).map_or(0, |s| s.wall_nanos);
+    let llm_stage_ms = (stage_nanos("labeling") + stage_nanos("training_data")) as f64 * 1e-6;
     ModeResult {
         label,
         total_ms,
-        llm_stage_ms: (timings.labeling + timings.training_data).as_secs_f64() * 1e3,
+        llm_stage_ms,
         requests: usage.requests,
         tokens: usage.total(),
         sim_cost_ms: llm.ledger().sim_cost().as_secs_f64() * 1e3,
@@ -1126,8 +1133,13 @@ fn criteria_section(rows: usize) -> String {
     // sleeps are disabled because only the evaluation engines are timed.
     let llm = SimLlm::default_model(7).with_latency_scale(0.0);
     let correlated = zeroed_core::pipeline::features::compute_correlated(table, &config);
-    let criteria =
-        zeroed_core::pipeline::features::generate_criteria(table, &correlated, &config, &llm);
+    let criteria = zeroed_core::pipeline::features::generate_criteria_on(
+        &zeroed_runtime::Scheduler::with_workers(1),
+        table,
+        &correlated,
+        &config,
+        &llm,
+    );
     let sets: Vec<&zeroed_criteria::CriteriaSet> = criteria.iter().flatten().collect();
     let n_criteria: usize = sets.iter().map(|s| s.criteria.len()).sum();
     let dict = table.intern();
@@ -1264,7 +1276,8 @@ fn main() {
     ];
     let concurrent = RuntimeConfig {
         workers,
-        ..RuntimeConfig::concurrent_uncached()
+        cache: false,
+        ..RuntimeConfig::default()
     };
     let cached = RuntimeConfig {
         workers,

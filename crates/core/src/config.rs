@@ -1,13 +1,12 @@
 //! ZeroED pipeline configuration, including the ablation switches evaluated in
 //! the paper's Table IV.
 
-use serde::{Deserialize, Serialize};
 use zeroed_cluster::SamplingMethod;
 use zeroed_ml::MlpConfig;
 use zeroed_runtime::RuntimeConfig;
 
 /// Configuration of the ZeroED pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ZeroEdConfig {
     /// Fraction of cells per attribute the LLM labels (the paper's default is
     /// 5%); also determines the number of clusters.
@@ -54,23 +53,17 @@ pub struct ZeroEdConfig {
     /// per-cell AST-walking oracle. Both are bit-identical (the differential
     /// suite in `zeroed-criteria` enforces it); the oracle is retained as the
     /// specification and for A/B timing in `bench_runtime`.
-    #[serde(default)]
     pub criteria_engine: CriteriaEngine,
     /// Re-asks the repair layer ([`crate::pipeline::repair::RepairLlm`]) may
     /// issue per corrupted response before falling back to the deterministic
     /// stage default (default 1). Re-ask tokens are booked on the ledger's
     /// distinct re-ask line. 0 disables re-asking entirely.
-    #[serde(default = "default_reask_budget")]
     pub reask_budget: usize,
-    /// LLM orchestration runtime: execution mode (concurrent by default,
-    /// sequential as the correctness oracle), worker pool sizing and the
+    /// LLM orchestration runtime: worker pool sizing (one worker per core by
+    /// default, one worker for the sequential reference run) and the
     /// request-dedup response cache. Scheduling never changes the detection
-    /// result — concurrent runs are bit-identical to sequential ones.
+    /// result — multi-worker runs are bit-identical to sequential ones.
     pub runtime: RuntimeConfig,
-}
-
-fn default_reask_budget() -> usize {
-    1
 }
 
 /// Which engine evaluates error-checking criteria (`zeroed-criteria`).
@@ -79,7 +72,7 @@ fn default_reask_budget() -> usize {
 /// to the AST oracle by `zeroed-criteria`'s differential suite — so this
 /// switch never changes a detection result, only how fast `criteria_features`
 /// and Algorithm-1 mutual verification run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CriteriaEngine {
     /// Lower each check to bytecode once and evaluate per distinct interned
     /// value (the default).
@@ -90,8 +83,8 @@ pub enum CriteriaEngine {
     AstOracle,
 }
 
-/// Serialisable mirror of [`SamplingMethod`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Configuration mirror of [`SamplingMethod`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingMethodConfig {
     /// k-means clustering (paper default).
     KMeans,
@@ -130,7 +123,7 @@ impl Default for ZeroEdConfig {
             use_verification: true,
             seed: 42,
             criteria_engine: CriteriaEngine::default(),
-            reask_budget: default_reask_budget(),
+            reask_budget: 1,
             runtime: RuntimeConfig::default(),
         }
     }
@@ -198,8 +191,9 @@ impl ZeroEdConfig {
         self
     }
 
-    /// Runs the pipeline on the sequential oracle path (no scheduler, no
-    /// cache) — the seed behaviour concurrent runs are verified against.
+    /// Runs the pipeline on one worker without the cache (and so without
+    /// the store): the sequential reference that multi-worker, cached,
+    /// routed and store-warmed runs are verified against.
     pub fn sequential_runtime(mut self) -> Self {
         self.runtime = RuntimeConfig::sequential();
         self
@@ -223,8 +217,9 @@ impl ZeroEdConfig {
     /// Attaches a crash-safe on-disk response store: published responses are
     /// persisted write-through and a new [`crate::ZeroEd`] pointed at the
     /// same directory warm-starts from it, issuing zero LLM requests for
-    /// already-answered prompts — across process boundaries. Requires the
-    /// cache (the default); the sequential oracle path ignores the store.
+    /// already-answered prompts — across process boundaries. The store opens
+    /// only with the cache (the default): a detector without the cache, such
+    /// as [`ZeroEdConfig::sequential_runtime`], never opens or locks it.
     ///
     /// The persistence quickstart, compiler-checked:
     ///
@@ -320,12 +315,11 @@ mod tests {
 
     #[test]
     fn runtime_defaults_and_builders() {
-        use zeroed_runtime::ExecMode;
         let c = ZeroEdConfig::default();
-        assert_eq!(c.runtime.mode, ExecMode::Concurrent);
+        assert_eq!(c.runtime.workers, 0, "one worker per core");
         assert!(c.runtime.cache);
         let seq = ZeroEdConfig::default().sequential_runtime();
-        assert_eq!(seq.runtime.mode, ExecMode::Sequential);
+        assert_eq!(seq.runtime.effective_workers(), 1);
         assert!(!seq.runtime.cache);
         let custom = ZeroEdConfig::default().with_runtime(zeroed_runtime::RuntimeConfig {
             workers: 4,

@@ -51,10 +51,10 @@ pub mod report;
 pub use config::{CriteriaEngine, ZeroEdConfig};
 pub use pipeline::repair::{RepairCounters, RepairLlm, StageRepair};
 pub use pipeline::ZeroEd;
-pub use report::{DetectionOutcome, PipelineStats, StepTimings};
+pub use report::{DetectionOutcome, PipelineStats};
 // Re-export the runtime configuration types so callers can tune execution
 // without a separate `zeroed-runtime` dependency.
 pub use zeroed_runtime::{
-    BackendConfig, BreakerPolicy, ExecMode, FsyncPolicy, HedgePolicy, RouterConfig, RouterLlm,
-    RouterStats, RuntimeConfig, StoreConfig, StoreLayer,
+    BackendConfig, BreakerPolicy, FsyncPolicy, HedgePolicy, RouterConfig, RouterLlm, RouterStats,
+    RuntimeConfig, StoreConfig, StoreLayer,
 };

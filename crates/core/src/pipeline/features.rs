@@ -39,33 +39,9 @@ pub fn prompt_sample_rows(n_rows: usize) -> Vec<usize> {
     (0..n_rows).step_by(stride).take(take).collect()
 }
 
-/// Asks the LLM for error-checking criteria for every attribute. Returns
-/// `None` per column when the criteria component is ablated.
-pub fn generate_criteria(
-    table: &Table,
-    correlated: &[Vec<usize>],
-    config: &ZeroEdConfig,
-    llm: &dyn LlmClient,
-) -> Vec<Option<CriteriaSet>> {
-    if !config.use_criteria {
-        return vec![None; table.n_cols()];
-    }
-    let samples = prompt_sample_rows(table.n_rows());
-    (0..table.n_cols())
-        .map(|j| {
-            let ctx = AttributeContext {
-                table,
-                column: j,
-                correlated: &correlated[j],
-                sample_rows: &samples,
-            };
-            Some(llm.generate_criteria(&ctx))
-        })
-        .collect()
-}
-
-/// [`generate_criteria`] fanned out over the runtime scheduler: one task per
-/// attribute, results in column order (bit-identical to the serial loop).
+/// Asks the LLM for error-checking criteria for every attribute, one
+/// scheduler task per attribute, results in column order. Returns `None` per
+/// column when the criteria component is ablated.
 pub fn generate_criteria_on(
     scheduler: &zeroed_runtime::Scheduler,
     table: &Table,
@@ -91,7 +67,7 @@ pub fn generate_criteria_on(
 /// Evaluates every column's criteria over the full table, producing the
 /// per-column extra feature blocks for the feature builder. Columns without
 /// criteria get an empty block. Runs on the compiled VM path (interning the
-/// touched columns internally); the pipeline uses [`criteria_extra_dict`]
+/// touched columns internally); the pipeline uses [`criteria_extra_dict_on`]
 /// with its run-wide dictionary and engine switch.
 pub fn criteria_extra(criteria: &[Option<CriteriaSet>], table: &Table) -> Vec<Vec<Vec<f32>>> {
     criteria
@@ -103,39 +79,11 @@ pub fn criteria_extra(criteria: &[Option<CriteriaSet>], table: &Table) -> Vec<Ve
         .collect()
 }
 
-fn column_extra(
-    set: &CriteriaSet,
-    table: &Table,
-    dict: &TableDict,
-    engine: CriteriaEngine,
-) -> Vec<Vec<f32>> {
-    match engine {
-        CriteriaEngine::Compiled => criteria_features_dict(set, dict),
-        CriteriaEngine::AstOracle => zeroed_criteria::verify::oracle::criteria_features(set, table),
-    }
-}
-
-/// [`criteria_extra`] over the pipeline's pre-built dictionary, honouring the
-/// configured evaluation engine: compiled-VM per-distinct evaluation by
-/// default, the per-cell AST oracle when pinned. `dict` must describe
-/// `table`.
-pub fn criteria_extra_dict(
-    criteria: &[Option<CriteriaSet>],
-    table: &Table,
-    dict: &TableDict,
-    engine: CriteriaEngine,
-) -> Vec<Vec<Vec<f32>>> {
-    criteria
-        .iter()
-        .map(|set| match set {
-            Some(set) if !set.is_empty() => column_extra(set, table, dict, engine),
-            _ => Vec::new(),
-        })
-        .collect()
-}
-
-/// [`criteria_extra_dict`] fanned out over the runtime scheduler (criteria
-/// evaluation is CPU-bound and embarrassingly parallel per column).
+/// [`criteria_extra`] over the pipeline's pre-built dictionary, one
+/// scheduler task per column (criteria evaluation is CPU-bound and
+/// embarrassingly parallel per column), honouring the configured evaluation
+/// engine: compiled-VM per-distinct evaluation by default, the per-cell AST
+/// oracle when pinned. `dict` must describe `table`.
 pub fn criteria_extra_dict_on(
     scheduler: &zeroed_runtime::Scheduler,
     criteria: &[Option<CriteriaSet>],
@@ -144,7 +92,12 @@ pub fn criteria_extra_dict_on(
     engine: CriteriaEngine,
 ) -> Vec<Vec<Vec<f32>>> {
     scheduler.run(criteria.len(), |j| match &criteria[j] {
-        Some(set) if !set.is_empty() => column_extra(set, table, dict, engine),
+        Some(set) if !set.is_empty() => match engine {
+            CriteriaEngine::Compiled => criteria_features_dict(set, dict),
+            CriteriaEngine::AstOracle => {
+                zeroed_criteria::verify::oracle::criteria_features(set, table)
+            }
+        },
         _ => Vec::new(),
     })
 }
@@ -181,13 +134,15 @@ mod tests {
         assert_eq!(corr.len(), ds.dirty.n_cols());
         assert!(corr.iter().all(|c| c.len() <= 2));
 
-        let crit = generate_criteria(&ds.dirty, &corr, &config, &llm);
+        let scheduler = zeroed_runtime::Scheduler::with_workers(1);
+        let crit = generate_criteria_on(&scheduler, &ds.dirty, &corr, &config, &llm);
         assert!(crit.iter().all(|c| c.as_ref().map(|s| !s.is_empty()).unwrap_or(false)));
         let extra = criteria_extra(&crit, &ds.dirty);
         assert_eq!(extra.len(), ds.dirty.n_cols());
         assert_eq!(extra[0].len(), ds.dirty.n_rows());
 
-        let none = generate_criteria(
+        let none = generate_criteria_on(
+            &scheduler,
             &ds.dirty,
             &corr,
             &config.clone().without_criteria(),

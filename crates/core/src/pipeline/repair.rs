@@ -36,7 +36,6 @@
 //! from a store written under mangling therefore replays bit-identically with
 //! zero LLM requests and zero new repairs.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Mutex;
 use zeroed_criteria::{Check, CriteriaSet, Criterion};
@@ -48,7 +47,7 @@ use zeroed_table::{ErrorType, Table};
 /// Repair-ladder counters for one stage. Every response that failed its
 /// stage validator is counted in `mangled` and in exactly one of the other
 /// three buckets, so `mangled == repaired + reasked + defaulted` always.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageRepair {
     /// Responses that failed validation (detected corruptions).
     pub mangled: usize,
@@ -70,7 +69,7 @@ impl StageRepair {
 }
 
 /// Per-stage repair counters, nested into [`crate::PipelineStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairCounters {
     /// Criteria generation *and* contrastive refinement (both answer with a
     /// [`CriteriaSet`] and share one validator).

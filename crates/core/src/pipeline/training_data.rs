@@ -211,7 +211,9 @@ mod tests {
         let config = ZeroEdConfig::fast();
         let column = ds.dirty.column_index("state").unwrap();
         let correlated = features::compute_correlated(&ds.dirty, &config);
-        let criteria = features::generate_criteria(&ds.dirty, &correlated, &config, &llm);
+        let scheduler = zeroed_runtime::Scheduler::with_workers(1);
+        let criteria =
+            features::generate_criteria_on(&scheduler, &ds.dirty, &correlated, &config, &llm);
         let extra = features::criteria_extra(&criteria, &ds.dirty);
         let feats = FeatureBuilder::new(FeatureConfig {
             embed_dim: 8,

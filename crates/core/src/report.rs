@@ -1,35 +1,11 @@
-//! Pipeline outputs: the predicted error mask, per-step timings and summary
-//! statistics.
+//! Pipeline outputs: the predicted error mask and summary statistics,
+//! including the run's stage profile.
 
 use crate::pipeline::repair::RepairCounters;
-use serde::{Deserialize, Serialize};
-use std::time::Duration;
 use zeroed_table::ErrorMask;
 
-/// Wall-clock time spent in each pipeline step.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct StepTimings {
-    /// Feature representation (criteria generation + feature matrices).
-    pub features: Duration,
-    /// Clustering-based sampling.
-    pub sampling: Duration,
-    /// Guideline generation and LLM labelling.
-    pub labeling: Duration,
-    /// Training-data construction (Algorithm 1).
-    pub training_data: Duration,
-    /// Detector training and prediction.
-    pub detector: Duration,
-}
-
-impl StepTimings {
-    /// Total wall-clock time across all steps.
-    pub fn total(&self) -> Duration {
-        self.features + self.sampling + self.labeling + self.training_data + self.detector
-    }
-}
-
 /// Summary counters describing what the pipeline did.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Cells labelled directly by the LLM.
     pub llm_labeled_cells: usize,
@@ -58,7 +34,8 @@ pub struct PipelineStats {
     pub cache_coalesced: usize,
     /// Input + output tokens the cache hits avoided.
     pub cache_tokens_saved: usize,
-    /// Tasks executed by the runtime scheduler (0 on the sequential path).
+    /// Tasks executed by the runtime scheduler: one per attribute per
+    /// fan-out, on one worker as on many.
     pub runtime_tasks: usize,
     /// Scheduler retry attempts.
     pub runtime_retries: usize,
@@ -109,18 +86,18 @@ pub struct PipelineStats {
     /// how each was resolved (structural repair, re-ask, or deterministic
     /// default). Every stage reconciles exactly:
     /// `mangled == repaired + reasked + defaulted`.
-    #[serde(default)]
     pub repair: RepairCounters,
     /// Hierarchical stage profile of this run: a tree of wall-clock spans
     /// covering the five pipeline steps and their sub-stages, with grafted
     /// parallel distribution nodes for per-attribute work, the scheduler
     /// (queue-wait / execute), the response cache (lock-hold / park-wait /
     /// preload) and the persisted store (open / preload / fsync / compaction
-    /// / GC). `None` only for the degenerate empty-table early return.
-    /// Sequential (non-parallel) children of any node sum to at most the
-    /// node's own wall time — `zeroed_obs::StageProfile::accounting_ok`
-    /// checks the whole tree.
-    #[serde(default)]
+    /// / GC). The top-level `features`, `sampling`, `labeling`,
+    /// `training_data` and `detector` spans are the steps' wall times.
+    /// `None` only for the degenerate empty-table early return. Sequential
+    /// (non-parallel) children of any node sum to at most the node's own
+    /// wall time — `zeroed_obs::StageProfile::accounting_ok` checks the
+    /// whole tree.
     pub stage_profile: Option<zeroed_obs::StageProfile>,
     /// Per-request causal trace for the run: exact per-kind event counts,
     /// ring drop count (0 in every shipped configuration), the journal and
@@ -128,7 +105,6 @@ pub struct PipelineStats {
     /// the journal's causality invariants; the bench reconciles its counts
     /// against the cache / router / repair / store stats with zero
     /// tolerance.
-    #[serde(default)]
     pub trace: Option<zeroed_obs::TraceSummary>,
 }
 
@@ -137,26 +113,6 @@ pub struct PipelineStats {
 pub struct DetectionOutcome {
     /// Predicted error mask (one flag per cell).
     pub mask: ErrorMask,
-    /// Per-step wall-clock timings.
-    pub timings: StepTimings,
     /// Summary statistics.
     pub stats: PipelineStats,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn timings_total_sums_steps() {
-        let t = StepTimings {
-            features: Duration::from_millis(10),
-            sampling: Duration::from_millis(20),
-            labeling: Duration::from_millis(30),
-            training_data: Duration::from_millis(40),
-            detector: Duration::from_millis(50),
-        };
-        assert_eq!(t.total(), Duration::from_millis(150));
-        assert_eq!(StepTimings::default().total(), Duration::ZERO);
-    }
 }

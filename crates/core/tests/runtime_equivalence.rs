@@ -1,7 +1,7 @@
-//! The orchestration-runtime correctness contract: concurrent and cached
-//! execution must be *bit-identical* to the sequential oracle path, and the
-//! token ledger must account for every request — cached runs may only differ
-//! by exactly the savings the cache reports.
+//! The orchestration-runtime correctness contract: multi-worker and cached
+//! execution must be *bit-identical* to the sequential run (one worker, no
+//! cache), and the token ledger must account for every request — cached runs
+//! may only differ by exactly the savings the cache reports.
 
 use zeroed_core::{RuntimeConfig, ZeroEd, ZeroEdConfig};
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
@@ -41,7 +41,7 @@ fn base_config() -> ZeroEdConfig {
 fn check_equivalence(spec: DatasetSpec, rows: usize, seed: u64) {
     let ds = dataset(spec, rows, seed);
 
-    // Sequential oracle path.
+    // Sequential reference run.
     let llm_seq = oracle_llm(&ds, seed);
     let seq = ZeroEd::new(base_config().sequential_runtime()).detect(&ds.dirty, &llm_seq);
     let seq_usage = llm_seq.ledger().usage();
@@ -128,7 +128,8 @@ fn uncached_concurrent_run_matches_too() {
     let llm_conc = oracle_llm(&ds, 3);
     let conc = ZeroEd::new(base_config().with_runtime(RuntimeConfig {
         workers: 4,
-        ..RuntimeConfig::concurrent_uncached()
+        cache: false,
+        ..RuntimeConfig::default()
     }))
     .detect(&ds.dirty, &llm_conc);
     assert_eq!(seq.mask, conc.mask);

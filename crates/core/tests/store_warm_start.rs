@@ -8,8 +8,8 @@
 //! fully dropped, then a *fresh* detector re-opens the directory and runs
 //! recovery + preload from the bytes on disk alone. The matrix covers the
 //! runtime execution modes: cold runs on the concurrent and routed paths
-//! (the sequential oracle path deliberately bypasses cache and store — it
-//! is the correctness baseline all arms are compared against), warm runs on
+//! (the sequential run has no cache and so never opens the store — it is
+//! the correctness baseline all arms are compared against), warm runs on
 //! the concurrent and routed paths, in all combinations.
 
 use std::path::PathBuf;
@@ -118,7 +118,7 @@ fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
     let dir = temp_dir();
     let seed = 11;
 
-    // The sequential oracle every arm must match (no cache, no store).
+    // The sequential run every arm must match (no cache, no store).
     let llm_seq = oracle_llm(&ds, seed);
     let seq = ZeroEd::new(
         ZeroEdConfig {
@@ -615,8 +615,8 @@ fn store_tool_verify_flags_truncation_without_modifying_the_store() {
 
 #[test]
 fn sequential_mode_ignores_the_store_by_design() {
-    // The sequential path is the correctness oracle: no scheduler, no cache,
-    // no store — even when a store directory is configured.
+    // The sequential run is the correctness baseline: one worker, no cache,
+    // so no store — even when a store directory is configured.
     let ds = dataset();
     let dir = temp_dir();
     let llm = oracle_llm(&ds, 17);
@@ -637,5 +637,26 @@ fn sequential_mode_ignores_the_store_by_design() {
     let detector = ZeroEd::new(base_config(&dir));
     assert_eq!(detector.store().unwrap().recovery().records_recovered, 0);
     drop(detector);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_detector_without_the_cache_leaves_the_store_unopened() {
+    // Only the cache reads or writes the store. Opening it anyway would take
+    // the flat store's single-writer lock, start the writer thread and
+    // preload records nobody reads, and a cached detector on the same
+    // directory would then fail to open.
+    let dir = temp_dir();
+    let store_dir = dir.to_str().unwrap();
+    let uncached = ZeroEd::new(
+        ZeroEdConfig::fast()
+            .sequential_runtime()
+            .with_store_dir(store_dir),
+    );
+    let cached = ZeroEd::try_new(ZeroEdConfig::fast().with_store_dir(store_dir))
+        .expect("an uncached detector must not hold the store's lock");
+    assert!(uncached.store().is_none());
+    assert!(cached.store().is_some());
+    drop((uncached, cached));
     let _ = std::fs::remove_dir_all(&dir);
 }

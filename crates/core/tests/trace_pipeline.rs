@@ -163,8 +163,10 @@ fn sequential_run_traces_repair_only() {
     let llm = oracle_llm(&ds, 13);
     let outcome = ZeroEd::new(config().sequential_runtime()).detect(&ds.dirty, &llm);
     let trace = assert_trace_reconciles(&outcome.stats, "sequential");
-    // The oracle path has no scheduler, cache, router or store...
-    assert_eq!(outcome.stats.runtime_tasks, 0);
+    // One worker still journals every task (the reconciliation above checks
+    // submit, start and end against the count), but the run has no cache,
+    // router or store.
+    assert!(outcome.stats.runtime_tasks > 0);
     assert_eq!(trace.count(EventKind::CacheHit), 0);
     assert_eq!(trace.count(EventKind::RouterDone), 0);
     assert_eq!(trace.count(EventKind::StorePersist), 0);

@@ -1,6 +1,5 @@
 //! The declarative criteria DSL and its executor.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use zeroed_table::value::{is_missing, parse_numeric, tokenize};
 use zeroed_table::Table;
@@ -8,7 +7,7 @@ use zeroed_table::Table;
 /// The executable body of a criterion. Every variant answers the question
 /// "does this cell value *satisfy* the check?" — `true` means the value looks
 /// clean with respect to this criterion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Check {
     /// The value must not be missing (empty or a null placeholder).
     NotMissing,
@@ -190,7 +189,7 @@ pub fn l3_pattern(value: &str) -> String {
 
 /// A named error-checking criterion with its rationale (the "error reason" the
 /// LLM articulated when generating it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Criterion {
     /// Identifier, e.g. `is_clean_zip_format`.
     pub name: String,
@@ -218,7 +217,7 @@ impl Criterion {
 }
 
 /// The criteria attached to one attribute.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CriteriaSet {
     /// Attribute (column) index the criteria apply to.
     pub column: usize,

@@ -15,12 +15,11 @@ use crate::metadata::{DatasetMetadata, PatternKind};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use zeroed_table::{ErrorMask, ErrorType, Table};
 
 /// Per-type cell corruption rates (fractions of all cells).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorSpec {
     /// Fraction of cells turned into missing values.
     pub missing: f64,
@@ -83,7 +82,7 @@ impl ErrorSpec {
 }
 
 /// Bookkeeping for one injected error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedError {
     /// Row of the corrupted cell.
     pub row: usize,

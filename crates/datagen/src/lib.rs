@@ -69,7 +69,6 @@ pub use metadata::{
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use zeroed_table::errors::{profile_errors, ErrorProfile};
 use zeroed_table::{ErrorMask, Table};
@@ -80,7 +79,7 @@ use zeroed_table::{ErrorMask, Table};
 /// The workload shapes are named scenarios for the benchmark binaries; they
 /// are deliberately **not** part of [`DatasetSpec::ALL`] or
 /// [`DatasetSpec::COMPARISON`], which stay faithful to the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetSpec {
     /// US hospital quality measures (1,000 × 20 in the paper).
     Hospital,

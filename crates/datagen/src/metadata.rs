@@ -7,11 +7,10 @@
 //! generators know their own ground-truth dependencies and formats, so they
 //! export them here; ZeroED itself never reads this metadata (it is zero-shot).
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// A functional dependency `determinant → dependent` between two columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionalDependency {
     /// Left-hand-side (determining) column name.
     pub determinant: String,
@@ -35,7 +34,7 @@ impl FunctionalDependency {
 /// them as pattern rules, dBoost uses the numeric ranges, and the injector uses
 /// them to produce *pattern violations* that are guaranteed to break the
 /// format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PatternKind {
     /// A 12-hour clock time such as `7:45 am` / `11:05 pm`.
     Time12H,
@@ -171,7 +170,7 @@ fn matches_flight(v: &str) -> bool {
 }
 
 /// A format constraint attached to one column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnPattern {
     /// Column name the pattern applies to.
     pub column: String,
@@ -191,7 +190,7 @@ impl ColumnPattern {
 
 /// One knowledge-base relation for the KATARA baseline: the set of valid
 /// values of a column (optionally keyed by another column's value).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnowledgeBaseEntry {
     /// Column whose values the KB constrains.
     pub column: String,
@@ -214,7 +213,7 @@ impl KnowledgeBaseEntry {
 }
 
 /// Everything the criteria-based baselines know about a dataset.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DatasetMetadata {
     /// Functional dependencies that hold on the clean data.
     pub fds: Vec<FunctionalDependency>,

@@ -1,10 +1,8 @@
 //! A simple dense, row-major `f32` feature matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense row-major matrix of `f32` features: one row per cell value of an
 /// attribute, one column per feature dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
     n_rows: usize,
     n_cols: usize,

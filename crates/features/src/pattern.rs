@@ -12,10 +12,8 @@
 //! For example `"DOe123."` generalises to `A[6].` (L1), `L[3]D[3]S[1]` (L2)
 //! and `U[2]u[1]D[3]S[1]` (L3), exactly as in the paper's example.
 
-use serde::{Deserialize, Serialize};
-
 /// Pattern generalisation level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// Alphanumeric runs collapsed to `A[n]`, other characters literal.
     L1,

@@ -34,7 +34,6 @@ use crate::nmi::top_k_correlated_dict;
 use crate::pattern::Level;
 use crate::stats::FrequencyModel;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use zeroed_table::value::is_missing;
 use zeroed_table::{Table, TableDict};
@@ -44,7 +43,7 @@ use zeroed_table::{Table, TableDict};
 const SCATTER_CHUNK_ROWS: usize = 1024;
 
 /// Configuration of the feature representation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureConfig {
     /// Dimensionality of the semantic (subword hashing) embedding.
     pub embed_dim: usize,

@@ -2,7 +2,6 @@
 //! the ZeroED pipeline, the FM_ED baseline and the simulated model.
 
 use crate::token::TokenLedger;
-use serde::{Deserialize, Serialize};
 use zeroed_criteria::CriteriaSet;
 use zeroed_table::{ErrorType, Table};
 
@@ -47,7 +46,7 @@ impl<'a> AttributeContext<'a> {
 
 /// The outcome of executing the LLM-written distribution-analysis functions
 /// over the full dataset (paper Fig. 5, step 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DistributionAnalysis {
     /// Attribute the analysis describes.
     pub column: String,
@@ -70,7 +69,7 @@ pub struct DistributionAnalysis {
 }
 
 /// Guidance for detecting one error type on one attribute.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ErrorTypeGuide {
     /// Which error type this entry covers.
     pub error_type: ErrorType,
@@ -84,7 +83,7 @@ pub struct ErrorTypeGuide {
 
 /// The attribute-specific error-detection guideline produced by the two-step
 /// reasoning process (paper §III-C).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Guideline {
     /// Attribute the guideline applies to.
     pub column: String,

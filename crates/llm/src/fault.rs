@@ -17,11 +17,10 @@
 //! simulated serving latency. A served (real) client never faults through this
 //! path — its failures are real and reach the router as such.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// One kind of injected backend fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The backend answers the request with a hard error (connection reset,
     /// HTTP 5xx, malformed completion). No response is produced.
@@ -43,7 +42,7 @@ pub enum FaultKind {
 /// `(seed, salt)`, so two schedules with different seeds fault on
 /// (statistically) disjoint request sets — exactly the backbone-diversity
 /// setup the router's failover and hedging exploit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSchedule {
     /// Seed separating this backend's fault pattern from its replicas'.
     pub seed: u64,

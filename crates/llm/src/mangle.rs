@@ -25,8 +25,6 @@
 //! permissive-environment discipline: the simulation is plausible, the
 //! pipeline carries the correctness load.
 
-use serde::{Deserialize, Serialize};
-
 /// One kind of injected response corruption.
 ///
 /// Every kind maps, per stage, onto a typed transform that always leaves a
@@ -34,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// repair layer's `mangled == repaired + reasked + defaulted` accounting
 /// reconciles exactly — no corruption is silently indistinguishable from a
 /// healthy answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MangleKind {
     /// The response cut off mid-list: trailing items are missing and the last
     /// emitted item is broken (an unnamed criterion, a short label vector, a
@@ -79,7 +77,7 @@ impl MangleKind {
 /// different mixing constant than [`crate::FaultSchedule`], so transport and
 /// content faults hit (statistically) independent request sets even when both
 /// schedules share a seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MangleSchedule {
     /// Seed separating this client's corruption pattern from others'.
     pub seed: u64,

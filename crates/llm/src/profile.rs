@@ -6,7 +6,6 @@
 //! labelling, how often it wrongly flags clean values, how good its generated
 //! criteria are, and how much the two-step guideline helps it.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use zeroed_table::ErrorType;
 
@@ -19,7 +18,7 @@ use zeroed_table::ErrorType;
 /// The absolute numbers are loosely calibrated to self-hosted vLLM serving of
 /// the respective model sizes, scaled down ~10x so benchmark sweeps finish in
 /// seconds; only the *relative* shape matters for scheduler experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LlmLatency {
     /// Fixed per-request overhead in milliseconds.
     pub base_ms: f64,
@@ -40,7 +39,7 @@ impl LlmLatency {
 }
 
 /// Labelling/reasoning fidelity of one LLM backbone.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LlmProfile {
     /// Model name as used in the paper's tables.
     pub name: String,

@@ -7,7 +7,6 @@
 //! percent for English prose and structured table serialisations.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Approximate number of tokens in a text.
@@ -21,7 +20,7 @@ pub fn count_tokens(text: &str) -> usize {
 }
 
 /// A snapshot of accumulated token usage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TokenUsage {
     /// Prompt (input) tokens sent to the model.
     pub input_tokens: usize,

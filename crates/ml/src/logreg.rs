@@ -5,10 +5,9 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Logistic-regression hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegressionConfig {
     /// Number of passes over the data.
     pub epochs: usize,
@@ -32,7 +31,7 @@ impl Default for LogisticRegressionConfig {
 }
 
 /// A trained logistic-regression model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     weights: Vec<f32>,
     bias: f32,

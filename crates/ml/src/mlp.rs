@@ -60,10 +60,9 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// MLP hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MlpConfig {
     /// Hidden layer width.
     pub hidden: usize,
@@ -93,7 +92,7 @@ impl Default for MlpConfig {
 }
 
 /// Dense parameter matrix with Adam state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Param {
     value: Vec<f32>,
     m: Vec<f32>,
@@ -134,7 +133,7 @@ impl Param {
 }
 
 /// A trained two-layer MLP.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     input_dim: usize,
     hidden: usize,

@@ -1,6 +1,6 @@
-//! Tiny JSON-emission helpers shared by the profile, histogram and metrics
-//! serializers. The workspace's vendored `serde` is a no-op stub, so all
-//! ledger JSON is hand-rolled; these helpers keep the style uniform.
+//! Tiny JSON-emission helpers shared by the profile and histogram
+//! serializers. The workspace has no serialization framework, so all ledger
+//! JSON is hand-rolled; these helpers keep the style uniform.
 
 /// Escape a string for embedding inside a JSON string literal.
 pub fn escape_json(s: &str) -> String {

@@ -13,8 +13,6 @@
 //!   sliding window of raw samples for **exact** nearest-rank p50/p95/p99
 //!   extraction (`idx = ceil(q·n) − 1` over the sorted window, the same
 //!   semantics the router's quantile tests pin).
-//! * [`MetricsRegistry`] — named [`Counter`]s and [`Gauge`]s with get-or-create
-//!   registration and JSON export.
 //! * [`TraceRecorder`] / [`TraceEvent`] — the per-request causal **flight
 //!   recorder**: deterministic [`TraceId`]s minted from request keys, a
 //!   bounded drop-oldest [`EventRing`] with exact per-kind counts and drop
@@ -46,13 +44,11 @@
 
 mod hist;
 mod json;
-mod metrics;
 mod profile;
 mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use json::{escape_json, fmt_ms};
-pub use metrics::{Counter, Gauge, MetricsRegistry};
 pub use profile::{Profiler, Quantiles, Span, SpanTimer, StageProfile};
 pub use trace::{
     check_causality, chrome_trace_json, current_id, emit_current, journal_jsonl, request_scope,

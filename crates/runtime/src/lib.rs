@@ -44,10 +44,11 @@
 //! The cache guarantees **bit-identical replay**: a cached response is the
 //! exact value the wrapped client returned for that key, and the key covers
 //! everything the (deterministic) client's answer depends on. The pipeline's
-//! sequential path therefore remains the correctness oracle — concurrent and
-//! cached runs must produce the same [`zeroed_table::ErrorMask`], which
-//! `crates/core` asserts in its equivalence tests (the same discipline
-//! `zeroed_features::reference` established for the featuriser).
+//! sequential run (one worker, no cache) therefore remains the correctness
+//! oracle — concurrent and cached runs must produce the same
+//! [`zeroed_table::ErrorMask`], which `crates/core` asserts in its
+//! equivalence tests (the same discipline `zeroed_features::reference`
+//! established for the featuriser).
 //!
 //! [`CachedLlm`] packages stations 1, 2 and 4 behind the ordinary
 //! [`zeroed_llm::LlmClient`] trait, so pipeline code does not change shape
@@ -136,5 +137,5 @@ pub use persist::{PersistStats, StoreLayer, StoreLayerTimings, StoreSink};
 pub use router::{
     BackendConfig, BackendStats, BreakerPolicy, HedgePolicy, RouterConfig, RouterLlm, RouterStats,
 };
-pub use scheduler::{ExecMode, RuntimeConfig, Scheduler, SchedulerStats, SchedulerTimings};
+pub use scheduler::{RuntimeConfig, Scheduler, SchedulerStats, SchedulerTimings};
 pub use zeroed_store::{FsyncPolicy, RecoveryReport, ShardedStore, StoreConfig, StoreStats};

@@ -44,11 +44,10 @@
 //! routed masks are bit-identical to a single-backend sequential oracle.
 //!
 //! The router is an ordinary [`LlmClient`], so [`crate::CachedLlm`] stacks on
-//! top of it unchanged (cache hits skip routing entirely) and the pipeline's
-//! `detect_concurrent` runs on it without modification.
+//! top of it unchanged (cache hits skip routing entirely) and the pipeline
+//! runs on it without modification.
 
 use crate::key::{RequestKey, RequestKind};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -61,7 +60,7 @@ use zeroed_llm::{
 use zeroed_table::Table;
 
 /// Per-backend routing policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackendConfig {
     /// Display name for stats and ledgers (defaults to `backend-<i>`).
     pub name: String,
@@ -81,7 +80,7 @@ impl BackendConfig {
 }
 
 /// When and how a second backend is hedged in.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HedgePolicy {
     /// Master switch.
     pub enabled: bool,
@@ -105,7 +104,7 @@ impl Default for HedgePolicy {
 
 /// Circuit-breaker thresholds, clocked by routed-request count so breaker
 /// behaviour is reproducible (wall-clock cooldowns are not).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BreakerPolicy {
     /// Consecutive faults that trip a backend's breaker open.
     pub failure_threshold: u32,
@@ -126,7 +125,7 @@ impl Default for BreakerPolicy {
 /// The full router configuration, carried by
 /// [`crate::RuntimeConfig::router`] so pipeline configs describe their
 /// multi-backend setup alongside worker and cache budgets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// One entry per registered backend (padded with
     /// [`BackendConfig::numbered`] defaults if shorter than the client list).

@@ -8,29 +8,17 @@
 //! downstream consumers are oblivious to scheduling — the foundation of the
 //! bit-identical-to-sequential guarantee.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use zeroed_obs::{EventKind, Histogram, HistogramSnapshot, TraceId, TraceRecorder};
 
-/// How the pipeline executes its per-attribute work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecMode {
-    /// The seed behaviour: plain loops on the calling thread, no scheduler,
-    /// no cache. Kept as the correctness oracle.
-    Sequential,
-    /// Fan attributes out across the worker pool.
-    Concurrent,
-}
-
 /// Configuration of the orchestration runtime.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Execution mode (default concurrent).
-    pub mode: ExecMode,
-    /// Worker threads; `0` means one per available core.
+    /// Worker threads; `0` means one per available core. One worker runs
+    /// every task in order on the calling thread.
     pub workers: usize,
     /// Bounded submit-queue capacity; submission blocks when full.
     pub queue_capacity: usize,
@@ -52,15 +40,14 @@ pub struct RuntimeConfig {
     /// when set, published responses are persisted write-through and a new
     /// detector warm-starts its cache from the store directory — repeated
     /// sweeps and service restarts skip the LLM across processes. `None` (the
-    /// default) keeps the cache purely in-memory. Requires `cache`; the
-    /// sequential oracle path ignores it by design.
+    /// default) keeps the cache purely in-memory. Only the cache uses the
+    /// store, so a detector with `cache` off never opens it.
     pub store: Option<zeroed_store::StoreConfig>,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
-            mode: ExecMode::Concurrent,
             workers: 0,
             queue_capacity: 256,
             max_retries: 2,
@@ -73,18 +60,11 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The sequential correctness oracle: no pool, no cache.
+    /// The sequential reference run: one worker, no cache (and so no
+    /// store).
     pub fn sequential() -> Self {
         Self {
-            mode: ExecMode::Sequential,
-            cache: false,
-            ..Self::default()
-        }
-    }
-
-    /// Concurrent execution with caching disabled.
-    pub fn concurrent_uncached() -> Self {
-        Self {
+            workers: 1,
             cache: false,
             ..Self::default()
         }
@@ -92,17 +72,12 @@ impl RuntimeConfig {
 
     /// Resolved worker count (`workers == 0` → available parallelism).
     pub fn effective_workers(&self) -> usize {
-        match self.mode {
-            ExecMode::Sequential => 1,
-            ExecMode::Concurrent => {
-                if self.workers == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                } else {
-                    self.workers
-                }
-            }
+        if self.workers == 0 {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        } else {
+            self.workers
         }
     }
 }
@@ -554,14 +529,11 @@ mod tests {
     #[test]
     fn config_resolves_workers_and_modes() {
         let c = RuntimeConfig::default();
-        assert_eq!(c.mode, ExecMode::Concurrent);
         assert!(c.cache);
         assert!(c.effective_workers() >= 1);
         let seq = RuntimeConfig::sequential();
-        assert_eq!(seq.mode, ExecMode::Sequential);
         assert_eq!(seq.effective_workers(), 1);
         assert!(!seq.cache);
-        assert!(!RuntimeConfig::concurrent_uncached().cache);
         let fixed = RuntimeConfig {
             workers: 3,
             ..RuntimeConfig::default()

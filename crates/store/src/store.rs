@@ -33,7 +33,6 @@ use crate::codec::{encode_record, now_epoch, StoreRecord, FORMAT_VERSION, FRAME_
 use crate::segment::{
     encode_header, parse_segment_file_name, scan_segment, segment_file_name, HEADER_LEN,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -43,7 +42,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// When the store calls `fsync` on segment data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Never fsync (durability left to the OS; fastest, survives process
     /// crashes but not power loss).
@@ -58,7 +57,7 @@ pub enum FsyncPolicy {
 
 /// Configuration of a [`ResponseStore`] (and, through
 /// [`crate::ShardedStore`], of every writer slot in a sharded store).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Directory holding the segment files (created if missing). For a
     /// sharded store this is the *root*; each shard's writer slots live in

@@ -17,11 +17,10 @@
 use crate::mask::ErrorMask;
 use crate::table::Table;
 use crate::value::{edit_distance, is_missing};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// The error taxonomy used throughout the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ErrorType {
     /// Empty fields or explicit/implicit null placeholders.
     MissingValue,
@@ -128,7 +127,7 @@ pub fn classify_error(
 
 /// Per-type error statistics for a (dirty, clean) table pair, as reported in
 /// the paper's Table II.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ErrorProfile {
     /// Overall cell error rate.
     pub error_rate: f64,

@@ -8,11 +8,10 @@
 use crate::metrics::DetectionReport;
 use crate::table::{CellRef, Table};
 use crate::{Result, TableError};
-use serde::{Deserialize, Serialize};
 
 /// A dense boolean matrix with the same shape as its table: `true` marks an
 /// erroneous (or predicted-erroneous) cell.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorMask {
     n_rows: usize,
     n_cols: usize,

@@ -2,10 +2,8 @@
 //!
 //! These are the evaluation metrics used throughout the paper's Section IV.
 
-use serde::{Deserialize, Serialize};
-
 /// Precision / recall / F1 together with the underlying confusion counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionReport {
     /// True positives: erroneous cells correctly flagged.
     pub tp: usize,

@@ -2,11 +2,10 @@
 
 use crate::table::Table;
 use crate::value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Coarse value type of a column, inferred from its contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// Mostly integer values.
     Integer,
@@ -21,7 +20,7 @@ pub enum ColumnType {
 }
 
 /// Per-column metadata computed by [`Schema::infer`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColumnMeta {
     /// Column name.
     pub name: String,
@@ -42,7 +41,7 @@ pub struct ColumnMeta {
 }
 
 /// A table schema: ordered per-column metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schema {
     columns: Vec<ColumnMeta>,
 }

@@ -2,12 +2,11 @@
 
 use crate::schema::Schema;
 use crate::{Result, TableError};
-use serde::{Deserialize, Serialize};
 
 /// A reference to a single cell, identified by `(row, column)` indices.
 ///
 /// This mirrors the `D[i, j]` notation in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellRef {
     /// Zero-based tuple (row) index.
     pub row: usize,
@@ -27,7 +26,7 @@ impl CellRef {
 /// All values are stored as `String`; the empty string denotes a missing value.
 /// This matches the data model of the ZeroED paper where error detection is a
 /// binary classification over every cell value `D[i, j]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     name: String,
     columns: Vec<String>,

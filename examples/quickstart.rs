@@ -60,5 +60,7 @@ fn main() {
         llm.ledger().usage().input_tokens,
         llm.ledger().usage().output_tokens
     );
-    println!("Total runtime: {:.2?}", outcome.timings.total());
+    if let Some(profile) = &outcome.stats.stage_profile {
+        println!("Total runtime: {:.2?}", profile.wall());
+    }
 }
