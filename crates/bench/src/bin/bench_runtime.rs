@@ -17,11 +17,17 @@
 //! The worker budget is fixed (default 16, `--workers N`) rather than derived
 //! from host cores: LLM calls are latency-bound, not CPU-bound, so the pool
 //! models a request-concurrency budget against a serving backend — sleeps
-//! overlap regardless of core count. The headline metric is the *LLM-stage*
-//! wall-time (labelling + training-data construction, the two stages whose
-//! wall-clock is dominated by model calls); totals and the serial model cost
-//! (`TokenLedger::sim_cost`) are reported alongside. Every mode must produce
-//! a bit-identical mask — the emitter asserts it before writing the ledger.
+//! overlap regardless of core count. An explicit budget pins every fan-out,
+//! CPU stages included, and 16 is twice the simulator's serving capacity
+//! (`SimLlm::SERVING_CAPACITY`, 8), so on tables with more than 8 attributes
+//! the extra requests queue for a serving slot. The headline metric is the
+//! *LLM-stage* wall-time (labelling + training-data construction, the two
+//! stages whose wall-clock is dominated by model calls); totals and the
+//! serial model cost (`TokenLedger::sim_cost`) are reported alongside, as
+//! are the ledger's serving concurrency (`peak_in_flight`, `capacity_waits`):
+//! the emitter asserts the peak never exceeds the serving capacity and is 1
+//! in the sequential mode. Every mode must produce a bit-identical mask — the
+//! emitter asserts it before writing the ledger.
 //!
 //! `--router` adds the multi-backend hedging experiment: detection against a
 //! single backend stuck with a latency slow-tail versus a two-backend router
@@ -95,7 +101,9 @@ use zeroed_core::{
 };
 use zeroed_criteria::verify;
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
-use zeroed_llm::{FaultSchedule, LlmClient, LlmProfile, MangleSchedule, SimLlm};
+use zeroed_llm::{
+    FaultSchedule, LlmClient, LlmProfile, MangleSchedule, ServingConcurrency, SimLlm,
+};
 use zeroed_obs::{
     chrome_trace_json, journal_jsonl, EventKind, Profiler, StageProfile, TraceId, TraceRecorder,
     TraceSummary,
@@ -113,6 +121,7 @@ struct ModeResult {
     cache_hits: usize,
     cache_misses: usize,
     tokens_saved: usize,
+    served: ServingConcurrency,
     outcome: DetectionOutcome,
 }
 
@@ -156,6 +165,7 @@ fn run_mode_with(
         cache_hits: outcome.stats.cache_hits,
         cache_misses: outcome.stats.cache_misses,
         tokens_saved: outcome.stats.cache_tokens_saved,
+        served: llm.ledger().concurrency(),
         outcome,
     }
 }
@@ -164,7 +174,8 @@ fn mode_json(r: &ModeResult) -> String {
     format!(
         "{{\"mode\": \"{}\", \"total_ms\": {:.1}, \"llm_stage_ms\": {:.1}, \
          \"requests\": {}, \"tokens\": {}, \"llm_serial_cost_ms\": {:.1}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \"cache_tokens_saved\": {}}}",
+         \"cache_hits\": {}, \"cache_misses\": {}, \"cache_tokens_saved\": {}, \
+         \"peak_in_flight\": {}, \"capacity_waits\": {}}}",
         r.label,
         r.total_ms,
         r.llm_stage_ms,
@@ -174,6 +185,8 @@ fn mode_json(r: &ModeResult) -> String {
         r.cache_hits,
         r.cache_misses,
         r.tokens_saved,
+        r.served.peak_in_flight,
+        r.served.waits,
     )
 }
 
@@ -1324,12 +1337,22 @@ fn main() {
         // run — on --quick too, so tier-1 guards the invariant.
         for r in [&seq, &conc, &cold, &warm] {
             assert_profile(name, r);
+            assert!(
+                r.served.peak_in_flight <= SimLlm::SERVING_CAPACITY,
+                "{name}/{}: {:?} exceeds the serving capacity",
+                r.label,
+                r.served
+            );
             if trace {
                 // The flight recorder's zero-tolerance reconciliation runs
                 // on every headline mode, --quick included.
                 assert_trace(&format!("{name}/{}", r.label), &r.outcome.stats);
             }
         }
+        assert_eq!(
+            seq.served.peak_in_flight, 1,
+            "{name}: the sequential run overlapped requests"
+        );
         // The full-size hospital sequential run also guards the non-LLM
         // wall: sampling+detector must stay under half of the detect wall
         // (see assert_non_llm_wall for why exactly this run).
@@ -1354,6 +1377,12 @@ fn main() {
             speedup_warm,
             warm.tokens_saved,
         );
+        for r in [&seq, &conc, &cold, &warm] {
+            eprintln!(
+                "  served {}: peak {} in flight, {} capacity waits",
+                r.label, r.served.peak_in_flight, r.served.waits
+            );
+        }
         if speedup_cached < 2.0 {
             all_speedups_ok = false;
         }

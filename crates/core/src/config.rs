@@ -59,8 +59,9 @@ pub struct ZeroEdConfig {
     /// stage default (default 1). Re-ask tokens are booked on the ledger's
     /// distinct re-ask line. 0 disables re-asking entirely.
     pub reask_budget: usize,
-    /// LLM orchestration runtime: worker pool sizing (one worker per core by
-    /// default, one worker for the sequential reference run) and the
+    /// LLM orchestration runtime: fan-out widths (by default one worker per
+    /// core for the CPU stages and the model's serving capacity for the LLM
+    /// stages; one worker for the sequential reference run) and the
     /// request-dedup response cache. Scheduling never changes the detection
     /// result — multi-worker runs are bit-identical to sequential ones.
     pub runtime: RuntimeConfig,

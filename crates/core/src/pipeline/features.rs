@@ -40,8 +40,9 @@ pub fn prompt_sample_rows(n_rows: usize) -> Vec<usize> {
 }
 
 /// Asks the LLM for error-checking criteria for every attribute, one
-/// scheduler task per attribute, results in column order. Returns `None` per
-/// column when the criteria component is ablated.
+/// scheduler task per attribute at the scheduler's LLM width
+/// ([`zeroed_runtime::Scheduler::run_llm`]), results in column order.
+/// Returns `None` per column when the criteria component is ablated.
 pub fn generate_criteria_on(
     scheduler: &zeroed_runtime::Scheduler,
     table: &Table,
@@ -53,7 +54,7 @@ pub fn generate_criteria_on(
         return vec![None; table.n_cols()];
     }
     let samples = prompt_sample_rows(table.n_rows());
-    scheduler.run(table.n_cols(), |j| {
+    scheduler.run_llm(table.n_cols(), |j| {
         let ctx = AttributeContext {
             table,
             column: j,

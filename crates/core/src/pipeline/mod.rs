@@ -7,6 +7,14 @@
 //! batches, then refinement → augmentation) runs as one task, so stage order
 //! holds within an attribute while attributes proceed in parallel. Results
 //! come back in attribute order, so the worker count never changes the mask.
+//!
+//! The fan-outs run at two widths. The stages that mostly wait on the model
+//! (criteria generation, labelling, training-data construction) keep as many
+//! requests in flight as the model can serve
+//! ([`zeroed_llm::LlmClient::max_in_flight`]; 8 for the simulator), on the
+//! runtime's long-lived request threads. The CPU-bound stages (sampling,
+//! criteria evaluation, the detector) run one worker per core. A pinned
+//! `RuntimeConfig::workers` sets both widths.
 //! When the request cache is on (the default), the
 //! [`zeroed_llm::LlmClient`] is wrapped in a [`zeroed_runtime::CachedLlm`],
 //! so identical requests (retries, re-runs of the same detection) replay
@@ -172,8 +180,9 @@ impl ZeroEd {
         // One profiler per run: the five pipeline steps record sequential
         // stage spans under the root, while the repair ladder, the
         // scheduler, the response cache and the store graft *parallel*
-        // distribution nodes (their totals are CPU time across workers or
-        // cache-lifetime sums, not coordinating-thread wall time).
+        // distribution nodes (their totals are task wall time summed across
+        // workers or cache-lifetime sums, not coordinating-thread wall
+        // time).
         let profiler = Profiler::new("detect");
         let repairing = repair::RepairLlm::new(llm, self.config.reask_budget)
             .with_span(profiler.root().child_parallel("repair"))
@@ -329,8 +338,9 @@ impl ZeroEd {
     }
 
     /// The pipeline itself: the five stages in order, each fanned out per
-    /// attribute on a scheduler built from [`ZeroEdConfig::runtime`] (one
-    /// worker runs every task in order on the calling thread).
+    /// attribute on a scheduler built from [`ZeroEdConfig::runtime`] and the
+    /// model's serving capacity (one worker runs every task in order on the
+    /// calling thread).
     fn run_stages(
         &self,
         dirty: &Table,
@@ -352,7 +362,8 @@ impl ZeroEd {
 
         let root = profiler.root();
         let t_run = Instant::now();
-        let scheduler = Scheduler::from_config(&config.runtime).with_recorder(Arc::clone(recorder));
+        let scheduler =
+            Scheduler::for_client(&config.runtime, llm).with_recorder(Arc::clone(recorder));
 
         // ------------------------------------------------------------------
         // Step 1 — feature representation with criteria reasoning (§III-B).
@@ -417,7 +428,7 @@ impl ZeroEd {
         let t2 = Instant::now();
         let step = root.child("labeling");
         let per_col = step.child_dist("label_attribute");
-        let label_outcomes: Vec<labeling::LabelOutcome> = scheduler.run(n_cols, |j| {
+        let label_outcomes: Vec<labeling::LabelOutcome> = scheduler.run_llm(n_cols, |j| {
             per_col.time(|| {
                 let ctx = AttributeContext {
                     table: dirty,
@@ -443,7 +454,7 @@ impl ZeroEd {
         let step = root.child("training_data");
         let per_col = step.child_dist("construct_attribute");
         let verify_dist = step.child_dist("criteria_verify");
-        let training: Vec<training_data::ColumnTrainingData> = scheduler.run(n_cols, |j| {
+        let training: Vec<training_data::ColumnTrainingData> = scheduler.run_llm(n_cols, |j| {
             per_col.time(|| {
                 let ctx = AttributeContext {
                     table: dirty,
@@ -510,8 +521,8 @@ impl ZeroEd {
         root.record(t_run.elapsed());
         let mut profile = profiler.snapshot();
         // Graft the scheduler's per-task distributions: queue wait (submit →
-        // pickup) and execute (task body) across all five fan-outs. CPU time
-        // summed over workers, so the node is parallel.
+        // pickup) and execute (task body) across all five fan-outs. Task wall
+        // time summed over workers, so the node is parallel.
         let st = scheduler.timings();
         let mut runtime_node = StageProfile::new("runtime");
         runtime_node.parallel = true;

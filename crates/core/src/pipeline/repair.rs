@@ -678,6 +678,10 @@ impl LlmClient for RepairLlm<'_> {
     fn injected_fault(&self, salt: u64) -> Option<zeroed_llm::FaultKind> {
         self.inner.injected_fault(salt)
     }
+
+    fn max_in_flight(&self) -> Option<usize> {
+        self.inner.max_in_flight()
+    }
 }
 
 #[cfg(test)]

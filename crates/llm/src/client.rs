@@ -241,6 +241,18 @@ pub trait LlmClient: Send + Sync {
         let _ = salt;
         None
     }
+
+    /// How many requests this client can serve at once, if it knows.
+    ///
+    /// The pipeline sizes its LLM fan-outs (criteria generation, labelling,
+    /// training-data construction) from this when
+    /// `RuntimeConfig::workers` is 0, and falls back to one request per
+    /// core when it is `None` (the default). The simulator reports its
+    /// fixed serving capacity; composite clients forward their inner
+    /// client's answer, and the multi-backend router sums its backends'.
+    fn max_in_flight(&self) -> Option<usize> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@
 //!    a shared [`TokenLedger`], which is what the Fig. 8 token-cost
 //!    experiments measure.
 
+pub mod budget;
 pub mod client;
 pub mod fault;
 pub mod mangle;
@@ -32,9 +33,10 @@ pub mod prompts;
 pub mod sim;
 pub mod token;
 
+pub use budget::{Budget, BudgetPermit};
 pub use client::{AttributeContext, DistributionAnalysis, ErrorTypeGuide, Guideline, LlmClient};
 pub use fault::{FaultKind, FaultSchedule};
 pub use mangle::{MangleKind, MangleSchedule};
 pub use profile::{LlmLatency, LlmProfile};
 pub use sim::SimLlm;
-pub use token::{count_tokens, TokenLedger, TokenUsage};
+pub use token::{count_tokens, ServingConcurrency, TokenLedger, TokenUsage};

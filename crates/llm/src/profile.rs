@@ -17,7 +17,10 @@ use zeroed_table::ErrorType;
 /// setup) plus linear per-token costs for prompt ingestion and decoding.
 /// The absolute numbers are loosely calibrated to self-hosted vLLM serving of
 /// the respective model sizes, scaled down ~10x so benchmark sweeps finish in
-/// seconds; only the *relative* shape matters for scheduler experiments.
+/// seconds. Each call is costed alone, but it is served in one of the
+/// simulator's [`crate::SimLlm::SERVING_CAPACITY`] slots, so the *absolute*
+/// concurrency matters too: up to that many calls overlap, and the rest
+/// queue for a slot before their latency starts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LlmLatency {
     /// Fixed per-request overhead in milliseconds.

@@ -14,6 +14,7 @@ pub mod guideline_gen;
 pub mod labeling;
 pub mod profiling;
 
+use crate::budget::Budget;
 use crate::client::{AttributeContext, DistributionAnalysis, Guideline, LlmClient};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::mangle::{MangleKind, MangleSchedule};
@@ -60,6 +61,10 @@ pub struct SimLlm {
     /// here must reappear as a `mangled` count in the repair layer.
     mangled_responses: Mutex<usize>,
     profile_cache: Mutex<HashMap<(String, usize, usize), Arc<ColumnProfile>>>,
+    /// The backend's serving slots ([`SimLlm::SERVING_CAPACITY`] of them): a
+    /// call holds one for its modelled latency, and a call that finds them
+    /// all taken waits for one before its latency starts.
+    serving: Budget,
 }
 
 impl std::fmt::Debug for SimLlm {
@@ -73,6 +78,10 @@ impl std::fmt::Debug for SimLlm {
 }
 
 impl SimLlm {
+    /// How many requests one simulated backend serves at once. Fixed, like
+    /// the batch size of a served deployment; calls beyond it queue.
+    pub const SERVING_CAPACITY: usize = 8;
+
     /// Creates a simulator for the given backbone profile.
     pub fn new(profile: LlmProfile, seed: u64) -> Self {
         Self {
@@ -86,6 +95,7 @@ impl SimLlm {
             attempts: Mutex::new(HashMap::new()),
             mangled_responses: Mutex::new(0),
             profile_cache: Mutex::new(HashMap::new()),
+            serving: Budget::new(Self::SERVING_CAPACITY),
         }
     }
 
@@ -114,8 +124,9 @@ impl SimLlm {
 
     /// Enables simulated serving latency: every call sleeps for
     /// `scale × profile.latency.call_cost(...)` after rendering its prompt
-    /// and response. `0.0` disables the sleep; the per-call cost is recorded
-    /// in the ledger either way.
+    /// and response, holding one of the [`SimLlm::SERVING_CAPACITY`] serving
+    /// slots while it does. `0.0` disables the sleep; the per-call cost is
+    /// recorded in the ledger either way.
     pub fn with_latency_scale(mut self, scale: f64) -> Self {
         self.latency_scale = scale.max(0.0);
         self
@@ -190,8 +201,9 @@ impl SimLlm {
         &self.profile
     }
 
-    /// Records one rendered call in the ledger (tokens + simulated latency)
-    /// and, when latency simulation is enabled, sleeps for the scaled cost.
+    /// Records one rendered call in the ledger (tokens + simulated latency),
+    /// admits it to a serving slot (waiting while all are taken) and, when
+    /// latency simulation is enabled, sleeps for the scaled cost in it.
     /// `extra` is additional serving latency beyond the profile's token-linear
     /// model — the slow-tail fault penalty. `reask` marks the call as a
     /// repair-layer re-ask, booking its tokens on the ledger's distinct
@@ -206,6 +218,9 @@ impl SimLlm {
         }
         let cost = self.profile.latency.call_cost(input, output) + extra;
         self.ledger.record_sim_cost(cost);
+        let slot = self.serving.acquire();
+        self.ledger
+            .record_admission(slot.in_flight(), slot.waited());
         if self.latency_scale > 0.0 {
             std::thread::sleep(cost.mul_f64(self.latency_scale));
         }
@@ -455,6 +470,10 @@ impl LlmClient for SimLlm {
     fn injected_fault(&self, salt: u64) -> Option<FaultKind> {
         self.faults.as_ref().and_then(|s| s.decide(salt))
     }
+
+    fn max_in_flight(&self) -> Option<usize> {
+        self.serving.capacity()
+    }
 }
 
 #[cfg(test)]
@@ -602,6 +621,40 @@ mod tests {
         let a = llm.request_salt(&table, Some(0), &[]);
         let b = llm.request_salt(&table, Some(1), &[]);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn serving_capacity_queues_calls_beyond_it() {
+        let (table, mask) = fixture();
+        let llm = SimLlm::default_model(4)
+            .with_oracle(mask)
+            .with_latency_scale(0.2);
+        assert_eq!(llm.max_in_flight(), Some(SimLlm::SERVING_CAPACITY));
+        let corr = vec![0usize];
+        let rows: Vec<usize> = (0..4).collect();
+        let c = ctx(&table, 1, &corr, &rows);
+        let callers = 2 * SimLlm::SERVING_CAPACITY;
+        let start = std::sync::Barrier::new(callers);
+        std::thread::scope(|s| {
+            for _ in 0..callers {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..3 {
+                        llm.label_batch(&c, None, &rows);
+                    }
+                });
+            }
+        });
+        let served = llm.ledger().concurrency();
+        assert!(
+            served.peak_in_flight <= SimLlm::SERVING_CAPACITY,
+            "{served:?}"
+        );
+        assert!(
+            served.waits > 0,
+            "16 callers must queue for 8 slots: {served:?}"
+        );
+        assert_eq!(llm.ledger().usage().requests, 3 * callers);
     }
 
     #[test]

@@ -37,6 +37,19 @@ impl TokenUsage {
     }
 }
 
+/// How concurrently a backend served its calls: the most requests it held
+/// at once, and how many calls waited for a free slot first. Recorded at
+/// the simulator's serving gate (see [`TokenLedger::record_admission`]);
+/// unlike [`TokenUsage`] it depends on scheduling, so runs that must agree
+/// on usage may still differ here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServingConcurrency {
+    /// Peak number of requests being served at the same time.
+    pub peak_in_flight: usize,
+    /// Calls that found every serving slot taken and waited for one.
+    pub waits: usize,
+}
+
 /// Thread-safe accumulator of token usage shared by all calls of one client.
 #[derive(Debug, Default, Clone)]
 pub struct TokenLedger {
@@ -51,6 +64,8 @@ pub struct TokenLedger {
     /// (sum of per-call latencies, independent of scheduling), not something
     /// a served deployment would report.
     sim_cost: Arc<Mutex<std::time::Duration>>,
+    /// Serving concurrency (see [`ServingConcurrency`]).
+    concurrency: Arc<Mutex<ServingConcurrency>>,
 }
 
 impl TokenLedger {
@@ -109,6 +124,20 @@ impl TokenLedger {
         *self.sim_cost.lock()
     }
 
+    /// Records one call admitted to serving with `in_flight` requests
+    /// (itself included) then being served; `waited` marks a call that
+    /// queued for a free slot first.
+    pub fn record_admission(&self, in_flight: usize, waited: bool) {
+        let mut c = self.concurrency.lock();
+        c.peak_in_flight = c.peak_in_flight.max(in_flight);
+        c.waits += usize::from(waited);
+    }
+
+    /// Serving concurrency recorded so far.
+    pub fn concurrency(&self) -> ServingConcurrency {
+        *self.concurrency.lock()
+    }
+
     /// Returns the current snapshot.
     pub fn usage(&self) -> TokenUsage {
         *self.inner.lock()
@@ -119,6 +148,7 @@ impl TokenLedger {
         *self.inner.lock() = TokenUsage::default();
         *self.reask.lock() = TokenUsage::default();
         *self.sim_cost.lock() = std::time::Duration::ZERO;
+        *self.concurrency.lock() = ServingConcurrency::default();
     }
 }
 
@@ -173,6 +203,23 @@ mod tests {
         assert_eq!(reask.output_tokens, 4);
         ledger.reset();
         assert_eq!(ledger.reask_usage(), TokenUsage::default());
+    }
+
+    #[test]
+    fn concurrency_keeps_the_peak_and_counts_waits() {
+        let ledger = TokenLedger::new();
+        ledger.record_admission(1, false);
+        ledger.clone().record_admission(3, true);
+        ledger.record_admission(2, true);
+        assert_eq!(
+            ledger.concurrency(),
+            ServingConcurrency {
+                peak_in_flight: 3,
+                waits: 2
+            }
+        );
+        ledger.reset();
+        assert_eq!(ledger.concurrency(), ServingConcurrency::default());
     }
 
     #[test]

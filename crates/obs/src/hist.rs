@@ -224,8 +224,8 @@ impl HistogramSnapshot {
     /// Render the snapshot as a **parallel** leaf [`StageProfile`] node so
     /// per-thread distributions (scheduler task execute time, cache lock
     /// holds, store fsyncs) can be grafted into a stage tree. The node is
-    /// flagged parallel because its total is CPU-time summed across threads,
-    /// not wall time on the coordinating thread.
+    /// flagged parallel because its total is wall time summed across
+    /// threads, not wall time on the coordinating thread.
     pub fn to_stage(&self, name: &str) -> StageProfile {
         StageProfile {
             name: name.to_string(),

@@ -13,8 +13,10 @@
 //!   inside the parent's own interval, so they sum to ≤ the parent's wall
 //!   time. This is the accounting invariant the tier-1 bench asserts.
 //! * **parallel** ([`Span::child_parallel`], [`Span::child_dist`]) — recorded
-//!   from worker threads; the total is CPU-time summed across workers and may
-//!   exceed any wall clock. Parallel nodes are excluded from the ≤-parent
+//!   from worker threads; the total is task wall time summed across workers
+//!   and may exceed any wall clock. It is not CPU time: a task that waits on
+//!   the model mostly sleeps, so an LLM stage at width 8 can show about 8×
+//!   its own wall here. Parallel nodes are excluded from the ≤-parent
 //!   invariant and from [`StageProfile::coverage`].
 
 use crate::hist::Histogram;
@@ -131,7 +133,8 @@ impl Span {
     }
 
     /// Get-or-create a **parallel** child: recorded from worker threads, its
-    /// total is CPU-time across workers (excluded from wall accounting).
+    /// total is task wall time summed across workers (excluded from wall
+    /// accounting).
     pub fn child_parallel(&self, name: &str) -> Span {
         Span {
             node: self.node.child(name, true, false),
@@ -232,7 +235,7 @@ pub struct StageProfile {
     /// Stage name (path segment; unique among its siblings).
     pub name: String,
     /// Accumulated time in nanoseconds. Wall time for sequential nodes,
-    /// CPU-time summed across workers for parallel nodes.
+    /// task wall time summed across workers for parallel nodes.
     pub wall_nanos: u64,
     /// Invocation count.
     pub count: u64,
@@ -311,7 +314,8 @@ impl StageProfile {
     /// every node's sequential children are timed as disjoint sub-intervals
     /// of the node's own interval, so their sum must not exceed the node's
     /// wall time (beyond a 1ms + 0.1% slack for clock-read placement).
-    /// Parallel subtrees are skipped — their totals are CPU-time.
+    /// Parallel subtrees are skipped — their totals are task wall time
+    /// summed across workers.
     pub fn accounting_ok(&self) -> bool {
         if self.parallel {
             return true;
@@ -366,7 +370,8 @@ impl StageProfile {
 
     /// Render an aligned, human-readable breakdown table. Percentages are of
     /// the root's wall time; parallel nodes are marked `∥` (their totals are
-    /// CPU-time across workers, so the percentage can exceed 100).
+    /// task wall time summed across workers, so the percentage can exceed
+    /// 100).
     pub fn render_table(&self) -> String {
         let mut rows: Vec<(String, String, String, String, String)> = vec![(
             "stage".to_string(),

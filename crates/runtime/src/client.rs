@@ -404,6 +404,10 @@ impl LlmClient for CachedLlm<'_> {
     fn cache_identity(&self) -> &str {
         self.inner.cache_identity()
     }
+
+    fn max_in_flight(&self) -> Option<usize> {
+        self.inner.max_in_flight()
+    }
 }
 
 #[cfg(test)]

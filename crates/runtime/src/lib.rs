@@ -29,12 +29,14 @@
 //!    miss claims the in-flight slot and proceeds.
 //! 3. **Execute** — the wrapped [`zeroed_llm::LlmClient`] performs the actual
 //!    call (for [`zeroed_llm::SimLlm`]: deterministic simulation plus token
-//!    accounting plus optional simulated serving latency). The [`Scheduler`]
-//!    is what puts many executions in flight at once: per-attribute stage
-//!    chains (analysis → guideline → label batches) run as one task each, so
-//!    stage order *within* an attribute is preserved while attributes
-//!    proceed concurrently across a bounded work queue and a fixed worker
-//!    pool, with a simple bounded-retry policy for fallible tasks.
+//!    accounting plus optional simulated serving latency, in one of its
+//!    [`zeroed_llm::SimLlm::SERVING_CAPACITY`] serving slots). The
+//!    [`Scheduler`] is what puts many executions in flight at once:
+//!    per-attribute stage chains (analysis → guideline → label batches) run
+//!    as one task each, so stage order *within* an attribute is preserved
+//!    while attributes proceed concurrently — as many as the model can
+//!    serve ([`zeroed_llm::LlmClient::max_in_flight`]), on a process-wide
+//!    pool of long-lived request threads.
 //! 4. **Publish** — the response value and its exact token cost are stored
 //!    under the key; parked waiters wake; counters (hits, misses, coalesced
 //!    waits, tokens saved) update. Later identical requests — retries,
@@ -60,7 +62,7 @@
 //! ordinary [`zeroed_llm::LlmClient`], so the stack composes as
 //!
 //! ```text
-//! pipeline stages → Scheduler workers → CachedLlm → RouterLlm → backend 0..N
+//! pipeline stages → Scheduler request threads → CachedLlm → RouterLlm → backend 0..N
 //! ```
 //!
 //! with cache hits short-circuiting before any routing happens. Per request
@@ -124,6 +126,7 @@ pub mod cache;
 pub mod client;
 pub mod key;
 pub mod persist;
+mod pool;
 pub mod router;
 pub mod scheduler;
 

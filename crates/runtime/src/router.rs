@@ -49,12 +49,12 @@
 
 use crate::key::{RequestKey, RequestKind};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use zeroed_obs::{current_id, EventKind, TraceRecorder};
 use zeroed_criteria::CriteriaSet;
 use zeroed_llm::{
-    count_tokens, prompts, AttributeContext, DistributionAnalysis, FaultKind, Guideline,
+    count_tokens, prompts, AttributeContext, Budget, DistributionAnalysis, FaultKind, Guideline,
     LlmClient, TokenLedger,
 };
 use zeroed_table::Table;
@@ -224,55 +224,6 @@ impl RouterStats {
     /// Total spend including cancelled hedges: useful + waste.
     pub fn total_spend_tokens(&self) -> u64 {
         self.tokens() + self.hedge_waste_tokens
-    }
-}
-
-/// A counting semaphore bounding one backend's in-flight requests.
-struct Budget {
-    capacity: usize,
-    in_flight: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl Budget {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            in_flight: Mutex::new(0),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a slot frees up; the permit releases on drop, so a
-    /// panicking backend call cannot leak the slot and starve later requests.
-    fn acquire(&self) -> BudgetPermit<'_> {
-        if self.capacity > 0 {
-            let mut n = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
-            while *n >= self.capacity {
-                n = self.freed.wait(n).unwrap_or_else(|e| e.into_inner());
-            }
-            *n += 1;
-        }
-        BudgetPermit(self)
-    }
-
-    fn release(&self) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut n = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
-        *n = n.saturating_sub(1);
-        drop(n);
-        self.freed.notify_one();
-    }
-}
-
-/// RAII permit for one in-flight request on a backend.
-struct BudgetPermit<'a>(&'a Budget);
-
-impl Drop for BudgetPermit<'_> {
-    fn drop(&mut self) {
-        self.0.release();
     }
 }
 
@@ -937,6 +888,19 @@ impl LlmClient for RouterLlm<'_> {
         }
     }
 
+    fn max_in_flight(&self) -> Option<usize> {
+        // Each backend serves at most its own capacity, further capped by
+        // its router budget; one backend of unknown capacity leaves the sum
+        // unknown.
+        self.backends
+            .iter()
+            .map(|b| match (b.client.max_in_flight(), b.budget.capacity()) {
+                (Some(serves), Some(budget)) => Some(serves.min(budget)),
+                (serves, budget) => serves.or(budget),
+            })
+            .sum()
+    }
+
     fn cache_identity(&self) -> &str {
         // The router's *responses* are its backends' responses (the
         // response-equivalence contract), so cache keys — and persisted store
@@ -1166,36 +1130,13 @@ mod tests {
     }
 
     #[test]
-    fn budget_bounds_inflight_requests() {
-        let budget = Budget::new(2);
-        let active = std::sync::atomic::AtomicU64::new(0);
-        let peak = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    let _permit = budget.acquire();
-                    let n = active.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(n, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(5));
-                    active.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "budget must cap concurrency");
-    }
-
-    #[test]
-    fn budget_permit_survives_a_panicking_call() {
-        // A panic while holding the only permit must release it on unwind,
-        // otherwise the next request on this backend deadlocks forever.
-        let budget = Budget::new(1);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _permit = budget.acquire();
-            panic!("backend call died");
-        }));
-        assert!(result.is_err());
-        // Still acquirable — a leak would hang here (test would time out).
-        let _permit = budget.acquire();
+    fn capacity_sums_backends_capped_by_their_budgets() {
+        let sims = replicas(2, &[]);
+        let clients: Vec<&dyn LlmClient> = sims.iter().map(|s| s as &dyn LlmClient).collect();
+        let mut config = RouterConfig::for_backends(2);
+        config.backends[1].budget = 3;
+        let router = RouterLlm::new(clients, &config);
+        assert_eq!(router.max_in_flight(), Some(SimLlm::SERVING_CAPACITY + 3));
     }
 
     #[test]

@@ -1,26 +1,43 @@
-//! The worker-pool scheduler and its configuration.
+//! The scheduler and its configuration.
 //!
-//! [`Scheduler::run`] fans `n` index-addressed tasks out across a fixed pool
-//! of scoped worker threads fed by a bounded queue. The ZeroED pipeline maps
-//! one task to one attribute's stage chain (e.g. analysis → guideline →
-//! label batches), which preserves stage ordering *within* an attribute while
-//! attributes proceed concurrently. Results come back in task-index order, so
-//! downstream consumers are oblivious to scheduling — the foundation of the
-//! bit-identical-to-sequential guarantee.
+//! A [`Scheduler`] fans `n` index-addressed tasks out at one of two widths.
+//! The ZeroED pipeline maps one task to one attribute's stage chain (e.g.
+//! analysis → guideline → label batches), which preserves stage ordering
+//! *within* an attribute while attributes proceed concurrently.
+//!
+//! * [`Scheduler::run`] is for CPU-bound fan-outs (sampling, criteria
+//!   evaluation, the detector): one worker per core by default, on scoped
+//!   threads fed by a bounded queue.
+//! * [`Scheduler::run_llm`] is for fan-outs that mostly wait on the model
+//!   (criteria generation, labelling, training-data construction): as many
+//!   tasks in flight as the model can serve
+//!   ([`zeroed_llm::LlmClient::max_in_flight`]), on a process-wide pool of
+//!   long-lived request threads.
+//!
+//! An explicit [`RuntimeConfig::workers`] pins both widths, so one worker
+//! runs every task in order on the calling thread. Either way results come
+//! back in task-index order, so downstream consumers are oblivious to
+//! scheduling — the foundation of the bit-identical-to-sequential guarantee.
 
+use crate::pool;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
+use zeroed_llm::LlmClient;
 use zeroed_obs::{EventKind, Histogram, HistogramSnapshot, TraceId, TraceRecorder};
 
 /// Configuration of the orchestration runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker threads; `0` means one per available core. One worker runs
-    /// every task in order on the calling thread.
+    /// Fan-out width. `0` (the default) sizes each kind of fan-out by the
+    /// resource it waits on: CPU fan-outs get one worker per available core,
+    /// LLM fan-outs as many requests in flight as the model reports it can
+    /// serve (one per core when it does not say). `N` pins every fan-out to
+    /// `N`, so one worker runs every task in order on the calling thread.
     pub workers: usize,
-    /// Bounded submit-queue capacity; submission blocks when full.
+    /// Bounded submit-queue capacity of CPU fan-outs ([`Scheduler::run`]);
+    /// submission blocks when full.
     pub queue_capacity: usize,
     /// Additional attempts for fallible tasks (see
     /// [`Scheduler::run_fallible`]).
@@ -70,7 +87,7 @@ impl RuntimeConfig {
         }
     }
 
-    /// Resolved worker count (`workers == 0` → available parallelism).
+    /// Resolved CPU fan-out width (`workers == 0` → available parallelism).
     pub fn effective_workers(&self) -> usize {
         if self.workers == 0 {
             std::thread::available_parallelism()
@@ -78,6 +95,17 @@ impl RuntimeConfig {
                 .unwrap_or(1)
         } else {
             self.workers
+        }
+    }
+
+    /// Resolved LLM fan-out width for a model that can serve
+    /// `max_in_flight` requests at once (see
+    /// [`LlmClient::max_in_flight`]): that capacity when `workers == 0`,
+    /// otherwise [`RuntimeConfig::effective_workers`].
+    pub(crate) fn llm_width(&self, max_in_flight: Option<usize>) -> usize {
+        match max_in_flight {
+            Some(capacity) if self.workers == 0 => capacity.max(1),
+            _ => self.effective_workers(),
         }
     }
 }
@@ -91,6 +119,9 @@ pub struct SchedulerStats {
     pub tasks: u64,
     /// Retry attempts performed by [`Scheduler::run_fallible`].
     pub retries: u64,
+    /// Tasks of a panicked [`Scheduler::run_llm`] fan-out that never
+    /// started.
+    pub skipped: u64,
 }
 
 /// Per-task timing distributions for one scheduler's lifetime: how long each
@@ -99,8 +130,8 @@ pub struct SchedulerStats {
 /// exact nearest-rank over the histogram's sample window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerTimings {
-    /// Submit-to-pop latency per task (zero on the inline fast path, which
-    /// has no queue and records nothing here).
+    /// Submit-to-pickup latency per task (the inline fast path has no
+    /// queue and records nothing here).
     pub queue_wait: HistogramSnapshot,
     /// Closure execution time per task (recorded on both paths).
     pub execute: HistogramSnapshot,
@@ -111,6 +142,7 @@ struct Counters {
     batches: AtomicU64,
     tasks: AtomicU64,
     retries: AtomicU64,
+    skipped: AtomicU64,
 }
 
 /// A bounded multi-producer multi-consumer queue of task indices.
@@ -205,9 +237,10 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// The worker-pool scheduler.
+/// The two-width scheduler (see the module docs).
 pub struct Scheduler {
     workers: usize,
+    llm_width: usize,
     queue_capacity: usize,
     max_retries: usize,
     counters: Counters,
@@ -226,6 +259,7 @@ impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("workers", &self.workers)
+            .field("llm_width", &self.llm_width)
             .field("queue_capacity", &self.queue_capacity)
             .field("max_retries", &self.max_retries)
             .field("stats", &self.stats())
@@ -234,10 +268,12 @@ impl std::fmt::Debug for Scheduler {
 }
 
 impl Scheduler {
-    /// Builds the scheduler a config describes.
+    /// Builds the scheduler a config describes for a model of unknown
+    /// serving capacity.
     pub fn from_config(config: &RuntimeConfig) -> Self {
         Self {
             workers: config.effective_workers().max(1),
+            llm_width: config.llm_width(None),
             queue_capacity: config.queue_capacity,
             max_retries: config.max_retries,
             counters: Counters::default(),
@@ -248,10 +284,20 @@ impl Scheduler {
         }
     }
 
-    /// A scheduler with an explicit worker count (tests/benches).
+    /// Builds the scheduler a config describes for detection against `llm`:
+    /// with `workers == 0` its LLM fan-outs are as wide as `llm` can serve.
+    pub fn for_client(config: &RuntimeConfig, llm: &dyn LlmClient) -> Self {
+        Self {
+            llm_width: config.llm_width(llm.max_in_flight()),
+            ..Self::from_config(config)
+        }
+    }
+
+    /// A scheduler with both widths pinned to `workers` (tests/benches).
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
+            llm_width: workers.max(1),
             queue_capacity: 256,
             max_retries: 2,
             counters: Counters::default(),
@@ -271,9 +317,14 @@ impl Scheduler {
         self
     }
 
-    /// Resolved worker-pool size.
+    /// Resolved CPU fan-out width ([`Scheduler::run`]).
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Resolved LLM fan-out width ([`Scheduler::run_llm`]).
+    pub fn llm_width(&self) -> usize {
+        self.llm_width
     }
 
     /// Current counter snapshot.
@@ -282,6 +333,7 @@ impl Scheduler {
             batches: self.counters.batches.load(Ordering::Relaxed),
             tasks: self.counters.tasks.load(Ordering::Relaxed),
             retries: self.counters.retries.load(Ordering::Relaxed),
+            skipped: self.counters.skipped.load(Ordering::Relaxed),
         }
     }
 
@@ -294,7 +346,8 @@ impl Scheduler {
         }
     }
 
-    /// Runs tasks `0..n` on the pool and returns their results in task order.
+    /// Runs CPU-bound tasks `0..n` on [`Scheduler::workers`] scoped threads
+    /// and returns their results in task order.
     ///
     /// `f` runs once per task; a panicking task aborts the whole batch (the
     /// panic propagates when the worker scope joins). With one worker, or a
@@ -304,35 +357,9 @@ impl Scheduler {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        let fanout = self.fanouts.fetch_add(1, Ordering::Relaxed);
-        // Deterministic per-task trace id for this fan-out (no-ops when no
-        // recorder is attached).
-        let task_trace = |i: usize| -> TraceId {
-            match &self.recorder {
-                Some(rec) => TraceId::for_task(rec.nonce(), fanout, i as u64),
-                None => TraceId::NONE,
-            }
-        };
-        let journal = |trace: TraceId, kind: EventKind, i: usize| {
-            if let Some(rec) = &self.recorder {
-                rec.emit(trace, kind, i as u64);
-            }
-        };
+        let fanout = self.begin_fanout();
         if self.workers <= 1 || n <= 1 {
-            self.counters.tasks.fetch_add(n as u64, Ordering::Relaxed);
-            return (0..n)
-                .map(|i| {
-                    let trace = task_trace(i);
-                    journal(trace, EventKind::TaskSubmit, i);
-                    journal(trace, EventKind::TaskStart, i);
-                    let t = Instant::now();
-                    let value = f(i);
-                    self.execute.record(t.elapsed());
-                    journal(trace, EventKind::TaskEnd, i);
-                    value
-                })
-                .collect();
+            return self.run_inline(fanout, n, f);
         }
         let queue = BoundedQueue::new(self.queue_capacity);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -353,14 +380,8 @@ impl Scheduler {
                             .saturating_sub(submitted[i].load(Ordering::Relaxed) as u128);
                         self.queue_wait
                             .record_nanos(waited.min(u64::MAX as u128) as u64);
-                        let trace = task_trace(i);
-                        journal(trace, EventKind::TaskStart, i);
-                        let t = Instant::now();
-                        let value = f(i);
-                        self.execute.record(t.elapsed());
-                        journal(trace, EventKind::TaskEnd, i);
+                        let value = self.run_task(fanout, i, &f);
                         *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
-                        self.counters.tasks.fetch_add(1, Ordering::Relaxed);
                     }
                 });
             }
@@ -369,7 +390,7 @@ impl Scheduler {
                     batch_start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                     Ordering::Relaxed,
                 );
-                journal(task_trace(i), EventKind::TaskSubmit, i);
+                self.journal(fanout, EventKind::TaskSubmit, i);
                 if !queue.push(i) {
                     // A worker panicked and closed the queue; stop producing
                     // and let the scope join rethrow the panic.
@@ -378,12 +399,85 @@ impl Scheduler {
             }
             queue.close();
         });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every task slot is filled before the scope joins")
+        collect(slots)
+    }
+
+    /// Runs tasks `0..n` that mostly wait on the model with up to
+    /// [`Scheduler::llm_width`] in flight, and returns their results in
+    /// task order.
+    ///
+    /// The calling thread and the process-wide pool of long-lived request
+    /// threads share the tasks. If one panics, the tasks not yet started
+    /// are skipped (counted in [`SchedulerStats::skipped`]), and the panic
+    /// propagates once every task has finished or been skipped. With a
+    /// width of one, or a single task, everything runs inline on the
+    /// calling thread.
+    pub fn run_llm<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let fanout = self.begin_fanout();
+        if self.llm_width <= 1 || n <= 1 {
+            return self.run_inline(fanout, n, f);
+        }
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Every task is submitted up front; its queue wait runs until a
+        // thread picks it up.
+        let batch_start = Instant::now();
+        for i in 0..n {
+            self.journal(fanout, EventKind::TaskSubmit, i);
+        }
+        let body = |i: usize| {
+            self.queue_wait.record(batch_start.elapsed());
+            let value = self.run_task(fanout, i, &f);
+            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
+        };
+        if let Err(panicked) = pool::scatter(self.llm_width, n, &body) {
+            self.counters
+                .skipped
+                .fetch_add(panicked.skipped as u64, Ordering::Relaxed);
+            std::panic::resume_unwind(panicked.payload);
+        }
+        collect(slots)
+    }
+
+    /// Counts one fan-out and returns its number, which keeps task trace
+    /// ids unique across the many fan-outs one detection runs.
+    fn begin_fanout(&self) -> u64 {
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        self.fanouts.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Journals one task event under the task's deterministic trace id
+    /// (a no-op without a recorder).
+    fn journal(&self, fanout: u64, kind: EventKind, i: usize) {
+        if let Some(rec) = &self.recorder {
+            rec.emit(
+                TraceId::for_task(rec.nonce(), fanout, i as u64),
+                kind,
+                i as u64,
+            );
+        }
+    }
+
+    /// Runs task `i`: journals its start and end, and times and counts it.
+    fn run_task<T>(&self, fanout: u64, i: usize, f: &impl Fn(usize) -> T) -> T {
+        self.journal(fanout, EventKind::TaskStart, i);
+        let t = Instant::now();
+        let value = f(i);
+        self.execute.record(t.elapsed());
+        self.journal(fanout, EventKind::TaskEnd, i);
+        self.counters.tasks.fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    /// Both fan-outs' fast path: every task in order on the calling thread.
+    fn run_inline<T>(&self, fanout: u64, n: usize, f: impl Fn(usize) -> T) -> Vec<T> {
+        (0..n)
+            .map(|i| {
+                self.journal(fanout, EventKind::TaskSubmit, i);
+                self.run_task(fanout, i, &f)
             })
             .collect()
     }
@@ -408,6 +502,18 @@ impl Scheduler {
             last
         })
     }
+}
+
+/// Unwraps a fan-out's result slots, all filled once it returns.
+fn collect<T>(slots: Vec<Mutex<Option<T>>>) -> Vec<T> {
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every task slot is filled before the fan-out returns")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -531,13 +637,69 @@ mod tests {
         let c = RuntimeConfig::default();
         assert!(c.cache);
         assert!(c.effective_workers() >= 1);
+        // Auto width: LLM fan-outs follow the model's serving capacity and
+        // fall back to the core count when it is unknown.
+        assert_eq!(c.llm_width(Some(8)), 8);
+        assert_eq!(c.llm_width(None), c.effective_workers());
         let seq = RuntimeConfig::sequential();
         assert_eq!(seq.effective_workers(), 1);
+        assert_eq!(seq.llm_width(Some(8)), 1, "pinned widths ignore the model");
         assert!(!seq.cache);
         let fixed = RuntimeConfig {
             workers: 3,
             ..RuntimeConfig::default()
         };
         assert_eq!(fixed.effective_workers(), 3);
+        assert_eq!(fixed.llm_width(Some(8)), 3);
+        let llm = zeroed_llm::SimLlm::default_model(0);
+        let s = Scheduler::for_client(&c, &llm);
+        assert_eq!(s.llm_width(), zeroed_llm::SimLlm::SERVING_CAPACITY);
+        assert_eq!(s.workers(), c.effective_workers());
+    }
+
+    #[test]
+    fn llm_fanout_returns_results_in_task_order() {
+        let s = Scheduler::with_workers(8);
+        let out = s.run_llm(100, |i| {
+            if i % 7 == 0 {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            i * 3
+        });
+        assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(s.stats().tasks, 100);
+        assert_eq!(s.stats().batches, 1);
+        assert_eq!(s.timings().queue_wait.count, 100);
+        assert_eq!(s.timings().execute.count, 100);
+    }
+
+    #[test]
+    fn recorder_journals_both_widths_once_per_task() {
+        let rec = TraceRecorder::new(5);
+        let llm = zeroed_llm::SimLlm::default_model(0);
+        let s =
+            Scheduler::for_client(&RuntimeConfig::default(), &llm).with_recorder(Arc::clone(&rec));
+        let _ = s.run(32, |i| i);
+        let _ = s.run_llm(32, |i| i);
+        let _ = s.run(8, |i| i);
+        let _ = s.run_llm(8, |i| i);
+        for kind in [
+            EventKind::TaskSubmit,
+            EventKind::TaskStart,
+            EventKind::TaskEnd,
+        ] {
+            assert_eq!(rec.count(kind), 80, "{kind:?}");
+        }
+        assert_eq!(rec.dropped(), 0);
+        let events = rec.events();
+        zeroed_obs::check_causality(&events).expect("well-formed task stream");
+        // Fan-outs of both widths share one numbering, so no two tasks
+        // share a trace id.
+        let ids: std::collections::HashSet<u64> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::TaskSubmit)
+            .map(|e| e.trace.raw())
+            .collect();
+        assert_eq!(ids.len(), 80);
     }
 }

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use zeroed_runtime::{RuntimeConfig, Scheduler};
 
 /// Generous CI watchdog: the workloads below finish in well under a second on
@@ -200,5 +200,81 @@ fn concurrent_batches_on_one_scheduler_stay_isolated() {
         }
         assert_eq!(s.stats().tasks, 2000);
         assert_eq!(s.stats().batches, 4);
+    });
+}
+
+#[test]
+fn llm_fanout_panic_settles_every_job_before_unwinding() {
+    with_watchdog(|| {
+        // The jobs borrow the caller's stack, so the panic may reach the
+        // caller only once no job can still run: each one finished or was
+        // skipped.
+        let s = Scheduler::with_workers(8);
+        let n = 64;
+        let started = AtomicUsize::new(0);
+        let running = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.run_llm(n, |i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                if i == 5 {
+                    // `resume_unwind` skips the panic hook, whose backtrace
+                    // printing could outlast every other job.
+                    std::panic::resume_unwind(Box::new(format!("task {i} failed")));
+                }
+                running.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(20));
+                running.fetch_sub(1, Ordering::SeqCst);
+                i
+            })
+        }));
+        let payload = result.expect_err("the task panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("task 5 failed"),
+            "the task's own panic is re-raised"
+        );
+        assert_eq!(running.load(Ordering::SeqCst), 0, "a job outlived the call");
+        let skipped = s.stats().skipped;
+        assert!(skipped > 0, "later jobs must be skipped, not run");
+        assert_eq!(started.load(Ordering::SeqCst) as u64 + skipped, n as u64);
+
+        // The request threads survive the panic: the next fan-out still
+        // overlaps eight sleeping tasks.
+        let t = Instant::now();
+        let out = s.run_llm(8, |i| {
+            std::thread::sleep(Duration::from_millis(40));
+            i
+        });
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        assert!(
+            t.elapsed() < Duration::from_millis(200),
+            "request threads did not overlap: {:?}",
+            t.elapsed()
+        );
+    });
+}
+
+#[test]
+fn two_threads_fanning_out_through_the_pool_at_once_both_finish() {
+    with_watchdog(|| {
+        let s = Arc::new(scheduler(8, 4, 0));
+        let handles: Vec<_> = (0..2u64)
+            .map(|batch| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    s.run_llm(64, move |i| {
+                        std::thread::sleep(Duration::from_millis(1));
+                        batch * 10_000 + i as u64
+                    })
+                })
+            })
+            .collect();
+        for (batch, h) in handles.into_iter().enumerate() {
+            let out = h.join().unwrap();
+            for (i, v) in out.iter().enumerate() {
+                assert_eq!(*v, batch as u64 * 10_000 + i as u64);
+            }
+        }
+        assert_eq!(s.stats().tasks, 128);
     });
 }

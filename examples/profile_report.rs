@@ -11,9 +11,9 @@
 //! `features`), plus grafted *parallel* distribution nodes — per-attribute
 //! task latencies, the scheduler's queue-wait/execute split, the repair
 //! ladder's validate/salvage/re-ask timing and the response cache's lock
-//! holds. Parallel nodes (marked `∥` in the table) accumulate CPU-time
-//! across workers, so their percentages can exceed 100 — that gap *is* the
-//! speedup the worker pool bought.
+//! holds. Parallel nodes (marked `∥` in the table) accumulate task wall
+//! time summed across workers, so their percentages can exceed 100 — the
+//! ratio to their stage's wall is the overlap the fan-out bought.
 
 use zeroed::prelude::*;
 
