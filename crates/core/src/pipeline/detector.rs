@@ -18,8 +18,10 @@
 //! `zeroed-ml` as the batched path's bit-identity oracle.
 //!
 //! [`train_and_predict`] is free of cross-attribute state and seeds its MLP
-//! from `(config seed, column)` alone, so the concurrent runtime path fans it
-//! out per attribute with bit-identical predictions to the sequential loop.
+//! from `(config seed, column)` alone, so the concurrent runtime path runs it
+//! per attribute on the attribute chains' CPU lane, as soon as that
+//! attribute's training data is ready, with bit-identical predictions to the
+//! sequential loop.
 
 use super::training_data::ColumnTrainingData;
 use crate::config::{CriteriaEngine, ZeroEdConfig};

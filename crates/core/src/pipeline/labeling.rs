@@ -1,9 +1,10 @@
 //! Step 3 — guideline generation and holistic LLM labelling (paper §III-C).
 //!
-//! On the concurrent runtime path each attribute's chain (distribution
-//! analysis → guideline → label batches) runs as one scheduler task, so the
-//! calls below stay ordered within the attribute while attributes proceed in
-//! parallel.
+//! The pipeline calls [`label_representatives`] in the middle phase of each
+//! attribute's streamed chain, right after the attribute's sampling and
+//! before its training-data construction, at the model's serving width. The
+//! calls below (distribution analysis → guideline → label batches) stay
+//! ordered within the attribute while attributes proceed in parallel.
 
 use crate::config::ZeroEdConfig;
 use crate::pipeline::repair;

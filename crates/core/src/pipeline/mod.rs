@@ -1,19 +1,23 @@
 //! The four-step ZeroED pipeline.
 //!
-//! One code path runs every configuration. The five stages execute in order,
-//! and each fans its per-attribute work out on a
-//! [`zeroed_runtime::Scheduler`] sized by [`ZeroEdConfig::runtime`]. Each
-//! attribute's LLM stage chain (distribution analysis → guideline → label
-//! batches, then refinement → augmentation) runs as one task, so stage order
-//! holds within an attribute while attributes proceed in parallel. Results
-//! come back in attribute order, so the worker count never changes the mask.
+//! One code path runs every configuration, on a
+//! [`zeroed_runtime::Scheduler`] sized by [`ZeroEdConfig::runtime`].
+//! Feature representation (step 1) fans out per attribute and finishes for
+//! every attribute first: attribute j's unified vector holds its correlated
+//! attributes' blocks. Past that barrier, attribute j's sampling →
+//! labelling → training-data construction → detector reads nothing of
+//! another attribute (§III-C/D), so the scheduler streams each attribute's
+//! chain ([`zeroed_runtime::Scheduler::run_chain`]) and one attribute's
+//! detector overlaps another's waits on the model. Stage order holds within
+//! an attribute, and results come back in attribute order, so the worker
+//! count never changes the mask.
 //!
-//! The fan-outs run at two widths. The stages that mostly wait on the model
-//! (criteria generation, labelling, training-data construction) keep as many
+//! The work runs at two widths. What mostly waits on the model (criteria
+//! generation; labelling with training-data construction) keeps as many
 //! requests in flight as the model can serve
 //! ([`zeroed_llm::LlmClient::max_in_flight`]; 8 for the simulator), on the
-//! runtime's long-lived request threads. The CPU-bound stages (sampling,
-//! criteria evaluation, the detector) run one worker per core. A pinned
+//! runtime's long-lived request threads. CPU-bound work (criteria
+//! evaluation, sampling, the detector) runs one worker per core. A pinned
 //! `RuntimeConfig::workers` sets both widths.
 //! When the request cache is on (the default), the
 //! [`zeroed_llm::LlmClient`] is wrapped in a [`zeroed_runtime::CachedLlm`],
@@ -177,12 +181,12 @@ impl ZeroEd {
         llm: &dyn LlmClient,
         recorder: &Arc<TraceRecorder>,
     ) -> DetectionOutcome {
-        // One profiler per run: the five pipeline steps record sequential
-        // stage spans under the root, while the repair ladder, the
-        // scheduler, the response cache and the store graft *parallel*
-        // distribution nodes (their totals are task wall time summed across
-        // workers or cache-lifetime sums, not coordinating-thread wall
-        // time).
+        // One profiler per run: the features barrier and the streamed
+        // attribute chains record sequential stage spans under the root,
+        // while the per-attribute phases, the repair ladder, the scheduler,
+        // the response cache and the store graft *parallel* distribution
+        // nodes (their totals are task wall time summed across workers or
+        // cache-lifetime sums, not coordinating-thread wall time).
         let profiler = Profiler::new("detect");
         let repairing = repair::RepairLlm::new(llm, self.config.reask_budget)
             .with_span(profiler.root().child_parallel("repair"))
@@ -337,10 +341,10 @@ impl ZeroEd {
         outcome
     }
 
-    /// The pipeline itself: the five stages in order, each fanned out per
-    /// attribute on a scheduler built from [`ZeroEdConfig::runtime`] and the
-    /// model's serving capacity (one worker runs every task in order on the
-    /// calling thread).
+    /// The pipeline itself: the features stage fanned out per attribute,
+    /// then every attribute's chain of the remaining steps, on a scheduler
+    /// built from [`ZeroEdConfig::runtime`] and the model's serving capacity
+    /// (one worker runs every task in order on the calling thread).
     fn run_stages(
         &self,
         dirty: &Table,
@@ -403,126 +407,100 @@ impl ZeroEd {
         step.record(t0.elapsed());
 
         // ------------------------------------------------------------------
-        // Step 2 — representative sampling (§III-C).
+        // Steps 2–5 — each attribute's chain: representative sampling and
+        // holistic LLM labelling (§III-C), training-data construction
+        // (Algorithm 1), then the detector (§III-D). Past the features
+        // barrier attribute j reads nothing of another attribute, so the
+        // chains stream: sampling and the detector run on the CPU lane,
+        // labelling (analysis → guideline → label batches) and Algorithm 1
+        // (propagation → refinement → verification → augmentation) at the
+        // model's width, and one attribute's detector overlaps another's
+        // LLM waits.
         // ------------------------------------------------------------------
         let t1 = Instant::now();
-        let step = root.child("sampling");
-        let per_col = step.child_dist("sample_column");
-        let samplings: Vec<sampling::ColumnSampling> = scheduler.run(n_cols, |j| {
-            per_col.time(|| {
-                sampling::sample_column(
-                    &feats.unified[j],
-                    config.clusters_for(n_rows),
-                    config.sampling.into(),
-                    config.seed.wrapping_add(j as u64),
-                    config.max_cluster_rows,
-                )
-            })
-        });
-        step.record(t1.elapsed());
-
-        // ------------------------------------------------------------------
-        // Step 3 — holistic LLM labelling (§III-C). One task per attribute:
-        // analysis → guideline → label batches, ordered within the task.
-        // ------------------------------------------------------------------
-        let t2 = Instant::now();
-        let step = root.child("labeling");
-        let per_col = step.child_dist("label_attribute");
-        let label_outcomes: Vec<labeling::LabelOutcome> = scheduler.run_llm(n_cols, |j| {
-            per_col.time(|| {
-                let ctx = AttributeContext {
-                    table: dirty,
-                    column: j,
-                    correlated: &correlated[j],
-                    sample_rows: &samplings[j].representatives,
-                };
-                labeling::label_representatives(&ctx, config, llm, &samplings[j].representatives)
-            })
-        });
-        for outcome in &label_outcomes {
-            stats.llm_labeled_cells += outcome.labels.len();
-            stats.label_fallback_cells += outcome.fallback_cells;
-            stats.label_defaulted_cells += outcome.defaulted_cells;
-        }
-        step.record(t2.elapsed());
-
-        // ------------------------------------------------------------------
-        // Step 4 — training-data construction (Algorithm 1). One task per
-        // attribute: propagation → refinement → verification → augmentation.
-        // ------------------------------------------------------------------
-        let t3 = Instant::now();
-        let step = root.child("training_data");
-        let per_col = step.child_dist("construct_attribute");
+        let step = root.child("attributes");
+        let sample_dist = step.child_dist("sample_column");
+        let label_dist = step.child_dist("label_attribute");
+        let construct_dist = step.child_dist("construct_attribute");
         let verify_dist = step.child_dist("criteria_verify");
-        let training: Vec<training_data::ColumnTrainingData> = scheduler.run_llm(n_cols, |j| {
-            per_col.time(|| {
+        let predict_dist = step.child_dist("train_predict");
+        let chains = scheduler.run_chain(
+            n_cols,
+            |j| {
+                sample_dist.time(|| {
+                    sampling::sample_column(
+                        &feats.unified[j],
+                        config.clusters_for(n_rows),
+                        config.sampling.into(),
+                        config.seed.wrapping_add(j as u64),
+                        config.max_cluster_rows,
+                    )
+                })
+            },
+            |j, sampled| {
                 let ctx = AttributeContext {
                     table: dirty,
                     column: j,
                     correlated: &correlated[j],
-                    sample_rows: &samplings[j].representatives,
+                    sample_rows: &sampled.representatives,
                 };
-                training_data::construct(
-                    &ctx,
-                    config,
-                    llm,
-                    &samplings[j],
-                    &label_outcomes[j].labels,
-                    criteria[j].clone(),
-                    &dict,
-                    Some(&verify_dist),
-                )
-            })
-        });
-        for data in &training {
-            stats.propagated_cells += data.propagated_cells;
-            stats.verified_clean_rows += data.clean_rows.len();
-            stats.error_rows += data.error_rows.len();
-            stats.augmented_rows += data.augmented.len();
-        }
-        stats.criteria_count = training
-            .iter()
-            .filter_map(|d| d.criteria.as_ref().map(|c| c.len()))
-            .sum();
-        step.record(t3.elapsed());
-
-        // ------------------------------------------------------------------
-        // Step 5 — detector training and prediction (§III-D).
-        // ------------------------------------------------------------------
-        let t4 = Instant::now();
-        let step = root.child("detector");
-        let per_col = step.child_dist("train_predict");
+                let labels = label_dist.time(|| {
+                    labeling::label_representatives(&ctx, config, llm, &sampled.representatives)
+                });
+                let training = construct_dist.time(|| {
+                    training_data::construct(
+                        &ctx,
+                        config,
+                        llm,
+                        &sampled,
+                        &labels.labels,
+                        criteria[j].clone(),
+                        &dict,
+                        Some(&verify_dist),
+                    )
+                });
+                (labels, training)
+            },
+            |j, (labels, training)| {
+                let predictions = predict_dist.time(|| {
+                    detector::train_and_predict(
+                        dirty,
+                        j,
+                        &fitted,
+                        &feats.unified[j],
+                        &training,
+                        config,
+                    )
+                });
+                (labels, training, predictions)
+            },
+        );
         let mut mask = ErrorMask::for_table(dirty);
-        let predictions: Vec<Vec<bool>> = scheduler.run(n_cols, |j| {
-            per_col.time(|| {
-                detector::train_and_predict(
-                    dirty,
-                    j,
-                    &fitted,
-                    &feats.unified[j],
-                    &training[j],
-                    config,
-                )
-            })
-        });
-        for (j, column_pred) in predictions.iter().enumerate() {
-            for (i, &flag) in column_pred.iter().enumerate() {
+        for (j, (labels, training, predictions)) in chains.iter().enumerate() {
+            stats.llm_labeled_cells += labels.labels.len();
+            stats.label_fallback_cells += labels.fallback_cells;
+            stats.label_defaulted_cells += labels.defaulted_cells;
+            stats.propagated_cells += training.propagated_cells;
+            stats.verified_clean_rows += training.clean_rows.len();
+            stats.error_rows += training.error_rows.len();
+            stats.augmented_rows += training.augmented.len();
+            stats.criteria_count += training.criteria.as_ref().map_or(0, |c| c.len());
+            for (i, &flag) in predictions.iter().enumerate() {
                 if flag {
                     mask.set(i, j, true);
                 }
             }
         }
-        step.record(t4.elapsed());
+        step.record(t1.elapsed());
 
-        let sched_stats = scheduler.stats();
-        stats.runtime_tasks = sched_stats.tasks as usize;
-        stats.runtime_retries = sched_stats.retries as usize;
+        stats.runtime_tasks = scheduler.stats().tasks as usize;
 
         root.record(t_run.elapsed());
         let mut profile = profiler.snapshot();
         // Graft the scheduler's per-task distributions: queue wait (submit →
-        // pickup) and execute (task body) across all five fan-outs. Task wall
-        // time summed over workers, so the node is parallel.
+        // pickup) and execute (task body) across the features fan-outs and
+        // every chain phase. Task wall time summed over workers, so the node
+        // is parallel.
         let st = scheduler.timings();
         let mut runtime_node = StageProfile::new("runtime");
         runtime_node.parallel = true;
@@ -584,9 +562,39 @@ mod tests {
         assert!(outcome.stats.runtime_tasks > 0);
     }
 
+    /// The profile invariant for the streamed shape, on the default and the
+    /// sequential run alike: the tree reconciles, the `features` and
+    /// `attributes` spans cover at least 90% of the run, and every phase
+    /// node under `attributes` ran once per attribute.
+    fn assert_stage_profile(profile: &StageProfile, n_cols: usize) {
+        assert!(profile.accounting_ok(), "\n{}", profile.render_table());
+        assert!(
+            profile.coverage() >= 0.9,
+            "top-level stages cover {:.3} of root wall\n{}",
+            profile.coverage(),
+            profile.render_table()
+        );
+        for name in ["features", "attributes"] {
+            assert!(profile.child(name).is_some(), "missing stage {name}");
+        }
+        for phase in [
+            "sample_column",
+            "label_attribute",
+            "construct_attribute",
+            "train_predict",
+        ] {
+            let node = profile
+                .find(&format!("attributes/{phase}"))
+                .unwrap_or_else(|| panic!("missing phase {phase}"));
+            assert!(node.parallel, "{phase} is task wall time");
+            assert_eq!(node.count, n_cols as u64, "{phase} runs once per attribute");
+        }
+    }
+
     #[test]
     fn stage_profile_accounts_for_the_run() {
         let ds = small_dataset();
+        let n_cols = ds.dirty.n_cols();
         let llm = SimLlm::default_model(9).with_oracle(ds.mask.clone());
         let config = ZeroEdConfig {
             label_rate: 0.08,
@@ -598,16 +606,7 @@ mod tests {
             .stage_profile
             .as_ref()
             .expect("a non-empty run must carry a stage profile");
-        assert!(profile.accounting_ok(), "\n{}", profile.render_table());
-        assert!(
-            profile.coverage() >= 0.9,
-            "top-level stages cover {:.3} of root wall\n{}",
-            profile.coverage(),
-            profile.render_table()
-        );
-        for name in ["features", "sampling", "labeling", "training_data", "detector"] {
-            assert!(profile.child(name).is_some(), "missing stage {name}");
-        }
+        assert_stage_profile(profile, n_cols);
         assert!(profile.find("features/criteria_llm").is_some());
         let execute = profile.find("runtime/execute").expect("scheduler node");
         assert!(execute.parallel && execute.count > 0);
@@ -621,9 +620,7 @@ mod tests {
         // names, and every task executes inline without queueing.
         let seq = ZeroEd::new(config.sequential_runtime()).detect(&ds.dirty, &llm);
         let seq_profile = seq.stats.stage_profile.as_ref().unwrap();
-        assert!(seq_profile.accounting_ok());
-        assert!(seq_profile.coverage() >= 0.9);
-        assert!(seq_profile.find("labeling/label_attribute").is_some());
+        assert_stage_profile(seq_profile, n_cols);
         let execute = seq_profile.find("runtime/execute").expect("scheduler node");
         assert_eq!(execute.count, seq.stats.runtime_tasks as u64);
         assert_eq!(seq_profile.find("runtime/queue_wait").unwrap().count, 0);

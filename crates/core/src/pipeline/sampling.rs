@@ -18,7 +18,8 @@
 //! oracles — assert in the cluster crate's test suite. The distances come
 //! from the bit-identical lane-wise kernels of `zeroed_cluster::lanes`, and
 //! [`sample_column`] runs entirely on the calling thread: the pipeline's
-//! scheduler supplies the parallelism, one attribute per worker.
+//! scheduler supplies the parallelism, one attribute per worker of the
+//! attribute chains' CPU lane.
 //!
 //! Two compute policies bound the stage: the `max_cluster_rows` cap applies
 //! to the *distinct* count (only attributes whose cardinality exceeds it

@@ -8,10 +8,12 @@
 //! finally the LLM augments the minority error class with synthetic error
 //! values.
 //!
-//! On the concurrent runtime path [`construct`] runs as one scheduler task
-//! per attribute (the refinement → verification → augmentation chain stays
-//! ordered within the attribute); it makes no cross-attribute reads, which is
-//! what keeps the fan-out bit-identical to the sequential loop.
+//! The pipeline calls [`construct`] in the middle phase of each attribute's
+//! streamed chain, right after the attribute's labelling and before its
+//! detector, at the model's serving width (the refinement → verification →
+//! augmentation chain stays ordered within the attribute). It makes no
+//! cross-attribute reads, which is what keeps the streamed chains
+//! bit-identical to the sequential loop.
 
 use super::sampling::ColumnSampling;
 use crate::config::{CriteriaEngine, ZeroEdConfig};

@@ -34,11 +34,11 @@ pub struct PipelineStats {
     pub cache_coalesced: usize,
     /// Input + output tokens the cache hits avoided.
     pub cache_tokens_saved: usize,
-    /// Tasks executed by the runtime scheduler: one per attribute per
-    /// fan-out, on one worker as on many.
+    /// Tasks executed by the runtime scheduler, on one worker as on many:
+    /// one per attribute for each features fan-out (criteria generation and
+    /// evaluation), and three per attribute for the streamed chain (sampling;
+    /// labelling with training-data construction; the detector).
     pub runtime_tasks: usize,
-    /// Scheduler retry attempts.
-    pub runtime_retries: usize,
     /// Backends registered with the multi-backend router (0 when detection
     /// ran on a single client; the remaining `router_*` fields are only
     /// populated by [`crate::ZeroEd::detect_routed`]).
@@ -88,16 +88,20 @@ pub struct PipelineStats {
     /// `mangled == repaired + reasked + defaulted`.
     pub repair: RepairCounters,
     /// Hierarchical stage profile of this run: a tree of wall-clock spans
-    /// covering the five pipeline steps and their sub-stages, with grafted
-    /// parallel distribution nodes for per-attribute work, the scheduler
-    /// (queue-wait / execute), the response cache (lock-hold / park-wait /
-    /// preload) and the persisted store (open / preload / fsync / compaction
-    /// / GC). The top-level `features`, `sampling`, `labeling`,
-    /// `training_data` and `detector` spans are the steps' wall times.
-    /// `None` only for the degenerate empty-table early return. Sequential
-    /// (non-parallel) children of any node sum to at most the node's own
-    /// wall time — `zeroed_obs::StageProfile::accounting_ok` checks the
-    /// whole tree.
+    /// covering the pipeline and its sub-stages, with grafted parallel
+    /// distribution nodes for per-attribute work, the scheduler (queue-wait
+    /// / execute), the response cache (lock-hold / park-wait / preload) and
+    /// the persisted store (open / preload / fsync / compaction / GC). Two
+    /// top-level spans cover the run: `features` (step 1, a barrier across
+    /// attributes) and `attributes`, the wall of the per-attribute chains
+    /// that stream steps 2–5. Under `attributes`, the parallel
+    /// `sample_column`, `label_attribute`, `construct_attribute`,
+    /// `criteria_verify` and `train_predict` nodes sum each phase's task wall
+    /// time over attributes; the phases overlap, so only on one worker are
+    /// those totals serial wall time. `None` only for the degenerate
+    /// empty-table early return. Sequential (non-parallel) children of any
+    /// node sum to at most the node's own wall time —
+    /// `zeroed_obs::StageProfile::accounting_ok` checks the whole tree.
     pub stage_profile: Option<zeroed_obs::StageProfile>,
     /// Per-request causal trace for the run: exact per-kind event counts,
     /// ring drop count (0 in every shipped configuration), the journal and

@@ -31,12 +31,15 @@
 //!    call (for [`zeroed_llm::SimLlm`]: deterministic simulation plus token
 //!    accounting plus optional simulated serving latency, in one of its
 //!    [`zeroed_llm::SimLlm::SERVING_CAPACITY`] serving slots). The
-//!    [`Scheduler`] is what puts many executions in flight at once:
-//!    per-attribute stage chains (analysis → guideline → label batches) run
-//!    as one task each, so stage order *within* an attribute is preserved
-//!    while attributes proceed concurrently — as many as the model can
-//!    serve ([`zeroed_llm::LlmClient::max_in_flight`]), on a process-wide
-//!    pool of long-lived request threads.
+//!    [`Scheduler`] is what puts many executions in flight at once: each
+//!    attribute's model calls (analysis → guideline → label batches →
+//!    refinement → augmentation) run as one phase of that attribute's
+//!    chain ([`Scheduler::run_chain`]), so stage order *within* an
+//!    attribute is preserved while attributes proceed concurrently — as
+//!    many as the model can serve
+//!    ([`zeroed_llm::LlmClient::max_in_flight`]), on a process-wide pool of
+//!    long-lived request threads — and the chains' CPU phases (sampling,
+//!    the detector) overlap them on a lane of one worker per core.
 //! 4. **Publish** — the response value and its exact token cost are stored
 //!    under the key; parked waiters wake; counters (hits, misses, coalesced
 //!    waits, tokens saved) update. Later identical requests — retries,

@@ -1,18 +1,21 @@
 //! The scheduler and its configuration.
 //!
-//! A [`Scheduler`] fans `n` index-addressed tasks out at one of two widths.
-//! The ZeroED pipeline maps one task to one attribute's stage chain (e.g.
-//! analysis → guideline → label batches), which preserves stage ordering
-//! *within* an attribute while attributes proceed concurrently.
+//! A [`Scheduler`] runs `n` index-addressed tasks at one of two widths, one
+//! task per attribute in the ZeroED pipeline.
 //!
-//! * [`Scheduler::run`] is for CPU-bound fan-outs (sampling, criteria
-//!   evaluation, the detector): one worker per core by default, on scoped
-//!   threads fed by a bounded queue.
+//! * [`Scheduler::run`] is for CPU-bound fan-outs (criteria evaluation):
+//!   one worker per core by default, on scoped threads fed by a bounded
+//!   queue.
 //! * [`Scheduler::run_llm`] is for fan-outs that mostly wait on the model
-//!   (criteria generation, labelling, training-data construction): as many
-//!   tasks in flight as the model can serve
+//!   (criteria generation): as many tasks in flight as the model can serve
 //!   ([`zeroed_llm::LlmClient::max_in_flight`]), on a process-wide pool of
 //!   long-lived request threads.
+//! * [`Scheduler::run_chain`] streams a three-phase chain per task, mixing
+//!   both widths: the CPU phases (sampling, the detector) on a lane of one
+//!   worker per core, the phase in between (labelling, then training-data
+//!   construction) at the model's width. A task's phases run in order while
+//!   tasks proceed concurrently, and no fan-out barrier separates the
+//!   phases, so one task's CPU work overlaps another's waits on the model.
 //!
 //! An explicit [`RuntimeConfig::workers`] pins both widths, so one worker
 //! runs every task in order on the calling thread. Either way results come
@@ -20,8 +23,10 @@
 //! scheduling — the foundation of the bit-identical-to-sequential guarantee.
 
 use crate::pool;
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use zeroed_llm::LlmClient;
@@ -30,18 +35,17 @@ use zeroed_obs::{EventKind, Histogram, HistogramSnapshot, TraceId, TraceRecorder
 /// Configuration of the orchestration runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Fan-out width. `0` (the default) sizes each kind of fan-out by the
-    /// resource it waits on: CPU fan-outs get one worker per available core,
-    /// LLM fan-outs as many requests in flight as the model reports it can
-    /// serve (one per core when it does not say). `N` pins every fan-out to
-    /// `N`, so one worker runs every task in order on the calling thread.
+    /// Fan-out width. `0` (the default) sizes each kind of work by the
+    /// resource it waits on: CPU work ([`Scheduler::run`] and the CPU lane
+    /// of [`Scheduler::run_chain`]) gets one worker per available core, LLM
+    /// work ([`Scheduler::run_llm`] and the middle phase of a chain) as many
+    /// requests in flight as the model reports it can serve (one per core
+    /// when it does not say). `N` pins both widths to `N`, so one worker
+    /// runs every task in order on the calling thread.
     pub workers: usize,
     /// Bounded submit-queue capacity of CPU fan-outs ([`Scheduler::run`]);
     /// submission blocks when full.
     pub queue_capacity: usize,
-    /// Additional attempts for fallible tasks (see
-    /// [`Scheduler::run_fallible`]).
-    pub max_retries: usize,
     /// Enable the request-dedup response cache.
     pub cache: bool,
     /// Response-cache entry budget (completed entries; exceeding it triggers
@@ -67,7 +71,6 @@ impl Default for RuntimeConfig {
         Self {
             workers: 0,
             queue_capacity: 256,
-            max_retries: 2,
             cache: true,
             cache_capacity: 1 << 20,
             router: None,
@@ -113,14 +116,13 @@ impl RuntimeConfig {
 /// Snapshot of scheduler activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Fan-out batches executed (one per [`Scheduler::run`] call).
+    /// Fan-outs executed (one per [`Scheduler::run`], [`Scheduler::run_llm`]
+    /// or [`Scheduler::run_chain`] call).
     pub batches: u64,
     /// Tasks completed.
     pub tasks: u64,
-    /// Retry attempts performed by [`Scheduler::run_fallible`].
-    pub retries: u64,
-    /// Tasks of a panicked [`Scheduler::run_llm`] fan-out that never
-    /// started.
+    /// Tasks of a panicked [`Scheduler::run_llm`] fan-out, and phases of a
+    /// panicked [`Scheduler::run_chain`], that never started.
     pub skipped: u64,
 }
 
@@ -141,7 +143,6 @@ pub struct SchedulerTimings {
 struct Counters {
     batches: AtomicU64,
     tasks: AtomicU64,
-    retries: AtomicU64,
     skipped: AtomicU64,
 }
 
@@ -242,7 +243,6 @@ pub struct Scheduler {
     workers: usize,
     llm_width: usize,
     queue_capacity: usize,
-    max_retries: usize,
     counters: Counters,
     queue_wait: Histogram,
     execute: Histogram,
@@ -261,7 +261,6 @@ impl std::fmt::Debug for Scheduler {
             .field("workers", &self.workers)
             .field("llm_width", &self.llm_width)
             .field("queue_capacity", &self.queue_capacity)
-            .field("max_retries", &self.max_retries)
             .field("stats", &self.stats())
             .finish()
     }
@@ -275,7 +274,6 @@ impl Scheduler {
             workers: config.effective_workers().max(1),
             llm_width: config.llm_width(None),
             queue_capacity: config.queue_capacity,
-            max_retries: config.max_retries,
             counters: Counters::default(),
             queue_wait: Histogram::new(),
             execute: Histogram::new(),
@@ -299,7 +297,6 @@ impl Scheduler {
             workers: workers.max(1),
             llm_width: workers.max(1),
             queue_capacity: 256,
-            max_retries: 2,
             counters: Counters::default(),
             queue_wait: Histogram::new(),
             execute: Histogram::new(),
@@ -317,12 +314,12 @@ impl Scheduler {
         self
     }
 
-    /// Resolved CPU fan-out width ([`Scheduler::run`]).
+    /// Resolved CPU width ([`Scheduler::run`], a chain's CPU lane).
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Resolved LLM fan-out width ([`Scheduler::run_llm`]).
+    /// Resolved LLM width ([`Scheduler::run_llm`], a chain's middle phase).
     pub fn llm_width(&self) -> usize {
         self.llm_width
     }
@@ -332,7 +329,6 @@ impl Scheduler {
         SchedulerStats {
             batches: self.counters.batches.load(Ordering::Relaxed),
             tasks: self.counters.tasks.load(Ordering::Relaxed),
-            retries: self.counters.retries.load(Ordering::Relaxed),
             skipped: self.counters.skipped.load(Ordering::Relaxed),
         }
     }
@@ -357,7 +353,7 @@ impl Scheduler {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let fanout = self.begin_fanout();
+        let fanout = self.begin_fanout(1);
         if self.workers <= 1 || n <= 1 {
             return self.run_inline(fanout, n, f);
         }
@@ -380,7 +376,7 @@ impl Scheduler {
                             .saturating_sub(submitted[i].load(Ordering::Relaxed) as u128);
                         self.queue_wait
                             .record_nanos(waited.min(u64::MAX as u128) as u64);
-                        let value = self.run_task(fanout, i, &f);
+                        let value = self.run_task(fanout, i, || f(i));
                         *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
                     }
                 });
@@ -417,7 +413,7 @@ impl Scheduler {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let fanout = self.begin_fanout();
+        let fanout = self.begin_fanout(1);
         if self.llm_width <= 1 || n <= 1 {
             return self.run_inline(fanout, n, f);
         }
@@ -430,23 +426,136 @@ impl Scheduler {
         }
         let body = |i: usize| {
             self.queue_wait.record(batch_start.elapsed());
-            let value = self.run_task(fanout, i, &f);
+            let value = self.run_task(fanout, i, || f(i));
             *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
         };
         if let Err(panicked) = pool::scatter(self.llm_width, n, &body) {
             self.counters
                 .skipped
                 .fetch_add(panicked.skipped as u64, Ordering::Relaxed);
-            std::panic::resume_unwind(panicked.payload);
+            resume_unwind(panicked.payload);
         }
         collect(slots)
     }
 
-    /// Counts one fan-out and returns its number, which keeps task trace
-    /// ids unique across the many fan-outs one detection runs.
-    fn begin_fanout(&self) -> u64 {
+    /// Runs every task's three phases, `first` → `middle` → `last`, each
+    /// handing its output to the next, and returns the `last` outputs in
+    /// task order.
+    ///
+    /// `first` and `last` are CPU work. They run on a lane of
+    /// [`Scheduler::workers`] scoped threads fed by one bounded queue: every
+    /// task's `first` is queued up front in task order, and a task's `last`
+    /// is queued the moment its `middle` returns. `middle` mostly waits on
+    /// the model, so it runs [`Scheduler::llm_width`] wide on the calling
+    /// thread and the request pool, as [`Scheduler::run_llm`] does. Each
+    /// `middle` waits only for its own task's `first` and hands off to the
+    /// lane without waiting for `last`, so no request thread runs CPU-lane
+    /// work, and one task's `last` overlaps other tasks' `middle`.
+    ///
+    /// Every phase is journaled, timed and counted as a scheduler task. If a
+    /// phase panics, the phases not yet started are skipped (counted in
+    /// [`SchedulerStats::skipped`]), a `middle` waiting for a `first` that
+    /// will never run is woken, and the panic is re-raised with its own
+    /// payload once every started phase has finished. With both widths at
+    /// one, or a single task, each task's three phases run in task order on
+    /// the calling thread.
+    pub fn run_chain<A, B, C, F, M, L>(&self, n: usize, first: F, middle: M, last: L) -> Vec<C>
+    where
+        A: Send,
+        B: Send,
+        C: Send,
+        F: Fn(usize) -> A + Sync,
+        M: Fn(usize, A) -> B + Sync,
+        L: Fn(usize, B) -> C + Sync,
+    {
+        let fanout = self.begin_fanout(3);
+        let (first_fanout, middle_fanout, last_fanout) = (fanout, fanout + 1, fanout + 2);
+        if (self.workers <= 1 && self.llm_width <= 1) || n <= 1 {
+            return (0..n)
+                .map(|i| {
+                    let a = self.run_now(first_fanout, i, || first(i));
+                    let b = self.run_now(middle_fanout, i, || middle(i, a));
+                    self.run_now(last_fanout, i, || last(i, b))
+                })
+                .collect();
+        }
+        let chain = Chain::new(n);
+        // Job `i < n` is task i's `first`, job `n + i` its `last`. A task
+        // has at most one job queued at a time, so with room for `n` no push
+        // ever blocks.
+        let queue = BoundedQueue::new(n);
+        let batch_start = Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..self.workers.min(n) {
+                s.spawn(|| {
+                    let _guard = PanicGuard(&queue);
+                    while let Some(job) = queue.pop() {
+                        if job < n {
+                            let i = job;
+                            let a =
+                                self.run_phase(&chain, first_fanout, i, batch_start, || first(i));
+                            if let Some(a) = a {
+                                self.journal(middle_fanout, EventKind::TaskSubmit, i);
+                                chain.hand_first(i, a);
+                            }
+                        } else {
+                            let i = job - n;
+                            let (b, ready) = chain.middles[i]
+                                .lock()
+                                .unwrap_or_else(|e| e.into_inner())
+                                .take()
+                                .expect("a task's last is queued after its middle hands off");
+                            let c = self.run_phase(&chain, last_fanout, i, ready, || last(i, b));
+                            *chain.results[i].lock().unwrap_or_else(|e| e.into_inner()) = c;
+                        }
+                    }
+                });
+            }
+            for i in 0..n {
+                self.journal(first_fanout, EventKind::TaskSubmit, i);
+                queue.push(i);
+            }
+            let body = |i: usize| {
+                let Some((a, ready)) = chain.wait_first(i) else {
+                    return;
+                };
+                if let Some(b) = self.run_phase(&chain, middle_fanout, i, ready, || middle(i, a)) {
+                    *chain.middles[i].lock().unwrap_or_else(|e| e.into_inner()) =
+                        Some((b, Instant::now()));
+                    self.journal(last_fanout, EventKind::TaskSubmit, i);
+                    queue.push(n + i);
+                }
+            };
+            // `run_phase` catches the phases' panics, so none reaches the
+            // pool.
+            if let Err(panicked) = pool::scatter(self.llm_width, n, &body) {
+                chain.fail(panicked.payload);
+            }
+            // Every `last` is queued once the middles have settled; the lane
+            // drains them and exits.
+            queue.close();
+        });
+        let started = chain.started.load(Ordering::Relaxed);
+        let handoff = chain
+            .handoff
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner());
+        if let Some(payload) = handoff.panic {
+            self.counters
+                .skipped
+                .fetch_add((3 * n - started) as u64, Ordering::Relaxed);
+            resume_unwind(payload);
+        }
+        collect(chain.results)
+    }
+
+    /// Counts one fan-out and reserves `phases` consecutive fan-out numbers
+    /// for it (one per phase of its tasks), returning the first. The numbers
+    /// keep task trace ids unique across the many fan-outs one detection
+    /// runs.
+    fn begin_fanout(&self, phases: u64) -> u64 {
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.fanouts.fetch_add(1, Ordering::Relaxed)
+        self.fanouts.fetch_add(phases, Ordering::Relaxed)
     }
 
     /// Journals one task event under the task's deterministic trace id
@@ -461,46 +570,124 @@ impl Scheduler {
         }
     }
 
-    /// Runs task `i`: journals its start and end, and times and counts it.
-    fn run_task<T>(&self, fanout: u64, i: usize, f: &impl Fn(usize) -> T) -> T {
+    /// Runs task `i` of `fanout`: journals its start and end, and times and
+    /// counts it.
+    fn run_task<T>(&self, fanout: u64, i: usize, f: impl FnOnce() -> T) -> T {
         self.journal(fanout, EventKind::TaskStart, i);
         let t = Instant::now();
-        let value = f(i);
+        let value = f();
         self.execute.record(t.elapsed());
         self.journal(fanout, EventKind::TaskEnd, i);
         self.counters.tasks.fetch_add(1, Ordering::Relaxed);
         value
     }
 
-    /// Both fan-outs' fast path: every task in order on the calling thread.
-    fn run_inline<T>(&self, fanout: u64, n: usize, f: impl Fn(usize) -> T) -> Vec<T> {
-        (0..n)
-            .map(|i| {
-                self.journal(fanout, EventKind::TaskSubmit, i);
-                self.run_task(fanout, i, &f)
-            })
-            .collect()
+    /// Submits and runs task `i` of `fanout` on the calling thread.
+    fn run_now<T>(&self, fanout: u64, i: usize, f: impl FnOnce() -> T) -> T {
+        self.journal(fanout, EventKind::TaskSubmit, i);
+        self.run_task(fanout, i, f)
     }
 
-    /// Like [`Scheduler::run`] for fallible tasks: each task is attempted up
-    /// to `1 + max_retries` times; the first success (or the last error) is
-    /// returned, in task order.
-    pub fn run_fallible<T, E, F>(&self, n: usize, f: F) -> Vec<Result<T, E>>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        self.run(n, |i| {
-            let mut last = f(i);
-            let mut attempts = 0;
-            while last.is_err() && attempts < self.max_retries {
-                attempts += 1;
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                last = f(i);
+    /// Both fan-outs' fast path: every task in order on the calling thread.
+    fn run_inline<T>(&self, fanout: u64, n: usize, f: impl Fn(usize) -> T) -> Vec<T> {
+        (0..n).map(|i| self.run_now(fanout, i, || f(i))).collect()
+    }
+
+    /// Runs one phase of task `i` of a [`Scheduler::run_chain`] unless the
+    /// chain has failed: records its queue wait since it became `ready`,
+    /// runs it as a task of `fanout`, and turns a panic into the chain's
+    /// failure.
+    fn run_phase<A, B, C, T>(
+        &self,
+        chain: &Chain<A, B, C>,
+        fanout: u64,
+        i: usize,
+        ready: Instant,
+        f: impl FnOnce() -> T,
+    ) -> Option<T> {
+        if chain.failed() {
+            return None;
+        }
+        self.queue_wait.record(ready.elapsed());
+        chain.started.fetch_add(1, Ordering::Relaxed);
+        match catch_unwind(AssertUnwindSafe(|| self.run_task(fanout, i, f))) {
+            Ok(value) => Some(value),
+            Err(payload) => {
+                chain.fail(payload);
+                None
             }
-            last
-        })
+        }
+    }
+}
+
+/// The state one [`Scheduler::run_chain`] call shares across its threads.
+struct Chain<A, B, C> {
+    handoff: Mutex<Handoff<A>>,
+    /// Signalled when a `first` hands its output off or the chain fails.
+    handed: Condvar,
+    /// Each task's `middle` output and when it was handed off, until the
+    /// task's `last` takes it.
+    middles: Vec<Mutex<Option<(B, Instant)>>>,
+    results: Vec<Mutex<Option<C>>>,
+    /// Phases that started; the rest of the `3n` are skipped.
+    started: AtomicUsize,
+}
+
+struct Handoff<A> {
+    /// Each task's `first` output and when it was handed off, until the
+    /// task's `middle` takes it.
+    firsts: Vec<Option<(A, Instant)>>,
+    /// The first phase panic. Once it is set, phases not yet started are
+    /// skipped.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<A, B, C> Chain<A, B, C> {
+    fn new(n: usize) -> Self {
+        Self {
+            handoff: Mutex::new(Handoff {
+                firsts: (0..n).map(|_| None).collect(),
+                panic: None,
+            }),
+            handed: Condvar::new(),
+            middles: (0..n).map(|_| Mutex::new(None)).collect(),
+            results: (0..n).map(|_| Mutex::new(None)).collect(),
+            started: AtomicUsize::new(0),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Handoff<A>> {
+        self.handoff.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn failed(&self) -> bool {
+        self.lock().panic.is_some()
+    }
+
+    /// Keeps the first panic and wakes every `middle` waiting for a `first`.
+    fn fail(&self, payload: Box<dyn Any + Send>) {
+        self.lock().panic.get_or_insert(payload);
+        self.handed.notify_all();
+    }
+
+    fn hand_first(&self, i: usize, value: A) {
+        self.lock().firsts[i] = Some((value, Instant::now()));
+        self.handed.notify_all();
+    }
+
+    /// Blocks until task `i`'s `first` has handed its output off, or returns
+    /// `None` once the chain has failed.
+    fn wait_first(&self, i: usize) -> Option<(A, Instant)> {
+        let mut handoff = self.lock();
+        loop {
+            if handoff.panic.is_some() {
+                return None;
+            }
+            if let Some(handed) = handoff.firsts[i].take() {
+                return Some(handed);
+            }
+            handoff = self.handed.wait(handoff).unwrap_or_else(|e| e.into_inner());
+        }
     }
 }
 
@@ -519,7 +706,6 @@ fn collect<T>(slots: Vec<Mutex<Option<T>>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn results_come_back_in_task_order() {
@@ -571,27 +757,6 @@ mod tests {
             s.run(64, |i: usize| -> usize { panic!("task {i} failed") })
         }));
         assert!(result.is_err(), "the task panic must propagate");
-    }
-
-    #[test]
-    fn retry_policy_retries_up_to_the_budget() {
-        let s = Scheduler::with_workers(2);
-        let attempts = AtomicUsize::new(0);
-        let out = s.run_fallible(4, |i| {
-            if i == 2 {
-                // Fails twice, then succeeds (max_retries is 2).
-                let n = attempts.fetch_add(1, Ordering::SeqCst);
-                if n < 2 {
-                    return Err("flaky");
-                }
-            }
-            Ok(i)
-        });
-        assert!(out.iter().enumerate().all(|(i, r)| *r == Ok(i)));
-        assert_eq!(s.stats().retries, 2);
-
-        let exhausted = s.run_fallible(1, |_| Err::<(), _>("always"));
-        assert_eq!(exhausted[0], Err("always"));
     }
 
     #[test]
@@ -683,23 +848,66 @@ mod tests {
         let _ = s.run_llm(32, |i| i);
         let _ = s.run(8, |i| i);
         let _ = s.run_llm(8, |i| i);
+        // A chain journals each of its three phases as a task.
+        let _ = s.run_chain(16, |i| i, |_, a| a, |_, b| b);
         for kind in [
             EventKind::TaskSubmit,
             EventKind::TaskStart,
             EventKind::TaskEnd,
         ] {
-            assert_eq!(rec.count(kind), 80, "{kind:?}");
+            assert_eq!(rec.count(kind), 80 + 3 * 16, "{kind:?}");
         }
         assert_eq!(rec.dropped(), 0);
         let events = rec.events();
         zeroed_obs::check_causality(&events).expect("well-formed task stream");
-        // Fan-outs of both widths share one numbering, so no two tasks
-        // share a trace id.
+        // Fan-outs of both widths and every chain phase share one
+        // numbering, so no two tasks share a trace id.
         let ids: std::collections::HashSet<u64> = events
             .iter()
             .filter(|e| e.kind == EventKind::TaskSubmit)
             .map(|e| e.trace.raw())
             .collect();
-        assert_eq!(ids.len(), 80);
+        assert_eq!(ids.len(), 80 + 3 * 16);
+    }
+
+    #[test]
+    fn chain_returns_results_in_task_order() {
+        let streamed = Scheduler::with_workers(4);
+        let out = streamed.run_chain(
+            100,
+            |i| i,
+            |i, a| {
+                assert_eq!(a, i, "a middle gets its own task's first");
+                a * 3
+            },
+            |_, b| b + 1,
+        );
+        assert_eq!(out, (0..100).map(|i| i * 3 + 1).collect::<Vec<_>>());
+        assert_eq!(streamed.stats().tasks, 300);
+        assert_eq!(streamed.stats().batches, 1);
+        assert_eq!(streamed.timings().queue_wait.count, 300);
+        assert_eq!(streamed.timings().execute.count, 300);
+
+        // With both widths at one, each task's phases run in task order on
+        // the calling thread, and nothing queues.
+        let inline = Scheduler::with_workers(1);
+        let log = Mutex::new(Vec::new());
+        let note = |phase: char, i: usize| log.lock().unwrap().push((phase, i));
+        let out = inline.run_chain(
+            3,
+            |i| note('f', i),
+            |i, ()| note('m', i),
+            |i, ()| {
+                note('l', i);
+                i
+            },
+        );
+        assert_eq!(out, vec![0, 1, 2]);
+        let expected: Vec<(char, usize)> = (0..3)
+            .flat_map(|i| [('f', i), ('m', i), ('l', i)])
+            .collect();
+        assert_eq!(*log.lock().unwrap(), expected);
+        assert_eq!(inline.timings().execute.count, 9);
+        assert_eq!(inline.timings().queue_wait.count, 0);
     }
 }

@@ -7,10 +7,11 @@
 //! under a watchdog so a regression surfaces as a clean failure instead of a
 //! hung CI job.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use zeroed_llm::SimLlm;
 use zeroed_runtime::{RuntimeConfig, Scheduler};
 
 /// Generous CI watchdog: the workloads below finish in well under a second on
@@ -41,11 +42,10 @@ fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T
     }
 }
 
-fn scheduler(workers: usize, queue_capacity: usize, max_retries: usize) -> Scheduler {
+fn scheduler(workers: usize, queue_capacity: usize) -> Scheduler {
     Scheduler::from_config(&RuntimeConfig {
         workers,
         queue_capacity,
-        max_retries,
         ..RuntimeConfig::default()
     })
 }
@@ -55,7 +55,7 @@ fn saturated_tiny_queue_preserves_task_order() {
     with_watchdog(|| {
         // 2000 tasks through a 1-slot queue on 8 workers: the producer blocks
         // on nearly every push, workers contend on nearly every pop.
-        let s = scheduler(8, 1, 0);
+        let s = scheduler(8, 1);
         let out = s.run(2000, |i| {
             if i % 97 == 0 {
                 // A sprinkle of slow tasks to force reordering pressure.
@@ -72,52 +72,12 @@ fn saturated_tiny_queue_preserves_task_order() {
 }
 
 #[test]
-fn erroring_tasks_respect_the_retry_cap_exactly() {
-    with_watchdog(|| {
-        let max_retries = 3;
-        let s = scheduler(4, 2, max_retries);
-        let n = 200usize;
-        let attempts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let attempts = Arc::new(attempts);
-        let a = Arc::clone(&attempts);
-        // Tasks divisible by 3 always fail; tasks divisible by 5 (not 3)
-        // succeed on their final attempt; the rest succeed immediately.
-        let out = s.run_fallible(n, move |i| {
-            let attempt = a[i].fetch_add(1, Ordering::SeqCst);
-            if i % 3 == 0 {
-                Err(format!("task {i} permanently broken"))
-            } else if i % 5 == 0 && attempt < max_retries {
-                Err(format!("task {i} flaky"))
-            } else {
-                Ok(i)
-            }
-        });
-        let mut expected_retries = 0u64;
-        for i in 0..n {
-            let tries = attempts[i].load(Ordering::SeqCst);
-            if i % 3 == 0 {
-                assert_eq!(out[i], Err(format!("task {i} permanently broken")));
-                assert_eq!(tries, 1 + max_retries, "task {i} must exhaust its budget");
-            } else if i % 5 == 0 {
-                assert_eq!(out[i], Ok(i), "flaky task {i} must succeed eventually");
-                assert_eq!(tries, 1 + max_retries, "task {i} succeeds on the last try");
-            } else {
-                assert_eq!(out[i], Ok(i));
-                assert_eq!(tries, 1, "healthy task {i} must not be retried");
-            }
-            expected_retries += (tries - 1) as u64;
-        }
-        assert_eq!(s.stats().retries, expected_retries, "retry accounting");
-    });
-}
-
-#[test]
 fn panicking_worker_aborts_the_batch_without_deadlock() {
     with_watchdog(|| {
         // Workers die on task 5 while the producer is wedged against a full
         // 1-slot queue; the panic guard must close the queue so the producer
         // bails and the scope join rethrows instead of hanging.
-        let s = scheduler(2, 1, 0);
+        let s = scheduler(2, 1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.run(5000, |i| {
                 if i == 5 {
@@ -133,7 +93,7 @@ fn panicking_worker_aborts_the_batch_without_deadlock() {
 #[test]
 fn every_worker_panicking_still_terminates() {
     with_watchdog(|| {
-        let s = scheduler(8, 1, 0);
+        let s = scheduler(8, 1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.run(1000, |i: usize| -> usize { panic!("task {i}") })
         }));
@@ -146,9 +106,11 @@ fn panics_interleaved_with_errors_neither_hang_nor_corrupt_results() {
     with_watchdog(|| {
         // First a poisoned batch, then a healthy one on the *same* scheduler:
         // a panicked batch must leave no residue (closed queues are per-run).
-        let s = scheduler(4, 2, 1);
+        // Tasks return `Result`s, so errors travel as values next to the
+        // panic.
+        let s = scheduler(4, 2);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s.run_fallible(300, |i| {
+            s.run(300, |i| {
                 if i == 150 {
                     panic!("poison");
                 }
@@ -161,7 +123,7 @@ fn panics_interleaved_with_errors_neither_hang_nor_corrupt_results() {
         }));
         assert!(poisoned.is_err());
 
-        let healthy = s.run_fallible(300, |i| {
+        let healthy = s.run(300, |i| {
             if i % 2 == 0 {
                 Err("even tasks error")
             } else {
@@ -183,7 +145,7 @@ fn concurrent_batches_on_one_scheduler_stay_isolated() {
     with_watchdog(|| {
         // The pipeline shares one scheduler across stages; concurrent run()
         // calls from different threads must not cross results.
-        let s = Arc::new(scheduler(4, 4, 0));
+        let s = Arc::new(scheduler(4, 4));
         let mut handles = Vec::new();
         for batch in 0..4u64 {
             let s = Arc::clone(&s);
@@ -257,7 +219,7 @@ fn llm_fanout_panic_settles_every_job_before_unwinding() {
 #[test]
 fn two_threads_fanning_out_through_the_pool_at_once_both_finish() {
     with_watchdog(|| {
-        let s = Arc::new(scheduler(8, 4, 0));
+        let s = Arc::new(scheduler(8, 4));
         let handles: Vec<_> = (0..2u64)
             .map(|batch| {
                 let s = Arc::clone(&s);
@@ -276,5 +238,194 @@ fn two_threads_fanning_out_through_the_pool_at_once_both_finish() {
             }
         }
         assert_eq!(s.stats().tasks, 128);
+    });
+}
+
+/// A one-shot gate: [`Gate::wait`] blocks until [`Gate::open`] has run.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+}
+
+/// Opens its gate when dropped, which a panicking phase does as it unwinds.
+struct OpenOnDrop<'a>(&'a Gate);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// Counts the phases running now and keeps the peak; dropping it (also
+/// while unwinding) leaves the phase.
+struct Running<'a>(&'a AtomicUsize);
+
+impl<'a> Running<'a> {
+    fn enter(now: &'a AtomicUsize, peak: &AtomicUsize) -> Self {
+        let running = now.fetch_add(1, Ordering::SeqCst) + 1;
+        peak.fetch_max(running, Ordering::SeqCst);
+        Running(now)
+    }
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+fn on_request_thread() -> bool {
+    std::thread::current().name() == Some("zeroed-request")
+}
+
+#[test]
+fn chain_keeps_cpu_phases_off_request_threads_at_both_widths() {
+    with_watchdog(|| {
+        let llm = SimLlm::default_model(0);
+        let s = Scheduler::for_client(&RuntimeConfig::default(), &llm);
+        let (cpu, width) = (s.workers(), s.llm_width());
+        let n = 4 * cpu.max(width);
+        // The first `cpu` firsts meet on one barrier, so the lane must run
+        // that many at once; the first `width` middles meet on another, so
+        // that many must be in flight at once.
+        let lane_meet = Barrier::new(cpu);
+        let middle_meet = Barrier::new(width);
+        let (cpu_now, cpu_peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let (middle_now, middle_peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let middles_on_requests = AtomicUsize::new(0);
+        let cpu_phase = |phase: &str, i: usize| {
+            assert!(
+                !on_request_thread(),
+                "the {phase} of task {i} ran on a request thread"
+            );
+            Running::enter(&cpu_now, &cpu_peak)
+        };
+        let out = s.run_chain(
+            n,
+            |i| {
+                let _running = cpu_phase("first", i);
+                if i < cpu {
+                    lane_meet.wait();
+                }
+                i
+            },
+            |i, a| {
+                let _running = Running::enter(&middle_now, &middle_peak);
+                if on_request_thread() {
+                    middles_on_requests.fetch_add(1, Ordering::SeqCst);
+                }
+                if i < width {
+                    middle_meet.wait();
+                }
+                a * 2
+            },
+            |i, b| {
+                let _running = cpu_phase("last", i);
+                b + 1
+            },
+        );
+        assert_eq!(out, (0..n).map(|i| 2 * i + 1).collect::<Vec<_>>());
+        assert_eq!(cpu_peak.load(Ordering::SeqCst), cpu, "CPU phases at once");
+        assert_eq!(middle_peak.load(Ordering::SeqCst), width, "middles at once");
+        assert!(
+            middles_on_requests.load(Ordering::SeqCst) > 0,
+            "middles run on the request pool"
+        );
+    });
+}
+
+/// Runs a two-task chain on two lanes at a width of two in which `phase`
+/// (0 first, 1 middle, 2 last) of task 0 panics while a witness phase of
+/// task 1 runs: the two meet on a barrier, and the witness finishes only
+/// after the panic has begun to unwind. Checks that the panic reaches the
+/// caller with its own payload once every started phase has finished, and
+/// returns the phases skipped.
+fn chain_panic_settles(phase: usize) -> u64 {
+    let s = Scheduler::with_workers(2);
+    let n = 2;
+    // Task 1's phase beside task 0's panicking one: a middle (so no first
+    // runs once a first has panicked), or the last of a task whose middle
+    // returned.
+    let witness = [1, 2, 1][phase];
+    let meet = Barrier::new(2);
+    let unwinding = Gate::default();
+    let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let started = AtomicUsize::new(0);
+    let witness_done = AtomicBool::new(false);
+    let step = |p: usize, i: usize| {
+        started.fetch_add(1, Ordering::SeqCst);
+        let _running = Running::enter(&running, &peak);
+        if i == 0 && p == phase {
+            meet.wait();
+            let _open = OpenOnDrop(&unwinding);
+            // `resume_unwind` skips the panic hook, whose backtrace printing
+            // would slow the unwinding the witness waits for.
+            resume_unwind(Box::new(format!("phase {p} of task 0 failed")));
+        }
+        if i == 1 && p == witness {
+            meet.wait();
+            unwinding.wait();
+            witness_done.store(true, Ordering::SeqCst);
+        }
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        s.run_chain(n, |i| step(0, i), |i, ()| step(1, i), |i, ()| step(2, i))
+    }));
+    let payload = result.expect_err("the phase panic must propagate");
+    assert_eq!(
+        payload.downcast_ref::<String>().map(String::as_str),
+        Some(format!("phase {phase} of task 0 failed").as_str()),
+        "the phase's own panic is re-raised"
+    );
+    assert_eq!(
+        running.load(Ordering::SeqCst),
+        0,
+        "a phase outlived the call"
+    );
+    assert!(
+        witness_done.load(Ordering::SeqCst),
+        "the witness finished first"
+    );
+    let skipped = s.stats().skipped;
+    assert_eq!(
+        started.load(Ordering::SeqCst) as u64 + skipped,
+        3 * n as u64
+    );
+    skipped
+}
+
+#[test]
+fn chain_panic_in_a_first_wakes_its_middle_and_settles() {
+    // Task 0's middle waits on a first that never hands off, and no other
+    // first hands off after the panic, so only the panic can wake it. Task
+    // 0's middle and last never start.
+    with_watchdog(|| assert!(chain_panic_settles(0) >= 2));
+}
+
+#[test]
+fn chain_panic_in_a_middle_settles_every_phase() {
+    // Task 0's last is never queued.
+    with_watchdog(|| assert!(chain_panic_settles(1) >= 1));
+}
+
+#[test]
+fn chain_panic_in_a_last_settles_every_phase() {
+    with_watchdog(|| {
+        chain_panic_settles(2);
     });
 }

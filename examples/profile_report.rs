@@ -6,14 +6,18 @@
 //! ```
 //!
 //! Every `ZeroEd::detect` run carries a `StageProfile` tree in
-//! `PipelineStats::stage_profile`: the five pipeline steps as sequential
-//! spans (with sub-stages like NMI correlation and criteria generation under
-//! `features`), plus grafted *parallel* distribution nodes — per-attribute
-//! task latencies, the scheduler's queue-wait/execute split, the repair
-//! ladder's validate/salvage/re-ask timing and the response cache's lock
-//! holds. Parallel nodes (marked `∥` in the table) accumulate task wall
-//! time summed across workers, so their percentages can exceed 100 — the
-//! ratio to their stage's wall is the overlap the fan-out bought.
+//! `PipelineStats::stage_profile`. Two sequential spans cover the run:
+//! `features` (with sub-stages like NMI correlation and criteria generation)
+//! and `attributes`, where every attribute's sampling → labelling →
+//! training-data → detector chain streams. Grafted *parallel* distribution
+//! nodes add the per-attribute phase latencies under `attributes`, the
+//! scheduler's queue-wait/execute split, the repair ladder's
+//! validate/salvage/re-ask timing and the response cache's lock holds.
+//! Parallel nodes (marked `∥` in the table) accumulate task wall time
+//! summed across workers, so their percentages can exceed 100. Under
+//! `attributes` the phases also overlap each other: the `sample_column`,
+//! `label_attribute`, `construct_attribute` and `train_predict` totals
+//! summed, over the span's wall, give the overlap the streaming bought.
 
 use zeroed::prelude::*;
 
