@@ -186,12 +186,6 @@ impl ZeroEdConfig {
         self
     }
 
-    /// Selects the criteria evaluation engine explicitly.
-    pub fn with_criteria_engine(mut self, engine: CriteriaEngine) -> Self {
-        self.criteria_engine = engine;
-        self
-    }
-
     /// Runs the pipeline on one worker without the cache (and so without
     /// the store): the sequential reference that multi-worker, cached,
     /// routed and store-warmed runs are verified against.
@@ -350,12 +344,6 @@ mod tests {
         assert_eq!(
             ZeroEdConfig::default().with_criteria_oracle().criteria_engine,
             CriteriaEngine::AstOracle
-        );
-        assert_eq!(
-            ZeroEdConfig::default()
-                .with_criteria_engine(CriteriaEngine::Compiled)
-                .criteria_engine,
-            CriteriaEngine::Compiled
         );
     }
 

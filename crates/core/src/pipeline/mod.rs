@@ -114,7 +114,9 @@ impl ZeroEd {
     /// opened (locked and preloaded) only when the cache is on: nothing else
     /// reads or writes it.
     pub fn try_new(config: ZeroEdConfig) -> std::io::Result<Self> {
-        let cache = Arc::new(ResponseCache::new(config.runtime.cache_capacity));
+        /// Completed response-cache entries kept before a generational flush.
+        const CACHE_CAPACITY: usize = 1 << 20;
+        let cache = Arc::new(ResponseCache::new(CACHE_CAPACITY));
         let runtime = &config.runtime;
         let (store, store_preloaded) = match runtime.store.as_ref().filter(|_| runtime.cache) {
             Some(store_config) => {

@@ -15,13 +15,11 @@
 //! n-gram windows are hashed character-by-character (no per-window `String`),
 //! and the token scratch buffers live in a thread-local arena reused across
 //! calls. [`HashEmbedder::embed`] is the allocating convenience wrapper, and
-//! [`HashEmbedder::embed_pool`] embeds a column's distinct-value pool in
-//! parallel — the per-column embedding cache used by the feature builder, so
-//! each distinct string is embedded exactly once no matter how many rows
-//! repeat it.
+//! [`HashEmbedder::embed_pool`] embeds a column's distinct-value pool — the
+//! per-column embedding cache used by the feature builder, so each distinct
+//! string is embedded exactly once no matter how many rows repeat it.
 
 use crate::matrix::FeatureMatrix;
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Deterministic FNV-1a hash (64-bit). Production code hashes incrementally
@@ -197,16 +195,14 @@ impl HashEmbedder {
         out
     }
 
-    /// Embeds a column's distinct-value pool: one row per value, embedded in
-    /// parallel. This is the per-column embedding cache of the interned
-    /// featurisation path — each distinct string is embedded exactly once.
-    pub fn embed_pool<S: AsRef<str> + Sync>(&self, values: &[S]) -> FeatureMatrix {
-        let n = values.len();
-        let mut pool = FeatureMatrix::zeros(n, self.dim);
-        pool.data_mut()
-            .par_chunks_mut(self.dim)
-            .enumerate()
-            .for_each(|(i, row)| self.embed_into(values[i].as_ref(), row));
+    /// Embeds a column's distinct-value pool: one row per value. This is the
+    /// per-column embedding cache of the interned featurisation path — each
+    /// distinct string is embedded exactly once.
+    pub fn embed_pool<S: AsRef<str>>(&self, values: &[S]) -> FeatureMatrix {
+        let mut pool = FeatureMatrix::zeros(values.len(), self.dim);
+        for (value, row) in values.iter().zip(pool.data_mut().chunks_mut(self.dim)) {
+            self.embed_into(value.as_ref(), row);
+        }
         pool
     }
 

@@ -34,9 +34,9 @@
 //!   `String`, no per-call `Vec`; thread-local scratch) and the fitted state
 //!   caches one embedding per distinct value per column;
 //! * [`unified::FittedFeatures::build_all`] scatters the cached per-distinct
-//!   blocks directly into preallocated [`matrix::FeatureMatrix`] buffers,
-//!   parallelised over (column × row-chunk), and assembles unified matrices
-//!   with the single-pass [`matrix::FeatureMatrix::hconcat_all`].
+//!   blocks directly into preallocated [`matrix::FeatureMatrix`] buffers on
+//!   the calling thread, and assembles unified matrices with the single-pass
+//!   [`matrix::FeatureMatrix::hconcat_all`].
 //!
 //! Invariants the fast path must uphold (enforced by `tests/equivalence.rs`
 //! against the seed implementation preserved in [`reference`](mod@reference)):

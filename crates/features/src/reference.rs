@@ -13,7 +13,6 @@
 use crate::matrix::FeatureMatrix;
 use crate::pattern::Level;
 use crate::unified::{FittedFeatures, TableFeatures};
-use rayon::prelude::*;
 use zeroed_table::value::is_missing;
 
 /// Per-cell base vector, recomputed from scratch (seed implementation).
@@ -77,14 +76,12 @@ pub fn unified_row_reference(
 }
 
 /// Full-table materialisation through per-cell row vectors, `from_rows` and
-/// chained `hconcat` (seed implementation, including its parallelism over
-/// columns — so benchmark comparisons against the fast path measure the
-/// algorithmic change, not a parallelism difference).
+/// chained `hconcat` (seed implementation). Like the fast path it runs on the
+/// calling thread, so benchmark comparisons measure the algorithmic change.
 pub fn build_all_reference(fitted: &FittedFeatures<'_>) -> TableFeatures {
     let n_cols = fitted.table.n_cols();
     let n_rows = fitted.table.n_rows();
     let base: Vec<FeatureMatrix> = (0..n_cols)
-        .into_par_iter()
         .map(|j| {
             let rows: Vec<Vec<f32>> = (0..n_rows)
                 .map(|i| base_row_reference(fitted, i, j, None, None))
@@ -93,7 +90,6 @@ pub fn build_all_reference(fitted: &FittedFeatures<'_>) -> TableFeatures {
         })
         .collect();
     let unified: Vec<FeatureMatrix> = (0..n_cols)
-        .into_par_iter()
         .map(|j| {
             let mut m = base[j].clone();
             for &q in &fitted.correlated[j] {

@@ -22,25 +22,20 @@
 //! row-dependent slots (vicinity frequencies, keyed by `(u32, u32)` code
 //! pairs; criteria indicators, which are per-row inputs).
 //! [`FittedFeatures::build_all`] scatters those blocks directly into
-//! preallocated [`FeatureMatrix`] buffers, parallelised over
-//! (column × row-chunk) — no per-cell `Vec`, no `from_rows` materialisation,
-//! no chained `hconcat` copies. The [`crate::reference`] module keeps the
-//! seed's per-cell implementation as the correctness oracle; equivalence tests
-//! assert the two paths produce bit-identical output.
+//! preallocated [`FeatureMatrix`] buffers on the calling thread — no per-cell
+//! `Vec`, no `from_rows` materialisation, no chained `hconcat` copies. The
+//! [`crate::reference`] module keeps the seed's per-cell implementation as
+//! the correctness oracle; equivalence tests assert the two paths produce
+//! bit-identical output.
 
 use crate::embed::HashEmbedder;
 use crate::matrix::FeatureMatrix;
 use crate::nmi::top_k_correlated_dict;
 use crate::pattern::Level;
 use crate::stats::FrequencyModel;
-use rayon::prelude::*;
 use std::sync::Arc;
 use zeroed_table::value::is_missing;
 use zeroed_table::{Table, TableDict};
-
-/// Row-chunk granularity of the parallel scatter in
-/// [`FittedFeatures::build_all`].
-const SCATTER_CHUNK_ROWS: usize = 1024;
 
 /// Configuration of the feature representation.
 #[derive(Debug, Clone)]
@@ -115,8 +110,8 @@ pub struct FittedFeatures<'a> {
     /// Per column: `[n_distinct × STATS_CACHE_COLS]` row-independent stats
     /// (empty when stats are disabled).
     stats_cache: Vec<FeatureMatrix>,
-    /// Per column: `[n_distinct × embed_dim]` embeddings (empty when the
-    /// semantic component is disabled).
+    /// Per column: `[n_distinct × embedder.dim()]` embeddings (empty when
+    /// the semantic component is disabled).
     embed_cache: Vec<FeatureMatrix>,
 }
 
@@ -200,7 +195,6 @@ impl FeatureBuilder {
         }
         let stats_cache: Vec<FeatureMatrix> = if self.config.include_stats {
             (0..n_cols)
-                .into_par_iter()
                 .map(|j| {
                     let col = dict.column(j);
                     let n_distinct = col.n_distinct();
@@ -221,10 +215,7 @@ impl FeatureBuilder {
         } else {
             Vec::new()
         };
-        // Embedding is the most expensive per-distinct-value work, so
-        // parallelise *within* each column's pool (`embed_pool`) rather than
-        // across columns — a single high-cardinality column then still uses
-        // every core.
+        // Each distinct value is embedded once, into its column's pool.
         let embed_cache: Vec<FeatureMatrix> = if self.config.include_semantic {
             (0..n_cols)
                 .map(|j| self.embedder.embed_pool(dict.column(j).values()))
@@ -280,7 +271,7 @@ impl<'a> FittedFeatures<'a> {
             width += 4 + self.correlated[col].len() + 2;
         }
         if self.config.include_semantic {
-            width += self.config.embed_dim;
+            width += self.embedder.dim();
         }
         width += extra_len;
         width.max(1)
@@ -322,7 +313,7 @@ impl<'a> FittedFeatures<'a> {
         }
         if self.config.include_semantic {
             let code = self.dict.column(col).code(row);
-            let dim = self.config.embed_dim;
+            let dim = self.embedder.dim();
             out[off..off + dim].copy_from_slice(self.embed_cache[col].row(code as usize));
             off += dim;
         }
@@ -397,7 +388,7 @@ impl<'a> FittedFeatures<'a> {
             }
         }
         if self.config.include_semantic {
-            let dim = self.config.embed_dim;
+            let dim = self.embedder.dim();
             match code {
                 Some(code) => {
                     out[off..off + dim].copy_from_slice(self.embed_cache[col].row(code as usize));
@@ -494,7 +485,7 @@ impl<'a> FittedFeatures<'a> {
     /// Per-distinct-value blocks (frequencies, patterns, embeddings) were
     /// computed once at fit time; this pass only scatters them to rows and
     /// fills the row-dependent slots, writing directly into preallocated
-    /// buffers. Work is parallelised over (column × row-chunk) tasks.
+    /// buffers, one column after another on the calling thread.
     pub fn build_all(&self) -> TableFeatures {
         let n_cols = self.table.n_cols();
         let n_rows = self.table.n_rows();
@@ -512,25 +503,12 @@ impl<'a> FittedFeatures<'a> {
             .iter()
             .map(|&bd| FeatureMatrix::zeros(n_rows, bd))
             .collect();
-        let tasks: Vec<(usize, usize, &mut [f32])> = base
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(j, m)| {
-                let bd = dims[j];
-                m.data_mut()
-                    .chunks_mut(SCATTER_CHUNK_ROWS * bd)
-                    .enumerate()
-                    .map(move |(ci, chunk)| (j, ci, chunk))
-            })
-            .collect();
-        tasks.into_par_iter().for_each(|(j, ci, chunk)| {
-            let bd = dims[j];
-            for (r, out) in chunk.chunks_mut(bd).enumerate() {
-                self.fill_base_row_interned(ci * SCATTER_CHUNK_ROWS + r, j, out);
+        for (j, m) in base.iter_mut().enumerate() {
+            for (i, out) in m.data_mut().chunks_mut(dims[j]).enumerate() {
+                self.fill_base_row_interned(i, j, out);
             }
-        });
+        }
         let unified: Vec<FeatureMatrix> = (0..n_cols)
-            .into_par_iter()
             .map(|j| {
                 let parts: Vec<&FeatureMatrix> = std::iter::once(&base[j])
                     .chain(self.correlated[j].iter().map(|&q| &base[q]))

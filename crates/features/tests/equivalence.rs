@@ -68,6 +68,12 @@ fn configs() -> Vec<FeatureConfig> {
             include_semantic: false,
             ..FeatureConfig::default()
         },
+        // The embedder clamps a zero dimension to one.
+        FeatureConfig {
+            embed_dim: 0,
+            top_k_corr: 1,
+            ..FeatureConfig::default()
+        },
     ]
 }
 

@@ -119,7 +119,7 @@
 //! The contract — routed masks bit-identical to a single-backend sequential
 //! oracle under every fault schedule, ledgers reconciling to the token — is
 //! enforced by `tests/router_conformance.rs`; scheduler liveness under
-//! saturation and hostile tasks by `tests/scheduler_stress.rs`;
+//! contention and hostile tasks by `tests/scheduler_stress.rs`;
 //! [`RequestKey`] derivation stability and the persisted-format version pins
 //! by `tests/request_key_golden.rs`; and the cross-process warm start
 //! (cold run → reopen in a fresh detector → zero-request warm run) by
@@ -127,6 +127,7 @@
 
 pub mod cache;
 pub mod client;
+mod fifo;
 pub mod key;
 pub mod persist;
 mod pool;

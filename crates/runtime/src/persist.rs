@@ -19,11 +19,11 @@
 //! complete store behind for the next process.
 
 use crate::cache::{ResponseCache, ResponseOrigin, StoredResponse};
+use crate::fifo::Fifo;
 use crate::key::RequestKey;
-use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use zeroed_obs::{EventKind, TraceId, TraceRecorder};
@@ -44,88 +44,7 @@ enum Job {
     ),
     /// Wake the barrier's waiter once every job queued before it has been
     /// written (the queue is FIFO, so reaching the barrier implies that).
-    Barrier(Arc<Barrier>),
-}
-
-#[derive(Default)]
-struct Barrier {
-    done: Mutex<bool>,
-    signal: Condvar,
-}
-
-impl Barrier {
-    fn release(&self) {
-        *self.done.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.signal.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            done = self.signal.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Unbounded MPSC queue feeding the writer thread. Closing lets the writer
-/// drain what is already queued, then stop.
-struct PersistQueue {
-    inner: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-impl PersistQueue {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a job; `false` once the queue is closed (layer shutting down).
-    fn push(&self, job: Job) -> bool {
-        let mut state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if state.closed {
-            // Release a barrier immediately rather than stranding its waiter.
-            if let Job::Barrier(barrier) = &job {
-                barrier.release();
-            }
-            return false;
-        }
-        state.jobs.push_back(job);
-        drop(state);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Blocks for the next job; `None` once closed *and* drained.
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        let mut state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        state.closed = true;
-        drop(state);
-        self.ready.notify_all();
-    }
+    Barrier(mpsc::Sender<()>),
 }
 
 /// Counters describing write-through activity.
@@ -163,7 +82,7 @@ struct Counters {
 /// applies to cache counters.
 #[derive(Clone)]
 pub struct StoreSink {
-    queue: Arc<PersistQueue>,
+    queue: Arc<Fifo<Job>>,
     /// Layer-wide counters (all sinks).
     shared: Arc<Counters>,
     /// This sink's counters (shared only with its clones).
@@ -234,7 +153,7 @@ fn stats_of(counters: &Counters) -> PersistStats {
 /// `store_stats` and `recovery` aggregate across them.
 pub struct StoreLayer {
     store: Arc<ShardedStore>,
-    queue: Arc<PersistQueue>,
+    queue: Arc<Fifo<Job>>,
     counters: Arc<Counters>,
     writer: Option<JoinHandle<()>>,
     /// Wall time [`StoreLayer::open`] took (shard recovery + writer spawn).
@@ -272,7 +191,7 @@ impl StoreLayer {
     pub fn open(config: StoreConfig) -> io::Result<Self> {
         let t_open = Instant::now();
         let store = Arc::new(ShardedStore::open(config)?);
-        let queue = Arc::new(PersistQueue::new());
+        let queue = Arc::new(Fifo::new());
         let counters = Arc::new(Counters::default());
         let writer = {
             let store = Arc::clone(&store);
@@ -315,7 +234,9 @@ impl StoreLayer {
                                     }
                                 }
                             }
-                            Job::Barrier(barrier) => barrier.release(),
+                            Job::Barrier(waiter) => {
+                                let _ = waiter.send(());
+                            }
                         }
                     }
                     let _ = store.sync();
@@ -377,9 +298,10 @@ impl StoreLayer {
     /// to the store (a queue barrier, not an fsync — pair with
     /// [`ShardedStore::sync`] for a durability barrier).
     pub fn drain(&self) {
-        let barrier = Arc::new(Barrier::default());
-        if self.queue.push(Job::Barrier(Arc::clone(&barrier))) {
-            barrier.wait();
+        let (waiter, written) = mpsc::channel();
+        if self.queue.push(Job::Barrier(waiter)) {
+            // `Err` means the writer dropped the barrier unanswered: it died.
+            let _ = written.recv();
         }
     }
 

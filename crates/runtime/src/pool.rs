@@ -1,24 +1,38 @@
-//! The process-wide pool of long-lived request threads behind
-//! [`crate::Scheduler::run_llm`].
+//! The claim loop behind every index-addressed fan-out, and the
+//! process-wide pool of long-lived request threads that helps the fan-outs
+//! waiting on the model.
+//!
+//! [`scatter`] runs one fan-out: the calling thread claims task indices in
+//! order and so do its helpers, either scoped threads spawned for the
+//! fan-out (CPU work, [`crate::Scheduler::run`]) or turns of the request
+//! threads ([`crate::Scheduler::run_llm`] and the middle phase of
+//! [`crate::Scheduler::run_chain`]). Because the caller works too, a
+//! fan-out finishes even when every request thread is busy elsewhere (for
+//! example inside another caller's fan-out), and it never returns before
+//! every task has finished or been skipped: the tasks borrow the caller's
+//! stack.
 //!
 //! An LLM fan-out mostly waits on the model, so it runs wider than the core
 //! count. Spawning that many threads per fan-out costs more than the spawns:
 //! every new thread gets its own malloc arena, and the CPU stages'
 //! allocations then spread across them, raising the process's peak RSS. The
-//! pool keeps its threads for the life of the process instead, growing only
-//! when a fan-out asks for more than it has.
-//!
-//! [`scatter`] runs one fan-out. The calling thread works on it too, so a
-//! fan-out finishes even when every pool thread is busy elsewhere (for
-//! example inside another caller's fan-out), and it never returns before
-//! every task of the fan-out has finished or been skipped: the tasks borrow
-//! the caller's stack.
+//! pool keeps its request threads for the life of the process instead,
+//! growing only when a fan-out asks for more than it has, and CPU work never
+//! runs on them.
 
+use crate::fifo::Fifo;
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// The threads that help a fan-out's caller.
+pub(crate) enum Helpers {
+    /// This many scoped threads, spawned for the fan-out.
+    Scoped(usize),
+    /// This many turns of the request threads.
+    Requests(usize),
+}
 
 /// A task panic, re-raised by the caller once its fan-out has settled.
 pub(crate) struct Panicked {
@@ -29,11 +43,11 @@ pub(crate) struct Panicked {
 }
 
 /// Runs `body(i)` for every `i` in `0..n` on the calling thread plus up to
-/// `width - 1` pool threads, and returns once every index has finished or
-/// been skipped. After a task panics, the tasks not yet started are skipped
-/// and the first panic comes back as `Err`.
+/// `n - 1` of `helpers`, and returns once every index has finished or been
+/// skipped. After a task panics, the tasks not yet started are skipped and
+/// the first panic comes back as `Err`.
 pub(crate) fn scatter(
-    width: usize,
+    helpers: Helpers,
     n: usize,
     body: &(dyn Fn(usize) + Sync),
 ) -> Result<(), Panicked> {
@@ -50,8 +64,18 @@ pub(crate) fn scatter(
         progress: Mutex::new(Progress::default()),
         settled: Condvar::new(),
     });
-    POOL.submit(&batch, width.min(n).saturating_sub(1));
-    batch.help();
+    match helpers {
+        Helpers::Scoped(k) => std::thread::scope(|s| {
+            for _ in 0..k.min(n.saturating_sub(1)) {
+                s.spawn(|| batch.help());
+            }
+            batch.help();
+        }),
+        Helpers::Requests(k) => {
+            POOL.submit(&batch, k.min(n.saturating_sub(1)));
+            batch.help();
+        }
+    }
     let mut progress = batch.lock();
     while progress.done < n {
         progress = batch
@@ -68,8 +92,8 @@ pub(crate) fn scatter(
     }
 }
 
-/// One fan-out's shared state. Pool threads hold it through an `Arc`, so a
-/// helper that starts after the caller returned touches only this: it
+/// One fan-out's shared state. Request threads hold it through an `Arc`, so
+/// a helper that starts after the caller returned touches only this: it
 /// claims an index past `n` and leaves without reading `body`.
 struct Batch {
     n: usize,
@@ -139,58 +163,40 @@ impl Batch {
 
 /// The request threads and the fan-outs waiting for their help.
 struct Pool {
-    state: Mutex<PoolState>,
-    work: Condvar,
-}
-
-struct PoolState {
-    jobs: VecDeque<Arc<Batch>>,
-    threads: usize,
+    /// One entry per helping turn a fan-out asked for.
+    jobs: Fifo<Arc<Batch>>,
+    threads: Mutex<usize>,
 }
 
 static POOL: Pool = Pool {
-    state: Mutex::new(PoolState {
-        jobs: VecDeque::new(),
-        threads: 0,
-    }),
-    work: Condvar::new(),
+    jobs: Fifo::new(),
+    threads: Mutex::new(0),
 };
 
 impl Pool {
     /// Queues `helpers` helping turns on `batch`, first growing the pool to
     /// at least `helpers` threads.
     fn submit(&'static self, batch: &Arc<Batch>, helpers: usize) {
-        if helpers == 0 {
-            return;
+        {
+            let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+            while *threads < helpers {
+                std::thread::Builder::new()
+                    .name("zeroed-request".into())
+                    .spawn(move || self.serve())
+                    .expect("spawn a request thread");
+                *threads += 1;
+            }
         }
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.threads < helpers {
-            std::thread::Builder::new()
-                .name("zeroed-request".into())
-                .spawn(move || self.serve())
-                .expect("spawn a request thread");
-            state.threads += 1;
-        }
-        state.jobs.extend((0..helpers).map(|_| Arc::clone(batch)));
-        drop(state);
-        for _ in 0..helpers {
-            self.work.notify_one();
-        }
+        // All turns at once: a fan-out whose tasks wait on each other then
+        // gets every helper before a later fan-out gets any.
+        self.jobs
+            .push_all(std::iter::repeat_n(Arc::clone(batch), helpers));
     }
 
-    /// A request thread's life: it is never joined, and `Batch::help`
-    /// cannot unwind, so it serves until the process exits.
+    /// A request thread's life: the job list is never closed, and
+    /// `Batch::help` cannot unwind, so it serves until the process exits.
     fn serve(&self) {
-        loop {
-            let batch = {
-                let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if let Some(batch) = state.jobs.pop_front() {
-                        break batch;
-                    }
-                    state = self.work.wait(state).unwrap_or_else(|e| e.into_inner());
-                }
-            };
+        while let Some(batch) = self.jobs.pop() {
             batch.help();
         }
     }

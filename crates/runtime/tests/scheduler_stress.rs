@@ -1,11 +1,11 @@
-//! Scheduler stress tests: bounded-queue saturation with hostile workloads.
+//! Scheduler stress tests: contended claim loops with hostile workloads.
 //!
 //! The pipeline trusts [`zeroed_runtime::Scheduler`] with two guarantees that
 //! only matter under pressure: results come back in task order no matter how
-//! workers interleave, and nothing — not a saturated queue, not an erroring
-//! task, not a panicking worker — can deadlock a batch. Each test here runs
-//! under a watchdog so a regression surfaces as a clean failure instead of a
-//! hung CI job.
+//! workers interleave, and nothing — not many threads claiming at once, not
+//! an erroring task, not a panicking one — can deadlock a batch. Each test
+//! here runs under a watchdog so a regression surfaces as a clean failure
+//! instead of a hung CI job.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -42,10 +42,9 @@ fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T
     }
 }
 
-fn scheduler(workers: usize, queue_capacity: usize) -> Scheduler {
+fn scheduler(workers: usize) -> Scheduler {
     Scheduler::from_config(&RuntimeConfig {
         workers,
-        queue_capacity,
         ..RuntimeConfig::default()
     })
 }
@@ -53,9 +52,9 @@ fn scheduler(workers: usize, queue_capacity: usize) -> Scheduler {
 #[test]
 fn saturated_tiny_queue_preserves_task_order() {
     with_watchdog(|| {
-        // 2000 tasks through a 1-slot queue on 8 workers: the producer blocks
-        // on nearly every push, workers contend on nearly every pop.
-        let s = scheduler(8, 1);
+        // 2000 tiny tasks on 8 workers: the threads contend on nearly every
+        // claim and every result slot.
+        let s = scheduler(8);
         let out = s.run(2000, |i| {
             if i % 97 == 0 {
                 // A sprinkle of slow tasks to force reordering pressure.
@@ -74,10 +73,9 @@ fn saturated_tiny_queue_preserves_task_order() {
 #[test]
 fn panicking_worker_aborts_the_batch_without_deadlock() {
     with_watchdog(|| {
-        // Workers die on task 5 while the producer is wedged against a full
-        // 1-slot queue; the panic guard must close the queue so the producer
-        // bails and the scope join rethrows instead of hanging.
-        let s = scheduler(2, 1);
+        // Task 5 panics early in a long batch: the tasks not yet started are
+        // skipped, and the panic reaches the caller instead of hanging it.
+        let s = scheduler(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.run(5000, |i| {
                 if i == 5 {
@@ -93,7 +91,7 @@ fn panicking_worker_aborts_the_batch_without_deadlock() {
 #[test]
 fn every_worker_panicking_still_terminates() {
     with_watchdog(|| {
-        let s = scheduler(8, 1);
+        let s = scheduler(8);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.run(1000, |i: usize| -> usize { panic!("task {i}") })
         }));
@@ -105,10 +103,10 @@ fn every_worker_panicking_still_terminates() {
 fn panics_interleaved_with_errors_neither_hang_nor_corrupt_results() {
     with_watchdog(|| {
         // First a poisoned batch, then a healthy one on the *same* scheduler:
-        // a panicked batch must leave no residue (closed queues are per-run).
+        // a panicked batch must leave no residue (claim state is per-run).
         // Tasks return `Result`s, so errors travel as values next to the
         // panic.
-        let s = scheduler(4, 2);
+        let s = scheduler(4);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.run(300, |i| {
                 if i == 150 {
@@ -145,7 +143,7 @@ fn concurrent_batches_on_one_scheduler_stay_isolated() {
     with_watchdog(|| {
         // The pipeline shares one scheduler across stages; concurrent run()
         // calls from different threads must not cross results.
-        let s = Arc::new(scheduler(4, 4));
+        let s = Arc::new(scheduler(4));
         let mut handles = Vec::new();
         for batch in 0..4u64 {
             let s = Arc::clone(&s);
@@ -219,7 +217,7 @@ fn llm_fanout_panic_settles_every_job_before_unwinding() {
 #[test]
 fn two_threads_fanning_out_through_the_pool_at_once_both_finish() {
     with_watchdog(|| {
-        let s = Arc::new(scheduler(8, 4));
+        let s = Arc::new(scheduler(8));
         let handles: Vec<_> = (0..2u64)
             .map(|batch| {
                 let s = Arc::clone(&s);
@@ -346,6 +344,110 @@ fn chain_keeps_cpu_phases_off_request_threads_at_both_widths() {
             middles_on_requests.load(Ordering::SeqCst) > 0,
             "middles run on the request pool"
         );
+    });
+}
+
+#[test]
+fn cpu_fanouts_stay_off_request_threads_and_llm_fanouts_use_them() {
+    with_watchdog(|| {
+        let llm = SimLlm::default_model(0);
+        let s = Scheduler::for_client(&RuntimeConfig::default(), &llm);
+        let (cpu, width) = (s.workers(), s.llm_width());
+        let n = 4 * cpu.max(width);
+        // The first tasks of each fan-out meet on a barrier as wide as the
+        // fan-out, so each runs at its full width.
+        let cpu_meet = Barrier::new(cpu);
+        s.run(n, |i| {
+            assert!(
+                !on_request_thread(),
+                "task {i} of `run` ran on a request thread"
+            );
+            if i < cpu {
+                cpu_meet.wait();
+            }
+        });
+        let llm_meet = Barrier::new(width);
+        let on_requests = AtomicUsize::new(0);
+        s.run_llm(n, |i| {
+            if on_request_thread() {
+                on_requests.fetch_add(1, Ordering::SeqCst);
+            }
+            if i < width {
+                llm_meet.wait();
+            }
+        });
+        // `width` tasks ran at once, and the caller held only one of them.
+        assert!(
+            on_requests.load(Ordering::SeqCst) >= width - 1,
+            "tasks of `run_llm` run on the request pool"
+        );
+    });
+}
+
+#[test]
+fn cpu_fanout_panic_settles_every_task_before_unwinding() {
+    with_watchdog(|| {
+        // `llm_fanout_panic_settles_every_job_before_unwinding` through
+        // `run`. The first `width` tasks meet on a barrier, so each holds a
+        // thread of its own; then task 0 panics, and the others finish only
+        // after it has begun to unwind.
+        let width = 8;
+        let s = Scheduler::with_workers(width);
+        let n = 5000;
+        let meet = Barrier::new(width);
+        let unwinding = Gate::default();
+        let started = AtomicUsize::new(0);
+        let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let witnesses_done = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            s.run(n, |i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                let _running = Running::enter(&running, &peak);
+                if i < width {
+                    meet.wait();
+                    if i == 0 {
+                        let _open = OpenOnDrop(&unwinding);
+                        // `resume_unwind` skips the panic hook, whose
+                        // backtrace printing would slow the unwinding the
+                        // witnesses wait for.
+                        resume_unwind(Box::new(format!("task {i} failed")));
+                    }
+                    unwinding.wait();
+                    witnesses_done.fetch_add(1, Ordering::SeqCst);
+                }
+                i
+            })
+        }));
+        let payload = result.expect_err("the task panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("task 0 failed"),
+            "the task's own panic is re-raised"
+        );
+        assert_eq!(
+            running.load(Ordering::SeqCst),
+            0,
+            "a task outlived the call"
+        );
+        assert_eq!(
+            witnesses_done.load(Ordering::SeqCst),
+            width - 1,
+            "the witnesses finished first"
+        );
+        assert_eq!(peak.load(Ordering::SeqCst), width, "tasks at once");
+        assert_eq!(
+            started.load(Ordering::SeqCst) as u64 + s.stats().skipped,
+            n as u64
+        );
+
+        // The next fan-out on the same scheduler still runs `width` tasks at
+        // once.
+        let again = Barrier::new(width);
+        let out = s.run(width, |i| {
+            again.wait();
+            i
+        });
+        assert_eq!(out, (0..width).collect::<Vec<_>>());
     });
 }
 
