@@ -1,6 +1,10 @@
 //! `BENCH_runtime.json` emitter: LLM-orchestration wall-times for the three
 //! runtime execution modes.
 //!
+//! The ledger always goes to stdout; a file is written only with
+//! `--out PATH`, so a `--quick` smoke run never overwrites the committed
+//! 50k-row `BENCH_runtime.json`.
+//!
 //! Runs full `ZeroEd::detect` sweeps on the hospital and flights generators
 //! (50k rows by default; `--quick` drops to 5k for CI smoke runs) with the
 //! simulated serving-latency model enabled, through:
@@ -91,14 +95,14 @@
 //! rationale and `ARCHITECTURE.md`, "The non-LLM wall").
 //!
 //! ```text
-//! cargo run --release -p zeroed-bench --bin bench_runtime -- --router --persist --mangle --shapes
+//! cargo run --release -p zeroed-bench --bin bench_runtime -- --router --persist --mangle --trace --shapes --out BENCH_runtime.json
 //! ```
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use zeroed_core::{
-    DetectionOutcome, RouterConfig, RouterLlm, RuntimeConfig, StageRepair, StoreConfig, ZeroEd,
-    ZeroEdConfig,
+    DetectionOutcome, RouterConfig, RouterLlm, RouterStats, RuntimeConfig, StageRepair,
+    StoreConfig, ZeroEd, ZeroEdConfig,
 };
 use zeroed_criteria::verify;
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
@@ -119,9 +123,6 @@ struct ModeResult {
     requests: usize,
     tokens: usize,
     sim_cost_ms: f64,
-    cache_hits: usize,
-    cache_misses: usize,
-    tokens_saved: usize,
     served: ServingConcurrency,
     outcome: DetectionOutcome,
 }
@@ -162,15 +163,13 @@ fn run_mode_with(
         requests: usage.requests,
         tokens: usage.total(),
         sim_cost_ms: llm.ledger().sim_cost().as_secs_f64() * 1e3,
-        cache_hits: outcome.stats.cache_hits,
-        cache_misses: outcome.stats.cache_misses,
-        tokens_saved: outcome.stats.cache_tokens_saved,
         served: llm.ledger().concurrency(),
         outcome,
     }
 }
 
 fn mode_json(r: &ModeResult) -> String {
+    let cache = &r.outcome.stats.cache;
     format!(
         "{{\"mode\": \"{}\", \"total_ms\": {:.1}, \"llm_stage_ms\": {:.1}, \
          \"requests\": {}, \"tokens\": {}, \"llm_serial_cost_ms\": {:.1}, \
@@ -182,9 +181,9 @@ fn mode_json(r: &ModeResult) -> String {
         r.requests,
         r.tokens,
         r.sim_cost_ms,
-        r.cache_hits,
-        r.cache_misses,
-        r.tokens_saved,
+        cache.hits,
+        cache.misses,
+        cache.tokens_saved(),
         r.served.peak_in_flight,
         r.served.waits,
     )
@@ -299,9 +298,14 @@ fn profiler_overhead_pct(r: &ModeResult) -> f64 {
 /// journal must verify causally (every task submitted/started/ended exactly
 /// once, every miss published exactly once, every hedge resolved exactly
 /// once, the repair ladder balanced) AND its per-kind counts must equal the
-/// independently maintained cache / scheduler / router / repair / store
-/// counters in [`zeroed_core::PipelineStats`] — not approximately, exactly.
-fn assert_trace(label: &str, stats: &zeroed_core::PipelineStats) -> TraceSummary {
+/// independently maintained cache / scheduler / repair / store counters in
+/// [`zeroed_core::PipelineStats`] and the run's router counters (default for
+/// an unrouted run) — not approximately, exactly.
+fn assert_trace(
+    label: &str,
+    stats: &zeroed_core::PipelineStats,
+    router: &RouterStats,
+) -> TraceSummary {
     let trace = stats
         .trace
         .clone()
@@ -310,32 +314,34 @@ fn assert_trace(label: &str, stats: &zeroed_core::PipelineStats) -> TraceSummary
     if let Err(why) = trace.verify() {
         panic!("{label}: trace causality check failed: {why}");
     }
-    let eq = |kind: EventKind, want: usize, what: &str| {
+    let eq = |kind: EventKind, want: u64, what: &str| {
         assert_eq!(
             trace.count(kind),
-            want as u64,
+            want,
             "{label}: journaled {what} must equal the pipeline counter exactly"
         );
     };
-    eq(EventKind::TaskSubmit, stats.runtime_tasks, "task submits");
-    eq(EventKind::TaskStart, stats.runtime_tasks, "task starts");
-    eq(EventKind::TaskEnd, stats.runtime_tasks, "task ends");
-    eq(EventKind::CacheHit, stats.cache_hits, "cache hits");
-    eq(EventKind::CacheMiss, stats.cache_misses, "cache misses");
-    eq(EventKind::CacheCoalesced, stats.cache_coalesced, "coalesced hits");
-    eq(EventKind::CachePublish, stats.cache_misses, "publishes");
-    eq(EventKind::RouterDone, stats.router_requests, "routed requests");
-    eq(EventKind::RouterPrimary, stats.router_requests, "primary picks");
-    eq(EventKind::RouterFailover, stats.router_failovers, "failovers");
-    eq(EventKind::HedgeFired, stats.router_hedges_fired, "hedges fired");
-    eq(EventKind::HedgeWon, stats.router_hedges_won, "hedges won");
-    eq(EventKind::BreakerTrip, stats.router_breaker_trips, "breaker trips");
+    let tasks = stats.runtime_tasks as u64;
+    eq(EventKind::TaskSubmit, tasks, "task submits");
+    eq(EventKind::TaskStart, tasks, "task starts");
+    eq(EventKind::TaskEnd, tasks, "task ends");
+    eq(EventKind::CacheHit, stats.cache.hits, "cache hits");
+    eq(EventKind::CacheMiss, stats.cache.misses, "cache misses");
+    eq(EventKind::CacheCoalesced, stats.cache.coalesced, "coalesced hits");
+    eq(EventKind::CachePublish, stats.cache.misses, "publishes");
+    eq(EventKind::RouterDone, router.requests, "routed requests");
+    eq(EventKind::RouterPrimary, router.requests, "primary picks");
+    eq(EventKind::RouterFailover, router.failovers, "failovers");
+    eq(EventKind::HedgeFired, router.hedges_fired, "hedges fired");
+    eq(EventKind::HedgeWon, router.hedges_won_by_hedge, "hedges won");
+    eq(EventKind::BreakerTrip, router.breaker_trips, "breaker trips");
     let (salvaged, reasked, defaulted) = stats.repair.total_handled();
-    eq(EventKind::RepairMangled, stats.repair.total_mangled(), "mangled responses");
-    eq(EventKind::RepairSalvaged, salvaged, "salvaged responses");
-    eq(EventKind::RepairReasked, reasked, "re-asks");
-    eq(EventKind::RepairDefaulted, defaulted, "defaults");
-    eq(EventKind::StorePersist, stats.store_persisted_records, "store persists");
+    let mangled = stats.repair.total_mangled();
+    eq(EventKind::RepairMangled, mangled as u64, "mangled responses");
+    eq(EventKind::RepairSalvaged, salvaged as u64, "salvaged responses");
+    eq(EventKind::RepairReasked, reasked as u64, "re-asks");
+    eq(EventKind::RepairDefaulted, defaulted as u64, "defaults");
+    eq(EventKind::StorePersist, stats.persist.persisted_records, "store persists");
     trace
 }
 
@@ -419,9 +425,8 @@ fn router_section(rows: usize, workers: usize) -> String {
         rc.hedge.percentile = 0.90;
         rc.hedge.min_deadline_ms = DEADLINE_MS;
         rc.latency_scale = LATENCY_SCALE;
-        let detector =
-            ZeroEd::new(config.clone().with_runtime(runtime.clone()).with_router(rc));
-        let router = RouterLlm::from_runtime(&detector.config().runtime, clients);
+        let detector = ZeroEd::new(config.clone().with_runtime(runtime.clone()));
+        let router = RouterLlm::new(clients, &rc);
         let outcome = detector.detect_routed(&ds.dirty, &router);
         assert_eq!(
             oracle.mask, outcome.mask,
@@ -537,37 +542,39 @@ fn persist_section(rows: usize, workers: usize) -> String {
         run_mode("persist_cold", &detector, &ds, 1)
         // ← detector drop: queue drained, store synced, handles closed.
     };
-    let persisted_records = cold.outcome.stats.store_persisted_records;
-    let persisted_bytes = cold.outcome.stats.store_persisted_bytes;
+    let persisted_records = cold.outcome.stats.persist.persisted_records;
+    let persisted_bytes = cold.outcome.stats.persist.persisted_bytes;
     assert_eq!(
-        persisted_records, cold.cache_misses,
+        persisted_records, cold.outcome.stats.cache.misses,
         "every cold miss must be persisted"
     );
 
     eprintln!("  warm (fresh detector, reopened store) ...");
     let warm_detector = ZeroEd::new(config);
+    let preloaded = warm_detector.cache().len() as u64;
     let warm = run_mode("persist_warm_cross_process", &warm_detector, &ds, 1);
     assert_eq!(cold.outcome.mask, warm.outcome.mask, "persisted warm mask diverged");
     assert_eq!(
         warm.requests, 0,
         "cross-process warm run must issue zero LLM requests"
     );
-    assert_eq!(warm.outcome.stats.cache_misses, 0);
+    let warm_cache = warm.outcome.stats.cache;
+    assert_eq!(warm_cache.misses, 0);
     assert_eq!(
-        warm.outcome.stats.store_hits, warm.outcome.stats.cache_hits,
+        warm_cache.store_hits, warm_cache.hits,
         "every warm hit must come from the persisted store"
     );
-    let preloaded = warm.outcome.stats.store_preloaded_records;
     assert_eq!(preloaded, persisted_records, "preload must replay the whole store");
     drop(warm_detector);
     let _ = std::fs::remove_dir_all(&store_dir);
 
     let llm_stage_speedup = cold.llm_stage_ms / warm.llm_stage_ms.max(1e-9);
     let total_speedup = cold.total_ms / warm.total_ms.max(1e-9);
+    let saved = warm_cache.tokens_saved();
     eprintln!(
         "  cold {:.0} ms | warm {:.0} ms total ({total_speedup:.1}x, llm-stage {llm_stage_speedup:.1}x, \
          {} records / {} bytes persisted, {} tokens saved warm)",
-        cold.total_ms, warm.total_ms, persisted_records, persisted_bytes, warm.tokens_saved,
+        cold.total_ms, warm.total_ms, persisted_records, persisted_bytes, saved,
     );
 
     let mut block = String::new();
@@ -648,13 +655,13 @@ fn sharded_section(rows: usize, workers: usize) -> String {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let cold_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let persisted_total: usize = cold
+    let persisted_total: u64 = cold
         .iter()
-        .map(|r| r.outcome.stats.store_persisted_records)
+        .map(|r| r.outcome.stats.persist.persisted_records)
         .sum();
     for r in &cold {
         assert_eq!(
-            r.outcome.stats.store_persisted_records, r.cache_misses,
+            r.outcome.stats.persist.persisted_records, r.outcome.stats.cache.misses,
             "sharded writer: every miss must be written through"
         );
     }
@@ -680,7 +687,7 @@ fn sharded_section(rows: usize, workers: usize) -> String {
         .store()
         .load_live()
         .expect("live records readable")
-        .len();
+        .len() as u64;
     assert_eq!(
         preloaded, persisted_total,
         "the merged preload must cover all writers' disjoint records"
@@ -953,6 +960,7 @@ fn trace_section(rows: usize, workers: usize) -> String {
             },
         );
         let config = ZeroEdConfig::fast();
+        let unrouted = RouterStats::default();
         let mut runs: Vec<(String, TraceSummary, f64)> = Vec::new();
 
         eprintln!("  trace: sequential ...");
@@ -960,14 +968,22 @@ fn trace_section(rows: usize, workers: usize) -> String {
         let seq = run_mode("sequential", &seq_detector, &ds, 1);
         runs.push((
             "sequential".into(),
-            assert_trace(&format!("{name}/trace sequential"), &seq.outcome.stats),
+            assert_trace(
+                &format!("{name}/trace sequential"),
+                &seq.outcome.stats,
+                &unrouted,
+            ),
             seq.total_ms,
         ));
 
         eprintln!("  trace: concurrent+cache cold ...");
         let cached_detector = ZeroEd::new(config.clone().with_runtime(cached.clone()));
         let cold = run_mode("concurrent_cached_cold", &cached_detector, &ds, 1);
-        let cold_trace = assert_trace(&format!("{name}/trace cold"), &cold.outcome.stats);
+        let cold_trace = assert_trace(
+            &format!("{name}/trace cold"),
+            &cold.outcome.stats,
+            &unrouted,
+        );
         assert!(
             !cold_trace.exemplars.is_empty(),
             "{name}: a cold cached run must yield request-rooted exemplars"
@@ -977,7 +993,11 @@ fn trace_section(rows: usize, workers: usize) -> String {
         let warm = run_mode("concurrent_cached_warm", &cached_detector, &ds, 1);
         runs.push((
             "concurrent_cached_warm".into(),
-            assert_trace(&format!("{name}/trace warm"), &warm.outcome.stats),
+            assert_trace(
+                &format!("{name}/trace warm"),
+                &warm.outcome.stats,
+                &unrouted,
+            ),
             warm.total_ms,
         ));
 
@@ -991,22 +1011,22 @@ fn trace_section(rows: usize, workers: usize) -> String {
         let replica = zeroed_bench::simulated_llm(&ds, LlmProfile::qwen_72b(), 1)
             .with_latency_scale(LATENCY_SCALE);
         let clients: Vec<&dyn LlmClient> = vec![&primary, &replica];
-        let routed_detector = ZeroEd::new(
-            config
-                .clone()
-                .with_runtime(cached.clone())
-                .with_router(RouterConfig::for_backends(2)),
-        );
-        let router = RouterLlm::from_runtime(&routed_detector.config().runtime, clients);
+        let routed_detector = ZeroEd::new(config.clone().with_runtime(cached.clone()));
+        let router = RouterLlm::new(clients, &RouterConfig::for_backends(2));
         let routed = routed_detector.detect_routed(&ds.dirty, &router);
         assert_eq!(seq.outcome.mask, routed.mask, "{name}: routed trace leg mask diverged");
-        // The journal counts reconcile against the router's *stats deltas*
-        // (folded into PipelineStats by detect_routed) — the router keeps its
+        // The journal counts reconcile against the router's own stats (a
+        // fresh router, so its lifetime is this run) — the router keeps its
         // counters independently of the recorder.
-        let routed_trace = assert_trace(&format!("{name}/trace routed"), &routed.stats);
-        assert!(routed.stats.router_requests > 0);
+        let router_stats = router.stats();
+        let routed_trace = assert_trace(
+            &format!("{name}/trace routed"),
+            &routed.stats,
+            &router_stats,
+        );
+        assert!(router_stats.requests > 0);
         assert!(
-            routed.stats.router_failovers > 0,
+            router_stats.failovers > 0,
             "{name}: the faulty primary must force failovers"
         );
         runs.push(("routed_faulty_primary".into(), routed_trace, 0.0));
@@ -1022,7 +1042,11 @@ fn trace_section(rows: usize, workers: usize) -> String {
         // mask invariance *under the same schedule* is the `--mangle`
         // section's job. This leg checks that the degradation ledger and
         // the journal agree while the pipeline is actively repairing.
-        let mangled_trace = assert_trace(&format!("{name}/trace mangled"), &mangled.outcome.stats);
+        let mangled_trace = assert_trace(
+            &format!("{name}/trace mangled"),
+            &mangled.outcome.stats,
+            &unrouted,
+        );
         assert_eq!(
             mangled_trace.count(EventKind::RepairMangled),
             mangle_llm.mangled_responses() as u64,
@@ -1245,7 +1269,7 @@ fn criteria_section(rows: usize) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_runtime.json".to_string();
+    let mut out_path: Option<String> = None;
     let mut rows = 50_000usize;
     let mut workers = 16usize;
     let mut router = false;
@@ -1258,7 +1282,7 @@ fn main() {
         match args[i].as_str() {
             "--out" => {
                 if let Some(p) = args.get(i + 1) {
-                    out_path = p.clone();
+                    out_path = Some(p.clone());
                     i += 1;
                 }
             }
@@ -1348,7 +1372,11 @@ fn main() {
             if trace {
                 // The flight recorder's zero-tolerance reconciliation runs
                 // on every headline mode, --quick included.
-                assert_trace(&format!("{name}/{}", r.label), &r.outcome.stats);
+                assert_trace(
+                    &format!("{name}/{}", r.label),
+                    &r.outcome.stats,
+                    &RouterStats::default(),
+                );
             }
         }
         assert_eq!(
@@ -1377,7 +1405,7 @@ fn main() {
             speedup_cached,
             warm.llm_stage_ms,
             speedup_warm,
-            warm.tokens_saved,
+            warm.outcome.stats.cache.tokens_saved(),
         );
         for r in [&seq, &conc, &cold, &warm] {
             eprintln!(
@@ -1482,9 +1510,11 @@ fn main() {
     }
     json.push_str("\n}\n");
 
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("{json}");
-    eprintln!("wrote {out_path}");
+    if let Some(out_path) = &out_path {
+        std::fs::write(out_path, &json).expect("write benchmark JSON");
+        eprintln!("wrote {out_path}");
+    }
     assert!(
         all_speedups_ok,
         "concurrent+cache must be at least 2x faster than sequential on the LLM stages"

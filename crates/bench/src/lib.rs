@@ -26,13 +26,15 @@
 //!
 //! ## Perf ledgers
 //!
-//! Two emitters write committed JSON ledgers (the tier-1 verify line runs
-//! both in `--quick` mode; drop `--quick` to regenerate the 50k-row files):
+//! Two emitters produce committed JSON ledgers (drop `--quick` to
+//! regenerate the 50k-row files):
 //!
 //! * `bench_features` → `BENCH_features.json` — interned vs seed-reference
 //!   wall-times for featurisation and for the dBoost/NADEEF/KATARA/Raha
 //!   baselines, asserting mask equivalence as it measures.
-//! * `bench_runtime` → `BENCH_runtime.json` — LLM-stage wall-times across
+//! * `bench_runtime` → stdout, and `BENCH_runtime.json` only with
+//!   `--out BENCH_runtime.json` (so the tier-1 `--quick` run leaves the
+//!   committed file alone) — LLM-stage wall-times across
 //!   the runtime's execution modes (sequential / concurrent / cached cold /
 //!   cached warm), the `--router` hedging experiment (p99 recovery against
 //!   a slow-tail backend) and the `--persist` cross-process warm start,

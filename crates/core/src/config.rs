@@ -200,15 +200,6 @@ impl ZeroEdConfig {
         self
     }
 
-    /// Attaches a multi-backend router policy (backends, budgets, hedging,
-    /// circuit breaking) to the runtime configuration. Consumed by
-    /// [`zeroed_runtime::RouterLlm::from_runtime`] /
-    /// [`crate::ZeroEd::detect_routed`].
-    pub fn with_router(mut self, router: zeroed_runtime::RouterConfig) -> Self {
-        self.runtime.router = Some(router);
-        self
-    }
-
     /// Attaches a crash-safe on-disk response store: published responses are
     /// persisted write-through and a new [`crate::ZeroEd`] pointed at the
     /// same directory warm-starts from it, issuing zero LLM requests for
@@ -242,7 +233,7 @@ impl ZeroEdConfig {
     /// let warm_llm = SimLlm::default_model(1);
     /// let warm = ZeroEd::new(config).detect(&ds.dirty, &warm_llm);
     /// assert_eq!(warm.mask, cold.mask);
-    /// assert_eq!(warm.stats.cache_misses, 0);
+    /// assert_eq!(warm.stats.cache.misses, 0);
     /// assert_eq!(warm_llm.ledger().usage().requests, 0);
     /// # let _ = std::fs::remove_dir_all(&dir);
     /// ```

@@ -52,9 +52,10 @@ pub use config::{CriteriaEngine, ZeroEdConfig};
 pub use pipeline::repair::{RepairCounters, RepairLlm, StageRepair};
 pub use pipeline::ZeroEd;
 pub use report::{DetectionOutcome, PipelineStats};
-// Re-export the runtime configuration types so callers can tune execution
-// without a separate `zeroed-runtime` dependency.
+// Re-export the runtime configuration and stats types so callers can tune
+// execution and read `PipelineStats` without a separate `zeroed-runtime`
+// dependency.
 pub use zeroed_runtime::{
-    BackendConfig, BreakerPolicy, FsyncPolicy, HedgePolicy, RouterConfig, RouterLlm, RouterStats,
-    RuntimeConfig, StoreConfig, StoreLayer,
+    BackendConfig, BreakerPolicy, CacheStats, FsyncPolicy, HedgePolicy, PersistStats, RouterConfig,
+    RouterLlm, RouterStats, RuntimeConfig, StoreConfig, StoreLayer,
 };

@@ -299,7 +299,7 @@ mod tests {
         let data = training_data();
         let extra = vec![
             Vec::new(),
-            zeroed_criteria::criteria_features(data.criteria.as_ref().unwrap(), &t),
+            zeroed_criteria::criteria_features_dict(data.criteria.as_ref().unwrap(), &t.intern()),
         ];
         let builder = FeatureBuilder::new(FeatureConfig {
             embed_dim: 8,

@@ -5,7 +5,7 @@
 //! binary feature block passed to `zeroed-features` as `extra` features.
 
 use crate::config::{CriteriaEngine, ZeroEdConfig};
-use zeroed_criteria::{criteria_features, criteria_features_dict, CriteriaSet};
+use zeroed_criteria::{criteria_features_dict, CriteriaSet};
 use zeroed_features::nmi::top_k_correlated_dict;
 use zeroed_llm::{AttributeContext, LlmClient};
 use zeroed_table::{Table, TableDict};
@@ -66,25 +66,12 @@ pub fn generate_criteria_on(
 }
 
 /// Evaluates every column's criteria over the full table, producing the
-/// per-column extra feature blocks for the feature builder. Columns without
-/// criteria get an empty block. Runs on the compiled VM path (interning the
-/// touched columns internally); the pipeline uses [`criteria_extra_dict_on`]
-/// with its run-wide dictionary and engine switch.
-pub fn criteria_extra(criteria: &[Option<CriteriaSet>], table: &Table) -> Vec<Vec<Vec<f32>>> {
-    criteria
-        .iter()
-        .map(|set| match set {
-            Some(set) if !set.is_empty() => criteria_features(set, table),
-            _ => Vec::new(),
-        })
-        .collect()
-}
-
-/// [`criteria_extra`] over the pipeline's pre-built dictionary, one
-/// scheduler task per column (criteria evaluation is CPU-bound and
-/// embarrassingly parallel per column), honouring the configured evaluation
-/// engine: compiled-VM per-distinct evaluation by default, the per-cell AST
-/// oracle when pinned. `dict` must describe `table`.
+/// per-column extra feature blocks for the feature builder (columns without
+/// criteria get an empty block). One scheduler task per column (criteria
+/// evaluation is CPU-bound and embarrassingly parallel per column),
+/// honouring the configured evaluation engine: compiled-VM per-distinct
+/// evaluation by default, the per-cell AST oracle when pinned. `dict` must
+/// describe `table`.
 pub fn criteria_extra_dict_on(
     scheduler: &zeroed_runtime::Scheduler,
     criteria: &[Option<CriteriaSet>],
@@ -138,7 +125,11 @@ mod tests {
         let scheduler = zeroed_runtime::Scheduler::with_workers(1);
         let crit = generate_criteria_on(&scheduler, &ds.dirty, &corr, &config, &llm);
         assert!(crit.iter().all(|c| c.as_ref().map(|s| !s.is_empty()).unwrap_or(false)));
-        let extra = criteria_extra(&crit, &ds.dirty);
+        let dict = ds.dirty.intern();
+        let extra_of = |crit: &[Option<CriteriaSet>]| {
+            criteria_extra_dict_on(&scheduler, crit, &ds.dirty, &dict, CriteriaEngine::Compiled)
+        };
+        let extra = extra_of(&crit);
         assert_eq!(extra.len(), ds.dirty.n_cols());
         assert_eq!(extra[0].len(), ds.dirty.n_rows());
 
@@ -150,7 +141,7 @@ mod tests {
             &llm,
         );
         assert!(none.iter().all(|c| c.is_none()));
-        assert!(criteria_extra(&none, &ds.dirty).iter().all(|e| e.is_empty()));
+        assert!(extra_of(&none).iter().all(|e| e.is_empty()));
     }
 
     #[test]

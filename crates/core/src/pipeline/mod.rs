@@ -145,12 +145,18 @@ impl ZeroEd {
     }
 
     /// The runtime response cache (shared with clones of this detector).
+    /// Before the first run its length is the number of records preloaded
+    /// from the store.
     pub fn cache(&self) -> &Arc<ResponseCache> {
         &self.cache
     }
 
     /// The persistence layer backing the cache, when a store is configured
-    /// and the cache is on (shared with clones of this detector).
+    /// and the cache is on (shared with clones of this detector). It keeps
+    /// the store's own facts: the recovery report from open
+    /// ([`StoreLayer::recovery`]), TTL expiries and live records
+    /// ([`StoreLayer::store_stats`]) and the shard count
+    /// (`layer.store().shard_count()`).
     pub fn store(&self) -> Option<&Arc<StoreLayer>> {
         self.store.as_ref()
     }
@@ -217,33 +223,16 @@ impl ZeroEd {
                 );
             }
             let mut outcome = self.run_stages(dirty, &cached, &profiler, recorder);
-            // Per-adapter counters, not a delta of the shared cache's
-            // global stats: clones of this detector share the cache and
-            // may detect concurrently, and their activity must not leak
-            // into this run's accounting.
-            let stats = cached.stats();
-            outcome.stats.cache_hits = stats.hits as usize;
-            outcome.stats.cache_misses = stats.misses as usize;
-            outcome.stats.cache_coalesced = stats.coalesced as usize;
-            outcome.stats.cache_tokens_saved = stats.tokens_saved() as usize;
-            outcome.stats.store_hits = stats.store_hits as usize;
+            // The run's own adapter and sink counters: clones of this
+            // detector share the cache and the store and may detect
+            // concurrently.
+            outcome.stats.cache = cached.stats();
             if let (Some(layer), Some(sink)) = (&self.store, &sink) {
                 // Wait for the background writer to drain this run's
                 // offers so the persisted counters are exact (a queue
                 // barrier, not an fsync — the hot path stayed unblocked).
                 layer.drain();
-                let persisted = sink.stats();
-                outcome.stats.store_persisted_records = persisted.persisted_records as usize;
-                outcome.stats.store_persisted_bytes = persisted.persisted_bytes as usize;
-                outcome.stats.store_preloaded_records = self.store_preloaded;
-                let recovery = layer.recovery();
-                outcome.stats.store_recovered_records = recovery.records_recovered;
-                outcome.stats.store_discarded_tails =
-                    recovery.tails_truncated + recovery.segments_skipped;
-                // TTL/GC accounting: expiries at open plus any a
-                // compaction performed while this run appended.
-                outcome.stats.store_expired_records = layer.store_stats().expired_records as usize;
-                outcome.stats.store_shards = layer.store().shard_count();
+                outcome.stats.persist = sink.stats();
             }
             outcome
         } else {
@@ -305,41 +294,30 @@ impl ZeroEd {
     }
 
     /// Runs detection across several LLM backends through a
-    /// [`zeroed_runtime::RouterLlm`] built by the caller (typically via
-    /// [`RouterLlm::from_runtime`] with this detector's
-    /// [`ZeroEdConfig::runtime`] policy).
+    /// [`zeroed_runtime::RouterLlm`] built by the caller
+    /// (`RouterLlm::new(clients, &router_config)`).
     ///
     /// The router is an ordinary [`LlmClient`], so the pipeline itself runs
     /// unchanged — [`ZeroEd::detect`] handles scheduling and caching exactly
-    /// as for a single backend. On top of that, this entry point folds the
-    /// router's activity (requests, failovers, hedges, breaker trips, hedge
-    /// waste) into the returned [`PipelineStats`].
+    /// as for a single backend. On top of that, this entry point installs
+    /// this run's flight recorder on the router while it runs, so its
+    /// routing decisions land in [`PipelineStats::trace`]. The router's activity
+    /// (requests, failovers, hedges, breaker trips, hedge waste) is
+    /// [`RouterLlm::stats`]: lifetime counters, so build a fresh router per
+    /// run or take your own deltas.
     ///
     /// Routing never changes the detection result: with response-equivalent
     /// backends, the mask is bit-identical to a single-backend sequential run
     /// under every fault schedule (asserted by the router conformance suite
     /// in `crates/runtime/tests/router_conformance.rs`).
     pub fn detect_routed(&self, dirty: &Table, router: &RouterLlm<'_>) -> DetectionOutcome {
-        let before = router.stats();
         // Pre-install the run's flight recorder on the router so its
         // admission/failover/hedge decisions land in the same journal as the
         // scheduler, cache, repair and store events.
         let recorder = TraceRecorder::new(self.config.seed);
         router.install_recorder(Arc::clone(&recorder));
-        let mut outcome = self.detect_recorded(dirty, router, &recorder);
+        let outcome = self.detect_recorded(dirty, router, &recorder);
         router.clear_recorder();
-        let delta_of = |now: u64, then: u64| (now - then) as usize;
-        let after = router.stats();
-        outcome.stats.router_backends = router.backend_count();
-        outcome.stats.router_requests = delta_of(after.requests, before.requests);
-        outcome.stats.router_failovers = delta_of(after.failovers, before.failovers);
-        outcome.stats.router_hedges_fired = delta_of(after.hedges_fired, before.hedges_fired);
-        outcome.stats.router_hedges_won =
-            delta_of(after.hedges_won_by_hedge, before.hedges_won_by_hedge);
-        outcome.stats.router_breaker_trips =
-            delta_of(after.breaker_trips, before.breaker_trips);
-        outcome.stats.router_hedge_waste_tokens =
-            delta_of(after.hedge_waste_tokens, before.hedge_waste_tokens);
         outcome
     }
 
@@ -664,16 +642,16 @@ mod tests {
         });
         let llm_cold = SimLlm::default_model(4).with_oracle(ds.mask.clone());
         let cold = detector.detect(&ds.dirty, &llm_cold);
-        assert_eq!(cold.stats.cache_hits, 0, "first run cannot hit");
-        assert!(cold.stats.cache_misses > 0);
+        assert_eq!(cold.stats.cache.hits, 0, "first run cannot hit");
+        assert!(cold.stats.cache.misses > 0);
 
         // Fresh client, same seed and oracle: every request replays.
         let llm_warm = SimLlm::default_model(4).with_oracle(ds.mask.clone());
         let warm = detector.detect(&ds.dirty, &llm_warm);
         assert_eq!(warm.mask, cold.mask, "replayed run must be bit-identical");
-        assert_eq!(warm.stats.cache_misses, 0, "warm run must be all hits");
-        assert_eq!(warm.stats.cache_hits, cold.stats.cache_misses);
-        assert!(warm.stats.cache_tokens_saved > 0);
+        assert_eq!(warm.stats.cache.misses, 0, "warm run must be all hits");
+        assert_eq!(warm.stats.cache.hits, cold.stats.cache.misses);
+        assert!(warm.stats.cache.tokens_saved() > 0);
         assert_eq!(
             llm_warm.ledger().usage().requests,
             0,

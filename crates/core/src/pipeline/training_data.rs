@@ -216,7 +216,13 @@ mod tests {
         let scheduler = zeroed_runtime::Scheduler::with_workers(1);
         let criteria =
             features::generate_criteria_on(&scheduler, &ds.dirty, &correlated, &config, &llm);
-        let extra = features::criteria_extra(&criteria, &ds.dirty);
+        let extra = features::criteria_extra_dict_on(
+            &scheduler,
+            &criteria,
+            &ds.dirty,
+            &ds.dirty.intern(),
+            crate::config::CriteriaEngine::Compiled,
+        );
         let feats = FeatureBuilder::new(FeatureConfig {
             embed_dim: 8,
             top_k_corr: 2,

@@ -2,9 +2,18 @@
 //! including the run's stage profile.
 
 use crate::pipeline::repair::RepairCounters;
+use zeroed_runtime::{CacheStats, PersistStats};
 use zeroed_table::ErrorMask;
 
 /// Summary counters describing what the pipeline did.
+///
+/// Every counter here is this run's own. Facts that outlive a run are read
+/// where they are kept: the store's recovery report, TTL expiries and shard
+/// count from [`crate::ZeroEd::store`], the records preloaded at construction
+/// from [`crate::ZeroEd::cache`]'s length before the first run, and router
+/// activity from the caller's [`zeroed_runtime::RouterLlm::stats`]. Those
+/// router counters cover the router's lifetime, so build a fresh router per
+/// run or take your own deltas.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Cells labelled directly by the LLM.
@@ -25,63 +34,20 @@ pub struct PipelineStats {
     /// Cells defaulted to clean because even the individual relabelling
     /// returned nothing.
     pub label_defaulted_cells: usize,
-    /// Response-cache hits during this run (requests answered without a
-    /// model call).
-    pub cache_hits: usize,
-    /// Response-cache misses (requests that executed the model).
-    pub cache_misses: usize,
-    /// Hits that coalesced onto an in-flight identical request.
-    pub cache_coalesced: usize,
-    /// Input + output tokens the cache hits avoided.
-    pub cache_tokens_saved: usize,
     /// Tasks executed by the runtime scheduler, on one worker as on many:
     /// one per attribute for each features fan-out (criteria generation and
     /// evaluation), and three per attribute for the streamed chain (sampling;
     /// labelling with training-data construction; the detector).
     pub runtime_tasks: usize,
-    /// Backends registered with the multi-backend router (0 when detection
-    /// ran on a single client; the remaining `router_*` fields are only
-    /// populated by [`crate::ZeroEd::detect_routed`]).
-    pub router_backends: usize,
-    /// Requests the router dispatched (cache hits never reach it).
-    pub router_requests: usize,
-    /// Failover skips over backends scheduled to error or time out.
-    pub router_failovers: usize,
-    /// Hedged requests fired against a second backend.
-    pub router_hedges_fired: usize,
-    /// Hedged races won by the hedge rather than the slow primary.
-    pub router_hedges_won: usize,
-    /// Circuit-breaker trips across all backends.
-    pub router_breaker_trips: usize,
-    /// Tokens charged to cancelled hedge losers (the price of the tail-latency
-    /// win; excluded from the useful-token ledger).
-    pub router_hedge_waste_tokens: usize,
-    /// Requests served by responses preloaded from the persisted on-disk
-    /// store (subset of `cache_hits`; 0 when no store is configured). A warm
-    /// cross-process run reports every request here.
-    pub store_hits: usize,
-    /// Persisted records preloaded into the cache when this detector opened
-    /// its store.
-    pub store_preloaded_records: usize,
-    /// Responses written through to the store during this run (the background
-    /// writer is drained before detection returns, so the count is exact).
-    pub store_persisted_records: usize,
-    /// Frame bytes appended to the store during this run.
-    pub store_persisted_bytes: usize,
-    /// Records the store's crash recovery salvaged when it was opened.
-    pub store_recovered_records: usize,
-    /// Records/segments the store's crash recovery had to discard (torn or
-    /// corrupt tails, version-mismatched segments) — truncation events, not
-    /// data this run produced.
-    pub store_discarded_tails: usize,
-    /// Records the store's TTL policy expired (at open, by compaction, or by
-    /// an explicit GC sweep) — stale experiment bins reclaimed, aggregated
-    /// across shards. 0 when no TTL is configured.
-    pub store_expired_records: usize,
-    /// Key-space shards of the configured store (1 = unsharded flat layout;
-    /// 0 when no store is configured). Shards let several detector
-    /// *processes* write one store root concurrently.
-    pub store_shards: usize,
+    /// This run's response-cache activity: the run's own
+    /// [`zeroed_runtime::CachedLlm::stats`], all zero when the cache is off.
+    /// `store_hits` counts hits on responses preloaded from the on-disk
+    /// store.
+    pub cache: CacheStats,
+    /// This run's write-through activity: the run's own
+    /// [`zeroed_runtime::StoreSink::stats`], drained before detection returns
+    /// so the counts are exact; all zero without a store.
+    pub persist: PersistStats,
     /// Per-stage repair-ladder counters: corrupted responses detected and
     /// how each was resolved (structural repair, re-ask, or deterministic
     /// default). Every stage reconciles exactly:
@@ -106,9 +72,9 @@ pub struct PipelineStats {
     /// Per-request causal trace for the run: exact per-kind event counts,
     /// ring drop count (0 in every shipped configuration), the journal and
     /// the slowest request-rooted exemplars. `TraceSummary::verify` checks
-    /// the journal's causality invariants; the bench reconciles its counts
-    /// against the cache / router / repair / store stats with zero
-    /// tolerance.
+    /// the journal's causality invariants; the tests and the bench reconcile
+    /// its counts against `cache`, `persist`, `repair`, `runtime_tasks` and
+    /// the caller's router stats with zero tolerance.
     pub trace: Option<zeroed_obs::TraceSummary>,
 }
 

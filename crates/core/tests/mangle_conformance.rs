@@ -23,9 +23,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use zeroed_core::{
-    HedgePolicy, PipelineStats, RouterConfig, RouterLlm, RuntimeConfig, ZeroEd, ZeroEdConfig,
-};
+use zeroed_core::{HedgePolicy, PipelineStats, RouterConfig, RouterLlm, ZeroEd, ZeroEdConfig};
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
 use zeroed_llm::{LlmClient, MangleSchedule, SimLlm};
 use zeroed_table::ErrorMask;
@@ -112,13 +110,8 @@ fn run_mode(
             let primary = mangled_llm(ds, schedule);
             let replica = mangled_llm(ds, schedule);
             let clients: Vec<&dyn LlmClient> = vec![&primary, &replica];
-            let runtime = RuntimeConfig {
-                router: Some(failover_only(2)),
-                ..RuntimeConfig::default()
-            };
-            let router = RouterLlm::from_runtime(&runtime, clients);
-            let outcome =
-                ZeroEd::new(config().with_runtime(runtime.clone())).detect_routed(&ds.dirty, &router);
+            let router = RouterLlm::new(clients, &failover_only(2));
+            let outcome = ZeroEd::new(config()).detect_routed(&ds.dirty, &router);
             (
                 outcome.mask,
                 outcome.stats,
@@ -252,13 +245,15 @@ fn warm_start_from_a_mangled_store_replays_repaired_responses() {
         let outcome = ZeroEd::new(store_config()).detect(&ds.dirty, &llm);
         assert_reconciles(&outcome.stats, llm.mangled_responses(), "cold mangled store");
         assert!(outcome.stats.repair.total_mangled() > 0);
-        assert!(outcome.stats.store_persisted_records > 0);
+        assert!(outcome.stats.persist.persisted_records > 0);
         (outcome.mask, outcome.stats)
         // ← detector drops: writes drained and synced, "process" exits.
     };
 
     let llm = mangled_llm(&ds, schedule);
-    let outcome = ZeroEd::new(store_config()).detect(&ds.dirty, &llm);
+    let detector = ZeroEd::new(store_config());
+    let preloaded = detector.cache().len() as u64;
+    let outcome = detector.detect(&ds.dirty, &llm);
     assert_eq!(outcome.mask, cold_mask, "warm mask must replay bit-identically");
     assert_eq!(
         llm.ledger().usage().requests, 0,
@@ -270,10 +265,8 @@ fn warm_start_from_a_mangled_store_replays_repaired_responses() {
         0,
         "cached responses are already repaired — nothing to do again"
     );
-    assert_eq!(outcome.stats.cache_misses, 0);
-    assert_eq!(
-        outcome.stats.store_preloaded_records,
-        cold_stats.store_persisted_records
-    );
+    assert_eq!(outcome.stats.cache.misses, 0);
+    assert_eq!(preloaded, cold_stats.persist.persisted_records);
+    drop(detector);
     let _ = std::fs::remove_dir_all(&dir);
 }

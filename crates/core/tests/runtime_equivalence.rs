@@ -81,12 +81,14 @@ fn check_equivalence(spec: DatasetSpec, rows: usize, seed: u64) {
         //    savings. A single cold run has no duplicate requests, so savings are
         //    zero and the totals match outright — asserted in the general form.
         assert_eq!(
-            conc_usage.input_tokens + conc_usage.output_tokens + conc.stats.cache_tokens_saved,
+            conc_usage.input_tokens
+                + conc_usage.output_tokens
+                + conc.stats.cache.tokens_saved() as usize,
             seq_usage.input_tokens + seq_usage.output_tokens,
             "{label}: tokens + savings must equal the sequential total"
         );
         assert_eq!(
-            conc_usage.requests + conc.stats.cache_hits,
+            conc_usage.requests + conc.stats.cache.hits as usize,
             seq_usage.requests,
             "{label}: requests + hits must equal the sequential request count"
         );
@@ -107,10 +109,13 @@ fn check_equivalence(spec: DatasetSpec, rows: usize, seed: u64) {
             TokenUsage::default(),
             "{label}: warm run must charge nothing"
         );
-        assert_eq!(warm.stats.cache_misses, 0, "{label}");
-        assert_eq!(warm.stats.cache_hits, seq_usage.requests, "{label}");
+        assert_eq!(warm.stats.cache.misses, 0, "{label}");
         assert_eq!(
-            warm.stats.cache_tokens_saved,
+            warm.stats.cache.hits as usize, seq_usage.requests,
+            "{label}"
+        );
+        assert_eq!(
+            warm.stats.cache.tokens_saved() as usize,
             seq_usage.input_tokens + seq_usage.output_tokens,
             "{label}: warm savings must equal the full sequential token bill"
         );
@@ -141,8 +146,7 @@ fn uncached_concurrent_run_matches_too() {
     .detect(&ds.dirty, &llm_conc);
     assert_eq!(seq.mask, conc.mask);
     assert_eq!(llm_seq.ledger().usage(), llm_conc.ledger().usage());
-    assert_eq!(conc.stats.cache_hits, 0);
-    assert_eq!(conc.stats.cache_misses, 0);
+    assert_eq!(conc.stats.cache, Default::default(), "no cache, no lookups");
     assert!(conc.stats.runtime_tasks > 0);
 }
 

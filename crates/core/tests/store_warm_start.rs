@@ -14,7 +14,10 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use zeroed_core::{RouterConfig, RouterLlm, RuntimeConfig, StoreConfig, ZeroEd, ZeroEdConfig};
+use zeroed_core::{
+    CacheStats, PersistStats, PipelineStats, RouterConfig, RouterLlm, RouterStats, RuntimeConfig,
+    StoreConfig, ZeroEd, ZeroEdConfig,
+};
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
 use zeroed_llm::{FaultSchedule, LlmClient, SimLlm, TokenUsage};
 use zeroed_table::ErrorMask;
@@ -70,18 +73,18 @@ enum Arm {
 }
 
 /// Runs one detection in the given mode against a fresh oracle client,
-/// returning (mask, usage, outcome stats).
+/// returning (mask, usage, outcome stats, the run's router stats).
 fn run_arm(
     arm: Arm,
     detector: &ZeroEd,
     ds: &zeroed_datagen::GeneratedDataset,
     seed: u64,
-) -> (ErrorMask, TokenUsage, zeroed_core::PipelineStats) {
+) -> (ErrorMask, TokenUsage, PipelineStats, RouterStats) {
     match arm {
         Arm::Concurrent => {
             let llm = oracle_llm(ds, seed);
             let outcome = detector.detect(&ds.dirty, &llm);
-            (outcome.mask, llm.ledger().usage(), outcome.stats)
+            (outcome.mask, llm.ledger().usage(), outcome.stats, RouterStats::default())
         }
         Arm::Routed => {
             // Two response-equivalent backends, one scheduled with faults, so
@@ -94,20 +97,14 @@ fn run_arm(
             let primary = oracle_llm(ds, seed).with_faults(faults);
             let replica = oracle_llm(ds, seed);
             let clients: Vec<&dyn LlmClient> = vec![&primary, &replica];
-            let router = RouterLlm::from_runtime(
-                &RuntimeConfig {
-                    router: Some(RouterConfig::for_backends(2)),
-                    ..detector.config().runtime.clone()
-                },
-                clients,
-            );
+            let router = RouterLlm::new(clients, &RouterConfig::for_backends(2));
             let outcome = detector.detect_routed(&ds.dirty, &router);
             let mut usage = primary.ledger().usage();
             let replica_usage = replica.ledger().usage();
             usage.requests += replica_usage.requests;
             usage.input_tokens += replica_usage.input_tokens;
             usage.output_tokens += replica_usage.output_tokens;
-            (outcome.mask, usage, outcome.stats)
+            (outcome.mask, usage, outcome.stats, router.stats())
         }
     }
 }
@@ -132,19 +129,20 @@ fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
 
     // Cold run: fresh store directory, every request hits the model once and
     // is written through.
-    let (cold_mask, cold_usage, cold_stats) = {
+    let (cold_mask, cold_usage, cold_stats, _) = {
         let detector = ZeroEd::new(base_config(&dir));
-        let result = run_arm(cold_arm, &detector, &ds, seed);
         assert_eq!(
-            result.2.store_preloaded_records, 0,
+            detector.cache().len(),
+            0,
             "[{cold_arm:?}→{warm_arm:?}] cold run preloads nothing"
         );
+        let result = run_arm(cold_arm, &detector, &ds, seed);
         assert_eq!(
-            result.2.store_persisted_records, result.2.cache_misses,
+            result.2.persist.persisted_records, result.2.cache.misses,
             "[{cold_arm:?}→{warm_arm:?}] every miss must be written through"
         );
-        assert!(result.2.store_persisted_bytes > 0);
-        assert_eq!(result.2.store_hits, 0);
+        assert!(result.2.persist.persisted_bytes > 0);
+        assert_eq!(result.2.cache.store_hits, 0);
         result
         // ← the detector (and the store writer) drops here: the "process"
         //   exits, leaving only the bytes on disk.
@@ -154,14 +152,18 @@ fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
         "[{cold_arm:?}→{warm_arm:?}] cold mask diverged from the sequential oracle"
     );
     assert_eq!(
-        cold_usage.input_tokens + cold_usage.output_tokens + cold_stats.cache_tokens_saved,
+        cold_usage.input_tokens
+            + cold_usage.output_tokens
+            + cold_stats.cache.tokens_saved() as usize,
         seq_usage.input_tokens + seq_usage.output_tokens,
         "[{cold_arm:?}→{warm_arm:?}] cold tokens + dedup savings = sequential bill"
     );
 
     // Warm run: a brand-new detector (fresh cache) re-opens the store.
     let warm_detector = ZeroEd::new(base_config(&dir));
-    let (warm_mask, warm_usage, warm_stats) = run_arm(warm_arm, &warm_detector, &ds, seed);
+    let preloaded = warm_detector.cache().len() as u64;
+    let (warm_mask, warm_usage, warm_stats, warm_router) =
+        run_arm(warm_arm, &warm_detector, &ds, seed);
 
     // 1. Bit-identical masks.
     assert_eq!(
@@ -174,30 +176,29 @@ fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
         TokenUsage::default(),
         "[{cold_arm:?}→{warm_arm:?}] warm run must not touch any backend"
     );
-    if warm_arm == Arm::Routed {
-        assert_eq!(
-            warm_stats.router_requests, 0,
-            "cache hits must short-circuit before routing"
-        );
-    }
-    // 3. Every request is a store hit; nothing is re-persisted.
-    assert_eq!(warm_stats.cache_misses, 0);
-    assert_eq!(warm_stats.cache_hits, warm_stats.store_hits);
-    assert_eq!(warm_stats.store_persisted_records, 0);
     assert_eq!(
-        warm_stats.store_preloaded_records, cold_stats.store_persisted_records,
+        warm_router.requests, 0,
+        "cache hits must short-circuit before routing"
+    );
+    // 3. Every request is a store hit; nothing is re-persisted.
+    assert_eq!(warm_stats.cache.misses, 0);
+    assert_eq!(warm_stats.cache.hits, warm_stats.cache.store_hits);
+    assert_eq!(warm_stats.persist.persisted_records, 0);
+    assert_eq!(
+        preloaded, cold_stats.persist.persisted_records,
         "[{cold_arm:?}→{warm_arm:?}] preload must replay the whole cold store"
     );
-    assert_eq!(warm_stats.store_recovered_records, cold_stats.store_persisted_records);
+    let recovery = warm_detector.store().unwrap().recovery();
+    assert_eq!(recovery.records_recovered as u64, cold_stats.persist.persisted_records);
     // 4. Ledger reconciliation: the warm run's reported savings are exactly
     //    the sequential bill (= what the cold run paid in total, dedup
     //    savings included).
     assert_eq!(
-        warm_stats.cache_tokens_saved,
+        warm_stats.cache.tokens_saved() as usize,
         seq_usage.input_tokens + seq_usage.output_tokens,
         "[{cold_arm:?}→{warm_arm:?}] warm savings must equal the full sequential token bill"
     );
-    assert_eq!(warm_stats.cache_hits, seq_usage.requests);
+    assert_eq!(warm_stats.cache.hits as usize, seq_usage.requests);
 
     drop(warm_detector);
     let _ = std::fs::remove_dir_all(&dir);
@@ -237,7 +238,7 @@ fn warm_start_survives_truncation_of_the_last_segment() {
         let llm = oracle_llm(&ds, seed);
         detector.detect(&ds.dirty, &llm).stats
     };
-    assert!(cold_stats.store_persisted_records > 0);
+    assert!(cold_stats.persist.persisted_records > 0);
     let oracle_mask = {
         let llm = oracle_llm(&ds, seed);
         ZeroEd::new(
@@ -265,18 +266,19 @@ fn warm_start_survives_truncation_of_the_last_segment() {
     let llm = oracle_llm(&ds, seed);
     let outcome = detector.detect(&ds.dirty, &llm);
     assert_eq!(outcome.mask, oracle_mask, "recovered warm run must stay bit-identical");
+    let recovery = detector.store().unwrap().recovery();
     assert!(
-        outcome.stats.store_recovered_records < cold_stats.store_persisted_records,
+        (recovery.records_recovered as u64) < cold_stats.persist.persisted_records,
         "truncation must have cost some records"
     );
-    assert!(outcome.stats.store_discarded_tails >= 1);
-    assert!(outcome.stats.store_hits > 0, "the surviving prefix still serves");
+    assert!(recovery.tails_truncated + recovery.segments_skipped >= 1);
+    assert!(outcome.stats.cache.store_hits > 0, "the surviving prefix still serves");
     assert!(
-        outcome.stats.cache_misses > 0,
+        outcome.stats.cache.misses > 0,
         "lost responses are recomputed, not lost"
     );
     assert_eq!(
-        outcome.stats.store_persisted_records, outcome.stats.cache_misses,
+        outcome.stats.persist.persisted_records, outcome.stats.cache.misses,
         "recomputed responses are re-persisted"
     );
     drop(detector);
@@ -286,7 +288,7 @@ fn warm_start_survives_truncation_of_the_last_segment() {
     let llm = oracle_llm(&ds, seed);
     let outcome = detector.detect(&ds.dirty, &llm);
     assert_eq!(outcome.mask, oracle_mask);
-    assert_eq!(outcome.stats.cache_misses, 0);
+    assert_eq!(outcome.stats.cache.misses, 0);
     assert_eq!(llm.ledger().usage(), TokenUsage::default());
     drop(detector);
     let _ = std::fs::remove_dir_all(&dir);
@@ -389,7 +391,7 @@ fn sharded_concurrent_writers_warm_start_with_zero_requests() {
     // its slots before a slow one opens, which would let the slow one
     // reclaim the freed slot instead of exercising true concurrency.
     let detectors: Vec<ZeroEd> = (0..WRITERS).map(|_| ZeroEd::new(sharded(&dir))).collect();
-    let cold: Vec<(zeroed_table::ErrorMask, usize)> = std::thread::scope(|scope| {
+    let cold: Vec<(zeroed_table::ErrorMask, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = detectors
             .into_iter()
             .enumerate()
@@ -400,17 +402,17 @@ fn sharded_concurrent_writers_warm_start_with_zero_requests() {
                     let llm = oracle_llm(ds, 100 + w);
                     let outcome = detector.detect(&ds.dirty, &llm);
                     assert_eq!(
-                        outcome.stats.store_persisted_records, outcome.stats.cache_misses,
+                        outcome.stats.persist.persisted_records, outcome.stats.cache.misses,
                         "writer {w}: every miss must be written through"
                     );
-                    assert_eq!(outcome.stats.store_shards, 4);
-                    (outcome.mask, outcome.stats.store_persisted_records)
+                    assert_eq!(detector.store().unwrap().store().shard_count(), 4);
+                    (outcome.mask, outcome.stats.persist.persisted_records)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let total_persisted: usize = cold.iter().map(|(_, persisted)| persisted).sum();
+    let total_persisted: u64 = cold.iter().map(|(_, persisted)| persisted).sum();
     assert!(total_persisted > 0);
 
     // The root must actually be sharded, with one claimed slot per writer.
@@ -426,7 +428,11 @@ fn sharded_concurrent_writers_warm_start_with_zero_requests() {
     // writers' key sets are disjoint, so the preload count proves the merge
     // crossed writer slots).
     let warm_detector = ZeroEd::new(sharded(&dir));
-    let mut checked_preload = false;
+    assert_eq!(
+        warm_detector.cache().len() as u64,
+        total_persisted,
+        "the preload must merge all {WRITERS} writers' disjoint records"
+    );
     for (w, (cold_mask, _)) in cold.iter().enumerate() {
         let llm = oracle_llm(&ds, 100 + w as u64);
         let outcome = warm_detector.detect(&ds.dirty, &llm);
@@ -439,15 +445,8 @@ fn sharded_concurrent_writers_warm_start_with_zero_requests() {
             TokenUsage::default(),
             "writer {w}: warm run must issue zero LLM requests"
         );
-        assert_eq!(outcome.stats.cache_misses, 0);
-        assert_eq!(outcome.stats.store_persisted_records, 0);
-        if !checked_preload {
-            assert_eq!(
-                outcome.stats.store_preloaded_records, total_persisted,
-                "the preload must merge all {WRITERS} writers' disjoint records"
-            );
-            checked_preload = true;
-        }
+        assert_eq!(outcome.stats.cache.misses, 0);
+        assert_eq!(outcome.stats.persist.persisted_records, 0);
     }
     drop(warm_detector);
     let _ = std::fs::remove_dir_all(&dir);
@@ -466,7 +465,7 @@ fn v1_era_stores_still_open_and_warm_start() {
         let detector = ZeroEd::new(base_config(&dir));
         let llm = oracle_llm(&ds, seed);
         let outcome = detector.detect(&ds.dirty, &llm);
-        (outcome.mask, outcome.stats.store_persisted_records)
+        (outcome.mask, outcome.stats.persist.persisted_records)
     };
     assert!(cold_persisted > 0);
 
@@ -474,6 +473,7 @@ fn v1_era_stores_still_open_and_warm_start() {
     rewrite_segments(&dir, &downconvert_segment_to_v1);
 
     let warm_detector = ZeroEd::new(base_config(&dir));
+    let preloaded = warm_detector.cache().len() as u64;
     let llm = oracle_llm(&ds, seed);
     let outcome = warm_detector.detect(&ds.dirty, &llm);
     assert_eq!(outcome.mask, cold_mask, "v1 warm mask must be bit-identical");
@@ -482,16 +482,17 @@ fn v1_era_stores_still_open_and_warm_start() {
         TokenUsage::default(),
         "v1 warm start must issue zero LLM requests"
     );
-    assert_eq!(outcome.stats.cache_misses, 0);
-    assert_eq!(outcome.stats.store_preloaded_records, cold_persisted);
-    assert_eq!(outcome.stats.store_recovered_records, cold_persisted);
+    assert_eq!(outcome.stats.cache.misses, 0);
+    assert_eq!(preloaded, cold_persisted);
+    let recovered = warm_detector.store().unwrap().recovery().records_recovered;
+    assert_eq!(recovered as u64, cold_persisted);
     drop(warm_detector);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// TTL/GC conformance: a store whose records have outlived the TTL serves
-/// nothing — the stale bin is reclaimed, the expiry is reconciled in
-/// `PipelineStats`, the lost responses are recomputed and re-persisted, and
+/// nothing — the stale bin is reclaimed, the expiry is reconciled in the
+/// store's own stats, the lost responses are recomputed and re-persisted, and
 /// the *next* open is fully warm again.
 #[test]
 fn expired_records_are_gone_after_gc_with_counts_reconciled() {
@@ -516,8 +517,9 @@ fn expired_records_are_gone_after_gc_with_counts_reconciled() {
         let detector = ZeroEd::new(ttl_config(&dir));
         let llm = oracle_llm(&ds, seed);
         let outcome = detector.detect(&ds.dirty, &llm);
-        assert_eq!(outcome.stats.store_expired_records, 0, "fresh records don't expire");
-        outcome.stats.store_persisted_records
+        let expired = detector.store().unwrap().store_stats().expired_records;
+        assert_eq!(expired, 0, "fresh records don't expire");
+        outcome.stats.persist.persisted_records
     };
     assert!(cold_persisted > 0);
 
@@ -528,19 +530,20 @@ fn expired_records_are_gone_after_gc_with_counts_reconciled() {
     // Second run: the whole bin is expired at open — every record is
     // recomputed (paying the model) and re-persisted at a fresh epoch.
     let detector = ZeroEd::new(ttl_config(&dir));
+    assert_eq!(detector.cache().len(), 0, "expired records never preload");
     let llm = oracle_llm(&ds, seed);
     let outcome = detector.detect(&ds.dirty, &llm);
     assert_eq!(
-        outcome.stats.store_expired_records, cold_persisted,
+        detector.store().unwrap().store_stats().expired_records,
+        cold_persisted,
         "every stale record must be accounted as expired"
     );
-    assert_eq!(outcome.stats.store_preloaded_records, 0, "expired records never preload");
-    assert_eq!(outcome.stats.store_hits, 0);
+    assert_eq!(outcome.stats.cache.store_hits, 0);
     assert_eq!(
-        outcome.stats.cache_misses, cold_persisted,
+        outcome.stats.cache.misses, cold_persisted,
         "every response is recomputed, none lost"
     );
-    assert_eq!(outcome.stats.store_persisted_records, cold_persisted);
+    assert_eq!(outcome.stats.persist.persisted_records, cold_persisted);
     assert!(llm.ledger().usage().requests > 0, "the model was consulted again");
     drop(detector);
 
@@ -548,15 +551,15 @@ fn expired_records_are_gone_after_gc_with_counts_reconciled() {
     // physically gone from disk (compacted away), and a third open is fully
     // warm with zero expiries.
     let report = zeroed_store::inspect(&dir).unwrap();
-    assert_eq!(report.live.len(), cold_persisted);
+    assert_eq!(report.live.len() as u64, cold_persisted);
     let (min_epoch, _) = report.epoch_range().unwrap();
     assert!(min_epoch > stale_epoch, "no stale frame survives on disk");
 
     let detector = ZeroEd::new(ttl_config(&dir));
     let llm = oracle_llm(&ds, seed);
     let outcome = detector.detect(&ds.dirty, &llm);
-    assert_eq!(outcome.stats.store_expired_records, 0);
-    assert_eq!(outcome.stats.cache_misses, 0);
+    assert_eq!(detector.store().unwrap().store_stats().expired_records, 0);
+    assert_eq!(outcome.stats.cache.misses, 0);
     assert_eq!(llm.ledger().usage(), TokenUsage::default());
     drop(detector);
     let _ = std::fs::remove_dir_all(&dir);
@@ -573,7 +576,7 @@ fn store_tool_verify_flags_truncation_without_modifying_the_store() {
         let detector = ZeroEd::new(base_config(&dir));
         let llm = oracle_llm(&ds, 29);
         let outcome = detector.detect(&ds.dirty, &llm);
-        assert!(outcome.stats.store_persisted_records > 0);
+        assert!(outcome.stats.persist.persisted_records > 0);
     }
     assert!(zeroed_store::verify(&dir).unwrap().is_empty(), "fresh store verifies clean");
 
@@ -613,6 +616,67 @@ fn store_tool_verify_flags_truncation_without_modifying_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Clones of one store-backed detector share its cache and store, yet each
+/// run's `stats.cache` and `stats.persist` count that run alone: two clones
+/// detecting concurrently with distinct seeds (disjoint request keys) each
+/// report exactly what the same seed reports solo on a fresh detector, and
+/// persist exactly their own misses. A fresh detector then warm-starts both.
+#[test]
+fn clones_keep_per_run_counts() {
+    let ds = dataset();
+    let dir = temp_dir();
+    let seeds = [41u64, 42];
+    // The solo runs use no store, so they leave `dir` empty.
+    let solo: Vec<(ErrorMask, CacheStats)> = seeds
+        .iter()
+        .map(|&seed| {
+            let llm = oracle_llm(&ds, seed);
+            let config = ZeroEdConfig {
+                runtime: RuntimeConfig {
+                    workers: 4,
+                    ..RuntimeConfig::default()
+                },
+                ..base_config(&dir)
+            };
+            let outcome = ZeroEd::new(config).detect(&ds.dirty, &llm);
+            (outcome.mask, outcome.stats.cache)
+        })
+        .collect();
+
+    let detector = ZeroEd::new(base_config(&dir));
+    let runs: Vec<(ErrorMask, PipelineStats)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                let (clone, ds) = (detector.clone(), &ds);
+                scope.spawn(move || {
+                    let llm = oracle_llm(ds, seed);
+                    let outcome = clone.detect(&ds.dirty, &llm);
+                    (outcome.mask, outcome.stats)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    drop(detector);
+    for ((mask, stats), (solo_mask, solo_cache)) in runs.iter().zip(&solo) {
+        assert_eq!(mask, solo_mask);
+        assert_eq!(&stats.cache, solo_cache, "a clone's run counts its own lookups only");
+        assert!(stats.cache.misses > 0);
+        assert_eq!(stats.persist.persisted_records, stats.cache.misses);
+    }
+
+    let warm = ZeroEd::new(base_config(&dir));
+    for ((cold_mask, _), &seed) in runs.iter().zip(&seeds) {
+        let llm = oracle_llm(&ds, seed);
+        let outcome = warm.detect(&ds.dirty, &llm);
+        assert_eq!(&outcome.mask, cold_mask);
+        assert_eq!(llm.ledger().usage(), TokenUsage::default());
+    }
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sequential_mode_ignores_the_store_by_design() {
     // The sequential run is the correctness baseline: one worker, no cache,
@@ -630,8 +694,8 @@ fn sequential_mode_ignores_the_store_by_design() {
     );
     let outcome = detector.detect(&ds.dirty, &llm);
     assert!(llm.ledger().usage().requests > 0);
-    assert_eq!(outcome.stats.store_persisted_records, 0);
-    assert_eq!(outcome.stats.store_hits, 0);
+    assert_eq!(outcome.stats.persist.persisted_records, 0);
+    assert_eq!(outcome.stats.cache.store_hits, 0);
     drop(detector);
     // Nothing was written: a later open recovers zero records.
     let detector = ZeroEd::new(base_config(&dir));
@@ -657,6 +721,13 @@ fn a_detector_without_the_cache_leaves_the_store_unopened() {
         .expect("an uncached detector must not hold the store's lock");
     assert!(uncached.store().is_none());
     assert!(cached.store().is_some());
+    // Without the cache a run makes no lookups and persists nothing.
+    let ds = dataset();
+    let llm = oracle_llm(&ds, 31);
+    let outcome = uncached.detect(&ds.dirty, &llm);
+    assert!(llm.ledger().usage().requests > 0);
+    assert_eq!(outcome.stats.cache, CacheStats::default());
+    assert_eq!(outcome.stats.persist, PersistStats::default());
     drop((uncached, cached));
     let _ = std::fs::remove_dir_all(&dir);
 }

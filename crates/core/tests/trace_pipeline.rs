@@ -1,16 +1,17 @@
 //! Flight-recorder conformance across the pipeline's execution modes: every
 //! run publishes a [`zeroed_obs::TraceSummary`] whose journal (a) passes the
 //! causality checker and (b) reconciles **exactly** — zero tolerance —
-//! against the independently maintained cache, scheduler, router, repair and
-//! store counters in [`zeroed_core::PipelineStats`]. The trace is not a
-//! sample: for every counter the pipeline reports there is an equal number
-//! of journaled events, in {sequential, concurrent+cached (cold and warm),
+//! against the independently maintained cache, scheduler, repair and store
+//! counters in [`zeroed_core::PipelineStats`] and the router's own
+//! [`zeroed_core::RouterStats`]. The trace is not a sample: for every
+//! counter the pipeline reports there is an equal number of journaled
+//! events, in {sequential, concurrent+cached (cold and warm),
 //! routed-with-faults, mangled} runs alike.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use zeroed_core::{
-    PipelineStats, RouterConfig, RouterLlm, RuntimeConfig, ZeroEd, ZeroEdConfig,
+    PipelineStats, RouterConfig, RouterLlm, RouterStats, RuntimeConfig, ZeroEd, ZeroEdConfig,
 };
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
 use zeroed_llm::{FaultSchedule, LlmClient, MangleSchedule, SimLlm};
@@ -54,10 +55,15 @@ fn config() -> ZeroEdConfig {
     }
 }
 
-/// The zero-tolerance ledger: journal counts == pipeline counters, and the
-/// journal itself is causally consistent. Returns the summary for
-/// mode-specific follow-up assertions.
-fn assert_trace_reconciles(stats: &PipelineStats, label: &str) -> zeroed_obs::TraceSummary {
+/// The zero-tolerance ledger: journal counts == pipeline counters (and the
+/// router's own counters, all zero for an unrouted run), and the journal
+/// itself is causally consistent. Returns the summary for mode-specific
+/// follow-up assertions.
+fn assert_trace_reconciles(
+    stats: &PipelineStats,
+    router: &RouterStats,
+    label: &str,
+) -> zeroed_obs::TraceSummary {
     let trace = stats
         .trace
         .clone()
@@ -75,51 +81,43 @@ fn assert_trace_reconciles(stats: &PipelineStats, label: &str) -> zeroed_obs::Tr
 
     // Cache: the per-adapter counters and the journal were written on the
     // same code paths but through independent mechanisms.
-    assert_eq!(
-        trace.count(EventKind::CacheHit),
-        stats.cache_hits as u64,
-        "[{label}] hits"
-    );
-    assert_eq!(
-        trace.count(EventKind::CacheMiss),
-        stats.cache_misses as u64,
-        "[{label}] misses"
-    );
+    assert_eq!(trace.count(EventKind::CacheHit), stats.cache.hits, "[{label}] hits");
+    assert_eq!(trace.count(EventKind::CacheMiss), stats.cache.misses, "[{label}] misses");
     assert_eq!(
         trace.count(EventKind::CacheCoalesced),
-        stats.cache_coalesced as u64,
+        stats.cache.coalesced,
         "[{label}] coalesced"
     );
     assert_eq!(
         trace.count(EventKind::CachePublish),
-        stats.cache_misses as u64,
+        stats.cache.misses,
         "[{label}] every miss publishes exactly once"
     );
 
     // Router: one RouterDone per routed request, faults/failovers exact.
     assert_eq!(
         trace.count(EventKind::RouterDone),
-        stats.router_requests as u64,
+        router.requests,
         "[{label}] routed requests"
     );
     assert_eq!(
         trace.count(EventKind::RouterFailover),
-        stats.router_failovers as u64,
+        router.failovers,
         "[{label}] failovers"
     );
     assert_eq!(
         trace.count(EventKind::HedgeFired),
-        stats.router_hedges_fired as u64,
+        router.hedges_fired,
         "[{label}] hedges fired"
     );
     assert_eq!(
         trace.count(EventKind::HedgeWon),
-        stats.router_hedges_won as u64,
+        router.hedges_won_by_hedge,
         "[{label}] hedges won"
     );
     assert_eq!(
         trace.count(EventKind::BreakerTrip),
-        stats.router_breaker_trips as u64,
+        router.breaker_trips,
         "[{label}] breaker trips"
     );
 
@@ -150,7 +148,7 @@ fn assert_trace_reconciles(stats: &PipelineStats, label: &str) -> zeroed_obs::Tr
     // background writer thread, exact after the drain barrier).
     assert_eq!(
         trace.count(EventKind::StorePersist),
-        stats.store_persisted_records as u64,
+        stats.persist.persisted_records,
         "[{label}] persists"
     );
 
@@ -162,7 +160,7 @@ fn sequential_run_traces_repair_only() {
     let ds = dataset();
     let llm = oracle_llm(&ds, 13);
     let outcome = ZeroEd::new(config().sequential_runtime()).detect(&ds.dirty, &llm);
-    let trace = assert_trace_reconciles(&outcome.stats, "sequential");
+    let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), "sequential");
     // One worker still journals every task (the reconciliation above checks
     // submit, start and end against the count), but the run has no cache,
     // router or store.
@@ -183,9 +181,9 @@ fn concurrent_cached_run_traces_every_layer_exactly() {
 
     let llm = oracle_llm(&ds, 13);
     let cold = detector.detect(&ds.dirty, &llm);
-    let trace = assert_trace_reconciles(&cold.stats, "concurrent cold");
+    let trace = assert_trace_reconciles(&cold.stats, &RouterStats::default(), "concurrent cold");
     assert!(cold.stats.runtime_tasks > 0, "fan-out must happen");
-    assert!(cold.stats.cache_misses > 0, "cold run must miss");
+    assert!(cold.stats.cache.misses > 0, "cold run must miss");
     assert!(
         !trace.exemplars.is_empty(),
         "request-rooted traces must yield exemplars"
@@ -200,9 +198,9 @@ fn concurrent_cached_run_traces_every_layer_exactly() {
     // Warm re-run on the same detector: all hits, still exact.
     let llm_warm = oracle_llm(&ds, 13);
     let warm = detector.detect(&ds.dirty, &llm_warm);
-    let trace = assert_trace_reconciles(&warm.stats, "concurrent warm");
-    assert_eq!(warm.stats.cache_misses, 0);
-    assert!(warm.stats.cache_hits > 0);
+    let trace = assert_trace_reconciles(&warm.stats, &RouterStats::default(), "concurrent warm");
+    assert_eq!(warm.stats.cache.misses, 0);
+    assert!(warm.stats.cache.hits > 0);
     assert_eq!(trace.count(EventKind::CachePublish), 0);
 }
 
@@ -219,22 +217,16 @@ fn routed_run_with_faults_traces_router_decisions() {
     let clients: Vec<&dyn LlmClient> = vec![&primary, &replica];
     let runtime = RuntimeConfig {
         workers: 4,
-        router: Some(RouterConfig::for_backends(2)),
         ..RuntimeConfig::default()
     };
-    let router = RouterLlm::from_runtime(&runtime, clients);
-    let outcome = ZeroEd::new(config().with_runtime(runtime.clone())).detect_routed(&ds.dirty, &router);
-    let trace = assert_trace_reconciles(&outcome.stats, "routed");
-    assert!(outcome.stats.router_requests > 0);
-    assert!(
-        outcome.stats.router_failovers > 0,
-        "the fault schedule must force failovers"
-    );
+    let router = RouterLlm::new(clients, &RouterConfig::for_backends(2));
+    let outcome = ZeroEd::new(config().with_runtime(runtime)).detect_routed(&ds.dirty, &router);
+    let routed = router.stats();
+    let trace = assert_trace_reconciles(&outcome.stats, &routed, "routed");
+    assert!(routed.requests > 0);
+    assert!(routed.failovers > 0, "the fault schedule must force failovers");
     // Every routed request chose a primary before anything else happened.
-    assert_eq!(
-        trace.count(EventKind::RouterPrimary),
-        outcome.stats.router_requests as u64
-    );
+    assert_eq!(trace.count(EventKind::RouterPrimary), routed.requests);
     // Faults journaled at the injection site are at least the failovers
     // (slow-tail faults add more, and hedged losers add none).
     assert!(trace.count(EventKind::FaultInjected) >= trace.count(EventKind::RouterFailover));
@@ -257,7 +249,7 @@ fn mangled_run_traces_the_degradation_ledger() {
         ..RuntimeConfig::default()
     }))
     .detect(&ds.dirty, &llm);
-    let trace = assert_trace_reconciles(&outcome.stats, "mangled");
+    let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), "mangled");
     assert!(
         outcome.stats.repair.total_mangled() > 0,
         "rate 0.5 must corrupt something"
@@ -278,8 +270,8 @@ fn persisted_run_traces_store_writes_and_the_preload() {
     let cold = {
         let llm = oracle_llm(&ds, 13);
         let outcome = ZeroEd::new(store_config()).detect(&ds.dirty, &llm);
-        let trace = assert_trace_reconciles(&outcome.stats, "cold store");
-        assert!(outcome.stats.store_persisted_records > 0);
+        let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), "cold store");
+        assert!(outcome.stats.persist.persisted_records > 0);
         // The preload marker is journaled exactly once, carrying the
         // warm-start size this run saw (zero: the directory was fresh).
         assert_eq!(trace.count(EventKind::StorePreload), 1);
@@ -293,21 +285,22 @@ fn persisted_run_traces_store_writes_and_the_preload() {
     };
 
     // Fresh detector, same directory: preload arg now equals the cold run's
-    // persisted count, and no new persists are journaled.
+    // persisted count and the cache's size before the run, and no new
+    // persists are journaled.
     let llm = oracle_llm(&ds, 13);
-    let outcome = ZeroEd::new(store_config()).detect(&ds.dirty, &llm);
-    let trace = assert_trace_reconciles(&outcome.stats, "warm store");
+    let detector = ZeroEd::new(store_config());
+    let preloaded = detector.cache().len() as u64;
+    let outcome = detector.detect(&ds.dirty, &llm);
+    let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), "warm store");
     assert_eq!(trace.count(EventKind::StorePersist), 0);
     let preload = trace
         .events
         .iter()
         .find(|e| e.kind == EventKind::StorePreload)
         .expect("preload event must survive in the ring");
-    assert_eq!(preload.arg, cold.stats.store_persisted_records as u64);
-    assert_eq!(
-        outcome.stats.store_preloaded_records,
-        cold.stats.store_persisted_records
-    );
+    assert_eq!(preload.arg, cold.stats.persist.persisted_records);
+    assert_eq!(preloaded, cold.stats.persist.persisted_records);
+    drop(detector);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -29,16 +29,16 @@
 //! ## The two halves
 //!
 //! * [`dsl`] — the check algebra itself plus evaluation: a [`Criterion`]
-//!   couples a [`Check`] with the rationale the (simulated) LLM produced;
-//!   `criteria_features` turns a [`CriteriaSet`] into binary per-cell
-//!   feature columns ("error reason-aware features", §III-B) that are
-//!   appended to the unified representation.
-//! * [`verify`] — the mutual-verification half of Algorithm 1: criteria are
-//!   scored against propagated clean labels and dropped below an accuracy
-//!   threshold ([`filter_criteria`]), then the surviving criteria discard
-//!   unreliable propagated labels ([`filter_rows`]) — each side cleans the
-//!   other, which is what lets a zero-shot system train a detector on its
-//!   own labels.
+//!   couples a [`Check`] with the rationale the (simulated) LLM produced.
+//! * [`verify`] — turns a [`CriteriaSet`] into binary per-cell feature
+//!   columns ("error reason-aware features", §III-B) that are appended to
+//!   the unified representation ([`criteria_features_dict`]), and runs the
+//!   mutual-verification half of Algorithm 1: criteria are scored against
+//!   propagated clean labels and dropped below an accuracy threshold
+//!   ([`filter_criteria_dict`]), then the surviving criteria discard
+//!   unreliable propagated labels ([`filter_rows_dict`]) — each side cleans
+//!   the other, which is what lets a zero-shot system train a detector on
+//!   its own labels.
 //!
 //! Checks are pure and total: evaluation never panics on malformed cell
 //! values (a value that fails to parse simply fails the check), which the
@@ -69,7 +69,4 @@ pub mod vm;
 
 pub use compile::{compile_check, compile_set, CompiledSet, Program, BYTECODE_VERSION};
 pub use dsl::{l3_pattern, Check, CriteriaSet, Criterion};
-pub use verify::{
-    criteria_features, criteria_features_dict, criterion_accuracy, filter_criteria,
-    filter_criteria_dict, filter_rows, filter_rows_dict, pass_rate,
-};
+pub use verify::{criteria_features_dict, filter_criteria_dict, filter_rows_dict};

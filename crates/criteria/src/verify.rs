@@ -5,39 +5,32 @@
 //!
 //! 1. **verify criteria with right labels** — every refined criterion is
 //!    scored on cells whose propagated label says "clean"; criteria whose
-//!    accuracy falls below 0.5 are dropped ([`filter_criteria`]);
+//!    accuracy falls below 0.5 are dropped ([`filter_criteria_dict`]);
 //! 2. **verify data with reliable criteria** — propagated "clean" cells that
 //!    fail more than half of the surviving criteria are discarded
-//!    ([`filter_rows`]).
+//!    ([`filter_rows_dict`]).
 //!
-//! ## Compiled by default, oracle behind the same names
+//! ## Compiled, with the oracle beside it
 //!
-//! Since the criteria VM landed, every entry point here runs on the
-//! **compiled** path: checks are lowered once ([`crate::compile`]) and
-//! evaluated per distinct value / distinct value pair ([`crate::vm`]) instead
-//! of walking the [`Check`](crate::dsl::Check) AST per cell. The original
-//! per-cell implementations are preserved verbatim in [`oracle`] — they are
-//! the specification, the differential suite (`tests/vm_differential.rs`)
-//! holds the two bit-identical, and the pipeline can be pinned to them via
+//! Every entry point here runs on the **compiled** path over the caller's
+//! [`TableDict`] (the pipeline interns the table once per run): checks are
+//! lowered once ([`crate::compile`]) and evaluated per distinct value /
+//! distinct value pair ([`crate::vm`]) instead of walking the
+//! [`Check`](crate::dsl::Check) AST per cell. The original per-cell
+//! implementations are preserved verbatim in [`oracle`] — they are the
+//! specification, the differential suite (`tests/vm_differential.rs`) holds
+//! the two bit-identical, and the pipeline can be pinned to them via
 //! `ZeroEdConfig::criteria_engine` in `zeroed-core`.
 //!
 //! The float conventions are part of the contract and identical on both
-//! paths: empty row sets score `1.0` in [`criterion_accuracy`], empty
-//! criteria sets score `1.0` in [`pass_rate`], and every rate is computed as
-//! `count as f64 / len as f64`.
-//!
-//! The `*_dict` variants ([`criteria_features_dict`],
-//! [`filter_criteria_dict`], [`filter_rows_dict`]) accept the caller's
-//! already-built [`TableDict`] so the pipeline (which interns the table once
-//! per run) pays no extra interning; the plain variants intern the columns
-//! they touch internally.
+//! paths: an empty row set scores a criterion's accuracy `1.0`, an empty
+//! criteria set scores a row's pass rate `1.0`, and every rate is computed
+//! as `count as f64 / len as f64`.
 
-use crate::compile::{compile_check, compile_set, Program};
-use crate::dsl::{CriteriaSet, Criterion};
+use crate::compile::compile_set;
+use crate::dsl::CriteriaSet;
 use crate::vm::DistinctEval;
-use std::collections::HashMap;
-use zeroed_table::intern::ColumnDict;
-use zeroed_table::{Table, TableDict};
+use zeroed_table::TableDict;
 
 /// The original per-cell AST-walking implementations, kept byte-for-byte as
 /// the specification oracle for the compiled path (the same discipline as
@@ -136,132 +129,6 @@ pub mod oracle {
     }
 }
 
-/// Value-keyed memo for evaluating one program over a row *subset* (the
-/// verification passes touch ≤500 clean rows of a possibly 50k-row table, so
-/// interning whole columns would cost more than it saves — memoising on the
-/// borrowed cell strings gives the same run-once-per-distinct behaviour).
-struct SubsetMemo<'t> {
-    single: HashMap<&'t str, bool>,
-    pair: HashMap<(&'t str, &'t str), bool>,
-}
-
-impl<'t> SubsetMemo<'t> {
-    fn new() -> Self {
-        Self {
-            single: HashMap::new(),
-            pair: HashMap::new(),
-        }
-    }
-
-    #[inline]
-    fn eval_row(&mut self, program: &Program, table: &'t Table, row: usize) -> bool {
-        let this = table.cell(row, program.col as usize);
-        match program.other_col {
-            None => *self
-                .single
-                .entry(this)
-                .or_insert_with(|| program.eval(this, "")),
-            Some(oc) => {
-                let other = table.cell(row, oc as usize);
-                *self
-                    .pair
-                    .entry((this, other))
-                    .or_insert_with(|| program.eval(this, other))
-            }
-        }
-    }
-}
-
-fn subset_accuracy(program: &Program, table: &Table, clean_rows: &[usize]) -> f64 {
-    if clean_rows.is_empty() {
-        return 1.0;
-    }
-    let mut memo = SubsetMemo::new();
-    let satisfied = clean_rows
-        .iter()
-        .filter(|&&row| memo.eval_row(program, table, row))
-        .count();
-    satisfied as f64 / clean_rows.len() as f64
-}
-
-/// Fraction of the given rows (all assumed labelled clean) that satisfy the
-/// criterion, evaluated on the compiled path. Returns 1.0 for an empty row
-/// set (no evidence against it). Oracle: [`oracle::criterion_accuracy`].
-pub fn criterion_accuracy(
-    criterion: &Criterion,
-    table: &Table,
-    col: usize,
-    clean_rows: &[usize],
-) -> f64 {
-    subset_accuracy(&compile_check(&criterion.check, col), table, clean_rows)
-}
-
-/// Fraction of criteria in the set that the cell satisfies, evaluated on the
-/// compiled path. Returns 1.0 for an empty criteria set. Oracle:
-/// [`oracle::pass_rate`].
-pub fn pass_rate(set: &CriteriaSet, table: &Table, row: usize) -> f64 {
-    if set.is_empty() {
-        return 1.0;
-    }
-    let compiled = compile_set(set);
-    let passed = compiled.eval_cell(table, row).iter().filter(|&&b| b).count();
-    passed as f64 / compiled.len() as f64
-}
-
-/// Drops criteria whose accuracy on clean-labelled rows is below `threshold`
-/// (Algorithm 1 lines 8–14; the paper uses 0.5), evaluated on the compiled
-/// path. Returns the retained set. Oracle: [`oracle::filter_criteria`].
-pub fn filter_criteria(
-    set: &CriteriaSet,
-    table: &Table,
-    clean_rows: &[usize],
-    threshold: f64,
-) -> CriteriaSet {
-    let criteria = set
-        .criteria
-        .iter()
-        .filter(|c| {
-            subset_accuracy(&compile_check(&c.check, set.column), table, clean_rows) >= threshold
-        })
-        .cloned()
-        .collect();
-    CriteriaSet {
-        column: set.column,
-        criteria,
-    }
-}
-
-/// Keeps only the clean-labelled rows whose pass rate over the (verified)
-/// criteria reaches `threshold` (Algorithm 1 lines 15–20; the paper uses
-/// 0.5), evaluated on the compiled path. Oracle: [`oracle::filter_rows`].
-pub fn filter_rows(
-    set: &CriteriaSet,
-    table: &Table,
-    clean_rows: &[usize],
-    threshold: f64,
-) -> Vec<usize> {
-    let compiled = compile_set(set);
-    let mut memos: Vec<SubsetMemo<'_>> = compiled.programs.iter().map(|_| SubsetMemo::new()).collect();
-    clean_rows
-        .iter()
-        .copied()
-        .filter(|&row| {
-            let rate = if compiled.is_empty() {
-                1.0
-            } else {
-                let mut passed = 0usize;
-                for (p, m) in compiled.programs.iter().zip(memos.iter_mut()) {
-                    if m.eval_row(p, table, row) {
-                        passed += 1;
-                    }
-                }
-                passed as f64 / compiled.len() as f64
-            };
-            rate >= threshold
-        })
-        .collect()
-}
-
 fn matrix_to_f32(per_criterion: Vec<Vec<bool>>, n_rows: usize) -> Vec<Vec<f32>> {
     (0..n_rows)
         .map(|row| {
@@ -273,38 +140,12 @@ fn matrix_to_f32(per_criterion: Vec<Vec<bool>>, n_rows: usize) -> Vec<Vec<f32>> 
         .collect()
 }
 
-/// Evaluates a column's criteria over every row on the compiled columnar
-/// path, producing the binary error-reason-aware feature block (`f_cri`)
-/// consumed by `zeroed-features::FeatureBuilder` as `extra` features.
-/// Satisfied criteria map to `1.0`, violated ones to `0.0`. Interns the
-/// columns the programs read internally — the pipeline uses
-/// [`criteria_features_dict`] with its run-wide dictionary instead. Oracle:
-/// [`oracle::criteria_features`].
-pub fn criteria_features(set: &CriteriaSet, table: &Table) -> Vec<Vec<f32>> {
-    if set.is_empty() {
-        return Vec::new();
-    }
-    let compiled = compile_set(set);
-    let mut dicts: HashMap<usize, ColumnDict> = HashMap::new();
-    dicts.insert(set.column, ColumnDict::for_column(table, set.column));
-    for p in &compiled.programs {
-        if let Some(oc) = p.other_col {
-            dicts
-                .entry(oc as usize)
-                .or_insert_with(|| ColumnDict::for_column(table, oc as usize));
-        }
-    }
-    let per_criterion: Vec<Vec<bool>> = compiled
-        .evaluators(|col| &dicts[&col])
-        .into_iter()
-        .map(|mut ev| ev.eval_all_rows())
-        .collect();
-    matrix_to_f32(per_criterion, table.n_rows())
-}
-
-/// [`criteria_features`] over a pre-built table dictionary: zero interning
-/// cost, per-distinct evaluation straight off the caller's `dict` (which
-/// must describe the same table the criteria were generated for).
+/// Evaluates a column's criteria over every row, producing the binary
+/// error-reason-aware feature block (`f_cri`) consumed by
+/// `zeroed-features::FeatureBuilder` as `extra` features: satisfied criteria
+/// map to `1.0`, violated ones to `0.0`. Per-distinct evaluation straight
+/// off the caller's `dict`, which must describe the same table the criteria
+/// were generated for. Oracle: [`oracle::criteria_features`].
 pub fn criteria_features_dict(set: &CriteriaSet, dict: &TableDict) -> Vec<Vec<f32>> {
     if set.is_empty() {
         return Vec::new();
@@ -318,9 +159,10 @@ pub fn criteria_features_dict(set: &CriteriaSet, dict: &TableDict) -> Vec<Vec<f3
     matrix_to_f32(per_criterion, dict.n_rows())
 }
 
-/// [`filter_criteria`] over a pre-built table dictionary (`dict` must
-/// describe the same table): per-distinct memoisation keyed by interned
-/// codes instead of cell strings.
+/// Drops criteria whose accuracy on clean-labelled rows is below `threshold`
+/// (Algorithm 1 lines 8–14; the paper uses 0.5). Returns the retained set.
+/// `dict` must describe the same table; evaluation is memoised per distinct
+/// interned code. Oracle: [`oracle::filter_criteria`].
 pub fn filter_criteria_dict(
     set: &CriteriaSet,
     dict: &TableDict,
@@ -354,8 +196,10 @@ pub fn filter_criteria_dict(
     }
 }
 
-/// [`filter_rows`] over a pre-built table dictionary (`dict` must describe
-/// the same table): per-distinct memoisation keyed by interned codes.
+/// Keeps only the clean-labelled rows whose pass rate over the (verified)
+/// criteria reaches `threshold` (Algorithm 1 lines 15–20; the paper uses
+/// 0.5). `dict` must describe the same table; evaluation is memoised per
+/// distinct interned code. Oracle: [`oracle::filter_rows`].
 pub fn filter_rows_dict(
     set: &CriteriaSet,
     dict: &TableDict,
@@ -397,7 +241,8 @@ pub fn filter_rows_dict(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dsl::Check;
+    use crate::dsl::{Check, Criterion};
+    use zeroed_table::Table;
 
     fn table() -> Table {
         Table::new(
@@ -438,18 +283,18 @@ mod tests {
         let t = table();
         let s = set();
         // Rows 0 and 1 are genuinely clean.
-        let acc = criterion_accuracy(&s.criteria[1], &t, 0, &[0, 1]);
+        let acc = oracle::criterion_accuracy(&s.criteria[1], &t, 0, &[0, 1]);
         assert_eq!(acc, 1.0);
         // Row 2 (4 digits) fails the length criterion.
-        let acc = criterion_accuracy(&s.criteria[1], &t, 0, &[0, 1, 2]);
+        let acc = oracle::criterion_accuracy(&s.criteria[1], &t, 0, &[0, 1, 2]);
         assert!((acc - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(criterion_accuracy(&s.criteria[0], &t, 0, &[]), 1.0);
+        assert_eq!(oracle::criterion_accuracy(&s.criteria[0], &t, 0, &[]), 1.0);
 
-        assert_eq!(pass_rate(&s, &t, 0), 1.0);
-        assert!((pass_rate(&s, &t, 2) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(pass_rate(&s, &t, 3), 0.0);
+        assert_eq!(oracle::pass_rate(&s, &t, 0), 1.0);
+        assert!((oracle::pass_rate(&s, &t, 2) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(oracle::pass_rate(&s, &t, 3), 0.0);
         let empty = CriteriaSet::new(0);
-        assert_eq!(pass_rate(&empty, &t, 3), 1.0);
+        assert_eq!(oracle::pass_rate(&empty, &t, 3), 1.0);
     }
 
     #[test]
@@ -464,7 +309,7 @@ mod tests {
                 allowed: ["00000".to_string()].into_iter().collect(),
             },
         ));
-        let kept = filter_criteria(&s, &t, &[0, 1], 0.5);
+        let kept = filter_criteria_dict(&s, &t.intern(), &[0, 1], 0.5);
         assert_eq!(kept.len(), 4 - 1);
         assert!(kept.criteria.iter().all(|c| c.name != "bogus"));
     }
@@ -473,64 +318,49 @@ mod tests {
     fn filtering_rows_drops_unreliable_labels() {
         let t = table();
         let s = set();
+        let dict = t.intern();
         // Suppose propagation labelled rows 0, 2, 3 and 4 as clean.
-        let kept = filter_rows(&s, &t, &[0, 2, 3, 4], 0.5);
+        let kept = filter_rows_dict(&s, &dict, &[0, 2, 3, 4], 0.5);
         // Row 0 passes 3/3, row 2 passes 2/3, row 3 passes 0/3, row 4 passes
         // 2/3 ("abcde" is non-missing and five characters, but not numeric).
         assert_eq!(kept, vec![0, 2, 4]);
         // A stricter threshold keeps only the fully consistent row.
-        assert_eq!(filter_rows(&s, &t, &[0, 2, 3, 4], 0.9), vec![0]);
+        assert_eq!(filter_rows_dict(&s, &dict, &[0, 2, 3, 4], 0.9), vec![0]);
     }
 
     #[test]
     fn criteria_feature_matrix_shape() {
         let t = table();
         let s = set();
-        let feats = criteria_features(&s, &t);
+        let dict = t.intern();
+        let feats = criteria_features_dict(&s, &dict);
         assert_eq!(feats.len(), 5);
         assert_eq!(feats[0], vec![1.0, 1.0, 1.0]);
         assert_eq!(feats[3], vec![0.0, 0.0, 0.0]);
-        assert!(criteria_features(&CriteriaSet::new(0), &t).is_empty());
+        assert!(criteria_features_dict(&CriteriaSet::new(0), &dict).is_empty());
     }
 
     #[test]
     fn compiled_entry_points_match_the_oracle() {
         let t = table();
         let s = set();
-        assert_eq!(criteria_features(&s, &t), oracle::criteria_features(&s, &t));
-        for row in 0..t.n_rows() {
-            assert_eq!(pass_rate(&s, &t, row).to_bits(), oracle::pass_rate(&s, &t, row).to_bits());
-        }
-        let rows = [0usize, 2, 3, 4];
-        assert_eq!(
-            filter_criteria(&s, &t, &rows, 0.5),
-            oracle::filter_criteria(&s, &t, &rows, 0.5)
-        );
-        assert_eq!(
-            filter_rows(&s, &t, &rows, 0.5),
-            oracle::filter_rows(&s, &t, &rows, 0.5)
-        );
-    }
-
-    #[test]
-    fn dict_variants_match_the_plain_ones() {
-        let t = table();
-        let s = set();
         let dict = t.intern();
-        assert_eq!(criteria_features_dict(&s, &dict), criteria_features(&s, &t));
+        assert_eq!(criteria_features_dict(&s, &dict), oracle::criteria_features(&s, &t));
         let rows = [0usize, 1, 2, 3, 4];
         assert_eq!(
             filter_criteria_dict(&s, &dict, &rows, 0.5),
-            filter_criteria(&s, &t, &rows, 0.5)
+            oracle::filter_criteria(&s, &t, &rows, 0.5)
         );
         assert_eq!(
             filter_rows_dict(&s, &dict, &rows, 0.5),
-            filter_rows(&s, &t, &rows, 0.5)
+            oracle::filter_rows(&s, &t, &rows, 0.5)
         );
         // Empty clean-row sets keep every criterion on both paths.
         assert_eq!(filter_criteria_dict(&s, &dict, &[], 0.5).len(), s.len());
+        assert_eq!(oracle::filter_criteria(&s, &t, &[], 0.5).len(), s.len());
         // Empty criteria sets keep every row (pass rate convention 1.0).
         let empty = CriteriaSet::new(0);
         assert_eq!(filter_rows_dict(&empty, &dict, &rows, 0.5), rows.to_vec());
+        assert_eq!(oracle::filter_rows(&empty, &t, &rows, 0.5), rows.to_vec());
     }
 }

@@ -14,7 +14,9 @@
 //!   pair for cross-column programs) and the result is scattered back to rows
 //!   by code, exactly like `FittedFeatures::build_all` scatters per-distinct
 //!   feature blocks. On repeated-value-heavy real tables this collapses the
-//!   dominant cost of `criteria_features` and Algorithm-1 verification from
+//!   dominant cost of [`crate::criteria_features_dict`] and Algorithm-1
+//!   verification ([`crate::filter_criteria_dict`],
+//!   [`crate::filter_rows_dict`]) from
 //!   `O(rows × criteria)` AST walks to `O(distinct × criteria)` program runs
 //!   plus a code-indexed copy.
 //!

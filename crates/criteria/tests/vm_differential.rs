@@ -5,10 +5,10 @@
 //! including empty strings, unicode, near-numeric junk and FD determinants
 //! the mapping has never seen — and every cell's VM verdict is asserted
 //! bit-identical to [`Check::evaluate`]. On top of the per-cell sweep, the
-//! four `verify` entry points (compiled by default) are compared against
-//! their `verify::oracle` counterparts with `f64::to_bits` equality, and the
+//! compiled `verify` entry points (the `_dict` variants the pipeline runs)
+//! are compared against their `verify::oracle` counterparts, and the
 //! empty-set `1.0` conventions of `pass_rate` / `criterion_accuracy` are
-//! pinned as properties.
+//! pinned as properties on both paths.
 
 use std::collections::{HashMap, HashSet};
 use zeroed_criteria::dsl::{Check, CriteriaSet, Criterion};
@@ -274,43 +274,19 @@ fn verify_entry_points_match_their_oracles_bitwise() {
         let threshold = [0.0, 0.25, 0.5, 0.9, 1.0][rng.below(5)];
         let clean_rows: Vec<usize> = (0..n_rows).filter(|_| rng.below(3) != 0).collect();
 
-        // criteria_features: full matrix, all three implementations.
+        // criteria_features: the full matrix.
         let oracle = verify::oracle::criteria_features(&set, &table);
-        assert_eq!(verify::criteria_features(&set, &table), oracle);
         assert_eq!(verify::criteria_features_dict(&set, &dict), oracle);
 
-        // pass_rate per row, bitwise.
-        for row in 0..n_rows {
-            assert_eq!(
-                verify::pass_rate(&set, &table, row).to_bits(),
-                verify::oracle::pass_rate(&set, &table, row).to_bits()
-            );
-        }
-
-        // criterion_accuracy, bitwise.
-        for criterion in &set.criteria {
-            assert_eq!(
-                verify::criterion_accuracy(criterion, &table, set.column, &clean_rows).to_bits(),
-                verify::oracle::criterion_accuracy(criterion, &table, set.column, &clean_rows)
-                    .to_bits()
-            );
-        }
-
-        // filter_criteria / filter_rows, plain and dict variants.
+        // filter_criteria / filter_rows: the verdicts of criterion_accuracy
+        // and pass_rate against the threshold, criterion by criterion and
+        // row by row.
         let oracle_kept = verify::oracle::filter_criteria(&set, &table, &clean_rows, threshold);
-        assert_eq!(
-            verify::filter_criteria(&set, &table, &clean_rows, threshold),
-            oracle_kept
-        );
         assert_eq!(
             verify::filter_criteria_dict(&set, &dict, &clean_rows, threshold),
             oracle_kept
         );
         let oracle_rows = verify::oracle::filter_rows(&oracle_kept, &table, &clean_rows, threshold);
-        assert_eq!(
-            verify::filter_rows(&oracle_kept, &table, &clean_rows, threshold),
-            oracle_rows
-        );
         assert_eq!(
             verify::filter_rows_dict(&oracle_kept, &dict, &clean_rows, threshold),
             oracle_rows
@@ -341,14 +317,20 @@ fn compiled_set_eval_cell_matches_the_dsl_everywhere() {
 fn empty_row_set_scores_accuracy_one_on_both_paths() {
     let mut rng = Rng::new(7);
     let table = random_table(&mut rng, 10, 2);
+    let dict = table.intern();
     for _ in 0..20 {
         let check = random_check(&mut rng, 2, 0);
         let criterion = Criterion::new("c", "", check);
-        assert_eq!(verify::criterion_accuracy(&criterion, &table, 0, &[]), 1.0);
         assert_eq!(
             verify::oracle::criterion_accuracy(&criterion, &table, 0, &[]),
             1.0
         );
+        // Accuracy 1.0 clears the strictest threshold on the compiled path.
+        let set = CriteriaSet {
+            column: 0,
+            criteria: vec![criterion],
+        };
+        assert_eq!(verify::filter_criteria_dict(&set, &dict, &[], 1.0), set);
     }
 }
 
@@ -356,19 +338,21 @@ fn empty_row_set_scores_accuracy_one_on_both_paths() {
 fn empty_criteria_set_scores_pass_rate_one_on_both_paths() {
     let mut rng = Rng::new(8);
     let table = random_table(&mut rng, 10, 2);
+    let dict = table.intern();
     let empty = CriteriaSet::new(0);
     for row in 0..table.n_rows() {
-        assert_eq!(verify::pass_rate(&empty, &table, row), 1.0);
         assert_eq!(verify::oracle::pass_rate(&empty, &table, row), 1.0);
     }
     // And the conventions compose: an empty set keeps every row through
     // filter_rows at any threshold ≤ 1.0 and drops all above — identically.
     let rows: Vec<usize> = (0..10).collect();
     for threshold in [0.0, 0.5, 1.0, 1.5] {
+        let kept = verify::filter_rows_dict(&empty, &dict, &rows, threshold);
         assert_eq!(
-            verify::filter_rows(&empty, &table, &rows, threshold),
+            kept,
             verify::oracle::filter_rows(&empty, &table, &rows, threshold)
         );
+        assert_eq!(kept.len(), if threshold <= 1.0 { rows.len() } else { 0 });
     }
 }
 
@@ -379,12 +363,11 @@ fn empty_tables_are_handled_identically() {
     let mut rng = Rng::new(9);
     let set = random_set(&mut rng, 2);
     assert_eq!(
-        verify::criteria_features(&set, &table),
-        verify::oracle::criteria_features(&set, &table)
-    );
-    assert_eq!(
         verify::criteria_features_dict(&set, &dict),
         verify::oracle::criteria_features(&set, &table)
     );
-    assert_eq!(verify::filter_rows(&set, &table, &[], 0.5), Vec::<usize>::new());
+    assert_eq!(
+        verify::filter_rows_dict(&set, &dict, &[], 0.5),
+        Vec::<usize>::new()
+    );
 }

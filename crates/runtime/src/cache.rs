@@ -4,12 +4,13 @@
 //! discipline: the first thread to miss claims the key and computes; any
 //! thread that asks for the same key while that computation is in flight
 //! parks on a condition variable and receives the published response without
-//! a second model call. Counters track hits, misses, coalesced waits and the
-//! exact token cost the hits avoided.
+//! a second model call. Each lookup tells its caller how it was satisfied
+//! ([`Lookup`]) and journals one event; the caller keeps the counts
+//! ([`crate::CachedLlm::stats`]), so one run's activity is its own even when
+//! several runs share the cache.
 
 use crate::key::RequestKey;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use zeroed_obs::{emit_current, EventKind, Histogram, HistogramSnapshot};
@@ -28,7 +29,7 @@ pub enum ResponseOrigin {
     /// Computed by the wrapped client in this process.
     Computed,
     /// Preloaded from the persisted response store (a cross-process warm
-    /// start); hits on such entries count as `store_hits`.
+    /// start); hits on such entries count as [`crate::CacheStats::store_hits`].
     Persisted,
 }
 
@@ -84,64 +85,6 @@ pub enum Lookup {
     },
 }
 
-/// Snapshot of cache activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests answered from a published entry (no model call).
-    pub hits: u64,
-    /// Requests that had to execute the model call.
-    pub misses: u64,
-    /// Hits that waited for an in-flight computation (subset of `hits`).
-    pub coalesced: u64,
-    /// Prompt tokens the hits avoided sending.
-    pub input_tokens_saved: u64,
-    /// Completion tokens the hits avoided generating.
-    pub output_tokens_saved: u64,
-    /// Generational flushes triggered by the capacity bound.
-    pub flushes: u64,
-    /// Completed entries evicted by those flushes. Store write-through uses
-    /// this to account for entries dropped from memory: a flushed entry that
-    /// was persisted remains servable across processes, one that was not is
-    /// recomputed on next request.
-    pub flushed_entries: u64,
-    /// Hits served by entries preloaded from the persisted response store
-    /// (subset of `hits`).
-    pub store_hits: u64,
-}
-
-impl CacheStats {
-    /// Total tokens saved by deduplication.
-    pub fn tokens_saved(&self) -> u64 {
-        self.input_tokens_saved + self.output_tokens_saved
-    }
-
-    /// Component-wise difference against an earlier snapshot.
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            coalesced: self.coalesced - earlier.coalesced,
-            input_tokens_saved: self.input_tokens_saved - earlier.input_tokens_saved,
-            output_tokens_saved: self.output_tokens_saved - earlier.output_tokens_saved,
-            flushes: self.flushes - earlier.flushes,
-            flushed_entries: self.flushed_entries - earlier.flushed_entries,
-            store_hits: self.store_hits - earlier.store_hits,
-        }
-    }
-}
-
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    input_tokens_saved: AtomicU64,
-    output_tokens_saved: AtomicU64,
-    flushes: AtomicU64,
-    flushed_entries: AtomicU64,
-    store_hits: AtomicU64,
-}
-
 /// Contention distributions for one cache's lifetime, from
 /// [`ResponseCache::timings`]. Quantiles are exact nearest-rank over each
 /// histogram's sample window.
@@ -183,7 +126,6 @@ impl Default for Timings {
 pub struct ResponseCache {
     map: Mutex<HashMap<RequestKey, Entry>>,
     published: Condvar,
-    counters: Counters,
     timings: Timings,
     /// Entry budget; exceeding it flushes completed entries (generational
     /// eviction — in-flight slots survive so waiters are never orphaned).
@@ -195,7 +137,6 @@ impl std::fmt::Debug for ResponseCache {
         f.debug_struct("ResponseCache")
             .field("entries", &self.len())
             .field("capacity", &self.capacity)
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -206,7 +147,6 @@ impl ResponseCache {
         Self {
             map: Mutex::new(HashMap::new()),
             published: Condvar::new(),
-            counters: Counters::default(),
             timings: Timings::default(),
             capacity: capacity.max(1),
         }
@@ -233,20 +173,6 @@ impl ResponseCache {
             .unwrap_or(0)
     }
 
-    /// Current counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            coalesced: self.counters.coalesced.load(Ordering::Relaxed),
-            input_tokens_saved: self.counters.input_tokens_saved.load(Ordering::Relaxed),
-            output_tokens_saved: self.counters.output_tokens_saved.load(Ordering::Relaxed),
-            flushes: self.counters.flushes.load(Ordering::Relaxed),
-            flushed_entries: self.counters.flushed_entries.load(Ordering::Relaxed),
-            store_hits: self.counters.store_hits.load(Ordering::Relaxed),
-        }
-    }
-
     /// Contention distributions: per-call map-lock hold time, condvar park
     /// time of coalesced waiters, and preload-call durations.
     pub fn timings(&self) -> CacheTimings {
@@ -257,25 +183,9 @@ impl ResponseCache {
         }
     }
 
-    fn record_hit(&self, stored: &StoredResponse, coalesced: bool) {
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        if coalesced {
-            self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        if stored.origin == ResponseOrigin::Persisted {
-            self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        self.counters
-            .input_tokens_saved
-            .fetch_add(stored.input_tokens as u64, Ordering::Relaxed);
-        self.counters
-            .output_tokens_saved
-            .fetch_add(stored.output_tokens as u64, Ordering::Relaxed);
-    }
-
     /// Evicts completed entries, retaining in-flight computations and any
     /// entry with parked waiters (either would orphan callers otherwise).
-    /// Returns how many entries were evicted; counters are the caller's job.
+    /// Returns how many entries were evicted.
     fn flush_locked(map: &mut HashMap<RequestKey, Entry>) -> usize {
         let before = map.len();
         map.retain(|_, entry| matches!(entry.slot, Slot::InFlight) || entry.waiters > 0);
@@ -286,18 +196,9 @@ impl ResponseCache {
     /// returns how many entries were evicted. Entries that are still in
     /// flight, or whose response has parked waiters that have not consumed it
     /// yet, survive — flushing can never orphan a caller or force a duplicate
-    /// computation. Store write-through layers use the count (also summed in
-    /// [`CacheStats::flushed_entries`]) to account for entries dropped from
-    /// memory before or after persistence.
+    /// computation.
     pub fn flush(&self) -> usize {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        let evicted = Self::flush_locked(&mut map);
-        drop(map);
-        self.counters.flushes.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .flushed_entries
-            .fetch_add(evicted as u64, Ordering::Relaxed);
-        evicted
+        Self::flush_locked(&mut self.map.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Inserts a completed response for `key` without counting a miss or a
@@ -353,7 +254,7 @@ impl ResponseCache {
         let mut hold_start = Instant::now();
         let mut held_nanos: u64 = 0;
         let mut park_start: Option<Instant> = None;
-        // `waited` feeds the coalesced counter; `pinned` tracks whether this
+        // `waited` marks a coalesced hit; `pinned` tracks whether this
         // caller currently holds a waiter pin on the entry. They are distinct:
         // a waiter that claims a vacated flight has waited but no longer pins.
         let mut waited = false;
@@ -378,7 +279,6 @@ impl ResponseCache {
                                 parked.as_nanos().min(u64::MAX as u128) as u64,
                             );
                         }
-                        self.record_hit(&stored, waited);
                         emit_current(EventKind::CacheHit, 0);
                         if waited {
                             emit_current(EventKind::CacheCoalesced, 0);
@@ -423,11 +323,7 @@ impl ResponseCache {
                         // Generational flush: drop completed entries, keep
                         // in-flight slots and pinned responses alive for
                         // their waiters.
-                        let evicted = Self::flush_locked(&mut map);
-                        self.counters.flushes.fetch_add(1, Ordering::Relaxed);
-                        self.counters
-                            .flushed_entries
-                            .fetch_add(evicted as u64, Ordering::Relaxed);
+                        Self::flush_locked(&mut map);
                     }
                     map.insert(
                         key,
@@ -452,7 +348,6 @@ impl ResponseCache {
                 parked.as_nanos().min(u64::MAX as u128) as u64,
             );
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         emit_current(EventKind::CacheMiss, 0);
 
         // Release the in-flight claim if `compute` unwinds, so parked waiters
@@ -520,7 +415,7 @@ impl ResponseCache {
 mod tests {
     use super::*;
     use crate::key::{RequestKey, RequestKind};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn test_key(n: u64) -> RequestKey {
         let mut b = RequestKey::builder(RequestKind::LabelBatch, "m");
@@ -541,6 +436,7 @@ mod tests {
     fn hit_replays_the_stored_value_and_counts_savings() {
         let cache = ResponseCache::new(16);
         let calls = AtomicUsize::new(0);
+        let mut saved = 0;
         for round in 0..3 {
             let (stored, lookup) = cache.get_or_compute(test_key(1), || {
                 calls.fetch_add(1, Ordering::SeqCst);
@@ -550,6 +446,8 @@ mod tests {
                 assert_eq!(lookup, Lookup::Miss);
             } else {
                 assert_eq!(lookup, Lookup::Hit { coalesced: false });
+                // A hit replays the cost the caller books as savings.
+                saved += stored.input_tokens + stored.output_tokens;
             }
             match &stored.value {
                 CachedResponse::Flags(f) => assert_eq!(f, &vec![true]),
@@ -557,12 +455,7 @@ mod tests {
             }
         }
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.input_tokens_saved, 20);
-        assert_eq!(stats.output_tokens_saved, 6);
-        assert_eq!(stats.tokens_saved(), 26);
+        assert_eq!(saved, 26);
     }
 
     #[test]
@@ -570,24 +463,30 @@ mod tests {
         let cache = ResponseCache::new(64);
         let calls = AtomicUsize::new(0);
         let n_threads = 8;
-        std::thread::scope(|s| {
-            for _ in 0..n_threads {
-                s.spawn(|| {
-                    let (stored, _) = cache.get_or_compute(test_key(2), || {
-                        calls.fetch_add(1, Ordering::SeqCst);
-                        // Hold the flight open long enough for others to park.
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        response(false)
-                    });
-                    assert!(matches!(stored.value, CachedResponse::Flags(_)));
-                });
-            }
+        let lookups: Vec<Lookup> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n_threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        let (stored, lookup) = cache.get_or_compute(test_key(2), || {
+                            calls.fetch_add(1, Ordering::SeqCst);
+                            // Hold the flight open long enough for others to park.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            response(false)
+                        });
+                        assert!(matches!(stored.value, CachedResponse::Flags(_)));
+                        lookup
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1, "compute must run once");
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits as usize, n_threads - 1);
-        assert!(stats.coalesced >= 1, "some callers must have parked");
+        let misses = lookups.iter().filter(|l| **l == Lookup::Miss).count();
+        assert_eq!(misses, 1);
+        assert!(
+            lookups.contains(&Lookup::Hit { coalesced: true }),
+            "some callers must have parked"
+        );
     }
 
     #[test]
@@ -596,8 +495,7 @@ mod tests {
         for i in 0..10 {
             let _ = cache.get_or_compute(test_key(i), || response(true));
         }
-        assert!(cache.stats().flushes >= 1);
-        assert!(cache.len() <= 2);
+        assert!(cache.len() <= 2, "the capacity bound flushed");
         // Still functional after flushes.
         let (stored, lookup) = cache.get_or_compute(test_key(99), || response(true));
         assert!(matches!(stored.value, CachedResponse::Flags(_)));
@@ -612,9 +510,9 @@ mod tests {
         }));
         assert!(result.is_err());
         // The key is free again: a later caller computes normally.
-        let (stored, _) = cache.get_or_compute(test_key(5), || response(true));
+        let (stored, lookup) = cache.get_or_compute(test_key(5), || response(true));
         assert!(matches!(stored.value, CachedResponse::Flags(_)));
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(lookup, Lookup::Miss);
     }
 
     #[test]
@@ -764,10 +662,8 @@ mod tests {
             let _ = cache.get_or_compute(test_key(i), || response(true));
         }
         assert_eq!(cache.flush(), 5);
+        assert!(cache.is_empty());
         assert_eq!(cache.flush(), 0, "second flush has nothing left");
-        let stats = cache.stats();
-        assert_eq!(stats.flushes, 2);
-        assert_eq!(stats.flushed_entries, 5);
     }
 
     #[test]
@@ -776,9 +672,10 @@ mod tests {
         for i in 0..3 {
             let _ = cache.get_or_compute(test_key(i), || response(true));
         }
-        let stats = cache.stats();
-        assert!(stats.flushes >= 1);
-        assert!(stats.flushed_entries >= 2);
+        // The third insert found the map full and evicted both entries.
+        assert_eq!(cache.len(), 1);
+        let (_, lookup) = cache.get_or_compute(test_key(0), || response(true));
+        assert_eq!(lookup, Lookup::Miss, "an evicted entry recomputes");
     }
 
     #[test]
@@ -805,13 +702,10 @@ mod tests {
             CachedResponse::Flags(f) => assert_eq!(f, &vec![true, true]),
             other => panic!("wrong variant: {other:?}"),
         }
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.store_hits, 1);
-        assert_eq!(stats.misses, 0);
-        // The replayed savings are the persisted token counts, exactly.
-        assert_eq!(stats.input_tokens_saved, 40);
-        assert_eq!(stats.output_tokens_saved, 4);
+        // The caller counts a hit on a persisted entry as a store hit, and
+        // the savings it books are the persisted token counts, exactly.
+        assert_eq!(stored.origin, ResponseOrigin::Persisted);
+        assert_eq!((stored.input_tokens, stored.output_tokens), (40, 4));
     }
 
     #[test]
@@ -839,7 +733,7 @@ mod tests {
         // A novel request computes without flushing the preloads.
         let (_, lookup) = cache.get_or_compute(test_key(100), || response(false));
         assert_eq!(lookup, Lookup::Miss);
-        assert_eq!(cache.stats().flushes, 0, "no flush while headroom lasts");
+        assert_eq!(cache.len(), 15, "no flush while headroom lasts");
         // Preloaded entries still serve.
         let (_, lookup) = cache.get_or_compute(test_key(0), || response(false));
         assert_eq!(lookup, Lookup::Hit { coalesced: false });
@@ -873,16 +767,5 @@ mod tests {
         let t = cache.timings();
         assert_eq!(t.park_wait.count, 1);
         assert!(t.park_wait.max_nanos >= 1_000_000);
-    }
-
-    #[test]
-    fn stats_since_diffs_componentwise() {
-        let cache = ResponseCache::new(8);
-        let _ = cache.get_or_compute(test_key(1), || response(true));
-        let snap = cache.stats();
-        let _ = cache.get_or_compute(test_key(1), || response(true));
-        let delta = cache.stats().since(&snap);
-        assert_eq!(delta.hits, 1);
-        assert_eq!(delta.misses, 0);
     }
 }

@@ -5,7 +5,7 @@
 //! shared [`ResponseCache`]. Misses execute the wrapped client (which charges
 //! its own [`zeroed_llm::TokenLedger`] and simulated latency); hits replay the
 //! stored response and charge nothing — the avoided cost is accounted in
-//! [`crate::CacheStats`] instead, using the exact same token arithmetic the
+//! [`CacheStats`] instead, using the exact same token arithmetic the
 //! original call was charged with (shared `prompts::render_*` helpers).
 //!
 //! The adapter is constructed per table ([`CachedLlm::for_table`]): a
@@ -14,9 +14,7 @@
 //! prompt never serialises. Requests about any *other* table must not go
 //! through the same adapter.
 
-use crate::cache::{
-    CacheStats, CachedResponse, Lookup, ResponseCache, ResponseOrigin, StoredResponse,
-};
+use crate::cache::{CachedResponse, Lookup, ResponseCache, ResponseOrigin, StoredResponse};
 use crate::key::{table_fingerprint, RequestKey, RequestKeyBuilder, RequestKind};
 use crate::persist::StoreSink;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,6 +26,31 @@ use zeroed_llm::{
 };
 use zeroed_obs::{request_scope, TraceRecorder};
 use zeroed_table::Table;
+
+/// One adapter's cache activity, from [`CachedLlm::stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Requests answered from a published entry (no model call).
+    pub hits: u64,
+    /// Requests that had to execute the model call.
+    pub misses: u64,
+    /// Hits that waited for an in-flight computation (subset of `hits`).
+    pub coalesced: u64,
+    /// Prompt tokens the hits avoided sending.
+    pub input_tokens_saved: u64,
+    /// Completion tokens the hits avoided generating.
+    pub output_tokens_saved: u64,
+    /// Hits served by entries preloaded from the persisted response store
+    /// (subset of `hits`).
+    pub store_hits: u64,
+}
+
+impl CacheStats {
+    /// Total tokens saved by deduplication.
+    pub fn tokens_saved(&self) -> u64 {
+        self.input_tokens_saved + self.output_tokens_saved
+    }
+}
 
 /// A caching [`LlmClient`] adapter (see module docs).
 pub struct CachedLlm<'a> {
@@ -42,15 +65,14 @@ pub struct CachedLlm<'a> {
     /// installs a thread-local trace scope around the cache lookup, so every
     /// layer underneath (cache, router, repair) journals into the same trace.
     recorder: Option<Arc<TraceRecorder>>,
-    /// Activity of *this adapter only*. The shared cache's counters aggregate
-    /// every consumer; a detection run reads these instead so its
-    /// `PipelineStats` stay correct even when cloned detectors sharing the
-    /// cache run concurrently.
-    local: LocalCounters,
+    /// Activity of *this adapter only*: the one count of each lookup, so a
+    /// detection run's `PipelineStats` stay its own even when cloned
+    /// detectors sharing the cache run concurrently.
+    counters: Counters,
 }
 
 #[derive(Default)]
-struct LocalCounters {
+struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -79,7 +101,7 @@ impl<'a> CachedLlm<'a> {
             table_fp: table_fingerprint(table),
             persist: None,
             recorder: None,
-            local: LocalCounters::default(),
+            counters: Counters::default(),
         }
     }
 
@@ -102,23 +124,15 @@ impl<'a> CachedLlm<'a> {
         self
     }
 
-    /// The shared cache handle.
-    pub fn cache(&self) -> &Arc<ResponseCache> {
-        &self.cache
-    }
-
-    /// Cache activity attributable to this adapter alone (`flushes` /
-    /// `flushed_entries` are store-wide properties and always 0 here).
+    /// Cache activity attributable to this adapter alone.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.local.hits.load(Ordering::Relaxed),
-            misses: self.local.misses.load(Ordering::Relaxed),
-            coalesced: self.local.coalesced.load(Ordering::Relaxed),
-            input_tokens_saved: self.local.input_tokens_saved.load(Ordering::Relaxed),
-            output_tokens_saved: self.local.output_tokens_saved.load(Ordering::Relaxed),
-            flushes: 0,
-            flushed_entries: 0,
-            store_hits: self.local.store_hits.load(Ordering::Relaxed),
+            hits: self.counters.hits.load(Ordering::Relaxed),
+            misses: self.counters.misses.load(Ordering::Relaxed),
+            coalesced: self.counters.coalesced.load(Ordering::Relaxed),
+            input_tokens_saved: self.counters.input_tokens_saved.load(Ordering::Relaxed),
+            output_tokens_saved: self.counters.output_tokens_saved.load(Ordering::Relaxed),
+            store_hits: self.counters.store_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -160,7 +174,7 @@ impl<'a> CachedLlm<'a> {
         });
         match lookup {
             Lookup::Miss => {
-                self.local.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 // Write-through: offer the freshly computed response for
                 // persistence. Asynchronous — publishing never waits on I/O.
                 if let Some(sink) = &self.persist {
@@ -168,17 +182,17 @@ impl<'a> CachedLlm<'a> {
                 }
             }
             Lookup::Hit { coalesced } => {
-                self.local.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 if coalesced {
-                    self.local.coalesced.fetch_add(1, Ordering::Relaxed);
+                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
                 }
                 if stored.origin == ResponseOrigin::Persisted {
-                    self.local.store_hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                self.local
+                self.counters
                     .input_tokens_saved
                     .fetch_add(stored.input_tokens as u64, Ordering::Relaxed);
-                self.local
+                self.counters
                     .output_tokens_saved
                     .fetch_add(stored.output_tokens as u64, Ordering::Relaxed);
             }
@@ -452,18 +466,12 @@ mod tests {
             usage_after_first, usage_after_second,
             "a hit must not charge the ledger"
         );
-        let stats = llm.cache().stats();
+        let stats = llm.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         // The savings equal exactly what the original call charged.
         assert_eq!(stats.input_tokens_saved as usize, usage_after_first.input_tokens);
         assert_eq!(stats.output_tokens_saved as usize, usage_after_first.output_tokens);
-        // The adapter-local view matches the (single-consumer) global one.
-        let local = llm.stats();
-        assert_eq!(local.hits, stats.hits);
-        assert_eq!(local.misses, stats.misses);
-        assert_eq!(local.input_tokens_saved, stats.input_tokens_saved);
-        assert_eq!(local.output_tokens_saved, stats.output_tokens_saved);
     }
 
     #[test]
@@ -484,8 +492,8 @@ mod tests {
         // index-blind key would conflate them; the exact key must not.
         let _ = llm.label_batch(&ctx, None, &[0]);
         let _ = llm.label_batch(&ctx, None, &[3]);
-        assert_eq!(llm.cache().stats().misses, 2);
-        assert_eq!(llm.cache().stats().hits, 0);
+        assert_eq!(llm.stats().misses, 2);
+        assert_eq!(llm.stats().hits, 0);
     }
 
     #[test]
@@ -493,7 +501,7 @@ mod tests {
         let table = fixture();
         let sim = SimLlm::default_model(1);
         let cache = Arc::new(ResponseCache::new(1 << 10));
-        let llm = CachedLlm::for_table(&sim, Arc::clone(&cache), &table);
+        let llm = CachedLlm::for_table(&sim, cache, &table);
         let corr = vec![0usize];
         let samples: Vec<usize> = (0..8).collect();
         let ctx = AttributeContext {
@@ -516,7 +524,7 @@ mod tests {
             let flags = llm.detect_tuple(&table, 2);
             assert_eq!(flags.len(), 2);
         }
-        let stats = cache.stats();
+        let stats = llm.stats();
         assert_eq!(stats.misses, 7, "seven distinct requests");
         assert_eq!(stats.hits, 7, "second pass replays all seven");
         // Second pass charged nothing: requests in the ledger equal misses.

@@ -41,10 +41,11 @@
 //!    long-lived request threads — and the chains' CPU phases (sampling,
 //!    the detector) overlap them on a lane of one worker per core.
 //! 4. **Publish** — the response value and its exact token cost are stored
-//!    under the key; parked waiters wake; counters (hits, misses, coalesced
-//!    waits, tokens saved) update. Later identical requests — retries,
-//!    re-runs of the same detection, repeated values — replay the stored
-//!    response for free.
+//!    under the key; parked waiters wake. Each lookup is counted once, by
+//!    the adapter that made it ([`CachedLlm::stats`]: hits, misses,
+//!    coalesced waits, tokens saved), never by the shared cache. Later
+//!    identical requests — retries, re-runs of the same detection, repeated
+//!    values — replay the stored response for free.
 //!
 //! The cache guarantees **bit-identical replay**: a cached response is the
 //! exact value the wrapped client returned for that key, and the key covers
@@ -135,10 +136,9 @@ pub mod router;
 pub mod scheduler;
 
 pub use cache::{
-    CacheStats, CacheTimings, CachedResponse, Lookup, ResponseCache, ResponseOrigin,
-    StoredResponse,
+    CacheTimings, CachedResponse, Lookup, ResponseCache, ResponseOrigin, StoredResponse,
 };
-pub use client::CachedLlm;
+pub use client::{CacheStats, CachedLlm};
 pub use key::{RequestKey, RequestKeyBuilder, RequestKind};
 pub use persist::{PersistStats, StoreLayer, StoreLayerTimings, StoreSink};
 pub use router::{

@@ -31,11 +31,10 @@ use zeroed_store::{now_epoch, RecoveryReport, ShardedStore, StoreConfig, StoreRe
 
 enum Job {
     /// Append one published response, attributing the outcome to the
-    /// offering sink's counters (as well as the layer-wide ones). Carries the
-    /// offering sink's flight recorder (if any) so the writer thread can
-    /// journal the append under the request's own trace id, re-derived from
-    /// the key — the persist happens off the request thread, where no trace
-    /// scope is installed.
+    /// offering sink's counters. Carries the offering sink's flight recorder
+    /// (if any) so the writer thread can journal the append under the
+    /// request's own trace id, re-derived from the key — the persist happens
+    /// off the request thread, where no trace scope is installed.
     Write(
         RequestKey,
         Arc<StoredResponse>,
@@ -47,7 +46,7 @@ enum Job {
     Barrier(mpsc::Sender<()>),
 }
 
-/// Counters describing write-through activity.
+/// One sink's write-through activity, from [`StoreSink::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistStats {
     /// Responses offered to the persistence queue.
@@ -75,18 +74,16 @@ struct Counters {
 /// A cheap cloneable handle pipelines hand to [`crate::CachedLlm`] so misses
 /// are enqueued for persistence off the hot path.
 ///
-/// Each sink carries its own counters besides the layer-wide ones (clones
-/// share them), so one detection run's `PipelineStats` reflect exactly its
-/// own write-through activity even when cloned detectors sharing the layer
-/// persist concurrently — the same per-consumer discipline `CachedLlm`
-/// applies to cache counters.
+/// Each sink carries its own counters (clones share them), the only count of
+/// each offer and append: one detection run's `PipelineStats` reflect
+/// exactly its own write-through activity even when cloned detectors sharing
+/// the layer persist concurrently — the same per-consumer discipline
+/// `CachedLlm` applies to cache counters.
 #[derive(Clone)]
 pub struct StoreSink {
     queue: Arc<Fifo<Job>>,
-    /// Layer-wide counters (all sinks).
-    shared: Arc<Counters>,
     /// This sink's counters (shared only with its clones).
-    local: Arc<Counters>,
+    counters: Arc<Counters>,
     /// Flight recorder for journaling successful appends
     /// ([`zeroed_obs::EventKind::StorePersist`]).
     recorder: Option<Arc<TraceRecorder>>,
@@ -113,33 +110,28 @@ impl StoreSink {
     /// Offers one published response for persistence. Never blocks on disk;
     /// returns immediately after enqueueing.
     pub fn offer(&self, key: RequestKey, response: &Arc<StoredResponse>) {
-        self.shared.offered.fetch_add(1, Ordering::Relaxed);
-        self.local.offered.fetch_add(1, Ordering::Relaxed);
+        self.counters.offered.fetch_add(1, Ordering::Relaxed);
         if !self.queue.push(Job::Write(
             key,
             Arc::clone(response),
-            Arc::clone(&self.local),
+            Arc::clone(&self.counters),
             self.recorder.clone(),
         )) {
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-            self.local.dropped.fetch_add(1, Ordering::Relaxed);
+            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Write-through counters attributable to this sink (and its clones)
     /// alone. Exact once the layer has been drained past this sink's offers.
     pub fn stats(&self) -> PersistStats {
-        stats_of(&self.local)
-    }
-}
-
-fn stats_of(counters: &Counters) -> PersistStats {
-    PersistStats {
-        offered: counters.offered.load(Ordering::Relaxed),
-        persisted_records: counters.persisted_records.load(Ordering::Relaxed),
-        persisted_bytes: counters.persisted_bytes.load(Ordering::Relaxed),
-        append_errors: counters.append_errors.load(Ordering::Relaxed),
-        dropped: counters.dropped.load(Ordering::Relaxed),
+        let c = &self.counters;
+        PersistStats {
+            offered: c.offered.load(Ordering::Relaxed),
+            persisted_records: c.persisted_records.load(Ordering::Relaxed),
+            persisted_bytes: c.persisted_bytes.load(Ordering::Relaxed),
+            append_errors: c.append_errors.load(Ordering::Relaxed),
+            dropped: c.dropped.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -149,12 +141,11 @@ fn stats_of(counters: &Counters) -> PersistStats {
 /// covers both layouts: a flat single-writer directory (the default) and the
 /// `shard-KK/writer-WWW/` layout that lets many detector *processes* write
 /// one store root concurrently ([`zeroed_store::StoreConfig::shards`] > 1 at
-/// creation). Persist and preload route through the shards; `stats`,
-/// `store_stats` and `recovery` aggregate across them.
+/// creation). Persist and preload route through the shards; `store_stats`
+/// and `recovery` aggregate across them.
 pub struct StoreLayer {
     store: Arc<ShardedStore>,
     queue: Arc<Fifo<Job>>,
-    counters: Arc<Counters>,
     writer: Option<JoinHandle<()>>,
     /// Wall time [`StoreLayer::open`] took (shard recovery + writer spawn).
     open_nanos: u64,
@@ -180,7 +171,6 @@ impl std::fmt::Debug for StoreLayer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreLayer")
             .field("store", &self.store)
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -192,17 +182,15 @@ impl StoreLayer {
         let t_open = Instant::now();
         let store = Arc::new(ShardedStore::open(config)?);
         let queue = Arc::new(Fifo::new());
-        let counters = Arc::new(Counters::default());
         let writer = {
             let store = Arc::clone(&store);
             let queue = Arc::clone(&queue);
-            let counters = Arc::clone(&counters);
             std::thread::Builder::new()
                 .name("zeroed-store-writer".into())
                 .spawn(move || {
                     while let Some(job) = queue.pop() {
                         match job {
-                            Job::Write(key, response, sink_counters, recorder) => {
+                            Job::Write(key, response, counters, recorder) => {
                                 let record = StoreRecord {
                                     key: key.to_u128(),
                                     input_tokens: response.input_tokens as u64,
@@ -214,10 +202,8 @@ impl StoreLayer {
                                 };
                                 match store.append(&record) {
                                     Ok(bytes) => {
-                                        for c in [&counters, &sink_counters] {
-                                            c.persisted_records.fetch_add(1, Ordering::Relaxed);
-                                            c.persisted_bytes.fetch_add(bytes, Ordering::Relaxed);
-                                        }
+                                        counters.persisted_records.fetch_add(1, Ordering::Relaxed);
+                                        counters.persisted_bytes.fetch_add(bytes, Ordering::Relaxed);
                                         if let Some(rec) = &recorder {
                                             rec.emit(
                                                 TraceId::from_key(key.to_u128(), rec.nonce()),
@@ -228,9 +214,6 @@ impl StoreLayer {
                                     }
                                     Err(_) => {
                                         counters.append_errors.fetch_add(1, Ordering::Relaxed);
-                                        sink_counters
-                                            .append_errors
-                                            .fetch_add(1, Ordering::Relaxed);
                                     }
                                 }
                             }
@@ -246,7 +229,6 @@ impl StoreLayer {
         Ok(Self {
             store,
             queue,
-            counters,
             writer: Some(writer),
             open_nanos: t_open.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             preload_nanos: AtomicU64::new(0),
@@ -277,19 +259,13 @@ impl StoreLayer {
         self.store.stats()
     }
 
-    /// Layer-wide write-through counters (every sink's activity).
-    pub fn stats(&self) -> PersistStats {
-        stats_of(&self.counters)
-    }
-
     /// A fresh sink handle for [`crate::CachedLlm::with_persistence`]. Each
     /// call returns a sink with its own counters ([`StoreSink::stats`]);
     /// clones of one sink share them.
     pub fn sink(&self) -> StoreSink {
         StoreSink {
             queue: Arc::clone(&self.queue),
-            shared: Arc::clone(&self.counters),
-            local: Arc::new(Counters::default()),
+            counters: Arc::new(Counters::default()),
             recorder: None,
         }
     }
@@ -385,9 +361,9 @@ mod tests {
             sink.offer(test_key(1), &response(11, &[true]));
             sink.offer(test_key(2), &response(22, &[false, true]));
             layer.drain();
-            assert_eq!(layer.stats().persisted_records, 2);
-            assert!(layer.stats().persisted_bytes > 0);
-            assert_eq!(layer.stats().append_errors, 0);
+            assert_eq!(sink.stats().persisted_records, 2);
+            assert!(sink.stats().persisted_bytes > 0);
+            assert_eq!(sink.stats().append_errors, 0);
         } // drop closes the queue, joins the writer, syncs the store
 
         let layer = StoreLayer::open(config).unwrap();
@@ -395,8 +371,8 @@ mod tests {
         let cache = ResponseCache::new(64);
         assert_eq!(layer.preload_into(&cache).unwrap(), 2);
 
-        // The preloaded entry answers without computing and replays the
-        // persisted token cost as savings.
+        // The preloaded entry answers without computing, as a persisted
+        // entry, and replays the persisted token cost as savings.
         let (stored, lookup) = cache.get_or_compute(test_key(2), || {
             panic!("preloaded entry must satisfy the request")
         });
@@ -407,7 +383,6 @@ mod tests {
             CachedResponse::Flags(f) => assert_eq!(f, &vec![false, true]),
             other => panic!("wrong variant: {other:?}"),
         }
-        assert_eq!(cache.stats().store_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -442,7 +417,7 @@ mod tests {
     #[test]
     fn sink_counters_attribute_writes_per_sink_not_per_layer() {
         // Two sinks on one layer (two concurrent detection runs): each must
-        // see exactly its own persisted records, while the layer aggregates.
+        // see exactly its own persisted records.
         let dir = temp_dir();
         let layer = StoreLayer::open(StoreConfig::new(dir.to_str().unwrap())).unwrap();
         let sink_a = layer.sink();
@@ -456,12 +431,9 @@ mod tests {
         layer.drain();
         assert_eq!(sink_a.stats().persisted_records, 3);
         assert_eq!(sink_b.stats().persisted_records, 5);
-        assert_eq!(layer.stats().persisted_records, 8);
         assert!(sink_a.stats().persisted_bytes > 0);
-        assert_eq!(
-            sink_a.stats().persisted_bytes + sink_b.stats().persisted_bytes,
-            layer.stats().persisted_bytes
-        );
+        assert!(sink_b.stats().persisted_bytes > sink_a.stats().persisted_bytes);
+        assert_eq!(layer.store_stats().live_records, 8);
         // A clone shares its parent's counters (same run).
         let clone_a = sink_a.clone();
         clone_a.offer(test_key(99), &response(1, &[true]));
@@ -492,10 +464,10 @@ mod tests {
             }
             layer_a.drain();
             layer_b.drain();
-            assert_eq!(layer_a.stats().persisted_records, 8);
-            assert_eq!(layer_b.stats().persisted_records, 12);
-            assert_eq!(layer_a.stats().append_errors, 0);
-            assert_eq!(layer_b.stats().append_errors, 0);
+            assert_eq!(sink_a.stats().persisted_records, 8);
+            assert_eq!(sink_b.stats().persisted_records, 12);
+            assert_eq!(sink_a.stats().append_errors, 0);
+            assert_eq!(sink_b.stats().append_errors, 0);
         }
         let layer = StoreLayer::open(config).unwrap();
         let cache = ResponseCache::new(64);

@@ -122,9 +122,8 @@ impl Default for BreakerPolicy {
     }
 }
 
-/// The full router configuration, carried by
-/// [`crate::RuntimeConfig::router`] so pipeline configs describe their
-/// multi-backend setup alongside worker and cache budgets.
+/// The full router configuration, passed to [`RouterLlm::new`] together with
+/// the backends it routes across.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// One entry per registered backend (padded with
@@ -399,21 +398,6 @@ impl<'a> RouterLlm<'a> {
         }
     }
 
-    /// Builds a router from a [`crate::RuntimeConfig`]: its `router` section
-    /// if present, [`RouterConfig::for_backends`] defaults otherwise.
-    pub fn from_runtime(runtime: &crate::RuntimeConfig, clients: Vec<&'a dyn LlmClient>) -> Self {
-        let config = runtime
-            .router
-            .clone()
-            .unwrap_or_else(|| RouterConfig::for_backends(clients.len()));
-        Self::new(clients, &config)
-    }
-
-    /// Number of registered backends.
-    pub fn backend_count(&self) -> usize {
-        self.backends.len()
-    }
-
     /// Installs a flight recorder: every subsequent routed request journals
     /// its decisions (primary pick, failovers, injected faults, breaker
     /// trips/probes, hedging, completion) as [`zeroed_obs::TraceEvent`]s,
@@ -428,7 +412,9 @@ impl<'a> RouterLlm<'a> {
         *self.recorder.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
-    /// Snapshot of routing activity.
+    /// Snapshot of routing activity over the router's lifetime. The counters
+    /// never reset, so to count one run build a fresh router for it (or take
+    /// your own deltas).
     pub fn stats(&self) -> RouterStats {
         let backends: Vec<BackendStats> = self
             .backends

@@ -49,12 +49,6 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Enable the request-dedup response cache.
     pub cache: bool,
-    /// Multi-backend routing policy (see [`crate::RouterConfig`]): per-backend
-    /// budgets, hedged-request policy and circuit-breaker thresholds. `None`
-    /// (the default) means single-backend operation; routers built through
-    /// [`crate::RouterLlm::from_runtime`] fall back to
-    /// [`crate::RouterConfig::for_backends`] defaults in that case.
-    pub router: Option<crate::router::RouterConfig>,
     /// Crash-safe on-disk response store (see [`zeroed_store::StoreConfig`]):
     /// when set, published responses are persisted write-through and a new
     /// detector warm-starts its cache from the store directory — repeated
@@ -69,7 +63,6 @@ impl Default for RuntimeConfig {
         Self {
             workers: 0,
             cache: true,
-            router: None,
             store: None,
         }
     }

@@ -106,15 +106,11 @@ fn check_cell(oracle: &Oracle, n_backends: usize, schedule: fn(usize) -> FaultSc
     let clients: Vec<&dyn LlmClient> = sims.iter().map(|s| s as &dyn LlmClient).collect();
     let mut router_config = RouterConfig::for_backends(n_backends);
     router_config.hedge.enabled = hedge;
-    let detector = ZeroEd::new(
-        config()
-            .with_runtime(RuntimeConfig {
-                workers: 4,
-                ..RuntimeConfig::default()
-            })
-            .with_router(router_config),
-    );
-    let router = RouterLlm::from_runtime(&detector.config().runtime, clients);
+    let detector = ZeroEd::new(config().with_runtime(RuntimeConfig {
+        workers: 4,
+        ..RuntimeConfig::default()
+    }));
+    let router = RouterLlm::new(clients, &router_config);
     let outcome = detector.detect_routed(&oracle.ds.dirty, &router);
     let label = format!("backends={n_backends} hedge={hedge}");
 
@@ -129,7 +125,7 @@ fn check_cell(oracle: &Oracle, n_backends: usize, schedule: fn(usize) -> FaultSc
     let backend_tokens: usize = sims.iter().map(|s| s.ledger().usage().total()).sum();
     let backend_requests: usize = sims.iter().map(|s| s.ledger().usage().requests).sum();
     assert_eq!(
-        backend_tokens + outcome.stats.cache_tokens_saved,
+        backend_tokens + outcome.stats.cache.tokens_saved() as usize,
         oracle.tokens,
         "{label}: per-backend tokens + cache savings must equal the sequential total"
     );
@@ -159,7 +155,7 @@ fn check_cell(oracle: &Oracle, n_backends: usize, schedule: fn(usize) -> FaultSc
     //    or duplicate a request. Exactly one backend executes per routed
     //    request, and routed requests + cache hits cover the oracle exactly.
     assert_eq!(
-        backend_requests + outcome.stats.cache_hits,
+        backend_requests + outcome.stats.cache.hits as usize,
         oracle.requests,
         "{label}: executed requests + cache hits must equal the sequential count"
     );
@@ -168,11 +164,6 @@ fn check_cell(oracle: &Oracle, n_backends: usize, schedule: fn(usize) -> FaultSc
         backend_requests,
         "{label}: every routed request executes exactly one backend call"
     );
-    assert_eq!(
-        stats.requests as usize, outcome.stats.router_requests,
-        "{label}: PipelineStats must carry the router request count"
-    );
-    assert_eq!(outcome.stats.router_backends, n_backends, "{label}");
     if !hedge {
         assert_eq!(stats.hedges_fired, 0, "{label}: hedging disabled");
     }

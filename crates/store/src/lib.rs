@@ -125,8 +125,8 @@
 //! open, filtered by every compaction, and sweepable on demand via
 //! [`ResponseStore::gc`]. [`StoreConfig::gc`] `= false` defers all of that to
 //! the explicit sweep, for operators who want to inspect stale bins before
-//! reclaiming them. Expiry counts surface in [`StoreStats::expired_records`]
-//! and, through the pipeline, in `PipelineStats::store_expired_records`.
+//! reclaiming them. Expiry counts surface in [`StoreStats::expired_records`],
+//! which a detector exposes through `ZeroEd::store()`.
 //!
 //! ## Sharding
 //!

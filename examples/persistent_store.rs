@@ -48,9 +48,14 @@ fn main() {
                 scope.spawn(move || {
                     let llm = SimLlm::default_model(w).with_oracle(ds.mask.clone());
                     let outcome = detector.detect(&ds.dirty, &llm);
+                    // The run's own write-through count, and a fact about
+                    // the store the detector keeps.
+                    let shards = detector
+                        .store()
+                        .map_or(0, |layer| layer.store().shard_count());
                     println!(
-                        "  writer {w}: {} responses persisted across {} shards",
-                        outcome.stats.store_persisted_records, outcome.stats.store_shards
+                        "  writer {w}: {} responses persisted across {shards} shards",
+                        outcome.stats.persist.persisted_records
                     );
                     outcome.mask
                 })
@@ -63,6 +68,7 @@ fn main() {
     // workloads without a single model call.
     println!("warm: fresh detector reopening the store …");
     let warm_detector = ZeroEd::new(config);
+    println!("  {} records preloaded", warm_detector.cache().len());
     for (w, cold_mask) in cold_masks.iter().enumerate() {
         let llm = SimLlm::default_model(w as u64).with_oracle(ds.mask.clone());
         let outcome = warm_detector.detect(&ds.dirty, &llm);
@@ -70,7 +76,7 @@ fn main() {
         assert_eq!(llm.ledger().usage().requests, 0, "zero LLM requests");
         println!(
             "  workload {w}: mask identical, 0 LLM requests, {} tokens saved",
-            outcome.stats.cache_tokens_saved
+            outcome.stats.cache.tokens_saved()
         );
     }
     drop(warm_detector);
