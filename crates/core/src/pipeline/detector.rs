@@ -307,9 +307,9 @@ mod tests {
             ..FeatureConfig::default()
         });
         let fitted = builder.fit(&t, &extra);
-        let feats = fitted.build_all();
+        let unified = fitted.unified_matrix(1);
         let config = ZeroEdConfig::fast();
-        let preds = train_and_predict(&t, 1, &fitted, &feats.unified[1], &data, &config);
+        let preds = train_and_predict(&t, 1, &fitted, &unified, &data, &config);
         assert_eq!(preds.len(), 120);
         assert!(preds[5], "row 5 should be flagged");
         assert!(preds[17], "row 17 should be flagged");
@@ -330,18 +330,18 @@ mod tests {
             ..FeatureConfig::default()
         });
         let fitted = builder.fit(&t, &[]);
-        let feats = fitted.build_all();
+        let unified = fitted.unified_matrix(1);
         let config = ZeroEdConfig::fast();
         // Only clean rows → everything predicted clean.
         let clean_only = ColumnTrainingData {
             clean_rows: (0..50).collect(),
             ..Default::default()
         };
-        let preds = train_and_predict(&t, 1, &fitted, &feats.unified[1], &clean_only, &config);
+        let preds = train_and_predict(&t, 1, &fitted, &unified, &clean_only, &config);
         assert!(preds.iter().all(|&p| !p));
         // No training data at all → everything clean as well.
         let none = ColumnTrainingData::default();
-        let preds = train_and_predict(&t, 1, &fitted, &feats.unified[1], &none, &config);
+        let preds = train_and_predict(&t, 1, &fitted, &unified, &none, &config);
         assert!(preds.iter().all(|&p| !p));
     }
 

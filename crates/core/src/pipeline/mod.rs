@@ -4,13 +4,20 @@
 //! [`zeroed_runtime::Scheduler`] sized by [`ZeroEdConfig::runtime`].
 //! Feature representation (step 1) fans out per attribute and finishes for
 //! every attribute first: attribute j's unified vector holds its correlated
-//! attributes' blocks. Past that barrier, attribute j's sampling →
+//! attributes' blocks. The barrier is the fitted feature state
+//! ([`zeroed_features::FittedFeatures`]: frequency model and per-distinct
+//! caches), not the matrices. Past it, attribute j's sampling →
 //! labelling → training-data construction → detector reads nothing of
 //! another attribute (§III-C/D), so the scheduler streams each attribute's
 //! chain ([`zeroed_runtime::Scheduler::run_chain`]) and one attribute's
-//! detector overlaps another's waits on the model. Stage order holds within
-//! an attribute, and results come back in attribute order, so the worker
-//! count never changes the mask.
+//! detector overlaps another's waits on the model. Attribute j's unified
+//! matrix has two readers, its sampling and its detector, and each of those
+//! phases builds it from the fitted caches
+//! ([`zeroed_features::FittedFeatures::unified_matrix`]) and drops it on
+//! return. At most one matrix per CPU-lane worker is therefore alive,
+//! instead of every attribute's base and unified matrices. Stage order holds
+//! within an attribute, and results come back in attribute order, so the
+//! worker count never changes the mask.
 //!
 //! The work runs at two widths. What mostly waits on the model (criteria
 //! generation; labelling with training-data construction) keeps as many
@@ -383,7 +390,6 @@ impl ZeroEd {
         let fitted = step
             .child("fit")
             .time(|| builder.fit_prepared(dirty, Arc::clone(&dict), correlated.clone(), &extra));
-        let feats = step.child("build_matrices").time(|| fitted.build_all());
         step.record(t0.elapsed());
 
         // ------------------------------------------------------------------
@@ -395,10 +401,16 @@ impl ZeroEd {
         // labelling (analysis → guideline → label batches) and Algorithm 1
         // (propagation → refinement → verification → augmentation) at the
         // model's width, and one attribute's detector overlaps another's
-        // LLM waits.
+        // LLM waits. Attribute j's unified matrix has no other reader, so
+        // its sampling and its detector each build it from the fitted
+        // caches and drop it on return: at most one matrix per CPU-lane
+        // worker is alive. (Handing the sampling phase's matrix on to the
+        // detector would keep every attribute's alive, because the lane
+        // runs all the samplings before any detector.)
         // ------------------------------------------------------------------
         let t1 = Instant::now();
         let step = root.child("attributes");
+        let matrix_dist = step.child_dist("unified_matrix");
         let sample_dist = step.child_dist("sample_column");
         let label_dist = step.child_dist("label_attribute");
         let construct_dist = step.child_dist("construct_attribute");
@@ -407,9 +419,10 @@ impl ZeroEd {
         let chains = scheduler.run_chain(
             n_cols,
             |j| {
+                let unified = matrix_dist.time(|| fitted.unified_matrix(j));
                 sample_dist.time(|| {
                     sampling::sample_column(
-                        &feats.unified[j],
+                        &unified,
                         config.clusters_for(n_rows),
                         config.sampling.into(),
                         config.seed.wrapping_add(j as u64),
@@ -442,15 +455,9 @@ impl ZeroEd {
                 (labels, training)
             },
             |j, (labels, training)| {
+                let unified = matrix_dist.time(|| fitted.unified_matrix(j));
                 let predictions = predict_dist.time(|| {
-                    detector::train_and_predict(
-                        dirty,
-                        j,
-                        &fitted,
-                        &feats.unified[j],
-                        &training,
-                        config,
-                    )
+                    detector::train_and_predict(dirty, j, &fitted, &unified, &training, config)
                 });
                 (labels, training, predictions)
             },
@@ -544,8 +551,10 @@ mod tests {
 
     /// The profile invariant for the streamed shape, on the default and the
     /// sequential run alike: the tree reconciles, the `features` and
-    /// `attributes` spans cover at least 90% of the run, and every phase
-    /// node under `attributes` ran once per attribute.
+    /// `attributes` spans cover at least 90% of the run, every phase node
+    /// under `attributes` ran once per attribute, and each attribute's
+    /// unified matrix was built twice (for its sampling and its detector)
+    /// instead of at the features barrier.
     fn assert_stage_profile(profile: &StageProfile, n_cols: usize) {
         assert!(profile.accounting_ok(), "\n{}", profile.render_table());
         assert!(
@@ -569,6 +578,16 @@ mod tests {
             assert!(node.parallel, "{phase} is task wall time");
             assert_eq!(node.count, n_cols as u64, "{phase} runs once per attribute");
         }
+        let builds = profile
+            .find("attributes/unified_matrix")
+            .expect("missing node unified_matrix");
+        assert!(builds.parallel, "unified_matrix is task wall time");
+        assert_eq!(
+            builds.count,
+            2 * n_cols as u64,
+            "one build for each attribute's sampling and one for its detector"
+        );
+        assert!(profile.find("features/build_matrices").is_none());
     }
 
     #[test]

@@ -29,20 +29,28 @@
 //! * [`stats::FrequencyModel`] reads value counts straight off the dictionary,
 //!   memoises each distinct value's pattern count per level, keys
 //!   co-occurrence maps by `(u32, u32)` code pairs, and additionally memoises
-//!   each *row's own* pair count so the full-table scatter never hashes;
+//!   each *row's own* pair count ([`stats::PairRows`]) so a column fill never
+//!   hashes;
 //! * [`embed::HashEmbedder::embed_into`] is allocation-free (no per-window
 //!   `String`, no per-call `Vec`; thread-local scratch) and the fitted state
 //!   caches one embedding per distinct value per column;
-//! * [`unified::FittedFeatures::build_all`] scatters the cached per-distinct
-//!   blocks directly into preallocated [`matrix::FeatureMatrix`] buffers on
-//!   the calling thread, and assembles unified matrices with the single-pass
-//!   [`matrix::FeatureMatrix::hconcat_all`].
+//! * [`unified::FittedFeatures::unified_matrix`] fills one attribute's
+//!   unified matrix straight from the cached per-distinct blocks, one base
+//!   block at a time, into a preallocated [`matrix::FeatureMatrix`] on the
+//!   calling thread. Detection builds each attribute's matrix inside the two
+//!   phases that read it, its sampling and its detector, so the fitted
+//!   caches, not the matrices, are what every attribute shares.
+//!   [`unified::FittedFeatures::build_all`] fills every attribute's base and
+//!   unified matrices at once through the same block filler, for callers
+//!   that want the whole table side by side (benchmarks and the equivalence
+//!   tests).
 //!
 //! Invariants the fast path must uphold (enforced by `tests/equivalence.rs`
 //! against the seed implementation preserved in [`reference`](mod@reference)):
 //!
-//! 1. `base_row` / `unified_row` / `build_all` output is **bit-identical** to
-//!    the per-cell reference path, for every config combination — including
+//! 1. `base_row` / `unified_row` / `unified_matrix` / `build_all` output is
+//!    **bit-identical** to the per-cell reference path, for every config
+//!    combination — including
 //!    `value_override` cells whose value is *not* in the dictionary (they fall
 //!    back to string-keyed statistics and a fresh embedding) and
 //!    `extra_override` criteria blocks of arbitrary width.

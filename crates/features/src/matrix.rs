@@ -103,34 +103,17 @@ impl FeatureMatrix {
 
     /// Horizontally concatenates two matrices with the same row count.
     pub fn hconcat(&self, other: &FeatureMatrix) -> FeatureMatrix {
-        FeatureMatrix::hconcat_all(&[self, other])
-    }
-
-    /// Horizontally concatenates any number of matrices with the same row
-    /// count in a single pass.
-    ///
-    /// Unlike chaining [`FeatureMatrix::hconcat`] — which re-copies the whole
-    /// accumulated prefix on every step (`O(parts² · cells)`) — every input
-    /// cell is written exactly once. An empty `parts` yields a 0×0 matrix.
-    pub fn hconcat_all(parts: &[&FeatureMatrix]) -> FeatureMatrix {
-        let Some(first) = parts.first() else {
-            return FeatureMatrix::zeros(0, 0);
-        };
-        let n_rows = first.n_rows;
-        for part in parts {
-            assert_eq!(
-                part.n_rows, n_rows,
-                "hconcat_all requires matching row counts"
-            );
+        assert_eq!(
+            self.n_rows, other.n_rows,
+            "hconcat requires matching row counts"
+        );
+        let n_cols = self.n_cols + other.n_cols;
+        let mut data = Vec::with_capacity(self.n_rows * n_cols);
+        for i in 0..self.n_rows {
+            data.extend_from_slice(self.row(i));
+            data.extend_from_slice(other.row(i));
         }
-        let n_cols: usize = parts.iter().map(|p| p.n_cols).sum();
-        let mut data = Vec::with_capacity(n_rows * n_cols);
-        for i in 0..n_rows {
-            for part in parts {
-                data.extend_from_slice(part.row(i));
-            }
-        }
-        FeatureMatrix::from_flat(n_rows, n_cols, data)
+        FeatureMatrix::from_flat(self.n_rows, n_cols, data)
     }
 
     /// Squared Euclidean distance between two rows of (possibly different)
@@ -177,23 +160,12 @@ mod tests {
         let c = m.hconcat(&n);
         assert_eq!(c.n_cols(), 2);
         assert_eq!(c.row(1), &[2.0, 8.0]);
-    }
-
-    #[test]
-    fn hconcat_all_single_pass_matches_chained_concat() {
-        let a = FeatureMatrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = FeatureMatrix::from_rows(vec![vec![5.0], vec![6.0]]);
-        let c = FeatureMatrix::from_rows(vec![vec![7.0, 8.0, 9.0], vec![10.0, 11.0, 12.0]]);
-        let chained = a.hconcat(&b).hconcat(&c);
-        let single = FeatureMatrix::hconcat_all(&[&a, &b, &c]);
-        assert_eq!(single, chained);
-        assert_eq!(single.n_cols(), 6);
-        assert_eq!(single.row(0), &[1.0, 2.0, 5.0, 7.0, 8.0, 9.0]);
-        // Degenerate arities.
-        assert_eq!(FeatureMatrix::hconcat_all(&[&a]), a);
-        let empty = FeatureMatrix::hconcat_all(&[]);
-        assert_eq!(empty.n_rows(), 0);
-        assert_eq!(empty.n_cols(), 0);
+        // Chained, with blocks of different widths.
+        let w = FeatureMatrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        let chained = w.hconcat(&n).hconcat(&w);
+        assert_eq!(chained.n_cols(), 5);
+        assert_eq!(chained.row(0), &[1.0, 2.0, 9.0, 1.0, 2.0]);
+        assert_eq!(chained.row(2), &[5.0, 6.0, 7.0, 5.0, 6.0]);
     }
 
     #[test]

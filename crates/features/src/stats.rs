@@ -44,7 +44,7 @@ pub struct FrequencyModel {
     /// (code_j, code_q) → count.
     pair_counts: HashMap<(usize, usize), HashMap<(u32, u32), usize, FxBuild>>,
     /// Per prepared pair: the co-occurrence count of each *row's* code pair,
-    /// so the full-table scatter reads an array instead of hashing.
+    /// so a column fill reads an array instead of hashing.
     pair_row_counts: HashMap<(usize, usize), Vec<u32>>,
 }
 
@@ -176,8 +176,8 @@ impl FrequencyModel {
         for (&cj, &cq) in codes_j.iter().zip(codes_q.iter()) {
             *map.entry((cj, cq)).or_insert(0) += 1;
         }
-        // Memoise each row's own pair count so the build_all scatter does a
-        // single array read per vicinity slot instead of a map lookup.
+        // Memoise each row's own pair count so a column fill does a single
+        // array read per vicinity slot instead of a map lookup.
         let row_counts: Vec<u32> = codes_j
             .iter()
             .zip(codes_q.iter())
@@ -216,20 +216,18 @@ impl FrequencyModel {
         self.vicinity_frequency_code(col_j, code_j, col_q, code_q)
     }
 
-    /// Vicinity frequency of row `row`'s own cell pair in `(col_j, col_q)` —
-    /// the hash-free hot path of the full-table scatter. Must only be called
-    /// for prepared pairs with `col_j != col_q`.
-    #[inline]
-    pub fn vicinity_frequency_row(&self, col_j: usize, col_q: usize, row: usize) -> f64 {
-        debug_assert_ne!(col_j, col_q);
-        let Some(row_counts) = self.pair_row_counts.get(&(col_j, col_q)) else {
-            return 0.0;
-        };
-        let denom = self.dict.column(col_q).count(self.dict.column(col_q).code(row));
-        if denom == 0 {
-            return 0.0;
-        }
-        row_counts[row] as f64 / denom as f64
+    /// The row-indexed vicinity frequencies of the prepared pair
+    /// `(col_j, col_q)`, or `None` when the pair was never prepared (its
+    /// frequencies are then 0). The pair key is hashed once here, so a
+    /// column fill reads arrays per row instead of hashing per row.
+    pub fn pair_rows(&self, col_j: usize, col_q: usize) -> Option<PairRows<'_>> {
+        let row_counts = self.pair_row_counts.get(&(col_j, col_q))?;
+        let col_q = self.dict.column(col_q);
+        Some(PairRows {
+            row_counts,
+            codes_q: col_q.codes(),
+            counts_q: col_q.counts(),
+        })
     }
 
     /// Code-keyed vicinity frequency (fast path for values in the table).
@@ -255,6 +253,31 @@ impl FrequencyModel {
             .copied()
             .unwrap_or(0);
         num as f64 / denom as f64
+    }
+}
+
+/// Every row's own vicinity frequency in one prepared pair `(col_j, col_q)`,
+/// from [`FrequencyModel::pair_rows`].
+#[derive(Debug, Clone, Copy)]
+pub struct PairRows<'a> {
+    /// Co-occurrence count of each row's own code pair.
+    row_counts: &'a [u32],
+    /// Per-row codes of `col_q`.
+    codes_q: &'a [u32],
+    /// Occurrences of each code of `col_q`.
+    counts_q: &'a [u32],
+}
+
+impl PairRows<'_> {
+    /// Vicinity frequency of row `row`'s own cell pair: the value
+    /// [`FrequencyModel::vicinity_frequency_code`] gives for the row's codes.
+    #[inline]
+    pub fn frequency(&self, row: usize) -> f64 {
+        let denom = self.counts_q[self.codes_q[row] as usize];
+        if denom == 0 {
+            return 0.0;
+        }
+        self.row_counts[row] as f64 / denom as f64
     }
 }
 
@@ -340,8 +363,9 @@ mod tests {
         let mut fm = FrequencyModel::new(&t);
         fm.prepare_pair(&t, 1, 0);
         let dict = fm.dict().clone();
+        let pair = fm.pair_rows(1, 0).expect("the pair was prepared");
         for row in 0..t.n_rows() {
-            let by_row = fm.vicinity_frequency_row(1, 0, row);
+            let by_row = pair.frequency(row);
             let by_code = fm.vicinity_frequency_code(
                 1,
                 dict.column(1).code(row),
@@ -352,8 +376,8 @@ mod tests {
             assert_eq!(by_row, by_code, "row {row}");
             assert_eq!(by_row, by_string, "row {row}");
         }
-        // Unprepared pair stays 0.
-        assert_eq!(fm.vicinity_frequency_row(2, 0, 0), 0.0);
+        // An unprepared pair has no row view.
+        assert!(fm.pair_rows(2, 0).is_none());
     }
 
     #[test]

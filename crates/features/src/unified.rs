@@ -21,18 +21,21 @@
 //! copying its distinct value's cached blocks and filling only the genuinely
 //! row-dependent slots (vicinity frequencies, keyed by `(u32, u32)` code
 //! pairs; criteria indicators, which are per-row inputs).
-//! [`FittedFeatures::build_all`] scatters those blocks directly into
-//! preallocated [`FeatureMatrix`] buffers on the calling thread — no per-cell
-//! `Vec`, no `from_rows` materialisation, no chained `hconcat` copies. The
-//! [`crate::reference`] module keeps the seed's per-cell implementation as
-//! the correctness oracle; equivalence tests assert the two paths produce
+//! [`FittedFeatures::unified_matrix`] fills one attribute's unified matrix
+//! from those blocks, one base block at a time, into a preallocated
+//! [`FeatureMatrix`] on the calling thread — no per-cell `Vec`, no
+//! `from_rows` materialisation, no base matrices to concatenate.
+//! [`FittedFeatures::build_all`] does the same for every attribute at once.
+//! The [`crate::reference`] module keeps the seed's per-cell implementation
+//! as the correctness oracle; equivalence tests assert the two paths produce
 //! bit-identical output.
 
 use crate::embed::HashEmbedder;
 use crate::matrix::FeatureMatrix;
 use crate::nmi::top_k_correlated_dict;
 use crate::pattern::Level;
-use crate::stats::FrequencyModel;
+use crate::stats::{FrequencyModel, PairRows};
+use std::ops::Range;
 use std::sync::Arc;
 use zeroed_table::value::is_missing;
 use zeroed_table::{Table, TableDict};
@@ -135,7 +138,8 @@ impl FeatureBuilder {
     /// `extra` supplies optional per-attribute, per-row additional features —
     /// ZeroED passes the binary error-checking-criteria indicators here. Use an
     /// empty slice (or empty inner vectors) when there are none. `extra[j]`,
-    /// when present, must contain one vector per row.
+    /// when present, must contain one vector per row, all of one width;
+    /// fitting panics otherwise.
     pub fn fit<'a>(&'a self, table: &'a Table, extra: &'a [Vec<Vec<f32>>]) -> FittedFeatures<'a> {
         self.fit_with_dict(table, Arc::new(table.intern()), extra)
     }
@@ -184,6 +188,19 @@ impl FeatureBuilder {
                     "correlated list of column {j} holds invalid attribute {q}"
                 );
             }
+        }
+        let n_rows = table.n_rows();
+        for (j, block) in extra.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+            assert_eq!(
+                block.len(),
+                n_rows,
+                "extra block of column {j} has {} rows for a {n_rows}-row table",
+                block.len()
+            );
+            assert!(
+                block.iter().all(|r| r.len() == block[0].len()),
+                "extra block of column {j} is ragged: its rows must share one width"
+            );
         }
         let mut freq = FrequencyModel::from_dict(dict.clone());
         if self.config.include_stats {
@@ -292,43 +309,87 @@ impl<'a> FittedFeatures<'a> {
                 .sum::<usize>()
     }
 
-    /// Fast path: fills the base vector of a cell whose value is the table's
-    /// own (interned) value. `out` must be `base_dim(col)` long.
-    fn fill_base_row_interned(&self, row: usize, col: usize, out: &mut [f32]) {
-        let mut off = 0usize;
-        if self.config.include_stats {
-            let code = self.dict.column(col).code(row);
-            let cached = self.stats_cache[col].row(code as usize);
-            out[..4].copy_from_slice(&cached[..4]);
-            off = 4;
-            for &q in &self.correlated[col] {
-                // The row's own code pair: a single memoised array read
-                // (correlated attributes never include the column itself).
-                out[off] = self.freq.vicinity_frequency_row(col, q, row) as f32;
-                off += 1;
+    /// Fast path: fills column `col`'s base block for the table's own
+    /// (interned) cells of `rows`. Row `rows.start + r` goes to the
+    /// `base_dim(col)` values at `out[r * stride + offset..]`. This is the
+    /// one implementation of the interned base-block layout: single rows,
+    /// base matrices and unified matrices all fill through it. What does not
+    /// depend on the row (the column's codes, its stats and embedding
+    /// caches, its extra block and its correlated pairs) is resolved once
+    /// per call.
+    fn fill_base_block(
+        &self,
+        col: usize,
+        rows: Range<usize>,
+        out: &mut [f32],
+        stride: usize,
+        offset: usize,
+    ) {
+        let width = self.base_dim(col);
+        let codes = self.dict.column(col).codes();
+        let stats = self.config.include_stats.then(|| {
+            // Correlated attributes never include the column itself, and
+            // fitting prepared every pair.
+            let pairs: Vec<PairRows<'_>> = self.correlated[col]
+                .iter()
+                .map(|&q| {
+                    self.freq
+                        .pair_rows(col, q)
+                        .expect("fitting prepares every correlated pair")
+                })
+                .collect();
+            (&self.stats_cache[col], pairs)
+        });
+        let embed = self.config.include_semantic.then(|| &self.embed_cache[col]);
+        let extra = self.extra.get(col).filter(|v| !v.is_empty());
+        for (r, row) in rows.enumerate() {
+            let dst = &mut out[r * stride + offset..][..width];
+            let code = codes[row] as usize;
+            let mut off = 0usize;
+            if let Some((cache, pairs)) = &stats {
+                let cached = cache.row(code);
+                dst[..4].copy_from_slice(&cached[..4]);
+                off = 4;
+                for pair in pairs {
+                    dst[off] = pair.frequency(row) as f32;
+                    off += 1;
+                }
+                dst[off] = cached[4];
+                dst[off + 1] = cached[5];
+                off += 2;
             }
-            out[off] = cached[4];
-            out[off + 1] = cached[5];
-            off += 2;
+            if let Some(cache) = embed {
+                let block = cache.row(code);
+                dst[off..off + block.len()].copy_from_slice(block);
+                off += block.len();
+            }
+            if let Some(extra) = extra {
+                let block = extra[row].as_slice();
+                dst[off..off + block.len()].copy_from_slice(block);
+                off += block.len();
+            }
+            if off == 0 {
+                dst[0] = 0.0;
+            }
         }
-        if self.config.include_semantic {
-            let code = self.dict.column(col).code(row);
-            let dim = self.embedder.dim();
-            out[off..off + dim].copy_from_slice(self.embed_cache[col].row(code as usize));
-            off += dim;
+    }
+
+    /// The matrix whose rows hold the base blocks of `cols` side by side,
+    /// one row per table row. A 0-row table yields a 0×0 matrix, as the
+    /// seed path (`from_rows` of an empty vector) does.
+    fn blocks_matrix(&self, cols: &[usize]) -> FeatureMatrix {
+        let n_rows = self.table.n_rows();
+        if n_rows == 0 {
+            return FeatureMatrix::zeros(0, 0);
         }
-        if let Some(block) = self
-            .extra
-            .get(col)
-            .filter(|v| !v.is_empty())
-            .map(|v| v[row].as_slice())
-        {
-            out[off..off + block.len()].copy_from_slice(block);
-            off += block.len();
+        let stride = cols.iter().map(|&c| self.base_dim(c)).sum();
+        let mut matrix = FeatureMatrix::zeros(n_rows, stride);
+        let mut offset = 0;
+        for &c in cols {
+            self.fill_base_block(c, 0..n_rows, matrix.data_mut(), stride, offset);
+            offset += self.base_dim(c);
         }
-        if off == 0 {
-            out[0] = 0.0;
-        }
+        matrix
     }
 
     /// General path: fills the base vector of a cell, honouring value and
@@ -344,7 +405,7 @@ impl<'a> FittedFeatures<'a> {
         out: &mut [f32],
     ) {
         if value_override.is_none() && extra_override.is_none() {
-            self.fill_base_row_interned(row, col, out);
+            self.fill_base_block(col, row..row + 1, out, 0, 0);
             return;
         }
         let value = value_override.unwrap_or_else(|| self.table.cell(row, col));
@@ -451,9 +512,8 @@ impl<'a> FittedFeatures<'a> {
         let mut off = self.base_width_with(col, extra_len);
         self.base_row_into(row, col, value_override, extra_override, &mut out[..off]);
         for &q in &self.correlated[col] {
-            let width = self.base_dim(q);
-            self.fill_base_row_interned(row, q, &mut out[off..off + width]);
-            off += width;
+            self.fill_base_block(q, row..row + 1, out, 0, off);
+            off += self.base_dim(q);
         }
     }
 
@@ -480,45 +540,39 @@ impl<'a> FittedFeatures<'a> {
         out
     }
 
-    /// Materialises the full base and unified matrices for every attribute.
+    /// Attribute `col`'s unified matrix: per row, its base block followed by
+    /// the base blocks of its correlated attributes. The blocks are filled
+    /// straight from the fitted per-distinct caches, one after another, so
+    /// no base matrix is built on the way. Bit-identical to
+    /// `build_all().unified[col]`, including the 0×0 matrix of a 0-row
+    /// table.
     ///
-    /// Per-distinct-value blocks (frequencies, patterns, embeddings) were
-    /// computed once at fit time; this pass only scatters them to rows and
-    /// fills the row-dependent slots, writing directly into preallocated
-    /// buffers, one column after another on the calling thread.
+    /// Only attribute `col`'s own sampling and detector read this matrix,
+    /// so `ZeroEd::detect` builds it inside each of those two phases and
+    /// drops it when the phase returns.
+    pub fn unified_matrix(&self, col: usize) -> FeatureMatrix {
+        let cols: Vec<usize> = std::iter::once(col)
+            .chain(self.correlated[col].iter().copied())
+            .collect();
+        self.blocks_matrix(&cols)
+    }
+
+    /// Materialises the full base and unified matrices for every attribute,
+    /// one column after another on the calling thread, through the same
+    /// block filler as [`FittedFeatures::unified_matrix`].
+    ///
+    /// Holding every matrix at once costs `n_rows ×` the sum of all base and
+    /// unified widths, so detection does not call this. Its callers are
+    /// the ones that want the whole table's features side by side:
+    /// `paper_bench`'s traced driver, which restates the pipeline with
+    /// barriers between the stages; the `bench_features` ledger and the
+    /// `features_bench` micro-benchmark, which time it against the
+    /// [`reference`](crate::reference) oracle; and the equivalence tests.
     pub fn build_all(&self) -> TableFeatures {
         let n_cols = self.table.n_cols();
-        let n_rows = self.table.n_rows();
-        if n_rows == 0 {
-            // Mirror the seed path (`from_rows` of an empty vector): empty
-            // tables yield 0×0 matrices.
-            return TableFeatures {
-                unified: (0..n_cols).map(|_| FeatureMatrix::zeros(0, 0)).collect(),
-                base: (0..n_cols).map(|_| FeatureMatrix::zeros(0, 0)).collect(),
-                correlated: self.correlated.clone(),
-            };
-        }
-        let dims: Vec<usize> = (0..n_cols).map(|j| self.base_dim(j)).collect();
-        let mut base: Vec<FeatureMatrix> = dims
-            .iter()
-            .map(|&bd| FeatureMatrix::zeros(n_rows, bd))
-            .collect();
-        for (j, m) in base.iter_mut().enumerate() {
-            for (i, out) in m.data_mut().chunks_mut(dims[j]).enumerate() {
-                self.fill_base_row_interned(i, j, out);
-            }
-        }
-        let unified: Vec<FeatureMatrix> = (0..n_cols)
-            .map(|j| {
-                let parts: Vec<&FeatureMatrix> = std::iter::once(&base[j])
-                    .chain(self.correlated[j].iter().map(|&q| &base[q]))
-                    .collect();
-                FeatureMatrix::hconcat_all(&parts)
-            })
-            .collect();
         TableFeatures {
-            unified,
-            base,
+            unified: (0..n_cols).map(|j| self.unified_matrix(j)).collect(),
+            base: (0..n_cols).map(|j| self.blocks_matrix(&[j])).collect(),
             correlated: self.correlated.clone(),
         }
     }
@@ -585,6 +639,31 @@ mod tests {
         // Column 0 has 2 extra dims compared to columns 1 and 2.
         assert_eq!(feats.base[0].n_cols(), feats.base[1].n_cols() + 2);
         assert_eq!(feats.base[0].row(0)[feats.base[0].n_cols() - 2], 1.0);
+    }
+
+    fn six_row_table() -> Table {
+        let rows = (0..6)
+            .map(|i| vec![format!("v{}", i % 3), format!("w{}", i % 2)])
+            .collect();
+        Table::new("six", vec!["a".into(), "b".into()], rows).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "extra block of column 1 has 3 rows for a 6-row table")]
+    fn fitting_rejects_a_short_extra_block() {
+        let t = six_row_table();
+        let extra = vec![Vec::new(), vec![vec![1.0f32]; 3]];
+        let _ = FeatureBuilder::new(FeatureConfig::default()).fit(&t, &extra);
+    }
+
+    #[test]
+    #[should_panic(expected = "extra block of column 0 is ragged")]
+    fn fitting_rejects_a_ragged_extra_block() {
+        let t = six_row_table();
+        let mut block = vec![vec![1.0f32, 0.0]; 6];
+        block[1] = vec![1.0];
+        let extra = vec![block];
+        let _ = FeatureBuilder::new(FeatureConfig::default()).fit(&t, &extra);
     }
 
     #[test]

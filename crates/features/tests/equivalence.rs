@@ -99,6 +99,11 @@ fn build_all_is_bit_identical_to_reference() {
                     fast.unified[j], naive.unified[j],
                     "case {case} config {ci}: unified matrix of column {j} diverged"
                 );
+                assert_eq!(
+                    fitted.unified_matrix(j),
+                    naive.unified[j],
+                    "case {case} config {ci}: streamed unified matrix of column {j} diverged"
+                );
             }
             assert_eq!(fast.correlated, naive.correlated);
         }
@@ -119,17 +124,29 @@ fn build_all_with_extra_blocks_is_bit_identical() {
             Vec::new(),
             (0..n_rows).map(|_| vec![f32::from(rng.gen_bool(0.8))]).collect(),
         ];
-        let builder = FeatureBuilder::new(FeatureConfig {
+        let extra_configs = std::iter::once(FeatureConfig {
             embed_dim: 7,
             top_k_corr: 2,
             ..FeatureConfig::default()
-        });
-        let fitted = builder.fit(&table, &extra);
-        let fast = fitted.build_all();
-        let naive = build_all_reference(&fitted);
-        for j in 0..3 {
-            assert_eq!(fast.base[j], naive.base[j], "base matrix of column {j}");
-            assert_eq!(fast.unified[j], naive.unified[j], "unified matrix of column {j}");
+        })
+        .chain(configs());
+        for (ci, config) in extra_configs.enumerate() {
+            let builder = FeatureBuilder::new(config);
+            let fitted = builder.fit(&table, &extra);
+            let fast = fitted.build_all();
+            let naive = build_all_reference(&fitted);
+            for j in 0..3 {
+                assert_eq!(fast.base[j], naive.base[j], "config {ci}: base matrix of column {j}");
+                assert_eq!(
+                    fast.unified[j], naive.unified[j],
+                    "config {ci}: unified matrix of column {j}"
+                );
+                assert_eq!(
+                    fitted.unified_matrix(j),
+                    naive.unified[j],
+                    "config {ci}: streamed unified matrix of column {j}"
+                );
+            }
         }
     }
 }
@@ -201,6 +218,11 @@ fn empty_and_constant_tables_match_reference() {
         for j in 0..table.n_cols() {
             assert_eq!(fast.base[j], naive.base[j], "{} base col {j}", table.name());
             assert_eq!(fast.unified[j], naive.unified[j], "{} unified col {j}", table.name());
+            let streamed = fitted.unified_matrix(j);
+            assert_eq!(streamed, naive.unified[j], "{} streamed col {j}", table.name());
+            if table.n_rows() == 0 {
+                assert_eq!((streamed.n_rows(), streamed.n_cols()), (0, 0));
+            }
         }
     }
 }
