@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the orchestration runtime: request-key hashing, cache
-//! hit/miss paths and scheduler fan-out overhead. The end-to-end sequential
-//! vs concurrent vs cached comparison lives in the `bench_runtime` binary
-//! (`BENCH_runtime.json`).
+//! hit/miss paths and scheduler fan-out overhead. End to end, the repo
+//! benchmark (`paper_bench/`) measures `detect` cold and warm, and the
+//! `runtime_equivalence` tests bound the default runtime's LLM-stage speedup
+//! over the sequential run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;

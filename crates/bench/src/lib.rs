@@ -1,9 +1,9 @@
 //! # zeroed-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! ZeroED paper's evaluation section (see DESIGN.md §3 for the full index),
-//! plus criterion micro-benchmarks for the individual pipeline stages and
-//! the two perf-ledger emitters successive PRs track regressions against.
+//! ZeroED paper's evaluation section (one `exp_*` binary each, below), plus
+//! criterion micro-benchmarks for the individual pipeline stages and the
+//! `bench_features` featurisation ledger.
 //!
 //! ## Paper experiments
 //!
@@ -24,40 +24,20 @@
 //! (`--rows 600`) so a full sweep finishes in minutes on a laptop; pass
 //! `--rows 0` to use the paper's original sizes.
 //!
-//! ## Perf ledgers
+//! ## Featurisation ledger
 //!
-//! Two emitters produce committed JSON ledgers (drop `--quick` to
-//! regenerate the 50k-row files):
-//!
-//! * `bench_features` → `BENCH_features.json` — interned vs seed-reference
-//!   wall-times for featurisation and for the dBoost/NADEEF/KATARA/Raha
-//!   baselines, asserting mask equivalence as it measures.
-//! * `bench_runtime` → stdout, and `BENCH_runtime.json` only with
-//!   `--out BENCH_runtime.json` (so the tier-1 `--quick` run leaves the
-//!   committed file alone) — LLM-stage wall-times across
-//!   the runtime's execution modes (sequential / concurrent / cached cold /
-//!   cached warm), the `--router` hedging experiment (p99 recovery against
-//!   a slow-tail backend) and the `--persist` cross-process warm start,
-//!   including the sharded-concurrent-writers experiment (K detector
-//!   handles sharing one store root). Hard assertions gate every section:
-//!   masks bit-identical, warm runs issue zero LLM requests, hedging
-//!   recovers ≥1.5x p99, concurrent+cache ≥2x sequential. With `--trace`
-//!   it additionally runs the flight-recorder conformance suite and embeds
-//!   a `trace` section (per-mode event counts, exporter validation,
-//!   recorder overhead).
-//!
-//! The `bench_check` binary is the regression gate over those ledgers: it
-//! diffs a freshly generated `BENCH_runtime.json` against the committed one
-//! stage-by-stage (share of root wall-time, so absolute machine speed
-//! cancels out), warns outside a ±30% band and fails hard past 2x. The
-//! [`minijson`] module is its dependency-free JSON reader.
+//! `bench_features` is the only ledger emitter here. It writes
+//! `BENCH_features.json` (drop `--quick` to regenerate the 50k-row file):
+//! interned vs seed-reference wall-times for featurisation and for the
+//! dBoost/NADEEF/KATARA/Raha baselines, asserting mask equivalence as it
+//! measures. End-to-end throughput, CPU, memory, LLM cost and F1 are the
+//! repo benchmark's (`paper_bench/`, declared in `BENCHMARK.json`).
 //!
 //! Criterion micro-benchmarks for individual stages live under `benches/`
 //! (`cargo bench --no-run` compiles them in tier-1).
 
 pub mod harness;
 pub mod methods;
-pub mod minijson;
 pub mod tablefmt;
 
 pub use harness::{parse_args, prepared_dataset, HarnessArgs, PreparedDataset};

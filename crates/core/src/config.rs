@@ -52,7 +52,7 @@ pub struct ZeroEdConfig {
     /// Criteria evaluation engine: the compiled bytecode VM (default) or the
     /// per-cell AST-walking oracle. Both are bit-identical (the differential
     /// suite in `zeroed-criteria` enforces it); the oracle is retained as the
-    /// specification and for A/B timing in `bench_runtime`.
+    /// executable specification the pipeline's equivalence tests run.
     pub criteria_engine: CriteriaEngine,
     /// Re-asks the repair layer ([`crate::pipeline::repair::RepairLlm`]) may
     /// issue per corrupted response before falling back to the deterministic
@@ -179,8 +179,8 @@ impl ZeroEdConfig {
     }
 
     /// Pins criteria evaluation to the AST-walking specification oracle
-    /// instead of the compiled VM (bit-identical, slower; used for A/B
-    /// timing and belt-and-braces verification runs).
+    /// instead of the compiled VM (bit-identical, slower; used by the
+    /// equivalence tests).
     pub fn with_criteria_oracle(mut self) -> Self {
         self.criteria_engine = CriteriaEngine::AstOracle;
         self

@@ -507,6 +507,7 @@ mod tests {
     use super::*;
     use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
     use zeroed_llm::SimLlm;
+    use zeroed_runtime::RuntimeConfig;
 
     fn small_dataset() -> zeroed_datagen::GeneratedDataset {
         generate(
@@ -599,7 +600,8 @@ mod tests {
             label_rate: 0.08,
             ..ZeroEdConfig::fast()
         };
-        let outcome = ZeroEd::new(config.clone()).detect(&ds.dirty, &llm);
+        let detector = ZeroEd::new(config.clone());
+        let outcome = detector.detect(&ds.dirty, &llm);
         let profile = outcome
             .stats
             .stage_profile
@@ -614,6 +616,20 @@ mod tests {
         assert!(validate.count > 0);
         let cache = profile.find("llm_cache/lock_hold").expect("cache node");
         assert!(cache.parallel);
+
+        // A warm re-run answers every request from the cache, and a
+        // multi-worker run without the cache asks the model for each: the
+        // same phases run either way.
+        let warm = detector.detect(&ds.dirty, &llm);
+        assert_eq!(warm.stats.cache.misses, 0);
+        assert_stage_profile(warm.stats.stage_profile.as_ref().unwrap(), n_cols);
+        let uncached = ZeroEd::new(config.clone().with_runtime(RuntimeConfig {
+            workers: 4,
+            cache: false,
+            ..RuntimeConfig::default()
+        }))
+        .detect(&ds.dirty, &llm);
+        assert_stage_profile(uncached.stats.stage_profile.as_ref().unwrap(), n_cols);
 
         // The sequential run is the same code on one worker: same stage
         // names, and every task executes inline without queueing.

@@ -152,22 +152,63 @@ fn uncached_concurrent_run_matches_too() {
 
 #[test]
 fn default_runtime_fills_the_model_serving_capacity() {
-    // With simulated latency on, the sequential run serves one request at a
-    // time; the default runtime's LLM fan-outs keep more than the old
-    // per-core width of two in flight, never more than the simulator serves.
-    let ds = dataset(DatasetSpec::Hospital, 200, 3);
+    // With the simulator's full latency on, the sequential run serves one
+    // request at a time; the default runtime's LLM fan-outs keep more than
+    // the old per-core width of two in flight, never more than the simulator
+    // serves, and so finish the attribute chains at least twice as fast. The
+    // table is small because a debug build's CPU time, which the tests
+    // running beside this one slow down further, would hide the overlap.
+    let ds = dataset(DatasetSpec::Hospital, 100, 3);
     let served = |config: ZeroEdConfig| {
-        let llm = oracle_llm(&ds, 3).with_latency_scale(0.1);
+        let llm = oracle_llm(&ds, 3).with_latency_scale(1.0);
         let outcome = ZeroEd::new(config).detect(&ds.dirty, &llm);
-        (outcome.mask, llm.ledger().concurrency())
+        let chains = outcome
+            .stats
+            .stage_profile
+            .as_ref()
+            .and_then(|p| p.child("attributes"))
+            .expect("a non-empty run times its attribute chains")
+            .wall();
+        (outcome.mask, llm.ledger().concurrency(), chains)
     };
-    let (seq_mask, seq) = served(base_config().sequential_runtime());
+    let (seq_mask, seq, seq_chains) = served(base_config().sequential_runtime());
     assert_eq!(seq.peak_in_flight, 1, "{seq:?}");
     assert_eq!(seq.waits, 0, "{seq:?}");
-    let (mask, default) = served(base_config());
+    let (mask, default, default_chains) = served(base_config());
     assert_eq!(mask, seq_mask);
     assert!(
         default.peak_in_flight > 2 && default.peak_in_flight <= SimLlm::SERVING_CAPACITY,
         "{default:?}"
     );
+    assert!(
+        seq_chains >= 2 * default_chains,
+        "the default runtime's attribute chains took {default_chains:?}, more than half of \
+         the sequential run's {seq_chains:?}"
+    );
+}
+
+/// The synthetic workload shapes (wide, high-distinct, mixed-schema) stress
+/// column counts and value distributions, not rows, so a small table of
+/// each is enough: the default runtime reproduces the sequential mask, and
+/// both runs' stage profiles reconcile.
+#[test]
+fn workload_shapes_match_the_sequential_run() {
+    for spec in DatasetSpec::WORKLOADS {
+        let ds = dataset(spec, 120, 7);
+        let name = spec.name();
+        let seq =
+            ZeroEd::new(base_config().sequential_runtime()).detect(&ds.dirty, &oracle_llm(&ds, 1));
+        let default = ZeroEd::new(base_config()).detect(&ds.dirty, &oracle_llm(&ds, 1));
+        assert_eq!(seq.mask, default.mask, "{name}: mask diverged from sequential");
+        for outcome in [&seq, &default] {
+            let profile = outcome.stats.stage_profile.as_ref().expect("stage profile");
+            assert!(profile.accounting_ok(), "{name}\n{}", profile.render_table());
+            assert!(
+                profile.coverage() >= 0.9,
+                "{name}: top-level stages cover {:.3} of the run\n{}",
+                profile.coverage(),
+                profile.render_table()
+            );
+        }
+    }
 }

@@ -5,17 +5,22 @@
 //! counters in [`zeroed_core::PipelineStats`] and the router's own
 //! [`zeroed_core::RouterStats`]. The trace is not a sample: for every
 //! counter the pipeline reports there is an equal number of journaled
-//! events, in {sequential, concurrent+cached (cold and warm),
-//! routed-with-faults, mangled} runs alike.
+//! events, in {sequential, uncached, concurrent+cached (cold and warm),
+//! routed-with-faults, mangled} runs alike. A cold cached run's journal
+//! also goes through both exporters, and the recorder and the profiler
+//! must cost under 2% of that run.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::{Duration, Instant};
 use zeroed_core::{
     PipelineStats, RouterConfig, RouterLlm, RouterStats, RuntimeConfig, ZeroEd, ZeroEdConfig,
 };
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
 use zeroed_llm::{FaultSchedule, LlmClient, MangleSchedule, SimLlm};
-use zeroed_obs::EventKind;
+use zeroed_obs::{
+    chrome_trace_json, journal_jsonl, EventKind, Profiler, StageProfile, TraceId, TraceRecorder,
+};
 
 static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -155,20 +160,44 @@ fn assert_trace_reconciles(
     trace
 }
 
+/// Mean wall time of one call of `op`, measured over `samples` calls.
+fn cost_per_call(samples: u32, mut op: impl FnMut(u32)) -> Duration {
+    let t = Instant::now();
+    for i in 0..samples {
+        op(i);
+    }
+    t.elapsed() / samples
+}
+
+/// Spans recorded across the whole tree.
+fn profile_records(p: &StageProfile) -> u64 {
+    p.count + p.children.iter().map(profile_records).sum::<u64>()
+}
+
 #[test]
 fn sequential_run_traces_repair_only() {
     let ds = dataset();
-    let llm = oracle_llm(&ds, 13);
-    let outcome = ZeroEd::new(config().sequential_runtime()).detect(&ds.dirty, &llm);
-    let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), "sequential");
-    // One worker still journals every task (the reconciliation above checks
-    // submit, start and end against the count), but the run has no cache,
-    // router or store.
-    assert!(outcome.stats.runtime_tasks > 0);
-    assert_eq!(trace.count(EventKind::CacheHit), 0);
-    assert_eq!(trace.count(EventKind::RouterDone), 0);
-    assert_eq!(trace.count(EventKind::StorePersist), 0);
-    assert_eq!(trace.count(EventKind::StorePreload), 0);
+    let uncached = RuntimeConfig {
+        workers: 4,
+        cache: false,
+        ..RuntimeConfig::default()
+    };
+    for (label, config) in [
+        ("sequential", config().sequential_runtime()),
+        ("uncached 4 workers", config().with_runtime(uncached)),
+    ] {
+        let llm = oracle_llm(&ds, 13);
+        let outcome = ZeroEd::new(config).detect(&ds.dirty, &llm);
+        let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), label);
+        // Every task is journaled (the reconciliation above checks submit,
+        // start and end against the count), but without the cache the run
+        // has no cache, router or store events.
+        assert!(outcome.stats.runtime_tasks > 0);
+        assert_eq!(trace.count(EventKind::CacheHit), 0, "[{label}]");
+        assert_eq!(trace.count(EventKind::RouterDone), 0, "[{label}]");
+        assert_eq!(trace.count(EventKind::StorePersist), 0, "[{label}]");
+        assert_eq!(trace.count(EventKind::StorePreload), 0, "[{label}]");
+    }
 }
 
 #[test]
@@ -180,7 +209,9 @@ fn concurrent_cached_run_traces_every_layer_exactly() {
     }));
 
     let llm = oracle_llm(&ds, 13);
+    let t = Instant::now();
     let cold = detector.detect(&ds.dirty, &llm);
+    let wall = t.elapsed();
     let trace = assert_trace_reconciles(&cold.stats, &RouterStats::default(), "concurrent cold");
     assert!(cold.stats.runtime_tasks > 0, "fan-out must happen");
     assert!(cold.stats.cache.misses > 0, "cold run must miss");
@@ -193,6 +224,45 @@ fn concurrent_cached_run_traces_every_layer_exactly() {
     for ex in &trace.exemplars {
         assert!(!ex.trace.is_none());
         assert!(ex.end_nanos >= ex.begin_nanos);
+    }
+
+    // Both exporters on a real journal (`trace_conformance` pins their
+    // output on a hand-built stream): JSONL is one line per event, and the
+    // Chrome array holds only complete spans ("X") and instants ("i"), one
+    // span per queue and per execute of each task and one per published
+    // computation.
+    let journal = journal_jsonl(&trace.events);
+    assert_eq!(journal.lines().count(), trace.events.len());
+    let chrome = chrome_trace_json(&trace.events);
+    assert!(chrome.starts_with("[\n") && chrome.ends_with("\n]\n"));
+    let entries: Vec<&str> = chrome.lines().filter(|l| l.starts_with('{')).collect();
+    let spans = entries.iter().filter(|l| l.contains("\"ph\": \"X\"")).count();
+    let instants = entries.iter().filter(|l| l.contains("\"ph\": \"i\"")).count();
+    assert_eq!(spans + instants, entries.len(), "only spans and instants");
+    assert_eq!(
+        spans as u64,
+        2 * trace.count(EventKind::TaskStart) + trace.count(EventKind::CachePublish)
+    );
+
+    // Always-on observability stays cheap: the flight recorder's and the
+    // profiler's cost per operation, times the operations this run
+    // recorded, is under 2% of its wall time.
+    let recorder = TraceRecorder::new(1);
+    let per_emit = cost_per_call(200_000, |i| {
+        recorder.emit(TraceId::from_key(u128::from(i), 1), EventKind::CacheHit, u64::from(i))
+    });
+    let probe = Profiler::new("probe");
+    let span = probe.root().child_dist("record");
+    let per_record = cost_per_call(50_000, |i| span.record(Duration::from_nanos(u64::from(i))));
+    let profile = cold.stats.stage_profile.as_ref().expect("stage profile");
+    for (what, cost) in [
+        ("flight recorder", per_emit.as_secs_f64() * trace.recorded() as f64),
+        ("profiler", per_record.as_secs_f64() * profile_records(profile) as f64),
+    ] {
+        assert!(
+            cost < 0.02 * wall.as_secs_f64(),
+            "{what} overhead {cost:.6} s exceeds 2% of the run's {wall:?}"
+        );
     }
 
     // Warm re-run on the same detector: all hits, still exact.

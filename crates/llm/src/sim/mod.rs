@@ -1,11 +1,11 @@
 //! The simulated LLM ([`SimLlm`]).
 //!
-//! See the crate-level documentation and DESIGN.md for the substitution
-//! rationale: the simulator produces the same structured outputs a served
-//! model would (criteria, analyses, guidelines, labels, augmented errors),
-//! grounded in real data profiling, with labelling fidelity governed by a
-//! per-backbone [`LlmProfile`] and an optional ground-truth oracle supplied by
-//! the experiment harness. Every call renders the paper's prompt templates and
+//! See the crate-level documentation for the substitution rationale: the
+//! simulator produces the same structured outputs a served model would
+//! (criteria, analyses, guidelines, labels, augmented errors), grounded in
+//! real data profiling, with labelling fidelity governed by a per-backbone
+//! [`LlmProfile`] and an optional ground-truth oracle supplied by the
+//! experiment harness. Every call renders the paper's prompt templates and
 //! charges a shared [`TokenLedger`].
 
 pub mod augment;

@@ -204,6 +204,58 @@ fn mixed_schedule_conforms_without_hedging() {
     check_cell(&oracle, 3, mixed, false);
 }
 
+/// Hedging recovers a slow tail. One backend answers 15% of requests 250 ms
+/// late; on its own, every such request reaches the caller late. Next to a
+/// healthy replica, with hedging on, a late request is re-sent to the
+/// replica after a p90 deadline. The caller-observed p99 must fall at least
+/// 1.5x, with both masks equal to the sequential oracle's. The latencies
+/// are real sleeps (latency scale 1.0), so both arms take a few seconds.
+#[test]
+fn hedging_recovers_a_slow_tail_p99() {
+    let ds = generate(
+        DatasetSpec::Hospital,
+        &GenerateOptions {
+            n_rows: 200,
+            seed: 7,
+            error_spec: None,
+        },
+    );
+    let oracle = ZeroEd::new(config().sequential_runtime()).detect(&ds.dirty, &oracle_llm(&ds, 1));
+    let slow = FaultSchedule::slow_tail(11, 0.15, 250.0);
+    let p99 = |schedules: &[FaultSchedule], hedge: bool| {
+        let sims: Vec<SimLlm> = schedules
+            .iter()
+            .map(|s| oracle_llm(&ds, 1).with_latency_scale(1.0).with_faults(*s))
+            .collect();
+        let clients: Vec<&dyn LlmClient> = sims.iter().map(|s| s as &dyn LlmClient).collect();
+        let mut router_config = RouterConfig::for_backends(clients.len());
+        router_config.hedge.enabled = hedge;
+        // Only requests whose primary is the slow backend and that fall in
+        // its tail (~7.5%) get hedged, so a p90 deadline tracks healthy
+        // latency instead of chasing hedged samples.
+        router_config.hedge.percentile = 0.90;
+        router_config.hedge.min_deadline_ms = 25.0;
+        router_config.latency_scale = 1.0;
+        let router = RouterLlm::new(clients, &router_config);
+        let outcome = ZeroEd::new(config()).detect_routed(&ds.dirty, &router);
+        assert_eq!(
+            oracle.mask, outcome.mask,
+            "hedge={hedge}: routed mask diverged from the sequential oracle"
+        );
+        router.latency_quantile(0.99)
+    };
+    let single = p99(&[slow], false);
+    let hedged = p99(&[slow, FaultSchedule::healthy(12)], true);
+    assert!(
+        hedged <= single,
+        "hedged p99 {hedged:?} exceeds the single slow-tail backend's {single:?}"
+    );
+    assert!(
+        single.as_secs_f64() >= 1.5 * hedged.as_secs_f64(),
+        "hedging must cut the p99 at least 1.5x: single {single:?}, hedged {hedged:?}"
+    );
+}
+
 /// Property-style sweep at the raw request level: many distinct fingerprints,
 /// every schedule, hedge on and off — responses must match a fault-free
 /// reference client call-for-call, with exact cost conservation.
