@@ -35,6 +35,27 @@ fn duplicated(n: usize, u: usize, dim: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// `n` all-distinct rows of values in (-4, 4) from a SplitMix64 stream, with
+/// exact zeros mixed in: the sampling stage's input at the movies shape.
+fn distinct(n: usize, dim: usize) -> Vec<Vec<f32>> {
+    let mix = |mut z: u64| {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    (0..n)
+        .map(|r| {
+            (0..dim)
+                .map(|c| match mix((r * dim + c) as u64) {
+                    z if z % 9 == 0 => 0.0,
+                    z => ((z >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 8.0,
+                })
+                .collect()
+        })
+        .collect()
+}
+
 fn bench_cluster(c: &mut Criterion) {
     let mut group = c.benchmark_group("cluster");
     for &n in &[500usize, 2_000] {
@@ -56,7 +77,11 @@ fn bench_cluster(c: &mut Criterion) {
 }
 
 /// The sampling-stage hot path: dedup-weighted k-means against the retained
-/// full-row oracle on low-cardinality tables (u distinct vectors ≪ n rows).
+/// full-row oracle on low-cardinality tables (u distinct vectors ≪ n rows),
+/// and the dedup path alone at the sampling stage's shape on movies (7,390
+/// all-distinct rows of 108 dimensions, k = 370, the stage's 12-iteration
+/// Lloyd budget at tolerance 1e-3), where most of the Lloyd passes'
+/// centroids stop moving and the incremental assignment skips them.
 fn bench_kmeans_dedup(c: &mut Criterion) {
     let mut group = c.benchmark_group("kmeans_dedup");
     let config = KMeansConfig::default();
@@ -78,6 +103,17 @@ fn bench_kmeans_dedup(c: &mut Criterion) {
             );
         }
     }
+    let data = distinct(7_390, 108);
+    let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
+    let sampling = KMeansConfig {
+        max_iters: 12,
+        tolerance: 1e-3,
+    };
+    group.bench_with_input(
+        BenchmarkId::new("dedup", "7390x108_k370"),
+        &rows,
+        |b, rows| b.iter(|| black_box(kmeans(rows, 370, &sampling, 7))),
+    );
     group.finish();
 }
 

@@ -7,9 +7,9 @@
 //!   instead (O(u·k·d), `u` distinct rows), scattering assignments back by
 //!   code. Seeding stays row-weighted (the D² scan walks rows, not
 //!   distincts), so the sampled centres are exactly the reference's. Its
-//!   distances come from the lane-wise kernels of [`crate::lanes`]: each
-//!   assignment pass transposes the centroids once and sweeps every distinct
-//!   vector against all of them with the centroids as lanes, and seeding
+//!   distances come from the lane-wise kernels of [`crate::lanes`]: an
+//!   assignment pass transposes centroids once and sweeps every distinct
+//!   vector against them with the centroids as lanes, and seeding
 //!   transposes the distinct vectors once and sweeps each new centre against
 //!   all of them with the points as lanes. Both add every distance's terms
 //!   in [`sq_dist`]'s order, so they change no bit. Everything runs on the
@@ -20,6 +20,36 @@
 //!   and any input with no duplicate rows) the fast path is bit-identical to
 //!   it; otherwise the two differ only by f64 summation order in the centroid
 //!   update.
+//!
+//! ## Incremental assignment
+//!
+//! After a few Lloyd updates most centroids stop moving: the update
+//! recomputes them to the same f32 bits. A stationary centroid's distance to
+//! a vector is bit-identical to last pass's, so the fast path's assignment
+//! passes (every Lloyd pass and the final assignment) re-sweep only the
+//! centroids whose bits changed, the *moved* ones, re-seeded empty clusters
+//! included. Each distinct vector `u` keeps three values from its last
+//! pass: `a[u]`, its centroid (the first minimum, the rule of
+//! [`CentroidLanes::nearest`]); `q[u]`, that centroid's computed distance;
+//! and `s[u]`, a computed value no larger than any other centroid's non-NaN
+//! computed distance. A pass sweeps every `u` against the moved centroids
+//! only, and the winner is the first minimum over `a[u]` and the moved
+//! centroids when
+//!
+//! * `a[u]` did not move (it keeps `q[u]`, and last pass's first minimum
+//!   beat every stationary centroid, ties included), or
+//! * it moved, and its new distance is `≤ q[u]` (it still beats every
+//!   stationary centroid) or `< s[u]` (strictly below all of them).
+//!
+//! `s[u]` then becomes the minimum of itself, the moved centroids' distances
+//! other than the winner's, and `q[u]` when a stationary `a[u]` lost.
+//! Otherwise, and whenever `q[u]` is not finite, `u` is swept against all
+//! `k` centroids; on the first pass every centroid counts as moved, so that
+//! pass is a full sweep. Every comparison is between computed f32
+//! distances, with no epsilon, so the assignments are the full sweep's bit
+//! for bit; debug builds assert that after every pass.
+//!
+//! ## Empty clusters
 //!
 //! Empty clusters are re-seeded *iteratively*: after the surviving centroids
 //! move, each empty cluster in turn takes the point farthest from its
@@ -32,6 +62,7 @@
 //! so the regression test can plant that exact situation.)
 
 use crate::dedup::DedupPoints;
+use crate::lanes::{nearest_two, CentroidLanes};
 use crate::{assign_to_nearest_reference, sq_dist, Clustering};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -84,11 +115,10 @@ pub fn kmeans_dedup(dd: &DedupPoints, k: usize, config: &KMeansConfig, seed: u64
     let k = k.min(n);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut centroids = plus_plus_init_dedup(dd, k, &mut rng);
-    lloyd_dedup(dd, &mut centroids, config);
-    let assignments = dd.assign_to_nearest(&centroids);
+    let nearest = lloyd_dedup(dd, &mut centroids, config);
     Clustering {
         k,
-        assignments,
+        assignments: dd.scatter(&nearest),
         centroids,
     }
 }
@@ -106,11 +136,10 @@ pub fn kmeans_with_initial(
     }
     let dd = DedupPoints::build(data);
     let mut centroids = initial.to_vec();
-    lloyd_dedup(&dd, &mut centroids, config);
-    let assignments = dd.assign_to_nearest(&centroids);
+    let nearest = lloyd_dedup(&dd, &mut centroids, config);
     Clustering {
         k: centroids.len(),
-        assignments,
+        assignments: dd.scatter(&nearest),
         centroids,
     }
 }
@@ -168,67 +197,180 @@ fn farthest_row(dists: impl Iterator<Item = f32>) -> usize {
     best
 }
 
-/// Lloyd iterations over the deduplicated points, mutating `centroids` in
-/// place. Assignment and reseed distances are computed once per distinct
-/// vector; centroid sums weight each distinct by its multiplicity.
-fn lloyd_dedup(dd: &DedupPoints, centroids: &mut [Vec<f32>], config: &KMeansConfig) {
-    let k = centroids.len();
-    let dim = dd.dim();
-    let nu = dd.n_unique();
-    for _ in 0..config.max_iters {
-        // Assignment step, per distinct vector (centroid-lane kernel).
-        let uassign = dd.assign_unique(centroids);
+/// Each distinct vector's nearest centroid, kept across the assignment
+/// passes of one Lloyd run so that a pass re-sweeps only the centroids that
+/// moved (see the module docs for the rules).
+struct Assignment {
+    /// `a[u]`: the centroid distinct vector `u` is assigned to.
+    nearest: Vec<usize>,
+    /// `q[u]`: its computed squared distance to `a[u]`; infinite before
+    /// the first pass.
+    dist: Vec<f32>,
+    /// `s[u]`: no larger than any other centroid's non-NaN computed
+    /// squared distance to `u`. Never NaN, so `f32::min` keeps it when the
+    /// other operand is a NaN distance.
+    bound: Vec<f32>,
+}
 
-        // Update step: multiplicity-weighted sums.
-        let mut sums = vec![vec![0.0f64; dim]; k];
-        let mut counts = vec![0u64; k];
-        for u in 0..nu {
-            let a = uassign[u];
-            let w = dd.counts()[u] as u64;
-            counts[a] += w;
-            let wf = w as f64;
-            for (s, &x) in sums[a].iter_mut().zip(dd.unique_row(u)) {
-                *s += wf * (x as f64);
-            }
+impl Assignment {
+    /// No history yet: `q` is infinite, so each vector's first pass sweeps
+    /// all centroids.
+    fn new(n_unique: usize) -> Self {
+        Self {
+            nearest: vec![0; n_unique],
+            dist: vec![f32::INFINITY; n_unique],
+            bound: vec![f32::INFINITY; n_unique],
         }
-        let mut movement = 0.0f32;
-        let mut empties: Vec<usize> = Vec::new();
-        for c in 0..k {
-            if counts[c] == 0 {
-                empties.push(c);
-                continue;
-            }
-            let mut new_centroid = vec![0.0f32; dim];
-            for (nc, s) in new_centroid.iter_mut().zip(sums[c].iter()) {
-                *nc = (*s / counts[c] as f64) as f32;
-            }
-            movement += sq_dist(&centroids[c], &new_centroid);
-            centroids[c] = new_centroid;
+    }
+
+    /// Assigns every distinct vector to its nearest of `centroids`, given
+    /// that only the centroids listed in `moved` (ascending) changed since
+    /// the last pass. Bit-identical to [`DedupPoints::assign_unique`].
+    fn pass(&mut self, dd: &DedupPoints, centroids: &[Vec<f32>], moved: &[usize]) {
+        const STATIONARY: usize = usize::MAX;
+        let all_moved = moved.len() == centroids.len();
+        let mut lane_of = vec![STATIONARY; centroids.len()];
+        for (lane, &c) in moved.iter().enumerate() {
+            lane_of[c] = lane;
         }
-        // Iterative empty-cluster re-seeding against the *updated* centroids,
-        // refreshing distances after each pick so simultaneously-empty
-        // clusters receive distinct points.
-        if !empties.is_empty() {
-            let mut udist: Vec<f32> = (0..nu)
-                .map(|u| sq_dist(dd.unique_row(u), &centroids[uassign[u]]))
-                .collect();
-            for c in empties {
-                let far = farthest_row(dd.codes().iter().map(|&u| udist[u as usize]));
-                let far_u = dd.codes()[far] as usize;
-                movement += sq_dist(&centroids[c], dd.unique_row(far_u));
-                centroids[c] = dd.unique_row(far_u).to_vec();
-                for u in 0..nu {
-                    let nd = sq_dist(dd.unique_row(u), &centroids[c]);
-                    if nd < udist[u] {
-                        udist[u] = nd;
+        let mut moved_lanes = CentroidLanes::subset(centroids, moved);
+        let mut all_lanes: Option<CentroidLanes> = None;
+        for u in 0..dd.n_unique() {
+            let x = dd.unique_row(u);
+            let (a, q, s) = (self.nearest[u], self.dist[u], self.bound[u]);
+            if all_moved || q.is_finite() {
+                if moved.is_empty() {
+                    continue;
+                }
+                let dists = moved_lanes.sq_dists(x);
+                let (lane, runner_up) = nearest_two(dists);
+                let (w, qw) = (moved[lane], dists[lane]);
+                if lane_of[a] == STATIONARY {
+                    // `a` keeps `q`, which beat every stationary centroid.
+                    if qw < q || (qw == q && w < a) {
+                        self.nearest[u] = w;
+                        self.dist[u] = qw;
+                        self.bound[u] = s.min(runner_up).min(q);
+                    } else {
+                        self.bound[u] = s.min(qw);
                     }
+                    continue;
+                }
+                // `a` moved: it still beats every stationary centroid if it
+                // came no farther, or stays strictly below their bound.
+                let qa = dists[lane_of[a]];
+                if all_moved || qa <= q || qa < s {
+                    self.nearest[u] = w;
+                    self.dist[u] = qw;
+                    self.bound[u] = if all_moved {
+                        runner_up
+                    } else {
+                        s.min(runner_up)
+                    };
+                    continue;
                 }
             }
+            // No history, or the history cannot decide: sweep all `k`.
+            let lanes = all_lanes.get_or_insert_with(|| CentroidLanes::new(centroids));
+            let dists = lanes.sq_dists(x);
+            let (w, runner_up) = nearest_two(dists);
+            self.nearest[u] = w;
+            self.dist[u] = dists[w];
+            self.bound[u] = runner_up;
         }
+        debug_assert_eq!(
+            self.nearest,
+            dd.assign_unique(centroids),
+            "incremental assignment left the full sweep"
+        );
+    }
+}
+
+/// Lloyd iterations over the deduplicated points, mutating `centroids` in
+/// place, and the nearest centroid per distinct vector under the final
+/// centroids. Each assignment pass re-sweeps only the centroids that moved
+/// ([`Assignment::pass`]).
+fn lloyd_dedup(dd: &DedupPoints, centroids: &mut [Vec<f32>], config: &KMeansConfig) -> Vec<usize> {
+    let mut assignment = Assignment::new(dd.n_unique());
+    let mut moved: Vec<usize> = (0..centroids.len()).collect();
+    for _ in 0..config.max_iters {
+        assignment.pass(dd, centroids, &moved);
+        let (movement, next) = update_dedup(dd, centroids, &assignment.nearest);
+        moved = next;
         if movement < config.tolerance {
             break;
         }
     }
+    assignment.pass(dd, centroids, &moved);
+    assignment.nearest
+}
+
+/// One Lloyd update over the deduplicated points, from `nearest` (the
+/// centroid per distinct vector): each non-empty cluster's centroid becomes
+/// its members' mean, weighting each distinct by its multiplicity, and each
+/// empty cluster is re-seeded. Returns the total centroid movement and the
+/// centroids whose bits changed, re-seeded ones included, in ascending
+/// order.
+fn update_dedup(
+    dd: &DedupPoints,
+    centroids: &mut [Vec<f32>],
+    nearest: &[usize],
+) -> (f32, Vec<usize>) {
+    let k = centroids.len();
+    let dim = dd.dim();
+    let nu = dd.n_unique();
+    let mut sums = vec![vec![0.0f64; dim]; k];
+    let mut counts = vec![0u64; k];
+    for u in 0..nu {
+        let a = nearest[u];
+        let w = dd.counts()[u] as u64;
+        counts[a] += w;
+        let wf = w as f64;
+        for (s, &x) in sums[a].iter_mut().zip(dd.unique_row(u)) {
+            *s += wf * (x as f64);
+        }
+    }
+    let mut movement = 0.0f32;
+    let mut empties: Vec<usize> = Vec::new();
+    let mut moved = vec![false; k];
+    for c in 0..k {
+        if counts[c] == 0 {
+            empties.push(c);
+            continue;
+        }
+        let mut new_centroid = vec![0.0f32; dim];
+        for (nc, s) in new_centroid.iter_mut().zip(sums[c].iter()) {
+            *nc = (*s / counts[c] as f64) as f32;
+        }
+        movement += sq_dist(&centroids[c], &new_centroid);
+        moved[c] = centroids[c]
+            .iter()
+            .zip(&new_centroid)
+            .any(|(old, new)| old.to_bits() != new.to_bits());
+        centroids[c] = new_centroid;
+    }
+    // Iterative empty-cluster re-seeding against the *updated* centroids,
+    // refreshing distances after each pick so simultaneously-empty
+    // clusters receive distinct points.
+    if !empties.is_empty() {
+        let mut udist: Vec<f32> = (0..nu)
+            .map(|u| sq_dist(dd.unique_row(u), &centroids[nearest[u]]))
+            .collect();
+        for c in empties {
+            let far = farthest_row(dd.codes().iter().map(|&u| udist[u as usize]));
+            let far_u = dd.codes()[far] as usize;
+            movement += sq_dist(&centroids[c], dd.unique_row(far_u));
+            centroids[c] = dd.unique_row(far_u).to_vec();
+            moved[c] = true;
+            for u in 0..nu {
+                let nd = sq_dist(dd.unique_row(u), &centroids[c]);
+                if nd < udist[u] {
+                    udist[u] = nd;
+                }
+            }
+        }
+    }
+    (movement, (0..k).filter(|&c| moved[c]).collect())
 }
 
 /// Lloyd iterations over the full rows (the scalar oracle), mutating
@@ -372,6 +514,294 @@ fn plus_plus_init_dedup(dd: &DedupPoints, k: usize, rng: &mut ChaCha8Rng) -> Vec
 mod tests {
     use super::*;
 
+    /// The dedup Lloyd loop as it ran before its assignment passes became
+    /// incremental, kept as the oracle for them: every pass, and the final
+    /// assignment, sweeps all `k` centroids.
+    fn lloyd_full_sweep(
+        dd: &DedupPoints,
+        centroids: &mut [Vec<f32>],
+        config: &KMeansConfig,
+    ) -> Vec<usize> {
+        for _ in 0..config.max_iters {
+            let nearest = dd.assign_unique(centroids);
+            if update_dedup(dd, centroids, &nearest).0 < config.tolerance {
+                break;
+            }
+        }
+        dd.assign_unique(centroids)
+    }
+
+    /// [`kmeans_dedup`] on the full-sweep loop.
+    fn kmeans_dedup_full_sweep(
+        dd: &DedupPoints,
+        k: usize,
+        config: &KMeansConfig,
+        seed: u64,
+    ) -> Clustering {
+        let k = k.min(dd.n_rows());
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut centroids = plus_plus_init_dedup(dd, k, &mut rng);
+        let nearest = lloyd_full_sweep(dd, &mut centroids, config);
+        Clustering {
+            k,
+            assignments: dd.scatter(&nearest),
+            centroids,
+        }
+    }
+
+    /// [`kmeans_with_initial`] on the full-sweep loop.
+    fn with_initial_full_sweep(
+        data: &[&[f32]],
+        initial: &[Vec<f32>],
+        config: &KMeansConfig,
+    ) -> Clustering {
+        let dd = DedupPoints::build(data);
+        let mut centroids = initial.to_vec();
+        let nearest = lloyd_full_sweep(&dd, &mut centroids, config);
+        Clustering {
+            k: centroids.len(),
+            assignments: dd.scatter(&nearest),
+            centroids,
+        }
+    }
+
+    fn bits(c: &Clustering) -> Vec<Vec<u32>> {
+        c.centroids
+            .iter()
+            .map(|v| v.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    fn assert_same(fast: &Clustering, oracle: &Clustering, what: &str) {
+        assert_eq!(fast.k, oracle.k, "{what}");
+        assert_eq!(fast.assignments, oracle.assignments, "{what}");
+        assert_eq!(bits(fast), bits(oracle), "{what}");
+    }
+
+    fn refs(data: &[Vec<f32>]) -> Vec<&[f32]> {
+        data.iter().map(|r| r.as_slice()).collect()
+    }
+
+    /// `n` rows over `u` distinct non-integer vectors, interleaved. The last
+    /// coordinate takes `0.25`, `-0.25` or a value near 1e-20, so a
+    /// cluster's f64 centroid sum depends on its order (the tiny values
+    /// vanish when added next to `±0.25` and survive once those cancel):
+    /// `kmeans_reference`, which adds row by row, drifts from the dedup
+    /// path's weighted sums, and only the full-sweep loop is an exact oracle.
+    fn duplicated_fractional_table(n: usize, u: usize, dim: usize) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|i| {
+                let v = (i * 7 + i / 11) % u;
+                (0..dim)
+                    .map(|d| match v % 3 {
+                        _ if d + 1 < dim => ((v * (d + 3) + d * d) % 23) as f32 * 0.37,
+                        0 => 0.25,
+                        1 => -0.25,
+                        _ => (v + 1) as f32 * 1e-20,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn incremental_lloyd_matches_the_full_sweep_loop_on_duplicated_tables() {
+        let budget = KMeansConfig {
+            max_iters: 12,
+            tolerance: 1e-3,
+        };
+        let mut reference_differs = false;
+        for (n, u, dim, k, seed) in [
+            (900usize, 60usize, 6usize, 12usize, 1u64),
+            (1_200, 150, 9, 40, 2),
+            (700, 35, 3, 35, 3),
+            (500, 250, 5, 25, 4),
+        ] {
+            let data = duplicated_fractional_table(n, u, dim);
+            let rows = refs(&data);
+            let dd = DedupPoints::build(&rows);
+            for config in [KMeansConfig::default(), budget.clone()] {
+                let fast = kmeans_dedup(&dd, k, &config, seed);
+                let what = format!("n={n} u={u} k={k} iters={}", config.max_iters);
+                assert_same(
+                    &fast,
+                    &kmeans_dedup_full_sweep(&dd, k, &config, seed),
+                    &what,
+                );
+                let reference = kmeans_reference(&rows, k, &config, seed);
+                reference_differs |= bits(&fast) != bits(&reference);
+            }
+        }
+        assert!(
+            reference_differs,
+            "the tables must leave the reference's regime"
+        );
+    }
+
+    /// Ties, duplicated centroids, non-finite rows and the budget's edges,
+    /// against the full-sweep loop.
+    #[test]
+    fn incremental_lloyd_matches_the_full_sweep_loop_on_edge_cases() {
+        let default = KMeansConfig::default();
+        let iters = |max_iters| KMeansConfig {
+            max_iters,
+            tolerance: 1e-3,
+        };
+        // An integer grid and centroids on its half-steps: many rows sit at
+        // exactly the same distance from two or more centroids.
+        let grid: Vec<Vec<f32>> = (0..120)
+            .map(|i| vec![(i % 6) as f32, ((i / 6) % 5) as f32])
+            .collect();
+        let planted = [
+            vec![
+                vec![0.5f32, 0.5],
+                vec![0.5, 0.5],
+                vec![2.5, 2.0],
+                vec![4.5, 3.5],
+            ],
+            vec![
+                vec![2.0f32, 2.0],
+                vec![1.0, 2.0],
+                vec![3.0, 2.0],
+                vec![2.0, 2.0],
+            ],
+            vec![vec![9.0f32, 9.0]; 3],
+        ];
+        let rows = refs(&grid);
+        for initial in &planted {
+            for config in [default.clone(), iters(0), iters(1), iters(2)] {
+                assert_same(
+                    &kmeans_with_initial(&rows, initial, &config),
+                    &with_initial_full_sweep(&rows, initial, &config),
+                    &format!("grid from {initial:?}, {} iters", config.max_iters),
+                );
+            }
+        }
+        let dd = DedupPoints::build(&rows);
+        // k = 1, k at the distinct count (30) and past it (duplicate seeds).
+        for k in [1usize, 29, 30, 45] {
+            for config in [default.clone(), iters(0), iters(1)] {
+                for seed in 0..3 {
+                    assert_same(
+                        &kmeans_dedup(&dd, k, &config, seed),
+                        &kmeans_dedup_full_sweep(&dd, k, &config, seed),
+                        &format!("grid k={k} iters={} seed={seed}", config.max_iters),
+                    );
+                }
+            }
+        }
+        // Rows holding NaN and infinities.
+        let mut odd = duplicated_fractional_table(200, 40, 3);
+        odd[3][1] = f32::NAN;
+        odd[50][0] = f32::INFINITY;
+        odd[77][2] = f32::NEG_INFINITY;
+        odd[120] = vec![f32::INFINITY, f32::NEG_INFINITY, 1.0];
+        let rows = refs(&odd);
+        let dd = DedupPoints::build(&rows);
+        for k in [1usize, 5, 40] {
+            for config in [default.clone(), iters(1)] {
+                for seed in 0..3 {
+                    assert_same(
+                        &kmeans_dedup(&dd, k, &config, seed),
+                        &kmeans_dedup_full_sweep(&dd, k, &config, seed),
+                        &format!("non-finite k={k} iters={} seed={seed}", config.max_iters),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Checks what a pass leaves behind against every centroid's computed
+    /// distance: the full sweep's assignment, `q` equal to the assigned
+    /// centroid's distance, and `s` no larger than any other centroid's.
+    fn check_pass(state: &Assignment, dd: &DedupPoints, centroids: &[Vec<f32>], step: usize) {
+        assert_eq!(state.nearest, dd.assign_unique(centroids), "step {step}");
+        for u in 0..dd.n_unique() {
+            let a = state.nearest[u];
+            let dists: Vec<f32> = centroids
+                .iter()
+                .map(|c| sq_dist(dd.unique_row(u), c))
+                .collect();
+            assert_eq!(
+                state.dist[u].to_bits(),
+                dists[a].to_bits(),
+                "step {step} u={u}"
+            );
+            for (c, &d) in dists.iter().enumerate() {
+                assert!(
+                    c == a || d.is_nan() || state.bound[u] <= d,
+                    "step {step} u={u}: bound {} above centroid {c}'s {d}",
+                    state.bound[u]
+                );
+            }
+        }
+    }
+
+    /// Replays a planted sequence of centroid sets through the incremental
+    /// pass, marking as moved exactly the centroids whose bits changed.
+    fn replay(points: &[Vec<f32>], steps: &[Vec<Vec<f32>>]) {
+        let rows = refs(points);
+        let dd = DedupPoints::build(&rows);
+        let mut state = Assignment::new(dd.n_unique());
+        for (step, centroids) in steps.iter().enumerate() {
+            let changed = |c: usize| match step.checked_sub(1) {
+                None => true,
+                Some(last) => (steps[last][c].iter().zip(&centroids[c]))
+                    .any(|(x, y)| x.to_bits() != y.to_bits()),
+            };
+            let moved: Vec<usize> = (0..centroids.len()).filter(|&c| changed(c)).collect();
+            state.pass(&dd, centroids, &moved);
+            check_pass(&state, &dd, centroids, step);
+        }
+    }
+
+    /// Planted moves that only exact bookkeeping gets right.
+    #[test]
+    fn incremental_pass_keeps_the_first_minimum_through_planted_moves() {
+        let c = |v: &[f32]| v.iter().map(|&x| vec![x]).collect::<Vec<_>>();
+        // The assigned centroid moves away to exactly the distance of a
+        // stationary lower-index centroid, which must win the tie: only a
+        // strict `< s` keeps the pass from accepting the moved one.
+        replay(&[vec![0.0]], &[c(&[2.0, 1.0]), c(&[2.0, -2.0])]);
+        // A stationary assigned centroid loses to a moved one, which then
+        // moves away again past it: the bound must have taken the loser's
+        // distance.
+        replay(
+            &[vec![0.0]],
+            &[
+                c(&[1.0, 3.0, 10.0]),
+                c(&[1.0, 0.5, 10.0]),
+                c(&[1.0, 2.0, 10.0]),
+            ],
+        );
+        // Integer points and centroids stepping through duplicated and
+        // tied positions, a few at a time.
+        let points: Vec<Vec<f32>> = (0..40)
+            .map(|i| vec![(i % 8) as f32, (i / 8) as f32])
+            .collect();
+        let mut centroids: Vec<Vec<f32>> = (0..9)
+            .map(|c| vec![(c % 3) as f32 * 3.0, (c / 3) as f32 * 2.0])
+            .collect();
+        let mut steps = vec![centroids.clone()];
+        let mut z = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..60 {
+            for _ in 0..3 {
+                z ^= z << 13;
+                z ^= z >> 7;
+                z ^= z << 17;
+                let c = (z % 9) as usize;
+                let source = ((z >> 8) % 9) as usize;
+                centroids[c] = match (z >> 16) % 3 {
+                    0 => centroids[source].clone(),
+                    1 => vec![((z >> 24) % 8) as f32, ((z >> 32) % 5) as f32],
+                    _ => vec![((z >> 24) % 15) as f32 * 0.5, ((z >> 32) % 9) as f32 * 0.5],
+                };
+            }
+            steps.push(centroids.clone());
+        }
+        replay(&points, &steps);
+    }
+
     fn two_blobs() -> Vec<Vec<f32>> {
         let mut data = Vec::new();
         for i in 0..30 {
@@ -434,10 +864,16 @@ mod tests {
             max_iters: 1,
             ..Default::default()
         };
-        for c in [
-            kmeans_with_initial(&rows, &initial, &config),
-            kmeans_reference_with_initial(&rows, &initial, &config),
-        ] {
+        let fast = kmeans_with_initial(&rows, &initial, &config);
+        let oracle = kmeans_reference_with_initial(&rows, &initial, &config);
+        // Each re-seeded centroid lands on a row that must join it in the
+        // final assignment.
+        assert_eq!(fast.assignments, oracle.assignments);
+        assert_eq!(
+            fast.assignments,
+            with_initial_full_sweep(&rows, &initial, &config).assignments
+        );
+        for c in [fast, oracle] {
             assert_eq!(c.centroids.len(), 4);
             for a in 0..4 {
                 for b in (a + 1)..4 {

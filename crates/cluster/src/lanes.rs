@@ -12,18 +12,19 @@
 //!   lanes, each block holding coordinate `i` of its 32 centroids in one
 //!   contiguous row. One point's distances to all `k` centroids then sweep
 //!   the point's coordinates once per block, with the centroids as lanes:
-//!   `dist[c] += (x[i] - centroid_c[i])²`. Lloyd assignment, the final
-//!   assignment and [`crate::assign_to_nearest`] use it.
+//!   `dist[c] += (x[i] - centroid_c[i])²`. [`crate::assign_to_nearest`]
+//!   uses it, and so does every k-means assignment pass, over all
+//!   centroids or over only the ones that moved since the last pass.
 //! * `PointLanes` transposes a set of points the same way, so the
 //!   distances from every point to one centre sweep the centre's coordinates
 //!   once per block, with the points as lanes. k-means++ seeding, which adds
 //!   one centre at a time, uses it.
 //!
 //! Every lane's sum is therefore bit-identical to `sq_dist`.
-//! [`CentroidLanes::nearest`] returns the first lane equal to the minimum
-//! distance, which is the lane the scalar scan
+//! `nearest_two`, behind [`CentroidLanes::nearest`], returns the first
+//! lane equal to the minimum distance, which is the lane the scalar scan
 //! ([`crate::assign_to_nearest_reference`]) settles on — ties and NaN
-//! included.
+//! included — and the smallest distance among the other lanes.
 //!
 //! On x86-64 CPUs with AVX the sweeps run a copy of the same loop compiled
 //! for 256-bit vectors, chosen at run time. Each lane still performs the same
@@ -73,11 +74,23 @@ pub struct CentroidLanes {
 impl CentroidLanes {
     /// Transposes `centroids` (all of one dimension) into lanes.
     pub fn new(centroids: &[Vec<f32>]) -> Self {
-        let k = centroids.len();
         let dim = centroids.first().map_or(0, |c| c.len());
+        Self::from_rows(centroids.iter().map(|c| c.as_slice()), centroids.len(), dim)
+    }
+
+    /// Transposes the centroids listed in `which` into lanes, lane `i`
+    /// holding `centroids[which[i]]`: an incremental k-means pass sweeps
+    /// only the centroids that moved.
+    pub(crate) fn subset(centroids: &[Vec<f32>], which: &[usize]) -> Self {
+        let dim = centroids.first().map_or(0, |c| c.len());
+        let rows = which.iter().map(|&c| centroids[c].as_slice());
+        Self::from_rows(rows, which.len(), dim)
+    }
+
+    fn from_rows<'a>(rows: impl Iterator<Item = &'a [f32]>, k: usize, dim: usize) -> Self {
         Self {
             k,
-            blocks: transpose(centroids.iter().map(|c| c.as_slice()), k, dim),
+            blocks: transpose(rows, k, dim),
             dists: vec![0.0; k.div_ceil(BLOCK) * BLOCK],
         }
     }
@@ -96,35 +109,56 @@ impl CentroidLanes {
 
     /// Index of the centroid nearest to `x`: the first minimal distance, `0`
     /// when there are no centroids or no distance is below infinity (NaN
-    /// included) — exactly the scalar scan's choice.
-    ///
-    /// The scalar scan's running `if d < best` is one dependent chain. Here
-    /// eight running minima take every eighth lane (the minimum is exact, so
-    /// the grouping cannot change it), and the answer is the first lane equal
-    /// to their minimum: the lane where the scan would have stopped
-    /// improving.
+    /// included) — exactly the scalar scan's choice (see `nearest_two`).
     pub fn nearest(&mut self, x: &[f32]) -> usize {
-        let dists = self.sq_dists(x);
-        let mut minima = [f32::INFINITY; 8];
-        let chunks = dists.chunks_exact(8);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            for (m, &d) in minima.iter_mut().zip(chunk) {
-                if d < *m {
-                    *m = d;
-                }
-            }
-        }
-        let min = minima
-            .iter()
-            .chain(tail)
-            .fold(f32::INFINITY, |m, &d| if d < m { d } else { m });
-        if min < f32::INFINITY {
-            dists.iter().position(|&d| d == min).unwrap_or(0)
-        } else {
-            0
+        nearest_two(self.sq_dists(x)).0
+    }
+}
+
+/// The nearest lane of one sweep and the smallest distance among the other
+/// lanes: `(index, runner_up)`.
+///
+/// `index` is the first lane equal to the minimum distance, or `0` when no
+/// distance is below infinity (NaN included), which is where the scalar scan
+/// ([`crate::assign_to_nearest_reference`]) settles: its running
+/// `if d < best` never moves past the first minimum and never takes a NaN.
+/// `runner_up` is the minimum over every lane but `index`, NaN skipped,
+/// `INFINITY` when there is none; a tie at the minimum makes it equal to
+/// the minimum.
+///
+/// The scalar scan is one dependent chain. Here eight running pairs of the
+/// two smallest values take every eighth lane (minima are exact, so the
+/// grouping changes no value), and the two smallest of the whole sweep are
+/// the two smallest of those pairs.
+pub(crate) fn nearest_two(dists: &[f32]) -> (usize, f32) {
+    /// Folds `d` into the two smallest values so far; NaN never enters.
+    #[inline(always)]
+    fn fold(lo: &mut f32, hi: &mut f32, d: f32) {
+        let (small, large) = if d < *lo { (d, *lo) } else { (*lo, d) };
+        *lo = small;
+        if large < *hi {
+            *hi = large;
         }
     }
+    let mut lo = [f32::INFINITY; 8];
+    let mut hi = [f32::INFINITY; 8];
+    let chunks = dists.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for ((l, h), &d) in lo.iter_mut().zip(hi.iter_mut()).zip(chunk) {
+            fold(l, h, d);
+        }
+    }
+    let (mut min, mut runner_up) = (f32::INFINITY, f32::INFINITY);
+    for &d in lo.iter().chain(&hi).chain(tail) {
+        fold(&mut min, &mut runner_up, d);
+    }
+    let index = if min < f32::INFINITY {
+        dists.iter().position(|&d| d == min).unwrap_or(0)
+    } else {
+        0
+    };
+    (index, runner_up)
 }
 
 /// Points transposed into lanes for distance-to-one-centre queries.
@@ -273,9 +307,23 @@ mod tests {
     }
 
     /// Ties go to the first centroid, NaN distances never win, and an empty
-    /// centroid set answers `0` — the scalar scan's choices.
+    /// centroid set answers `0` — the scalar scan's choices. The runner-up
+    /// is the smallest other distance, wherever the two smallest fall among
+    /// the eight running pairs or the tail.
     #[test]
     fn nearest_keeps_the_scalar_tie_breaks() {
+        assert_eq!(nearest_two(&[1.0, 1.0, 1.0]), (0, 1.0));
+        assert_eq!(nearest_two(&[f32::NAN, 25.0]), (1, f32::INFINITY));
+        assert_eq!(nearest_two(&[f32::INFINITY, f32::NAN]), (0, f32::INFINITY));
+        assert_eq!(nearest_two(&[]), (0, f32::INFINITY));
+        let mut dists = vec![9.0f32; 19];
+        dists[3] = 0.5;
+        dists[11] = 0.25;
+        dists[12] = f32::NAN;
+        assert_eq!(nearest_two(&dists), (11, 0.5));
+        dists[11] = 9.0;
+        dists[17] = 0.75;
+        assert_eq!(nearest_two(&dists), (3, 0.75));
         let mut tied = CentroidLanes::new(&[vec![1.0f32], vec![-1.0], vec![1.0]]);
         assert_eq!(tied.nearest(&[0.0]), 0);
         assert_eq!(tied.nearest(&[1.0]), 0);

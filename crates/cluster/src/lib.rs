@@ -20,8 +20,11 @@
 //! experiment binary) can swap them without touching call sites:
 //!
 //! * [`kmeans()`] — Lloyd's iterations with k-means++-style seeding, the
-//!   §III-C default. O(iters · k · u · d) over the `u` distinct vectors, with
-//!   the distances computed by the lane-wise kernels of [`lanes`].
+//!   §III-C default, over the `u` distinct vectors: O(k · u · d) for
+//!   seeding and for the first assignment pass, then O(m · u · d) per pass,
+//!   where `m` counts the centroids the last update moved, plus a full
+//!   O(k · d) sweep for each vector whose history cannot decide its nearest
+//!   centroid. The distances come from the lane-wise kernels of [`lanes`].
 //! * [`agglomerative()`] — bottom-up Ward merging ("AGC" in Table VI); more
 //!   faithful to irregular cluster shapes, quadratic in n, so the pipeline
 //!   caps its input size (`max_cluster_rows`).

@@ -7,8 +7,9 @@
 //! all-distinct tables exercise the regime where the two paths coincide
 //! unconditionally (every multiplicity is 1, and `1.0 * x == x` exactly).
 //! The fast path computes its distances with the lane-wise kernels and the
-//! oracle with scalar `sq_dist` calls, so every comparison here also checks
-//! the kernels.
+//! oracle with scalar `sq_dist` calls, and its Lloyd passes re-sweep only the
+//! centroids that moved, so every comparison here also checks the kernels
+//! and the incremental assignment.
 
 use zeroed_cluster::{
     assign_to_nearest, assign_to_nearest_reference, kmeans, kmeans_dedup, kmeans_reference,
@@ -181,18 +182,32 @@ fn centroid_lanes_match_the_scalar_scan_at_the_sampling_shape() {
     }
 }
 
-/// The dedup path end to end (point-lane seeding, centroid-lane Lloyd
-/// passes, final assignment) against the scalar oracle under the sampling
-/// stage's Lloyd budget, with `k` and `dim` at odd widths.
+/// The dedup path end to end (point-lane seeding, incremental centroid-lane
+/// Lloyd passes, final assignment) against the scalar oracle under the
+/// sampling stage's Lloyd budget: at odd widths of `k` and `dim`, and at
+/// the sampling stage's shape on movies (k = 370 of 108 dimensions over
+/// 2,100 all-distinct rows). The movies shape shrinks to 320 rows and
+/// k = 40 in debug builds, whose passes also assert against a full sweep;
+/// the release test run covers it at full size.
 #[test]
 fn lane_kmeans_is_bit_identical_to_the_oracle_at_an_odd_shape() {
-    let data = sampling_shape_table(403, 37, 3);
-    let rows = refs(&data);
     let config = KMeansConfig {
         max_iters: 12,
         tolerance: 1e-3,
     };
-    for (k, seed) in [(75usize, 1u64), (403, 2)] {
+    let (movies_rows, movies_k) = if cfg!(debug_assertions) {
+        (320, 40)
+    } else {
+        (2_100, 370)
+    };
+    let odd = sampling_shape_table(403, 37, 3);
+    let movies = sampling_shape_table(movies_rows, 108, 4);
+    for (data, k, seed) in [
+        (&odd, 75usize, 1u64),
+        (&odd, 403, 2),
+        (&movies, movies_k, 5),
+    ] {
+        let rows = refs(data);
         let fast = kmeans(&rows, k, &config, seed);
         let oracle = kmeans_reference(&rows, k, &config, seed);
         assert_eq!(fast.assignments, oracle.assignments, "k={k}");

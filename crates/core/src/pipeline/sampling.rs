@@ -8,14 +8,17 @@
 //!
 //! * k-means runs its Lloyd loops per distinct vector
 //!   ([`zeroed_cluster::kmeans_dedup`]), weighting centroid updates by
-//!   multiplicity,
-//! * the final full-column assignment evaluates one distance per distinct
-//!   vector and scatters by code, and
+//!   multiplicity, and after the first pass each assignment pass re-sweeps
+//!   only the centroids the last update moved (the `zeroed_cluster::kmeans`
+//!   module docs),
+//! * the final full-column assignment, the last of those passes, is
+//!   scattered to rows by code, and
 //! * representative selection scans distincts instead of rows.
 //!
 //! All three are bit-identical to their full-row counterparts (see
 //! `zeroed_cluster::dedup`), which the scalar paths — retained as equivalence
-//! oracles — assert in the cluster crate's test suite. The distances come
+//! oracles — assert in the cluster crate's test suite; debug builds also
+//! check every incremental pass against a full sweep. The distances come
 //! from the bit-identical lane-wise kernels of `zeroed_cluster::lanes`, and
 //! [`sample_column`] runs entirely on the calling thread: the pipeline's
 //! scheduler supplies the parallelism, one attribute per worker of the

@@ -24,7 +24,10 @@ pub struct PipelineStats {
     pub verified_clean_rows: usize,
     /// Training rows labelled as errors (propagated error class).
     pub error_rows: usize,
-    /// LLM-augmented synthetic error examples.
+    /// Synthetic error examples returned by the LLM's augmentation step.
+    /// This counts what the LLM returned, not what the detector trained on:
+    /// the detector drops every example whose feature width differs from
+    /// its attribute's unified matrix.
     pub augmented_rows: usize,
     /// Total error-checking criteria in use after refinement/verification.
     pub criteria_count: usize,

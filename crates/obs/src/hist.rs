@@ -165,7 +165,7 @@ impl Histogram {
     /// quantiles are over the current window). `window_dropped` records how
     /// many lifetime samples the bounded window has already evicted — when
     /// non-zero, the quantiles describe only the most recent tail of the
-    /// stream, and downstream serializers flag them as truncated.
+    /// stream, and the stage-profile table flags them as truncated.
     pub fn snapshot(&self) -> HistogramSnapshot {
         // Lock the window before reading the lifetime count so a concurrent
         // `record_nanos` (count bumped, push pending) cannot make the
@@ -216,7 +216,7 @@ pub struct HistogramSnapshot {
     /// Lifetime samples the bounded window had already evicted when the
     /// snapshot was taken (`count − window len`). When non-zero, the
     /// quantiles were computed from a truncated window — only the most
-    /// recent samples — and serializers flag them accordingly.
+    /// recent samples — and the stage-profile table flags them accordingly.
     pub window_dropped: u64,
 }
 

@@ -1,9 +1,9 @@
-//! Tiny JSON-emission helpers shared by the profile and histogram
-//! serializers. The workspace has no serialization framework, so all ledger
-//! JSON is hand-rolled; these helpers keep the style uniform.
+//! Tiny formatting helpers: string escaping for the JSONL journal exporter
+//! (the workspace has no serialization framework, so its JSON is
+//! hand-rolled) and the milliseconds column of the stage-profile table.
 
 /// Escape a string for embedding inside a JSON string literal.
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -20,8 +20,8 @@ pub fn escape_json(s: &str) -> String {
 }
 
 /// Format a nanosecond count as fractional milliseconds with microsecond
-/// precision (`12.345`), the unit every ledger section reports in.
-pub fn fmt_ms(nanos: u64) -> String {
+/// precision (`12.345`).
+pub(crate) fn fmt_ms(nanos: u64) -> String {
     format!("{:.3}", nanos as f64 / 1_000_000.0)
 }
 

@@ -7,8 +7,7 @@
 //!   atomic adds, and child lookup is a get-or-create by name so repeated
 //!   invocations of the same stage accumulate instead of multiplying nodes.
 //!   [`Profiler::snapshot`] freezes the tree into a plain [`StageProfile`]
-//!   value that serializes to the hand-rolled JSON style the bench emitters
-//!   use and renders as a human-readable breakdown table.
+//!   value that renders as a human-readable breakdown table.
 //! * [`Histogram`] — fixed log₂-bucket latency histogram with a bounded
 //!   sliding window of raw samples for **exact** nearest-rank p50/p95/p99
 //!   extraction (`idx = ceil(q·n) − 1` over the sorted window, the same
@@ -48,7 +47,6 @@ mod profile;
 mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use json::{escape_json, fmt_ms};
 pub use profile::{Profiler, Quantiles, Span, SpanTimer, StageProfile};
 pub use trace::{
     check_causality, chrome_trace_json, current_id, emit_current, journal_jsonl, request_scope,

@@ -20,7 +20,7 @@
 //!   invariant and from [`StageProfile::coverage`].
 
 use crate::hist::Histogram;
-use crate::json::{escape_json, fmt_ms};
+use crate::json::fmt_ms;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -223,13 +223,13 @@ pub struct Quantiles {
     pub max_nanos: u64,
     /// Samples the bounded quantile window had evicted when the snapshot was
     /// taken. Non-zero means p50/p95/p99 describe only the most recent tail
-    /// of the distribution; the JSON and table renderers flag this.
+    /// of the distribution; the table renderer flags this.
     pub window_dropped: u64,
 }
 
 /// A frozen span tree: one node's accumulated wall time, invocation count
 /// and children. Fields are public so downstream layers can graft extra
-/// nodes (e.g. histogram snapshots from the runtime) before serializing.
+/// nodes (e.g. histogram snapshots from the runtime) before rendering.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageProfile {
     /// Stage name (path segment; unique among its siblings).
@@ -322,50 +322,6 @@ impl StageProfile {
         }
         let budget = self.wall_nanos + self.wall_nanos / 1000 + 1_000_000;
         self.sequential_child_nanos() <= budget && self.children.iter().all(|c| c.accounting_ok())
-    }
-
-    /// Serialize as hand-rolled JSON in the bench-ledger style: times as
-    /// fractional milliseconds, children nested, quantiles inlined when
-    /// present. Deterministic for a given tree.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    fn write_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"name\": \"{}\", \"wall_ms\": {}, \"count\": {}, \"parallel\": {}",
-            escape_json(&self.name),
-            fmt_ms(self.wall_nanos),
-            self.count,
-            self.parallel
-        ));
-        if let Some(q) = &self.quantiles {
-            out.push_str(&format!(
-                ", \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}",
-                fmt_ms(q.p50_nanos),
-                fmt_ms(q.p95_nanos),
-                fmt_ms(q.p99_nanos),
-                fmt_ms(q.max_nanos)
-            ));
-            if q.window_dropped > 0 {
-                // Truncated-window honesty: the quantiles above were computed
-                // from the most recent samples only.
-                out.push_str(&format!(", \"window_dropped\": {}", q.window_dropped));
-            }
-        }
-        if !self.children.is_empty() {
-            out.push_str(", \"children\": [");
-            for (i, c) in self.children.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                c.write_json(out);
-            }
-            out.push(']');
-        }
-        out.push('}');
     }
 
     /// Render an aligned, human-readable breakdown table. Percentages are of
@@ -524,14 +480,10 @@ mod tests {
     }
 
     #[test]
-    fn json_and_table_render() {
+    fn table_renders_children_indented() {
         let mut root = StageProfile::leaf("detect", Duration::from_millis(10), 1);
         root.children
             .push(StageProfile::leaf("features", Duration::from_millis(8), 1));
-        let json = root.to_json();
-        assert!(json.contains("\"name\": \"detect\""));
-        assert!(json.contains("\"wall_ms\": 10.000"));
-        assert!(json.contains("\"children\": ["));
         let table = root.render_table();
         assert!(table.contains("detect"));
         assert!(table.contains("  features"));

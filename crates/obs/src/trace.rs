@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::{escape_json, fmt_ms};
+use crate::json::escape_json;
 
 /// splitmix64 finaliser: the avalanche both lanes of the runtime's
 /// `RequestKey` already use, reimplemented locally so `zeroed-obs` stays
@@ -578,44 +578,6 @@ impl TraceSummary {
         }
         check_causality(&self.events)
     }
-
-    /// Hand-rolled JSON for the bench ledger: totals, drop count, non-zero
-    /// per-kind counts and a per-exemplar digest (no raw event dump — the
-    /// exporters cover that).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"events\": {}, \"dropped\": {}, \"kinds\": {{",
-            self.recorded(),
-            self.dropped_events
-        ));
-        let mut first = true;
-        for kind in EventKind::ALL {
-            let n = self.count(kind);
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{}\": {}", kind.name(), n));
-        }
-        out.push_str("}, \"exemplars\": [");
-        for (i, ex) in self.exemplars.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"trace\": \"0x{:016x}\", \"span_ms\": {}, \"events\": {}}}",
-                ex.trace.raw(),
-                fmt_ms(ex.span_nanos()),
-                ex.events.len()
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Check the causal well-formedness of a complete event stream (events in
@@ -1007,18 +969,6 @@ mod tests {
         assert_eq!(got[0].trace, slow);
         assert_eq!(got[0].span_nanos(), 50);
         assert_eq!(got[1].trace, fast);
-    }
-
-    #[test]
-    fn summary_json_lists_nonzero_kinds() {
-        let rec = TraceRecorder::new(1);
-        rec.emit(rec.trace_for_key(9), EventKind::CacheMiss, 0);
-        rec.emit(rec.trace_for_key(9), EventKind::CachePublish, 0);
-        let json = rec.summary(5).to_json();
-        assert!(json.contains("\"events\": 2"));
-        assert!(json.contains("\"cache_miss\": 1"));
-        assert!(!json.contains("task_submit"));
-        assert!(json.contains("\"exemplars\": ["));
     }
 
     #[test]
