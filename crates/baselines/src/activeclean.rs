@@ -38,8 +38,7 @@ impl ActiveClean {
             .iter()
             .map(|row| {
                 let n_cols = row.len().max(1) as f32;
-                let missing =
-                    row.iter().filter(|v| is_missing(v)).count() as f32 / n_cols;
+                let missing = row.iter().filter(|v| is_missing(v)).count() as f32 / n_cols;
                 let rarity: f32 = row
                     .iter()
                     .enumerate()
@@ -49,12 +48,8 @@ impl ActiveClean {
                     })
                     .sum::<f32>()
                     / n_cols;
-                let mean_len = row
-                    .iter()
-                    .map(|v| v.chars().count() as f32)
-                    .sum::<f32>()
-                    / n_cols
-                    / 32.0;
+                let mean_len =
+                    row.iter().map(|v| v.chars().count() as f32).sum::<f32>() / n_cols / 32.0;
                 let numeric =
                     row.iter().filter(|v| parse_numeric(v).is_some()).count() as f32 / n_cols;
                 vec![missing, rarity, mean_len.min(1.0), numeric]

@@ -71,9 +71,7 @@ impl DBoost {
             // Histogram of L2 formats.
             let mut pattern_counts: HashMap<String, usize> = HashMap::new();
             for v in &values {
-                *pattern_counts
-                    .entry(generalize(v, Level::L2))
-                    .or_insert(0) += 1;
+                *pattern_counts.entry(generalize(v, Level::L2)).or_insert(0) += 1;
             }
             for (row, v) in values.iter().enumerate() {
                 let mut flagged = false;
@@ -151,8 +149,7 @@ impl Baseline for DBoost {
                             return true;
                         }
                     }
-                    fm.pattern_frequency_code(col, code as u32, Level::L2)
-                        < self.pattern_threshold
+                    fm.pattern_frequency_code(col, code as u32, Level::L2) < self.pattern_threshold
                 })
                 .collect();
             for (row, &code) in dict.codes().iter().enumerate() {
@@ -173,7 +170,12 @@ mod tests {
 
     fn input_fixture() -> (Table, DatasetMetadata) {
         let mut rows: Vec<Vec<String>> = (0..100)
-            .map(|i| vec![format!("{}", 50_000 + (i % 10) * 100), "7:45 am".to_string()])
+            .map(|i| {
+                vec![
+                    format!("{}", 50_000 + (i % 10) * 100),
+                    "7:45 am".to_string(),
+                ]
+            })
             .collect();
         rows[3][0] = "5000000".into(); // numeric outlier
         rows[8][1] = "0745".into(); // rare format

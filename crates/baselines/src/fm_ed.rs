@@ -79,7 +79,10 @@ mod tests {
         assert_eq!(usage.requests, 80, "one request per tuple");
         assert!(usage.input_tokens > usage.output_tokens, "input-heavy");
         let report = mask.score_against(&ds.mask).unwrap();
-        assert!(report.f1 > 0.2, "FM_ED should find the easy errors: {report}");
+        assert!(
+            report.f1 > 0.2,
+            "FM_ED should find the easy errors: {report}"
+        );
         assert_eq!(fm.name(), "FM_ED");
     }
 

@@ -47,8 +47,8 @@ impl Katara {
                 if is_missing(&value) {
                     continue;
                 }
-                let mut violated = !entry.valid_values.is_empty()
-                    && !entry.valid_values.contains(&value);
+                let mut violated =
+                    !entry.valid_values.is_empty() && !entry.valid_values.contains(&value);
                 if !violated {
                     if let (Some((_, mapping)), Some(ctx_col)) =
                         (entry.conditioned_on.as_ref(), context_col)
@@ -96,8 +96,11 @@ impl Baseline for Katara {
                 if let Some(col) = table.column_index(name) {
                     columns.entry(col).or_insert_with(|| {
                         let dict = ColumnDict::for_column(table, col);
-                        let norm: Vec<String> =
-                            dict.values().iter().map(|v| v.trim().to_lowercase()).collect();
+                        let norm: Vec<String> = dict
+                            .values()
+                            .iter()
+                            .map(|v| v.trim().to_lowercase())
+                            .collect();
                         let missing = norm.iter().map(|v| is_missing(v)).collect();
                         InternedColumn {
                             dict,

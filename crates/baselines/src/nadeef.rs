@@ -212,17 +212,17 @@ mod tests {
             .map(|i| {
                 let city = ["Boston", "Denver"][i % 2];
                 let state = ["MA", "CO"][i % 2];
-                vec![city.to_string(), state.to_string(), format!("{:05}", 10000 + i % 2)]
+                vec![
+                    city.to_string(),
+                    state.to_string(),
+                    format!("{:05}", 10000 + i % 2),
+                ]
             })
             .collect();
         rows[4][1] = "CO".into(); // FD violation: Boston → CO
         rows[9][2] = "123".into(); // zip format violation
-        let table = Table::new(
-            "t",
-            vec!["city".into(), "state".into(), "zip".into()],
-            rows,
-        )
-        .unwrap();
+        let table =
+            Table::new("t", vec!["city".into(), "state".into(), "zip".into()], rows).unwrap();
         let metadata = DatasetMetadata {
             fds: vec![FunctionalDependency::new("city", "state")],
             patterns: vec![ColumnPattern::new("zip", PatternKind::ZipCode)],

@@ -113,10 +113,7 @@ impl Raha {
         feats.push(if freq < 0.01 { 1.0 } else { 0.0 });
         feats.push(if freq < 0.05 { 1.0 } else { 0.0 });
         // Pattern strategies at two thresholds.
-        let pat_freq = *pattern_counts
-            .get(&generalize(v, Level::L2))
-            .unwrap_or(&0) as f64
-            / n_rows;
+        let pat_freq = *pattern_counts.get(&generalize(v, Level::L2)).unwrap_or(&0) as f64 / n_rows;
         feats.push(if pat_freq < 0.01 { 1.0 } else { 0.0 });
         feats.push(if pat_freq < 0.05 { 1.0 } else { 0.0 });
         // Outlier strategies (Gaussian at 2 and 3 sigma).
@@ -184,8 +181,8 @@ impl Raha {
                 train_labels.push(label);
             }
         }
-        let has_both = train_labels.iter().any(|&l| l > 0.5)
-            && train_labels.iter().any(|&l| l < 0.5);
+        let has_both =
+            train_labels.iter().any(|&l| l > 0.5) && train_labels.iter().any(|&l| l < 0.5);
         if !has_both {
             // Without both classes, fall back to propagated labels only.
             for row in 0..n_rows {
@@ -328,8 +325,7 @@ impl Baseline for Raha {
             // Numeric parse once per distinct value; the moments accumulate
             // in *row order* (scattered by code) so the floating-point sums
             // are bit-identical to the seed's per-row accumulation.
-            let parsed: Vec<Option<f64>> =
-                values.iter().map(|v| parse_numeric(v)).collect();
+            let parsed: Vec<Option<f64>> = values.iter().map(|v| parse_numeric(v)).collect();
             let mut numerics: Vec<f64> = Vec::new();
             for &code in codes {
                 if let Some(x) = parsed[code as usize] {
@@ -349,10 +345,7 @@ impl Baseline for Raha {
 
             // Format generalisation once per distinct value; the histogram
             // sums occurrence counts per pattern (integers — order-free).
-            let patterns: Vec<String> = values
-                .iter()
-                .map(|v| generalize(v, Level::L2))
-                .collect();
+            let patterns: Vec<String> = values.iter().map(|v| generalize(v, Level::L2)).collect();
             let mut pattern_counts: HashMap<&str, usize> = HashMap::new();
             for (code, pattern) in patterns.iter().enumerate() {
                 *pattern_counts.entry(pattern.as_str()).or_insert(0) +=
@@ -364,8 +357,7 @@ impl Baseline for Raha {
                 .map(|code| {
                     let v: &str = &values[code];
                     let freq = col_dict.count(code as u32) as f64 / n_rows as f64;
-                    let pat_freq =
-                        pattern_counts[patterns[code].as_str()] as f64 / n_rows as f64;
+                    let pat_freq = pattern_counts[patterns[code].as_str()] as f64 / n_rows as f64;
                     let (z3, z2) = match (numeric_stats, parsed[code]) {
                         (Some((mean, std)), Some(x)) => {
                             let z = ((x - mean) / std).abs();
@@ -415,8 +407,7 @@ impl Baseline for Raha {
                         *entry = (count, v);
                     }
                 }
-                fd_majorities
-                    .push((det_codes, majority.into_iter().map(|(_, v)| v).collect()));
+                fd_majorities.push((det_codes, majority.into_iter().map(|(_, v)| v).collect()));
             }
 
             // Assemble per-row vectors: scatter the per-distinct block by
@@ -428,7 +419,11 @@ impl Baseline for Raha {
                     f.extend_from_slice(&base[code as usize]);
                     for (det_codes, majority) in &fd_majorities {
                         let d = det_codes[row];
-                        f.push(if majority[d as usize] != code { 1.0 } else { 0.0 });
+                        f.push(if majority[d as usize] != code {
+                            1.0
+                        } else {
+                            0.0
+                        });
                     }
                     f
                 })
@@ -481,7 +476,10 @@ mod tests {
         let f1_few = raha.detect(&input_few).score_against(&ds.mask).unwrap().f1;
         let f1_many = raha.detect(&input_many).score_against(&ds.mask).unwrap().f1;
         assert!(f1_many >= f1_few * 0.8, "few {f1_few} vs many {f1_many}");
-        assert!(f1_many > 0.1, "Raha with many labels should detect something");
+        assert!(
+            f1_many > 0.1,
+            "Raha with many labels should detect something"
+        );
     }
 
     #[test]

@@ -66,11 +66,9 @@ fn bench_cluster(c: &mut Criterion) {
             SamplingMethod::Agglomerative,
             SamplingMethod::Random,
         ] {
-            group.bench_with_input(
-                BenchmarkId::new(method.name(), n),
-                &rows,
-                |b, rows| b.iter(|| black_box(cluster(method, rows, 25, 7))),
-            );
+            group.bench_with_input(BenchmarkId::new(method.name(), n), &rows, |b, rows| {
+                b.iter(|| black_box(cluster(method, rows, 25, 7)))
+            });
         }
     }
     group.finish();
@@ -134,5 +132,10 @@ fn bench_assign_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cluster, bench_kmeans_dedup, bench_assign_kernel);
+criterion_group!(
+    benches,
+    bench_cluster,
+    bench_kmeans_dedup,
+    bench_assign_kernel
+);
 criterion_main!(benches);

@@ -18,10 +18,7 @@ fn synthetic(n: usize, u: usize) -> Table {
     let rows: Vec<Vec<String>> = (0..n)
         .map(|i| {
             let v = (i * 7 + i / 11) % u;
-            vec![
-                format!("val-{v:05}"),
-                format!("det-{:04}", v % (u / 4 + 1)),
-            ]
+            vec![format!("val-{v:05}"), format!("det-{:04}", v % (u / 4 + 1))]
         })
         .collect();
     Table::new("bench", vec!["a".into(), "det".into()], rows).unwrap()
@@ -94,9 +91,11 @@ fn bench_verification(c: &mut Criterion) {
 fn bench_compile(c: &mut Criterion) {
     let mut group = c.benchmark_group("criteria_compile");
     let set = criteria();
-    group.bench_with_input(BenchmarkId::new("compile_set", set.len()), &set, |b, set| {
-        b.iter(|| black_box(compile_set(set)))
-    });
+    group.bench_with_input(
+        BenchmarkId::new("compile_set", set.len()),
+        &set,
+        |b, set| b.iter(|| black_box(compile_set(set))),
+    );
     let programs = compile_set(&set);
     group.bench_with_input(
         BenchmarkId::new("roundtrip_bytes", set.len()),

@@ -6,13 +6,18 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use zeroed_runtime::{CachedResponse, RequestKey, RequestKind, ResponseCache, ResponseOrigin, Scheduler, StoredResponse};
+use zeroed_runtime::{
+    CachedResponse, RequestKey, RequestKind, ResponseCache, ResponseOrigin, Scheduler,
+    StoredResponse,
+};
 
 fn key_for(i: u64) -> RequestKey {
     let mut b = RequestKey::builder(RequestKind::LabelBatch, "Qwen2.5-72b");
-    b.text("Task: decide for each value of attribute 'state' below whether it is clean or erroneous.")
-        .rows(&[1, 2, 3, 4, 5, 6, 7, 8])
-        .word(i);
+    b.text(
+        "Task: decide for each value of attribute 'state' below whether it is clean or erroneous.",
+    )
+    .rows(&[1, 2, 3, 4, 5, 6, 7, 8])
+    .word(i);
     b.finish()
 }
 
@@ -36,9 +41,7 @@ fn bench_runtime(c: &mut Criterion) {
             output_tokens: 40,
             origin: ResponseOrigin::Computed,
         });
-        b.iter(|| {
-            black_box(cache.get_or_compute(key, || unreachable!("must hit")))
-        })
+        b.iter(|| black_box(cache.get_or_compute(key, || unreachable!("must hit"))))
     });
 
     group.bench_function("cache_miss_insert", |b| {

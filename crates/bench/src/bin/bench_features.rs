@@ -164,11 +164,15 @@ fn bench_baselines(spec: DatasetSpec, name: &'static str, rows: usize) -> Vec<Ba
                      slow: &dyn Fn() -> zeroed_table::ErrorMask| {
         let (fast_mask, fast_ms) = time_side(fast);
         let (slow_mask, slow_ms) = time_side(slow);
-        assert_eq!(slow_mask, fast_mask, "interned baseline diverged from reference");
+        assert_eq!(
+            slow_mask, fast_mask,
+            "interned baseline diverged from reference"
+        );
         (fast_ms, slow_ms)
     };
-    let (interned_ms, reference_ms) =
-        time_pair(&|| dboost.detect(&input), &|| dboost.detect_reference(&input));
+    let (interned_ms, reference_ms) = time_pair(&|| dboost.detect(&input), &|| {
+        dboost.detect_reference(&input)
+    });
     out.push(BaselineResult {
         method: "dBoost",
         dataset: name,
@@ -176,8 +180,9 @@ fn bench_baselines(spec: DatasetSpec, name: &'static str, rows: usize) -> Vec<Ba
         interned_ms,
         reference_ms,
     });
-    let (interned_ms, reference_ms) =
-        time_pair(&|| nadeef.detect(&input), &|| nadeef.detect_reference(&input));
+    let (interned_ms, reference_ms) = time_pair(&|| nadeef.detect(&input), &|| {
+        nadeef.detect_reference(&input)
+    });
     out.push(BaselineResult {
         method: "NADEEF",
         dataset: name,
@@ -186,8 +191,9 @@ fn bench_baselines(spec: DatasetSpec, name: &'static str, rows: usize) -> Vec<Ba
         reference_ms,
     });
     let katara = Katara;
-    let (interned_ms, reference_ms) =
-        time_pair(&|| katara.detect(&input), &|| katara.detect_reference(&input));
+    let (interned_ms, reference_ms) = time_pair(&|| katara.detect(&input), &|| {
+        katara.detect_reference(&input)
+    });
     out.push(BaselineResult {
         method: "KATARA",
         dataset: name,
@@ -204,10 +210,9 @@ fn bench_baselines(spec: DatasetSpec, name: &'static str, rows: usize) -> Vec<Ba
         labeled: &labels,
     };
     let raha = Raha::default();
-    let (interned_ms, reference_ms) = time_pair(
-        &|| raha.detect(&labeled_input),
-        &|| raha.detect_reference(&labeled_input),
-    );
+    let (interned_ms, reference_ms) = time_pair(&|| raha.detect(&labeled_input), &|| {
+        raha.detect_reference(&labeled_input)
+    });
     out.push(BaselineResult {
         method: "Raha",
         dataset: name,
@@ -296,7 +301,9 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"host_cores\": {},",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     );
     json.push_str("  \"featurisation\": [\n");
     for (i, r) in features.iter().enumerate() {

@@ -25,7 +25,12 @@ fn main() {
     for method in &methods {
         let mut cells = Vec::new();
         for prepared in &datasets {
-            let result = run_method(method, &prepared.data, LlmProfile::qwen_72b(), args.base_seed);
+            let result = run_method(
+                method,
+                &prepared.data,
+                LlmProfile::qwen_72b(),
+                args.base_seed,
+            );
             cells.push(format!("{:.2}", result.runtime.as_secs_f64()));
         }
         rows.push(Row::new(method.name(), cells));

@@ -30,7 +30,12 @@ fn main() {
         let prepared = prepared_dataset(spec, &args, args.base_seed);
         let mut rows = Vec::new();
         for (label, method) in &methods {
-            let result = run_method(method, &prepared.data, LlmProfile::qwen_72b(), args.base_seed);
+            let result = run_method(
+                method,
+                &prepared.data,
+                LlmProfile::qwen_72b(),
+                args.base_seed,
+            );
             rows.push(Row::new(*label, token_cells(&result)));
         }
         println!("{}", format_table(spec.name(), &header, &rows));

@@ -1,9 +1,9 @@
 //! Table III — main comparison: precision/recall/F1 of the seven methods on
 //! the six comparison datasets.
 
+use zeroed_bench::tablefmt::prf;
 use zeroed_bench::{format_table, parse_args, prepared_dataset, run_method_averaged};
 use zeroed_bench::{Method, Row};
-use zeroed_bench::tablefmt::prf;
 use zeroed_core::ZeroEdConfig;
 use zeroed_datagen::DatasetSpec;
 use zeroed_llm::LlmProfile;

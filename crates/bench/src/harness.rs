@@ -90,9 +90,11 @@ mod tests {
     #[test]
     fn parses_known_flags_and_ignores_unknown() {
         let args = parse_args(
-            ["--rows", "250", "--seeds", "2", "--seed", "7", "--bogus", "x"]
-                .iter()
-                .map(|s| s.to_string()),
+            [
+                "--rows", "250", "--seeds", "2", "--seed", "7", "--bogus", "x",
+            ]
+            .iter()
+            .map(|s| s.to_string()),
         );
         assert_eq!(args.rows, 250);
         assert_eq!(args.seeds, 2);

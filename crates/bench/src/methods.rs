@@ -253,7 +253,11 @@ mod tests {
                 method.name()
             );
             if matches!(method, Method::FmEd | Method::ZeroEd(_)) {
-                assert!(result.tokens.requests > 0, "{} should use the LLM", method.name());
+                assert!(
+                    result.tokens.requests > 0,
+                    "{} should use the LLM",
+                    method.name()
+                );
             } else {
                 assert_eq!(result.tokens.requests, 0, "{}", method.name());
             }

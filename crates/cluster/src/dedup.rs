@@ -177,10 +177,7 @@ impl DedupPoints {
     /// Expands a per-unique result to a per-row result by code.
     pub fn scatter<T: Copy>(&self, per_unique: &[T]) -> Vec<T> {
         debug_assert_eq!(per_unique.len(), self.n_unique());
-        self.codes
-            .iter()
-            .map(|&c| per_unique[c as usize])
-            .collect()
+        self.codes.iter().map(|&c| per_unique[c as usize]).collect()
     }
 
     /// Nearest-centroid index per *distinct* vector, through the

@@ -434,10 +434,7 @@ fn plus_plus_init(data: &[&[f32]], k: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f3
     let n = data.len();
     let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
     centroids.push(data[rng.gen_range(0..n)].to_vec());
-    let mut dists: Vec<f32> = data
-        .iter()
-        .map(|row| sq_dist(row, &centroids[0]))
-        .collect();
+    let mut dists: Vec<f32> = data.iter().map(|row| sq_dist(row, &centroids[0])).collect();
     while centroids.len() < k {
         let total: f64 = dists.iter().map(|&d| d as f64).sum();
         let next = if total <= f64::EPSILON {
@@ -480,11 +477,7 @@ fn plus_plus_init_dedup(dd: &DedupPoints, k: usize, rng: &mut ChaCha8Rng) -> Vec
     centroids.push(dd.row(rng.gen_range(0..n)).to_vec());
     let mut udists = points.sq_dists(&centroids[0]).to_vec();
     while centroids.len() < k {
-        let total: f64 = dd
-            .codes()
-            .iter()
-            .map(|&u| udists[u as usize] as f64)
-            .sum();
+        let total: f64 = dd.codes().iter().map(|&u| udists[u as usize] as f64).sum();
         let next = if total <= f64::EPSILON {
             rng.gen_range(0..n)
         } else {

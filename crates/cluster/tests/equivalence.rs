@@ -171,12 +171,19 @@ fn centroid_lanes_match_the_scalar_scan_at_the_sampling_shape() {
         rows.extend(centroids.iter().step_by(17).map(|c| c.as_slice()));
         let mut lanes = CentroidLanes::new(&centroids);
         for row in &rows {
-            let scalar: Vec<u32> = centroids.iter().map(|c| sq_dist(row, c).to_bits()).collect();
+            let scalar: Vec<u32> = centroids
+                .iter()
+                .map(|c| sq_dist(row, c).to_bits())
+                .collect();
             let lane: Vec<u32> = lanes.sq_dists(row).iter().map(|d| d.to_bits()).collect();
             assert_eq!(lane, scalar, "n={n} k={k} dim={dim}");
         }
         let oracle = assign_to_nearest_reference(&rows, &centroids);
-        assert_eq!(assign_to_nearest(&rows, &centroids), oracle, "k={k} dim={dim}");
+        assert_eq!(
+            assign_to_nearest(&rows, &centroids),
+            oracle,
+            "k={k} dim={dim}"
+        );
         let dd = DedupPoints::build(&rows);
         assert_eq!(dd.assign_to_nearest(&centroids), oracle, "k={k} dim={dim}");
     }
@@ -212,7 +219,9 @@ fn lane_kmeans_is_bit_identical_to_the_oracle_at_an_odd_shape() {
         let oracle = kmeans_reference(&rows, k, &config, seed);
         assert_eq!(fast.assignments, oracle.assignments, "k={k}");
         let bits = |c: &[Vec<f32>]| -> Vec<Vec<u32>> {
-            c.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+            c.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
         };
         assert_eq!(bits(&fast.centroids), bits(&oracle.centroids), "k={k}");
     }
@@ -269,7 +278,10 @@ fn no_duplicate_centroids_when_at_least_k_distinct_points() {
     ] {
         let data = duplicated_table(n, u, 3);
         let rows = refs(&data);
-        assert!(DedupPoints::build(&rows).n_unique() >= k, "premise violated");
+        assert!(
+            DedupPoints::build(&rows).n_unique() >= k,
+            "premise violated"
+        );
         for seed in 0..8u64 {
             let c = kmeans(&rows, k, &KMeansConfig::default(), seed);
             for a in 0..c.centroids.len() {

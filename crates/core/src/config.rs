@@ -260,7 +260,8 @@ impl ZeroEdConfig {
     /// values.
     pub fn clusters_for(&self, n_rows: usize) -> usize {
         let raw = (self.label_rate * n_rows as f64).ceil() as usize;
-        raw.clamp(2, self.max_clusters_per_column.max(2)).min(n_rows.max(1))
+        raw.clamp(2, self.max_clusters_per_column.max(2))
+            .min(n_rows.max(1))
     }
 }
 
@@ -284,8 +285,17 @@ mod tests {
         assert!(!ZeroEdConfig::default().without_guidelines().use_guidelines);
         assert!(!ZeroEdConfig::default().without_criteria().use_criteria);
         assert!(!ZeroEdConfig::default().without_correlated().use_corr);
-        assert!(!ZeroEdConfig::default().without_verification().use_verification);
-        assert_eq!(ZeroEdConfig::default().without_correlated().effective_top_k(), 0);
+        assert!(
+            !ZeroEdConfig::default()
+                .without_verification()
+                .use_verification
+        );
+        assert_eq!(
+            ZeroEdConfig::default()
+                .without_correlated()
+                .effective_top_k(),
+            0
+        );
         assert_eq!(ZeroEdConfig::default().effective_top_k(), 2);
     }
 
@@ -333,7 +343,9 @@ mod tests {
         let c = ZeroEdConfig::default();
         assert_eq!(c.criteria_engine, CriteriaEngine::Compiled);
         assert_eq!(
-            ZeroEdConfig::default().with_criteria_oracle().criteria_engine,
+            ZeroEdConfig::default()
+                .with_criteria_oracle()
+                .criteria_engine,
             CriteriaEngine::AstOracle
         );
     }

@@ -26,8 +26,8 @@
 use super::training_data::ColumnTrainingData;
 use crate::config::{CriteriaEngine, ZeroEdConfig};
 use std::collections::HashMap;
-use zeroed_criteria::CompiledSet;
 use zeroed_cluster::DedupPoints;
+use zeroed_criteria::CompiledSet;
 use zeroed_features::{FeatureMatrix, FittedFeatures};
 use zeroed_ml::{Mlp, MlpConfig, StandardScaler};
 use zeroed_table::Table;
@@ -159,10 +159,8 @@ pub fn train_and_predict(
     let scaled_uniques: Vec<Vec<f32>> = (0..dd.n_unique())
         .map(|u| scaler.transform(dd.unique_row(u)))
         .collect();
-    let scaled_augmented: Vec<Vec<f32>> = augmented_rows
-        .iter()
-        .map(|r| scaler.transform(r))
-        .collect();
+    let scaled_augmented: Vec<Vec<f32>> =
+        augmented_rows.iter().map(|r| scaler.transform(r)).collect();
     let scaled_train: Vec<&[f32]> = slot_codes
         .iter()
         .map(|&c| scaled_uniques[c as usize].as_slice())
@@ -318,7 +316,10 @@ mod tests {
             .enumerate()
             .filter(|(i, &p)| p && *i != 5 && *i != 17)
             .count();
-        assert!(false_positives < 12, "too many false positives: {false_positives}");
+        assert!(
+            false_positives < 12,
+            "too many false positives: {false_positives}"
+        );
     }
 
     #[test]

@@ -124,7 +124,9 @@ mod tests {
 
         let scheduler = zeroed_runtime::Scheduler::with_workers(1);
         let crit = generate_criteria_on(&scheduler, &ds.dirty, &corr, &config, &llm);
-        assert!(crit.iter().all(|c| c.as_ref().map(|s| !s.is_empty()).unwrap_or(false)));
+        assert!(crit
+            .iter()
+            .all(|c| c.as_ref().map(|s| !s.is_empty()).unwrap_or(false)));
         let dict = ds.dirty.intern();
         let extra_of = |crit: &[Option<CriteriaSet>]| {
             criteria_extra_dict_on(&scheduler, crit, &ds.dirty, &dict, CriteriaEngine::Compiled)

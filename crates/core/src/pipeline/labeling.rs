@@ -201,7 +201,10 @@ mod tests {
         fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> zeroed_criteria::CriteriaSet {
             self.inner.generate_criteria(ctx)
         }
-        fn analyze_distribution(&self, ctx: &AttributeContext<'_>) -> zeroed_llm::DistributionAnalysis {
+        fn analyze_distribution(
+            &self,
+            ctx: &AttributeContext<'_>,
+        ) -> zeroed_llm::DistributionAnalysis {
             self.inner.analyze_distribution(ctx)
         }
         fn generate_guideline(

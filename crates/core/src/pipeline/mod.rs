@@ -275,7 +275,9 @@ impl ZeroEd {
                     + ss.fsync_nanos
                     + ss.compaction_nanos
                     + ss.gc_nanos;
-                store_node.children.push(parallel_leaf("open", lt.open_nanos, 1));
+                store_node
+                    .children
+                    .push(parallel_leaf("open", lt.open_nanos, 1));
                 store_node.children.push(parallel_leaf(
                     "preload",
                     lt.preload_nanos,
@@ -493,7 +495,9 @@ impl ZeroEd {
         runtime_node.parallel = true;
         runtime_node.count = st.execute.count;
         runtime_node.wall_nanos = st.queue_wait.total_nanos + st.execute.total_nanos;
-        runtime_node.children.push(st.queue_wait.to_stage("queue_wait"));
+        runtime_node
+            .children
+            .push(st.queue_wait.to_stage("queue_wait"));
         runtime_node.children.push(st.execute.to_stage("execute"));
         profile.children.push(runtime_node);
         stats.stage_profile = Some(profile);

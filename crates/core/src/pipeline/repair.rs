@@ -442,10 +442,7 @@ fn generic_guide(ty: ErrorType, attr: &str) -> ErrorTypeGuide {
 /// the entries in canonical order (dedup keep-first), fill lost error types
 /// with generic guides. A guideline with *no* entries at all is
 /// indistinguishable from garbage and is handed back for a re-ask.
-fn salvage_guideline(
-    mut g: Guideline,
-    ctx: &AttributeContext<'_>,
-) -> Result<Guideline, Guideline> {
+fn salvage_guideline(mut g: Guideline, ctx: &AttributeContext<'_>) -> Result<Guideline, Guideline> {
     if g.error_types.is_empty() {
         return Err(g);
     }
@@ -496,10 +493,12 @@ pub fn relabel_rows_individually(
     rows: &[usize],
 ) -> Vec<(usize, bool, bool)> {
     rows.iter()
-        .map(|&row| match llm.label_batch(ctx, guideline, &[row]).first() {
-            Some(&is_error) => (row, is_error, false),
-            None => (row, false, true),
-        })
+        .map(
+            |&row| match llm.label_batch(ctx, guideline, &[row]).first() {
+                Some(&is_error) => (row, is_error, false),
+                None => (row, false, true),
+            },
+        )
         .collect()
 }
 
@@ -856,7 +855,13 @@ mod tests {
             rows: &[usize],
         ) -> Vec<bool> {
             let salt = self.request_salt(ctx.table, Some(ctx.column), rows);
-            let attempt = self.attempts.lock().unwrap().get(&salt).copied().unwrap_or(0);
+            let attempt = self
+                .attempts
+                .lock()
+                .unwrap()
+                .get(&salt)
+                .copied()
+                .unwrap_or(0);
             let labels = self.inner.label_batch(ctx, guideline, rows);
             let delta = if attempt == 0 {
                 self.delta_first
@@ -914,7 +919,10 @@ mod tests {
         let healthy = scripted.inner.label_batch(&ctx, None, &rows);
         assert_eq!(repaired, healthy, "trim must recover the healthy answer");
         let c = repair.counters().labels;
-        assert_eq!((c.mangled, c.repaired, c.reasked, c.defaulted), (1, 1, 0, 0));
+        assert_eq!(
+            (c.mangled, c.repaired, c.reasked, c.defaulted),
+            (1, 1, 0, 0)
+        );
     }
 
     #[test]
@@ -934,7 +942,10 @@ mod tests {
         let labels = repair.label_batch(&ctx, None, &rows);
         assert_eq!(labels, recovers.inner.label_batch(&ctx, None, &rows));
         let c = repair.counters().labels;
-        assert_eq!((c.mangled, c.repaired, c.reasked, c.defaulted), (1, 0, 1, 0));
+        assert_eq!(
+            (c.mangled, c.repaired, c.reasked, c.defaulted),
+            (1, 0, 1, 0)
+        );
 
         // Truncated on every attempt: the answered prefix is padded clean.
         let stuck = ArityLlm::new(7, -4, -4);
@@ -945,7 +956,10 @@ mod tests {
         assert_eq!(&labels[..6], &healthy[..6], "answered prefix preserved");
         assert!(labels[6..].iter().all(|&l| !l), "padding defaults to clean");
         let c = repair.counters().labels;
-        assert_eq!((c.mangled, c.repaired, c.reasked, c.defaulted), (1, 0, 0, 1));
+        assert_eq!(
+            (c.mangled, c.repaired, c.reasked, c.defaulted),
+            (1, 0, 0, 1)
+        );
     }
 
     #[test]

@@ -205,7 +205,10 @@ mod tests {
         let capped = sample_column(&feats, 2, SamplingMethod::KMeans, 3, 100);
         let uncapped = sample_column(&feats, 2, SamplingMethod::KMeans, 3, usize::MAX);
         assert_eq!(capped.clustering.assignments.len(), 5_000);
-        assert_eq!(capped.clustering.assignments, uncapped.clustering.assignments);
+        assert_eq!(
+            capped.clustering.assignments,
+            uncapped.clustering.assignments
+        );
         assert_eq!(capped.clustering.centroids, uncapped.clustering.centroids);
         assert_eq!(capped.representatives, uncapped.representatives);
         let a = capped.clustering.assignments[capped.representatives[0]];
@@ -220,7 +223,12 @@ mod tests {
     #[test]
     fn subsample_never_exceeds_max_rows_at_the_boundary() {
         for max_rows in [1usize, 2, 7, 500] {
-            for n_rows in [max_rows + 1, 2 * max_rows - 1, 2 * max_rows, 3 * max_rows + 1] {
+            for n_rows in [
+                max_rows + 1,
+                2 * max_rows - 1,
+                2 * max_rows,
+                3 * max_rows + 1,
+            ] {
                 if n_rows <= max_rows {
                     continue;
                 }

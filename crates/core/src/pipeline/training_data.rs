@@ -91,8 +91,10 @@ pub fn construct(
     // ---- Lines 4–7: contrastive criteria refinement. ----------------------
     // Iterate the LLM labels in row order so the pipeline stays deterministic
     // regardless of hash-map iteration order.
-    let mut sorted_labels: Vec<(usize, bool)> =
-        llm_labels.iter().map(|(&row, &label)| (row, label)).collect();
+    let mut sorted_labels: Vec<(usize, bool)> = llm_labels
+        .iter()
+        .map(|(&row, &label)| (row, label))
+        .collect();
     sorted_labels.sort_unstable();
     let clean_examples: Vec<String> = sorted_labels
         .iter()

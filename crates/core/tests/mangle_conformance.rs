@@ -243,7 +243,11 @@ fn warm_start_from_a_mangled_store_replays_repaired_responses() {
     let (cold_mask, cold_stats) = {
         let llm = mangled_llm(&ds, schedule);
         let outcome = ZeroEd::new(store_config()).detect(&ds.dirty, &llm);
-        assert_reconciles(&outcome.stats, llm.mangled_responses(), "cold mangled store");
+        assert_reconciles(
+            &outcome.stats,
+            llm.mangled_responses(),
+            "cold mangled store",
+        );
         assert!(outcome.stats.repair.total_mangled() > 0);
         assert!(outcome.stats.persist.persisted_records > 0);
         (outcome.mask, outcome.stats)
@@ -254,12 +258,20 @@ fn warm_start_from_a_mangled_store_replays_repaired_responses() {
     let detector = ZeroEd::new(store_config());
     let preloaded = detector.cache().len() as u64;
     let outcome = detector.detect(&ds.dirty, &llm);
-    assert_eq!(outcome.mask, cold_mask, "warm mask must replay bit-identically");
     assert_eq!(
-        llm.ledger().usage().requests, 0,
+        outcome.mask, cold_mask,
+        "warm mask must replay bit-identically"
+    );
+    assert_eq!(
+        llm.ledger().usage().requests,
+        0,
         "warm start must issue zero LLM requests"
     );
-    assert_eq!(llm.mangled_responses(), 0, "the simulator is never consulted");
+    assert_eq!(
+        llm.mangled_responses(),
+        0,
+        "the simulator is never consulted"
+    );
     assert_eq!(
         outcome.stats.repair.total_mangled(),
         0,

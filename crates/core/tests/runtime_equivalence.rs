@@ -199,10 +199,17 @@ fn workload_shapes_match_the_sequential_run() {
         let seq =
             ZeroEd::new(base_config().sequential_runtime()).detect(&ds.dirty, &oracle_llm(&ds, 1));
         let default = ZeroEd::new(base_config()).detect(&ds.dirty, &oracle_llm(&ds, 1));
-        assert_eq!(seq.mask, default.mask, "{name}: mask diverged from sequential");
+        assert_eq!(
+            seq.mask, default.mask,
+            "{name}: mask diverged from sequential"
+        );
         for outcome in [&seq, &default] {
             let profile = outcome.stats.stage_profile.as_ref().expect("stage profile");
-            assert!(profile.accounting_ok(), "{name}\n{}", profile.render_table());
+            assert!(
+                profile.accounting_ok(),
+                "{name}\n{}",
+                profile.render_table()
+            );
             assert!(
                 profile.coverage() >= 0.9,
                 "{name}: top-level stages cover {:.3} of the run\n{}",

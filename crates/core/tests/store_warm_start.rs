@@ -84,7 +84,12 @@ fn run_arm(
         Arm::Concurrent => {
             let llm = oracle_llm(ds, seed);
             let outcome = detector.detect(&ds.dirty, &llm);
-            (outcome.mask, llm.ledger().usage(), outcome.stats, RouterStats::default())
+            (
+                outcome.mask,
+                llm.ledger().usage(),
+                outcome.stats,
+                RouterStats::default(),
+            )
         }
         Arm::Routed => {
             // Two response-equivalent backends, one scheduled with faults, so
@@ -189,7 +194,10 @@ fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
         "[{cold_arm:?}→{warm_arm:?}] preload must replay the whole cold store"
     );
     let recovery = warm_detector.store().unwrap().recovery();
-    assert_eq!(recovery.records_recovered as u64, cold_stats.persist.persisted_records);
+    assert_eq!(
+        recovery.records_recovered as u64,
+        cold_stats.persist.persisted_records
+    );
     // 4. Ledger reconciliation: the warm run's reported savings are exactly
     //    the sequential bill (= what the cold run paid in total, dedup
     //    savings included).
@@ -265,14 +273,20 @@ fn warm_start_survives_truncation_of_the_last_segment() {
     let detector = ZeroEd::new(base_config(&dir));
     let llm = oracle_llm(&ds, seed);
     let outcome = detector.detect(&ds.dirty, &llm);
-    assert_eq!(outcome.mask, oracle_mask, "recovered warm run must stay bit-identical");
+    assert_eq!(
+        outcome.mask, oracle_mask,
+        "recovered warm run must stay bit-identical"
+    );
     let recovery = detector.store().unwrap().recovery();
     assert!(
         (recovery.records_recovered as u64) < cold_stats.persist.persisted_records,
         "truncation must have cost some records"
     );
     assert!(recovery.tails_truncated + recovery.segments_skipped >= 1);
-    assert!(outcome.stats.cache.store_hits > 0, "the surviving prefix still serves");
+    assert!(
+        outcome.stats.cache.store_hits > 0,
+        "the surviving prefix still serves"
+    );
     assert!(
         outcome.stats.cache.misses > 0,
         "lost responses are recomputed, not lost"
@@ -421,7 +435,10 @@ fn sharded_concurrent_writers_warm_start_with_zero_requests() {
         let shard_dir = dir.join(format!("shard-{k:02}"));
         assert!(shard_dir.is_dir(), "shard {k} exists");
         let slots = std::fs::read_dir(&shard_dir).unwrap().count();
-        assert_eq!(slots, WRITERS as usize, "shard {k}: one slot per concurrent writer");
+        assert_eq!(
+            slots, WRITERS as usize,
+            "shard {k}: one slot per concurrent writer"
+        );
     }
 
     // Fresh detector: one handle, every slot's records preloaded (the
@@ -476,7 +493,10 @@ fn v1_era_stores_still_open_and_warm_start() {
     let preloaded = warm_detector.cache().len() as u64;
     let llm = oracle_llm(&ds, seed);
     let outcome = warm_detector.detect(&ds.dirty, &llm);
-    assert_eq!(outcome.mask, cold_mask, "v1 warm mask must be bit-identical");
+    assert_eq!(
+        outcome.mask, cold_mask,
+        "v1 warm mask must be bit-identical"
+    );
     assert_eq!(
         llm.ledger().usage(),
         TokenUsage::default(),
@@ -508,9 +528,7 @@ fn expired_records_are_gone_after_gc_with_counts_reconciled() {
             workers: 4,
             ..RuntimeConfig::default()
         })
-        .with_store(
-            StoreConfig::new(dir.to_str().unwrap()).with_ttl_secs(3_600),
-        )
+        .with_store(StoreConfig::new(dir.to_str().unwrap()).with_ttl_secs(3_600))
     };
 
     let cold_persisted = {
@@ -544,7 +562,10 @@ fn expired_records_are_gone_after_gc_with_counts_reconciled() {
         "every response is recomputed, none lost"
     );
     assert_eq!(outcome.stats.persist.persisted_records, cold_persisted);
-    assert!(llm.ledger().usage().requests > 0, "the model was consulted again");
+    assert!(
+        llm.ledger().usage().requests > 0,
+        "the model was consulted again"
+    );
     drop(detector);
 
     // The reclaimed bin holds only fresh records: the expired frames are
@@ -578,7 +599,10 @@ fn store_tool_verify_flags_truncation_without_modifying_the_store() {
         let outcome = detector.detect(&ds.dirty, &llm);
         assert!(outcome.stats.persist.persisted_records > 0);
     }
-    assert!(zeroed_store::verify(&dir).unwrap().is_empty(), "fresh store verifies clean");
+    assert!(
+        zeroed_store::verify(&dir).unwrap().is_empty(),
+        "fresh store verifies clean"
+    );
 
     // Truncate the last segment mid-frame.
     let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -609,7 +633,10 @@ fn store_tool_verify_flags_truncation_without_modifying_the_store() {
             ..
         } => {
             assert_eq!(path, last);
-            assert!(*discarded_bytes > 0, "the torn tail is measured, not repaired");
+            assert!(
+                *discarded_bytes > 0,
+                "the torn tail is measured, not repaired"
+            );
         }
         other => panic!("expected a torn tail, got {other:?}"),
     }
@@ -661,7 +688,10 @@ fn clones_keep_per_run_counts() {
     drop(detector);
     for ((mask, stats), (solo_mask, solo_cache)) in runs.iter().zip(&solo) {
         assert_eq!(mask, solo_mask);
-        assert_eq!(&stats.cache, solo_cache, "a clone's run counts its own lookups only");
+        assert_eq!(
+            &stats.cache, solo_cache,
+            "a clone's run counts its own lookups only"
+        );
         assert!(stats.cache.misses > 0);
         assert_eq!(stats.persist.persisted_records, stats.cache.misses);
     }

@@ -80,14 +80,26 @@ fn assert_trace_reconciles(
 
     // Scheduler: every task journaled exactly once per lifecycle stage.
     let tasks = stats.runtime_tasks as u64;
-    assert_eq!(trace.count(EventKind::TaskSubmit), tasks, "[{label}] submits");
+    assert_eq!(
+        trace.count(EventKind::TaskSubmit),
+        tasks,
+        "[{label}] submits"
+    );
     assert_eq!(trace.count(EventKind::TaskStart), tasks, "[{label}] starts");
     assert_eq!(trace.count(EventKind::TaskEnd), tasks, "[{label}] ends");
 
     // Cache: the per-adapter counters and the journal were written on the
     // same code paths but through independent mechanisms.
-    assert_eq!(trace.count(EventKind::CacheHit), stats.cache.hits, "[{label}] hits");
-    assert_eq!(trace.count(EventKind::CacheMiss), stats.cache.misses, "[{label}] misses");
+    assert_eq!(
+        trace.count(EventKind::CacheHit),
+        stats.cache.hits,
+        "[{label}] hits"
+    );
+    assert_eq!(
+        trace.count(EventKind::CacheMiss),
+        stats.cache.misses,
+        "[{label}] misses"
+    );
     assert_eq!(
         trace.count(EventKind::CacheCoalesced),
         stats.cache.coalesced,
@@ -236,8 +248,14 @@ fn concurrent_cached_run_traces_every_layer_exactly() {
     let chrome = chrome_trace_json(&trace.events);
     assert!(chrome.starts_with("[\n") && chrome.ends_with("\n]\n"));
     let entries: Vec<&str> = chrome.lines().filter(|l| l.starts_with('{')).collect();
-    let spans = entries.iter().filter(|l| l.contains("\"ph\": \"X\"")).count();
-    let instants = entries.iter().filter(|l| l.contains("\"ph\": \"i\"")).count();
+    let spans = entries
+        .iter()
+        .filter(|l| l.contains("\"ph\": \"X\""))
+        .count();
+    let instants = entries
+        .iter()
+        .filter(|l| l.contains("\"ph\": \"i\""))
+        .count();
     assert_eq!(spans + instants, entries.len(), "only spans and instants");
     assert_eq!(
         spans as u64,
@@ -249,15 +267,25 @@ fn concurrent_cached_run_traces_every_layer_exactly() {
     // recorded, is under 2% of its wall time.
     let recorder = TraceRecorder::new(1);
     let per_emit = cost_per_call(200_000, |i| {
-        recorder.emit(TraceId::from_key(u128::from(i), 1), EventKind::CacheHit, u64::from(i))
+        recorder.emit(
+            TraceId::from_key(u128::from(i), 1),
+            EventKind::CacheHit,
+            u64::from(i),
+        )
     });
     let probe = Profiler::new("probe");
     let span = probe.root().child_dist("record");
     let per_record = cost_per_call(50_000, |i| span.record(Duration::from_nanos(u64::from(i))));
     let profile = cold.stats.stage_profile.as_ref().expect("stage profile");
     for (what, cost) in [
-        ("flight recorder", per_emit.as_secs_f64() * trace.recorded() as f64),
-        ("profiler", per_record.as_secs_f64() * profile_records(profile) as f64),
+        (
+            "flight recorder",
+            per_emit.as_secs_f64() * trace.recorded() as f64,
+        ),
+        (
+            "profiler",
+            per_record.as_secs_f64() * profile_records(profile) as f64,
+        ),
     ] {
         assert!(
             cost < 0.02 * wall.as_secs_f64(),
@@ -294,7 +322,10 @@ fn routed_run_with_faults_traces_router_decisions() {
     let routed = router.stats();
     let trace = assert_trace_reconciles(&outcome.stats, &routed, "routed");
     assert!(routed.requests > 0);
-    assert!(routed.failovers > 0, "the fault schedule must force failovers");
+    assert!(
+        routed.failovers > 0,
+        "the fault schedule must force failovers"
+    );
     // Every routed request chose a primary before anything else happened.
     assert_eq!(trace.count(EventKind::RouterPrimary), routed.requests);
     // Faults journaled at the injection site are at least the failovers

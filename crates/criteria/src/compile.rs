@@ -298,9 +298,12 @@ pub fn compile_check(check: &Check, col: usize) -> Program {
             mapping,
         } => {
             e.other_col = Some(*determinant_col as u32);
-            let map = e
-                .pool
-                .push_fd_map(mapping.iter().map(|(k, v)| (k.clone(), v.clone())).collect());
+            let map = e.pool.push_fd_map(
+                mapping
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect(),
+            );
             e.op(Op::FdConsistent);
             e.u32(map);
         }
@@ -442,7 +445,9 @@ impl Program {
         }
         out.extend_from_slice(&(self.pool.charsets.len() as u32).to_le_bytes());
         for cs in &self.pool.charsets {
-            out.push(u8::from(cs.letters) | (u8::from(cs.digits) << 1) | (u8::from(cs.whitespace) << 2));
+            out.push(
+                u8::from(cs.letters) | (u8::from(cs.digits) << 1) | (u8::from(cs.whitespace) << 2),
+            );
             out.extend_from_slice(&(cs.symbols.len() as u32).to_le_bytes());
             for &c in &cs.symbols {
                 out.extend_from_slice(&(c as u32).to_le_bytes());
@@ -563,10 +568,16 @@ mod tests {
     #[test]
     fn pools_are_sorted_regardless_of_source_order() {
         let a = Check::Domain {
-            allowed: ["zeta", "alpha", "mid"].iter().map(|s| s.to_string()).collect(),
+            allowed: ["zeta", "alpha", "mid"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
         };
         let b = Check::Domain {
-            allowed: ["mid", "zeta", "alpha"].iter().map(|s| s.to_string()).collect(),
+            allowed: ["mid", "zeta", "alpha"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
         };
         assert_eq!(compile_check(&a, 0), compile_check(&b, 0));
         assert_eq!(
@@ -602,7 +613,10 @@ mod tests {
                 allowed: HashSet::from(["D[5]".to_string(), "U[2]".into()]),
             },
             Check::LengthRange { min: 1, max: 9 },
-            Check::NumericRange { min: -1.5, max: 1e9 },
+            Check::NumericRange {
+                min: -1.5,
+                max: 1e9,
+            },
             Check::Domain {
                 allowed: HashSet::from(["x".to_string()]),
             },

@@ -83,9 +83,7 @@ impl Check {
         let value = table.cell(row, col);
         match self {
             Check::NotMissing => !is_missing(value),
-            Check::PatternTemplate { allowed } => {
-                allowed.contains(&l3_pattern(value))
-            }
+            Check::PatternTemplate { allowed } => allowed.contains(&l3_pattern(value)),
             Check::LengthRange { min, max } => {
                 let len = value.chars().count();
                 len >= *min && len <= *max
@@ -263,7 +261,11 @@ mod tests {
             "t",
             vec!["MeasureCode".into(), "Condition".into(), "ZipCode".into()],
             vec![
-                vec!["scip-card-2".into(), "surgical infection prevention".into(), "35233".into()],
+                vec![
+                    "scip-card-2".into(),
+                    "surgical infection prevention".into(),
+                    "35233".into(),
+                ],
                 vec!["ami-card-3".into(), "heart attack".into(), "90210".into()],
                 vec!["pn-card-5".into(), "heart attack".into(), "9021".into()],
                 vec!["ami-card-3".into(), "".into(), "90x10".into()],
@@ -300,8 +302,16 @@ mod tests {
         assert!(Check::LengthRange { min: 5, max: 5 }.evaluate(&t, 0, 2));
         assert!(!Check::LengthRange { min: 5, max: 5 }.evaluate(&t, 2, 2));
 
-        assert!(Check::NumericRange { min: 0.0, max: 99999.0 }.evaluate(&t, 0, 2));
-        assert!(!Check::NumericRange { min: 0.0, max: 99999.0 }.evaluate(&t, 3, 2));
+        assert!(Check::NumericRange {
+            min: 0.0,
+            max: 99999.0
+        }
+        .evaluate(&t, 0, 2));
+        assert!(!Check::NumericRange {
+            min: 0.0,
+            max: 99999.0
+        }
+        .evaluate(&t, 3, 2));
 
         let digits_only = Check::Charset {
             letters: false,
@@ -324,7 +334,10 @@ mod tests {
     fn fd_lookup_and_cross_keyword() {
         let t = table();
         let mut mapping = HashMap::new();
-        mapping.insert("scip-card-2".to_string(), "surgical infection prevention".to_string());
+        mapping.insert(
+            "scip-card-2".to_string(),
+            "surgical infection prevention".to_string(),
+        );
         mapping.insert("ami-card-3".to_string(), "heart attack".to_string());
         let fd = Check::FdLookup {
             determinant_col: 0,

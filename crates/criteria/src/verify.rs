@@ -272,7 +272,10 @@ mod tests {
                 Criterion::new(
                     "numeric",
                     "zip is numeric",
-                    Check::NumericRange { min: 0.0, max: 99999.0 },
+                    Check::NumericRange {
+                        min: 0.0,
+                        max: 99999.0,
+                    },
                 ),
             ],
         }
@@ -345,7 +348,10 @@ mod tests {
         let t = table();
         let s = set();
         let dict = t.intern();
-        assert_eq!(criteria_features_dict(&s, &dict), oracle::criteria_features(&s, &t));
+        assert_eq!(
+            criteria_features_dict(&s, &dict),
+            oracle::criteria_features(&s, &t)
+        );
         let rows = [0usize, 1, 2, 3, 4];
         assert_eq!(
             filter_criteria_dict(&s, &dict, &rows, 0.5),

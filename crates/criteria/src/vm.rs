@@ -169,7 +169,11 @@ impl<'a> DistinctEval<'a> {
             "other-column dictionary must match the program's column wiring"
         );
         if let Some(other) = other {
-            assert_eq!(this.n_rows(), other.n_rows(), "dictionaries describe one table");
+            assert_eq!(
+                this.n_rows(),
+                other.n_rows(),
+                "dictionaries describe one table"
+            );
         }
         let single = if other.is_none() {
             vec![None; this.n_distinct()]
@@ -235,8 +239,8 @@ impl<'a> DistinctEval<'a> {
                 for start in (0..n_rows).step_by(ROW_CHUNK) {
                     let end = (start + ROW_CHUNK).min(n_rows);
                     for row in start..end {
-                        out[row] = self.single[codes[row] as usize]
-                            .expect("all distinct codes evaluated");
+                        out[row] =
+                            self.single[codes[row] as usize].expect("all distinct codes evaluated");
                     }
                 }
             }

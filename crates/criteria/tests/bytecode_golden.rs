@@ -62,7 +62,11 @@ fn exemplars() -> Vec<(&'static str, usize, Check)> {
                 symbols: vec!['.', '-'],
             },
         ),
-        ("token_count_range", 6, Check::TokenCountRange { min: 1, max: 3 }),
+        (
+            "token_count_range",
+            6,
+            Check::TokenCountRange { min: 1, max: 3 },
+        ),
         (
             "fd_lookup",
             7,
@@ -226,6 +230,9 @@ const GOLDEN: [(&str, &str); 9] = [
 #[ignore]
 fn dump_golden_bytes() {
     for (name, col, check) in exemplars() {
-        println!("    (\"{name}\", \"{}\"),", hex(&compile_check(&check, col).to_bytes()));
+        println!(
+            "    (\"{name}\", \"{}\"),",
+            hex(&compile_check(&check, col).to_bytes())
+        );
     }
 }

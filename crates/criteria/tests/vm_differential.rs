@@ -100,7 +100,9 @@ fn random_table(rng: &mut Rng, n_rows: usize, n_cols: usize) -> Table {
 }
 
 fn random_string_set(rng: &mut Rng) -> HashSet<String> {
-    (0..rng.below(5)).map(|_| rng.pick(VALUES).to_string()).collect()
+    (0..rng.below(5))
+        .map(|_| rng.pick(VALUES).to_string())
+        .collect()
 }
 
 fn random_check(rng: &mut Rng, n_cols: usize, col: usize) -> Check {
@@ -257,7 +259,11 @@ fn columnar_distinct_eval_matches_the_per_cell_vm() {
         );
         let scattered = ev.eval_all_rows();
         for row in 0..n_rows {
-            assert_eq!(scattered[row], check.evaluate(&table, row, col), "row {row}");
+            assert_eq!(
+                scattered[row],
+                check.evaluate(&table, row, col),
+                "row {row}"
+            );
         }
     }
 }
@@ -304,7 +310,10 @@ fn compiled_set_eval_cell_matches_the_dsl_everywhere() {
         let set = random_set(&mut rng, n_cols);
         let compiled = compile_set(&set);
         for row in 0..n_rows {
-            assert_eq!(compiled.eval_cell(&table, row), set.evaluate_cell(&table, row));
+            assert_eq!(
+                compiled.eval_cell(&table, row),
+                set.evaluate_cell(&table, row)
+            );
         }
     }
 }

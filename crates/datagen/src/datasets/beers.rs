@@ -98,11 +98,35 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             FunctionalDependency::new("city", "state"),
         ],
         patterns: vec![
-            ColumnPattern::new("abv", PatternKind::FloatRange { min: 0.0, max: 15.0 }),
+            ColumnPattern::new(
+                "abv",
+                PatternKind::FloatRange {
+                    min: 0.0,
+                    max: 15.0,
+                },
+            ),
             ColumnPattern::new("ibu", PatternKind::IntRange { min: 0, max: 150 }),
-            ColumnPattern::new("ounces", PatternKind::FloatRange { min: 8.0, max: 32.0 }),
-            ColumnPattern::new("id", PatternKind::IntRange { min: 0, max: 1_000_000 }),
-            ColumnPattern::new("brewery_id", PatternKind::IntRange { min: 0, max: 10_000 }),
+            ColumnPattern::new(
+                "ounces",
+                PatternKind::FloatRange {
+                    min: 8.0,
+                    max: 32.0,
+                },
+            ),
+            ColumnPattern::new(
+                "id",
+                PatternKind::IntRange {
+                    min: 0,
+                    max: 1_000_000,
+                },
+            ),
+            ColumnPattern::new(
+                "brewery_id",
+                PatternKind::IntRange {
+                    min: 0,
+                    max: 10_000,
+                },
+            ),
             ColumnPattern::new(
                 "style",
                 PatternKind::OneOf(vocab::BEER_STYLES.iter().map(|s| s.to_string()).collect()),
@@ -118,10 +142,7 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
                 vocab::STATES_FOR_CITIES.iter().map(|s| s.to_string()),
             ),
             KnowledgeBaseEntry::domain("city", vocab::CITIES.iter().map(|s| s.to_string())),
-            KnowledgeBaseEntry::domain(
-                "style",
-                vocab::BEER_STYLES.iter().map(|s| s.to_string()),
-            ),
+            KnowledgeBaseEntry::domain("style", vocab::BEER_STYLES.iter().map(|s| s.to_string())),
         ],
         numeric_columns: vec!["abv".into(), "ibu".into(), "ounces".into()],
         text_columns: vec!["beer_name".into(), "brewery_name".into()],
@@ -153,7 +174,12 @@ mod tests {
         for pat in &meta.patterns {
             let col = table.column_index(&pat.column).unwrap();
             for row in table.rows() {
-                assert!(pat.kind.matches(&row[col]), "{}: {:?}", pat.column, row[col]);
+                assert!(
+                    pat.kind.matches(&row[col]),
+                    "{}: {:?}",
+                    pat.column,
+                    row[col]
+                );
             }
         }
     }

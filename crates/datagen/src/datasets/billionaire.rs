@@ -59,7 +59,10 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
     let n_people = (n_rows / 4).clamp(10, 200);
     let people: Vec<Person> = (0..n_people)
         .map(|i| {
-            let first = vocab::pick(vocab::FIRST_NAMES, rng.gen_range(0..vocab::FIRST_NAMES.len()));
+            let first = vocab::pick(
+                vocab::FIRST_NAMES,
+                rng.gen_range(0..vocab::FIRST_NAMES.len()),
+            );
             let last = vocab::pick(vocab::LAST_NAMES, rng.gen_range(0..vocab::LAST_NAMES.len()));
             let country_idx = rng.gen_range(0..vocab::COUNTRIES.len());
             Person {
@@ -101,7 +104,12 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             format!("{year}"),
             c.name.clone(),
             format!("{}", c.founded),
-            if rng.gen_bool(0.5) { "founder" } else { "relation" }.to_string(),
+            if rng.gen_bool(0.5) {
+                "founder"
+            } else {
+                "relation"
+            }
+            .to_string(),
             c.industry.clone(),
             p.citizenship.clone(),
             vocab::REGIONS_FOR_COUNTRIES[country_idx].to_string(),
@@ -112,8 +120,18 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             format!("{}", p.age_base + (year - 2001)),
             p.gender.clone(),
             if rng.gen_bool(0.6) { "true" } else { "false" }.to_string(),
-            if rng.gen_bool(0.3) { "inherited" } else { "not inherited" }.to_string(),
-            if rng.gen_bool(0.5) { "self-made finance" } else { "founder non-finance" }.to_string(),
+            if rng.gen_bool(0.3) {
+                "inherited"
+            } else {
+                "not inherited"
+            }
+            .to_string(),
+            if rng.gen_bool(0.5) {
+                "self-made finance"
+            } else {
+                "founder non-finance"
+            }
+            .to_string(),
             format!("{}", 100 + rng.gen_range(0..20000)),
             c.industry.clone(),
             format!("{}", 1 + rng.gen_range(0..10)),
@@ -139,11 +157,20 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
         ],
         patterns: vec![
             ColumnPattern::new("rank", PatternKind::IntRange { min: 1, max: 2000 }),
-            ColumnPattern::new("year", PatternKind::IntRange { min: 1990, max: 2030 }),
+            ColumnPattern::new(
+                "year",
+                PatternKind::IntRange {
+                    min: 1990,
+                    max: 2030,
+                },
+            ),
             ColumnPattern::new("age", PatternKind::IntRange { min: 18, max: 110 }),
             ColumnPattern::new(
                 "networth_billions",
-                PatternKind::FloatRange { min: 0.5, max: 300.0 },
+                PatternKind::FloatRange {
+                    min: 0.5,
+                    max: 300.0,
+                },
             ),
             ColumnPattern::new(
                 "gender",
@@ -157,13 +184,16 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
                 "country",
                 PatternKind::OneOf(vocab::COUNTRIES.iter().map(|s| s.to_string()).collect()),
             ),
-            ColumnPattern::new("company_founded", PatternKind::IntRange { min: 1800, max: 2025 }),
+            ColumnPattern::new(
+                "company_founded",
+                PatternKind::IntRange {
+                    min: 1800,
+                    max: 2025,
+                },
+            ),
         ],
         kb: vec![
-            KnowledgeBaseEntry::domain(
-                "country",
-                vocab::COUNTRIES.iter().map(|s| s.to_string()),
-            ),
+            KnowledgeBaseEntry::domain("country", vocab::COUNTRIES.iter().map(|s| s.to_string())),
             KnowledgeBaseEntry::domain(
                 "region",
                 vocab::REGIONS_FOR_COUNTRIES.iter().map(|s| s.to_string()),
@@ -172,10 +202,7 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
                 "capital",
                 vocab::CAPITALS_FOR_COUNTRIES.iter().map(|s| s.to_string()),
             ),
-            KnowledgeBaseEntry::domain(
-                "industry",
-                vocab::INDUSTRIES.iter().map(|s| s.to_string()),
-            ),
+            KnowledgeBaseEntry::domain("industry", vocab::INDUSTRIES.iter().map(|s| s.to_string())),
         ],
         numeric_columns: vec![
             "networth_billions".into(),
@@ -212,7 +239,12 @@ mod tests {
         for pat in &meta.patterns {
             let col = table.column_index(&pat.column).unwrap();
             for row in table.rows() {
-                assert!(pat.kind.matches(&row[col]), "{}: {:?}", pat.column, row[col]);
+                assert!(
+                    pat.kind.matches(&row[col]),
+                    "{}: {:?}",
+                    pat.column,
+                    row[col]
+                );
             }
         }
     }

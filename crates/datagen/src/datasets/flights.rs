@@ -94,7 +94,12 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             ColumnPattern::new("act_arr_time", PatternKind::Time12H),
             ColumnPattern::new(
                 "src",
-                PatternKind::OneOf(vocab::FLIGHT_SOURCES.iter().map(|s| s.to_string()).collect()),
+                PatternKind::OneOf(
+                    vocab::FLIGHT_SOURCES
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect(),
+                ),
             ),
         ],
         kb: vec![KnowledgeBaseEntry::domain(
@@ -125,7 +130,12 @@ mod tests {
         for pat in &meta.patterns {
             let col = table.column_index(&pat.column).unwrap();
             for row in table.rows() {
-                assert!(pat.kind.matches(&row[col]), "{} -> {:?}", pat.column, row[col]);
+                assert!(
+                    pat.kind.matches(&row[col]),
+                    "{} -> {:?}",
+                    pat.column,
+                    row[col]
+                );
             }
         }
     }

@@ -181,7 +181,13 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
         patterns: vec![
             ColumnPattern::new("ZipCode", PatternKind::ZipCode),
             ColumnPattern::new("PhoneNumber", PatternKind::Phone),
-            ColumnPattern::new("ProviderNumber", PatternKind::IntRange { min: 10000, max: 99999 }),
+            ColumnPattern::new(
+                "ProviderNumber",
+                PatternKind::IntRange {
+                    min: 10000,
+                    max: 99999,
+                },
+            ),
             ColumnPattern::new("SurveyDate", PatternKind::IsoDate),
             ColumnPattern::new(
                 "EmergencyService",
@@ -189,7 +195,12 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             ),
             ColumnPattern::new(
                 "HospitalType",
-                PatternKind::OneOf(vocab::HOSPITAL_TYPES.iter().map(|s| s.to_string()).collect()),
+                PatternKind::OneOf(
+                    vocab::HOSPITAL_TYPES
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect(),
+                ),
             ),
             ColumnPattern::new("CertifiedBeds", PatternKind::IntRange { min: 1, max: 2000 }),
         ],
@@ -198,17 +209,18 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
                 "State",
                 vocab::STATES_FOR_CITIES.iter().map(|s| s.to_lowercase()),
             ),
-            KnowledgeBaseEntry::domain(
-                "City",
-                vocab::CITIES.iter().map(|s| s.to_lowercase()),
-            ),
+            KnowledgeBaseEntry::domain("City", vocab::CITIES.iter().map(|s| s.to_lowercase())),
             KnowledgeBaseEntry::domain(
                 "Condition",
                 vocab::CONDITIONS.iter().map(|(c, _)| c.to_string()),
             ),
         ],
         numeric_columns: vec!["CertifiedBeds".into(), "ProviderNumber".into()],
-        text_columns: vec!["HospitalName".into(), "MeasureName".into(), "Address1".into()],
+        text_columns: vec![
+            "HospitalName".into(),
+            "MeasureName".into(),
+            "Address1".into(),
+        ],
     };
     (table, metadata)
 }

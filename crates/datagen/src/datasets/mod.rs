@@ -55,8 +55,12 @@ pub(crate) mod testutil {
 
     /// Asserts that the functional dependency `det → dep` holds on the table.
     pub fn assert_fd_holds(table: &Table, det: &str, dep: &str) {
-        let di = table.column_index(det).unwrap_or_else(|| panic!("no col {det}"));
-        let pi = table.column_index(dep).unwrap_or_else(|| panic!("no col {dep}"));
+        let di = table
+            .column_index(det)
+            .unwrap_or_else(|| panic!("no col {det}"));
+        let pi = table
+            .column_index(dep)
+            .unwrap_or_else(|| panic!("no col {dep}"));
         let mut seen: HashMap<&str, &str> = HashMap::new();
         for row in table.rows() {
             let d = row[di].as_str();

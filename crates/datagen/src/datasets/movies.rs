@@ -56,24 +56,37 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             Movie {
                 title: format!(
                     "{} {} {}",
-                    vocab::pick(vocab::MOVIE_WORDS, rng.gen_range(0..vocab::MOVIE_WORDS.len())),
-                    vocab::pick(vocab::MOVIE_NOUNS, rng.gen_range(0..vocab::MOVIE_NOUNS.len())),
+                    vocab::pick(
+                        vocab::MOVIE_WORDS,
+                        rng.gen_range(0..vocab::MOVIE_WORDS.len())
+                    ),
+                    vocab::pick(
+                        vocab::MOVIE_NOUNS,
+                        rng.gen_range(0..vocab::MOVIE_NOUNS.len())
+                    ),
                     i
                 ),
                 year: 1960 + rng.gen_range(0..64),
                 director: format!(
                     "{} {}",
-                    vocab::pick(vocab::FIRST_NAMES, rng.gen_range(0..vocab::FIRST_NAMES.len())),
+                    vocab::pick(
+                        vocab::FIRST_NAMES,
+                        rng.gen_range(0..vocab::FIRST_NAMES.len())
+                    ),
                     vocab::pick(vocab::LAST_NAMES, rng.gen_range(0..vocab::LAST_NAMES.len()))
                 ),
                 creator: format!(
                     "{} {}",
-                    vocab::pick(vocab::FIRST_NAMES, rng.gen_range(0..vocab::FIRST_NAMES.len())),
+                    vocab::pick(
+                        vocab::FIRST_NAMES,
+                        rng.gen_range(0..vocab::FIRST_NAMES.len())
+                    ),
                     vocab::pick(vocab::LAST_NAMES, rng.gen_range(0..vocab::LAST_NAMES.len()))
                 ),
                 genre: vocab::GENRES[rng.gen_range(0..vocab::GENRES.len())].to_string(),
-                language: ["English", "French", "Spanish", "Mandarin", "Hindi", "Japanese"]
-                    [rng.gen_range(0..6)]
+                language: [
+                    "English", "French", "Spanish", "Mandarin", "Hindi", "Japanese",
+                ][rng.gen_range(0..6)]
                 .to_string(),
                 country: vocab::COUNTRIES[country_idx].to_string(),
                 duration: 70 + rng.gen_range(0..120),
@@ -90,7 +103,10 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             .map(|_| {
                 format!(
                     "{} {}",
-                    vocab::pick(vocab::FIRST_NAMES, rng.gen_range(0..vocab::FIRST_NAMES.len())),
+                    vocab::pick(
+                        vocab::FIRST_NAMES,
+                        rng.gen_range(0..vocab::FIRST_NAMES.len())
+                    ),
                     vocab::pick(vocab::LAST_NAMES, rng.gen_range(0..vocab::LAST_NAMES.len()))
                 )
             })
@@ -111,15 +127,26 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             format!(
                 "a {} story about the {} of {}",
                 m.genre.to_lowercase(),
-                vocab::pick(vocab::MOVIE_NOUNS, rng.gen_range(0..vocab::MOVIE_NOUNS.len()))
-                    .to_lowercase(),
-                vocab::pick(vocab::MOVIE_WORDS, rng.gen_range(0..vocab::MOVIE_WORDS.len()))
-                    .to_lowercase()
+                vocab::pick(
+                    vocab::MOVIE_NOUNS,
+                    rng.gen_range(0..vocab::MOVIE_NOUNS.len())
+                )
+                .to_lowercase(),
+                vocab::pick(
+                    vocab::MOVIE_WORDS,
+                    rng.gen_range(0..vocab::MOVIE_WORDS.len())
+                )
+                .to_lowercase()
             ),
             format!("{:.1}", 3.0 + rng.gen_range(0..70) as f64 * 0.1),
             format!("{}", 20 + rng.gen_range(0..80)),
             format!("{}", 100 + rng.gen_range(0..500_000)),
-            if rng.gen_bool(0.5) { "imdb" } else { "rottentomatoes" }.to_string(),
+            if rng.gen_bool(0.5) {
+                "imdb"
+            } else {
+                "rottentomatoes"
+            }
+            .to_string(),
         ]);
     }
 
@@ -140,9 +167,24 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             FunctionalDependency::new("title", "content_rating"),
         ],
         patterns: vec![
-            ColumnPattern::new("year", PatternKind::IntRange { min: 1900, max: 2030 }),
-            ColumnPattern::new("duration_minutes", PatternKind::IntRange { min: 30, max: 300 }),
-            ColumnPattern::new("imdb_rating", PatternKind::FloatRange { min: 0.0, max: 10.0 }),
+            ColumnPattern::new(
+                "year",
+                PatternKind::IntRange {
+                    min: 1900,
+                    max: 2030,
+                },
+            ),
+            ColumnPattern::new(
+                "duration_minutes",
+                PatternKind::IntRange { min: 30, max: 300 },
+            ),
+            ColumnPattern::new(
+                "imdb_rating",
+                PatternKind::FloatRange {
+                    min: 0.0,
+                    max: 10.0,
+                },
+            ),
             ColumnPattern::new("metascore", PatternKind::IntRange { min: 0, max: 100 }),
             ColumnPattern::new("release_date", PatternKind::IsoDate),
             ColumnPattern::new(
@@ -160,10 +202,7 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
                 "content_rating",
                 vocab::RATINGS.iter().map(|s| s.to_string()),
             ),
-            KnowledgeBaseEntry::domain(
-                "country",
-                vocab::COUNTRIES.iter().map(|s| s.to_string()),
-            ),
+            KnowledgeBaseEntry::domain("country", vocab::COUNTRIES.iter().map(|s| s.to_string())),
         ],
         numeric_columns: vec![
             "duration_minutes".into(),
@@ -205,7 +244,12 @@ mod tests {
         for pat in &meta.patterns {
             let col = table.column_index(&pat.column).unwrap();
             for row in table.rows() {
-                assert!(pat.kind.matches(&row[col]), "{}: {:?}", pat.column, row[col]);
+                assert!(
+                    pat.kind.matches(&row[col]),
+                    "{}: {:?}",
+                    pat.column,
+                    row[col]
+                );
             }
         }
     }

@@ -53,7 +53,16 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
         .enumerate()
         .map(|(i, title)| Journal {
             title: title.to_string(),
-            issn: format!("{:04}-{:03}{}", 1000 + i * 37, 100 + i * 7, if i % 5 == 0 { "X".to_string() } else { (i % 10).to_string() }),
+            issn: format!(
+                "{:04}-{:03}{}",
+                1000 + i * 37,
+                100 + i * 7,
+                if i % 5 == 0 {
+                    "X".to_string()
+                } else {
+                    (i % 10).to_string()
+                }
+            ),
             abbreviation: abbreviate(title),
             language: vocab::LANGUAGES[i % 3].to_string(),
         })
@@ -72,10 +81,13 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
                 format!(
                     "{} {}",
                     vocab::pick(vocab::LAST_NAMES, rng.gen_range(0..vocab::LAST_NAMES.len())),
-                    vocab::pick(vocab::FIRST_NAMES, rng.gen_range(0..vocab::FIRST_NAMES.len()))
-                        .chars()
-                        .next()
-                        .unwrap_or('A')
+                    vocab::pick(
+                        vocab::FIRST_NAMES,
+                        rng.gen_range(0..vocab::FIRST_NAMES.len())
+                    )
+                    .chars()
+                    .next()
+                    .unwrap_or('A')
                 )
             })
             .collect();
@@ -92,7 +104,12 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             j.language.clone(),
             j.abbreviation.clone(),
             format!("{year}"),
-            if rng.gen_bool(0.7) { "journal article" } else { "review" }.to_string(),
+            if rng.gen_bool(0.7) {
+                "journal article"
+            } else {
+                "review"
+            }
+            .to_string(),
         ]);
     }
 
@@ -113,8 +130,17 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
         patterns: vec![
             ColumnPattern::new("journal_issn", PatternKind::Issn),
             ColumnPattern::new("jcreated_at", PatternKind::IsoDate),
-            ColumnPattern::new("article_jyear", PatternKind::IntRange { min: 1900, max: 2030 }),
-            ColumnPattern::new("article_jvolumn", PatternKind::IntRange { min: 1, max: 500 }),
+            ColumnPattern::new(
+                "article_jyear",
+                PatternKind::IntRange {
+                    min: 1900,
+                    max: 2030,
+                },
+            ),
+            ColumnPattern::new(
+                "article_jvolumn",
+                PatternKind::IntRange { min: 1, max: 500 },
+            ),
             ColumnPattern::new(
                 "article_language",
                 PatternKind::OneOf(vocab::LANGUAGES.iter().map(|s| s.to_string()).collect()),
@@ -158,7 +184,12 @@ mod tests {
         for pat in &meta.patterns {
             let col = table.column_index(&pat.column).unwrap();
             for row in table.rows() {
-                assert!(pat.kind.matches(&row[col]), "{}: {:?}", pat.column, row[col]);
+                assert!(
+                    pat.kind.matches(&row[col]),
+                    "{}: {:?}",
+                    pat.column,
+                    row[col]
+                );
             }
         }
     }

@@ -75,14 +75,25 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
         })
         .collect();
     let occupations = [
-        "engineer", "teacher", "nurse", "manager", "analyst", "clerk", "driver", "consultant",
-        "technician", "accountant",
+        "engineer",
+        "teacher",
+        "nurse",
+        "manager",
+        "analyst",
+        "clerk",
+        "driver",
+        "consultant",
+        "technician",
+        "accountant",
     ];
 
     let mut rows = Vec::with_capacity(n_rows);
     for i in 0..n_rows {
         let loc = &locations[skewed_index(rng, locations.len())];
-        let first = vocab::pick(vocab::FIRST_NAMES, rng.gen_range(0..vocab::FIRST_NAMES.len()));
+        let first = vocab::pick(
+            vocab::FIRST_NAMES,
+            rng.gen_range(0..vocab::FIRST_NAMES.len()),
+        );
         let last = vocab::pick(vocab::LAST_NAMES, rng.gen_range(0..vocab::LAST_NAMES.len()));
         let gender = if rng.gen_bool(0.5) { "M" } else { "F" };
         let marital = vocab::MARITAL_STATUSES[rng.gen_range(0..2)];
@@ -109,27 +120,38 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             format!("{}", loc.single_exemp),
             format!("{}", loc.married_exemp),
             format!("{}", loc.child_exemp),
-            format!("{}.{}@example.com", first.to_lowercase(), last.to_lowercase()),
+            format!(
+                "{}.{}@example.com",
+                first.to_lowercase(),
+                last.to_lowercase()
+            ),
             format!("{:04}", rng.gen_range(0..10_000)),
             format!(
                 "{} {} inc",
-                vocab::pick(vocab::BREWERY_WORDS, rng.gen_range(0..vocab::BREWERY_WORDS.len())),
-                vocab::pick(vocab::MOVIE_NOUNS, rng.gen_range(0..vocab::MOVIE_NOUNS.len()))
+                vocab::pick(
+                    vocab::BREWERY_WORDS,
+                    rng.gen_range(0..vocab::BREWERY_WORDS.len())
+                ),
+                vocab::pick(
+                    vocab::MOVIE_NOUNS,
+                    rng.gen_range(0..vocab::MOVIE_NOUNS.len())
+                )
             )
             .to_lowercase(),
             occupations[rng.gen_range(0..occupations.len())].to_string(),
             format!("{}", rng.gen_range(0..40)),
             format!("{}", 2010 + (i % 10)),
-            if rng.gen_bool(0.7) { "individual" } else { "joint" }.to_string(),
+            if rng.gen_bool(0.7) {
+                "individual"
+            } else {
+                "joint"
+            }
+            .to_string(),
         ]);
     }
 
-    let table = Table::new(
-        "Tax",
-        COLUMNS.iter().map(|s| s.to_string()).collect(),
-        rows,
-    )
-    .expect("generated rows match the schema");
+    let table = Table::new("Tax", COLUMNS.iter().map(|s| s.to_string()).collect(), rows)
+        .expect("generated rows match the schema");
 
     let metadata = DatasetMetadata {
         fds: vec![
@@ -149,11 +171,32 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
                 "marital_status",
                 PatternKind::OneOf(vec!["S".into(), "M".into()]),
             ),
-            ColumnPattern::new("has_child", PatternKind::OneOf(vec!["Y".into(), "N".into()])),
-            ColumnPattern::new("salary", PatternKind::IntRange { min: 0, max: 1_000_000 }),
-            ColumnPattern::new("rate", PatternKind::FloatRange { min: 0.0, max: 15.0 }),
+            ColumnPattern::new(
+                "has_child",
+                PatternKind::OneOf(vec!["Y".into(), "N".into()]),
+            ),
+            ColumnPattern::new(
+                "salary",
+                PatternKind::IntRange {
+                    min: 0,
+                    max: 1_000_000,
+                },
+            ),
+            ColumnPattern::new(
+                "rate",
+                PatternKind::FloatRange {
+                    min: 0.0,
+                    max: 15.0,
+                },
+            ),
             ColumnPattern::new("years_employed", PatternKind::IntRange { min: 0, max: 60 }),
-            ColumnPattern::new("filing_year", PatternKind::IntRange { min: 2000, max: 2030 }),
+            ColumnPattern::new(
+                "filing_year",
+                PatternKind::IntRange {
+                    min: 2000,
+                    max: 2030,
+                },
+            ),
         ],
         kb: vec![
             KnowledgeBaseEntry::domain(
@@ -170,7 +213,12 @@ pub fn clean(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
             "child_exemp".into(),
             "years_employed".into(),
         ],
-        text_columns: vec!["f_name".into(), "l_name".into(), "employer".into(), "email".into()],
+        text_columns: vec![
+            "f_name".into(),
+            "l_name".into(),
+            "employer".into(),
+            "email".into(),
+        ],
     };
     (table, metadata)
 }
@@ -199,7 +247,12 @@ mod tests {
         for pat in &meta.patterns {
             let col = table.column_index(&pat.column).unwrap();
             for row in table.rows() {
-                assert!(pat.kind.matches(&row[col]), "{}: {:?}", pat.column, row[col]);
+                assert!(
+                    pat.kind.matches(&row[col]),
+                    "{}: {:?}",
+                    pat.column,
+                    row[col]
+                );
             }
         }
     }

@@ -47,7 +47,11 @@ pub fn wide(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
     const N_DATES: usize = 4;
     const N_TIMES: usize = 3;
 
-    let mut columns = vec!["record_id".to_string(), "city".to_string(), "state".to_string()];
+    let mut columns = vec![
+        "record_id".to_string(),
+        "city".to_string(),
+        "state".to_string(),
+    ];
     columns.extend((0..N_METRICS).map(|k| format!("metric_{k:02}")));
     columns.extend((0..N_CODES).map(|k| format!("code_{k:02}")));
     columns.extend((0..N_DATES).map(|k| format!("date_{k}")));
@@ -88,12 +92,18 @@ pub fn wide(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
 
     let mut patterns = vec![ColumnPattern::new(
         "record_id",
-        PatternKind::IntRange { min: 0, max: 1_000_000 },
+        PatternKind::IntRange {
+            min: 0,
+            max: 1_000_000,
+        },
     )];
     for k in 0..N_METRICS {
         patterns.push(ColumnPattern::new(
             format!("metric_{k:02}"),
-            PatternKind::FloatRange { min: 0.0, max: 110.0 },
+            PatternKind::FloatRange {
+                min: 0.0,
+                max: 110.0,
+            },
         ));
     }
     for k in 0..N_CODES {
@@ -104,10 +114,16 @@ pub fn wide(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
         ));
     }
     for k in 0..N_DATES {
-        patterns.push(ColumnPattern::new(format!("date_{k}"), PatternKind::IsoDate));
+        patterns.push(ColumnPattern::new(
+            format!("date_{k}"),
+            PatternKind::IsoDate,
+        ));
     }
     for k in 0..N_TIMES {
-        patterns.push(ColumnPattern::new(format!("slot_{k}"), PatternKind::Time12H));
+        patterns.push(ColumnPattern::new(
+            format!("slot_{k}"),
+            PatternKind::Time12H,
+        ));
     }
 
     let metadata = DatasetMetadata {
@@ -135,13 +151,19 @@ pub fn high_distinct(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMeta
     let mut rows = Vec::with_capacity(n_rows);
     for i in 0..n_rows {
         let city_idx = skewed_index(rng, vocab::CITIES.len());
-        let first = vocab::pick(vocab::FIRST_NAMES, rng.gen_range(0..vocab::FIRST_NAMES.len()));
+        let first = vocab::pick(
+            vocab::FIRST_NAMES,
+            rng.gen_range(0..vocab::FIRST_NAMES.len()),
+        );
         // Row-indexed composition keeps uid/handle/session unique without a
         // uniqueness bookkeeping pass.
         rows.push(vec![
             format!("U-{i:06}"),
             format!("{}.{i}@example.org", first.to_lowercase()),
-            format!("{:08x}", (i as u64).wrapping_mul(0x9e37_79b9) ^ rng.gen_range(0..0x1_0000)),
+            format!(
+                "{:08x}",
+                (i as u64).wrapping_mul(0x9e37_79b9) ^ rng.gen_range(0..0x1_0000)
+            ),
             super::format_iso_date(
                 2015 + (i as u32 % 10),
                 1 + rng.gen_range(0..12),
@@ -150,8 +172,14 @@ pub fn high_distinct(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMeta
             format!("{:.2}", rng.gen_range(0..10_000_000) as f64 * 0.01),
             format!(
                 "{} {} #{i}",
-                vocab::pick(vocab::TOPIC_WORDS, rng.gen_range(0..vocab::TOPIC_WORDS.len())),
-                vocab::pick(vocab::TOPIC_WORDS, rng.gen_range(0..vocab::TOPIC_WORDS.len())),
+                vocab::pick(
+                    vocab::TOPIC_WORDS,
+                    rng.gen_range(0..vocab::TOPIC_WORDS.len())
+                ),
+                vocab::pick(
+                    vocab::TOPIC_WORDS,
+                    rng.gen_range(0..vocab::TOPIC_WORDS.len())
+                ),
             ),
             vocab::CITIES[city_idx].to_string(),
             vocab::STATES_FOR_CITIES[city_idx].to_string(),
@@ -171,7 +199,13 @@ pub fn high_distinct(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMeta
             ColumnPattern::new("handle", PatternKind::NonEmpty),
             ColumnPattern::new("session", PatternKind::NonEmpty),
             ColumnPattern::new("created", PatternKind::IsoDate),
-            ColumnPattern::new("amount", PatternKind::FloatRange { min: 0.0, max: 100_000.0 }),
+            ColumnPattern::new(
+                "amount",
+                PatternKind::FloatRange {
+                    min: 0.0,
+                    max: 100_000.0,
+                },
+            ),
             ColumnPattern::new("note", PatternKind::NonEmpty),
         ],
         kb: vec![KnowledgeBaseEntry::domain(
@@ -194,7 +228,9 @@ const KINDS: [(&str, &[&str]); 3] = [
 /// Generates the **MixedSchema** workload: 7 attributes where `payload` and
 /// `tag` formats depend on the row's `kind`.
 pub fn mixed_schema(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetadata) {
-    const COLUMNS: [&str; 7] = ["seq", "kind", "entity", "payload", "tag", "country", "region"];
+    const COLUMNS: [&str; 7] = [
+        "seq", "kind", "entity", "payload", "tag", "country", "region",
+    ];
     let mut rows = Vec::with_capacity(n_rows);
     for i in 0..n_rows {
         let (kind, tags) = KINDS[skewed_index(rng, KINDS.len())];
@@ -203,8 +239,14 @@ pub fn mixed_schema(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetad
             "event" => super::format_time_12h(rng.gen_range(0..24 * 60)),
             _ => format!(
                 "{} {}",
-                vocab::pick(vocab::TOPIC_WORDS, rng.gen_range(0..vocab::TOPIC_WORDS.len())),
-                vocab::pick(vocab::TOPIC_WORDS, rng.gen_range(0..vocab::TOPIC_WORDS.len())),
+                vocab::pick(
+                    vocab::TOPIC_WORDS,
+                    rng.gen_range(0..vocab::TOPIC_WORDS.len())
+                ),
+                vocab::pick(
+                    vocab::TOPIC_WORDS,
+                    rng.gen_range(0..vocab::TOPIC_WORDS.len())
+                ),
             ),
         };
         let country_idx = skewed_index(rng, vocab::COUNTRIES.len());
@@ -232,7 +274,13 @@ pub fn mixed_schema(n_rows: usize, rng: &mut ChaCha8Rng) -> (Table, DatasetMetad
     let metadata = DatasetMetadata {
         fds: vec![FunctionalDependency::new("country", "region")],
         patterns: vec![
-            ColumnPattern::new("seq", PatternKind::IntRange { min: 0, max: 10_000_000 }),
+            ColumnPattern::new(
+                "seq",
+                PatternKind::IntRange {
+                    min: 0,
+                    max: 10_000_000,
+                },
+            ),
             ColumnPattern::new(
                 "kind",
                 PatternKind::OneOf(KINDS.iter().map(|(k, _)| k.to_string()).collect()),
@@ -274,7 +322,12 @@ mod tests {
         for pat in &meta.patterns {
             let col = table.column_index(&pat.column).unwrap();
             for row in table.rows() {
-                assert!(pat.kind.matches(&row[col]), "{}: {:?}", pat.column, row[col]);
+                assert!(
+                    pat.kind.matches(&row[col]),
+                    "{}: {:?}",
+                    pat.column,
+                    row[col]
+                );
             }
         }
     }
@@ -286,8 +339,7 @@ mod tests {
         assert_eq!(table.n_rows(), 500);
         for col_name in ["uid", "handle", "session"] {
             let col = table.column_index(col_name).unwrap();
-            let distinct: HashSet<&str> =
-                table.rows().iter().map(|r| r[col].as_str()).collect();
+            let distinct: HashSet<&str> = table.rows().iter().map(|r| r[col].as_str()).collect();
             assert_eq!(distinct.len(), 500, "{col_name} must be unique per row");
         }
         // The anchor stays low-distinct: clustering has *something* to group.

@@ -471,11 +471,14 @@ mod tests {
     #[test]
     fn mask_matches_diff_and_types_recorded() {
         let (clean, meta) = clean_table(300);
-        let out = Injector::new(ErrorSpec::new(0.02, 0.02, 0.02, 0.02, 0.03), 3)
-            .inject(&clean, &meta);
+        let out =
+            Injector::new(ErrorSpec::new(0.02, 0.02, 0.02, 0.02, 0.03), 3).inject(&clean, &meta);
         for err in &out.injected {
             assert!(out.mask.get(err.row, err.col));
-            assert_ne!(out.dirty.cell(err.row, err.col), clean.cell(err.row, err.col));
+            assert_ne!(
+                out.dirty.cell(err.row, err.col),
+                clean.cell(err.row, err.col)
+            );
         }
         let types: HashSet<ErrorType> = out.injected.iter().map(|e| e.error_type).collect();
         assert!(types.len() >= 4, "expected most error types, got {types:?}");
@@ -484,8 +487,8 @@ mod tests {
     #[test]
     fn rule_violations_target_fd_columns() {
         let (clean, meta) = clean_table(300);
-        let out = Injector::new(ErrorSpec::only(ErrorType::RuleViolation, 0.05), 5)
-            .inject(&clean, &meta);
+        let out =
+            Injector::new(ErrorSpec::only(ErrorType::RuleViolation, 0.05), 5).inject(&clean, &meta);
         assert!(out.mask.error_count() > 0);
         for err in &out.injected {
             let col_name = &clean.columns()[err.col];
@@ -499,8 +502,7 @@ mod tests {
     #[test]
     fn outliers_target_numeric_columns() {
         let (clean, meta) = clean_table(300);
-        let out =
-            Injector::new(ErrorSpec::only(ErrorType::Outlier, 0.05), 5).inject(&clean, &meta);
+        let out = Injector::new(ErrorSpec::only(ErrorType::Outlier, 0.05), 5).inject(&clean, &meta);
         assert!(out.mask.error_count() > 0);
         for err in &out.injected {
             assert_eq!(clean.columns()[err.col], "salary");

@@ -392,7 +392,12 @@ mod tests {
             assert!(!DatasetSpec::ALL.contains(&spec), "{}", spec.name());
             assert!(!DatasetSpec::COMPARISON.contains(&spec), "{}", spec.name());
             // Names round-trip through the CLI parser.
-            assert_eq!(DatasetSpec::parse(spec.name()), Some(spec), "{}", spec.name());
+            assert_eq!(
+                DatasetSpec::parse(spec.name()),
+                Some(spec),
+                "{}",
+                spec.name()
+            );
             let ds = generate(
                 spec,
                 &GenerateOptions {

@@ -108,8 +108,12 @@ fn matches_time12h(v: &str) -> bool {
     let Some((h, m)) = time.split_once(':') else {
         return false;
     };
-    let Ok(h) = h.parse::<u32>() else { return false };
-    let Ok(m) = m.parse::<u32>() else { return false };
+    let Ok(h) = h.parse::<u32>() else {
+        return false;
+    };
+    let Ok(m) = m.parse::<u32>() else {
+        return false;
+    };
     m.to_string().len() <= 2 && (1..=12).contains(&h) && m < 60
 }
 
@@ -163,7 +167,9 @@ fn matches_flight(v: &str) -> bool {
         return false;
     };
     code.len() == 2
-        && code.chars().all(|c| c.is_ascii_alphanumeric() && !c.is_ascii_lowercase())
+        && code
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() && !c.is_ascii_lowercase())
         && !num.is_empty()
         && num.len() <= 4
         && num.chars().all(|c| c.is_ascii_digit())
@@ -239,7 +245,10 @@ impl DatasetMetadata {
 
     /// Returns all FDs whose dependent side is `column`.
     pub fn fds_determining(&self, column: &str) -> Vec<&FunctionalDependency> {
-        self.fds.iter().filter(|fd| fd.dependent == column).collect()
+        self.fds
+            .iter()
+            .filter(|fd| fd.dependent == column)
+            .collect()
     }
 
     /// Returns `true` when the column participates in at least one FD (either

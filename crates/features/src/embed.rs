@@ -121,7 +121,11 @@ impl HashEmbedder {
         }
         // Also hash the whole token so very short tokens still contribute.
         let bucket = (token_hash % self.dim as u64) as usize;
-        tmp[bucket] += if (token_hash >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+        tmp[bucket] += if (token_hash >> 32) & 1 == 0 {
+            1.0
+        } else {
+            -1.0
+        };
         n_grams += 1;
         if n_grams > 0 {
             for x in tmp.iter_mut() {
@@ -287,7 +291,11 @@ mod tests {
             "Ünïcode Tøkens 123",
             "x-y_z.9",
         ] {
-            assert_eq!(e.embed(value), embed_reference(&e, value), "value {value:?}");
+            assert_eq!(
+                e.embed(value),
+                embed_reference(&e, value),
+                "value {value:?}"
+            );
         }
         let short = HashEmbedder::with_ngrams(8, 2, 3);
         assert_eq!(short.embed("ab cd"), embed_reference(&short, "ab cd"));

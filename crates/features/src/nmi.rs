@@ -124,10 +124,7 @@ pub fn top_k_correlated_sampled(
     let n_rows = table.n_rows();
     let stride = (n_rows / max_rows.max(1)).max(1);
     let sample_rows: Vec<usize> = (0..n_rows).step_by(stride).collect();
-    let target_vals: Vec<&str> = sample_rows
-        .iter()
-        .map(|&i| table.cell(i, target))
-        .collect();
+    let target_vals: Vec<&str> = sample_rows.iter().map(|&i| table.cell(i, target)).collect();
     let mut scored: Vec<(usize, f64)> = (0..n_cols)
         .filter(|&j| j != target)
         .map(|j| {

@@ -67,8 +67,7 @@ impl FrequencyModel {
             let col = dict.column(j);
             // Generalise each *distinct* value once; a pattern's count is the
             // sum of the value counts mapping to it.
-            let mut pattern_of_code: [Vec<String>; 3] =
-                [Vec::new(), Vec::new(), Vec::new()];
+            let mut pattern_of_code: [Vec<String>; 3] = [Vec::new(), Vec::new(), Vec::new()];
             for (code, value) in col.values().iter().enumerate() {
                 for (li, level) in Level::ALL.iter().enumerate() {
                     let pat = generalize(value, *level);
@@ -144,8 +143,7 @@ impl FrequencyModel {
         let li = level_index(level);
         // Memoised fast path for values that occur in the table.
         if let Some(code) = self.dict.column(col).lookup(value) {
-            return self.pattern_count_of_code[col][li][code as usize] as f64
-                / self.n_rows as f64;
+            return self.pattern_count_of_code[col][li][code as usize] as f64 / self.n_rows as f64;
         }
         let pat = generalize(value, level);
         *self.pattern_counts[col][li].get(&pat).unwrap_or(&0) as f64 / self.n_rows as f64
@@ -318,7 +316,10 @@ mod tests {
             for i in 0..t.n_rows() {
                 let value = t.cell(i, j);
                 let code = dict.column(j).code(i);
-                assert_eq!(fm.value_frequency(j, value), fm.value_frequency_code(j, code));
+                assert_eq!(
+                    fm.value_frequency(j, value),
+                    fm.value_frequency_code(j, code)
+                );
                 for level in Level::ALL {
                     assert_eq!(
                         fm.pattern_frequency(j, value, level),

@@ -155,7 +155,12 @@ impl FeatureBuilder {
     ) -> FittedFeatures<'a> {
         let correlated: Vec<Vec<usize>> = (0..table.n_cols())
             .map(|j| {
-                top_k_correlated_dict(&dict, j, self.config.top_k_corr, self.config.nmi_sample_rows)
+                top_k_correlated_dict(
+                    &dict,
+                    j,
+                    self.config.top_k_corr,
+                    self.config.nmi_sample_rows,
+                )
             })
             .collect();
         self.fit_prepared(table, dict, correlated, extra)
@@ -173,8 +178,16 @@ impl FeatureBuilder {
         correlated: Vec<Vec<usize>>,
         extra: &'a [Vec<Vec<f32>>],
     ) -> FittedFeatures<'a> {
-        assert_eq!(dict.n_rows(), table.n_rows(), "dictionary/table row mismatch");
-        assert_eq!(dict.n_cols(), table.n_cols(), "dictionary/table column mismatch");
+        assert_eq!(
+            dict.n_rows(),
+            table.n_rows(),
+            "dictionary/table row mismatch"
+        );
+        assert_eq!(
+            dict.n_cols(),
+            table.n_cols(),
+            "dictionary/table column mismatch"
+        );
         assert_eq!(
             correlated.len(),
             table.n_cols(),
@@ -421,8 +434,7 @@ impl<'a> FittedFeatures<'a> {
                     off = 4;
                     for &q in &self.correlated[col] {
                         let code_q = self.dict.column(q).code(row);
-                        out[off] =
-                            self.freq.vicinity_frequency_code(col, code, q, code_q) as f32;
+                        out[off] = self.freq.vicinity_frequency_code(col, code, q, code_q) as f32;
                         off += 1;
                     }
                     out[off] = cached[4];
@@ -436,10 +448,10 @@ impl<'a> FittedFeatures<'a> {
                     out[3] = self.freq.pattern_frequency(col, value, Level::L3) as f32;
                     off = 4;
                     for &q in &self.correlated[col] {
-                        out[off] = self
-                            .freq
-                            .vicinity_frequency(col, value, q, self.table.cell(row, q))
-                            as f32;
+                        out[off] =
+                            self.freq
+                                .vicinity_frequency(col, value, q, self.table.cell(row, q))
+                                as f32;
                         off += 1;
                     }
                     out[off] = (value.chars().count() as f32 / 64.0).min(1.0);

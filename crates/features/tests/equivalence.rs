@@ -9,9 +9,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use zeroed_features::reference::{
-    base_row_reference, build_all_reference, unified_row_reference,
-};
+use zeroed_features::reference::{base_row_reference, build_all_reference, unified_row_reference};
 use zeroed_features::{FeatureBuilder, FeatureConfig};
 use zeroed_table::Table;
 
@@ -122,7 +120,9 @@ fn build_all_with_extra_blocks_is_bit_identical() {
                 .map(|_| vec![f32::from(rng.gen_bool(0.5)), f32::from(rng.gen_bool(0.2))])
                 .collect(),
             Vec::new(),
-            (0..n_rows).map(|_| vec![f32::from(rng.gen_bool(0.8))]).collect(),
+            (0..n_rows)
+                .map(|_| vec![f32::from(rng.gen_bool(0.8))])
+                .collect(),
         ];
         let extra_configs = std::iter::once(FeatureConfig {
             embed_dim: 7,
@@ -136,7 +136,10 @@ fn build_all_with_extra_blocks_is_bit_identical() {
             let fast = fitted.build_all();
             let naive = build_all_reference(&fitted);
             for j in 0..3 {
-                assert_eq!(fast.base[j], naive.base[j], "config {ci}: base matrix of column {j}");
+                assert_eq!(
+                    fast.base[j], naive.base[j],
+                    "config {ci}: base matrix of column {j}"
+                );
                 assert_eq!(
                     fast.unified[j], naive.unified[j],
                     "config {ci}: unified matrix of column {j}"
@@ -203,7 +206,9 @@ fn empty_and_constant_tables_match_reference() {
     let constant = Table::new(
         "c",
         vec!["a".into(), "b".into()],
-        (0..10).map(|_| vec!["same".to_string(), "same".into()]).collect(),
+        (0..10)
+            .map(|_| vec!["same".to_string(), "same".into()])
+            .collect(),
     )
     .unwrap();
     for table in [&empty, &constant] {
@@ -217,9 +222,19 @@ fn empty_and_constant_tables_match_reference() {
         let naive = build_all_reference(&fitted);
         for j in 0..table.n_cols() {
             assert_eq!(fast.base[j], naive.base[j], "{} base col {j}", table.name());
-            assert_eq!(fast.unified[j], naive.unified[j], "{} unified col {j}", table.name());
+            assert_eq!(
+                fast.unified[j],
+                naive.unified[j],
+                "{} unified col {j}",
+                table.name()
+            );
             let streamed = fitted.unified_matrix(j);
-            assert_eq!(streamed, naive.unified[j], "{} streamed col {j}", table.name());
+            assert_eq!(
+                streamed,
+                naive.unified[j],
+                "{} streamed col {j}",
+                table.name()
+            );
             if table.n_rows() == 0 {
                 assert_eq!((streamed.n_rows(), streamed.n_cols()), (0, 0));
             }

@@ -176,10 +176,7 @@ mod tests {
         }
         for (i, &c) in counts.iter().enumerate() {
             let frac = c as f64 / n as f64;
-            assert!(
-                (frac - 0.25).abs() < 0.05,
-                "bucket {i} off: {frac} vs 0.25"
-            );
+            assert!((frac - 0.25).abs() < 0.05, "bucket {i} off: {frac} vs 0.25");
         }
     }
 
@@ -187,6 +184,9 @@ mod tests {
     fn slow_tail_penalty_converts_millis() {
         let s = FaultSchedule::slow_tail(1, 0.1, 2.5);
         assert_eq!(s.slow_tail_penalty(), Duration::from_micros(2_500));
-        assert_eq!(FaultSchedule::healthy(0).slow_tail_penalty(), Duration::ZERO);
+        assert_eq!(
+            FaultSchedule::healthy(0).slow_tail_penalty(),
+            Duration::ZERO
+        );
     }
 }

@@ -225,11 +225,8 @@ mod tests {
     #[test]
     fn mutated_responses_never_panic_any_parser() {
         let labels = prompts::render_labels_response(&[true, false, true, false, true]);
-        let values = prompts::render_augment_response(&[
-            "7:45 am".into(),
-            "NULL".into(),
-            "Boston##".into(),
-        ]);
+        let values =
+            prompts::render_augment_response(&["7:45 am".into(), "NULL".into(), "Boston##".into()]);
         let mut set = zeroed_criteria::CriteriaSet::new(1);
         set.criteria.push(zeroed_criteria::Criterion::new(
             "is_clean_city_not_missing",

@@ -93,7 +93,11 @@ impl LlmProfile {
             recall_rule: 0.80,
             criteria_quality: 0.95,
             guideline_boost: 0.06,
-            latency: LlmLatency { base_ms: 12.0, input_us_per_token: 3.0, output_us_per_token: 36.0 },
+            latency: LlmLatency {
+                base_ms: 12.0,
+                input_us_per_token: 3.0,
+                output_us_per_token: 36.0,
+            },
         }
     }
 
@@ -109,7 +113,11 @@ impl LlmProfile {
             recall_rule: 0.72,
             criteria_quality: 0.85,
             guideline_boost: 0.06,
-            latency: LlmLatency { base_ms: 12.0, input_us_per_token: 3.0, output_us_per_token: 34.0 },
+            latency: LlmLatency {
+                base_ms: 12.0,
+                input_us_per_token: 3.0,
+                output_us_per_token: 34.0,
+            },
         }
     }
 
@@ -125,7 +133,11 @@ impl LlmProfile {
             recall_rule: 0.62,
             criteria_quality: 0.75,
             guideline_boost: 0.08,
-            latency: LlmLatency { base_ms: 8.0, input_us_per_token: 0.8, output_us_per_token: 9.0 },
+            latency: LlmLatency {
+                base_ms: 8.0,
+                input_us_per_token: 0.8,
+                output_us_per_token: 9.0,
+            },
         }
     }
 
@@ -141,7 +153,11 @@ impl LlmProfile {
             recall_rule: 0.55,
             criteria_quality: 0.65,
             guideline_boost: 0.08,
-            latency: LlmLatency { base_ms: 8.0, input_us_per_token: 0.8, output_us_per_token: 9.0 },
+            latency: LlmLatency {
+                base_ms: 8.0,
+                input_us_per_token: 0.8,
+                output_us_per_token: 9.0,
+            },
         }
     }
 
@@ -158,7 +174,11 @@ impl LlmProfile {
             recall_rule: 0.60,
             criteria_quality: 0.70,
             guideline_boost: 0.05,
-            latency: LlmLatency { base_ms: 20.0, input_us_per_token: 0.6, output_us_per_token: 12.0 },
+            latency: LlmLatency {
+                base_ms: 20.0,
+                input_us_per_token: 0.6,
+                output_us_per_token: 12.0,
+            },
         }
     }
 

@@ -162,7 +162,10 @@ pub fn render_augment_response(values: &[String]) -> String {
 
 /// Renders the FM_ED per-tuple response: `yes`/`no` per attribute.
 pub fn render_tuple_response(flags: &[bool]) -> String {
-    flags.iter().map(|&e| if e { "yes " } else { "no " }).collect()
+    flags
+        .iter()
+        .map(|&e| if e { "yes " } else { "no " })
+        .collect()
 }
 
 /// Prompt asking the model to label one batch of sampled values (paper

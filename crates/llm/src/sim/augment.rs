@@ -61,7 +61,8 @@ pub fn augment_errors(
             // In-domain swap: use a *different* clean example, which is
             // erroneous in context (rule-violation-like).
             _ => {
-                let other = &clean_examples[pick(seed, salt.wrapping_add(13), clean_examples.len())];
+                let other =
+                    &clean_examples[pick(seed, salt.wrapping_add(13), clean_examples.len())];
                 if other != base {
                     other.clone()
                 } else {
@@ -139,7 +140,11 @@ mod tests {
     #[test]
     fn produces_requested_count_of_distinct_errors() {
         let p = profile();
-        let clean = vec!["Boston".to_string(), "Denver".to_string(), "Phoenix".to_string()];
+        let clean = vec![
+            "Boston".to_string(),
+            "Denver".to_string(),
+            "Phoenix".to_string(),
+        ];
         let errors = augment_errors(&p, &clean, 20, 5);
         assert_eq!(errors.len(), 20);
         // Every generated value differs from the clean example it was based on

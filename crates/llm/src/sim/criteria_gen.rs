@@ -81,7 +81,10 @@ pub fn build_criteria(profile: &ColumnProfile, quality: f64) -> CriteriaSet {
         if allowed.len() >= 2 && allowed.len() <= 64 {
             set.criteria.push(Criterion::new(
                 format!("is_clean_{name}_domain"),
-                format!("'{name}' takes one of {} known categorical values", allowed.len()),
+                format!(
+                    "'{name}' takes one of {} known categorical values",
+                    allowed.len()
+                ),
                 Check::Domain { allowed },
             ));
         }
@@ -291,7 +294,9 @@ mod tests {
         let names: Vec<&str> = set.criteria.iter().map(|c| c.name.as_str()).collect();
         assert!(names.iter().any(|n| n.contains("not_missing")));
         assert!(names.iter().any(|n| n.contains("format")));
-        assert!(names.iter().any(|n| n.contains("numeric_range") || n.contains("length")));
+        assert!(names
+            .iter()
+            .any(|n| n.contains("numeric_range") || n.contains("length")));
     }
 
     #[test]
@@ -315,12 +320,7 @@ mod tests {
         );
         assert!(refined.len() > base.len());
         // Refinement is idempotent with respect to the contrastive criteria.
-        let twice = refine_criteria(
-            &profile,
-            &refined,
-            &["10101".into()],
-            &["abc".into()],
-        );
+        let twice = refine_criteria(&profile, &refined, &["10101".into()], &["abc".into()]);
         assert_eq!(twice.len(), refined.len());
         // Empty clean examples are a no-op.
         let noop = refine_criteria(&profile, &base, &[], &["x".into()]);
@@ -334,7 +334,10 @@ mod tests {
         let n_cols = 2;
         let scarred = |set: &CriteriaSet| {
             set.column != base.column
-                || set.criteria.iter().any(|c| !c.name.starts_with("is_clean_"))
+                || set
+                    .criteria
+                    .iter()
+                    .any(|c| !c.name.starts_with("is_clean_"))
                 || {
                     let mut names: Vec<&str> =
                         set.criteria.iter().map(|c| c.name.as_str()).collect();
@@ -346,8 +349,7 @@ mod tests {
             let mangled = mangle_criteria(base.clone(), kind, n_cols);
             assert!(scarred(&mangled), "{kind:?} left no scar");
             // Scars survive even when the healthy response is empty.
-            let mangled_empty =
-                mangle_criteria(CriteriaSet::new(base.column), kind, n_cols);
+            let mangled_empty = mangle_criteria(CriteriaSet::new(base.column), kind, n_cols);
             assert!(scarred(&mangled_empty), "{kind:?} hid behind an empty set");
         }
     }

@@ -297,7 +297,10 @@ mod tests {
                     .any(|(e, h)| e.error_type != h.error_type)
         };
         assert!(!analysis_scarred(&a), "healthy analysis must be unscarred");
-        assert!(!guideline_scarred(&g), "healthy guideline must be unscarred");
+        assert!(
+            !guideline_scarred(&g),
+            "healthy guideline must be unscarred"
+        );
         for kind in MangleKind::ALL {
             assert!(
                 analysis_scarred(&mangle_analysis(a.clone(), kind)),

@@ -24,7 +24,10 @@ use zeroed_table::{ErrorType, Table};
 pub fn cell_draw(seed: u64, row: usize, col: usize, salt: u64) -> f64 {
     let mut h = seed ^ 0x9e3779b97f4a7c15;
     for v in [row as u64, col as u64, salt] {
-        h ^= v.wrapping_add(0x9e3779b97f4a7c15).wrapping_add(h << 6).wrapping_add(h >> 2);
+        h ^= v
+            .wrapping_add(0x9e3779b97f4a7c15)
+            .wrapping_add(h << 6)
+            .wrapping_add(h >> 2);
         h = h.wrapping_mul(0xbf58476d1ce4e5b9);
         h ^= h >> 27;
     }
@@ -164,8 +167,7 @@ pub fn detect_tuple_cell(
 ) -> bool {
     let heuristic = {
         let value = table.cell(row, col);
-        is_missing(value)
-            || (profile.is_categorical() && profile.value_frequency(value) < 0.002)
+        is_missing(value) || (profile.is_categorical() && profile.value_frequency(value) < 0.002)
     };
     let Some((is_error, error_type)) = truth else {
         return heuristic;
@@ -180,10 +182,7 @@ pub fn detect_tuple_cell(
             Some(ErrorType::RuleViolation) => 0.2,
             None => 0.6,
         };
-        (model
-            .recall(error_type.unwrap_or(ErrorType::Typo))
-            * scale)
-            .min(0.99)
+        (model.recall(error_type.unwrap_or(ErrorType::Typo)) * scale).min(0.99)
     } else {
         (model.clean_accuracy + 0.015).min(0.99)
     };

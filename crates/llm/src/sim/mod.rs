@@ -249,7 +249,12 @@ impl SimLlm {
         Some((is_error, ty))
     }
 
-    fn column_profile(&self, table: &Table, column: usize, correlated: &[usize]) -> Arc<ColumnProfile> {
+    fn column_profile(
+        &self,
+        table: &Table,
+        column: usize,
+        correlated: &[usize],
+    ) -> Arc<ColumnProfile> {
         let key = (table.name().to_string(), table.n_rows(), column);
         {
             let cache = self.profile_cache.lock();
@@ -486,7 +491,11 @@ mod tests {
             .map(|i| {
                 let city = ["Boston", "Denver", "Phoenix"][i % 3];
                 let state = ["MA", "CO", "AZ"][i % 3];
-                vec![city.to_string(), state.to_string(), format!("{:05}", 10_000 + (i % 3) * 111)]
+                vec![
+                    city.to_string(),
+                    state.to_string(),
+                    format!("{:05}", 10_000 + (i % 3) * 111),
+                ]
             })
             .collect();
         let clean = Table::new(
@@ -509,7 +518,12 @@ mod tests {
         (dirty, mask)
     }
 
-    fn ctx<'a>(table: &'a Table, column: usize, corr: &'a [usize], samples: &'a [usize]) -> AttributeContext<'a> {
+    fn ctx<'a>(
+        table: &'a Table,
+        column: usize,
+        corr: &'a [usize],
+        samples: &'a [usize],
+    ) -> AttributeContext<'a> {
         AttributeContext {
             table,
             column,
@@ -665,7 +679,10 @@ mod tests {
         let a = SimLlm::default_model(9).with_oracle(mask.clone());
         let b = SimLlm::default_model(9).with_oracle(mask);
         let ca = ctx(&table, 2, &corr, &rows);
-        assert_eq!(a.label_batch(&ca, None, &rows), b.label_batch(&ca, None, &rows));
+        assert_eq!(
+            a.label_batch(&ca, None, &rows),
+            b.label_batch(&ca, None, &rows)
+        );
         assert_eq!(a.name(), "Qwen2.5-72b");
     }
 }

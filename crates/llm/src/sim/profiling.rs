@@ -8,9 +8,9 @@
 //! (an empirical functional dependency).
 
 use std::collections::HashMap;
+use zeroed_features::pattern::{generalize, Level};
 use zeroed_table::value::{is_missing, parse_numeric};
 use zeroed_table::Table;
-use zeroed_features::pattern::{generalize, Level};
 
 /// Summary of one attribute's value distribution.
 #[derive(Debug, Clone)]
@@ -57,9 +57,7 @@ impl ColumnProfile {
         for row in table.rows() {
             let v = row[column].as_str();
             *value_counts.entry(v.to_string()).or_insert(0) += 1;
-            *pattern_counts
-                .entry(generalize(v, Level::L3))
-                .or_insert(0) += 1;
+            *pattern_counts.entry(generalize(v, Level::L3)).or_insert(0) += 1;
             if is_missing(v) {
                 missing += 1;
             } else {

@@ -62,7 +62,12 @@ impl LogisticRegression {
             for &idx in &order {
                 let x = rows[idx];
                 let y = labels[idx];
-                let z: f32 = weights.iter().zip(x.iter()).map(|(w, xi)| w * xi).sum::<f32>() + bias;
+                let z: f32 = weights
+                    .iter()
+                    .zip(x.iter())
+                    .map(|(w, xi)| w * xi)
+                    .sum::<f32>()
+                    + bias;
                 let p = sigmoid(z);
                 let err = p - y;
                 for (w, &xi) in weights.iter_mut().zip(x.iter()) {
@@ -115,8 +120,7 @@ mod tests {
 
     #[test]
     fn empty_training_gives_half_probability() {
-        let model =
-            LogisticRegression::fit(&[], &[], &LogisticRegressionConfig::default());
+        let model = LogisticRegression::fit(&[], &[], &LogisticRegressionConfig::default());
         assert!((model.predict_proba(&[]) - 0.5).abs() < 1e-6);
         assert!(model.weights().is_empty());
     }

@@ -42,7 +42,10 @@ mod tests {
 
     #[test]
     fn accuracy_basic() {
-        assert_eq!(accuracy(&[true, false, true], &[true, true, true]), 2.0 / 3.0);
+        assert_eq!(
+            accuracy(&[true, false, true], &[true, true, true]),
+            2.0 / 3.0
+        );
         assert_eq!(accuracy(&[], &[]), 1.0);
     }
 

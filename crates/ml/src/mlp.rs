@@ -543,7 +543,12 @@ impl Mlp {
 
     /// Constructs and trains a weighted MLP in one call (the detector's
     /// dedup-weighted entry point).
-    pub fn fit_weighted(rows: &[&[f32]], labels: &[f32], weights: &[f32], config: &MlpConfig) -> Mlp {
+    pub fn fit_weighted(
+        rows: &[&[f32]],
+        labels: &[f32],
+        weights: &[f32],
+        config: &MlpConfig,
+    ) -> Mlp {
         let input_dim = rows.first().map(|r| r.len()).unwrap_or(0);
         let mut mlp = Mlp::new(input_dim, config);
         mlp.train_weighted(rows, labels, weights, config);
@@ -947,7 +952,10 @@ mod tests {
             .iter()
             .map(|r| if r[0] > 0.5 { 1.0 } else { 0.0 })
             .collect();
-        let weights: Vec<f32> = labels.iter().map(|&y| if y > 0.5 { 3.0 } else { 1.0 }).collect();
+        let weights: Vec<f32> = labels
+            .iter()
+            .map(|&y| if y > 0.5 { 3.0 } else { 1.0 })
+            .collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         let mlp = Mlp::fit_weighted(
             &refs,
@@ -1187,11 +1195,15 @@ mod tests {
     fn batch_prediction_matches_per_row() {
         let (rows, labels) = messy_data(64);
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mlp = Mlp::fit(&refs, &labels, &MlpConfig {
-            hidden: 5,
-            epochs: 3,
-            ..Default::default()
-        });
+        let mlp = Mlp::fit(
+            &refs,
+            &labels,
+            &MlpConfig {
+                hidden: 5,
+                epochs: 3,
+                ..Default::default()
+            },
+        );
         let batch = mlp.predict_proba_batch(&refs);
         for (row, &p) in refs.iter().zip(batch.iter()) {
             assert_eq!(mlp.predict_proba(row).to_bits(), p.to_bits());

@@ -155,7 +155,11 @@ impl Histogram {
                 if c == 0 {
                     return None;
                 }
-                let upper = if i >= 63 { u64::MAX } else { (1u64 << i).max(1) };
+                let upper = if i >= 63 {
+                    u64::MAX
+                } else {
+                    (1u64 << i).max(1)
+                };
                 Some((upper, c))
             })
             .collect()

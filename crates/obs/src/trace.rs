@@ -365,7 +365,10 @@ impl TraceRecorder {
 
     /// Exact number of events the ring evicted.
     pub fn dropped(&self) -> u64 {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).dropped()
+        self.ring
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .dropped()
     }
 
     /// The surviving events in timestamp order. Timestamps are read before
@@ -374,7 +377,11 @@ impl TraceRecorder {
     /// order (ties keep insertion order, which for same-thread emissions is
     /// causal order).
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut events = self.ring.lock().unwrap_or_else(|e| e.into_inner()).ordered();
+        let mut events = self
+            .ring
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .ordered();
         events.sort_by_key(|e| e.t_nanos);
         events
     }
@@ -703,10 +710,7 @@ pub fn check_causality(events: &[TraceEvent]) -> Result<(), String> {
     for (raw, t) in &traces {
         let has_task = t.submit + t.start + t.end > 0;
         if has_task && *raw != 0 && (t.submit != 1 || t.start != 1 || t.end != 1) {
-            return fail(
-                *raw,
-                "a task trace must submit, start and end exactly once",
-            );
+            return fail(*raw, "a task trace must submit, start and end exactly once");
         }
         if has_task && *raw == 0 && (t.start > t.submit || t.end > t.start) {
             return fail(*raw, "unscoped task events out of order");
@@ -744,7 +748,11 @@ pub fn journal_jsonl(events: &[TraceEvent]) -> String {
 const CHROME_PAIRS: [(EventKind, EventKind, &str); 3] = [
     (EventKind::TaskStart, EventKind::TaskSubmit, "task_queue"),
     (EventKind::TaskEnd, EventKind::TaskStart, "task_execute"),
-    (EventKind::CachePublish, EventKind::CacheMiss, "cache_compute"),
+    (
+        EventKind::CachePublish,
+        EventKind::CacheMiss,
+        "cache_compute",
+    ),
 ];
 
 fn chrome_open_kind(kind: EventKind) -> bool {

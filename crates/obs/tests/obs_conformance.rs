@@ -25,7 +25,9 @@ fn span_attribution_is_exact_under_concurrent_writers() {
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let shared = shared.clone();
-            let own = root.child_parallel("stage").child_dist(&format!("worker-{t}"));
+            let own = root
+                .child_parallel("stage")
+                .child_dist(&format!("worker-{t}"));
             scope.spawn(move || {
                 for i in 0..RECORDS_PER_THREAD {
                     shared.record(Duration::from_nanos(1_000 + i));
@@ -46,7 +48,11 @@ fn span_attribution_is_exact_under_concurrent_writers() {
     for t in 0..THREADS {
         let own = stage.child(&format!("worker-{t}")).unwrap();
         assert_eq!(own.count, RECORDS_PER_THREAD);
-        assert_eq!(own.wall_nanos, (t + 1) * RECORDS_PER_THREAD, "cross-thread attribution leak");
+        assert_eq!(
+            own.wall_nanos,
+            (t + 1) * RECORDS_PER_THREAD,
+            "cross-thread attribution leak"
+        );
     }
 }
 
@@ -72,7 +78,10 @@ fn histogram_quantiles_match_a_sorted_sample_oracle() {
         );
     }
     let snap = hist.snapshot();
-    assert_eq!(snap.p50_nanos, samples[(0.5 * n as f64).ceil() as usize - 1]);
+    assert_eq!(
+        snap.p50_nanos,
+        samples[(0.5 * n as f64).ceil() as usize - 1]
+    );
     assert_eq!(snap.max_nanos, *samples.last().unwrap());
     assert_eq!(snap.count, n as u64);
     assert_eq!(snap.total_nanos, samples.iter().sum::<u64>());
@@ -81,8 +90,11 @@ fn histogram_quantiles_match_a_sorted_sample_oracle() {
 #[test]
 fn stage_profile_golden_tree_keeps_the_invariants() {
     let mut root = StageProfile::leaf("detect", Duration::from_millis(100), 1);
-    root.children
-        .push(StageProfile::leaf("features", Duration::from_micros(61_500), 1));
+    root.children.push(StageProfile::leaf(
+        "features",
+        Duration::from_micros(61_500),
+        1,
+    ));
     let mut dist = StageProfile::leaf("label_attribute", Duration::from_millis(250), 20);
     dist.parallel = true;
     dist.quantiles = Some(zeroed_obs::Quantiles {

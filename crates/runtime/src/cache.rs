@@ -296,10 +296,7 @@ impl ResponseCache {
                         waited = true;
                         park_start.get_or_insert_with(Instant::now);
                         held_nanos += hold_start.elapsed().as_nanos() as u64;
-                        map = self
-                            .published
-                            .wait(map)
-                            .unwrap_or_else(|e| e.into_inner());
+                        map = self.published.wait(map).unwrap_or_else(|e| e.into_inner());
                         hold_start = Instant::now();
                     }
                     Slot::Vacated => {
@@ -696,7 +693,11 @@ mod tests {
             calls.fetch_add(1, Ordering::SeqCst);
             response(false)
         });
-        assert_eq!(calls.load(Ordering::SeqCst), 0, "preload must satisfy the request");
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            0,
+            "preload must satisfy the request"
+        );
         assert_eq!(lookup, Lookup::Hit { coalesced: false });
         match &stored.value {
             CachedResponse::Flags(f) => assert_eq!(f, &vec![true, true]),

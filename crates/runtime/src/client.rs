@@ -321,7 +321,10 @@ impl LlmClient for CachedLlm<'_> {
         let prompt = prompts::labeling_prompt(ctx, guideline, rows);
         let salt = self.inner.request_salt(ctx.table, Some(ctx.column), rows);
         let mut b = self.key_builder(RequestKind::LabelBatch);
-        b.column(Some(ctx.column)).rows(rows).text(&prompt).word(salt);
+        b.column(Some(ctx.column))
+            .rows(rows)
+            .text(&prompt)
+            .word(salt);
         let stored = self.resolve(
             b.finish(),
             &prompt,
@@ -470,8 +473,14 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         // The savings equal exactly what the original call charged.
-        assert_eq!(stats.input_tokens_saved as usize, usage_after_first.input_tokens);
-        assert_eq!(stats.output_tokens_saved as usize, usage_after_first.output_tokens);
+        assert_eq!(
+            stats.input_tokens_saved as usize,
+            usage_after_first.input_tokens
+        );
+        assert_eq!(
+            stats.output_tokens_saved as usize,
+            usage_after_first.output_tokens
+        );
     }
 
     #[test]
@@ -516,8 +525,7 @@ mod tests {
             let guideline = llm.generate_guideline(&ctx, &analysis);
             let labels = llm.label_batch(&ctx, Some(&guideline), &samples);
             assert_eq!(labels.len(), samples.len());
-            let refined =
-                llm.refine_criteria(&ctx, &["MA".into()], &["".into()], &criteria);
+            let refined = llm.refine_criteria(&ctx, &["MA".into()], &["".into()], &criteria);
             assert!(refined.len() >= criteria.len());
             let values = llm.augment_errors(&ctx, &["MA".into(), "CO".into()], 4);
             assert_eq!(values.len(), 4);

@@ -202,10 +202,22 @@ mod tests {
     fn any_component_changes_the_key() {
         let base = key(RequestKind::LabelBatch, "m", "prompt", &[1, 2], 7);
         assert_ne!(base, key(RequestKind::Analysis, "m", "prompt", &[1, 2], 7));
-        assert_ne!(base, key(RequestKind::LabelBatch, "m2", "prompt", &[1, 2], 7));
-        assert_ne!(base, key(RequestKind::LabelBatch, "m", "prompt!", &[1, 2], 7));
-        assert_ne!(base, key(RequestKind::LabelBatch, "m", "prompt", &[2, 1], 7));
-        assert_ne!(base, key(RequestKind::LabelBatch, "m", "prompt", &[1, 2], 8));
+        assert_ne!(
+            base,
+            key(RequestKind::LabelBatch, "m2", "prompt", &[1, 2], 7)
+        );
+        assert_ne!(
+            base,
+            key(RequestKind::LabelBatch, "m", "prompt!", &[1, 2], 7)
+        );
+        assert_ne!(
+            base,
+            key(RequestKind::LabelBatch, "m", "prompt", &[2, 1], 7)
+        );
+        assert_ne!(
+            base,
+            key(RequestKind::LabelBatch, "m", "prompt", &[1, 2], 8)
+        );
     }
 
     #[test]

@@ -203,7 +203,9 @@ impl StoreLayer {
                                 match store.append(&record) {
                                     Ok(bytes) => {
                                         counters.persisted_records.fetch_add(1, Ordering::Relaxed);
-                                        counters.persisted_bytes.fetch_add(bytes, Ordering::Relaxed);
+                                        counters
+                                            .persisted_bytes
+                                            .fetch_add(bytes, Ordering::Relaxed);
                                         if let Some(rec) = &recorder {
                                             rec.emit(
                                                 TraceId::from_key(key.to_u128(), rec.nonce()),
@@ -328,10 +330,8 @@ mod tests {
 
     fn temp_dir() -> PathBuf {
         let n = DIR_COUNTER.fetch_add(1, Ordering::SeqCst);
-        let dir = std::env::temp_dir().join(format!(
-            "zeroed-persist-unit-{}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("zeroed-persist-unit-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -51,12 +51,12 @@ use crate::key::{RequestKey, RequestKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use zeroed_obs::{current_id, EventKind, TraceRecorder};
 use zeroed_criteria::CriteriaSet;
 use zeroed_llm::{
     count_tokens, prompts, AttributeContext, Budget, DistributionAnalysis, FaultKind, Guideline,
     LlmClient, TokenLedger,
 };
+use zeroed_obs::{current_id, EventKind, TraceRecorder};
 use zeroed_table::Table;
 
 /// Per-backend routing policy.
@@ -243,7 +243,9 @@ enum BreakerState {
     Closed,
     /// Tripped open until the router's request counter reaches `until`, at
     /// which point the next selection may probe it (half-open).
-    Open { until: u64 },
+    Open {
+        until: u64,
+    },
 }
 
 struct Breaker {
@@ -523,7 +525,10 @@ impl<'a> RouterLlm<'a> {
             breaker.state = BreakerState::Open {
                 until: now + self.breaker_policy.cooldown_requests.max(1),
             };
-            backend.counters.breaker_trips.fetch_add(1, Ordering::Relaxed);
+            backend
+                .counters
+                .breaker_trips
+                .fetch_add(1, Ordering::Relaxed);
         }
         trip
     }
@@ -602,7 +607,10 @@ impl<'a> RouterLlm<'a> {
             let backend = &self.backends[b];
             match backend.client.injected_fault(salt_for(backend.client)) {
                 Some(FaultKind::Error) => {
-                    backend.counters.faults_error.fetch_add(1, Ordering::Relaxed);
+                    backend
+                        .counters
+                        .faults_error
+                        .fetch_add(1, Ordering::Relaxed);
                     self.counters.failovers.fetch_add(1, Ordering::Relaxed);
                     journal(EventKind::FaultInjected, b as u64);
                     journal(EventKind::RouterFailover, b as u64);
@@ -997,7 +1005,10 @@ mod tests {
         );
         // While the breaker is open, backend 0 is not even probed; failovers
         // are therefore fewer than total requests.
-        assert!(stats.failovers < 60, "breaker must suppress probing: {stats:?}");
+        assert!(
+            stats.failovers < 60,
+            "breaker must suppress probing: {stats:?}"
+        );
         assert_eq!(stats.forced_executions, 0);
         assert_eq!(sims[0].ledger().usage().requests, 0);
         assert_eq!(sims[1].ledger().usage().requests, 60);
@@ -1017,7 +1028,10 @@ mod tests {
         assert_eq!(expected, got);
 
         let stats = router.stats();
-        assert!(stats.hedges_fired > 0, "slow tail must fire hedges: {stats:?}");
+        assert!(
+            stats.hedges_fired > 0,
+            "slow tail must fire hedges: {stats:?}"
+        );
         assert_eq!(stats.hedges_won_by_hedge, stats.backends[1].hedges_won);
         assert!(stats.hedge_waste_tokens > 0);
         // Cancelled losers never execute: every request cost exactly one
@@ -1051,10 +1065,7 @@ mod tests {
         let stats = router.stats();
         assert_eq!(stats.hedges_fired, 50, "every request must hedge");
         assert_eq!(stats.hedges_won_by_hedge, 0, "a slow hedge never wins");
-        let useful: u64 = sims
-            .iter()
-            .map(|s| s.ledger().usage().total() as u64)
-            .sum();
+        let useful: u64 = sims.iter().map(|s| s.ledger().usage().total() as u64).sum();
         assert_eq!(
             stats.hedge_waste_tokens, useful,
             "waste must equal the executed calls' exact cost"

@@ -602,7 +602,9 @@ mod tests {
     #[test]
     fn timings_cover_every_task() {
         let s = Scheduler::with_workers(4);
-        let _ = s.run(32, |_| std::thread::sleep(std::time::Duration::from_millis(1)));
+        let _ = s.run(32, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(1))
+        });
         let t = s.timings();
         assert_eq!(t.execute.count, 32);
         assert_eq!(t.queue_wait.count, 32);

@@ -102,10 +102,7 @@ fn golden_table_fingerprint() {
     let t = zeroed_table::Table::new(
         "golden",
         vec!["a".into(), "b".into()],
-        vec![
-            vec!["x".into(), "y".into()],
-            vec!["1".into(), "2".into()],
-        ],
+        vec![vec!["x".into(), "y".into()], vec!["1".into(), "2".into()]],
     )
     .unwrap();
     assert_eq!(table_fingerprint(&t), 0xf95c7eee0114b808);
@@ -130,39 +127,111 @@ fn every_component_perturbs_the_key() {
     let perturbations = [
         (
             "kind",
-            column_key(RequestKind::Refine, "Qwen2.5-72b", 42, Some(3), &[0, 1, 2], "prompt", 7),
+            column_key(
+                RequestKind::Refine,
+                "Qwen2.5-72b",
+                42,
+                Some(3),
+                &[0, 1, 2],
+                "prompt",
+                7,
+            ),
         ),
         (
             "model",
-            column_key(RequestKind::LabelBatch, "Qwen2.5-72B", 42, Some(3), &[0, 1, 2], "prompt", 7),
+            column_key(
+                RequestKind::LabelBatch,
+                "Qwen2.5-72B",
+                42,
+                Some(3),
+                &[0, 1, 2],
+                "prompt",
+                7,
+            ),
         ),
         (
             "table fingerprint",
-            column_key(RequestKind::LabelBatch, "Qwen2.5-72b", 43, Some(3), &[0, 1, 2], "prompt", 7),
+            column_key(
+                RequestKind::LabelBatch,
+                "Qwen2.5-72b",
+                43,
+                Some(3),
+                &[0, 1, 2],
+                "prompt",
+                7,
+            ),
         ),
         (
             "column index",
-            column_key(RequestKind::LabelBatch, "Qwen2.5-72b", 42, Some(4), &[0, 1, 2], "prompt", 7),
+            column_key(
+                RequestKind::LabelBatch,
+                "Qwen2.5-72b",
+                42,
+                Some(4),
+                &[0, 1, 2],
+                "prompt",
+                7,
+            ),
         ),
         (
             "column presence",
-            column_key(RequestKind::LabelBatch, "Qwen2.5-72b", 42, None, &[0, 1, 2], "prompt", 7),
+            column_key(
+                RequestKind::LabelBatch,
+                "Qwen2.5-72b",
+                42,
+                None,
+                &[0, 1, 2],
+                "prompt",
+                7,
+            ),
         ),
         (
             "row order",
-            column_key(RequestKind::LabelBatch, "Qwen2.5-72b", 42, Some(3), &[0, 2, 1], "prompt", 7),
+            column_key(
+                RequestKind::LabelBatch,
+                "Qwen2.5-72b",
+                42,
+                Some(3),
+                &[0, 2, 1],
+                "prompt",
+                7,
+            ),
         ),
         (
             "row set",
-            column_key(RequestKind::LabelBatch, "Qwen2.5-72b", 42, Some(3), &[0, 1], "prompt", 7),
+            column_key(
+                RequestKind::LabelBatch,
+                "Qwen2.5-72b",
+                42,
+                Some(3),
+                &[0, 1],
+                "prompt",
+                7,
+            ),
         ),
         (
             "prompt",
-            column_key(RequestKind::LabelBatch, "Qwen2.5-72b", 42, Some(3), &[0, 1, 2], "prompt!", 7),
+            column_key(
+                RequestKind::LabelBatch,
+                "Qwen2.5-72b",
+                42,
+                Some(3),
+                &[0, 1, 2],
+                "prompt!",
+                7,
+            ),
         ),
         (
             "salt",
-            column_key(RequestKind::LabelBatch, "Qwen2.5-72b", 42, Some(3), &[0, 1, 2], "prompt", 8),
+            column_key(
+                RequestKind::LabelBatch,
+                "Qwen2.5-72b",
+                42,
+                Some(3),
+                &[0, 1, 2],
+                "prompt",
+                8,
+            ),
         ),
     ];
     let reference = base();

@@ -99,7 +99,12 @@ fn sequential_oracle() -> Oracle {
 }
 
 /// Runs one matrix cell and asserts the full conformance contract.
-fn check_cell(oracle: &Oracle, n_backends: usize, schedule: fn(usize) -> FaultSchedule, hedge: bool) {
+fn check_cell(
+    oracle: &Oracle,
+    n_backends: usize,
+    schedule: fn(usize) -> FaultSchedule,
+    hedge: bool,
+) {
     let sims: Vec<SimLlm> = (0..n_backends)
         .map(|i| oracle_llm(&oracle.ds, 5).with_faults(schedule(i)))
         .collect();
@@ -136,7 +141,8 @@ fn check_cell(oracle: &Oracle, n_backends: usize, schedule: fn(usize) -> FaultSc
     );
     let stats = router.stats();
     assert_eq!(
-        stats.tokens() as usize, backend_tokens,
+        stats.tokens() as usize,
+        backend_tokens,
         "{label}: router per-backend stats must mirror the backend ledgers"
     );
     // Hedge waste is charged iff hedges fired, and a cancelled loser can cost
@@ -304,7 +310,8 @@ fn raw_request_sweep_is_response_identical_under_every_schedule() {
             assert_eq!(executed, n_requests, "{name} hedge={hedge}: conservation");
             let tokens: usize = sims.iter().map(|s| s.ledger().usage().total()).sum();
             assert_eq!(
-                tokens, reference_usage.total(),
+                tokens,
+                reference_usage.total(),
                 "{name} hedge={hedge}: token conservation"
             );
         }

@@ -49,7 +49,10 @@ fn cmd_stat(dir: &Path) -> std::io::Result<ExitCode> {
         report.total_file_bytes
     );
     println!("live:     {} records", report.live.len());
-    println!("dead:     {} records (awaiting their owners' compaction)", report.dead_records());
+    println!(
+        "dead:     {} records (awaiting their owners' compaction)",
+        report.dead_records()
+    );
     match report.epoch_range() {
         Some((min, max)) => println!("epochs:   {} .. {}", epoch_str(min), epoch_str(max)),
         None => println!("epochs:   (no timestamped records)"),
@@ -76,7 +79,10 @@ fn cmd_stat(dir: &Path) -> std::io::Result<ExitCode> {
 
 fn cmd_ls(dir: &Path) -> std::io::Result<ExitCode> {
     let report = inspect(dir)?;
-    println!("{:<34} {:<10} {:>8} {:>8} {:>12}", "key", "kind", "in_tok", "out_tok", "epoch");
+    println!(
+        "{:<34} {:<10} {:>8} {:>8} {:>12}",
+        "key", "kind", "in_tok", "out_tok", "epoch"
+    );
     for entry in &report.live {
         println!(
             "{:032x}  {:<10} {:>8} {:>8} {:>12}",

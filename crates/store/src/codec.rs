@@ -388,9 +388,7 @@ fn read_check(r: &mut Reader<'_>) -> Result<Check, DecodeError> {
             symbols: {
                 let n = r.len()?;
                 (0..n)
-                    .map(|_| {
-                        char::from_u32(r.u32()?).ok_or(DecodeError("invalid char scalar"))
-                    })
+                    .map(|_| char::from_u32(r.u32()?).ok_or(DecodeError("invalid char scalar")))
                     .collect::<Result<Vec<char>, _>>()?
             },
         },

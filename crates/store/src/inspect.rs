@@ -170,7 +170,9 @@ impl VerifyIssue {
 
 /// Lists every segment directory under `root`: the root itself when the
 /// layout is flat, otherwise each `shard-KK/writer-WWW/`.
-fn segment_units(root: &Path) -> io::Result<(bool, usize, Vec<(Option<usize>, Option<usize>, PathBuf)>)> {
+fn segment_units(
+    root: &Path,
+) -> io::Result<(bool, usize, Vec<(Option<usize>, Option<usize>, PathBuf)>)> {
     let shard_count = read_meta(&root.join(META_FILE))?.unwrap_or(1);
     if shard_count <= 1 {
         return Ok((false, 1, vec![(None, None, root.to_path_buf())]));
@@ -312,10 +314,8 @@ mod tests {
 
     fn temp_dir() -> PathBuf {
         let n = DIR_COUNTER.fetch_add(1, Ordering::SeqCst);
-        let dir = std::env::temp_dir().join(format!(
-            "zeroed-inspect-unit-{}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("zeroed-inspect-unit-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -401,7 +401,10 @@ mod tests {
         store.sync().unwrap();
         drop(store);
 
-        assert!(verify(&dir).unwrap().is_empty(), "clean store verifies clean");
+        assert!(
+            verify(&dir).unwrap().is_empty(),
+            "clean store verifies clean"
+        );
 
         // Deliberately truncate the segment mid-frame.
         let segment = std::fs::read_dir(&dir)

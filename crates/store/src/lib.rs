@@ -155,7 +155,9 @@ pub use codec::{
     canonical_criteria, checksum64, now_epoch, DecodeError, ResponseValue, StoreRecord,
     FORMAT_VERSION, KEY_SCHEMA_VERSION, MIN_READ_FORMAT_VERSION,
 };
-pub use inspect::{inspect, verify, InspectReport, LiveEntry, SegmentReport, UnitReport, VerifyIssue};
+pub use inspect::{
+    inspect, verify, InspectReport, LiveEntry, SegmentReport, UnitReport, VerifyIssue,
+};
 pub use segment::{HeaderIssue, HEADER_LEN, MAGIC};
 pub use shard::ShardedStore;
 pub use store::{FsyncPolicy, RecoveryReport, ResponseStore, StoreConfig, StoreStats};

@@ -96,7 +96,10 @@ pub fn decode_header(bytes: &[u8]) -> Result<(u64, u16), HeaderIssue> {
     if key_schema != KEY_SCHEMA_VERSION {
         return Err(HeaderIssue::KeySchemaVersion);
     }
-    Ok((u64::from_le_bytes(bytes[12..20].try_into().unwrap()), format))
+    Ok((
+        u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
+        format,
+    ))
 }
 
 /// One recovered record and where its frame starts in the segment.
@@ -243,7 +246,10 @@ mod tests {
         wrong_format[8..10].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         let checksum = checksum64(&wrong_format[0..20]);
         wrong_format[20..28].copy_from_slice(&checksum.to_le_bytes());
-        assert_eq!(decode_header(&wrong_format), Err(HeaderIssue::FormatVersion));
+        assert_eq!(
+            decode_header(&wrong_format),
+            Err(HeaderIssue::FormatVersion)
+        );
 
         let mut wrong_schema = encode_header(1);
         wrong_schema[10..12].copy_from_slice(&(KEY_SCHEMA_VERSION + 1).to_le_bytes());

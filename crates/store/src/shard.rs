@@ -285,11 +285,11 @@ impl ShardedStore {
     pub fn recovery(&self) -> RecoveryReport {
         match &self.mode {
             Mode::Single(store) => store.recovery(),
-            Mode::Sharded { shards, .. } => shards
-                .iter()
-                .fold(RecoveryReport::default(), |acc, s| {
+            Mode::Sharded { shards, .. } => {
+                shards.iter().fold(RecoveryReport::default(), |acc, s| {
                     acc.merge(&s.slot.recovery())
-                }),
+                })
+            }
         }
     }
 
@@ -434,10 +434,7 @@ pub(crate) fn read_meta(meta: &Path) -> io::Result<Option<usize>> {
 /// Claims the first writer slot in `shard_dir` whose advisory lock is free,
 /// creating a new slot directory when every existing one is held by another
 /// live process.
-fn claim_writer_slot(
-    shard_dir: &Path,
-    config: &StoreConfig,
-) -> io::Result<(usize, ResponseStore)> {
+fn claim_writer_slot(shard_dir: &Path, config: &StoreConfig) -> io::Result<(usize, ResponseStore)> {
     std::fs::create_dir_all(shard_dir)?;
     for index in 0..MAX_WRITER_SLOTS {
         let slot_dir = shard_dir.join(writer_slot_name(index));
@@ -537,10 +534,8 @@ mod tests {
 
     fn temp_dir() -> PathBuf {
         let n = DIR_COUNTER.fetch_add(1, Ordering::SeqCst);
-        let dir = std::env::temp_dir().join(format!(
-            "zeroed-shard-unit-{}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("zeroed-shard-unit-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -571,7 +566,10 @@ mod tests {
         assert_eq!(store.len(), 32);
         for k in 0..4 {
             let shard_dir = dir.join(format!("shard-{k:02}"));
-            assert!(shard_dir.join("writer-000").is_dir(), "shard {k} has a slot");
+            assert!(
+                shard_dir.join("writer-000").is_dir(),
+                "shard {k} has a slot"
+            );
         }
         // Every record is found through the routed lookup.
         for key in 0..32u128 {
@@ -670,7 +668,10 @@ mod tests {
             io::ErrorKind::WouldBlock,
             "the root is a live flat store; refuse rather than re-layout"
         );
-        assert!(!dir.join(META_FILE).exists(), "no sharded layout was created");
+        assert!(
+            !dir.join(META_FILE).exists(),
+            "no sharded layout was created"
+        );
         flat.append(&record(1)).unwrap();
         drop(flat);
         // Even after the flat store closes with zero-or-more segments, the

@@ -453,7 +453,11 @@ impl ResponseStore {
 
     /// Number of live (servable) records.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).index.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .index
+            .len()
     }
 
     /// Whether the store holds no live records.
@@ -487,9 +491,10 @@ impl ResponseStore {
     fn fsync(&self, file: &File) -> io::Result<()> {
         let t = Instant::now();
         file.sync_data()?;
-        self.counters
-            .fsync_nanos
-            .fetch_add(t.elapsed().as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
+        self.counters.fsync_nanos.fetch_add(
+            t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            Ordering::Relaxed,
+        );
         self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -553,7 +558,9 @@ impl ResponseStore {
                     stash.remove(&key);
                 }
                 inner.dead_records += 1;
-                self.counters.evicted_records.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .evicted_records
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -569,7 +576,11 @@ impl ResponseStore {
         self.ensure_active(&mut inner, frame.len() as u64)?;
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        let offset = inner.active.as_ref().expect("ensure_active installed one").bytes;
+        let offset = inner
+            .active
+            .as_ref()
+            .expect("ensure_active installed one")
+            .bytes;
         let write_result = {
             let active = inner.active.as_mut().expect("checked above");
             active.file.write_all(&frame)
@@ -608,7 +619,9 @@ impl ResponseStore {
         if previous.is_some() {
             inner.dead_records += 1;
         }
-        self.counters.appended_records.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .appended_records
+            .fetch_add(1, Ordering::Relaxed);
         self.counters
             .appended_bytes
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
@@ -713,9 +726,8 @@ impl ResponseStore {
     /// [`ResponseStore::get`] filters them.
     pub fn load_live(&self) -> io::Result<Vec<StoreRecord>> {
         let now = now_epoch();
-        let expired = |epoch: u64| {
-            self.read_filter_expired() && expired_at(self.config.ttl_secs, epoch, now)
-        };
+        let expired =
+            |epoch: u64| self.read_filter_expired() && expired_at(self.config.ttl_secs, epoch, now);
         // The lock is held across the reads so a concurrent compaction
         // cannot delete a segment out from under the index snapshot.
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -775,7 +787,9 @@ impl ResponseStore {
             let before = records.len();
             records.retain(|(_, record)| !expired_at(self.config.ttl_secs, record.epoch, now));
             let expired = (before - records.len()) as u64;
-            self.counters.expired_records.fetch_add(expired, Ordering::Relaxed);
+            self.counters
+                .expired_records
+                .fetch_add(expired, Ordering::Relaxed);
         }
 
         let new_id = inner.next_segment_id;
@@ -814,11 +828,7 @@ impl ResponseStore {
         // version, and only a build speaking that version may reclaim them.
         if let Ok(entries) = std::fs::read_dir(&self.dir) {
             for entry in entries.flatten() {
-                if let Some(id) = entry
-                    .file_name()
-                    .to_str()
-                    .and_then(parse_segment_file_name)
-                {
+                if let Some(id) = entry.file_name().to_str().and_then(parse_segment_file_name) {
                     if id != new_id && !inner.preserved.contains(&id) {
                         let _ = std::fs::remove_file(entry.path());
                     }
@@ -868,13 +878,16 @@ impl ResponseStore {
             inner.dead_records += 1;
         }
         let expired = expired_keys.len() as u64;
-        self.counters.expired_records.fetch_add(expired, Ordering::Relaxed);
+        self.counters
+            .expired_records
+            .fetch_add(expired, Ordering::Relaxed);
         if expired > 0 && self.should_compact(&inner) {
             self.compact_locked(&mut inner)?;
         }
-        self.counters
-            .gc_nanos
-            .fetch_add(t_gc.elapsed().as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
+        self.counters.gc_nanos.fetch_add(
+            t_gc.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            Ordering::Relaxed,
+        );
         Ok(expired)
     }
 
@@ -912,7 +925,11 @@ pub(crate) fn expired_at(ttl_secs: u64, epoch: u64, now: u64) -> bool {
 /// The frame format of `segment` (segments this process writes are always
 /// current; only recovered ones can be older).
 fn segment_format(inner: &Inner, segment: u64) -> u16 {
-    inner.formats.get(&segment).copied().unwrap_or(FORMAT_VERSION)
+    inner
+        .formats
+        .get(&segment)
+        .copied()
+        .unwrap_or(FORMAT_VERSION)
 }
 
 #[cfg(test)]
@@ -925,10 +942,8 @@ mod tests {
 
     fn temp_dir() -> PathBuf {
         let n = DIR_COUNTER.fetch_add(1, Ordering::SeqCst);
-        let dir = std::env::temp_dir().join(format!(
-            "zeroed-store-unit-{}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("zeroed-store-unit-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -1109,8 +1124,12 @@ mod tests {
         {
             // Write without a TTL so the stale records land on disk.
             let store = ResponseStore::open(StoreConfig::new(dir.to_str().unwrap())).unwrap();
-            store.append(&record_at(1, &[true], now.saturating_sub(10_000))).unwrap();
-            store.append(&record_at(2, &[true], now.saturating_sub(20_000))).unwrap();
+            store
+                .append(&record_at(1, &[true], now.saturating_sub(10_000)))
+                .unwrap();
+            store
+                .append(&record_at(2, &[true], now.saturating_sub(20_000)))
+                .unwrap();
             store.append(&record_at(3, &[true], now)).unwrap();
             store.append(&record_at(4, &[false], 0)).unwrap(); // v1-style epoch
         }
@@ -1139,7 +1158,9 @@ mod tests {
         config.gc = false;
         config.compact_threshold = 0.25;
         let store = ResponseStore::open(config.clone()).unwrap();
-        store.append(&record_at(1, &[true], now.saturating_sub(1_000))).unwrap();
+        store
+            .append(&record_at(1, &[true], now.saturating_sub(1_000)))
+            .unwrap();
         store.append(&record_at(2, &[true], now)).unwrap();
         drop(store);
 
@@ -1169,9 +1190,14 @@ mod tests {
         let mut config = StoreConfig::new(dir.to_str().unwrap()).with_ttl_secs(3_600);
         config.compact_threshold = 100.0;
         let store = ResponseStore::open(config).unwrap();
-        store.append(&record_at(1, &[true], now.saturating_sub(10_000))).unwrap();
+        store
+            .append(&record_at(1, &[true], now.saturating_sub(10_000)))
+            .unwrap();
         store.append(&record_at(2, &[true], now)).unwrap();
-        assert!(store.get(1).unwrap().is_none(), "expired record is hidden from get");
+        assert!(
+            store.get(1).unwrap().is_none(),
+            "expired record is hidden from get"
+        );
         assert!(store.get(2).unwrap().is_some());
         let live = store.load_live().unwrap();
         assert_eq!(live.len(), 1);
@@ -1191,7 +1217,9 @@ mod tests {
         config.compact_threshold = 100.0; // manual compaction only
         let store = ResponseStore::open(config).unwrap();
         // Appended while the store is open (bypasses open-time expiry).
-        store.append(&record_at(1, &[true], now.saturating_sub(10_000))).unwrap();
+        store
+            .append(&record_at(1, &[true], now.saturating_sub(10_000)))
+            .unwrap();
         store.append(&record_at(2, &[true], now)).unwrap();
         assert_eq!(store.len(), 2);
         store.compact().unwrap();
@@ -1228,7 +1256,10 @@ mod tests {
         assert_eq!(stats.gc_nanos, 0);
 
         store.append(&record(1, &[true])).unwrap();
-        assert!(store.stats().fsync_nanos > 0, "Always policy timed its sync");
+        assert!(
+            store.stats().fsync_nanos > 0,
+            "Always policy timed its sync"
+        );
 
         store.compact().unwrap();
         let stats = store.stats();

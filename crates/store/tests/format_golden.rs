@@ -122,7 +122,11 @@ fn v1_record_frames_remain_readable() {
     let stored = u64::from_le_bytes(v1_frame[4..12].try_into().unwrap());
     let payload = &v1_frame[12..];
     assert_eq!(payload.len(), len);
-    assert_eq!(checksum64(payload), stored, "v1 frame checksums still verify");
+    assert_eq!(
+        checksum64(payload),
+        stored,
+        "v1 frame checksums still verify"
+    );
     let record = decode_payload(payload, 1).unwrap();
     assert_eq!(record.key, 0xc4020b2ae9c1fd7d505b58fa7c24e6d0);
     assert_eq!(record.input_tokens, 321);

@@ -10,7 +10,8 @@ static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
 fn temp_dir() -> PathBuf {
     let n = DIR_COUNTER.fetch_add(1, Ordering::SeqCst);
-    let dir = std::env::temp_dir().join(format!("zeroed-store-recovery-{}-{n}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("zeroed-store-recovery-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -109,7 +110,10 @@ fn a_flipped_bit_truncates_from_the_damaged_record() {
     assert_eq!(report.tails_truncated, 1);
     assert!(report.bytes_discarded > 0);
     let live = store.load_live().unwrap();
-    assert!(!live.is_empty() && live.len() < 5, "prefix before the flip survives");
+    assert!(
+        !live.is_empty() && live.len() < 5,
+        "prefix before the flip survives"
+    );
     for (i, rec) in live.iter().enumerate() {
         assert_eq!(rec.key, i as u128);
     }
@@ -140,7 +144,11 @@ fn zero_length_and_garbage_segments_are_skipped_not_fatal() {
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .filter(|name| name.ends_with(".zseg"))
         .collect();
-    assert_eq!(remaining.len(), 1, "only the compacted generation remains: {remaining:?}");
+    assert_eq!(
+        remaining.len(),
+        1,
+        "only the compacted generation remains: {remaining:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -69,7 +69,10 @@ fn write_record<'a>(out: &mut String, fields: impl Iterator<Item = &'a str>) {
             out.push(',');
         }
         first = false;
-        if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r')
+        if field.contains(',')
+            || field.contains('"')
+            || field.contains('\n')
+            || field.contains('\r')
         {
             out.push('"');
             for ch in field.chars() {
@@ -236,7 +239,19 @@ mod tests {
     #[test]
     fn byte_parser_matches_the_char_oracle() {
         let pieces = [
-            "", "a", "é", "日本", ",", "\"", "\"\"", "\n", "\r", "\r\n", "x\"y", " ", "€,",
+            "",
+            "a",
+            "é",
+            "日本",
+            ",",
+            "\"",
+            "\"\"",
+            "\n",
+            "\r",
+            "\r\n",
+            "x\"y",
+            " ",
+            "€,",
             "\"q,\nq\"",
         ];
         let mut corpus = vec![
@@ -255,7 +270,11 @@ mod tests {
             }
         }
         for text in &corpus {
-            assert_eq!(parse_records(text), parse_records_reference(text), "{text:?}");
+            assert_eq!(
+                parse_records(text),
+                parse_records_reference(text),
+                "{text:?}"
+            );
         }
     }
 

@@ -175,8 +175,7 @@ pub fn profile_errors(
     for cell in mask.iter_errors() {
         let d = dirty.cell(cell.row, cell.col);
         let c = clean.cell(cell.row, cell.col);
-        let freq =
-            value_counts[cell.col].get(d).copied().unwrap_or(0) as f64 / n_rows as f64;
+        let freq = value_counts[cell.col].get(d).copied().unwrap_or(0) as f64 / n_rows as f64;
         let ty = classify_error(
             d,
             c,

@@ -278,13 +278,16 @@ mod tests {
 
     #[test]
     fn construction_checks_arity() {
-        let err = Table::new(
-            "t",
-            vec!["a".into(), "b".into()],
-            vec![vec!["1".into()]],
-        )
-        .unwrap_err();
-        assert!(matches!(err, TableError::RowArity { expected: 2, found: 1, .. }));
+        let err =
+            Table::new("t", vec!["a".into(), "b".into()], vec![vec!["1".into()]]).unwrap_err();
+        assert!(matches!(
+            err,
+            TableError::RowArity {
+                expected: 2,
+                found: 1,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -307,7 +310,8 @@ mod tests {
         t.set(0, 2, "90000").unwrap();
         assert_eq!(t.cell(0, 2), "90000");
         assert!(t.set(5, 0, "x").is_err());
-        t.push_row(vec!["Eve".into(), "F".into(), "1".into()]).unwrap();
+        t.push_row(vec!["Eve".into(), "F".into(), "1".into()])
+            .unwrap();
         assert_eq!(t.n_rows(), 4);
         assert!(t.push_row(vec!["too short".into()]).is_err());
     }
@@ -342,7 +346,9 @@ mod tests {
         let t = sample();
         let mut other = sample();
         assert!(t.congruent_with(&other).is_ok());
-        other.push_row(vec!["x".into(), "M".into(), "1".into()]).unwrap();
+        other
+            .push_row(vec!["x".into(), "M".into(), "1".into()])
+            .unwrap();
         assert!(t.congruent_with(&other).is_err());
         let different = Table::empty("d", vec!["A".into()]);
         assert!(t.congruent_with(&different).is_err());

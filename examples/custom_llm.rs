@@ -167,8 +167,5 @@ fn main() {
         "simulated Qwen2.5-72b:  precision {:.3}, recall {:.3}, F1 {:.3}",
         report.precision, report.recall, report.f1
     );
-    println!(
-        "\ncustom client token usage: {:?}",
-        custom.ledger().usage()
-    );
+    println!("\ncustom client token usage: {:?}", custom.ledger().usage());
 }

@@ -64,5 +64,8 @@ fn main() {
             );
         }
     }
-    assert!(profile.accounting_ok(), "child spans must not overflow their parent");
+    assert!(
+        profile.accounting_ok(),
+        "child spans must not overflow their parent"
+    );
 }

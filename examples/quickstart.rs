@@ -44,7 +44,11 @@ fn main() {
     };
     let outcome = ZeroEd::new(config).detect(&dirty, &llm);
 
-    println!("ZeroED flagged {} of {} cells as errors:", outcome.mask.error_count(), dirty.n_cells());
+    println!(
+        "ZeroED flagged {} of {} cells as errors:",
+        outcome.mask.error_count(),
+        dirty.n_cells()
+    );
     for cell in outcome.mask.iter_errors() {
         println!(
             "  row {:>3}  {:<8} = {:?}",

@@ -38,7 +38,9 @@ fn main() {
         .trace
         .as_ref()
         .expect("every run carries a trace summary");
-    trace.verify().expect("the journal must be causally consistent");
+    trace
+        .verify()
+        .expect("the journal must be causally consistent");
 
     // 1. The census: exact per-kind counts, independent of ring capacity.
     println!(

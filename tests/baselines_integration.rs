@@ -65,7 +65,10 @@ fn dboost_misses_missing_values_by_design() {
     // Missing values in an otherwise clean column look like a rare pattern, so
     // recall is not exactly zero, but precision-oriented detection of MVs is
     // not its strength (Table I marks it ✗).
-    assert!(report.f1 < 0.9, "dBoost should not be an MV specialist: {report}");
+    assert!(
+        report.f1 < 0.9,
+        "dBoost should not be an MV specialist: {report}"
+    );
 }
 
 #[test]
@@ -76,8 +79,12 @@ fn raha_improves_with_more_labeled_tuples_on_average() {
     for (i, &spec) in specs.iter().enumerate() {
         let ds = dataset(spec, 300, 30 + i as u64);
         // Stride-labelled tuples, like the harness.
-        let rows_few: Vec<usize> = (0..ds.dirty.n_rows()).step_by(ds.dirty.n_rows() / 2).collect();
-        let rows_many: Vec<usize> = (0..ds.dirty.n_rows()).step_by(ds.dirty.n_rows() / 30).collect();
+        let rows_few: Vec<usize> = (0..ds.dirty.n_rows())
+            .step_by(ds.dirty.n_rows() / 2)
+            .collect();
+        let rows_many: Vec<usize> = (0..ds.dirty.n_rows())
+            .step_by(ds.dirty.n_rows() / 30)
+            .collect();
         let few = LabeledTuple::from_mask(&ds.mask, &rows_few);
         let many = LabeledTuple::from_mask(&ds.mask, &rows_many);
         let f1 = |labeled: &[LabeledTuple]| {

@@ -51,11 +51,7 @@ fn zeroed_beats_criteria_free_baselines_on_rayyan() {
         .score_against(&ds.mask)
         .unwrap()
         .f1;
-    let katara_f1 = Katara
-        .detect(&input)
-        .score_against(&ds.mask)
-        .unwrap()
-        .f1;
+    let katara_f1 = Katara.detect(&input).score_against(&ds.mask).unwrap().f1;
 
     assert!(
         zeroed_f1 > dboost_f1,
@@ -144,12 +140,18 @@ fn nadeef_finds_rule_violations_it_was_given_rules_for() {
         .unwrap();
     // The default NADEEF only receives a small rule budget (as in the paper),
     // so recall is limited — but it must catch at least some true violations.
-    assert!(report.tp > 0, "NADEEF should catch some violations: {report}");
+    assert!(
+        report.tp > 0,
+        "NADEEF should catch some violations: {report}"
+    );
     let full = Nadeef::with_all_rules()
         .detect(&input)
         .score_against(&ds.mask)
         .unwrap();
-    assert!(full.recall >= report.recall, "more rules cannot reduce recall");
+    assert!(
+        full.recall >= report.recall,
+        "more rules cannot reduce recall"
+    );
 }
 
 #[test]

@@ -154,7 +154,8 @@ fn criteria_executor_is_total() {
     for _case in 0..64 {
         let value = cell_value(&mut rng);
         let other = cell_value(&mut rng);
-        let table = Table::new("t", vec!["a".into(), "b".into()], vec![vec![value, other]]).unwrap();
+        let table =
+            Table::new("t", vec!["a".into(), "b".into()], vec![vec![value, other]]).unwrap();
         let set = CriteriaSet {
             column: 0,
             criteria: vec![
