@@ -6,10 +6,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use zeroed_runtime::{
-    CachedResponse, RequestKey, RequestKind, ResponseCache, ResponseOrigin, Scheduler,
-    StoredResponse,
-};
+use zeroed_llm::{RequestKind, Response};
+use zeroed_runtime::{RequestKey, ResponseCache, ResponseOrigin, Scheduler, StoredResponse};
 
 fn key_for(i: u64) -> RequestKey {
     let mut b = RequestKey::builder(RequestKind::LabelBatch, "Qwen2.5-72b");
@@ -36,7 +34,7 @@ fn bench_runtime(c: &mut Criterion) {
         let cache = ResponseCache::new(1 << 12);
         let key = key_for(42);
         let _ = cache.get_or_compute(key, || StoredResponse {
-            value: CachedResponse::Flags(vec![true; 20]),
+            value: Response::Flags(vec![true; 20]),
             input_tokens: 800,
             output_tokens: 40,
             origin: ResponseOrigin::Computed,
@@ -50,7 +48,7 @@ fn bench_runtime(c: &mut Criterion) {
         b.iter(|| {
             i = i.wrapping_add(1);
             black_box(cache.get_or_compute(key_for(i), || StoredResponse {
-                value: CachedResponse::Flags(vec![false; 20]),
+                value: Response::Flags(vec![false; 20]),
                 input_tokens: 800,
                 output_tokens: 40,
                 origin: ResponseOrigin::Computed,
@@ -74,12 +72,12 @@ fn bench_runtime(c: &mut Criterion) {
             let cache = Arc::new(ResponseCache::new(1 << 10));
             let out = scheduler.run(32, |i| {
                 let (stored, _) = cache.get_or_compute(key_for(7), || StoredResponse {
-                    value: CachedResponse::Flags(vec![true]),
+                    value: Response::Flags(vec![true]),
                     input_tokens: 100,
                     output_tokens: 10,
                     origin: ResponseOrigin::Computed,
                 });
-                matches!(stored.value, CachedResponse::Flags(_)) as usize + i
+                matches!(stored.value, Response::Flags(_)) as usize + i
             });
             black_box(out)
         })

@@ -82,7 +82,7 @@ pub fn label_representatives(
 mod tests {
     use super::*;
     use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
-    use zeroed_llm::SimLlm;
+    use zeroed_llm::{Request, Response, SimLlm};
 
     fn fixture() -> (zeroed_datagen::GeneratedDataset, SimLlm) {
         let ds = generate(
@@ -198,56 +198,18 @@ mod tests {
         fn ledger(&self) -> &zeroed_llm::TokenLedger {
             self.inner.ledger()
         }
-        fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> zeroed_criteria::CriteriaSet {
-            self.inner.generate_criteria(ctx)
-        }
-        fn analyze_distribution(
-            &self,
-            ctx: &AttributeContext<'_>,
-        ) -> zeroed_llm::DistributionAnalysis {
-            self.inner.analyze_distribution(ctx)
-        }
-        fn generate_guideline(
-            &self,
-            ctx: &AttributeContext<'_>,
-            analysis: &zeroed_llm::DistributionAnalysis,
-        ) -> zeroed_llm::Guideline {
-            self.inner.generate_guideline(ctx, analysis)
-        }
-        fn label_batch(
-            &self,
-            ctx: &AttributeContext<'_>,
-            guideline: Option<&zeroed_llm::Guideline>,
-            rows: &[usize],
-        ) -> Vec<bool> {
-            if rows.len() == 1 && self.mute.contains(&rows[0]) {
-                return Vec::new();
+        fn complete(&self, request: &Request<'_>) -> Response {
+            match *request {
+                Request::Labels { rows: &[row], .. } if self.mute.contains(&row) => {
+                    Response::Flags(Vec::new())
+                }
+                Request::Labels { rows, .. } if rows.len() > 1 => {
+                    let mut labels = self.inner.complete(request).into_flags();
+                    labels.truncate(self.keep);
+                    Response::Flags(labels)
+                }
+                _ => self.inner.complete(request),
             }
-            let mut labels = self.inner.label_batch(ctx, guideline, rows);
-            if rows.len() > 1 {
-                labels.truncate(self.keep);
-            }
-            labels
-        }
-        fn refine_criteria(
-            &self,
-            ctx: &AttributeContext<'_>,
-            clean: &[String],
-            error: &[String],
-            existing: &zeroed_criteria::CriteriaSet,
-        ) -> zeroed_criteria::CriteriaSet {
-            self.inner.refine_criteria(ctx, clean, error, existing)
-        }
-        fn augment_errors(
-            &self,
-            ctx: &AttributeContext<'_>,
-            clean: &[String],
-            count: usize,
-        ) -> Vec<String> {
-            self.inner.augment_errors(ctx, clean, count)
-        }
-        fn detect_tuple(&self, table: &zeroed_table::Table, row: usize) -> Vec<bool> {
-            self.inner.detect_tuple(table, row)
         }
     }
 

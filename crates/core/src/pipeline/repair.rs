@@ -40,9 +40,10 @@ use std::collections::HashSet;
 use std::sync::Mutex;
 use zeroed_criteria::{Check, CriteriaSet, Criterion};
 use zeroed_llm::{
-    AttributeContext, DistributionAnalysis, ErrorTypeGuide, Guideline, LlmClient, TokenLedger,
+    AttributeContext, DistributionAnalysis, ErrorTypeGuide, Guideline, LlmClient, Request,
+    Response, TokenLedger,
 };
-use zeroed_table::{ErrorType, Table};
+use zeroed_table::ErrorType;
 
 /// Repair-ladder counters for one stage. Every response that failed its
 /// stage validator is counted in `mangled` and in exactly one of the other
@@ -276,6 +277,41 @@ impl<'a> RepairLlm<'a> {
         self.bump(stage, |s| s.defaulted += 1);
         self.journal(zeroed_obs::EventKind::RepairDefaulted);
         default(best)
+    }
+
+    /// The ladder for answers whose contract is their length (label batches
+    /// and augmented values). Over-length answers keep a correct prefix
+    /// (extra items were invented beyond the request), so trimming recovers
+    /// them exactly; short answers lost real items and are not salvageable.
+    /// The default pads the retry with the most answers up to `want` with
+    /// `pad`.
+    fn run_arity_ladder<T: Clone>(
+        &self,
+        stage: fn(&mut RepairCounters) -> &mut StageRepair,
+        salt: u64,
+        fetch: impl Fn() -> Vec<T>,
+        want: usize,
+        pad: T,
+    ) -> Vec<T> {
+        self.run_ladder(
+            stage,
+            salt,
+            fetch,
+            |items| items.len() == want,
+            |mut items| {
+                if items.len() > want {
+                    items.truncate(want);
+                    Ok(items)
+                } else {
+                    Err(items)
+                }
+            },
+            |retry, best| retry.len() > best.len(),
+            |mut best| {
+                best.resize(want, pad);
+                best
+            },
+        )
     }
 }
 
@@ -511,159 +547,73 @@ impl LlmClient for RepairLlm<'_> {
         self.inner.ledger()
     }
 
-    fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> CriteriaSet {
-        let salt = self
-            .inner
-            .request_salt(ctx.table, Some(ctx.column), ctx.sample_rows);
-        self.run_ladder(
-            |c| &mut c.criteria,
-            salt,
-            || self.inner.generate_criteria(ctx),
-            |set| valid_criteria(set, ctx),
-            |set| salvage_criteria(set, ctx),
-            |_, _| false,
-            |_| CriteriaSet::new(ctx.column),
-        )
+    fn complete(&self, request: &Request<'_>) -> Response {
+        let salt = self.inner.request_salt(request);
+        let fetch = || self.inner.complete(request);
+        match *request {
+            // Generation and refinement share the criteria validator and
+            // counter. Refinement only ever adds criteria, so the
+            // pre-refinement set is its natural deterministic fallback.
+            Request::Criteria { ctx } | Request::Refine { ctx, .. } => {
+                let fallback = || match *request {
+                    Request::Refine { existing, .. } => existing.clone(),
+                    _ => CriteriaSet::new(ctx.column),
+                };
+                Response::Criteria(self.run_ladder(
+                    |c| &mut c.criteria,
+                    salt,
+                    || fetch().into_criteria(),
+                    |set| valid_criteria(set, &ctx),
+                    |set| salvage_criteria(set, &ctx),
+                    |_, _| false,
+                    |_| fallback(),
+                ))
+            }
+            Request::Analysis { ctx } => Response::Analysis(self.run_ladder(
+                |c| &mut c.analysis,
+                salt,
+                || fetch().into_analysis(),
+                |a| valid_analysis(a, &ctx),
+                |a| salvage_analysis(a, &ctx),
+                |_, _| false,
+                |_| default_analysis(&ctx),
+            )),
+            Request::Guideline { ctx, .. } => Response::Guideline(self.run_ladder(
+                |c| &mut c.guideline,
+                salt,
+                || fetch().into_guideline(),
+                |g| valid_guideline(g, &ctx),
+                |g| salvage_guideline(g, &ctx),
+                |_, _| false,
+                |_| default_guideline(&ctx),
+            )),
+            Request::Labels { rows, .. } => Response::Flags(self.run_arity_ladder(
+                |c| &mut c.labels,
+                salt,
+                || fetch().into_flags(),
+                rows.len(),
+                false,
+            )),
+            // Contract: one value per requested error — except that a
+            // request with nothing to imitate (no clean examples) or nothing
+            // requested legitimately answers empty. Short answers are padded
+            // with empty strings: missing-value placeholders are legitimate
+            // error examples, and the choice is deterministic.
+            Request::Augment { clean, count, .. } => Response::Values(self.run_arity_ladder(
+                |c| &mut c.augment,
+                salt,
+                || fetch().into_values(),
+                if clean.is_empty() { 0 } else { count },
+                String::new(),
+            )),
+            // The FM_ED baseline sits outside the pipeline's repair layer by
+            // design (it has no stage contract to repair against).
+            Request::Tuple { .. } => fetch(),
+        }
     }
 
-    fn analyze_distribution(&self, ctx: &AttributeContext<'_>) -> DistributionAnalysis {
-        let salt = self
-            .inner
-            .request_salt(ctx.table, Some(ctx.column), ctx.sample_rows);
-        self.run_ladder(
-            |c| &mut c.analysis,
-            salt,
-            || self.inner.analyze_distribution(ctx),
-            |a| valid_analysis(a, ctx),
-            |a| salvage_analysis(a, ctx),
-            |_, _| false,
-            |_| default_analysis(ctx),
-        )
-    }
-
-    fn generate_guideline(
-        &self,
-        ctx: &AttributeContext<'_>,
-        analysis: &DistributionAnalysis,
-    ) -> Guideline {
-        let salt = self
-            .inner
-            .request_salt(ctx.table, Some(ctx.column), ctx.sample_rows);
-        self.run_ladder(
-            |c| &mut c.guideline,
-            salt,
-            || self.inner.generate_guideline(ctx, analysis),
-            |g| valid_guideline(g, ctx),
-            |g| salvage_guideline(g, ctx),
-            |_, _| false,
-            |_| default_guideline(ctx),
-        )
-    }
-
-    fn label_batch(
-        &self,
-        ctx: &AttributeContext<'_>,
-        guideline: Option<&Guideline>,
-        rows: &[usize],
-    ) -> Vec<bool> {
-        let salt = self.inner.request_salt(ctx.table, Some(ctx.column), rows);
-        let want = rows.len();
-        self.run_ladder(
-            |c| &mut c.labels,
-            salt,
-            || self.inner.label_batch(ctx, guideline, rows),
-            |labels: &Vec<bool>| labels.len() == want,
-            |mut labels| {
-                // Over-arity answers keep a correct prefix (extra labels were
-                // invented beyond the batch); trimming recovers it exactly.
-                // Under-arity answers lost real labels — not salvageable.
-                if labels.len() > want {
-                    labels.truncate(want);
-                    Ok(labels)
-                } else {
-                    Err(labels)
-                }
-            },
-            // The default pads the answered prefix clean, so keep the retry
-            // with the most answers.
-            |retry, best| retry.len() > best.len(),
-            |mut best| {
-                best.resize(want, false);
-                best
-            },
-        )
-    }
-
-    fn refine_criteria(
-        &self,
-        ctx: &AttributeContext<'_>,
-        clean_examples: &[String],
-        error_examples: &[String],
-        existing: &CriteriaSet,
-    ) -> CriteriaSet {
-        let salt = self.inner.request_salt(ctx.table, Some(ctx.column), &[]);
-        self.run_ladder(
-            |c| &mut c.criteria,
-            salt,
-            || {
-                self.inner
-                    .refine_criteria(ctx, clean_examples, error_examples, existing)
-            },
-            |set| valid_criteria(set, ctx),
-            |set| salvage_criteria(set, ctx),
-            |_, _| false,
-            // Refinement only ever adds criteria, so the pre-refinement set
-            // is the natural deterministic fallback.
-            |_| existing.clone(),
-        )
-    }
-
-    fn augment_errors(
-        &self,
-        ctx: &AttributeContext<'_>,
-        clean_examples: &[String],
-        count: usize,
-    ) -> Vec<String> {
-        let salt = self.inner.request_salt(ctx.table, Some(ctx.column), &[]);
-        // Contract: one value per requested error — except that a request
-        // with nothing to imitate (no clean examples) or nothing requested
-        // legitimately answers empty.
-        let want = if clean_examples.is_empty() || count == 0 {
-            0
-        } else {
-            count
-        };
-        self.run_ladder(
-            |c| &mut c.augment,
-            salt,
-            || self.inner.augment_errors(ctx, clean_examples, count),
-            |values: &Vec<String>| values.len() == want,
-            |mut values| {
-                if values.len() > want {
-                    values.truncate(want);
-                    Ok(values)
-                } else {
-                    Err(values)
-                }
-            },
-            |retry, best| retry.len() > best.len(),
-            |mut best| {
-                // Pad with empty strings — missing-value placeholders are
-                // legitimate error examples, and the choice is deterministic.
-                best.resize(want, String::new());
-                best
-            },
-        )
-    }
-
-    fn detect_tuple(&self, table: &Table, row: usize) -> Vec<bool> {
-        // The FM_ED baseline sits outside the pipeline's repair layer by
-        // design (it has no stage contract to repair against).
-        self.inner.detect_tuple(table, row)
-    }
-
-    fn request_salt(&self, table: &Table, column: Option<usize>, rows: &[usize]) -> u64 {
-        self.inner.request_salt(table, column, rows)
+    fn request_salt(&self, request: &Request<'_>) -> u64 {
+        self.inner.request_salt(request)
     }
 
     fn note_reask(&self, salt: u64, attempt: u32) {
@@ -687,6 +637,7 @@ impl LlmClient for RepairLlm<'_> {
 mod tests {
     use super::*;
     use zeroed_llm::{MangleSchedule, SimLlm};
+    use zeroed_table::Table;
 
     fn fixture() -> zeroed_table::Table {
         let rows: Vec<Vec<String>> = (0..120)
@@ -835,26 +786,12 @@ mod tests {
         fn ledger(&self) -> &TokenLedger {
             self.inner.ledger()
         }
-        fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> CriteriaSet {
-            self.inner.generate_criteria(ctx)
-        }
-        fn analyze_distribution(&self, ctx: &AttributeContext<'_>) -> DistributionAnalysis {
-            self.inner.analyze_distribution(ctx)
-        }
-        fn generate_guideline(
-            &self,
-            ctx: &AttributeContext<'_>,
-            analysis: &DistributionAnalysis,
-        ) -> Guideline {
-            self.inner.generate_guideline(ctx, analysis)
-        }
-        fn label_batch(
-            &self,
-            ctx: &AttributeContext<'_>,
-            guideline: Option<&Guideline>,
-            rows: &[usize],
-        ) -> Vec<bool> {
-            let salt = self.request_salt(ctx.table, Some(ctx.column), rows);
+        fn complete(&self, request: &Request<'_>) -> Response {
+            let response = self.inner.complete(request);
+            let Request::Labels { .. } = request else {
+                return response;
+            };
+            let salt = self.request_salt(request);
             let attempt = self
                 .attempts
                 .lock()
@@ -862,36 +799,15 @@ mod tests {
                 .get(&salt)
                 .copied()
                 .unwrap_or(0);
-            let labels = self.inner.label_batch(ctx, guideline, rows);
             let delta = if attempt == 0 {
                 self.delta_first
             } else {
                 self.delta_retry
             };
-            self.apply(labels, delta)
+            Response::Flags(self.apply(response.into_flags(), delta))
         }
-        fn refine_criteria(
-            &self,
-            ctx: &AttributeContext<'_>,
-            clean: &[String],
-            error: &[String],
-            existing: &CriteriaSet,
-        ) -> CriteriaSet {
-            self.inner.refine_criteria(ctx, clean, error, existing)
-        }
-        fn augment_errors(
-            &self,
-            ctx: &AttributeContext<'_>,
-            clean: &[String],
-            count: usize,
-        ) -> Vec<String> {
-            self.inner.augment_errors(ctx, clean, count)
-        }
-        fn detect_tuple(&self, table: &Table, row: usize) -> Vec<bool> {
-            self.inner.detect_tuple(table, row)
-        }
-        fn request_salt(&self, table: &Table, column: Option<usize>, rows: &[usize]) -> u64 {
-            self.inner.request_salt(table, column, rows)
+        fn request_salt(&self, request: &Request<'_>) -> u64 {
+            self.inner.request_salt(request)
         }
         fn note_reask(&self, salt: u64, attempt: u32) {
             if attempt == 0 {

@@ -1,6 +1,7 @@
-//! The [`LlmClient`] trait and the structured request/response types shared by
+//! The [`LlmClient`] trait and the structured inputs and answers shared by
 //! the ZeroED pipeline, the FM_ED baseline and the simulated model.
 
+use crate::request::{Request, Response};
 use crate::token::TokenLedger;
 use zeroed_criteria::CriteriaSet;
 use zeroed_table::{ErrorType, Table};
@@ -117,9 +118,15 @@ impl Guideline {
 
 /// The interface between ZeroED and a large language model.
 ///
-/// Every method corresponds to one prompt family in the paper. Implementations
-/// must be deterministic for a fixed seed so that experiments are
-/// reproducible, and must account for their token usage in [`LlmClient::ledger`].
+/// A client answers one [`Request`] at a time through
+/// [`LlmClient::complete`], the one method a model, or a layer stacked on
+/// one, has to write besides [`LlmClient::name`] and
+/// [`LlmClient::ledger`]. The typed calls the pipeline and the baselines
+/// make ([`LlmClient::label_batch`] and the rest, one per prompt family)
+/// build the request and unwrap the [`Response`]; implementors never
+/// override them. Implementations must be deterministic for a fixed seed so
+/// that experiments are reproducible, and must account for their token
+/// usage in [`LlmClient::ledger`].
 pub trait LlmClient: Send + Sync {
     /// Model name (e.g. `Qwen2.5-72b`).
     fn name(&self) -> &str;
@@ -127,13 +134,23 @@ pub trait LlmClient: Send + Sync {
     /// The shared token ledger for this client.
     fn ledger(&self) -> &TokenLedger;
 
+    /// Answers one request with the response variant its kind calls for
+    /// (see each [`Request`] variant).
+    fn complete(&self, request: &Request<'_>) -> Response;
+
     /// Reasons about error causes for an attribute and emits executable
     /// error-checking criteria (paper §III-B, Fig. 4).
-    fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> CriteriaSet;
+    fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> CriteriaSet {
+        self.complete(&Request::Criteria { ctx: *ctx })
+            .into_criteria()
+    }
 
     /// Writes and "executes" data-distribution analysis functions for an
     /// attribute, returning the aggregated analysis (paper Fig. 5, step 1).
-    fn analyze_distribution(&self, ctx: &AttributeContext<'_>) -> DistributionAnalysis;
+    fn analyze_distribution(&self, ctx: &AttributeContext<'_>) -> DistributionAnalysis {
+        self.complete(&Request::Analysis { ctx: *ctx })
+            .into_analysis()
+    }
 
     /// Generates the attribute-specific error-detection guideline from the
     /// distribution analysis and representative samples (paper Fig. 5, step 2).
@@ -141,7 +158,13 @@ pub trait LlmClient: Send + Sync {
         &self,
         ctx: &AttributeContext<'_>,
         analysis: &DistributionAnalysis,
-    ) -> Guideline;
+    ) -> Guideline {
+        self.complete(&Request::Guideline {
+            ctx: *ctx,
+            analysis,
+        })
+        .into_guideline()
+    }
 
     /// Labels a batch of sampled cells in context; `true` marks an error.
     /// `guideline` is `None` in the "w/o Guid." ablation.
@@ -150,7 +173,14 @@ pub trait LlmClient: Send + Sync {
         ctx: &AttributeContext<'_>,
         guideline: Option<&Guideline>,
         rows: &[usize],
-    ) -> Vec<bool>;
+    ) -> Vec<bool> {
+        self.complete(&Request::Labels {
+            ctx: *ctx,
+            guideline,
+            rows,
+        })
+        .into_flags()
+    }
 
     /// Refines an attribute's criteria through contrastive in-context
     /// learning, given examples of values labelled clean and erroneous
@@ -161,7 +191,15 @@ pub trait LlmClient: Send + Sync {
         clean_examples: &[String],
         error_examples: &[String],
         existing: &CriteriaSet,
-    ) -> CriteriaSet;
+    ) -> CriteriaSet {
+        self.complete(&Request::Refine {
+            ctx: *ctx,
+            clean: clean_examples,
+            errors: error_examples,
+            existing,
+        })
+        .into_criteria()
+    }
 
     /// Generates additional realistic error values for an attribute, based on
     /// verified clean examples (Algorithm 1 line 25).
@@ -170,12 +208,21 @@ pub trait LlmClient: Send + Sync {
         ctx: &AttributeContext<'_>,
         clean_examples: &[String],
         count: usize,
-    ) -> Vec<String>;
+    ) -> Vec<String> {
+        self.complete(&Request::Augment {
+            ctx: *ctx,
+            clean: clean_examples,
+            count,
+        })
+        .into_values()
+    }
 
     /// FM_ED-style per-tuple detection: answers "is there an error in this
     /// tuple?" for every attribute of one tuple, without any dataset-level
     /// context. Returns one flag per column (`true` = error).
-    fn detect_tuple(&self, table: &Table, row: usize) -> Vec<bool>;
+    fn detect_tuple(&self, table: &Table, row: usize) -> Vec<bool> {
+        self.complete(&Request::Tuple { table, row }).into_flags()
+    }
 
     /// The model identity a caching layer folds into its content-addressed
     /// request keys (and persists with stored responses).
@@ -198,14 +245,13 @@ pub trait LlmClient: Send + Sync {
     /// A served model at temperature 0 is a pure function of the prompt, so
     /// the default is `0` (prompt content alone identifies the response). The
     /// simulated model is not: its answers additionally depend on its seed and
-    /// on the ground-truth oracle for the referenced cells, so it overrides
-    /// this to hash that state. Without the override, two content-identical
-    /// requests about different cells could share a cache entry and break the
-    /// bit-identical-to-sequential guarantee of `zeroed-runtime`.
-    ///
-    /// `column` is `None` for whole-tuple requests (FM_ED).
-    fn request_salt(&self, table: &Table, column: Option<usize>, rows: &[usize]) -> u64 {
-        let _ = (table, column, rows);
+    /// on the ground-truth oracle for the cells of the request's
+    /// [`Request::target`], so it overrides this to hash that state. Without
+    /// the override, two content-identical requests about different cells
+    /// could share a cache entry and break the bit-identical-to-sequential
+    /// guarantee of `zeroed-runtime`.
+    fn request_salt(&self, request: &Request<'_>) -> u64 {
+        let _ = request;
         0
     }
 

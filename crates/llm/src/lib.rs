@@ -6,8 +6,13 @@
 //! executable error-checking criteria, writing data-distribution analysis
 //! functions, generating error-detection guidelines, labelling sampled cells
 //! in context, refining criteria contrastively, and augmenting the minority
-//! error class. All of those interactions go through the [`LlmClient`] trait
-//! here, so the pipeline itself is agnostic to *which* model answers.
+//! error class. Each of those prompt families, plus FM_ED's tuple check, is
+//! one variant of [`Request`], and every interaction goes through one
+//! method, [`LlmClient::complete`], which answers a request with a
+//! [`Response`]. The pipeline calls the trait's typed helpers
+//! ([`LlmClient::label_batch`] and the rest), so it is agnostic to *which*
+//! model answers, and a layer stacked on a model (the repair ladder, the
+//! response cache, the multi-backend router) writes one method, not seven.
 //!
 //! Two things matter for a faithful reproduction without network access:
 //!
@@ -19,17 +24,18 @@
 //!    paper's Table V. Experiments hand the simulator a ground-truth oracle;
 //!    without one it falls back to purely heuristic reasoning.
 //! 2. **Token accounting** — every call renders the paper's prompt templates
-//!    ([`prompts`]) and a realistic response text, and records their sizes in
-//!    a shared [`TokenLedger`], which is what the Fig. 8 token-cost
-//!    experiments measure.
+//!    ([`prompts`], through [`Request::prompt`]) and a realistic response
+//!    text ([`Request::render`]), and records their sizes in a shared
+//!    [`TokenLedger`], which is what the Fig. 8 token-cost experiments
+//!    measure.
 
 pub mod budget;
 pub mod client;
 pub mod fault;
 pub mod mangle;
-pub mod parse;
 pub mod profile;
 pub mod prompts;
+pub mod request;
 pub mod sim;
 pub mod token;
 
@@ -38,5 +44,6 @@ pub use client::{AttributeContext, DistributionAnalysis, ErrorTypeGuide, Guideli
 pub use fault::{FaultKind, FaultSchedule};
 pub use mangle::{MangleKind, MangleSchedule};
 pub use profile::{LlmLatency, LlmProfile};
+pub use request::{Request, RequestKind, Response};
 pub use sim::SimLlm;
 pub use token::{count_tokens, ServingConcurrency, TokenLedger, TokenUsage};

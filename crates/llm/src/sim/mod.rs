@@ -15,17 +15,16 @@ pub mod labeling;
 pub mod profiling;
 
 use crate::budget::Budget;
-use crate::client::{AttributeContext, DistributionAnalysis, Guideline, LlmClient};
+use crate::client::{AttributeContext, LlmClient};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::mangle::{MangleKind, MangleSchedule};
 use crate::profile::LlmProfile;
-use crate::prompts;
+use crate::request::{Request, Response};
 use crate::token::TokenLedger;
 use parking_lot::Mutex;
 use profiling::ColumnProfile;
 use std::collections::HashMap;
 use std::sync::Arc;
-use zeroed_criteria::CriteriaSet;
 use zeroed_table::{ErrorMask, ErrorType, Table};
 
 /// Ground-truth information the experiment harness may give the simulator so
@@ -35,6 +34,10 @@ struct Oracle {
     mask: Option<ErrorMask>,
     types: HashMap<(usize, usize), ErrorType>,
 }
+
+/// A cached column profile's identity: table name, row count, column and
+/// FD determinant (the first correlated attribute, if any).
+type ProfileKey = (String, usize, usize, Option<usize>);
 
 /// A deterministic simulated LLM implementing [`LlmClient`].
 pub struct SimLlm {
@@ -60,7 +63,7 @@ pub struct SimLlm {
     /// the conformance suite's "zero silent drops" reference: every count
     /// here must reappear as a `mangled` count in the repair layer.
     mangled_responses: Mutex<usize>,
-    profile_cache: Mutex<HashMap<(String, usize, usize), Arc<ColumnProfile>>>,
+    profile_cache: Mutex<HashMap<ProfileKey, Arc<ColumnProfile>>>,
     /// The backend's serving slots ([`SimLlm::SERVING_CAPACITY`] of them): a
     /// call holds one for its modelled latency, and a call that finds them
     /// all taken waits for one before its latency starts.
@@ -146,11 +149,6 @@ impl SimLlm {
         self
     }
 
-    /// The attached fault schedule, if any.
-    pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.faults.as_ref()
-    }
-
     /// Attaches a seeded content-corruption schedule (see [`crate::mangle`]).
     ///
     /// Unlike transport faults, mangled calls *succeed*: the response body is
@@ -162,11 +160,6 @@ impl SimLlm {
     pub fn with_mangling(mut self, schedule: MangleSchedule) -> Self {
         self.mangling = Some(schedule);
         self
-    }
-
-    /// The attached mangle schedule, if any.
-    pub fn mangle_schedule(&self) -> Option<&MangleSchedule> {
-        self.mangling.as_ref()
     }
 
     /// How many first-ask responses were actually corrupted so far. The
@@ -194,11 +187,6 @@ impl SimLlm {
         if attempt == 0 {
             *self.mangled_responses.lock() += 1;
         }
-    }
-
-    /// The backbone profile used by this simulator.
-    pub fn model_profile(&self) -> &LlmProfile {
-        &self.profile
     }
 
     /// Records one rendered call in the ledger (tokens + simulated latency),
@@ -249,13 +237,96 @@ impl SimLlm {
         Some((is_error, ty))
     }
 
+    /// The unmangled answer to `request`.
+    fn answer(&self, request: &Request<'_>) -> Response {
+        let profile =
+            |ctx: &AttributeContext<'_>| self.column_profile(ctx.table, ctx.column, ctx.correlated);
+        match *request {
+            Request::Criteria { ctx } => Response::Criteria(criteria_gen::build_criteria(
+                &profile(&ctx),
+                self.profile.criteria_quality,
+            )),
+            Request::Analysis { ctx } => {
+                Response::Analysis(guideline_gen::build_analysis(&profile(&ctx)))
+            }
+            Request::Guideline { ctx, analysis } => {
+                Response::Guideline(guideline_gen::build_guideline(&profile(&ctx), analysis))
+            }
+            Request::Labels {
+                ctx,
+                guideline,
+                rows,
+            } => {
+                let column = profile(&ctx);
+                Response::Flags(
+                    rows.iter()
+                        .map(|&row| {
+                            labeling::label_cell(
+                                &self.profile,
+                                &column,
+                                ctx.table,
+                                row,
+                                ctx.column,
+                                self.truth_for(row, ctx.column),
+                                guideline.is_some(),
+                                self.seed,
+                            )
+                        })
+                        .collect(),
+                )
+            }
+            Request::Refine {
+                ctx,
+                clean,
+                errors,
+                existing,
+            } => Response::Criteria(criteria_gen::refine_criteria(
+                &profile(&ctx),
+                existing,
+                clean,
+                errors,
+            )),
+            Request::Augment { ctx, clean, count } => Response::Values(augment::augment_errors(
+                &profile(&ctx),
+                clean,
+                count,
+                self.seed,
+            )),
+            Request::Tuple { table, row } => Response::Flags(
+                (0..table.n_cols())
+                    .map(|col| {
+                        let column = self.column_profile(table, col, &[]);
+                        labeling::detect_tuple_cell(
+                            &self.profile,
+                            &column,
+                            table,
+                            row,
+                            col,
+                            self.truth_for(row, col),
+                            self.seed,
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The profile of `column`, built once per table shape, column and FD
+    /// determinant: the profile's FD mapping comes from the first correlated
+    /// attribute, so a profile built for one determinant must not answer a
+    /// request that names another.
     fn column_profile(
         &self,
         table: &Table,
         column: usize,
         correlated: &[usize],
     ) -> Arc<ColumnProfile> {
-        let key = (table.name().to_string(), table.n_rows(), column);
+        let key = (
+            table.name().to_string(),
+            table.n_rows(),
+            column,
+            correlated.first().copied(),
+        );
         {
             let cache = self.profile_cache.lock();
             if let Some(p) = cache.get(&key) {
@@ -268,6 +339,32 @@ impl SimLlm {
     }
 }
 
+/// Corrupts `response` with `kind`, returning whether it did: an empty
+/// label batch or augment answer has nothing to corrupt and comes back
+/// untouched, so the silent-drop reference counter only counts real
+/// corruptions.
+fn mangle_response(response: Response, kind: MangleKind, n_cols: usize) -> (Response, bool) {
+    let mangled = match response {
+        Response::Criteria(set) => {
+            Response::Criteria(criteria_gen::mangle_criteria(set, kind, n_cols))
+        }
+        Response::Analysis(analysis) => {
+            Response::Analysis(guideline_gen::mangle_analysis(analysis, kind))
+        }
+        Response::Guideline(guideline) => {
+            Response::Guideline(guideline_gen::mangle_guideline(guideline, kind))
+        }
+        Response::Flags(labels) if !labels.is_empty() => {
+            Response::Flags(labeling::mangle_labels(labels, kind))
+        }
+        Response::Values(values) if !values.is_empty() => {
+            Response::Values(augment::mangle_values(values, kind))
+        }
+        untouched => return (untouched, false),
+    };
+    (mangled, true)
+}
+
 impl LlmClient for SimLlm {
     fn name(&self) -> &str {
         &self.profile.name
@@ -277,163 +374,43 @@ impl LlmClient for SimLlm {
         &self.ledger
     }
 
-    fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> CriteriaSet {
-        let salt = self.request_salt(ctx.table, Some(ctx.column), ctx.sample_rows);
-        let (attempt, mangle) = self.mangle_decision(salt);
-        let profile = self.column_profile(ctx.table, ctx.column, ctx.correlated);
-        let mut set = criteria_gen::build_criteria(&profile, self.profile.criteria_quality);
-        if let Some(kind) = mangle {
-            set = criteria_gen::mangle_criteria(set, kind, ctx.table.n_cols());
-            self.record_mangled(attempt);
-        }
-        let prompt = prompts::criteria_prompt(ctx);
-        let response = prompts::render_criteria_response(&set);
-        self.charge(&prompt, &response, self.slow_tail_extra(salt), attempt > 0);
-        set
+    fn complete(&self, request: &Request<'_>) -> Response {
+        let salt = self.request_salt(request);
+        // The FM_ED tuple check is never mangled (see `with_mangling`), so
+        // it is never booked as a re-ask either.
+        let (attempt, mangle) = match request {
+            Request::Tuple { .. } => (0, None),
+            _ => self.mangle_decision(salt),
+        };
+        let answer = self.answer(request);
+        let response = match mangle {
+            None => answer,
+            Some(kind) => {
+                let (table, ..) = request.target();
+                let (response, mangled) = mangle_response(answer, kind, table.n_cols());
+                if mangled {
+                    self.record_mangled(attempt);
+                }
+                response
+            }
+        };
+        let text = request.render(&response);
+        self.charge(
+            &request.prompt(),
+            &text,
+            self.slow_tail_extra(salt),
+            attempt > 0,
+        );
+        response
     }
 
-    fn analyze_distribution(&self, ctx: &AttributeContext<'_>) -> DistributionAnalysis {
-        let salt = self.request_salt(ctx.table, Some(ctx.column), ctx.sample_rows);
-        let (attempt, mangle) = self.mangle_decision(salt);
-        let profile = self.column_profile(ctx.table, ctx.column, ctx.correlated);
-        let mut analysis = guideline_gen::build_analysis(&profile);
-        if let Some(kind) = mangle {
-            analysis = guideline_gen::mangle_analysis(analysis, kind);
-            self.record_mangled(attempt);
-        }
-        let prompt = prompts::analysis_prompt(ctx);
-        let response = prompts::render_analysis(&analysis);
-        self.charge(&prompt, &response, self.slow_tail_extra(salt), attempt > 0);
-        analysis
-    }
-
-    fn generate_guideline(
-        &self,
-        ctx: &AttributeContext<'_>,
-        analysis: &DistributionAnalysis,
-    ) -> Guideline {
-        let salt = self.request_salt(ctx.table, Some(ctx.column), ctx.sample_rows);
-        let (attempt, mangle) = self.mangle_decision(salt);
-        let profile = self.column_profile(ctx.table, ctx.column, ctx.correlated);
-        let mut guideline = guideline_gen::build_guideline(&profile, analysis);
-        if let Some(kind) = mangle {
-            guideline = guideline_gen::mangle_guideline(guideline, kind);
-            self.record_mangled(attempt);
-        }
-        let prompt = prompts::guideline_prompt(ctx, analysis);
-        let response = guideline.render();
-        self.charge(&prompt, &response, self.slow_tail_extra(salt), attempt > 0);
-        guideline
-    }
-
-    fn label_batch(
-        &self,
-        ctx: &AttributeContext<'_>,
-        guideline: Option<&Guideline>,
-        rows: &[usize],
-    ) -> Vec<bool> {
-        let salt = self.request_salt(ctx.table, Some(ctx.column), rows);
-        let (attempt, mangle) = self.mangle_decision(salt);
-        let profile = self.column_profile(ctx.table, ctx.column, ctx.correlated);
-        let mut labels: Vec<bool> = rows
-            .iter()
-            .map(|&row| {
-                labeling::label_cell(
-                    &self.profile,
-                    &profile,
-                    ctx.table,
-                    row,
-                    ctx.column,
-                    self.truth_for(row, ctx.column),
-                    guideline.is_some(),
-                    self.seed,
-                )
-            })
-            .collect();
-        // An empty batch has no answer lines to corrupt; skip it so the
-        // silent-drop reference counter only counts real corruptions.
-        if let (Some(kind), false) = (mangle, rows.is_empty()) {
-            labels = labeling::mangle_labels(labels, kind);
-            self.record_mangled(attempt);
-        }
-        let prompt = prompts::labeling_prompt(ctx, guideline, rows);
-        let response = prompts::render_labels_response(&labels);
-        self.charge(&prompt, &response, self.slow_tail_extra(salt), attempt > 0);
-        labels
-    }
-
-    fn refine_criteria(
-        &self,
-        ctx: &AttributeContext<'_>,
-        clean_examples: &[String],
-        error_examples: &[String],
-        existing: &CriteriaSet,
-    ) -> CriteriaSet {
-        let salt = self.request_salt(ctx.table, Some(ctx.column), &[]);
-        let (attempt, mangle) = self.mangle_decision(salt);
-        let profile = self.column_profile(ctx.table, ctx.column, ctx.correlated);
-        let mut refined =
-            criteria_gen::refine_criteria(&profile, existing, clean_examples, error_examples);
-        if let Some(kind) = mangle {
-            refined = criteria_gen::mangle_criteria(refined, kind, ctx.table.n_cols());
-            self.record_mangled(attempt);
-        }
-        let prompt = prompts::contrastive_prompt(ctx, clean_examples, error_examples);
-        let response = prompts::render_criteria_response(&refined);
-        self.charge(&prompt, &response, self.slow_tail_extra(salt), attempt > 0);
-        refined
-    }
-
-    fn augment_errors(
-        &self,
-        ctx: &AttributeContext<'_>,
-        clean_examples: &[String],
-        count: usize,
-    ) -> Vec<String> {
-        let salt = self.request_salt(ctx.table, Some(ctx.column), &[]);
-        let (attempt, mangle) = self.mangle_decision(salt);
-        let profile = self.column_profile(ctx.table, ctx.column, ctx.correlated);
-        let mut generated = augment::augment_errors(&profile, clean_examples, count, self.seed);
-        // A legitimately empty answer (no clean examples / zero count) has no
-        // items to corrupt; skip it so the reference counter stays exact.
-        if let (Some(kind), false) = (mangle, generated.is_empty()) {
-            generated = augment::mangle_values(generated, kind);
-            self.record_mangled(attempt);
-        }
-        let prompt = prompts::augmentation_prompt(ctx, clean_examples, count);
-        let response = prompts::render_augment_response(&generated);
-        self.charge(&prompt, &response, self.slow_tail_extra(salt), attempt > 0);
-        generated
-    }
-
-    fn detect_tuple(&self, table: &Table, row: usize) -> Vec<bool> {
-        let flags: Vec<bool> = (0..table.n_cols())
-            .map(|col| {
-                let profile = self.column_profile(table, col, &[]);
-                labeling::detect_tuple_cell(
-                    &self.profile,
-                    &profile,
-                    table,
-                    row,
-                    col,
-                    self.truth_for(row, col),
-                    self.seed,
-                )
-            })
-            .collect();
-        let prompt = prompts::tuple_prompt(table, row);
-        let response = prompts::render_tuple_response(&flags);
-        let salt = self.request_salt(table, None, &[row]);
-        self.charge(&prompt, &response, self.slow_tail_extra(salt), false);
-        flags
-    }
-
-    fn request_salt(&self, table: &Table, column: Option<usize>, rows: &[usize]) -> u64 {
+    fn request_salt(&self, request: &Request<'_>) -> u64 {
         // The simulator's answers depend on hidden state a prompt does not
         // capture: the seed (pseudo-random draws hash the *row index*) and
         // the oracle truth of the referenced cells. Fold all of it into the
         // salt so a caching layer can never conflate two requests whose
         // correct responses differ.
+        let (table, column, rows) = request.target();
         let mut h: u64 = 0x51_7c_c1_b7_27_22_0a_95 ^ self.seed;
         let mut mix = |word: u64| {
             h = (h.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
@@ -607,7 +584,11 @@ mod tests {
         assert_eq!(llm.mangled_responses(), 1);
         // A re-ask redraws at attempt 1 and is charged on the re-ask line;
         // it does not count as a fresh first-ask corruption.
-        let salt = llm.request_salt(&table, Some(1), &rows);
+        let salt = llm.request_salt(&Request::Labels {
+            ctx: c,
+            guideline: None,
+            rows: &rows,
+        });
         llm.note_reask(salt, 1);
         let again = llm.label_batch(&c, None, &rows);
         assert_ne!(again.len(), rows.len(), "rate 1.0 mangles re-asks too");
@@ -630,11 +611,33 @@ mod tests {
     fn request_salt_distinguishes_columns_without_rows() {
         let (table, mask) = fixture();
         let llm = SimLlm::default_model(9).with_oracle(mask);
-        // The refine/augment requests pass no rows; the salt must still
+        // The refine/augment requests name no rows; the salt must still
         // depend on the column so per-attribute requests stay distinct.
-        let a = llm.request_salt(&table, Some(0), &[]);
-        let b = llm.request_salt(&table, Some(1), &[]);
-        assert_ne!(a, b);
+        let corr = vec![0usize];
+        let salt = |column| {
+            llm.request_salt(&Request::Augment {
+                ctx: ctx(&table, column, &corr, &[]),
+                clean: &[],
+                count: 0,
+            })
+        };
+        assert_ne!(salt(0), salt(1));
+    }
+
+    #[test]
+    fn answers_do_not_depend_on_earlier_requests() {
+        // A tuple check profiles every column without an FD determinant; a
+        // later criteria request naming one must still get the FD-aware
+        // profile a fresh client builds.
+        let (table, mask) = fixture();
+        let corr = vec![0usize];
+        let samples: Vec<usize> = (0..20).collect();
+        let c = ctx(&table, 1, &corr, &samples);
+        let fresh = SimLlm::default_model(7).with_oracle(mask.clone());
+        let expected = fresh.generate_criteria(&c);
+        let warmed = SimLlm::default_model(7).with_oracle(mask);
+        warmed.detect_tuple(&table, 0);
+        assert_eq!(warmed.generate_criteria(&c), expected);
     }
 
     #[test]

@@ -13,15 +13,8 @@ use crate::key::RequestKey;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
+use zeroed_llm::Response;
 use zeroed_obs::{emit_current, EventKind, Histogram, HistogramSnapshot};
-
-/// A structured LLM response, stored by value so a hit replays the exact
-/// object the wrapped client originally returned.
-///
-/// This is `zeroed-store`'s [`zeroed_store::ResponseValue`] re-exported: the
-/// on-disk codec and the in-memory cache share one value type, so persisting
-/// and warm-start preloading involve no conversion at all.
-pub use zeroed_store::ResponseValue as CachedResponse;
 
 /// Where a published response came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,8 +29,9 @@ pub enum ResponseOrigin {
 /// A published response plus the token cost its original call charged.
 #[derive(Debug)]
 pub struct StoredResponse {
-    /// The response value.
-    pub value: CachedResponse,
+    /// The response value, stored by value so a hit replays the exact
+    /// object the wrapped client returned (and the store persists it as is).
+    pub value: Response,
     /// Prompt tokens the original call consumed.
     pub input_tokens: usize,
     /// Completion tokens the original call produced.
@@ -422,7 +416,7 @@ mod tests {
 
     fn response(flag: bool) -> StoredResponse {
         StoredResponse {
-            value: CachedResponse::Flags(vec![flag]),
+            value: Response::Flags(vec![flag]),
             input_tokens: 10,
             output_tokens: 3,
             origin: ResponseOrigin::Computed,
@@ -447,7 +441,7 @@ mod tests {
                 saved += stored.input_tokens + stored.output_tokens;
             }
             match &stored.value {
-                CachedResponse::Flags(f) => assert_eq!(f, &vec![true]),
+                Response::Flags(f) => assert_eq!(f, &vec![true]),
                 other => panic!("wrong variant: {other:?}"),
             }
         }
@@ -470,7 +464,7 @@ mod tests {
                             std::thread::sleep(std::time::Duration::from_millis(20));
                             response(false)
                         });
-                        assert!(matches!(stored.value, CachedResponse::Flags(_)));
+                        assert!(matches!(stored.value, Response::Flags(_)));
                         lookup
                     })
                 })
@@ -495,7 +489,7 @@ mod tests {
         assert!(cache.len() <= 2, "the capacity bound flushed");
         // Still functional after flushes.
         let (stored, lookup) = cache.get_or_compute(test_key(99), || response(true));
-        assert!(matches!(stored.value, CachedResponse::Flags(_)));
+        assert!(matches!(stored.value, Response::Flags(_)));
         assert_eq!(lookup, Lookup::Miss);
     }
 
@@ -508,7 +502,7 @@ mod tests {
         assert!(result.is_err());
         // The key is free again: a later caller computes normally.
         let (stored, lookup) = cache.get_or_compute(test_key(5), || response(true));
-        assert!(matches!(stored.value, CachedResponse::Flags(_)));
+        assert!(matches!(stored.value, Response::Flags(_)));
         assert_eq!(lookup, Lookup::Miss);
     }
 
@@ -562,7 +556,7 @@ mod tests {
             );
             for stored in [&stored1, &stored2] {
                 match &stored.value {
-                    CachedResponse::Flags(f) => assert_eq!(f, &vec![true]),
+                    Response::Flags(f) => assert_eq!(f, &vec![true]),
                     other => panic!("wrong variant: {other:?}"),
                 }
             }
@@ -615,7 +609,7 @@ mod tests {
             assert!(t1.join().is_err(), "T1's panic must propagate");
             let (stored, lookup) = t2.join().unwrap();
             assert_eq!(lookup, Lookup::Miss, "the waiter claims the vacated flight");
-            assert!(matches!(stored.value, CachedResponse::Flags(_)));
+            assert!(matches!(stored.value, Response::Flags(_)));
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         // Pins are balanced: the entry is flushable and the cache reusable.
@@ -679,7 +673,7 @@ mod tests {
     fn preloaded_entries_hit_without_a_miss_and_count_store_hits() {
         let cache = ResponseCache::new(16);
         let preloaded = StoredResponse {
-            value: CachedResponse::Flags(vec![true, true]),
+            value: Response::Flags(vec![true, true]),
             input_tokens: 40,
             output_tokens: 4,
             origin: ResponseOrigin::Persisted,
@@ -700,7 +694,7 @@ mod tests {
         );
         assert_eq!(lookup, Lookup::Hit { coalesced: false });
         match &stored.value {
-            CachedResponse::Flags(f) => assert_eq!(f, &vec![true, true]),
+            Response::Flags(f) => assert_eq!(f, &vec![true, true]),
             other => panic!("wrong variant: {other:?}"),
         }
         // The caller counts a hit on a persisted entry as a store hit, and

@@ -1,12 +1,13 @@
 //! [`CachedLlm`]: the dedup-caching adapter around any [`LlmClient`].
 //!
-//! Each trait method renders its prompt (the same template the wrapped client
-//! uses), derives the request's [`RequestKey`] and resolves it through the
-//! shared [`ResponseCache`]. Misses execute the wrapped client (which charges
-//! its own [`zeroed_llm::TokenLedger`] and simulated latency); hits replay the
+//! Its one prompt method, [`LlmClient::complete`], renders the request's
+//! prompt (the same template the wrapped client uses), derives the request's
+//! [`RequestKey`] and resolves it through the shared [`ResponseCache`].
+//! Misses execute the wrapped client (which charges its own
+//! [`zeroed_llm::TokenLedger`] and simulated latency); hits replay the
 //! stored response and charge nothing — the avoided cost is accounted in
 //! [`CacheStats`] instead, using the exact same token arithmetic the
-//! original call was charged with (shared `prompts::render_*` helpers).
+//! original call was charged with ([`Request::render`]).
 //!
 //! The adapter is constructed per table ([`CachedLlm::for_table`]): a
 //! fingerprint of the full table contents is folded into every key, because
@@ -14,16 +15,12 @@
 //! prompt never serialises. Requests about any *other* table must not go
 //! through the same adapter.
 
-use crate::cache::{CachedResponse, Lookup, ResponseCache, ResponseOrigin, StoredResponse};
-use crate::key::{table_fingerprint, RequestKey, RequestKeyBuilder, RequestKind};
+use crate::cache::{Lookup, ResponseCache, ResponseOrigin, StoredResponse};
+use crate::key::{table_fingerprint, RequestKey};
 use crate::persist::StoreSink;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use zeroed_criteria::CriteriaSet;
-use zeroed_llm::{
-    count_tokens, prompts, AttributeContext, DistributionAnalysis, Guideline, LlmClient,
-    TokenLedger,
-};
+use zeroed_llm::{count_tokens, LlmClient, Request, Response, TokenLedger};
 use zeroed_obs::{request_scope, TraceRecorder};
 use zeroed_table::Table;
 
@@ -136,25 +133,38 @@ impl<'a> CachedLlm<'a> {
         }
     }
 
-    fn key_builder(&self, kind: RequestKind) -> RequestKeyBuilder {
+    /// The request's key: the kind and model identity, the table
+    /// fingerprint, the request's column, then its kind-specific fields and
+    /// prompt, then the wrapped client's salt.
+    fn key(&self, request: &Request<'_>, prompt: &str) -> RequestKey {
         // `cache_identity`, not `name`: composite clients (the router)
         // answer with their backends' responses and share their identity, so
         // cached — and persisted — entries stay valid across execution modes.
-        let mut b = RequestKey::builder(kind, self.inner.cache_identity());
-        b.word(self.table_fp);
-        b
+        let mut b = RequestKey::builder(request.kind(), self.inner.cache_identity());
+        let (_, column, rows) = request.target();
+        b.word(self.table_fp).column(column);
+        match request {
+            // The contrastive prompt does not serialise the existing criteria
+            // the refinement starts from, so fold their full *canonical*
+            // encoding in (sorted collections — `Debug` would vary with
+            // `HashSet` iteration order across processes, splitting persisted
+            // warm-start keys).
+            Request::Refine { existing, .. } => b
+                .text(prompt)
+                .bytes(&zeroed_store::canonical_criteria(existing)),
+            Request::Augment { count, .. } => b.word(*count as u64).text(prompt),
+            _ => b.rows(rows).text(prompt),
+        };
+        b.word(self.inner.request_salt(request));
+        b.finish()
     }
 
-    /// Resolves one request: `value()` runs the wrapped client on a miss;
-    /// `render` turns a response value into the exact response text the
-    /// client charges for, so hits account precise savings.
-    fn resolve(
-        &self,
-        key: RequestKey,
-        prompt: &str,
-        value: impl FnOnce() -> CachedResponse,
-        render: impl Fn(&CachedResponse) -> String,
-    ) -> Arc<StoredResponse> {
+    /// Resolves one request: a miss runs the wrapped client and charges the
+    /// entry the exact tokens it was billed (the prompt and the rendered
+    /// response), so hits account precise savings.
+    fn resolve(&self, request: &Request<'_>) -> Arc<StoredResponse> {
+        let prompt = request.prompt();
+        let key = self.key(request, &prompt);
         // Install the per-request trace scope for the duration of the lookup
         // (and, on a miss, the wrapped-client computation inside it): the
         // single choke point every logical request passes through.
@@ -163,11 +173,10 @@ impl<'a> CachedLlm<'a> {
             .as_ref()
             .map(|rec| request_scope(rec, rec.trace_for_key(key.to_u128())));
         let (stored, lookup) = self.cache.get_or_compute(key, || {
-            let value = value();
-            let response = render(&value);
+            let value = self.inner.complete(request);
             StoredResponse {
-                input_tokens: count_tokens(prompt),
-                output_tokens: count_tokens(&response),
+                input_tokens: count_tokens(&prompt),
+                output_tokens: count_tokens(&request.render(&value)),
                 value,
                 origin: ResponseOrigin::Computed,
             }
@@ -201,35 +210,6 @@ impl<'a> CachedLlm<'a> {
     }
 }
 
-fn as_criteria(stored: &StoredResponse) -> CriteriaSet {
-    match &stored.value {
-        CachedResponse::Criteria(set) => set.clone(),
-        other => unreachable!("criteria key resolved to {other:?}"),
-    }
-}
-
-fn as_flags(stored: &StoredResponse) -> Vec<bool> {
-    match &stored.value {
-        CachedResponse::Flags(flags) => flags.clone(),
-        other => unreachable!("flags key resolved to {other:?}"),
-    }
-}
-
-fn render_criteria(value: &CachedResponse) -> String {
-    match value {
-        CachedResponse::Criteria(set) => prompts::render_criteria_response(set),
-        _ => unreachable!(),
-    }
-}
-
-fn render_flags(value: &CachedResponse, tuple: bool) -> String {
-    match value {
-        CachedResponse::Flags(flags) if tuple => prompts::render_tuple_response(flags),
-        CachedResponse::Flags(flags) => prompts::render_labels_response(flags),
-        _ => unreachable!(),
-    }
-}
-
 impl LlmClient for CachedLlm<'_> {
     fn name(&self) -> &str {
         self.inner.name()
@@ -239,179 +219,12 @@ impl LlmClient for CachedLlm<'_> {
         self.inner.ledger()
     }
 
-    fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> CriteriaSet {
-        let prompt = prompts::criteria_prompt(ctx);
-        let salt = self
-            .inner
-            .request_salt(ctx.table, Some(ctx.column), ctx.sample_rows);
-        let mut b = self.key_builder(RequestKind::Criteria);
-        b.column(Some(ctx.column))
-            .rows(ctx.sample_rows)
-            .text(&prompt)
-            .word(salt);
-        let stored = self.resolve(
-            b.finish(),
-            &prompt,
-            || CachedResponse::Criteria(self.inner.generate_criteria(ctx)),
-            render_criteria,
-        );
-        as_criteria(&stored)
+    fn complete(&self, request: &Request<'_>) -> Response {
+        self.resolve(request).value.clone()
     }
 
-    fn analyze_distribution(&self, ctx: &AttributeContext<'_>) -> DistributionAnalysis {
-        let prompt = prompts::analysis_prompt(ctx);
-        let salt = self
-            .inner
-            .request_salt(ctx.table, Some(ctx.column), ctx.sample_rows);
-        let mut b = self.key_builder(RequestKind::Analysis);
-        b.column(Some(ctx.column))
-            .rows(ctx.sample_rows)
-            .text(&prompt)
-            .word(salt);
-        let stored = self.resolve(
-            b.finish(),
-            &prompt,
-            || CachedResponse::Analysis(self.inner.analyze_distribution(ctx)),
-            |value| match value {
-                CachedResponse::Analysis(a) => prompts::render_analysis(a),
-                _ => unreachable!(),
-            },
-        );
-        match &stored.value {
-            CachedResponse::Analysis(a) => a.clone(),
-            other => unreachable!("analysis key resolved to {other:?}"),
-        }
-    }
-
-    fn generate_guideline(
-        &self,
-        ctx: &AttributeContext<'_>,
-        analysis: &DistributionAnalysis,
-    ) -> Guideline {
-        let prompt = prompts::guideline_prompt(ctx, analysis);
-        let salt = self
-            .inner
-            .request_salt(ctx.table, Some(ctx.column), ctx.sample_rows);
-        let mut b = self.key_builder(RequestKind::Guideline);
-        b.column(Some(ctx.column))
-            .rows(ctx.sample_rows)
-            .text(&prompt)
-            .word(salt);
-        let stored = self.resolve(
-            b.finish(),
-            &prompt,
-            || CachedResponse::Guideline(self.inner.generate_guideline(ctx, analysis)),
-            |value| match value {
-                CachedResponse::Guideline(g) => g.render(),
-                _ => unreachable!(),
-            },
-        );
-        match &stored.value {
-            CachedResponse::Guideline(g) => g.clone(),
-            other => unreachable!("guideline key resolved to {other:?}"),
-        }
-    }
-
-    fn label_batch(
-        &self,
-        ctx: &AttributeContext<'_>,
-        guideline: Option<&Guideline>,
-        rows: &[usize],
-    ) -> Vec<bool> {
-        let prompt = prompts::labeling_prompt(ctx, guideline, rows);
-        let salt = self.inner.request_salt(ctx.table, Some(ctx.column), rows);
-        let mut b = self.key_builder(RequestKind::LabelBatch);
-        b.column(Some(ctx.column))
-            .rows(rows)
-            .text(&prompt)
-            .word(salt);
-        let stored = self.resolve(
-            b.finish(),
-            &prompt,
-            || CachedResponse::Flags(self.inner.label_batch(ctx, guideline, rows)),
-            |value| render_flags(value, false),
-        );
-        as_flags(&stored)
-    }
-
-    fn refine_criteria(
-        &self,
-        ctx: &AttributeContext<'_>,
-        clean_examples: &[String],
-        error_examples: &[String],
-        existing: &CriteriaSet,
-    ) -> CriteriaSet {
-        let prompt = prompts::contrastive_prompt(ctx, clean_examples, error_examples);
-        let salt = self.inner.request_salt(ctx.table, Some(ctx.column), &[]);
-        let mut b = self.key_builder(RequestKind::Refine);
-        // The contrastive prompt does not serialise the existing criteria the
-        // refinement starts from, so fold their full *canonical* encoding in
-        // (sorted collections — `Debug` would vary with `HashSet` iteration
-        // order across processes, splitting persisted warm-start keys).
-        b.column(Some(ctx.column))
-            .text(&prompt)
-            .bytes(&zeroed_store::canonical_criteria(existing))
-            .word(salt);
-        let stored = self.resolve(
-            b.finish(),
-            &prompt,
-            || {
-                CachedResponse::Criteria(self.inner.refine_criteria(
-                    ctx,
-                    clean_examples,
-                    error_examples,
-                    existing,
-                ))
-            },
-            render_criteria,
-        );
-        as_criteria(&stored)
-    }
-
-    fn augment_errors(
-        &self,
-        ctx: &AttributeContext<'_>,
-        clean_examples: &[String],
-        count: usize,
-    ) -> Vec<String> {
-        let prompt = prompts::augmentation_prompt(ctx, clean_examples, count);
-        let salt = self.inner.request_salt(ctx.table, Some(ctx.column), &[]);
-        let mut b = self.key_builder(RequestKind::Augment);
-        b.column(Some(ctx.column))
-            .word(count as u64)
-            .text(&prompt)
-            .word(salt);
-        let stored = self.resolve(
-            b.finish(),
-            &prompt,
-            || CachedResponse::Values(self.inner.augment_errors(ctx, clean_examples, count)),
-            |value| match value {
-                CachedResponse::Values(v) => prompts::render_augment_response(v),
-                _ => unreachable!(),
-            },
-        );
-        match &stored.value {
-            CachedResponse::Values(v) => v.clone(),
-            other => unreachable!("augment key resolved to {other:?}"),
-        }
-    }
-
-    fn detect_tuple(&self, table: &Table, row: usize) -> Vec<bool> {
-        let prompt = prompts::tuple_prompt(table, row);
-        let salt = self.inner.request_salt(table, None, &[row]);
-        let mut b = self.key_builder(RequestKind::Tuple);
-        b.column(None).rows(&[row]).text(&prompt).word(salt);
-        let stored = self.resolve(
-            b.finish(),
-            &prompt,
-            || CachedResponse::Flags(self.inner.detect_tuple(table, row)),
-            |value| render_flags(value, true),
-        );
-        as_flags(&stored)
-    }
-
-    fn request_salt(&self, table: &Table, column: Option<usize>, rows: &[usize]) -> u64 {
-        self.inner.request_salt(table, column, rows)
+    fn request_salt(&self, request: &Request<'_>) -> u64 {
+        self.inner.request_salt(request)
     }
 
     fn note_reask(&self, salt: u64, attempt: u32) {
@@ -430,7 +243,7 @@ impl LlmClient for CachedLlm<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zeroed_llm::SimLlm;
+    use zeroed_llm::{AttributeContext, SimLlm};
 
     fn fixture() -> Table {
         let rows: Vec<Vec<String>> = (0..60)

@@ -10,31 +10,10 @@
 //! fast enough to run on every call.
 
 use std::hash::{Hash, Hasher};
+pub use zeroed_llm::RequestKind;
 
 const SEED_A: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const SEED_B: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
-
-/// The prompt family a request belongs to (one per [`zeroed_llm::LlmClient`]
-/// method). Folding the kind into the key keeps prompt families separate even
-/// if two families ever rendered identical text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum RequestKind {
-    /// `generate_criteria` (paper §III-B).
-    Criteria = 1,
-    /// `analyze_distribution` (paper Fig. 5, step 1).
-    Analysis = 2,
-    /// `generate_guideline` (paper Fig. 5, step 2).
-    Guideline = 3,
-    /// `label_batch` (paper §III-C).
-    LabelBatch = 4,
-    /// `refine_criteria` (Algorithm 1 lines 4–7).
-    Refine = 5,
-    /// `augment_errors` (Algorithm 1 line 25).
-    Augment = 6,
-    /// `detect_tuple` (FM_ED baseline).
-    Tuple = 7,
-}
 
 /// A 128-bit content-addressed request identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,13 +14,15 @@
 //!
 //! A request travels through four stations:
 //!
-//! 1. **Submit** — a pipeline stage (e.g. "label column 3, batch 2") renders
-//!    its prompt and derives a [`RequestKey`]: a 128-bit content hash of the
-//!    request kind, model name, target coordinates (table fingerprint, column,
-//!    row indices), the rendered prompt, and the client's
-//!    [`zeroed_llm::LlmClient::request_salt`] (hidden state such as the
-//!    simulator's seed and oracle bits). Two requests share a key *iff* a
-//!    deterministic model must answer them identically.
+//! 1. **Submit** — a pipeline stage (e.g. "label column 3, batch 2") issues
+//!    one [`zeroed_llm::Request`] through
+//!    [`zeroed_llm::LlmClient::complete`]. The request renders its prompt,
+//!    and the cache layer derives its [`RequestKey`]: a 128-bit content hash
+//!    of the request kind, model name, target coordinates (table
+//!    fingerprint, column, row indices), the rendered prompt, and the
+//!    client's [`zeroed_llm::LlmClient::request_salt`] (hidden state such as
+//!    the simulator's seed and oracle bits). Two requests share a key *iff*
+//!    a deterministic model must answer them identically.
 //! 2. **Dedup** — the [`ResponseCache`] is consulted. A completed entry is
 //!    returned immediately (a *hit*: no model call, no tokens, no latency).
 //!    An entry that another worker is currently computing parks the caller on
@@ -40,8 +42,9 @@
 //!    ([`zeroed_llm::LlmClient::max_in_flight`]), on a process-wide pool of
 //!    long-lived request threads — and the chains' CPU phases (sampling,
 //!    the detector) overlap them on a lane of one worker per core.
-//! 4. **Publish** — the response value and its exact token cost are stored
-//!    under the key; parked waiters wake. Each lookup is counted once, by
+//! 4. **Publish** — the [`zeroed_llm::Response`] and its exact token cost
+//!    (the prompt and [`zeroed_llm::Request::render`]'s response text) are
+//!    stored under the key; parked waiters wake. Each lookup is counted once, by
 //!    the adapter that made it ([`CachedLlm::stats`]: hits, misses,
 //!    coalesced waits, tokens saved), never by the shared cache. Later
 //!    identical requests — retries, re-runs of the same detection, repeated
@@ -58,7 +61,9 @@
 //!
 //! [`CachedLlm`] packages stations 1, 2 and 4 behind the ordinary
 //! [`zeroed_llm::LlmClient`] trait, so pipeline code does not change shape
-//! when caching is enabled.
+//! when caching is enabled. Like every layer of the stack (the repair ladder
+//! and the router too), it implements the one prompt method,
+//! [`zeroed_llm::LlmClient::complete`], for all seven request kinds.
 //!
 //! ## Multi-backend routing
 //!
@@ -135,9 +140,7 @@ mod pool;
 pub mod router;
 pub mod scheduler;
 
-pub use cache::{
-    CacheTimings, CachedResponse, Lookup, ResponseCache, ResponseOrigin, StoredResponse,
-};
+pub use cache::{CacheTimings, Lookup, ResponseCache, ResponseOrigin, StoredResponse};
 pub use client::{CacheStats, CachedLlm};
 pub use key::{RequestKey, RequestKeyBuilder, RequestKind};
 pub use persist::{PersistStats, StoreLayer, StoreLayerTimings, StoreSink};

@@ -321,10 +321,10 @@ impl Drop for StoreLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CachedResponse;
     use crate::key::RequestKind;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicU32;
+    use zeroed_llm::Response;
 
     static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -344,7 +344,7 @@ mod tests {
 
     fn response(tokens: usize, flags: &[bool]) -> Arc<StoredResponse> {
         Arc::new(StoredResponse {
-            value: CachedResponse::Flags(flags.to_vec()),
+            value: Response::Flags(flags.to_vec()),
             input_tokens: tokens,
             output_tokens: flags.len(),
             origin: ResponseOrigin::Computed,
@@ -380,7 +380,7 @@ mod tests {
         assert_eq!(stored.origin, ResponseOrigin::Persisted);
         assert_eq!(stored.input_tokens, 22);
         match &stored.value {
-            CachedResponse::Flags(f) => assert_eq!(f, &vec![false, true]),
+            Response::Flags(f) => assert_eq!(f, &vec![false, true]),
             other => panic!("wrong variant: {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -525,7 +525,7 @@ mod tests {
         let layer = StoreLayer::open(config).unwrap();
         let record = layer.store().get(test_key(9).to_u128()).unwrap().unwrap();
         match record.value {
-            CachedResponse::Flags(f) => assert_eq!(f, vec![true]),
+            Response::Flags(f) => assert_eq!(f, vec![true]),
             other => panic!("wrong variant: {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);

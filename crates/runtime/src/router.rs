@@ -47,17 +47,12 @@
 //! top of it unchanged (cache hits skip routing entirely) and the pipeline
 //! runs on it without modification.
 
-use crate::key::{RequestKey, RequestKind};
+use crate::key::RequestKey;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use zeroed_criteria::CriteriaSet;
-use zeroed_llm::{
-    count_tokens, prompts, AttributeContext, Budget, DistributionAnalysis, FaultKind, Guideline,
-    LlmClient, TokenLedger,
-};
+use zeroed_llm::{count_tokens, Budget, FaultKind, LlmClient, Request, Response, TokenLedger};
 use zeroed_obs::{current_id, EventKind, TraceRecorder};
-use zeroed_table::Table;
 
 /// Per-backend routing policy.
 #[derive(Debug, Clone)]
@@ -278,6 +273,14 @@ struct Backend<'a> {
     latency: zeroed_obs::Histogram,
 }
 
+impl Backend<'_> {
+    /// The fault `request` is scheduled to meet on this backend.
+    fn fault(&self, request: &Request<'_>) -> Option<FaultKind> {
+        self.client
+            .injected_fault(self.client.request_salt(request))
+    }
+}
+
 #[derive(Default)]
 struct RouterCounters {
     requests: AtomicU64,
@@ -448,24 +451,11 @@ impl<'a> RouterLlm<'a> {
         }
     }
 
-    /// Caller-observed latency of the most recent routed requests (bounded
-    /// to the backing histogram's 4096-sample window).
-    pub fn latency_samples(&self) -> Vec<Duration> {
-        self.samples.samples()
-    }
-
     /// The `q`-quantile (`0.0..=1.0`) of observed request latencies
     /// (`Duration::ZERO` before any request). Exact nearest-rank over the
     /// sample window.
     pub fn latency_quantile(&self, q: f64) -> Duration {
         self.samples.quantile(q.clamp(0.0, 1.0))
-    }
-
-    /// Router-wide latency distribution (lifetime count/total/max, window
-    /// p50/p95/p99); per-backend distributions are in
-    /// [`BackendStats::latency`].
-    pub fn latency_histogram(&self) -> zeroed_obs::HistogramSnapshot {
-        self.samples.snapshot()
     }
 
     /// The current hedge deadline: the policy percentile of observed request
@@ -544,14 +534,8 @@ impl<'a> RouterLlm<'a> {
 
     /// Routes one request (see module docs for the discipline). Exactly one
     /// backend client executes; the returned value is its response.
-    fn route<R>(
-        &self,
-        kind: RequestKind,
-        prompt: &str,
-        salt_for: impl Fn(&dyn LlmClient) -> u64,
-        call: impl Fn(&dyn LlmClient) -> R,
-        render: impl Fn(&R) -> String,
-    ) -> R {
+    fn route(&self, request: &Request<'_>) -> Response {
+        let prompt = request.prompt();
         let now = self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let t_start = Instant::now();
 
@@ -575,8 +559,9 @@ impl<'a> RouterLlm<'a> {
         // the RequestKey scheme. Response-equivalent backends share salts, so
         // backend 0's stands for the request.
         let fp = {
-            let mut b = RequestKey::builder(kind, &self.name);
-            b.text(prompt).word(salt_for(self.backends[0].client));
+            let mut b = RequestKey::builder(request.kind(), &self.name);
+            b.text(&prompt)
+                .word(self.backends[0].client.request_salt(request));
             b.finish().to_u128() as u64
         };
 
@@ -605,7 +590,7 @@ impl<'a> RouterLlm<'a> {
         for k in 0..candidates.len() {
             let b = candidates[(start + k) % candidates.len()];
             let backend = &self.backends[b];
-            match backend.client.injected_fault(salt_for(backend.client)) {
+            match backend.fault(request) {
                 Some(FaultKind::Error) => {
                     backend
                         .counters
@@ -663,7 +648,7 @@ impl<'a> RouterLlm<'a> {
             for k in 1..candidates.len() {
                 let b = candidates[(winner_pos + k) % candidates.len()];
                 let backend = &self.backends[b];
-                match backend.client.injected_fault(salt_for(backend.client)) {
+                match backend.fault(request) {
                     Some(FaultKind::Error) | Some(FaultKind::Timeout) => continue,
                     Some(FaultKind::SlowTail) => {
                         backend.counters.faults_slow.fetch_add(1, Ordering::Relaxed);
@@ -712,7 +697,7 @@ impl<'a> RouterLlm<'a> {
         let backend = &self.backends[winner];
         let value = {
             let _permit = backend.budget.acquire();
-            call(backend.client)
+            backend.client.complete(request)
         };
         // A forced winner's fault was already charged during the failover
         // walk — charging again here would halve the effective breaker
@@ -730,9 +715,8 @@ impl<'a> RouterLlm<'a> {
         // Exact accounting with the same arithmetic the backends charge:
         // winner tokens to the useful ledgers, the same cost to the loser's
         // hedge-waste line (the cancelled call had consumed equivalent work).
-        let response = render(&value);
-        let input = count_tokens(prompt) as u64;
-        let output = count_tokens(&response) as u64;
+        let input = count_tokens(&prompt) as u64;
+        let output = count_tokens(&request.render(&value)) as u64;
         self.ledger.record_counts(input as usize, output as usize);
         backend.counters.requests.fetch_add(1, Ordering::Relaxed);
         backend
@@ -770,107 +754,14 @@ impl LlmClient for RouterLlm<'_> {
         &self.ledger
     }
 
-    fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> CriteriaSet {
-        let prompt = prompts::criteria_prompt(ctx);
-        self.route(
-            RequestKind::Criteria,
-            &prompt,
-            |c| c.request_salt(ctx.table, Some(ctx.column), ctx.sample_rows),
-            |c| c.generate_criteria(ctx),
-            prompts::render_criteria_response,
-        )
+    fn complete(&self, request: &Request<'_>) -> Response {
+        self.route(request)
     }
 
-    fn analyze_distribution(&self, ctx: &AttributeContext<'_>) -> DistributionAnalysis {
-        let prompt = prompts::analysis_prompt(ctx);
-        self.route(
-            RequestKind::Analysis,
-            &prompt,
-            |c| c.request_salt(ctx.table, Some(ctx.column), ctx.sample_rows),
-            |c| c.analyze_distribution(ctx),
-            prompts::render_analysis,
-        )
-    }
-
-    fn generate_guideline(
-        &self,
-        ctx: &AttributeContext<'_>,
-        analysis: &DistributionAnalysis,
-    ) -> Guideline {
-        let prompt = prompts::guideline_prompt(ctx, analysis);
-        self.route(
-            RequestKind::Guideline,
-            &prompt,
-            |c| c.request_salt(ctx.table, Some(ctx.column), ctx.sample_rows),
-            |c| c.generate_guideline(ctx, analysis),
-            Guideline::render,
-        )
-    }
-
-    fn label_batch(
-        &self,
-        ctx: &AttributeContext<'_>,
-        guideline: Option<&Guideline>,
-        rows: &[usize],
-    ) -> Vec<bool> {
-        let prompt = prompts::labeling_prompt(ctx, guideline, rows);
-        self.route(
-            RequestKind::LabelBatch,
-            &prompt,
-            |c| c.request_salt(ctx.table, Some(ctx.column), rows),
-            |c| c.label_batch(ctx, guideline, rows),
-            |flags| prompts::render_labels_response(flags),
-        )
-    }
-
-    fn refine_criteria(
-        &self,
-        ctx: &AttributeContext<'_>,
-        clean_examples: &[String],
-        error_examples: &[String],
-        existing: &CriteriaSet,
-    ) -> CriteriaSet {
-        let prompt = prompts::contrastive_prompt(ctx, clean_examples, error_examples);
-        self.route(
-            RequestKind::Refine,
-            &prompt,
-            |c| c.request_salt(ctx.table, Some(ctx.column), &[]),
-            |c| c.refine_criteria(ctx, clean_examples, error_examples, existing),
-            prompts::render_criteria_response,
-        )
-    }
-
-    fn augment_errors(
-        &self,
-        ctx: &AttributeContext<'_>,
-        clean_examples: &[String],
-        count: usize,
-    ) -> Vec<String> {
-        let prompt = prompts::augmentation_prompt(ctx, clean_examples, count);
-        self.route(
-            RequestKind::Augment,
-            &prompt,
-            |c| c.request_salt(ctx.table, Some(ctx.column), &[]),
-            |c| c.augment_errors(ctx, clean_examples, count),
-            |values| prompts::render_augment_response(values),
-        )
-    }
-
-    fn detect_tuple(&self, table: &Table, row: usize) -> Vec<bool> {
-        let prompt = prompts::tuple_prompt(table, row);
-        self.route(
-            RequestKind::Tuple,
-            &prompt,
-            |c| c.request_salt(table, None, &[row]),
-            |c| c.detect_tuple(table, row),
-            |flags| prompts::render_tuple_response(flags),
-        )
-    }
-
-    fn request_salt(&self, table: &Table, column: Option<usize>, rows: &[usize]) -> u64 {
+    fn request_salt(&self, request: &Request<'_>) -> u64 {
         // Response-equivalent backends share hidden state; backend 0's salt
         // stands for the ensemble (used by CachedLlm stacking on top).
-        self.backends[0].client.request_salt(table, column, rows)
+        self.backends[0].client.request_salt(request)
     }
 
     fn note_reask(&self, salt: u64, attempt: u32) {
@@ -908,7 +799,8 @@ impl LlmClient for RouterLlm<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zeroed_llm::{FaultSchedule, SimLlm};
+    use zeroed_llm::{AttributeContext, FaultSchedule, SimLlm};
+    use zeroed_table::Table;
 
     fn fixture() -> Table {
         let rows: Vec<Vec<String>> = (0..60)
@@ -1158,7 +1050,7 @@ mod tests {
         for i in 0..(LATENCY_WINDOW + 500) {
             router.samples.record(Duration::from_micros(i as u64));
         }
-        let window = router.latency_samples();
+        let window = router.samples.samples();
         assert_eq!(window.len(), LATENCY_WINDOW, "retention must be bounded");
         // The overwritten slots hold the newest samples; lifetime counting
         // still sees everything.

@@ -16,9 +16,8 @@
 use std::sync::Arc;
 use zeroed_criteria::{Check, CriteriaSet, Criterion};
 use zeroed_llm::{
-    AttributeContext, DistributionAnalysis, ErrorTypeGuide, Guideline, LlmClient, SimLlm,
+    AttributeContext, DistributionAnalysis, ErrorTypeGuide, Guideline, LlmClient, Response, SimLlm,
 };
-use zeroed_runtime::CachedResponse as Response;
 use zeroed_runtime::{CachedLlm, RequestKey, ResponseCache, ResponseOrigin, StoredResponse};
 use zeroed_table::{ErrorMask, ErrorType, Table};
 

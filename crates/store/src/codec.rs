@@ -12,7 +12,7 @@
 
 use std::collections::{HashMap, HashSet};
 use zeroed_criteria::{Check, CriteriaSet, Criterion};
-use zeroed_llm::{DistributionAnalysis, ErrorTypeGuide, Guideline};
+use zeroed_llm::{DistributionAnalysis, ErrorTypeGuide, Guideline, Response};
 use zeroed_table::ErrorType;
 
 /// Version of the byte layout described in this module. Bump when the
@@ -44,40 +44,6 @@ pub const MIN_READ_FORMAT_VERSION: u16 = 1;
 /// skipped on open instead of serving stale entries.
 pub const KEY_SCHEMA_VERSION: u16 = 1;
 
-/// A structured LLM response as persisted by the store.
-///
-/// This is the canonical response value shared with `zeroed-runtime`'s
-/// response cache (which re-exports it as `CachedResponse`), so persisting
-/// and replaying an entry involves no conversion: a warm start hands back the
-/// exact value the wrapped client originally returned.
-#[derive(Debug, Clone)]
-pub enum ResponseValue {
-    /// Criteria set (`generate_criteria` / `refine_criteria`).
-    Criteria(CriteriaSet),
-    /// Distribution analysis.
-    Analysis(DistributionAnalysis),
-    /// Detection guideline.
-    Guideline(Guideline),
-    /// Per-row labels (`label_batch`) or per-column flags (`detect_tuple`).
-    Flags(Vec<bool>),
-    /// Fabricated error values (`augment_errors`).
-    Values(Vec<String>),
-}
-
-impl ResponseValue {
-    /// Short human-readable name of the variant (what the inspection CLI
-    /// prints as the record *kind*).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            ResponseValue::Criteria(_) => "criteria",
-            ResponseValue::Analysis(_) => "analysis",
-            ResponseValue::Guideline(_) => "guideline",
-            ResponseValue::Flags(_) => "flags",
-            ResponseValue::Values(_) => "values",
-        }
-    }
-}
-
 /// One persisted response: the 128-bit request key, the token cost the
 /// original call charged (replayed as savings on a warm hit), the coarse
 /// written-at epoch and the value.
@@ -96,7 +62,7 @@ pub struct StoreRecord {
     /// clock), which keeps expiry deterministic under test.
     pub epoch: u64,
     /// The response value.
-    pub value: ResponseValue,
+    pub value: Response,
 }
 
 /// The current coarse epoch: whole seconds since the Unix epoch (the
@@ -543,44 +509,44 @@ const TAG_GUIDELINE: u8 = 3;
 const TAG_FLAGS: u8 = 4;
 const TAG_VALUES: u8 = 5;
 
-fn put_value(buf: &mut Vec<u8>, value: &ResponseValue) {
+fn put_value(buf: &mut Vec<u8>, value: &Response) {
     match value {
-        ResponseValue::Criteria(set) => {
+        Response::Criteria(set) => {
             put_u8(buf, TAG_CRITERIA);
             put_criteria(buf, set);
         }
-        ResponseValue::Analysis(a) => {
+        Response::Analysis(a) => {
             put_u8(buf, TAG_ANALYSIS);
             put_analysis(buf, a);
         }
-        ResponseValue::Guideline(g) => {
+        Response::Guideline(g) => {
             put_u8(buf, TAG_GUIDELINE);
             put_guideline(buf, g);
         }
-        ResponseValue::Flags(flags) => {
+        Response::Flags(flags) => {
             put_u8(buf, TAG_FLAGS);
             put_u32(buf, flags.len() as u32);
             for &f in flags {
                 put_bool(buf, f);
             }
         }
-        ResponseValue::Values(values) => {
+        Response::Values(values) => {
             put_u8(buf, TAG_VALUES);
             put_str_vec(buf, values);
         }
     }
 }
 
-fn read_value(r: &mut Reader<'_>) -> Result<ResponseValue, DecodeError> {
+fn read_value(r: &mut Reader<'_>) -> Result<Response, DecodeError> {
     Ok(match r.u8()? {
-        TAG_CRITERIA => ResponseValue::Criteria(read_criteria(r)?),
-        TAG_ANALYSIS => ResponseValue::Analysis(read_analysis(r)?),
-        TAG_GUIDELINE => ResponseValue::Guideline(read_guideline(r)?),
-        TAG_FLAGS => ResponseValue::Flags({
+        TAG_CRITERIA => Response::Criteria(read_criteria(r)?),
+        TAG_ANALYSIS => Response::Analysis(read_analysis(r)?),
+        TAG_GUIDELINE => Response::Guideline(read_guideline(r)?),
+        TAG_FLAGS => Response::Flags({
             let n = r.len()?;
             (0..n).map(|_| r.bool()).collect::<Result<Vec<_>, _>>()?
         }),
-        TAG_VALUES => ResponseValue::Values(r.str_vec()?),
+        TAG_VALUES => Response::Values(r.str_vec()?),
         _ => return Err(DecodeError("invalid response-value tag")),
     })
 }
@@ -681,14 +647,14 @@ mod tests {
                 input_tokens: 120,
                 output_tokens: 9,
                 epoch: 1_753_000_000,
-                value: ResponseValue::Criteria(sample_criteria()),
+                value: Response::Criteria(sample_criteria()),
             },
             StoreRecord {
                 key: 1,
                 input_tokens: 0,
                 output_tokens: 0,
                 epoch: 0,
-                value: ResponseValue::Analysis(DistributionAnalysis {
+                value: Response::Analysis(DistributionAnalysis {
                     column: "zip".into(),
                     total_records: 50_000,
                     distinct_values: 213,
@@ -705,7 +671,7 @@ mod tests {
                 input_tokens: 7,
                 output_tokens: 7,
                 epoch: 42,
-                value: ResponseValue::Guideline(Guideline {
+                value: Response::Guideline(Guideline {
                     column: "zip".into(),
                     explanation: "US postal code".into(),
                     error_types: vec![ErrorTypeGuide {
@@ -721,14 +687,14 @@ mod tests {
                 input_tokens: 44,
                 output_tokens: 5,
                 epoch: u64::MAX,
-                value: ResponseValue::Flags(vec![true, false, false, true]),
+                value: Response::Flags(vec![true, false, false, true]),
             },
             StoreRecord {
                 key: u128::MAX,
                 input_tokens: u64::MAX,
                 output_tokens: 1,
                 epoch: 7,
-                value: ResponseValue::Values(vec!["".into(), "größe".into()]),
+                value: Response::Values(vec!["".into(), "größe".into()]),
             },
         ];
         for record in &records {
@@ -756,7 +722,7 @@ mod tests {
             input_tokens: 10,
             output_tokens: 3,
             epoch: 1_753_000_000,
-            value: ResponseValue::Flags(vec![true, false]),
+            value: Response::Flags(vec![true, false]),
         };
         let v2 = encode_payload(&record);
         let mut v1 = v2[..32].to_vec();
@@ -767,7 +733,7 @@ mod tests {
         assert_eq!(decoded.output_tokens, 3);
         assert_eq!(decoded.epoch, 0, "v1 records are maximally stale");
         match decoded.value {
-            ResponseValue::Flags(f) => assert_eq!(f, vec![true, false]),
+            Response::Flags(f) => assert_eq!(f, vec![true, false]),
             other => panic!("wrong variant: {other:?}"),
         }
         // A v2 payload must not decode as v1 (the epoch bytes would corrupt
@@ -797,7 +763,7 @@ mod tests {
             input_tokens: 10,
             output_tokens: 2,
             epoch: 99,
-            value: ResponseValue::Criteria(sample_criteria()),
+            value: Response::Criteria(sample_criteria()),
         };
         let payload = encode_payload(&record);
         // Truncations at every prefix length: always an error at the format

@@ -70,7 +70,7 @@ pub struct UnitReport {
 pub struct LiveEntry {
     /// The 128-bit request key.
     pub key: u128,
-    /// Response kind ([`crate::ResponseValue::kind_name`]).
+    /// Response kind ([`zeroed_llm::Response::kind_name`]).
     pub kind: &'static str,
     /// Prompt tokens the original call consumed.
     pub input_tokens: u64,
@@ -306,9 +306,10 @@ pub fn verify(root: &Path) -> io::Result<Vec<VerifyIssue>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{now_epoch, ResponseValue, StoreRecord};
+    use crate::codec::{now_epoch, StoreRecord};
     use crate::store::{ResponseStore, StoreConfig};
     use std::sync::atomic::{AtomicU32, Ordering};
+    use zeroed_llm::Response;
 
     static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -326,7 +327,7 @@ mod tests {
             input_tokens: 100 + key as u64,
             output_tokens: key as u64,
             epoch: now_epoch(),
-            value: ResponseValue::Flags(vec![true]),
+            value: Response::Flags(vec![true]),
         }
     }
 

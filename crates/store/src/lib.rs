@@ -17,7 +17,8 @@
 //! detector does through `zeroed-runtime`'s `StoreLayer`):
 //!
 //! ```
-//! use zeroed_store::{now_epoch, ResponseStore, ResponseValue, StoreConfig, StoreRecord};
+//! use zeroed_llm::Response;
+//! use zeroed_store::{now_epoch, ResponseStore, StoreConfig, StoreRecord};
 //!
 //! let dir = std::env::temp_dir().join(format!("zeroed-store-doc-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
@@ -31,7 +32,7 @@
 //!         input_tokens: 321,
 //!         output_tokens: 13,
 //!         epoch: now_epoch(),                  // TTL clock starts here
-//!         value: ResponseValue::Flags(vec![true, false]),
+//!         value: Response::Flags(vec![true, false]),
 //!     })?;
 //! }
 //!
@@ -152,8 +153,8 @@ pub mod shard;
 pub mod store;
 
 pub use codec::{
-    canonical_criteria, checksum64, now_epoch, DecodeError, ResponseValue, StoreRecord,
-    FORMAT_VERSION, KEY_SCHEMA_VERSION, MIN_READ_FORMAT_VERSION,
+    canonical_criteria, checksum64, now_epoch, DecodeError, StoreRecord, FORMAT_VERSION,
+    KEY_SCHEMA_VERSION, MIN_READ_FORMAT_VERSION,
 };
 pub use inspect::{
     inspect, verify, InspectReport, LiveEntry, SegmentReport, UnitReport, VerifyIssue,

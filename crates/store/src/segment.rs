@@ -207,7 +207,8 @@ pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_record, ResponseValue};
+    use crate::codec::encode_record;
+    use zeroed_llm::Response;
 
     fn record(key: u128, flag: bool) -> StoreRecord {
         StoreRecord {
@@ -215,7 +216,7 @@ mod tests {
             input_tokens: 10,
             output_tokens: 2,
             epoch: 1_000 + key as u64,
-            value: ResponseValue::Flags(vec![flag]),
+            value: Response::Flags(vec![flag]),
         }
     }
 

@@ -527,8 +527,9 @@ fn scan_slot_read_only(slot_dir: &Path, config: &StoreConfig) -> io::Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{now_epoch, ResponseValue};
+    use crate::codec::now_epoch;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use zeroed_llm::Response;
 
     static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -546,7 +547,7 @@ mod tests {
             input_tokens: 10 + key as u64,
             output_tokens: key as u64,
             epoch: now_epoch(),
-            value: ResponseValue::Values(vec![format!("v{key}")]),
+            value: Response::Values(vec![format!("v{key}")]),
         }
     }
 

@@ -935,8 +935,8 @@ fn segment_format(inner: &Inner, segment: u64) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::ResponseValue;
     use std::sync::atomic::AtomicU32;
+    use zeroed_llm::Response;
 
     static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -958,13 +958,13 @@ mod tests {
             input_tokens: 100 + key as u64,
             output_tokens: key as u64,
             epoch,
-            value: ResponseValue::Flags(flags.to_vec()),
+            value: Response::Flags(flags.to_vec()),
         }
     }
 
     fn flags_of(record: &StoreRecord) -> &[bool] {
         match &record.value {
-            ResponseValue::Flags(f) => f,
+            Response::Flags(f) => f,
             other => panic!("wrong variant: {other:?}"),
         }
     }

@@ -16,11 +16,11 @@
 //!   decoding forever (with epoch 0), because stores written by those builds
 //!   are still on disk.
 
+use zeroed_llm::Response;
 use zeroed_store::codec::{decode_payload, encode_record};
 use zeroed_store::segment::{decode_header, encode_header};
 use zeroed_store::{
-    checksum64, ResponseValue, StoreRecord, FORMAT_VERSION, KEY_SCHEMA_VERSION,
-    MIN_READ_FORMAT_VERSION,
+    checksum64, StoreRecord, FORMAT_VERSION, KEY_SCHEMA_VERSION, MIN_READ_FORMAT_VERSION,
 };
 
 fn hex(bytes: &[u8]) -> String {
@@ -71,7 +71,7 @@ fn golden_flags_record_frame() {
         input_tokens: 321,
         output_tokens: 13,
         epoch: 1_753_000_000,
-        value: ResponseValue::Flags(vec![true, false, true, true]),
+        value: Response::Flags(vec![true, false, true, true]),
     };
     assert_eq!(
         hex(&encode_record(&record)),
@@ -88,7 +88,7 @@ fn golden_values_record_frame() {
         input_tokens: 7,
         output_tokens: 2,
         epoch: 0,
-        value: ResponseValue::Values(vec!["ab".into(), "c".into()]),
+        value: Response::Values(vec!["ab".into(), "c".into()]),
     };
     assert_eq!(
         hex(&encode_record(&record)),
@@ -133,7 +133,7 @@ fn v1_record_frames_remain_readable() {
     assert_eq!(record.output_tokens, 13);
     assert_eq!(record.epoch, 0, "v1 records carry no epoch");
     match record.value {
-        ResponseValue::Flags(f) => assert_eq!(f, vec![true, false, true, true]),
+        Response::Flags(f) => assert_eq!(f, vec![true, false, true, true]),
         other => panic!("wrong variant: {other:?}"),
     }
 }

@@ -4,7 +4,8 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use zeroed_store::{FsyncPolicy, ResponseStore, ResponseValue, StoreConfig, StoreRecord};
+use zeroed_llm::Response;
+use zeroed_store::{FsyncPolicy, ResponseStore, StoreConfig, StoreRecord};
 
 static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -22,7 +23,7 @@ fn record(key: u128) -> StoreRecord {
         input_tokens: 50 + key as u64,
         output_tokens: key as u64,
         epoch: zeroed_store::now_epoch(),
-        value: ResponseValue::Values(vec![format!("value-{key}"), "padding".into()]),
+        value: Response::Values(vec![format!("value-{key}"), "padding".into()]),
     }
 }
 
@@ -238,7 +239,7 @@ fn completed_compaction_supersedes_the_old_generation() {
         input_tokens: 999,
         output_tokens: 9,
         epoch: zeroed_store::now_epoch(),
-        value: ResponseValue::Flags(vec![true]),
+        value: Response::Flags(vec![true]),
     };
     let mut bytes = zeroed_store::segment::encode_header(50).to_vec();
     bytes.extend_from_slice(&zeroed_store::codec::encode_record(&newer));

@@ -8,12 +8,14 @@
 //! model for a served one (vLLM, an HTTP API, ...) means implementing that
 //! trait. This example implements a tiny rule-of-thumb "LLM" from scratch —
 //! it answers every request with simple heuristics — and runs the full
-//! pipeline against it, demonstrating exactly which methods a real client has
-//! to provide and how token accounting works.
+//! pipeline against it. A client provides one prompt method, `complete`,
+//! which answers each kind of `Request` with its `Response` (besides `name`
+//! and the token `ledger`); the example also shows how token accounting
+//! works.
 
 use zeroed::criteria::{Check, CriteriaSet, Criterion};
 use zeroed::llm::{
-    count_tokens, AttributeContext, DistributionAnalysis, ErrorTypeGuide, Guideline, LlmClient,
+    count_tokens, DistributionAnalysis, ErrorTypeGuide, Guideline, LlmClient, Request, Response,
     TokenLedger,
 };
 use zeroed::prelude::*;
@@ -30,11 +32,6 @@ impl RuleOfThumbLlm {
             ledger: TokenLedger::new(),
         }
     }
-
-    fn charge(&self, prompt: &str, response: &str) {
-        self.ledger
-            .record_counts(count_tokens(prompt), count_tokens(response));
-    }
 }
 
 impl LlmClient for RuleOfThumbLlm {
@@ -46,99 +43,71 @@ impl LlmClient for RuleOfThumbLlm {
         &self.ledger
     }
 
-    fn generate_criteria(&self, ctx: &AttributeContext<'_>) -> CriteriaSet {
-        self.charge("generate criteria", "one criterion");
-        let mut set = CriteriaSet::new(ctx.column);
-        set.criteria.push(Criterion::new(
-            format!("is_clean_{}_not_missing", ctx.column_name()),
-            "values should be present",
-            Check::NotMissing,
-        ));
-        set
-    }
-
-    fn analyze_distribution(&self, ctx: &AttributeContext<'_>) -> DistributionAnalysis {
-        self.charge("analyze distribution", "summary");
-        DistributionAnalysis {
-            column: ctx.column_name().to_string(),
-            total_records: ctx.table.n_rows(),
-            distinct_values: 0,
-            missing_ratio: 0.0,
-            frequent_values: vec![],
-            rare_values: vec![],
-            frequent_patterns: vec![],
-            numeric_summary: None,
-            findings: vec!["no analysis performed by this toy client".into()],
-        }
-    }
-
-    fn generate_guideline(
-        &self,
-        ctx: &AttributeContext<'_>,
-        _analysis: &DistributionAnalysis,
-    ) -> Guideline {
-        self.charge("generate guideline", "guideline");
-        Guideline {
-            column: ctx.column_name().to_string(),
-            explanation: "flag empty values and one-off strings".into(),
-            error_types: vec![ErrorTypeGuide {
-                error_type: ErrorType::MissingValue,
-                examples: vec![String::new()],
-                causes: "blank fields".into(),
-                detection: "value is empty".into(),
-            }],
-        }
-    }
-
-    fn label_batch(
-        &self,
-        ctx: &AttributeContext<'_>,
-        _guideline: Option<&Guideline>,
-        rows: &[usize],
-    ) -> Vec<bool> {
-        self.charge("label batch", "labels");
-        rows.iter()
-            .map(|&row| {
-                let v = ctx.table.cell(row, ctx.column);
-                let occurrences = ctx
-                    .table
-                    .column_refs(ctx.column)
-                    .iter()
-                    .filter(|x| **x == v)
-                    .count();
-                v.trim().is_empty() || occurrences <= 1
-            })
-            .collect()
-    }
-
-    fn refine_criteria(
-        &self,
-        _ctx: &AttributeContext<'_>,
-        _clean_examples: &[String],
-        _error_examples: &[String],
-        existing: &CriteriaSet,
-    ) -> CriteriaSet {
-        self.charge("refine criteria", "unchanged");
-        existing.clone()
-    }
-
-    fn augment_errors(
-        &self,
-        _ctx: &AttributeContext<'_>,
-        clean_examples: &[String],
-        count: usize,
-    ) -> Vec<String> {
-        self.charge("augment errors", "errors");
-        (0..count)
-            .map(|i| format!("{}x", clean_examples[i % clean_examples.len()]))
-            .collect()
-    }
-
-    fn detect_tuple(&self, table: &Table, row: usize) -> Vec<bool> {
-        self.charge("detect tuple", "flags");
-        (0..table.n_cols())
-            .map(|col| table.cell(row, col).trim().is_empty())
-            .collect()
+    fn complete(&self, request: &Request<'_>) -> Response {
+        let response = match *request {
+            Request::Criteria { ctx } => {
+                let mut set = CriteriaSet::new(ctx.column);
+                set.criteria.push(Criterion::new(
+                    format!("is_clean_{}_not_missing", ctx.column_name()),
+                    "values should be present",
+                    Check::NotMissing,
+                ));
+                Response::Criteria(set)
+            }
+            Request::Analysis { ctx } => Response::Analysis(DistributionAnalysis {
+                column: ctx.column_name().to_string(),
+                total_records: ctx.table.n_rows(),
+                distinct_values: 0,
+                missing_ratio: 0.0,
+                frequent_values: vec![],
+                rare_values: vec![],
+                frequent_patterns: vec![],
+                numeric_summary: None,
+                findings: vec!["no analysis performed by this toy client".into()],
+            }),
+            Request::Guideline { ctx, .. } => Response::Guideline(Guideline {
+                column: ctx.column_name().to_string(),
+                explanation: "flag empty values and one-off strings".into(),
+                error_types: vec![ErrorTypeGuide {
+                    error_type: ErrorType::MissingValue,
+                    examples: vec![String::new()],
+                    causes: "blank fields".into(),
+                    detection: "value is empty".into(),
+                }],
+            }),
+            Request::Labels { ctx, rows, .. } => Response::Flags(
+                rows.iter()
+                    .map(|&row| {
+                        let v = ctx.table.cell(row, ctx.column);
+                        let occurrences = ctx
+                            .table
+                            .column_refs(ctx.column)
+                            .iter()
+                            .filter(|x| **x == v)
+                            .count();
+                        v.trim().is_empty() || occurrences <= 1
+                    })
+                    .collect(),
+            ),
+            Request::Refine { existing, .. } => Response::Criteria(existing.clone()),
+            Request::Augment { clean, count, .. } => Response::Values(
+                (0..count)
+                    .map(|i| format!("{}x", clean[i % clean.len()]))
+                    .collect(),
+            ),
+            Request::Tuple { table, row } => Response::Flags(
+                (0..table.n_cols())
+                    .map(|col| table.cell(row, col).trim().is_empty())
+                    .collect(),
+            ),
+        };
+        // Charge the rendered prompt and the answer's text, the way a served
+        // model bills them.
+        self.ledger.record_counts(
+            count_tokens(&request.prompt()),
+            count_tokens(&request.render(&response)),
+        );
+        response
     }
 }
 

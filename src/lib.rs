@@ -12,10 +12,12 @@
 //! * [`cluster`] — k-means, agglomerative clustering and random sampling;
 //! * [`ml`] — the MLP detector and logistic regression;
 //! * [`criteria`] — the executable error-checking criteria DSL;
-//! * [`llm`] — the `LlmClient` abstraction, prompt templates, token ledger and
-//!   the simulated LLM;
+//! * [`llm`] — the `LlmClient` abstraction (one `Request` type, answered by
+//!   `LlmClient::complete`), prompt templates, token ledger and the
+//!   simulated LLM;
 //! * [`obs`] — the always-on observability layer (hierarchical stage
-//!   profiler, counters/gauges, latency histograms with exact quantiles);
+//!   profiler, latency histograms with exact quantiles, per-request flight
+//!   recorder);
 //! * [`runtime`] — the concurrent LLM orchestration runtime (worker-pool
 //!   scheduler, request-dedup response cache, and the multi-backend router
 //!   with hedged requests and circuit breaking);
