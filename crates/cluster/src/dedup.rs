@@ -148,11 +148,6 @@ impl DedupPoints {
         &self.unique[u * self.dim..(u + 1) * self.dim]
     }
 
-    /// One reference per distinct vector, in first-occurrence order.
-    pub fn unique_row_refs(&self) -> Vec<&[f32]> {
-        (0..self.n_unique()).map(|u| self.unique_row(u)).collect()
-    }
-
     /// Per-row codes into the distinct vectors.
     pub fn codes(&self) -> &[u32] {
         &self.codes

@@ -313,15 +313,6 @@ impl<'a> FittedFeatures<'a> {
         self.base_width_with(col, self.extra_width(col))
     }
 
-    /// Unified feature dimensionality of column `col`.
-    pub fn unified_dim(&self, col: usize) -> usize {
-        self.base_dim(col)
-            + self.correlated[col]
-                .iter()
-                .map(|&q| self.base_dim(q))
-                .sum::<usize>()
-    }
-
     /// Fast path: fills column `col`'s base block for the table's own
     /// (interned) cells of `rows`. Row `rows.start + r` goes to the
     /// `base_dim(col)` values at `out[r * stride + offset..]`. This is the

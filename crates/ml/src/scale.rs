@@ -113,21 +113,6 @@ impl StandardScaler {
             .collect()
     }
 
-    /// Standardises one row into a caller-supplied buffer (no allocation on
-    /// the per-cell prediction hot path). `row` and `out` must both match the
-    /// scaler's dim — a short row would otherwise leave stale values in a
-    /// reused buffer.
-    pub fn transform_into(&self, row: &[f32], out: &mut [f32]) {
-        assert_eq!(row.len(), self.means.len(), "input dim mismatch");
-        assert_eq!(out.len(), self.means.len(), "output dim mismatch");
-        for (o, ((&x, &m), &s)) in out
-            .iter_mut()
-            .zip(row.iter().zip(self.means.iter()).zip(self.stds.iter()))
-        {
-            *o = (x - m) / s;
-        }
-    }
-
     /// Standardises a batch of rows.
     pub fn transform_all(&self, rows: &[&[f32]]) -> Vec<Vec<f32>> {
         rows.iter().map(|r| self.transform(r)).collect()

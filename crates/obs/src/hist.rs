@@ -1,29 +1,21 @@
-//! Fixed-bucket latency histograms with exact quantile extraction.
+//! Latency histograms with exact quantile extraction.
 //!
-//! A [`Histogram`] keeps two views of the same stream of durations:
-//!
-//! * **log₂ buckets** — 64 atomic counters indexed by the bit-length of the
-//!   sample in nanoseconds. Lock-free, lifetime-exact counts/totals, used for
-//!   cheap shape summaries.
-//! * **a bounded sliding window of raw samples** — the most recent
-//!   `window` samples under a short mutex. Quantiles are computed over a
-//!   sorted copy of this window with the nearest-rank rule
-//!   `idx = ceil(q·n) − 1`, matching the semantics the router's
-//!   `latency_quantile` tests pin (100 samples of 1..=100ms: q0.5 → 50ms,
-//!   q0.99 → 99ms, q1.0 → 100ms; empty → 0).
+//! A [`Histogram`] keeps lock-free lifetime counters (count, total, max) and
+//! a bounded sliding window of raw samples: the most recent `window` samples
+//! under a short mutex. Quantiles are computed over a sorted copy of this
+//! window with the nearest-rank rule `idx = ceil(q·n) − 1`, matching the
+//! semantics the router's `latency_quantile` tests pin (100 samples of
+//! 1..=100ms: q0.5 → 50ms, q0.99 → 99ms, q1.0 → 100ms; empty → 0).
 
 use crate::profile::{Quantiles, StageProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-const BUCKETS: usize = 64;
-
 /// A thread-safe latency histogram. Cloneable handles are not provided —
 /// share it behind an `Arc` or borrow it; recording takes `&self`.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     total_nanos: AtomicU64,
     max_nanos: AtomicU64,
@@ -69,7 +61,6 @@ impl Histogram {
     /// samples. `window` is clamped to at least 1.
     pub fn with_window(window: usize) -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             total_nanos: AtomicU64::new(0),
             max_nanos: AtomicU64::new(0),
@@ -88,8 +79,6 @@ impl Histogram {
 
     /// Record one duration given in nanoseconds.
     pub fn record_nanos(&self, nanos: u64) {
-        let bucket = (64 - nanos.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
@@ -126,43 +115,23 @@ impl Histogram {
             .collect()
     }
 
-    /// Exact nearest-rank quantile over the current window:
-    /// `sorted[ceil(q·n) − 1]`, clamped into range; [`Duration::ZERO`] when
-    /// no samples have been recorded.
-    pub fn quantile(&self, q: f64) -> Duration {
-        let mut sorted: Vec<u64> = self
+    /// The current window's samples in ascending order.
+    fn sorted_window(&self) -> Vec<u64> {
+        let mut sorted = self
             .window
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .buf
             .clone();
-        if sorted.is_empty() {
-            return Duration::ZERO;
-        }
         sorted.sort_unstable();
-        let n = sorted.len();
-        let rank = (q * n as f64).ceil() as usize;
-        let idx = rank.clamp(1, n) - 1;
-        Duration::from_nanos(sorted[idx])
+        sorted
     }
 
-    /// Per-bucket counts as `(upper_bound_nanos, count)` pairs for buckets
-    /// with at least one sample. Bucket `i` covers `(2^(i-1), 2^i]` nanos.
-    pub fn bucket_counts(&self) -> Vec<(u64, u64)> {
-        (0..BUCKETS)
-            .filter_map(|i| {
-                let c = self.buckets[i].load(Ordering::Relaxed);
-                if c == 0 {
-                    return None;
-                }
-                let upper = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << i).max(1)
-                };
-                Some((upper, c))
-            })
-            .collect()
+    /// Exact nearest-rank quantile over the current window:
+    /// `sorted[ceil(q·n) − 1]`, clamped into range; [`Duration::ZERO`] when
+    /// no samples have been recorded.
+    pub fn quantile(&self, q: f64) -> Duration {
+        Duration::from_nanos(nearest_rank(&self.sorted_window(), q))
     }
 
     /// Freeze the histogram into a plain value (count/total/max are lifetime;
@@ -171,35 +140,32 @@ impl Histogram {
     /// non-zero, the quantiles describe only the most recent tail of the
     /// stream, and the stage-profile table flags them as truncated.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        // Lock the window before reading the lifetime count so a concurrent
+        // Copy the window before reading the lifetime count so a concurrent
         // `record_nanos` (count bumped, push pending) cannot make the
         // eviction estimate go negative.
-        let mut sorted: Vec<u64> = self
-            .window
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .buf
-            .clone();
-        sorted.sort_unstable();
-        let pick = |q: f64| -> u64 {
-            if sorted.is_empty() {
-                return 0;
-            }
-            let n = sorted.len();
-            let rank = (q * n as f64).ceil() as usize;
-            sorted[rank.clamp(1, n) - 1]
-        };
+        let sorted = self.sorted_window();
         let count = self.count.load(Ordering::Relaxed);
         HistogramSnapshot {
             count,
             total_nanos: self.total_nanos.load(Ordering::Relaxed),
             max_nanos: self.max_nanos.load(Ordering::Relaxed),
-            p50_nanos: pick(0.50),
-            p95_nanos: pick(0.95),
-            p99_nanos: pick(0.99),
+            p50_nanos: nearest_rank(&sorted, 0.50),
+            p95_nanos: nearest_rank(&sorted, 0.95),
+            p99_nanos: nearest_rank(&sorted, 0.99),
             window_dropped: count.saturating_sub(sorted.len() as u64),
         }
     }
+}
+
+/// The nearest-rank `q`-quantile of ascending `sorted`: `sorted[ceil(q·n) −
+/// 1]`, clamped into range; 0 when empty.
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let n = sorted.len();
+    let rank = (q * n as f64).ceil() as usize;
+    sorted[rank.clamp(1, n) - 1]
 }
 
 /// A frozen [`Histogram`]: lifetime count/total/max plus window quantiles.
@@ -308,16 +274,6 @@ mod tests {
         // The truncation flag flows into the grafted stage node.
         let stage = h.snapshot().to_stage("execute");
         assert_eq!(stage.quantiles.unwrap().window_dropped, 6);
-    }
-
-    #[test]
-    fn buckets_cover_all_samples() {
-        let h = Histogram::new();
-        for n in [0u64, 1, 2, 3, 1000, u64::MAX] {
-            h.record_nanos(n);
-        }
-        let total: u64 = h.bucket_counts().iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 6);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!   invocations of the same stage accumulate instead of multiplying nodes.
 //!   [`Profiler::snapshot`] freezes the tree into a plain [`StageProfile`]
 //!   value that renders as a human-readable breakdown table.
-//! * [`Histogram`] — fixed log₂-bucket latency histogram with a bounded
-//!   sliding window of raw samples for **exact** nearest-rank p50/p95/p99
-//!   extraction (`idx = ceil(q·n) − 1` over the sorted window, the same
+//! * [`Histogram`] — latency histogram: lifetime count/total/max plus a
+//!   bounded sliding window of raw samples for **exact** nearest-rank
+//!   p50/p95/p99 extraction (`idx = ceil(q·n) − 1` over the sorted window, the same
 //!   semantics the router's quantile tests pin).
 //! * [`TraceRecorder`] / [`TraceEvent`] — the per-request causal **flight
 //!   recorder**: deterministic [`TraceId`]s minted from request keys, a
@@ -22,7 +22,7 @@
 //! stubs) so every layer — store, runtime, core, bench — can link it without
 //! cycles, and it is cheap enough to leave on unconditionally: a span timer
 //! is two `Instant` reads plus two relaxed atomic adds, and a histogram
-//! record is three atomic adds plus one short mutex push.
+//! record is two atomic adds, an atomic max and one short mutex push.
 //!
 //! ```
 //! use zeroed_obs::Profiler;

@@ -74,11 +74,6 @@ impl Table {
         &self.name
     }
 
-    /// Renames the table.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Number of tuples (rows).
     pub fn n_rows(&self) -> usize {
         self.rows.len()
