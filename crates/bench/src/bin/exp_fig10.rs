@@ -30,7 +30,7 @@ fn main() {
             top_k_corr: k,
             ..ZeroEdConfig::default()
         };
-        let method = Method::ZeroEd(config);
+        let method = Method::ZeroEd(Box::new(config));
         let mut cells = Vec::new();
         for prepared in &datasets {
             let result =

@@ -2,7 +2,6 @@
 //! label-free ZeroED F1 as the reference line.
 
 use zeroed_bench::{format_table, parse_args, prepared_dataset, run_method_averaged, Method, Row};
-use zeroed_core::ZeroEdConfig;
 use zeroed_datagen::DatasetSpec;
 use zeroed_llm::LlmProfile;
 
@@ -39,7 +38,7 @@ fn main() {
         eprintln!("finished Raha with {n_labels} labels");
     }
     // ZeroED reference (no human labels at all).
-    let zeroed = Method::ZeroEd(ZeroEdConfig::default());
+    let zeroed = Method::ZeroEd(Box::default());
     let mut cells = Vec::new();
     for prepared in &datasets {
         let result = run_method_averaged(&zeroed, &prepared.data, LlmProfile::qwen_72b(), &seeds);

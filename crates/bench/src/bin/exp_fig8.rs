@@ -2,7 +2,6 @@
 //! comparison datasets, (b) on growing subsets of the Tax dataset.
 
 use zeroed_bench::{format_table, parse_args, prepared_dataset, run_method, Method, Row};
-use zeroed_core::ZeroEdConfig;
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
 use zeroed_llm::LlmProfile;
 
@@ -19,7 +18,7 @@ fn main() {
     println!("== Fig. 8: token consumption (ZeroED vs FM_ED) ==");
     println!("(rows per dataset: {}; single run per point)\n", args.rows);
     let methods = [
-        ("ZeroED", Method::ZeroEd(ZeroEdConfig::default())),
+        ("ZeroED", Method::ZeroEd(Box::default())),
         ("FM_ED", Method::FmEd),
     ];
 

@@ -31,7 +31,7 @@ fn main() {
             label_rate: rate,
             ..ZeroEdConfig::default()
         };
-        let method = Method::ZeroEd(config);
+        let method = Method::ZeroEd(Box::new(config));
         let mut cells = Vec::new();
         for prepared in &datasets {
             let result =

@@ -34,7 +34,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (label, config) in &variants {
-        let method = Method::ZeroEd(config.clone());
+        let method = Method::ZeroEd(Box::new(config.clone()));
         let mut cells = Vec::new();
         for prepared in &datasets {
             let result =

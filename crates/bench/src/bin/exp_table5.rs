@@ -3,7 +3,6 @@
 
 use zeroed_bench::tablefmt::prf;
 use zeroed_bench::{format_table, parse_args, prepared_dataset, run_method_averaged, Method, Row};
-use zeroed_core::ZeroEdConfig;
 use zeroed_datagen::DatasetSpec;
 use zeroed_llm::LlmProfile;
 
@@ -26,7 +25,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for profile in LlmProfile::all() {
-        let method = Method::ZeroEd(ZeroEdConfig::default());
+        let method = Method::ZeroEd(Box::default());
         let mut cells = Vec::new();
         for prepared in &datasets {
             let result = run_method_averaged(&method, &prepared.data, profile.clone(), &seeds);

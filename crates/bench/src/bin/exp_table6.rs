@@ -41,7 +41,7 @@ fn main() {
             sampling,
             ..ZeroEdConfig::default()
         };
-        let method = Method::ZeroEd(config);
+        let method = Method::ZeroEd(Box::new(config));
         let mut cells = Vec::new();
         for prepared in &datasets {
             let result =

@@ -30,8 +30,9 @@ pub enum Method {
     },
     /// The LLM prompt-per-tuple baseline.
     FmEd,
-    /// ZeroED with the given configuration.
-    ZeroEd(ZeroEdConfig),
+    /// ZeroED with the given configuration (boxed: it is far larger than
+    /// the other variants).
+    ZeroEd(Box<ZeroEdConfig>),
 }
 
 impl Method {
@@ -58,7 +59,7 @@ impl Method {
             Method::ActiveClean { labeled_tuples: 2 },
             Method::Raha { labeled_tuples: 2 },
             Method::FmEd,
-            Method::ZeroEd(zeroed_config),
+            Method::ZeroEd(Box::new(zeroed_config)),
         ]
     }
 }
@@ -174,7 +175,7 @@ pub fn run_method(
         }
         Method::ZeroEd(config) => {
             let llm = simulated_llm(ds, llm_profile, seed);
-            let mut config = config.clone();
+            let mut config = (**config).clone();
             config.seed = seed;
             let outcome = ZeroEd::new(config).detect(&ds.dirty, &llm);
             (outcome.mask, llm.ledger().usage())

@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn k_equal_to_n_gives_singletons() {
-        let data = vec![vec![0.0f32], vec![5.0], vec![10.0]];
+        let data = [vec![0.0f32], vec![5.0], vec![10.0]];
         let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
         let c = agglomerative(&rows, 3, 0);
         assert_eq!(c.k, 3);

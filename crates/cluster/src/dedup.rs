@@ -212,9 +212,10 @@ impl DedupPoints {
             let first = self.first_rows[u];
             let a = clustering.assignments[first as usize];
             let d = sq_dist(self.unique_row(u), &clustering.centroids[a]);
-            match best[a] {
-                Some((_, bd)) if !(d < bd) => {}
-                _ => best[a] = Some((first, d)),
+            // `d < bd` is false for a NaN distance, so a NaN never replaces
+            // a kept representative.
+            if best[a].is_none_or(|(_, bd)| d < bd) {
+                best[a] = Some((first, d));
             }
         }
         best.into_iter()

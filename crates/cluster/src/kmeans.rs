@@ -311,6 +311,10 @@ fn lloyd_dedup(dd: &DedupPoints, centroids: &mut [Vec<f32>], config: &KMeansConf
 /// empty cluster is re-seeded. Returns the total centroid movement and the
 /// centroids whose bits changed, re-seeded ones included, in ascending
 /// order.
+#[allow(
+    clippy::needless_range_loop,
+    reason = "`u` indexes parallel arrays in a loop pinned by the bit-identity oracles"
+)]
 fn update_dedup(
     dd: &DedupPoints,
     centroids: &mut [Vec<f32>],
@@ -818,7 +822,7 @@ mod tests {
 
     #[test]
     fn k_clamped_to_points() {
-        let data = vec![vec![0.0f32], vec![1.0]];
+        let data = [vec![0.0f32], vec![1.0]];
         let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
         let c = kmeans(&rows, 10, &KMeansConfig::default(), 0);
         assert_eq!(c.k, 2);
@@ -850,7 +854,7 @@ mod tests {
     /// must produce pairwise-distinct centroids from a single iteration.
     #[test]
     fn simultaneously_empty_clusters_reseed_to_distinct_points() {
-        let data = vec![vec![0.0f32], vec![1.0], vec![10.0], vec![11.0]];
+        let data = [vec![0.0f32], vec![1.0], vec![10.0], vec![11.0]];
         let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
         let initial = vec![vec![0.4f32], vec![0.6], vec![100.0], vec![200.0]];
         let config = KMeansConfig {

@@ -129,9 +129,10 @@ impl Clustering {
         let mut best: Vec<Option<(usize, f32)>> = vec![None; self.k];
         for (i, &a) in self.assignments.iter().enumerate() {
             let d = sq_dist(data[i], &self.centroids[a]);
-            match best[a] {
-                Some((_, bd)) if !(d < bd) => {}
-                _ => best[a] = Some((i, d)),
+            // `d < bd` is false for a NaN distance, so a NaN never replaces
+            // a kept representative.
+            if best[a].is_none_or(|(_, bd)| d < bd) {
+                best[a] = Some((i, d));
             }
         }
         best.into_iter().flatten().map(|(i, _)| i).collect()
@@ -323,8 +324,8 @@ mod tests {
         let c = cluster(SamplingMethod::KMeans, &rows, 3, 3);
         let sizes = c.sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 60);
-        for cl in 0..3 {
-            assert_eq!(c.members(cl).len(), sizes[cl]);
+        for (cl, &size) in sizes.iter().enumerate() {
+            assert_eq!(c.members(cl).len(), size);
         }
     }
 

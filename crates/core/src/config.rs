@@ -187,8 +187,8 @@ impl ZeroEdConfig {
     }
 
     /// Runs the pipeline on one worker without the cache (and so without
-    /// the store): the sequential reference that multi-worker, cached,
-    /// routed and store-warmed runs are verified against.
+    /// the store): the sequential reference that multi-worker, cached and
+    /// store-warmed runs are verified against.
     pub fn sequential_runtime(mut self) -> Self {
         self.runtime = RuntimeConfig::sequential();
         self

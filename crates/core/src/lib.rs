@@ -56,6 +56,5 @@ pub use report::{DetectionOutcome, PipelineStats};
 // execution and read `PipelineStats` without a separate `zeroed-runtime`
 // dependency.
 pub use zeroed_runtime::{
-    BackendConfig, BreakerPolicy, CacheStats, FsyncPolicy, HedgePolicy, PersistStats, RouterConfig,
-    RouterLlm, RouterStats, RuntimeConfig, StoreConfig, StoreLayer,
+    CacheStats, FsyncPolicy, PersistStats, RuntimeConfig, StoreConfig, StoreLayer,
 };

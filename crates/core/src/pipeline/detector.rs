@@ -130,7 +130,7 @@ pub fn train_and_predict(
     // LLM augmentation, which is capped per column. In weighted form the
     // oversample ratio simply multiplies every error example's weight.
     let oversample = if n_error * 2 < n_clean {
-        ((n_clean / n_error).min(4)).max(1) as f32
+        (n_clean / n_error).clamp(1, 4) as f32
     } else {
         1.0
     };

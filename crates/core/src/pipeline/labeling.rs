@@ -243,7 +243,7 @@ mod tests {
         // and defaulted to clean.
         assert_eq!(outcome.fallback_cells, 4);
         assert_eq!(outcome.defaulted_cells, 1);
-        assert_eq!(outcome.labels[&8], false);
+        assert!(!outcome.labels[&8]);
         // The repaired labels agree with what the model answers individually.
         let single = llm.label_batch(&ctx, None, &[7]);
         assert_eq!(outcome.labels[&7], single[0]);

@@ -33,8 +33,8 @@
 //!
 //! "Sequential" ([`ZeroEdConfig::sequential_runtime`]) is this path with
 //! one worker and no cache: the scheduler then runs every task in order on
-//! the calling thread. It is the reference that 4-worker, cached, routed,
-//! mangled and store-warmed runs must match bit for bit (the
+//! the calling thread. It is the reference that 4-worker, cached, mangled
+//! and store-warmed runs must match bit for bit (the
 //! `runtime_equivalence`, `store_warm_start`, `mangle_conformance` and
 //! `trace_pipeline` integration tests).
 //!
@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 use zeroed_features::{FeatureBuilder, FeatureConfig};
 use zeroed_llm::{AttributeContext, LlmClient};
 use zeroed_obs::{EventKind, Profiler, StageProfile, TraceId, TraceRecorder};
-use zeroed_runtime::{CachedLlm, ResponseCache, RouterLlm, Scheduler, StoreLayer};
+use zeroed_runtime::{CachedLlm, ResponseCache, Scheduler, StoreLayer};
 use zeroed_table::{ErrorMask, Table};
 
 /// A parallel leaf node for a grafted maintenance timing (store opens,
@@ -183,19 +183,8 @@ impl ZeroEd {
         // One flight recorder per run, seeded with the config seed so trace
         // ids are stable across execution modes (same request key + same
         // nonce → same [`TraceId`] whether the run is sequential, concurrent
-        // or routed).
+        // or warm).
         let recorder = TraceRecorder::new(self.config.seed);
-        self.detect_recorded(dirty, llm, &recorder)
-    }
-
-    /// [`ZeroEd::detect`] with a caller-supplied flight recorder (so routed
-    /// runs can pre-install the same recorder on the router).
-    fn detect_recorded(
-        &self,
-        dirty: &Table,
-        llm: &dyn LlmClient,
-        recorder: &Arc<TraceRecorder>,
-    ) -> DetectionOutcome {
         // One profiler per run: the features barrier and the streamed
         // attribute chains record sequential stage spans under the root,
         // while the per-attribute phases, the repair ladder, the scheduler,
@@ -205,17 +194,17 @@ impl ZeroEd {
         let profiler = Profiler::new("detect");
         let repairing = repair::RepairLlm::new(llm, self.config.reask_budget)
             .with_span(profiler.root().child_parallel("repair"))
-            .with_recorder(Arc::clone(recorder));
+            .with_recorder(Arc::clone(&recorder));
         let mut outcome = if self.config.runtime.cache {
             let mut cached = CachedLlm::for_table(&repairing, Arc::clone(&self.cache), dirty)
-                .with_recorder(Arc::clone(recorder));
+                .with_recorder(Arc::clone(&recorder));
             // A fresh sink per run: its counters attribute write-through
             // activity to this run alone, even when cloned detectors
             // share the layer and persist concurrently.
             let sink = self
                 .store
                 .as_ref()
-                .map(|layer| layer.sink().with_recorder(Arc::clone(recorder)));
+                .map(|layer| layer.sink().with_recorder(Arc::clone(&recorder)));
             if let Some(sink) = &sink {
                 cached = cached.with_persistence(sink.clone());
             }
@@ -229,7 +218,7 @@ impl ZeroEd {
                     self.store_preloaded as u64,
                 );
             }
-            let mut outcome = self.run_stages(dirty, &cached, &profiler, recorder);
+            let mut outcome = self.run_stages(dirty, &cached, &profiler, &recorder);
             // The run's own adapter and sink counters: clones of this
             // detector share the cache and the store and may detect
             // concurrently.
@@ -243,7 +232,7 @@ impl ZeroEd {
             }
             outcome
         } else {
-            self.run_stages(dirty, &repairing, &profiler, recorder)
+            self.run_stages(dirty, &repairing, &profiler, &recorder)
         };
         outcome.stats.repair = repairing.counters();
         // Summarised after every layer has settled: the store drain above is
@@ -299,34 +288,6 @@ impl ZeroEd {
                 profile.children.push(store_node);
             }
         }
-        outcome
-    }
-
-    /// Runs detection across several LLM backends through a
-    /// [`zeroed_runtime::RouterLlm`] built by the caller
-    /// (`RouterLlm::new(clients, &router_config)`).
-    ///
-    /// The router is an ordinary [`LlmClient`], so the pipeline itself runs
-    /// unchanged — [`ZeroEd::detect`] handles scheduling and caching exactly
-    /// as for a single backend. On top of that, this entry point installs
-    /// this run's flight recorder on the router while it runs, so its
-    /// routing decisions land in [`PipelineStats::trace`]. The router's activity
-    /// (requests, failovers, hedges, breaker trips, hedge waste) is
-    /// [`RouterLlm::stats`]: lifetime counters, so build a fresh router per
-    /// run or take your own deltas.
-    ///
-    /// Routing never changes the detection result: with response-equivalent
-    /// backends, the mask is bit-identical to a single-backend sequential run
-    /// under every fault schedule (asserted by the router conformance suite
-    /// in `crates/runtime/tests/router_conformance.rs`).
-    pub fn detect_routed(&self, dirty: &Table, router: &RouterLlm<'_>) -> DetectionOutcome {
-        // Pre-install the run's flight recorder on the router so its
-        // admission/failover/hedge decisions land in the same journal as the
-        // scheduler, cache, repair and store events.
-        let recorder = TraceRecorder::new(self.config.seed);
-        router.install_recorder(Arc::clone(&recorder));
-        let outcome = self.detect_recorded(dirty, router, &recorder);
-        router.clear_recorder();
         outcome
     }
 

@@ -31,10 +31,10 @@
 //! (zero silent drops).
 //!
 //! [`crate::ZeroEd::detect`] stacks the layer *below* the response cache
-//! (`SimLlm → RouterLlm → RepairLlm → CachedLlm`), so the cache — and the
-//! persisted `zeroed-store` — always hold the repaired response. A warm start
-//! from a store written under mangling therefore replays bit-identically with
-//! zero LLM requests and zero new repairs.
+//! (`SimLlm → RepairLlm → CachedLlm`), so the cache — and the persisted
+//! `zeroed-store` — always hold the repaired response. A warm start from a
+//! store written under mangling therefore replays bit-identically with zero
+//! LLM requests and zero new repairs.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -132,9 +132,9 @@ const GUIDELINE_ERROR_ORDER: [ErrorType; 5] = [
 ];
 
 /// An [`LlmClient`] adapter running every stage response through the repair
-/// ladder (see module docs). Wraps any client — the simulator, the
-/// multi-backend router — and is itself wrapped by the response cache, so
-/// cached and persisted responses are always the repaired ones.
+/// ladder (see module docs). Wraps any client — the simulator or a served
+/// model — and is itself wrapped by the response cache, so cached and
+/// persisted responses are always the repaired ones.
 pub struct RepairLlm<'a> {
     inner: &'a dyn LlmClient,
     /// Re-asks allowed per request (step 3 of the ladder); 0 skips straight
@@ -219,72 +219,58 @@ impl<'a> RepairLlm<'a> {
     }
 
     /// The shared repair ladder (module docs): validate → salvage → re-ask →
-    /// default. `salvage` returns `Ok` with a value that passes `validate`,
-    /// or `Err` handing the unsalvageable value back; `better` decides
-    /// whether a failed retry supersedes the kept value (stages whose default
-    /// reuses the answered prefix keep the longest one); `default` builds the
-    /// deterministic fallback from the best unsalvageable value.
+    /// default. `salvage` repairs a value in place and returns whether it
+    /// now passes `validate`; `default` builds the deterministic fallback
+    /// from the unsalvageable values, first ask first.
     fn run_ladder<T>(
         &self,
         stage: fn(&mut RepairCounters) -> &mut StageRepair,
         salt: u64,
         fetch: impl Fn() -> T,
         validate: impl Fn(&T) -> bool,
-        salvage: impl Fn(T) -> Result<T, T>,
-        better: impl Fn(&T, &T) -> bool,
-        default: impl FnOnce(T) -> T,
+        salvage: impl Fn(&mut T) -> bool,
+        default: impl FnOnce(Vec<T>) -> T,
     ) -> T {
-        let raw = fetch();
+        let mut raw = fetch();
         if self.time_step("validate", || validate(&raw)) {
             return raw;
         }
         self.bump(stage, |s| s.mangled += 1);
         self.journal(zeroed_obs::EventKind::RepairMangled);
-        let mut best = match self.time_step("salvage", || salvage(raw)) {
-            Ok(fixed) => {
-                debug_assert!(validate(&fixed), "salvage must produce a valid value");
-                self.bump(stage, |s| s.repaired += 1);
-                self.journal(zeroed_obs::EventKind::RepairSalvaged);
-                return fixed;
-            }
-            Err(raw) => raw,
-        };
+        if self.time_step("salvage", || salvage(&mut raw)) {
+            debug_assert!(validate(&raw), "salvage must produce a valid value");
+            self.bump(stage, |s| s.repaired += 1);
+            self.journal(zeroed_obs::EventKind::RepairSalvaged);
+            return raw;
+        }
+        let mut failed = vec![raw];
         for attempt in 1..=self.reask_budget as u32 {
-            let retry = self.time_step("reask", || {
+            let mut retry = self.time_step("reask", || {
                 self.inner.note_reask(salt, attempt);
                 let retry = fetch();
                 self.inner.note_reask(salt, 0);
                 retry
             });
-            if self.time_step("validate", || validate(&retry)) {
+            if self.time_step("validate", || validate(&retry))
+                || self.time_step("salvage", || salvage(&mut retry))
+            {
                 self.bump(stage, |s| s.reasked += 1);
                 self.journal(zeroed_obs::EventKind::RepairReasked);
                 return retry;
             }
-            match self.time_step("salvage", || salvage(retry)) {
-                Ok(fixed) => {
-                    self.bump(stage, |s| s.reasked += 1);
-                    self.journal(zeroed_obs::EventKind::RepairReasked);
-                    return fixed;
-                }
-                Err(retry) => {
-                    if better(&retry, &best) {
-                        best = retry;
-                    }
-                }
-            }
+            failed.push(retry);
         }
         self.bump(stage, |s| s.defaulted += 1);
         self.journal(zeroed_obs::EventKind::RepairDefaulted);
-        default(best)
+        default(failed)
     }
 
     /// The ladder for answers whose contract is their length (label batches
     /// and augmented values). Over-length answers keep a correct prefix
     /// (extra items were invented beyond the request), so trimming recovers
     /// them exactly; short answers lost real items and are not salvageable.
-    /// The default pads the retry with the most answers up to `want` with
-    /// `pad`.
+    /// The default pads the answer with the most items (the earliest of
+    /// equal length) up to `want` with `pad`.
     fn run_arity_ladder<T: Clone>(
         &self,
         stage: fn(&mut RepairCounters) -> &mut StageRepair,
@@ -298,16 +284,17 @@ impl<'a> RepairLlm<'a> {
             salt,
             fetch,
             |items| items.len() == want,
-            |mut items| {
-                if items.len() > want {
-                    items.truncate(want);
-                    Ok(items)
-                } else {
-                    Err(items)
-                }
+            |items| {
+                let over = items.len() > want;
+                items.truncate(want);
+                over
             },
-            |retry, best| retry.len() > best.len(),
-            |mut best| {
+            |failed| {
+                // `min_by_key` keeps the first of equal keys.
+                let mut best = failed
+                    .into_iter()
+                    .min_by_key(|items| std::cmp::Reverse(items.len()))
+                    .unwrap_or_default();
                 best.resize(want, pad);
                 best
             },
@@ -351,11 +338,8 @@ fn valid_criteria(set: &CriteriaSet, ctx: &AttributeContext<'_>) -> bool {
 /// drop unusable criteria (unnamed, out-of-schema references), re-prefix
 /// drifted names back into the `is_clean_` namespace, dedup keep-first. A
 /// salvage that ends empty is indistinguishable from unparseable garbage and
-/// is handed back for a re-ask.
-fn salvage_criteria(
-    mut set: CriteriaSet,
-    ctx: &AttributeContext<'_>,
-) -> Result<CriteriaSet, CriteriaSet> {
+/// fails, leaving the request to a re-ask.
+fn salvage_criteria(set: &mut CriteriaSet, ctx: &AttributeContext<'_>) -> bool {
     let n_cols = ctx.table.n_cols();
     set.column = ctx.column;
     let mut seen = HashSet::new();
@@ -372,11 +356,7 @@ fn salvage_criteria(
         }
     }
     set.criteria = kept;
-    if set.criteria.is_empty() {
-        Err(set)
-    } else {
-        Ok(set)
-    }
+    !set.criteria.is_empty()
 }
 
 /// Analysis contract: names this attribute, record counts match the analysed
@@ -393,13 +373,11 @@ fn valid_analysis(a: &DistributionAnalysis, ctx: &AttributeContext<'_>) -> bool 
 /// Structural salvage of an analysis: the counts and the column identity are
 /// derivable from the analysed table, so they are restored in place; a
 /// truncated findings list gets a placeholder entry. A corrupt missing
-/// ratio cannot be reconstructed — the value is handed back for a re-ask.
-fn salvage_analysis(
-    mut a: DistributionAnalysis,
-    ctx: &AttributeContext<'_>,
-) -> Result<DistributionAnalysis, DistributionAnalysis> {
+/// ratio cannot be reconstructed — the salvage fails, leaving the request
+/// to a re-ask.
+fn salvage_analysis(a: &mut DistributionAnalysis, ctx: &AttributeContext<'_>) -> bool {
     if !a.missing_ratio.is_finite() || !(0.0..=1.0).contains(&a.missing_ratio) {
-        return Err(a);
+        return false;
     }
     a.column = ctx.column_name().to_string();
     a.total_records = ctx.table.n_rows();
@@ -410,7 +388,7 @@ fn salvage_analysis(
                 .to_string(),
         );
     }
-    Ok(a)
+    true
 }
 
 /// The deterministic analysis default: minimal but valid.
@@ -477,10 +455,11 @@ fn generic_guide(ty: ErrorType, attr: &str) -> ErrorTypeGuide {
 /// Structural salvage of a guideline: restore the column identity, rebuild
 /// the entries in canonical order (dedup keep-first), fill lost error types
 /// with generic guides. A guideline with *no* entries at all is
-/// indistinguishable from garbage and is handed back for a re-ask.
-fn salvage_guideline(mut g: Guideline, ctx: &AttributeContext<'_>) -> Result<Guideline, Guideline> {
+/// indistinguishable from garbage: the salvage fails, leaving the request to
+/// a re-ask.
+fn salvage_guideline(g: &mut Guideline, ctx: &AttributeContext<'_>) -> bool {
     if g.error_types.is_empty() {
-        return Err(g);
+        return false;
     }
     g.column = ctx.column_name().to_string();
     let entries = std::mem::take(&mut g.error_types);
@@ -494,7 +473,7 @@ fn salvage_guideline(mut g: Guideline, ctx: &AttributeContext<'_>) -> Result<Gui
                 .unwrap_or_else(|| generic_guide(ty, ctx.column_name()))
         })
         .collect();
-    Ok(g)
+    true
 }
 
 /// The deterministic guideline default: a generic five-type guideline.
@@ -565,7 +544,6 @@ impl LlmClient for RepairLlm<'_> {
                     || fetch().into_criteria(),
                     |set| valid_criteria(set, &ctx),
                     |set| salvage_criteria(set, &ctx),
-                    |_, _| false,
                     |_| fallback(),
                 ))
             }
@@ -575,7 +553,6 @@ impl LlmClient for RepairLlm<'_> {
                 || fetch().into_analysis(),
                 |a| valid_analysis(a, &ctx),
                 |a| salvage_analysis(a, &ctx),
-                |_, _| false,
                 |_| default_analysis(&ctx),
             )),
             Request::Guideline { ctx, .. } => Response::Guideline(self.run_ladder(
@@ -584,7 +561,6 @@ impl LlmClient for RepairLlm<'_> {
                 || fetch().into_guideline(),
                 |g| valid_guideline(g, &ctx),
                 |g| salvage_guideline(g, &ctx),
-                |_, _| false,
                 |_| default_guideline(&ctx),
             )),
             Request::Labels { rows, .. } => Response::Flags(self.run_arity_ladder(
@@ -618,14 +594,6 @@ impl LlmClient for RepairLlm<'_> {
 
     fn note_reask(&self, salt: u64, attempt: u32) {
         self.inner.note_reask(salt, attempt);
-    }
-
-    fn cache_identity(&self) -> &str {
-        self.inner.cache_identity()
-    }
-
-    fn injected_fault(&self, salt: u64) -> Option<zeroed_llm::FaultKind> {
-        self.inner.injected_fault(salt)
     }
 
     fn max_in_flight(&self) -> Option<usize> {
@@ -771,7 +739,7 @@ mod tests {
         }
         fn apply(&self, mut labels: Vec<bool>, delta: isize) -> Vec<bool> {
             if delta >= 0 {
-                labels.extend(std::iter::repeat(true).take(delta as usize));
+                labels.extend(std::iter::repeat_n(true, delta as usize));
             } else {
                 labels.truncate(labels.len().saturating_sub((-delta) as usize));
             }
@@ -876,6 +844,32 @@ mod tests {
             (c.mangled, c.repaired, c.reasked, c.defaulted),
             (1, 0, 0, 1)
         );
+
+        // Truncated by different amounts: the longer answer is padded,
+        // whichever attempt gave it. Rows 6 and 7 hold missing values, so
+        // only the longer answer flags them.
+        let mut cells: Vec<Vec<String>> = (0..table.n_rows())
+            .map(|r| {
+                (0..table.n_cols())
+                    .map(|c| table.cell(r, c).to_string())
+                    .collect()
+            })
+            .collect();
+        cells[6][1].clear();
+        cells[7][1].clear();
+        let holes = Table::new("cities", table.columns().to_vec(), cells).unwrap();
+        let ctx = AttributeContext {
+            table: &holes,
+            ..ctx
+        };
+        for (first, retry) in [(-4, -2), (-2, -4)] {
+            let partial = ArityLlm::new(7, first, retry);
+            let labels = RepairLlm::new(&partial, 1).label_batch(&ctx, None, &rows);
+            let healthy = partial.inner.label_batch(&ctx, None, &rows);
+            assert!(healthy[6] && healthy[7], "missing values must be flagged");
+            assert_eq!(&labels[..8], &healthy[..8], "[{first}, {retry}]");
+            assert_eq!(&labels[8..], &[false, false], "[{first}, {retry}]");
+        }
     }
 
     #[test]

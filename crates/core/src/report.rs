@@ -9,11 +9,8 @@ use zeroed_table::ErrorMask;
 ///
 /// Every counter here is this run's own. Facts that outlive a run are read
 /// where they are kept: the store's recovery report, TTL expiries and shard
-/// count from [`crate::ZeroEd::store`], the records preloaded at construction
-/// from [`crate::ZeroEd::cache`]'s length before the first run, and router
-/// activity from the caller's [`zeroed_runtime::RouterLlm::stats`]. Those
-/// router counters cover the router's lifetime, so build a fresh router per
-/// run or take your own deltas.
+/// count from [`crate::ZeroEd::store`], and the records preloaded at
+/// construction from [`crate::ZeroEd::cache`]'s length before the first run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Cells labelled directly by the LLM.
@@ -76,8 +73,8 @@ pub struct PipelineStats {
     /// ring drop count (0 in every shipped configuration), the journal and
     /// the slowest request-rooted exemplars. `TraceSummary::verify` checks
     /// the journal's causality invariants; the tests and the bench reconcile
-    /// its counts against `cache`, `persist`, `repair`, `runtime_tasks` and
-    /// the caller's router stats with zero tolerance.
+    /// its counts against `cache`, `persist`, `repair` and `runtime_tasks`
+    /// with zero tolerance.
     pub trace: Option<zeroed_obs::TraceSummary>,
 }
 

@@ -6,24 +6,19 @@
 //!
 //! 1. **No panics, on any mode** — corrupted responses are repaired,
 //!    re-asked or defaulted, never crash the pipeline.
-//! 2. **Bit-identical masks across modes** — sequential, concurrent and
-//!    routed runs under the *same* schedule agree exactly (the corruption
-//!    draw is keyed off the request salt, not off execution order).
+//! 2. **Bit-identical masks across modes** — sequential and concurrent runs
+//!    under the *same* schedule agree exactly (the corruption draw is keyed
+//!    off the request salt, not off execution order).
 //! 3. **Exact accounting** — per stage `mangled == repaired + reasked +
 //!    defaulted`, and the sum of stage `mangled` counters equals the number
 //!    of corruptions the simulator actually applied: zero silent drops.
 //! 4. **Repaired responses are what gets persisted** — a warm start from a
 //!    store written under mangling replays bit-identically with zero LLM
 //!    requests and zero new repairs.
-//!
-//! The routed leg runs failover-only (hedging disabled): a hedged request
-//! executes on *two* backends and would legitimately double-count
-//! `mangled_responses`, breaking invariant 3's equality without indicating a
-//! real drop.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use zeroed_core::{HedgePolicy, PipelineStats, RouterConfig, RouterLlm, ZeroEd, ZeroEdConfig};
+use zeroed_core::{PipelineStats, ZeroEd, ZeroEdConfig};
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
 use zeroed_llm::{LlmClient, MangleSchedule, SimLlm};
 use zeroed_table::ErrorMask;
@@ -67,58 +62,26 @@ fn config() -> ZeroEdConfig {
     }
 }
 
-/// A failover-only router config: no hedging, so every request executes on
-/// exactly one backend and simulator-side corruption counts stay comparable
-/// with the repair layer's.
-fn failover_only(n: usize) -> RouterConfig {
-    RouterConfig {
-        hedge: HedgePolicy {
-            enabled: false,
-            ..HedgePolicy::default()
-        },
-        ..RouterConfig::for_backends(n)
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 enum Mode {
     Sequential,
     Concurrent,
-    Routed,
 }
 
-/// Runs detection under `schedule` in the given mode with fresh clients,
-/// returning the mask, the stats, and the simulator-side corruption count
-/// summed across every backend that served requests.
+/// Runs detection under `schedule` in the given mode with a fresh client,
+/// returning the mask, the stats, and the simulator-side corruption count.
 fn run_mode(
     mode: Mode,
     ds: &zeroed_datagen::GeneratedDataset,
     schedule: MangleSchedule,
 ) -> (ErrorMask, PipelineStats, usize) {
-    match mode {
-        Mode::Sequential => {
-            let llm = mangled_llm(ds, schedule);
-            let outcome = ZeroEd::new(config().sequential_runtime()).detect(&ds.dirty, &llm);
-            (outcome.mask, outcome.stats, llm.mangled_responses())
-        }
-        Mode::Concurrent => {
-            let llm = mangled_llm(ds, schedule);
-            let outcome = ZeroEd::new(config()).detect(&ds.dirty, &llm);
-            (outcome.mask, outcome.stats, llm.mangled_responses())
-        }
-        Mode::Routed => {
-            let primary = mangled_llm(ds, schedule);
-            let replica = mangled_llm(ds, schedule);
-            let clients: Vec<&dyn LlmClient> = vec![&primary, &replica];
-            let router = RouterLlm::new(clients, &failover_only(2));
-            let outcome = ZeroEd::new(config()).detect_routed(&ds.dirty, &router);
-            (
-                outcome.mask,
-                outcome.stats,
-                primary.mangled_responses() + replica.mangled_responses(),
-            )
-        }
-    }
+    let config = match mode {
+        Mode::Sequential => config().sequential_runtime(),
+        Mode::Concurrent => config(),
+    };
+    let llm = mangled_llm(ds, schedule);
+    let outcome = ZeroEd::new(config).detect(&ds.dirty, &llm);
+    (outcome.mask, outcome.stats, llm.mangled_responses())
 }
 
 fn assert_reconciles(stats: &PipelineStats, sim_mangled: usize, label: &str) {
@@ -149,22 +112,20 @@ fn seeded_schedules_degrade_identically_across_modes() {
             "rate {rate} must corrupt something"
         );
 
-        for mode in [Mode::Concurrent, Mode::Routed] {
-            let label = format!("{mode:?} s{seed} r{rate}");
-            let (mask, stats, sim_mangled) = run_mode(mode, &ds, schedule);
-            assert_eq!(
-                mask, seq_mask,
-                "[{label}] mask diverged from the sequential oracle under mangling"
-            );
-            assert_reconciles(&stats, sim_mangled, &label);
-            // The corruption draw is salt-keyed, so every mode detects the
-            // same corruptions (the cache dedups identical requests, but a
-            // deduped request was corrupted — and repaired — exactly once).
-            assert_eq!(
-                stats.repair, seq_stats.repair,
-                "[{label}] per-stage counters must not depend on the execution mode"
-            );
-        }
+        let label = format!("concurrent s{seed} r{rate}");
+        let (mask, stats, sim_mangled) = run_mode(Mode::Concurrent, &ds, schedule);
+        assert_eq!(
+            mask, seq_mask,
+            "[{label}] mask diverged from the sequential oracle under mangling"
+        );
+        assert_reconciles(&stats, sim_mangled, &label);
+        // The corruption draw is salt-keyed, so both modes detect the same
+        // corruptions (the cache dedups identical requests, but a deduped
+        // request was corrupted — and repaired — exactly once).
+        assert_eq!(
+            stats.repair, seq_stats.repair,
+            "[{label}] per-stage counters must not depend on the execution mode"
+        );
     }
 }
 

@@ -6,20 +6,17 @@
 //! "Cross-process" is exercised the way a second process would see it: the
 //! cold detector (and with it the store's writer thread and file handles) is
 //! fully dropped, then a *fresh* detector re-opens the directory and runs
-//! recovery + preload from the bytes on disk alone. The matrix covers the
-//! runtime execution modes: cold runs on the concurrent and routed paths
-//! (the sequential run has no cache and so never opens the store — it is
-//! the correctness baseline all arms are compared against), warm runs on
-//! the concurrent and routed paths, in all combinations.
+//! recovery + preload from the bytes on disk alone. Cold and warm runs take
+//! the concurrent path; the sequential run has no cache and so never opens
+//! the store — it is the correctness baseline both are compared against.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use zeroed_core::{
-    CacheStats, PersistStats, PipelineStats, RouterConfig, RouterLlm, RouterStats, RuntimeConfig,
-    StoreConfig, ZeroEd, ZeroEdConfig,
+    CacheStats, PersistStats, PipelineStats, RuntimeConfig, StoreConfig, ZeroEd, ZeroEdConfig,
 };
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
-use zeroed_llm::{FaultSchedule, LlmClient, SimLlm, TokenUsage};
+use zeroed_llm::{LlmClient, SimLlm, TokenUsage};
 use zeroed_table::ErrorMask;
 
 static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -65,62 +62,25 @@ fn base_config(dir: &std::path::Path) -> ZeroEdConfig {
     .with_store_dir(dir.to_str().unwrap())
 }
 
-/// How one arm of the matrix executes detection.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Arm {
-    Concurrent,
-    Routed,
-}
-
-/// Runs one detection in the given mode against a fresh oracle client,
-/// returning (mask, usage, outcome stats, the run's router stats).
-fn run_arm(
-    arm: Arm,
+/// Runs one detection against a fresh oracle client, returning (mask,
+/// usage, outcome stats).
+fn run(
     detector: &ZeroEd,
     ds: &zeroed_datagen::GeneratedDataset,
     seed: u64,
-) -> (ErrorMask, TokenUsage, PipelineStats, RouterStats) {
-    match arm {
-        Arm::Concurrent => {
-            let llm = oracle_llm(ds, seed);
-            let outcome = detector.detect(&ds.dirty, &llm);
-            (
-                outcome.mask,
-                llm.ledger().usage(),
-                outcome.stats,
-                RouterStats::default(),
-            )
-        }
-        Arm::Routed => {
-            // Two response-equivalent backends, one scheduled with faults, so
-            // the routed arm exercises failover on top of persistence.
-            let faults = FaultSchedule {
-                error_rate: 0.2,
-                timeout_rate: 0.1,
-                ..FaultSchedule::healthy(3)
-            };
-            let primary = oracle_llm(ds, seed).with_faults(faults);
-            let replica = oracle_llm(ds, seed);
-            let clients: Vec<&dyn LlmClient> = vec![&primary, &replica];
-            let router = RouterLlm::new(clients, &RouterConfig::for_backends(2));
-            let outcome = detector.detect_routed(&ds.dirty, &router);
-            let mut usage = primary.ledger().usage();
-            let replica_usage = replica.ledger().usage();
-            usage.requests += replica_usage.requests;
-            usage.input_tokens += replica_usage.input_tokens;
-            usage.output_tokens += replica_usage.output_tokens;
-            (outcome.mask, usage, outcome.stats, router.stats())
-        }
-    }
+) -> (ErrorMask, TokenUsage, PipelineStats) {
+    let llm = oracle_llm(ds, seed);
+    let outcome = detector.detect(&ds.dirty, &llm);
+    (outcome.mask, llm.ledger().usage(), outcome.stats)
 }
 
-/// The full cold→warm matrix for one (cold arm, warm arm) pair.
-fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
+#[test]
+fn warm_start_concurrent_to_concurrent() {
     let ds = dataset();
     let dir = temp_dir();
     let seed = 11;
 
-    // The sequential run every arm must match (no cache, no store).
+    // The sequential run both runs must match (no cache, no store).
     let llm_seq = oracle_llm(&ds, seed);
     let seq = ZeroEd::new(
         ZeroEdConfig {
@@ -134,17 +94,13 @@ fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
 
     // Cold run: fresh store directory, every request hits the model once and
     // is written through.
-    let (cold_mask, cold_usage, cold_stats, _) = {
+    let (cold_mask, cold_usage, cold_stats) = {
         let detector = ZeroEd::new(base_config(&dir));
-        assert_eq!(
-            detector.cache().len(),
-            0,
-            "[{cold_arm:?}→{warm_arm:?}] cold run preloads nothing"
-        );
-        let result = run_arm(cold_arm, &detector, &ds, seed);
+        assert_eq!(detector.cache().len(), 0, "cold run preloads nothing");
+        let result = run(&detector, &ds, seed);
         assert_eq!(
             result.2.persist.persisted_records, result.2.cache.misses,
-            "[{cold_arm:?}→{warm_arm:?}] every miss must be written through"
+            "every miss must be written through"
         );
         assert!(result.2.persist.persisted_bytes > 0);
         assert_eq!(result.2.cache.store_hits, 0);
@@ -154,36 +110,28 @@ fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
     };
     assert_eq!(
         seq.mask, cold_mask,
-        "[{cold_arm:?}→{warm_arm:?}] cold mask diverged from the sequential oracle"
+        "cold mask diverged from the sequential oracle"
     );
     assert_eq!(
         cold_usage.input_tokens
             + cold_usage.output_tokens
             + cold_stats.cache.tokens_saved() as usize,
         seq_usage.input_tokens + seq_usage.output_tokens,
-        "[{cold_arm:?}→{warm_arm:?}] cold tokens + dedup savings = sequential bill"
+        "cold tokens + dedup savings = sequential bill"
     );
 
     // Warm run: a brand-new detector (fresh cache) re-opens the store.
     let warm_detector = ZeroEd::new(base_config(&dir));
     let preloaded = warm_detector.cache().len() as u64;
-    let (warm_mask, warm_usage, warm_stats, warm_router) =
-        run_arm(warm_arm, &warm_detector, &ds, seed);
+    let (warm_mask, warm_usage, warm_stats) = run(&warm_detector, &ds, seed);
 
     // 1. Bit-identical masks.
-    assert_eq!(
-        seq.mask, warm_mask,
-        "[{cold_arm:?}→{warm_arm:?}] warm mask diverged"
-    );
+    assert_eq!(seq.mask, warm_mask, "warm mask diverged");
     // 2. Zero LLM requests — the model is never consulted.
     assert_eq!(
         warm_usage,
         TokenUsage::default(),
-        "[{cold_arm:?}→{warm_arm:?}] warm run must not touch any backend"
-    );
-    assert_eq!(
-        warm_router.requests, 0,
-        "cache hits must short-circuit before routing"
+        "warm run must not touch the model"
     );
     // 3. Every request is a store hit; nothing is re-persisted.
     assert_eq!(warm_stats.cache.misses, 0);
@@ -191,7 +139,7 @@ fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
     assert_eq!(warm_stats.persist.persisted_records, 0);
     assert_eq!(
         preloaded, cold_stats.persist.persisted_records,
-        "[{cold_arm:?}→{warm_arm:?}] preload must replay the whole cold store"
+        "preload must replay the whole cold store"
     );
     let recovery = warm_detector.store().unwrap().recovery();
     assert_eq!(
@@ -204,32 +152,12 @@ fn check_matrix(cold_arm: Arm, warm_arm: Arm) {
     assert_eq!(
         warm_stats.cache.tokens_saved() as usize,
         seq_usage.input_tokens + seq_usage.output_tokens,
-        "[{cold_arm:?}→{warm_arm:?}] warm savings must equal the full sequential token bill"
+        "warm savings must equal the full sequential token bill"
     );
     assert_eq!(warm_stats.cache.hits as usize, seq_usage.requests);
 
     drop(warm_detector);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn warm_start_concurrent_to_concurrent() {
-    check_matrix(Arm::Concurrent, Arm::Concurrent);
-}
-
-#[test]
-fn warm_start_concurrent_to_routed() {
-    check_matrix(Arm::Concurrent, Arm::Routed);
-}
-
-#[test]
-fn warm_start_routed_to_concurrent() {
-    check_matrix(Arm::Routed, Arm::Concurrent);
-}
-
-#[test]
-fn warm_start_routed_to_routed() {
-    check_matrix(Arm::Routed, Arm::Routed);
 }
 
 #[test]

@@ -2,22 +2,19 @@
 //! run publishes a [`zeroed_obs::TraceSummary`] whose journal (a) passes the
 //! causality checker and (b) reconciles **exactly** — zero tolerance —
 //! against the independently maintained cache, scheduler, repair and store
-//! counters in [`zeroed_core::PipelineStats`] and the router's own
-//! [`zeroed_core::RouterStats`]. The trace is not a sample: for every
-//! counter the pipeline reports there is an equal number of journaled
-//! events, in {sequential, uncached, concurrent+cached (cold and warm),
-//! routed-with-faults, mangled} runs alike. A cold cached run's journal
+//! counters in [`zeroed_core::PipelineStats`]. The trace is not a sample:
+//! for every counter the pipeline reports there is an equal number of
+//! journaled events, in {sequential, uncached, concurrent+cached (cold and
+//! warm), mangled, persisted} runs alike. A cold cached run's journal
 //! also goes through both exporters, and the recorder and the profiler
 //! must cost under 2% of that run.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
-use zeroed_core::{
-    PipelineStats, RouterConfig, RouterLlm, RouterStats, RuntimeConfig, ZeroEd, ZeroEdConfig,
-};
+use zeroed_core::{PipelineStats, RuntimeConfig, ZeroEd, ZeroEdConfig};
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
-use zeroed_llm::{FaultSchedule, LlmClient, MangleSchedule, SimLlm};
+use zeroed_llm::{MangleSchedule, SimLlm};
 use zeroed_obs::{
     chrome_trace_json, journal_jsonl, EventKind, Profiler, StageProfile, TraceId, TraceRecorder,
 };
@@ -60,15 +57,10 @@ fn config() -> ZeroEdConfig {
     }
 }
 
-/// The zero-tolerance ledger: journal counts == pipeline counters (and the
-/// router's own counters, all zero for an unrouted run), and the journal
-/// itself is causally consistent. Returns the summary for mode-specific
-/// follow-up assertions.
-fn assert_trace_reconciles(
-    stats: &PipelineStats,
-    router: &RouterStats,
-    label: &str,
-) -> zeroed_obs::TraceSummary {
+/// The zero-tolerance ledger: journal counts == pipeline counters, and the
+/// journal itself is causally consistent. Returns the summary for
+/// mode-specific follow-up assertions.
+fn assert_trace_reconciles(stats: &PipelineStats, label: &str) -> zeroed_obs::TraceSummary {
     let trace = stats
         .trace
         .clone()
@@ -109,33 +101,6 @@ fn assert_trace_reconciles(
         trace.count(EventKind::CachePublish),
         stats.cache.misses,
         "[{label}] every miss publishes exactly once"
-    );
-
-    // Router: one RouterDone per routed request, faults/failovers exact.
-    assert_eq!(
-        trace.count(EventKind::RouterDone),
-        router.requests,
-        "[{label}] routed requests"
-    );
-    assert_eq!(
-        trace.count(EventKind::RouterFailover),
-        router.failovers,
-        "[{label}] failovers"
-    );
-    assert_eq!(
-        trace.count(EventKind::HedgeFired),
-        router.hedges_fired,
-        "[{label}] hedges fired"
-    );
-    assert_eq!(
-        trace.count(EventKind::HedgeWon),
-        router.hedges_won_by_hedge,
-        "[{label}] hedges won"
-    );
-    assert_eq!(
-        trace.count(EventKind::BreakerTrip),
-        router.breaker_trips,
-        "[{label}] breaker trips"
     );
 
     // Repair: the degradation ledger and the journal agree bucket by bucket.
@@ -200,13 +165,12 @@ fn sequential_run_traces_repair_only() {
     ] {
         let llm = oracle_llm(&ds, 13);
         let outcome = ZeroEd::new(config).detect(&ds.dirty, &llm);
-        let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), label);
+        let trace = assert_trace_reconciles(&outcome.stats, label);
         // Every task is journaled (the reconciliation above checks submit,
         // start and end against the count), but without the cache the run
-        // has no cache, router or store events.
+        // has no cache or store events.
         assert!(outcome.stats.runtime_tasks > 0);
         assert_eq!(trace.count(EventKind::CacheHit), 0, "[{label}]");
-        assert_eq!(trace.count(EventKind::RouterDone), 0, "[{label}]");
         assert_eq!(trace.count(EventKind::StorePersist), 0, "[{label}]");
         assert_eq!(trace.count(EventKind::StorePreload), 0, "[{label}]");
     }
@@ -224,7 +188,7 @@ fn concurrent_cached_run_traces_every_layer_exactly() {
     let t = Instant::now();
     let cold = detector.detect(&ds.dirty, &llm);
     let wall = t.elapsed();
-    let trace = assert_trace_reconciles(&cold.stats, &RouterStats::default(), "concurrent cold");
+    let trace = assert_trace_reconciles(&cold.stats, "concurrent cold");
     assert!(cold.stats.runtime_tasks > 0, "fan-out must happen");
     assert!(cold.stats.cache.misses > 0, "cold run must miss");
     assert!(
@@ -296,41 +260,10 @@ fn concurrent_cached_run_traces_every_layer_exactly() {
     // Warm re-run on the same detector: all hits, still exact.
     let llm_warm = oracle_llm(&ds, 13);
     let warm = detector.detect(&ds.dirty, &llm_warm);
-    let trace = assert_trace_reconciles(&warm.stats, &RouterStats::default(), "concurrent warm");
+    let trace = assert_trace_reconciles(&warm.stats, "concurrent warm");
     assert_eq!(warm.stats.cache.misses, 0);
     assert!(warm.stats.cache.hits > 0);
     assert_eq!(trace.count(EventKind::CachePublish), 0);
-}
-
-#[test]
-fn routed_run_with_faults_traces_router_decisions() {
-    let ds = dataset();
-    let faults = FaultSchedule {
-        error_rate: 0.2,
-        timeout_rate: 0.1,
-        ..FaultSchedule::healthy(3)
-    };
-    let primary = oracle_llm(&ds, 13).with_faults(faults);
-    let replica = oracle_llm(&ds, 13);
-    let clients: Vec<&dyn LlmClient> = vec![&primary, &replica];
-    let runtime = RuntimeConfig {
-        workers: 4,
-        ..RuntimeConfig::default()
-    };
-    let router = RouterLlm::new(clients, &RouterConfig::for_backends(2));
-    let outcome = ZeroEd::new(config().with_runtime(runtime)).detect_routed(&ds.dirty, &router);
-    let routed = router.stats();
-    let trace = assert_trace_reconciles(&outcome.stats, &routed, "routed");
-    assert!(routed.requests > 0);
-    assert!(
-        routed.failovers > 0,
-        "the fault schedule must force failovers"
-    );
-    // Every routed request chose a primary before anything else happened.
-    assert_eq!(trace.count(EventKind::RouterPrimary), routed.requests);
-    // Faults journaled at the injection site are at least the failovers
-    // (slow-tail faults add more, and hedged losers add none).
-    assert!(trace.count(EventKind::FaultInjected) >= trace.count(EventKind::RouterFailover));
 }
 
 #[test]
@@ -350,7 +283,7 @@ fn mangled_run_traces_the_degradation_ledger() {
         ..RuntimeConfig::default()
     }))
     .detect(&ds.dirty, &llm);
-    let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), "mangled");
+    let trace = assert_trace_reconciles(&outcome.stats, "mangled");
     assert!(
         outcome.stats.repair.total_mangled() > 0,
         "rate 0.5 must corrupt something"
@@ -371,7 +304,7 @@ fn persisted_run_traces_store_writes_and_the_preload() {
     let cold = {
         let llm = oracle_llm(&ds, 13);
         let outcome = ZeroEd::new(store_config()).detect(&ds.dirty, &llm);
-        let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), "cold store");
+        let trace = assert_trace_reconciles(&outcome.stats, "cold store");
         assert!(outcome.stats.persist.persisted_records > 0);
         // The preload marker is journaled exactly once, carrying the
         // warm-start size this run saw (zero: the directory was fresh).
@@ -392,7 +325,7 @@ fn persisted_run_traces_store_writes_and_the_preload() {
     let detector = ZeroEd::new(store_config());
     let preloaded = detector.cache().len() as u64;
     let outcome = detector.detect(&ds.dirty, &llm);
-    let trace = assert_trace_reconciles(&outcome.stats, &RouterStats::default(), "warm store");
+    let trace = assert_trace_reconciles(&outcome.stats, "warm store");
     assert_eq!(trace.count(EventKind::StorePersist), 0);
     let preload = trace
         .events

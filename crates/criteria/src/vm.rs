@@ -227,6 +227,10 @@ impl<'a> DistinctEval<'a> {
 
     /// Evaluates the program for every row of the column: per-distinct
     /// verdicts first, then a chunked scatter by code.
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "`row` indexes the codes and the output in the chunked scatter the VM differential pins"
+    )]
     pub fn eval_all_rows(&mut self) -> Vec<bool> {
         let n_rows = self.this.n_rows();
         let mut out = vec![false; n_rows];
@@ -352,8 +356,8 @@ mod tests {
         let mut ev = DistinctEval::new(&p, dict.column(1), None);
         let all = ev.eval_all_rows();
         assert_eq!(all, vec![true, true, true, true, false]);
-        for row in 0..t.n_rows() {
-            assert_eq!(ev.eval_row(row), all[row]);
+        for (row, &expected) in all.iter().enumerate() {
+            assert_eq!(ev.eval_row(row), expected);
         }
     }
 

@@ -110,7 +110,7 @@ fn random_check(rng: &mut Rng, n_cols: usize, col: usize) -> Check {
         0 => Check::NotMissing,
         1 => Check::PatternTemplate {
             allowed: (0..rng.below(4))
-                .map(|_| zeroed_criteria::l3_pattern(*rng.pick(VALUES)))
+                .map(|_| zeroed_criteria::l3_pattern(rng.pick::<&str>(VALUES)))
                 .collect(),
         },
         2 => {
@@ -258,12 +258,9 @@ fn columnar_distinct_eval_matches_the_per_cell_vm() {
             program.other_col.map(|c| dict.column(c as usize)),
         );
         let scattered = ev.eval_all_rows();
-        for row in 0..n_rows {
-            assert_eq!(
-                scattered[row],
-                check.evaluate(&table, row, col),
-                "row {row}"
-            );
+        assert_eq!(scattered.len(), n_rows);
+        for (row, &got) in scattered.iter().enumerate() {
+            assert_eq!(got, check.evaluate(&table, row, col), "row {row}");
         }
     }
 }

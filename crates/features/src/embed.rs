@@ -55,7 +55,7 @@ fn fnv1a_char(mut hash: u64, c: char) -> u64 {
 thread_local! {
     /// Reusable (marked-token chars, per-token accumulator) scratch space so
     /// `embed_into` allocates nothing after the first call on a thread.
-    static SCRATCH: RefCell<(Vec<char>, Vec<f32>)> = RefCell::new((Vec::new(), Vec::new()));
+    static SCRATCH: RefCell<(Vec<char>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Character n-gram hashing embedder.

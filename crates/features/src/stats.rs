@@ -31,6 +31,9 @@ fn level_index(level: Level) -> usize {
     }
 }
 
+/// One column pair's co-occurrence counts: (code_j, code_q) → count.
+type PairCounts = HashMap<(u32, u32), usize, FxBuild>;
+
 /// Pre-computed per-attribute frequency statistics for one table.
 #[derive(Debug, Clone)]
 pub struct FrequencyModel {
@@ -42,7 +45,7 @@ pub struct FrequencyModel {
     pattern_count_of_code: Vec<[Vec<usize>; 3]>,
     /// Lazily built co-occurrence maps keyed by (col_j, col_q):
     /// (code_j, code_q) → count.
-    pair_counts: HashMap<(usize, usize), HashMap<(u32, u32), usize, FxBuild>>,
+    pair_counts: HashMap<(usize, usize), PairCounts>,
     /// Per prepared pair: the co-occurrence count of each *row's* code pair,
     /// so a column fill reads an array instead of hashing.
     pair_row_counts: HashMap<(usize, usize), Vec<u32>>,
@@ -56,6 +59,10 @@ impl FrequencyModel {
 
     /// Builds the model over an existing dictionary (shared with other
     /// featurisation layers so the table is interned exactly once).
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "`j` indexes the dictionary and two per-column tables the feature oracle pins"
+    )]
     pub fn from_dict(dict: Arc<TableDict>) -> Self {
         let n_rows = dict.n_rows();
         let n_cols = dict.n_cols();
@@ -170,7 +177,7 @@ impl FrequencyModel {
         }
         let codes_j = self.dict.column(col_j).codes();
         let codes_q = self.dict.column(col_q).codes();
-        let mut map: HashMap<(u32, u32), usize, FxBuild> = HashMap::default();
+        let mut map: PairCounts = HashMap::default();
         for (&cj, &cq) in codes_j.iter().zip(codes_q.iter()) {
             *map.entry((cj, cq)).or_insert(0) += 1;
         }

@@ -1,13 +1,12 @@
 //! [`Budget`]: the counting semaphore that bounds how many requests one
 //! serving backend handles at once.
 //!
-//! The simulator gates every call on one ([`crate::SimLlm`]'s serving
-//! capacity), and the multi-backend router in `zeroed-runtime` gates each
-//! backend on another (its per-backend concurrency budget).
+//! The simulator gates every call on one: [`crate::SimLlm`]'s serving
+//! capacity.
 
 use std::sync::{Condvar, Mutex};
 
-/// A counting semaphore over in-flight requests; capacity `0` never blocks.
+/// A counting semaphore over in-flight requests.
 #[derive(Debug)]
 pub struct Budget {
     capacity: usize,
@@ -16,7 +15,8 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// A budget admitting `capacity` requests at once (`0` = unlimited).
+    /// A budget admitting `capacity` requests at once (at least 1: a
+    /// budget of 0 admits nothing).
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
@@ -25,9 +25,9 @@ impl Budget {
         }
     }
 
-    /// The configured limit, `None` when unlimited.
-    pub fn capacity(&self) -> Option<usize> {
-        (self.capacity > 0).then_some(self.capacity)
+    /// The configured limit.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Blocks until a slot frees up; the permit releases on drop, so a
@@ -35,7 +35,7 @@ impl Budget {
     pub fn acquire(&self) -> BudgetPermit<'_> {
         let mut n = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
         let mut waited = false;
-        while self.capacity > 0 && *n >= self.capacity {
+        while *n >= self.capacity {
             waited = true;
             n = self.freed.wait(n).unwrap_or_else(|e| e.into_inner());
         }

@@ -224,21 +224,6 @@ pub trait LlmClient: Send + Sync {
         self.complete(&Request::Tuple { table, row }).into_flags()
     }
 
-    /// The model identity a caching layer folds into its content-addressed
-    /// request keys (and persists with stored responses).
-    ///
-    /// Defaults to [`LlmClient::name`]. Composite clients whose *responses*
-    /// are those of an underlying model override this: the multi-backend
-    /// router in `zeroed-runtime` answers with whatever its
-    /// response-equivalent backends answer, so it reports the backends'
-    /// identity rather than its own `router[...]` display name — a routed run
-    /// and a single-backend run then share cache entries (and cross-process
-    /// store entries), which is what makes warm starts work across execution
-    /// modes.
-    fn cache_identity(&self) -> &str {
-        self.name()
-    }
-
     /// Hash of any *hidden* per-request state a caching layer must fold into
     /// its content-addressed request keys.
     ///
@@ -265,27 +250,10 @@ pub trait LlmClient: Send + Sync {
     /// number into the corruption draw, so a re-ask of a mangled request
     /// redraws independently (usually healthy, occasionally re-mangled), and
     /// its ledger books the re-ask's tokens on the distinct `reask` line.
-    /// Composite clients forward the mark: a caching layer to its inner
-    /// client, the multi-backend router to *all* backends (any of them may
-    /// end up executing the re-ask).
+    /// Composite clients (the repair and caching layers) forward the mark
+    /// to their inner client.
     fn note_reask(&self, salt: u64, attempt: u32) {
         let _ = (salt, attempt);
-    }
-
-    /// Simulated-fault probe for the request identified by `salt` (the value
-    /// [`LlmClient::request_salt`] returns for it).
-    ///
-    /// Orchestration layers — in particular the multi-backend router in
-    /// `zeroed-runtime` — consult this *before* executing a request so a
-    /// backend scheduled to error or time out can be skipped, counted against
-    /// its circuit breaker and failed over deterministically. The default is
-    /// `None` (a served client's failures are real, not injected); the
-    /// simulator answers from its seeded [`crate::FaultSchedule`], which keys
-    /// the decision off the salt so runs stay reproducible regardless of
-    /// scheduling.
-    fn injected_fault(&self, salt: u64) -> Option<crate::FaultKind> {
-        let _ = salt;
-        None
     }
 
     /// How many requests this client can serve at once, if it knows.
@@ -295,7 +263,7 @@ pub trait LlmClient: Send + Sync {
     /// `RuntimeConfig::workers` is 0, and falls back to one request per
     /// core when it is `None` (the default). The simulator reports its
     /// fixed serving capacity; composite clients forward their inner
-    /// client's answer, and the multi-backend router sums its backends'.
+    /// client's answer.
     fn max_in_flight(&self) -> Option<usize> {
         None
     }

@@ -12,7 +12,7 @@
 //! [`Response`]. The pipeline calls the trait's typed helpers
 //! ([`LlmClient::label_batch`] and the rest), so it is agnostic to *which*
 //! model answers, and a layer stacked on a model (the repair ladder, the
-//! response cache, the multi-backend router) writes one method, not seven.
+//! response cache) writes one method, not seven.
 //!
 //! Two things matter for a faithful reproduction without network access:
 //!
@@ -31,7 +31,6 @@
 
 pub mod budget;
 pub mod client;
-pub mod fault;
 pub mod mangle;
 pub mod profile;
 pub mod prompts;
@@ -41,7 +40,6 @@ pub mod token;
 
 pub use budget::{Budget, BudgetPermit};
 pub use client::{AttributeContext, DistributionAnalysis, ErrorTypeGuide, Guideline, LlmClient};
-pub use fault::{FaultKind, FaultSchedule};
 pub use mangle::{MangleKind, MangleSchedule};
 pub use profile::{LlmLatency, LlmProfile};
 pub use request::{Request, RequestKind, Response};

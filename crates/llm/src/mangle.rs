@@ -1,22 +1,20 @@
 //! Seeded, deterministic *content*-fault injection for simulated LLM backends.
 //!
-//! [`crate::FaultSchedule`] models transport pathologies: a request errors,
-//! times out, or lands in a latency slow-tail. Real LLM serving has a second,
-//! nastier failure axis — the request *succeeds* but the body is wrong:
-//! truncated lists, malformed or partially-emitted JSON, hallucinated column
-//! names, wrong-arity answers, schema drift, or an empty body. A
+//! Real LLM serving has a failure that no transport error reports: the
+//! request *succeeds* but the body is wrong — truncated lists, malformed or
+//! partially-emitted JSON, hallucinated column names, wrong-arity answers,
+//! schema drift, or an empty body. A
 //! [`MangleSchedule`] decides, purely as a function of its own seed, the
 //! request's hidden-state salt ([`crate::LlmClient::request_salt`]) and the
 //! attempt number, whether a given response is corrupted and how.
 //!
 //! Keying off the salt (rather than a call counter) keeps runs reproducible
 //! regardless of scheduling: the same request is mangled the same way no
-//! matter which worker thread issues it, in which execution mode, or through
-//! which router backend — provided every response-equivalent backend carries
-//! the same schedule. Folding the attempt number gives re-asks an independent
-//! draw: a repair layer that re-asks a mangled request gets a fresh (usually
-//! healthy, occasionally re-mangled) response, which is exactly how retry
-//! against a flaky serving stack behaves.
+//! matter which worker thread issues it or in which execution mode. Folding
+//! the attempt number gives re-asks an independent draw: a repair layer that
+//! re-asks a mangled request gets a fresh (usually healthy, occasionally
+//! re-mangled) response, which is exactly how retry against a flaky serving
+//! stack behaves.
 //!
 //! The simulator stays infallible at the transport level: a mangled call
 //! still "succeeds" and is charged to the token ledger at the corrupted
@@ -73,10 +71,9 @@ impl MangleKind {
 ///
 /// `rate` is the probability that a given `(salt, attempt)` pair is mangled;
 /// the kind is a second independent uniform draw over [`MangleKind::ALL`].
-/// The draw is a deterministic hash of `(seed, salt, attempt)` using a
-/// different mixing constant than [`crate::FaultSchedule`], so transport and
-/// content faults hit (statistically) independent request sets even when both
-/// schedules share a seed.
+/// The draw is a deterministic hash of `(seed, salt, attempt)`; its seed
+/// multiplier (`0xa076_1d64_78bd_642f`) decides which requests are mangled,
+/// so changing it changes every mangled run's masks and ledgers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MangleSchedule {
     /// Seed separating this client's corruption pattern from others'.
@@ -109,9 +106,8 @@ impl MangleSchedule {
         if self.is_healthy() {
             return None;
         }
-        // splitmix64 over (seed, salt, attempt) — the same generator as
-        // `FaultSchedule::decide` but seeded through a different odd
-        // constant, so content faults decorrelate from transport faults.
+        // splitmix64 over (seed, salt, attempt), seeded through an odd
+        // constant.
         let mut x = self
             .seed
             .wrapping_mul(0xa076_1d64_78bd_642f)
@@ -207,26 +203,5 @@ mod tests {
                 "kind {kind:?} share off: {share}"
             );
         }
-    }
-
-    #[test]
-    fn mangle_draw_decorrelates_from_fault_draw() {
-        // Same seed on both schedules: the request sets they hit must not
-        // coincide (the whole point of the distinct mixing constant).
-        let m = MangleSchedule::uniform(5, 0.3);
-        let f = crate::FaultSchedule {
-            seed: 5,
-            error_rate: 0.3,
-            timeout_rate: 0.0,
-            slow_tail_rate: 0.0,
-            slow_tail_ms: 0.0,
-        };
-        let n = 4_000u64;
-        let both = (0..n)
-            .filter(|&salt| m.decide(salt, 0).is_some() && f.decide(salt).is_some())
-            .count();
-        let frac = both as f64 / n as f64;
-        // Independent 0.3 × 0.3 ≈ 0.09; perfectly correlated would be 0.3.
-        assert!(frac < 0.15, "mangle and fault draws correlate: {frac}");
     }
 }

@@ -16,7 +16,6 @@ pub mod profiling;
 
 use crate::budget::Budget;
 use crate::client::{AttributeContext, LlmClient};
-use crate::fault::{FaultKind, FaultSchedule};
 use crate::mangle::{MangleKind, MangleSchedule};
 use crate::profile::LlmProfile;
 use crate::request::{Request, Response};
@@ -49,9 +48,6 @@ pub struct SimLlm {
     /// disables the simulated sleep so tests stay instant. Benchmarks enable
     /// it to make scheduling/caching wins measurable in wall-clock.
     latency_scale: f64,
-    /// Seeded fault-injection schedule (see [`crate::fault`]). `None` means a
-    /// perfectly healthy backend.
-    faults: Option<FaultSchedule>,
     /// Seeded content-corruption schedule (see [`crate::mangle`]). `None`
     /// means responses are never mangled.
     mangling: Option<MangleSchedule>,
@@ -93,7 +89,6 @@ impl SimLlm {
             ledger: TokenLedger::new(),
             oracle: Oracle::default(),
             latency_scale: 0.0,
-            faults: None,
             mangling: None,
             attempts: Mutex::new(HashMap::new()),
             mangled_responses: Mutex::new(0),
@@ -135,25 +130,11 @@ impl SimLlm {
         self
     }
 
-    /// Attaches a seeded fault-injection schedule.
-    ///
-    /// The simulator itself never fails a call: error/timeout decisions are
-    /// surfaced through [`LlmClient::injected_fault`] for an orchestration
-    /// layer (the `zeroed-runtime` router) to act on *before* executing, while
-    /// slow-tail decisions add the schedule's penalty to this backend's
-    /// simulated serving latency (recorded in the ledger's sim cost and slept
-    /// when [`SimLlm::with_latency_scale`] enables sleeping). Responses and
-    /// token charges are unaffected — a slow-tail call is correct, just late.
-    pub fn with_faults(mut self, schedule: FaultSchedule) -> Self {
-        self.faults = Some(schedule);
-        self
-    }
-
     /// Attaches a seeded content-corruption schedule (see [`crate::mangle`]).
     ///
-    /// Unlike transport faults, mangled calls *succeed*: the response body is
-    /// corrupted per the schedule's seeded draw over `(salt, attempt)` and
-    /// charged to the ledger at its corrupted size. The FM_ED per-tuple path
+    /// Mangled calls *succeed*: the response body is corrupted per the
+    /// schedule's seeded draw over `(salt, attempt)` and charged to the
+    /// ledger at its corrupted size. The FM_ED per-tuple path
     /// ([`LlmClient::detect_tuple`]) is exempt — it is a baseline outside the
     /// pipeline's repair layer, so corrupting it would only measure the
     /// baseline's lack of a repair path, not the pipeline's degradation.
@@ -192,11 +173,9 @@ impl SimLlm {
     /// Records one rendered call in the ledger (tokens + simulated latency),
     /// admits it to a serving slot (waiting while all are taken) and, when
     /// latency simulation is enabled, sleeps for the scaled cost in it.
-    /// `extra` is additional serving latency beyond the profile's token-linear
-    /// model — the slow-tail fault penalty. `reask` marks the call as a
-    /// repair-layer re-ask, booking its tokens on the ledger's distinct
-    /// re-ask line (still included in the main usage).
-    fn charge(&self, prompt: &str, response: &str, extra: std::time::Duration, reask: bool) {
+    /// `reask` marks the call as a repair-layer re-ask, booking its tokens on
+    /// the ledger's distinct re-ask line (still included in the main usage).
+    fn charge(&self, prompt: &str, response: &str, reask: bool) {
         let input = crate::token::count_tokens(prompt);
         let output = crate::token::count_tokens(response);
         if reask {
@@ -204,26 +183,13 @@ impl SimLlm {
         } else {
             self.ledger.record_counts(input, output);
         }
-        let cost = self.profile.latency.call_cost(input, output) + extra;
+        let cost = self.profile.latency.call_cost(input, output);
         self.ledger.record_sim_cost(cost);
         let slot = self.serving.acquire();
         self.ledger
             .record_admission(slot.in_flight(), slot.waited());
         if self.latency_scale > 0.0 {
             std::thread::sleep(cost.mul_f64(self.latency_scale));
-        }
-    }
-
-    /// The slow-tail latency penalty (if any) the fault schedule injects into
-    /// the request identified by `salt`. Error/timeout faults are *not*
-    /// applied here — they surface through [`LlmClient::injected_fault`] so
-    /// an orchestration layer can reroute.
-    fn slow_tail_extra(&self, salt: u64) -> std::time::Duration {
-        match &self.faults {
-            Some(s) if !s.is_healthy() && s.decide(salt) == Some(FaultKind::SlowTail) => {
-                s.slow_tail_penalty()
-            }
-            _ => std::time::Duration::ZERO,
         }
     }
 
@@ -395,12 +361,7 @@ impl LlmClient for SimLlm {
             }
         };
         let text = request.render(&response);
-        self.charge(
-            &request.prompt(),
-            &text,
-            self.slow_tail_extra(salt),
-            attempt > 0,
-        );
+        self.charge(&request.prompt(), &text, attempt > 0);
         response
     }
 
@@ -422,7 +383,7 @@ impl LlmClient for SimLlm {
         };
         // Fold the column identity in even when `rows` is empty (the
         // refine/augment requests), so each per-attribute request draws its
-        // own fault/mangle decision and keeps a distinct re-ask attempt mark.
+        // own mangle decision and keeps a distinct re-ask attempt mark.
         for &col in &cols {
             mix(col as u64 + 1);
         }
@@ -449,12 +410,8 @@ impl LlmClient for SimLlm {
         }
     }
 
-    fn injected_fault(&self, salt: u64) -> Option<FaultKind> {
-        self.faults.as_ref().and_then(|s| s.decide(salt))
-    }
-
     fn max_in_flight(&self) -> Option<usize> {
-        self.serving.capacity()
+        Some(self.serving.capacity())
     }
 }
 

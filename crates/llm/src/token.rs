@@ -161,7 +161,7 @@ mod tests {
         assert_eq!(count_tokens(""), 0);
         let text = "Please label each of the following values as clean or erroneous.";
         let n = count_tokens(text);
-        assert!(n >= 11 && n <= 20, "got {n}");
+        assert!((11..=20).contains(&n), "got {n}");
         // Long single word still counts by characters.
         assert!(count_tokens(&"a".repeat(400)) >= 100);
     }

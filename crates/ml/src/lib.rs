@@ -22,8 +22,7 @@
 //!   driven by explicit seeds (counter-based RNG), so a detection run is
 //!   reproducible end-to-end: same features + same seed → same weights →
 //!   same error-mask predictions. The pipeline's bit-identical equivalence
-//!   suites (sequential vs concurrent vs routed vs warm-started) rest on
-//!   this.
+//!   suites (sequential vs concurrent vs warm-started) rest on this.
 //! * **No external math stack.** The workspace builds offline; everything
 //!   here is plain `f32` loops, which also keeps the per-column models cheap
 //!   enough to train one per attribute on 50k-row tables (see

@@ -187,6 +187,10 @@ impl Mlp {
     }
 
     /// Forward pass returning `(hidden_activations, probability)`.
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "`j` indexes the bias, the weight rows and `h` in the oracle-checked kernel"
+    )]
     fn forward(&self, x: &[f32]) -> (Vec<f32>, f32) {
         debug_assert_eq!(x.len(), self.input_dim);
         let mut h = vec![0.0f32; self.hidden];
@@ -850,8 +854,8 @@ mod tests {
         // Analytic gradient for w2.
         let (h, p) = mlp.forward(&x);
         let dlogit = p - y;
-        for j in 0..4 {
-            let analytic = dlogit * h[j];
+        for (j, &h_j) in h.iter().enumerate() {
+            let analytic = dlogit * h_j;
             let mut plus = mlp.clone();
             plus.w2.value[j] += 1e-3;
             let mut minus = mlp.clone();

@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn standardises_to_zero_mean_unit_variance() {
-        let data = vec![vec![1.0f32, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]];
+        let data = [vec![1.0f32, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]];
         let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
         let scaler = StandardScaler::fit(&rows);
         let transformed = scaler.transform_all(&rows);
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn constant_dimension_is_left_alone() {
-        let data = vec![vec![5.0f32, 1.0], vec![5.0, 2.0]];
+        let data = [vec![5.0f32, 1.0], vec![5.0, 2.0]];
         let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
         let scaler = StandardScaler::fit(&rows);
         let t = scaler.transform(&[5.0, 1.5]);
@@ -156,6 +156,10 @@ mod tests {
 
     /// Unit weights must reproduce the unweighted fit bit-for-bit.
     #[test]
+    #[allow(
+        clippy::approx_constant,
+        reason = "3.14 is an arbitrary scale, not π; changing it would change the test data"
+    )]
     fn unit_weighted_fit_is_bit_identical() {
         let data: Vec<Vec<f32>> = (0..50)
             .map(|i| vec![(i % 7) as f32 * 0.93 - 1.7, (i % 11) as f32 * 3.14])

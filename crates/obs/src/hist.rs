@@ -3,9 +3,10 @@
 //! A [`Histogram`] keeps lock-free lifetime counters (count, total, max) and
 //! a bounded sliding window of raw samples: the most recent `window` samples
 //! under a short mutex. Quantiles are computed over a sorted copy of this
-//! window with the nearest-rank rule `idx = ceil(q·n) − 1`, matching the
-//! semantics the router's `latency_quantile` tests pin (100 samples of
+//! window with the nearest-rank rule `idx = ceil(q·n) − 1` (100 samples of
 //! 1..=100ms: q0.5 → 50ms, q0.99 → 99ms, q1.0 → 100ms; empty → 0).
+//! [`Histogram::snapshot`] reads the lifetime counters and the window's
+//! p50/p95/p99 at once.
 
 use crate::profile::{Quantiles, StageProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,19 +48,18 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Default bound on the raw-sample window (the historical 4096-sample
-    /// sliding window the router's quantiles were specified against).
-    pub const DEFAULT_WINDOW: usize = 4096;
+    /// Bound on the raw-sample window: quantiles describe the most recent
+    /// 4096 samples.
+    const WINDOW: usize = 4096;
 
-    /// A histogram with the default raw-sample window
-    /// ([`Histogram::DEFAULT_WINDOW`]).
+    /// A histogram whose quantiles describe the most recent 4096 samples.
     pub fn new() -> Self {
-        Self::with_window(Self::DEFAULT_WINDOW)
+        Self::with_window(Self::WINDOW)
     }
 
     /// A histogram whose quantiles are computed over the last `window`
-    /// samples. `window` is clamped to at least 1.
-    pub fn with_window(window: usize) -> Self {
+    /// samples (the tests' small windows). `window` is clamped to at least 1.
+    fn with_window(window: usize) -> Self {
         Self {
             count: AtomicU64::new(0),
             total_nanos: AtomicU64::new(0),
@@ -86,33 +86,6 @@ impl Histogram {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(nanos);
-    }
-
-    /// Lifetime sample count (not bounded by the window).
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime sum of all recorded durations.
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.total_nanos.load(Ordering::Relaxed))
-    }
-
-    /// Largest duration ever recorded.
-    pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_nanos.load(Ordering::Relaxed))
-    }
-
-    /// The raw samples currently in the window, oldest-first ordering not
-    /// guaranteed (callers sort as needed).
-    pub fn samples(&self) -> Vec<Duration> {
-        self.window
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .buf
-            .iter()
-            .map(|&n| Duration::from_nanos(n))
-            .collect()
     }
 
     /// The current window's samples in ascending order.
@@ -239,7 +212,6 @@ mod tests {
     fn empty_histogram_is_zero() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.99), Duration::ZERO);
-        assert_eq!(h.count(), 0);
         assert_eq!(h.snapshot(), HistogramSnapshot::default());
     }
 
@@ -250,10 +222,10 @@ mod tests {
             h.record(Duration::from_millis(ms));
         }
         // Lifetime count keeps everything; quantiles only see the last 4.
-        assert_eq!(h.count(), 8);
+        assert_eq!(h.snapshot().count, 8);
         assert_eq!(h.quantile(0.5), Duration::from_millis(200));
         assert_eq!(h.quantile(1.0), Duration::from_millis(400));
-        assert_eq!(h.max(), Duration::from_millis(400));
+        assert_eq!(h.snapshot().max_nanos, 400_000_000);
     }
 
     #[test]

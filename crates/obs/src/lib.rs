@@ -10,8 +10,7 @@
 //!   value that renders as a human-readable breakdown table.
 //! * [`Histogram`] — latency histogram: lifetime count/total/max plus a
 //!   bounded sliding window of raw samples for **exact** nearest-rank
-//!   p50/p95/p99 extraction (`idx = ceil(q·n) − 1` over the sorted window, the same
-//!   semantics the router's quantile tests pin).
+//!   p50/p95/p99 extraction (`idx = ceil(q·n) − 1` over the sorted window).
 //! * [`TraceRecorder`] / [`TraceEvent`] — the per-request causal **flight
 //!   recorder**: deterministic [`TraceId`]s minted from request keys, a
 //!   bounded drop-oldest [`EventRing`] with exact per-kind counts and drop

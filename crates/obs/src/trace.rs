@@ -6,8 +6,7 @@
 //! time go?"*; this module answers *"what happened to this request?"*. Every
 //! serving-stack layer emits [`TraceEvent`]s into one per-run
 //! [`TraceRecorder`]: the scheduler's submit/start/end, the response cache's
-//! hit/miss/coalesce/park/publish, the router's primary selection, failover,
-//! fault, breaker and hedge decisions, the repair ladder's
+//! hit/miss/coalesce/park/publish, the repair ladder's
 //! mangled/salvaged/re-asked/defaulted steps, and the store's
 //! persist/preload.
 //!
@@ -16,25 +15,25 @@
 //! * **Deterministic identity** — a [`TraceId`] is a pure function of the
 //!   128-bit request key and a run nonce ([`TraceId::from_key`]), so the
 //!   same logical request carries the same id across execution modes
-//!   (sequential / concurrent / routed / warm) and across the layers that
+//!   (sequential / concurrent / warm) and across the layers that
 //!   see the key at different times (cache adapter, store writer thread).
 //! * **Exact accounting under bounded memory** — the ring ([`EventRing`])
 //!   holds a fixed number of events and drops oldest-first, but per-kind
 //!   counts are atomics updated on *every* emit, and the drop count is
 //!   exact: `recorded == ring.len() + dropped` always. Reconciliation
-//!   against `CacheStats` / `RouterStats` / `RepairCounters` therefore never
-//!   degrades when the ring wraps.
+//!   against `CacheStats` / `RepairCounters` therefore never degrades when
+//!   the ring wraps.
 //! * **Checkable causality** — [`check_causality`] verifies the event
 //!   stream's well-formedness (no execute-before-submit, terminal task event
-//!   exactly once, every cache publish preceded by its miss, hedges resolved
-//!   before their request completes, repair ladders that balance).
+//!   exactly once, every cache publish preceded by its miss, repair ladders
+//!   that balance).
 //!
 //! Cross-layer correlation uses a thread-local *request scope*: the cache
 //! adapter (the single choke point every LLM request passes through) installs
 //! the recorder + trace id with [`request_scope`]; layers below it either
 //! emit through [`emit_current`] (the shared cache, which must attribute
 //! events only to calls made under a scope) or hold their own recorder handle
-//! and stamp [`current_id`] (repair ladder, router, scheduler workers).
+//! and stamp [`current_id`] (repair ladder, scheduler workers).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -124,41 +123,23 @@ pub enum EventKind {
     CachePublish = 6,
     /// Cache: a waiter parked on an in-flight slot (`arg` = park nanos).
     CacheParkWait = 7,
-    /// Router: primary backend selected (`arg` = backend index).
-    RouterPrimary = 8,
-    /// Router: failover skipped an unhealthy backend (`arg` = skipped index).
-    RouterFailover = 9,
-    /// Router: a scheduled fault fired on a probed backend (`arg` = index).
-    FaultInjected = 10,
-    /// Router: a circuit breaker opened (`arg` = backend index).
-    BreakerTrip = 11,
-    /// Router: a half-open breaker admitted a probe (`arg` = backend index).
-    BreakerProbe = 12,
-    /// Router: a hedge fired against a second backend (`arg` = hedge index).
-    HedgeFired = 13,
-    /// Router: the hedge lost the race and was cancelled (`arg` = loser).
-    HedgeCancelled = 14,
-    /// Router: the hedge won the race (`arg` = winning backend index).
-    HedgeWon = 15,
-    /// Router: the routed call completed (terminal per `route()` call).
-    RouterDone = 16,
     /// Repair: validation rejected a response; the ladder engaged.
-    RepairMangled = 17,
+    RepairMangled = 8,
     /// Repair: structural salvage recovered the response.
-    RepairSalvaged = 18,
+    RepairSalvaged = 9,
     /// Repair: a re-ask round-trip recovered the response (`arg` = attempt).
-    RepairReasked = 19,
+    RepairReasked = 10,
     /// Repair: the ladder exhausted and the stage default was used.
-    RepairDefaulted = 20,
+    RepairDefaulted = 11,
     /// Store: one record written through to disk by the background writer.
-    StorePersist = 21,
+    StorePersist = 12,
     /// Store: run-scoped preload marker (`arg` = records preloaded).
-    StorePreload = 22,
+    StorePreload = 13,
 }
 
 impl EventKind {
     /// Number of kinds (the per-kind counter array length).
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 14;
 
     /// Every kind, in discriminant order.
     pub const ALL: [EventKind; EventKind::COUNT] = [
@@ -170,15 +151,6 @@ impl EventKind {
         EventKind::CacheMiss,
         EventKind::CachePublish,
         EventKind::CacheParkWait,
-        EventKind::RouterPrimary,
-        EventKind::RouterFailover,
-        EventKind::FaultInjected,
-        EventKind::BreakerTrip,
-        EventKind::BreakerProbe,
-        EventKind::HedgeFired,
-        EventKind::HedgeCancelled,
-        EventKind::HedgeWon,
-        EventKind::RouterDone,
         EventKind::RepairMangled,
         EventKind::RepairSalvaged,
         EventKind::RepairReasked,
@@ -204,15 +176,6 @@ impl EventKind {
             EventKind::CacheMiss => "cache_miss",
             EventKind::CachePublish => "cache_publish",
             EventKind::CacheParkWait => "cache_park_wait",
-            EventKind::RouterPrimary => "router_primary",
-            EventKind::RouterFailover => "router_failover",
-            EventKind::FaultInjected => "fault_injected",
-            EventKind::BreakerTrip => "breaker_trip",
-            EventKind::BreakerProbe => "breaker_probe",
-            EventKind::HedgeFired => "hedge_fired",
-            EventKind::HedgeCancelled => "hedge_cancelled",
-            EventKind::HedgeWon => "hedge_won",
-            EventKind::RouterDone => "router_done",
             EventKind::RepairMangled => "repair_mangled",
             EventKind::RepairSalvaged => "repair_salvaged",
             EventKind::RepairReasked => "repair_reasked",
@@ -233,7 +196,7 @@ pub struct TraceEvent {
     pub trace: TraceId,
     /// What happened.
     pub kind: EventKind,
-    /// Kind-specific argument (backend index, park nanos, preload count, …).
+    /// Kind-specific argument (park nanos, re-ask attempt, preload count, …).
     pub arg: u64,
 }
 
@@ -446,8 +409,8 @@ pub fn emit_current(kind: EventKind, arg: u64) {
 }
 
 /// The current thread's request id, or [`TraceId::NONE`] outside any scope.
-/// Components that hold their own recorder handle (repair ladder, router)
-/// use this to stamp their events.
+/// Components that hold their own recorder handle (the repair ladder) use
+/// this to stamp their events.
 pub fn current_id() -> TraceId {
     CURRENT.with(|c| c.borrow().as_ref().map_or(TraceId::NONE, |(_, id)| *id))
 }
@@ -596,10 +559,6 @@ impl TraceSummary {
 /// * **cache** — every publish is preceded by a matching miss
 ///   (prefix-wise `publishes ≤ misses`) and totals balance exactly; a
 ///   coalesced marker never outnumbers hits;
-/// * **hedges** — resolutions never outnumber fires prefix-wise, every
-///   `route()` completion has its hedge resolved (`fired == won +
-///   cancelled` at each [`EventKind::RouterDone`] and at end of trace — a
-///   hedge-cancel after completion is therefore caught);
 /// * **repair** — ladder outcomes never outnumber engagements prefix-wise
 ///   and balance exactly at end of trace
 ///   (`mangled == salvaged + reasked + defaulted`).
@@ -617,9 +576,6 @@ pub fn check_causality(events: &[TraceEvent]) -> Result<(), String> {
         coalesced: u64,
         miss: u64,
         publish: u64,
-        fired: u64,
-        cancelled: u64,
-        won: u64,
         mangled: u64,
         salvaged: u64,
         reasked: u64,
@@ -660,24 +616,6 @@ pub fn check_causality(events: &[TraceEvent]) -> Result<(), String> {
                     return fail(raw, "cache publish without a preceding miss");
                 }
             }
-            EventKind::HedgeFired => t.fired += 1,
-            EventKind::HedgeCancelled => {
-                t.cancelled += 1;
-                if t.cancelled + t.won > t.fired {
-                    return fail(raw, "hedge cancelled that was never fired");
-                }
-            }
-            EventKind::HedgeWon => {
-                t.won += 1;
-                if t.cancelled + t.won > t.fired {
-                    return fail(raw, "hedge won that was never fired");
-                }
-            }
-            EventKind::RouterDone => {
-                if t.fired != t.cancelled + t.won {
-                    return fail(raw, "request completed with an unresolved hedge");
-                }
-            }
             EventKind::RepairMangled => t.mangled += 1,
             EventKind::RepairSalvaged => {
                 t.salvaged += 1;
@@ -697,14 +635,7 @@ pub fn check_causality(events: &[TraceEvent]) -> Result<(), String> {
                     return fail(raw, "repair outcome without a mangled response");
                 }
             }
-            EventKind::CacheParkWait
-            | EventKind::RouterPrimary
-            | EventKind::RouterFailover
-            | EventKind::FaultInjected
-            | EventKind::BreakerTrip
-            | EventKind::BreakerProbe
-            | EventKind::StorePersist
-            | EventKind::StorePreload => {}
+            EventKind::CacheParkWait | EventKind::StorePersist | EventKind::StorePreload => {}
         }
     }
     for (raw, t) in &traces {
@@ -717,9 +648,6 @@ pub fn check_causality(events: &[TraceEvent]) -> Result<(), String> {
         }
         if t.publish != t.miss {
             return fail(*raw, "cache publishes do not balance misses");
-        }
-        if t.fired != t.cancelled + t.won {
-            return fail(*raw, "trace ended with an unresolved hedge");
         }
         if t.mangled != t.salvaged + t.reasked + t.defaulted {
             return fail(*raw, "repair ladder does not balance");
@@ -845,6 +773,16 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_each_kind_once_in_discriminant_order() {
+        for (i, kind) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?} is out of place in ALL");
+        }
+        let names: std::collections::HashSet<&str> =
+            EventKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), EventKind::COUNT, "kind names must be distinct");
+    }
+
+    #[test]
     fn trace_ids_are_deterministic_and_nonce_scoped() {
         let a = TraceId::from_key(42, 7);
         assert_eq!(a, TraceId::from_key(42, 7));
@@ -917,13 +855,10 @@ mod tests {
             ev(0, task, EventKind::TaskSubmit),
             ev(1, task, EventKind::TaskStart),
             ev(2, t, EventKind::CacheMiss),
-            ev(3, t, EventKind::HedgeFired),
-            ev(4, t, EventKind::HedgeCancelled),
-            ev(5, t, EventKind::RouterDone),
-            ev(6, t, EventKind::RepairMangled),
-            ev(7, t, EventKind::RepairSalvaged),
-            ev(8, t, EventKind::CachePublish),
-            ev(9, task, EventKind::TaskEnd),
+            ev(3, t, EventKind::RepairMangled),
+            ev(4, t, EventKind::RepairSalvaged),
+            ev(5, t, EventKind::CachePublish),
+            ev(6, task, EventKind::TaskEnd),
         ];
         assert!(check_causality(&stream).is_ok());
     }
@@ -944,15 +879,6 @@ mod tests {
         .is_err());
         // Publish without a miss.
         assert!(check_causality(&[ev(0, t, EventKind::CachePublish)]).is_err());
-        // Hedge cancelled after completion.
-        assert!(check_causality(&[
-            ev(0, t, EventKind::CacheMiss),
-            ev(1, t, EventKind::HedgeFired),
-            ev(2, t, EventKind::RouterDone),
-            ev(3, t, EventKind::HedgeCancelled),
-            ev(4, t, EventKind::CachePublish),
-        ])
-        .is_err());
         // Repair ladder that does not balance.
         assert!(check_causality(&[ev(0, t, EventKind::RepairMangled)]).is_err());
     }

@@ -60,7 +60,7 @@ pub struct CachedLlm<'a> {
     /// Per-request flight recorder. When present, [`CachedLlm::resolve`] mints
     /// the request's [`zeroed_obs::TraceId`] from its [`RequestKey`] and
     /// installs a thread-local trace scope around the cache lookup, so every
-    /// layer underneath (cache, router, repair) journals into the same trace.
+    /// layer underneath (cache, repair) journals into the same trace.
     recorder: Option<Arc<TraceRecorder>>,
     /// Activity of *this adapter only*: the one count of each lookup, so a
     /// detection run's `PipelineStats` stay its own even when cloned
@@ -114,7 +114,7 @@ impl<'a> CachedLlm<'a> {
     /// Attaches a flight recorder: every request resolved through this
     /// adapter runs inside a [`zeroed_obs::TraceScope`] whose id is minted
     /// deterministically from the request's key
-    /// ([`TraceRecorder::trace_for_key`]), so cache, router and repair events
+    /// ([`TraceRecorder::trace_for_key`]), so cache and repair events
     /// correlate per logical request across execution modes.
     pub fn with_recorder(mut self, recorder: Arc<TraceRecorder>) -> Self {
         self.recorder = Some(recorder);
@@ -137,10 +137,7 @@ impl<'a> CachedLlm<'a> {
     /// fingerprint, the request's column, then its kind-specific fields and
     /// prompt, then the wrapped client's salt.
     fn key(&self, request: &Request<'_>, prompt: &str) -> RequestKey {
-        // `cache_identity`, not `name`: composite clients (the router)
-        // answer with their backends' responses and share their identity, so
-        // cached — and persisted — entries stay valid across execution modes.
-        let mut b = RequestKey::builder(request.kind(), self.inner.cache_identity());
+        let mut b = RequestKey::builder(request.kind(), self.inner.name());
         let (_, column, rows) = request.target();
         b.word(self.table_fp).column(column);
         match request {
@@ -229,10 +226,6 @@ impl LlmClient for CachedLlm<'_> {
 
     fn note_reask(&self, salt: u64, attempt: u32) {
         self.inner.note_reask(salt, attempt);
-    }
-
-    fn cache_identity(&self) -> &str {
-        self.inner.cache_identity()
     }
 
     fn max_in_flight(&self) -> Option<usize> {

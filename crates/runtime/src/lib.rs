@@ -62,32 +62,16 @@
 //! [`CachedLlm`] packages stations 1, 2 and 4 behind the ordinary
 //! [`zeroed_llm::LlmClient`] trait, so pipeline code does not change shape
 //! when caching is enabled. Like every layer of the stack (the repair ladder
-//! and the router too), it implements the one prompt method,
-//! [`zeroed_llm::LlmClient::complete`], for all seven request kinds.
-//!
-//! ## Multi-backend routing
-//!
-//! [`RouterLlm`] extends station 3 across N backends. It is itself an
-//! ordinary [`zeroed_llm::LlmClient`], so the stack composes as
+//! too), it implements the one prompt method,
+//! [`zeroed_llm::LlmClient::complete`], for all seven request kinds. The
+//! stack composes as
 //!
 //! ```text
-//! pipeline stages → Scheduler request threads → CachedLlm → RouterLlm → backend 0..N
+//! pipeline stages → Scheduler request threads → CachedLlm → RepairLlm → SimLlm
 //! ```
 //!
-//! with cache hits short-circuiting before any routing happens. Per request
-//! the router derives a deterministic fingerprint (the [`RequestKey`] hash of
-//! kind + prompt + hidden-state salt) and, from it alone plus breaker state,
-//! decides which backend serves: fingerprint-spread primary selection,
-//! deterministic failover past backends scheduled to fail (probed through
-//! [`zeroed_llm::LlmClient::injected_fault`] and charged to per-backend
-//! circuit breakers clocked in routed requests), hedging of slow-tail
-//! requests onto a second backend after a latency-percentile deadline (the
-//! cancelled loser's cost lands on a `hedge_waste` ledger line), and fail-open
-//! execution when every backend is scheduled to fail — a request is never
-//! lost and never duplicated. Exactly one backend executes per routed
-//! request, which keeps token accounting exact:
-//! `sequential total = Σ per-backend useful tokens + cache savings`, with
-//! hedge waste reported separately.
+//! with cache hits short-circuiting before the repair ladder or the model
+//! runs.
 //!
 //! ## Cross-process persistence
 //!
@@ -122,13 +106,12 @@
 //!
 //! ## Conformance suites
 //!
-//! The contract — routed masks bit-identical to a single-backend sequential
-//! oracle under every fault schedule, ledgers reconciling to the token — is
-//! enforced by `tests/router_conformance.rs`; scheduler liveness under
-//! contention and hostile tasks by `tests/scheduler_stress.rs`;
-//! [`RequestKey`] derivation stability and the persisted-format version pins
-//! by `tests/request_key_golden.rs`; and the cross-process warm start
-//! (cold run → reopen in a fresh detector → zero-request warm run) by
+//! Scheduler liveness under contention and hostile tasks is enforced by
+//! `tests/scheduler_stress.rs`; [`RequestKey`] derivation stability and the
+//! persisted-format version pins by `tests/request_key_golden.rs`; the key
+//! [`CachedLlm`] derives for each request kind by
+//! `tests/adapter_key_golden.rs`; and the cross-process warm start (cold run
+//! → reopen in a fresh detector → zero-request warm run) by
 //! `crates/core/tests/store_warm_start.rs`.
 
 pub mod cache;
@@ -137,15 +120,11 @@ mod fifo;
 pub mod key;
 pub mod persist;
 mod pool;
-pub mod router;
 pub mod scheduler;
 
 pub use cache::{CacheTimings, Lookup, ResponseCache, ResponseOrigin, StoredResponse};
 pub use client::{CacheStats, CachedLlm};
 pub use key::{RequestKey, RequestKeyBuilder, RequestKind};
 pub use persist::{PersistStats, StoreLayer, StoreLayerTimings, StoreSink};
-pub use router::{
-    BackendConfig, BackendStats, BreakerPolicy, HedgePolicy, RouterConfig, RouterLlm, RouterStats,
-};
 pub use scheduler::{RuntimeConfig, Scheduler, SchedulerStats, SchedulerTimings};
 pub use zeroed_store::{FsyncPolicy, RecoveryReport, ShardedStore, StoreConfig, StoreStats};

@@ -226,7 +226,7 @@ impl StoreLayer {
                     }
                     let _ = store.sync();
                 })
-                .map_err(|e| io::Error::new(io::ErrorKind::Other, e))?
+                .map_err(io::Error::other)?
         };
         Ok(Self {
             store,

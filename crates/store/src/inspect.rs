@@ -168,11 +168,13 @@ impl VerifyIssue {
     }
 }
 
+/// One segment directory: its shard and writer slot (both `None` in a flat
+/// layout) and its path.
+type SegmentUnit = (Option<usize>, Option<usize>, PathBuf);
+
 /// Lists every segment directory under `root`: the root itself when the
 /// layout is flat, otherwise each `shard-KK/writer-WWW/`.
-fn segment_units(
-    root: &Path,
-) -> io::Result<(bool, usize, Vec<(Option<usize>, Option<usize>, PathBuf)>)> {
+fn segment_units(root: &Path) -> io::Result<(bool, usize, Vec<SegmentUnit>)> {
     let shard_count = read_meta(&root.join(META_FILE))?.unwrap_or(1);
     if shard_count <= 1 {
         return Ok((false, 1, vec![(None, None, root.to_path_buf())]));

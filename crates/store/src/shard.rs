@@ -113,7 +113,8 @@ struct Shard {
 enum Mode {
     /// Unsharded: the root directory *is* a single [`ResponseStore`]
     /// (backwards-compatible with every store written before sharding).
-    Single(ResponseStore),
+    /// Boxed: a store handle is far larger than the sharded variant.
+    Single(Box<ResponseStore>),
     /// Sharded: `shard-KK/` directories, one owned writer slot each.
     Sharded { root: PathBuf, shards: Vec<Shard> },
 }
@@ -154,7 +155,7 @@ impl ShardedStore {
             let store = ResponseStore::open(config.clone())?;
             return Ok(Self {
                 config,
-                mode: Mode::Single(store),
+                mode: Mode::Single(Box::new(store)),
             });
         }
         let mut shards = Vec::with_capacity(shard_count);

@@ -169,7 +169,7 @@ fn version_mismatched_segments_are_skipped_but_never_deleted() {
     let cksum = zeroed_store::checksum64(&future[0..20]);
     future[20..28].copy_from_slice(&cksum.to_le_bytes());
     let future_path = dir.join("seg-000042.zseg");
-    std::fs::write(&future_path, &future).unwrap();
+    std::fs::write(&future_path, future).unwrap();
 
     let store = ResponseStore::open(config.clone()).unwrap();
     assert_eq!(store.recovery().segments_skipped, 1);

@@ -19,8 +19,8 @@
 //!   profiler, latency histograms with exact quantiles, per-request flight
 //!   recorder);
 //! * [`runtime`] — the concurrent LLM orchestration runtime (worker-pool
-//!   scheduler, request-dedup response cache, and the multi-backend router
-//!   with hedged requests and circuit breaking);
+//!   scheduler, request-dedup response cache and its write-through
+//!   persistence layer);
 //! * [`store`] — the crash-safe on-disk response store (sharded writers,
 //!   TTL/GC, read-only inspection) behind cross-process warm starts;
 //! * [`baselines`] — dBoost, NADEEF, KATARA, Raha, ActiveClean and FM_ED;
@@ -58,8 +58,7 @@ pub mod prelude {
     pub use zeroed_baselines::{Baseline, BaselineInput, LabeledTuple};
     pub use zeroed_core::{DetectionOutcome, ZeroEd, ZeroEdConfig};
     pub use zeroed_datagen::{generate, DatasetSpec, ErrorSpec, GenerateOptions};
-    pub use zeroed_llm::{FaultSchedule, LlmClient, LlmProfile, SimLlm};
-    pub use zeroed_runtime::{RouterConfig, RouterLlm};
+    pub use zeroed_llm::{LlmClient, LlmProfile, SimLlm};
     pub use zeroed_table::{DetectionReport, ErrorMask, ErrorType, Table};
 }
 
