@@ -217,12 +217,9 @@ impl ZeroEdConfig {
     ///
     /// let dir = std::env::temp_dir().join(format!("zeroed-doc-store-{}", std::process::id()));
     /// let _ = std::fs::remove_dir_all(&dir);
-    /// // Tuning knobs ride on StoreConfig: `shards` lets several detector
-    /// // processes share the root, `ttl_secs` expires stale experiment bins.
-    /// let store = StoreConfig::new(dir.to_str().unwrap())
-    ///     .with_shards(2)
-    ///     .with_ttl_secs(7 * 24 * 3600);
-    /// let config = ZeroEdConfig::fast().with_store(store);
+    /// // Tuning knobs ride on StoreConfig (fsync policy, segment size,
+    /// // compaction threshold); `with_store_dir` takes the defaults.
+    /// let config = ZeroEdConfig::fast().with_store(StoreConfig::new(dir.to_str().unwrap()));
     ///
     /// let ds = generate(DatasetSpec::Beers, &GenerateOptions { n_rows: 60, seed: 5, error_spec: None });
     /// let cold = ZeroEd::new(config.clone()).detect(&ds.dirty, &SimLlm::default_model(1));
@@ -332,10 +329,10 @@ mod tests {
         let store = with.runtime.store.as_ref().expect("store configured");
         assert_eq!(store.dir, "/tmp/zeroed-store-test");
         let custom = ZeroEdConfig::default().with_store(zeroed_runtime::StoreConfig {
-            capacity: 128,
+            segment_max_bytes: 128,
             ..zeroed_runtime::StoreConfig::new("d")
         });
-        assert_eq!(custom.runtime.store.unwrap().capacity, 128);
+        assert_eq!(custom.runtime.store.unwrap().segment_max_bytes, 128);
     }
 
     #[test]

@@ -159,11 +159,11 @@ impl ZeroEd {
     }
 
     /// The persistence layer backing the cache, when a store is configured
-    /// and the cache is on (shared with clones of this detector). It keeps
-    /// the store's own facts: the recovery report from open
-    /// ([`StoreLayer::recovery`]), TTL expiries and live records
-    /// ([`StoreLayer::store_stats`]) and the shard count
-    /// (`layer.store().shard_count()`).
+    /// and the cache is on (shared with clones of this detector). Its
+    /// [`StoreLayer::store`] keeps the store's own facts: the recovery
+    /// report from open and the live and dead record counts. The layer holds
+    /// the store directory's lock until the detector and all its clones are
+    /// dropped, so a second detector on the same directory fails to open.
     pub fn store(&self) -> Option<&Arc<StoreLayer>> {
         self.store.as_ref()
     }
@@ -256,14 +256,11 @@ impl ZeroEd {
             profile.children.push(cache_node);
             if let Some(layer) = &self.store {
                 let lt = layer.timings();
-                let ss = layer.store_stats();
+                let ss = layer.store().stats();
                 let mut store_node = StageProfile::new("store");
                 store_node.parallel = true;
-                store_node.wall_nanos = lt.open_nanos
-                    + lt.preload_nanos
-                    + ss.fsync_nanos
-                    + ss.compaction_nanos
-                    + ss.gc_nanos;
+                store_node.wall_nanos =
+                    lt.open_nanos + lt.preload_nanos + ss.fsync_nanos + ss.compaction_nanos;
                 store_node
                     .children
                     .push(parallel_leaf("open", lt.open_nanos, 1));
@@ -279,11 +276,6 @@ impl ZeroEd {
                     "compaction",
                     ss.compaction_nanos,
                     ss.compactions,
-                ));
-                store_node.children.push(parallel_leaf(
-                    "gc",
-                    ss.gc_nanos,
-                    u64::from(ss.gc_nanos > 0),
                 ));
                 profile.children.push(store_node);
             }

@@ -8,9 +8,9 @@ use zeroed_table::ErrorMask;
 /// Summary counters describing what the pipeline did.
 ///
 /// Every counter here is this run's own. Facts that outlive a run are read
-/// where they are kept: the store's recovery report, TTL expiries and shard
-/// count from [`crate::ZeroEd::store`], and the records preloaded at
-/// construction from [`crate::ZeroEd::cache`]'s length before the first run.
+/// where they are kept: the store's recovery report and record counts from
+/// [`crate::ZeroEd::store`], and the records preloaded at construction from
+/// [`crate::ZeroEd::cache`]'s length before the first run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Cells labelled directly by the LLM.
@@ -57,7 +57,7 @@ pub struct PipelineStats {
     /// covering the pipeline and its sub-stages, with grafted parallel
     /// distribution nodes for per-attribute work, the scheduler (queue-wait
     /// / execute), the response cache (lock-hold / park-wait / preload) and
-    /// the persisted store (open / preload / fsync / compaction / GC). Two
+    /// the persisted store (open / preload / fsync / compaction). Two
     /// top-level spans cover the run: `features` (step 1, a barrier across
     /// attributes) and `attributes`, the wall of the per-attribute chains
     /// that stream steps 2–5. Under `attributes`, the parallel

@@ -12,9 +12,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use zeroed_core::{
-    CacheStats, PersistStats, PipelineStats, RuntimeConfig, StoreConfig, ZeroEd, ZeroEdConfig,
-};
+use zeroed_core::{CacheStats, PersistStats, PipelineStats, RuntimeConfig, ZeroEd, ZeroEdConfig};
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
 use zeroed_llm::{LlmClient, SimLlm, TokenUsage};
 use zeroed_table::ErrorMask;
@@ -141,7 +139,7 @@ fn warm_start_concurrent_to_concurrent() {
         preloaded, cold_stats.persist.persisted_records,
         "preload must replay the whole cold store"
     );
-    let recovery = warm_detector.store().unwrap().recovery();
+    let recovery = warm_detector.store().unwrap().store().recovery();
     assert_eq!(
         recovery.records_recovered as u64,
         cold_stats.persist.persisted_records
@@ -205,7 +203,7 @@ fn warm_start_survives_truncation_of_the_last_segment() {
         outcome.mask, oracle_mask,
         "recovered warm run must stay bit-identical"
     );
-    let recovery = detector.store().unwrap().recovery();
+    let recovery = detector.store().unwrap().store().recovery();
     assert!(
         (recovery.records_recovered as u64) < cold_stats.persist.persisted_records,
         "truncation must have cost some records"
@@ -240,8 +238,8 @@ fn warm_start_survives_truncation_of_the_last_segment() {
 // Byte-level store surgery helpers (simulating other builds / older stores).
 // ---------------------------------------------------------------------------
 
-/// Walks every `seg-*.zseg` under `dir` (recursively, so sharded layouts
-/// work too) and applies `rewrite` to its bytes.
+/// Walks every `seg-*.zseg` under `dir` (recursively) and applies `rewrite`
+/// to its bytes.
 fn rewrite_segments(dir: &std::path::Path, rewrite: &dyn Fn(&[u8]) -> Vec<u8>) {
     let mut stack = vec![dir.to_path_buf()];
     while let Some(current) = stack.pop() {
@@ -283,117 +281,61 @@ fn downconvert_segment_to_v1(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Rewrites every frame's written-at epoch in a v2 segment image (checksums
-/// recomputed) — the test's way of aging records deterministically.
-fn rewrite_epochs(bytes: &[u8], epoch: u64) -> Vec<u8> {
-    use zeroed_store::{checksum64, HEADER_LEN};
-    let mut out = bytes[..HEADER_LEN].to_vec();
-    let mut pos = HEADER_LEN;
-    while pos < bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let mut payload = bytes[pos + 12..pos + 12 + len].to_vec();
-        payload[32..40].copy_from_slice(&epoch.to_le_bytes());
-        out.extend_from_slice(&(len as u32).to_le_bytes());
-        out.extend_from_slice(&checksum64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        pos += 12 + len;
-    }
-    out
-}
-
-/// The tentpole conformance: K processes-worth of writers — distinct
-/// `ShardedStore` handles via distinct detectors, each with its own cache
-/// and store layer — persist *concurrently* into one sharded root, then a
-/// fresh detector reopens the directory and reproduces every writer's mask
-/// bit-identically with **zero** LLM requests, having merged records across
-/// all writer slots.
+/// One store directory, one writer: while a detector holds the store, a
+/// second detector on the same directory is refused, yet a clone of the
+/// first shares its layer and detects at the same time. Once both are
+/// dropped, a fresh detector opens warm and replays both runs with zero LLM
+/// requests.
 #[test]
-fn sharded_concurrent_writers_warm_start_with_zero_requests() {
-    const WRITERS: u64 = 3;
+fn one_detector_holds_the_store_while_its_clones_share_it() {
     let ds = dataset();
     let dir = temp_dir();
-    let sharded = |dir: &std::path::Path| {
-        ZeroEdConfig {
-            label_rate: 0.08,
-            ..ZeroEdConfig::fast()
-        }
-        .with_runtime(RuntimeConfig {
-            workers: 2,
-            ..RuntimeConfig::default()
-        })
-        .with_store(StoreConfig::new(dir.to_str().unwrap()).with_shards(4))
+    let seeds = [51u64, 52];
+    let second_open = |dir: &std::path::Path| {
+        ZeroEd::try_new(base_config(dir))
+            .expect_err("a second detector on a held store must be refused")
+            .kind()
     };
 
-    // K concurrent writers. Each uses a different LLM seed, so the request
-    // salts (and with them every RequestKey) are disjoint between writers:
-    // the warm detector can only succeed by reading *all* the slots.
-    //
-    // Every detector is constructed (claiming its writer slots) *before* any
-    // detection starts — otherwise a fast writer could finish and release
-    // its slots before a slow one opens, which would let the slow one
-    // reclaim the freed slot instead of exercising true concurrency.
-    let detectors: Vec<ZeroEd> = (0..WRITERS).map(|_| ZeroEd::new(sharded(&dir))).collect();
-    let cold: Vec<(zeroed_table::ErrorMask, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = detectors
-            .into_iter()
-            .enumerate()
-            .map(|(w, detector)| {
-                let w = w as u64;
-                let ds = &ds;
-                scope.spawn(move || {
-                    let llm = oracle_llm(ds, 100 + w);
-                    let outcome = detector.detect(&ds.dirty, &llm);
-                    assert_eq!(
-                        outcome.stats.persist.persisted_records, outcome.stats.cache.misses,
-                        "writer {w}: every miss must be written through"
-                    );
-                    assert_eq!(detector.store().unwrap().store().shard_count(), 4);
-                    (outcome.mask, outcome.stats.persist.persisted_records)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let cold_run = |detector: &ZeroEd, seed: u64| {
+        let llm = oracle_llm(&ds, seed);
+        let outcome = detector.detect(&ds.dirty, &llm);
+        assert!(outcome.stats.cache.misses > 0);
+        assert_eq!(
+            outcome.stats.persist.persisted_records,
+            outcome.stats.cache.misses
+        );
+        outcome.mask
+    };
+
+    let detector = ZeroEd::new(base_config(&dir));
+    assert_eq!(second_open(&dir), std::io::ErrorKind::WouldBlock);
+    // The detector and a clone of it detect at the same time on the shared
+    // layer, with distinct seeds (disjoint request keys).
+    let clone = detector.clone();
+    let cold = std::thread::scope(|scope| {
+        let first = scope.spawn(|| cold_run(&detector, seeds[0]));
+        let second = scope.spawn(|| cold_run(&clone, seeds[1]));
+        [first.join().unwrap(), second.join().unwrap()]
     });
-    let total_persisted: u64 = cold.iter().map(|(_, persisted)| persisted).sum();
-    assert!(total_persisted > 0);
+    drop(clone);
+    // The clone is gone, but the first detector still holds the lock.
+    assert_eq!(second_open(&dir), std::io::ErrorKind::WouldBlock);
+    drop(detector);
 
-    // The root must actually be sharded, with one claimed slot per writer.
-    assert!(dir.join("sharding.meta").exists());
-    for k in 0..4 {
-        let shard_dir = dir.join(format!("shard-{k:02}"));
-        assert!(shard_dir.is_dir(), "shard {k} exists");
-        let slots = std::fs::read_dir(&shard_dir).unwrap().count();
-        assert_eq!(
-            slots, WRITERS as usize,
-            "shard {k}: one slot per concurrent writer"
-        );
-    }
-
-    // Fresh detector: one handle, every slot's records preloaded (the
-    // writers' key sets are disjoint, so the preload count proves the merge
-    // crossed writer slots).
-    let warm_detector = ZeroEd::new(sharded(&dir));
-    assert_eq!(
-        warm_detector.cache().len() as u64,
-        total_persisted,
-        "the preload must merge all {WRITERS} writers' disjoint records"
-    );
-    for (w, (cold_mask, _)) in cold.iter().enumerate() {
-        let llm = oracle_llm(&ds, 100 + w as u64);
-        let outcome = warm_detector.detect(&ds.dirty, &llm);
-        assert_eq!(
-            &outcome.mask, cold_mask,
-            "writer {w}: warm mask must be bit-identical"
-        );
+    let warm = ZeroEd::try_new(base_config(&dir)).expect("the lock died with the detector");
+    for (cold_mask, seed) in cold.iter().zip(seeds) {
+        let llm = oracle_llm(&ds, seed);
+        let outcome = warm.detect(&ds.dirty, &llm);
+        assert_eq!(&outcome.mask, cold_mask, "seed {seed}: warm mask diverged");
         assert_eq!(
             llm.ledger().usage(),
             TokenUsage::default(),
-            "writer {w}: warm run must issue zero LLM requests"
+            "seed {seed}: warm run must issue zero LLM requests"
         );
         assert_eq!(outcome.stats.cache.misses, 0);
-        assert_eq!(outcome.stats.persist.persisted_records, 0);
     }
-    drop(warm_detector);
+    drop(warm);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -432,85 +374,14 @@ fn v1_era_stores_still_open_and_warm_start() {
     );
     assert_eq!(outcome.stats.cache.misses, 0);
     assert_eq!(preloaded, cold_persisted);
-    let recovered = warm_detector.store().unwrap().recovery().records_recovered;
+    let recovered = warm_detector
+        .store()
+        .unwrap()
+        .store()
+        .recovery()
+        .records_recovered;
     assert_eq!(recovered as u64, cold_persisted);
     drop(warm_detector);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// TTL/GC conformance: a store whose records have outlived the TTL serves
-/// nothing — the stale bin is reclaimed, the expiry is reconciled in the
-/// store's own stats, the lost responses are recomputed and re-persisted, and
-/// the *next* open is fully warm again.
-#[test]
-fn expired_records_are_gone_after_gc_with_counts_reconciled() {
-    let ds = dataset();
-    let dir = temp_dir();
-    let seed = 23;
-    let ttl_config = |dir: &std::path::Path| {
-        ZeroEdConfig {
-            label_rate: 0.08,
-            ..ZeroEdConfig::fast()
-        }
-        .with_runtime(RuntimeConfig {
-            workers: 4,
-            ..RuntimeConfig::default()
-        })
-        .with_store(StoreConfig::new(dir.to_str().unwrap()).with_ttl_secs(3_600))
-    };
-
-    let cold_persisted = {
-        let detector = ZeroEd::new(ttl_config(&dir));
-        let llm = oracle_llm(&ds, seed);
-        let outcome = detector.detect(&ds.dirty, &llm);
-        let expired = detector.store().unwrap().store_stats().expired_records;
-        assert_eq!(expired, 0, "fresh records don't expire");
-        outcome.stats.persist.persisted_records
-    };
-    assert!(cold_persisted > 0);
-
-    // Age every record far past the TTL.
-    let stale_epoch = zeroed_store::now_epoch().saturating_sub(100_000);
-    rewrite_segments(&dir, &|bytes| rewrite_epochs(bytes, stale_epoch));
-
-    // Second run: the whole bin is expired at open — every record is
-    // recomputed (paying the model) and re-persisted at a fresh epoch.
-    let detector = ZeroEd::new(ttl_config(&dir));
-    assert_eq!(detector.cache().len(), 0, "expired records never preload");
-    let llm = oracle_llm(&ds, seed);
-    let outcome = detector.detect(&ds.dirty, &llm);
-    assert_eq!(
-        detector.store().unwrap().store_stats().expired_records,
-        cold_persisted,
-        "every stale record must be accounted as expired"
-    );
-    assert_eq!(outcome.stats.cache.store_hits, 0);
-    assert_eq!(
-        outcome.stats.cache.misses, cold_persisted,
-        "every response is recomputed, none lost"
-    );
-    assert_eq!(outcome.stats.persist.persisted_records, cold_persisted);
-    assert!(
-        llm.ledger().usage().requests > 0,
-        "the model was consulted again"
-    );
-    drop(detector);
-
-    // The reclaimed bin holds only fresh records: the expired frames are
-    // physically gone from disk (compacted away), and a third open is fully
-    // warm with zero expiries.
-    let report = zeroed_store::inspect(&dir).unwrap();
-    assert_eq!(report.live.len() as u64, cold_persisted);
-    let (min_epoch, _) = report.epoch_range().unwrap();
-    assert!(min_epoch > stale_epoch, "no stale frame survives on disk");
-
-    let detector = ZeroEd::new(ttl_config(&dir));
-    let llm = oracle_llm(&ds, seed);
-    let outcome = detector.detect(&ds.dirty, &llm);
-    assert_eq!(detector.store().unwrap().store_stats().expired_records, 0);
-    assert_eq!(outcome.stats.cache.misses, 0);
-    assert_eq!(llm.ledger().usage(), TokenUsage::default());
-    drop(detector);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -657,7 +528,15 @@ fn sequential_mode_ignores_the_store_by_design() {
     drop(detector);
     // Nothing was written: a later open recovers zero records.
     let detector = ZeroEd::new(base_config(&dir));
-    assert_eq!(detector.store().unwrap().recovery().records_recovered, 0);
+    assert_eq!(
+        detector
+            .store()
+            .unwrap()
+            .store()
+            .recovery()
+            .records_recovered,
+        0
+    );
     drop(detector);
     let _ = std::fs::remove_dir_all(&dir);
 }

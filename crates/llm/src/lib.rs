@@ -29,7 +29,7 @@
 //!    [`TokenLedger`], which is what the Fig. 8 token-cost experiments
 //!    measure.
 
-pub mod budget;
+pub(crate) mod budget;
 pub mod client;
 pub mod mangle;
 pub mod profile;
@@ -38,7 +38,6 @@ pub mod request;
 pub mod sim;
 pub mod token;
 
-pub use budget::{Budget, BudgetPermit};
 pub use client::{AttributeContext, DistributionAnalysis, ErrorTypeGuide, Guideline, LlmClient};
 pub use mangle::{MangleKind, MangleSchedule};
 pub use profile::{LlmLatency, LlmProfile};

@@ -142,14 +142,6 @@ impl TokenLedger {
     pub fn usage(&self) -> TokenUsage {
         *self.inner.lock()
     }
-
-    /// Resets the ledger to zero.
-    pub fn reset(&self) {
-        *self.inner.lock() = TokenUsage::default();
-        *self.reask.lock() = TokenUsage::default();
-        *self.sim_cost.lock() = std::time::Duration::ZERO;
-        *self.concurrency.lock() = ServingConcurrency::default();
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn ledger_accumulates_and_resets() {
+    fn ledger_accumulates() {
         let ledger = TokenLedger::new();
         ledger.record("one two three four", "ok");
         ledger.record_counts(10, 20);
@@ -176,8 +168,6 @@ mod tests {
         assert!(usage.input_tokens >= 14);
         assert!(usage.output_tokens >= 21);
         assert_eq!(usage.total(), usage.input_tokens + usage.output_tokens);
-        ledger.reset();
-        assert_eq!(ledger.usage(), TokenUsage::default());
     }
 
     #[test]
@@ -201,8 +191,6 @@ mod tests {
         assert_eq!(reask.requests, 1);
         assert_eq!(reask.input_tokens, 3);
         assert_eq!(reask.output_tokens, 4);
-        ledger.reset();
-        assert_eq!(ledger.reask_usage(), TokenUsage::default());
     }
 
     #[test]
@@ -218,19 +206,15 @@ mod tests {
                 waits: 2
             }
         );
-        ledger.reset();
-        assert_eq!(ledger.concurrency(), ServingConcurrency::default());
     }
 
     #[test]
-    fn sim_cost_accumulates_and_resets() {
+    fn sim_cost_accumulates() {
         use std::time::Duration;
         let ledger = TokenLedger::new();
         assert_eq!(ledger.sim_cost(), Duration::ZERO);
         ledger.record_sim_cost(Duration::from_millis(3));
         ledger.clone().record_sim_cost(Duration::from_millis(4));
         assert_eq!(ledger.sim_cost(), Duration::from_millis(7));
-        ledger.reset();
-        assert_eq!(ledger.sim_cost(), Duration::ZERO);
     }
 }

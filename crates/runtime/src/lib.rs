@@ -127,4 +127,4 @@ pub use client::{CacheStats, CachedLlm};
 pub use key::{RequestKey, RequestKeyBuilder, RequestKind};
 pub use persist::{PersistStats, StoreLayer, StoreLayerTimings, StoreSink};
 pub use scheduler::{RuntimeConfig, Scheduler, SchedulerStats, SchedulerTimings};
-pub use zeroed_store::{FsyncPolicy, RecoveryReport, ShardedStore, StoreConfig, StoreStats};
+pub use zeroed_store::{FsyncPolicy, RecoveryReport, ResponseStore, StoreConfig, StoreStats};

@@ -27,7 +27,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use zeroed_obs::{EventKind, TraceId, TraceRecorder};
-use zeroed_store::{now_epoch, RecoveryReport, ShardedStore, StoreConfig, StoreRecord, StoreStats};
+use zeroed_store::{now_epoch, ResponseStore, StoreConfig, StoreRecord};
 
 enum Job {
     /// Append one published response, attributing the outcome to the
@@ -137,30 +137,27 @@ impl StoreSink {
 
 /// The owning handle: store + writer thread (see module docs).
 ///
-/// The store underneath is a [`ShardedStore`], so one layer transparently
-/// covers both layouts: a flat single-writer directory (the default) and the
-/// `shard-KK/writer-WWW/` layout that lets many detector *processes* write
-/// one store root concurrently ([`zeroed_store::StoreConfig::shards`] > 1 at
-/// creation). Persist and preload route through the shards; `store_stats`
-/// and `recovery` aggregate across them.
+/// The layer holds the directory's single-writer lock for its lifetime, so
+/// one layer at a time writes a store directory; clones of a detector share
+/// their layer.
 pub struct StoreLayer {
-    store: Arc<ShardedStore>,
+    store: Arc<ResponseStore>,
     queue: Arc<Fifo<Job>>,
     writer: Option<JoinHandle<()>>,
-    /// Wall time [`StoreLayer::open`] took (shard recovery + writer spawn).
+    /// Wall time [`StoreLayer::open`] took (recovery + writer spawn).
     open_nanos: u64,
     /// Cumulative wall time of [`StoreLayer::preload_into`] calls.
     preload_nanos: AtomicU64,
 }
 
 /// Wall-clock timings of a [`StoreLayer`]'s warm-start path, from
-/// [`StoreLayer::timings`]. Per-shard open/recovery breakdowns live in
-/// [`StoreStats`] (`open_nanos` there aggregates across shards); these cover
-/// the layer-level operations the pipeline observes.
+/// [`StoreLayer::timings`]. The store's own open, fsync and compaction
+/// timings live in [`zeroed_store::StoreStats`]; these cover the layer-level
+/// operations the pipeline observes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreLayerTimings {
-    /// [`StoreLayer::open`] wall time, nanoseconds (includes every shard's
-    /// crash recovery and the writer-thread spawn).
+    /// [`StoreLayer::open`] wall time, nanoseconds (includes crash recovery
+    /// and the writer-thread spawn).
     pub open_nanos: u64,
     /// Cumulative [`StoreLayer::preload_into`] wall time, nanoseconds
     /// (reading live records off disk and inserting them into the cache).
@@ -180,7 +177,7 @@ impl StoreLayer {
     /// the background writer.
     pub fn open(config: StoreConfig) -> io::Result<Self> {
         let t_open = Instant::now();
-        let store = Arc::new(ShardedStore::open(config)?);
+        let store = Arc::new(ResponseStore::open(config)?);
         let queue = Arc::new(Fifo::new());
         let writer = {
             let store = Arc::clone(&store);
@@ -195,8 +192,8 @@ impl StoreLayer {
                                     key: key.to_u128(),
                                     input_tokens: response.input_tokens as u64,
                                     output_tokens: response.output_tokens as u64,
-                                    // Stamped at write time: the TTL clock
-                                    // starts when the response lands on disk.
+                                    // Stamped at write time; the store tool
+                                    // prints it.
                                     epoch: now_epoch(),
                                     value: response.value.clone(),
                                 };
@@ -245,20 +242,11 @@ impl StoreLayer {
         }
     }
 
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<ShardedStore> {
+    /// The underlying store: its recovery report from open
+    /// ([`ResponseStore::recovery`]) and its counters
+    /// ([`ResponseStore::stats`]).
+    pub fn store(&self) -> &ResponseStore {
         &self.store
-    }
-
-    /// The recovery report from open (aggregated across owned shards).
-    pub fn recovery(&self) -> RecoveryReport {
-        self.store.recovery()
-    }
-
-    /// Store-level counters (live/dead records, appends, compactions,
-    /// TTL expiries), aggregated across owned shards.
-    pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
     }
 
     /// A fresh sink handle for [`crate::CachedLlm::with_persistence`]. Each
@@ -274,7 +262,7 @@ impl StoreLayer {
 
     /// Blocks until every response offered before this call has been written
     /// to the store (a queue barrier, not an fsync — pair with
-    /// [`ShardedStore::sync`] for a durability barrier).
+    /// [`ResponseStore::sync`] for a durability barrier).
     pub fn drain(&self) {
         let (waiter, written) = mpsc::channel();
         if self.queue.push(Job::Barrier(waiter)) {
@@ -367,7 +355,7 @@ mod tests {
         } // drop closes the queue, joins the writer, syncs the store
 
         let layer = StoreLayer::open(config).unwrap();
-        assert_eq!(layer.recovery().records_recovered, 2);
+        assert_eq!(layer.store().recovery().records_recovered, 2);
         let cache = ResponseCache::new(64);
         assert_eq!(layer.preload_into(&cache).unwrap(), 2);
 
@@ -398,7 +386,7 @@ mod tests {
             }
         }
         let layer = StoreLayer::open(config).unwrap();
-        assert_eq!(layer.recovery().records_recovered, 50);
+        assert_eq!(layer.store().recovery().records_recovered, 50);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -433,55 +421,13 @@ mod tests {
         assert_eq!(sink_b.stats().persisted_records, 5);
         assert!(sink_a.stats().persisted_bytes > 0);
         assert!(sink_b.stats().persisted_bytes > sink_a.stats().persisted_bytes);
-        assert_eq!(layer.store_stats().live_records, 8);
+        assert_eq!(layer.store().stats().live_records, 8);
         // A clone shares its parent's counters (same run).
         let clone_a = sink_a.clone();
         clone_a.offer(test_key(99), &response(1, &[true]));
         layer.drain();
         assert_eq!(sink_a.stats().persisted_records, 4);
         assert_eq!(sink_b.stats().persisted_records, 5);
-        drop(layer);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn concurrent_layers_share_a_sharded_root() {
-        // Two StoreLayers (two detector processes, as far as the store is
-        // concerned) open one sharded root simultaneously, persist disjoint
-        // key sets, and a third layer preloads the union.
-        let dir = temp_dir();
-        let config = StoreConfig::new(dir.to_str().unwrap()).with_shards(4);
-        {
-            let layer_a = StoreLayer::open(config.clone()).unwrap();
-            let layer_b = StoreLayer::open(config.clone()).unwrap();
-            let sink_a = layer_a.sink();
-            let sink_b = layer_b.sink();
-            for i in 0..8 {
-                sink_a.offer(test_key(i), &response(1, &[true]));
-            }
-            for i in 8..20 {
-                sink_b.offer(test_key(i), &response(2, &[false]));
-            }
-            layer_a.drain();
-            layer_b.drain();
-            assert_eq!(sink_a.stats().persisted_records, 8);
-            assert_eq!(sink_b.stats().persisted_records, 12);
-            assert_eq!(sink_a.stats().append_errors, 0);
-            assert_eq!(sink_b.stats().append_errors, 0);
-        }
-        let layer = StoreLayer::open(config).unwrap();
-        let cache = ResponseCache::new(64);
-        assert_eq!(
-            layer.preload_into(&cache).unwrap(),
-            20,
-            "the union of both writers' records preloads"
-        );
-        for i in 0..20 {
-            let (_, lookup) = cache.get_or_compute(test_key(i), || {
-                panic!("preloaded entry must satisfy request {i}")
-            });
-            assert_eq!(lookup, crate::cache::Lookup::Hit { coalesced: false });
-        }
         drop(layer);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -504,8 +450,8 @@ mod tests {
         let t = layer.timings();
         assert!(t.open_nanos > 0);
         assert!(t.preload_nanos > 0, "preload wall time recorded");
-        // The per-shard store aggregation carries its own open timing too.
-        assert!(layer.store_stats().open_nanos > 0);
+        // The store carries its own open timing too.
+        assert!(layer.store().stats().open_nanos > 0);
         drop(layer);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -520,7 +466,7 @@ mod tests {
             sink.offer(test_key(9), &response(1, &[false]));
             sink.offer(test_key(9), &response(2, &[true]));
             layer.drain();
-            assert_eq!(layer.store_stats().live_records, 1);
+            assert_eq!(layer.store().stats().live_records, 1);
         }
         let layer = StoreLayer::open(config).unwrap();
         let record = layer.store().get(test_key(9).to_u128()).unwrap().unwrap();

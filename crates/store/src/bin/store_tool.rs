@@ -1,16 +1,16 @@
 //! `zeroed-store-tool`: read-only inspection of a response-store directory.
 //!
 //! ```text
-//! zeroed-store-tool stat   <store-dir>    layout, segments, live/dead, bytes, epochs
+//! zeroed-store-tool stat   <store-dir>    segments, live/dead, bytes, epochs
 //! zeroed-store-tool ls     <store-dir>    live records: key · kind · tokens · epoch
 //! zeroed-store-tool verify <store-dir>    full checksum scan; exit 1 on damage
 //! ```
 //!
-//! The tool never takes the store's advisory locks, never truncates a torn
-//! tail and never deletes a file — it is safe to run against a directory
-//! that live detector processes are writing. Damage found by `verify` is
-//! reported with its exact recovered-prefix length and left untouched (the
-//! owning writer's recovery, not an inspection tool, decides when to cut).
+//! The tool never takes the store's advisory lock, never truncates a torn
+//! tail and never deletes a file — it is safe to run against a directory a
+//! detector has open. Damage found by `verify` is reported with its exact
+//! recovered-prefix length and left untouched (the writer's recovery, not an
+//! inspection tool, decides when to cut).
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -35,23 +35,14 @@ fn cmd_stat(dir: &Path) -> std::io::Result<ExitCode> {
     let report = inspect(dir)?;
     println!("store:    {}", report.root.display());
     println!(
-        "layout:   {}",
-        if report.sharded {
-            format!("sharded ({} shards)", report.shard_count)
-        } else {
-            "unsharded".to_string()
-        }
-    );
-    let total_segments: usize = report.units.iter().map(|u| u.segments.len()).sum();
-    println!(
-        "segments: {total_segments} across {} writer dir(s), {} bytes",
-        report.units.len(),
+        "segments: {}, {} bytes",
+        report.segments.len(),
         report.total_file_bytes
     );
     println!("live:     {} records", report.live.len());
     println!(
-        "dead:     {} records (awaiting their owners' compaction)",
-        report.dead_records()
+        "dead:     {} records (awaiting compaction)",
+        report.dead_records
     );
     match report.epoch_range() {
         Some((min, max)) => println!("epochs:   {} .. {}", epoch_str(min), epoch_str(max)),
@@ -59,20 +50,6 @@ fn cmd_stat(dir: &Path) -> std::io::Result<ExitCode> {
     }
     for (kind, count) in report.kind_counts() {
         println!("  kind {kind:<10} {count}");
-    }
-    for unit in &report.units {
-        let label = match (unit.shard, unit.slot) {
-            (Some(shard), Some(slot)) => format!("shard {shard:02} writer {slot:03}"),
-            _ => "root".to_string(),
-        };
-        let bytes: u64 = unit.segments.iter().map(|s| s.file_bytes).sum();
-        println!(
-            "  {label}: {} segment(s), {} live / {} dead, {} bytes",
-            unit.segments.len(),
-            unit.live_records,
-            unit.dead_records,
-            bytes
-        );
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -129,7 +106,7 @@ fn cmd_verify(dir: &Path) -> std::io::Result<ExitCode> {
         }
     }
     println!(
-        "{} issue(s) found (nothing was modified; the owning writer's recovery truncates on next open)",
+        "{} issue(s) found (nothing was modified; recovery truncates on the next open)",
         issues.len()
     );
     Ok(ExitCode::FAILURE)

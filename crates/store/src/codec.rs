@@ -22,10 +22,9 @@ use zeroed_table::ErrorType;
 ///
 /// * **v1** — original layout: record payloads carry `key · tokens · value`.
 /// * **v2** — payloads additionally carry a coarse *written-at epoch*
-///   (seconds since the Unix epoch, between the token counts and the value)
-///   so the TTL/GC policy can expire stale experiment bins. v1 segments
-///   remain fully readable: their records decode with epoch 0 ("written at
-///   the dawn of time"), which a TTL treats as maximally stale.
+///   (seconds since the Unix epoch, between the token counts and the value).
+///   v1 segments remain fully readable: their records decode with epoch 0
+///   ("no timestamp").
 pub const FORMAT_VERSION: u16 = 2;
 
 /// The oldest format version this build can still *read*. Segments between
@@ -56,18 +55,17 @@ pub struct StoreRecord {
     /// Completion tokens the original call produced.
     pub output_tokens: u64,
     /// Coarse written-at timestamp (seconds since the Unix epoch; see
-    /// [`now_epoch`]). Records decoded from v1 segments carry 0, which any
-    /// TTL treats as maximally stale. The store never stamps this itself —
-    /// callers set it (the runtime's persistence layer stamps the wall
-    /// clock), which keeps expiry deterministic under test.
+    /// [`now_epoch`]). Records decoded from v1 segments carry 0 (no
+    /// timestamp). The store never stamps this itself — callers set it (the
+    /// runtime's persistence layer stamps the wall clock), and
+    /// `zeroed-store-tool` prints it.
     pub epoch: u64,
     /// The response value.
     pub value: Response,
 }
 
 /// The current coarse epoch: whole seconds since the Unix epoch (the
-/// granularity [`StoreRecord::epoch`] is stored at — TTLs are measured in
-/// seconds, so sub-second precision would be noise on disk).
+/// granularity [`StoreRecord::epoch`] is stored at).
 pub fn now_epoch() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -731,7 +729,7 @@ mod tests {
         assert_eq!(decoded.key, 77);
         assert_eq!(decoded.input_tokens, 10);
         assert_eq!(decoded.output_tokens, 3);
-        assert_eq!(decoded.epoch, 0, "v1 records are maximally stale");
+        assert_eq!(decoded.epoch, 0, "v1 records carry no timestamp");
         match decoded.value {
             Response::Flags(f) => assert_eq!(f, vec![true, false]),
             other => panic!("wrong variant: {other:?}"),

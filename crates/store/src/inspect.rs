@@ -1,24 +1,25 @@
 //! Read-only store inspection: what `zeroed-store-tool` prints.
 //!
 //! Everything in this module opens files for reading only — no advisory
-//! locks are taken, no tails are truncated, no segments are deleted, so it
-//! is safe to point at a store that live detector processes are writing
-//! (an in-flight append shows up as a torn tail, exactly as a crash would,
-//! and is reported without being "repaired").
+//! lock is taken, no tail is truncated, no segment is deleted, so it is safe
+//! to point at a store a detector has open (an in-flight append shows up as
+//! a torn tail, exactly as a crash would, and is reported without being
+//! "repaired").
 //!
-//! Three questions, three entry points:
+//! Two questions, two entry points:
 //!
-//! * [`inspect`] — *what is in this store?* Layout (sharded or flat), every
-//!   segment of every writer slot, live/dead record counts after duplicate
-//!   resolution, byte totals and the live records' key/kind/cost/epoch
-//!   metadata (`stat` and `ls`).
+//! * [`inspect`] — *what is in this store?* Every segment, live/dead record
+//!   counts after duplicate resolution, byte totals and the live records'
+//!   key/kind/cost/epoch metadata (`stat` and `ls`).
 //! * [`verify`] — *is it intact?* The full checksum scan, reporting torn
 //!   tails, corrupt frames and unreadable headers per file (`verify`).
-//! * Both work on unsharded (v1-era) directories and on the
-//!   `shard-KK/writer-WWW/` layout of [`crate::ShardedStore`].
+//!
+//! Both refuse a root an older build laid out in shards, as
+//! [`crate::ResponseStore::open`] does.
 
 use crate::segment::{parse_segment_file_name, scan_segment, HeaderIssue};
-use crate::shard::{list_writer_slots, read_meta, LastWriteWins, META_FILE};
+use crate::store::refuse_sharded_root;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,25 +47,6 @@ pub struct SegmentReport {
     pub discarded_bytes: u64,
 }
 
-/// One segment directory (the flat root, or one writer slot of one shard).
-#[derive(Debug)]
-pub struct UnitReport {
-    /// The directory scanned.
-    pub dir: PathBuf,
-    /// Shard index (`None` for an unsharded root).
-    pub shard: Option<usize>,
-    /// Writer-slot index (`None` for an unsharded root).
-    pub slot: Option<usize>,
-    /// Per-segment scan results, in segment-id order.
-    pub segments: Vec<SegmentReport>,
-    /// Distinct live keys within this unit (duplicates resolved
-    /// last-write-wins, exactly as recovery resolves them).
-    pub live_records: usize,
-    /// Superseded records within this unit (dead weight awaiting the
-    /// owner's compaction).
-    pub dead_records: usize,
-}
-
 /// Metadata of one live record (the payload value itself is not retained).
 #[derive(Debug, Clone, Copy)]
 pub struct LiveEntry {
@@ -83,28 +65,20 @@ pub struct LiveEntry {
 /// Everything [`inspect`] found.
 #[derive(Debug)]
 pub struct InspectReport {
-    /// The store root.
+    /// The store directory.
     pub root: PathBuf,
-    /// Whether the root uses the sharded layout.
-    pub sharded: bool,
-    /// Shard count (1 when unsharded).
-    pub shard_count: usize,
-    /// Every segment directory scanned.
-    pub units: Vec<UnitReport>,
-    /// Live records after global duplicate resolution (across writer slots;
-    /// content-addressed keys make cross-slot duplicates interchangeable).
+    /// Per-segment scan results, in segment-id order.
+    pub segments: Vec<SegmentReport>,
+    /// Live records, duplicates resolved last-write-wins exactly as
+    /// recovery resolves them, in first-seen key order.
     pub live: Vec<LiveEntry>,
+    /// Superseded records (dead weight awaiting compaction).
+    pub dead_records: usize,
     /// Total bytes across every segment file.
     pub total_file_bytes: u64,
 }
 
 impl InspectReport {
-    /// Dead records across all units (superseded within their unit; dead
-    /// weight the owning writers' compactors will reclaim).
-    pub fn dead_records(&self) -> usize {
-        self.units.iter().map(|u| u.dead_records).sum()
-    }
-
     /// `(min, max)` written-at epoch over the live records that carry one.
     /// `None` when no record does (an empty store, or a pure v1-era store
     /// whose records decode with epoch 0 — "no timestamp", not "1970").
@@ -135,7 +109,7 @@ impl InspectReport {
 #[derive(Debug)]
 pub enum VerifyIssue {
     /// A segment whose tail failed the checksum scan (torn write, bit rot,
-    /// or a concurrent writer's in-flight append).
+    /// or an in-flight append).
     TornTail {
         /// The damaged file.
         path: PathBuf,
@@ -168,36 +142,10 @@ impl VerifyIssue {
     }
 }
 
-/// One segment directory: its shard and writer slot (both `None` in a flat
-/// layout) and its path.
-type SegmentUnit = (Option<usize>, Option<usize>, PathBuf);
-
-/// Lists every segment directory under `root`: the root itself when the
-/// layout is flat, otherwise each `shard-KK/writer-WWW/`.
-fn segment_units(root: &Path) -> io::Result<(bool, usize, Vec<SegmentUnit>)> {
-    let shard_count = read_meta(&root.join(META_FILE))?.unwrap_or(1);
-    if shard_count <= 1 {
-        return Ok((false, 1, vec![(None, None, root.to_path_buf())]));
-    }
-    let mut units = Vec::new();
-    for shard in 0..shard_count {
-        let shard_dir = root.join(format!("shard-{shard:02}"));
-        let mut slots = list_writer_slots(&shard_dir)?;
-        slots.sort_by_key(|&(index, _)| index);
-        for (slot, dir) in slots {
-            units.push((Some(shard), Some(slot), dir));
-        }
-    }
-    Ok((true, shard_count, units))
-}
-
-fn scan_unit(
-    shard: Option<usize>,
-    slot: Option<usize>,
-    dir: &Path,
-    live: &mut LastWriteWins<LiveEntry>,
-) -> io::Result<UnitReport> {
-    let mut segment_ids: Vec<u64> = match std::fs::read_dir(dir) {
+/// Scans the store at `root` without mutating it (see the module docs).
+pub fn inspect(root: &Path) -> io::Result<InspectReport> {
+    refuse_sharded_root(root)?;
+    let mut segment_ids: Vec<u64> = match std::fs::read_dir(root) {
         Ok(entries) => entries
             .filter_map(|entry| {
                 let entry = entry.ok()?;
@@ -210,19 +158,19 @@ fn scan_unit(
     segment_ids.sort_unstable();
 
     let mut segments = Vec::with_capacity(segment_ids.len());
-    let mut unit_keys: HashMap<u128, usize> = HashMap::new();
-    let mut unit_records = 0usize;
+    let mut live: Vec<LiveEntry> = Vec::new();
+    let mut position: HashMap<u128, usize> = HashMap::new();
+    let mut records = 0usize;
     for id in segment_ids {
-        let path = dir.join(crate::segment::segment_file_name(id));
+        let path = root.join(crate::segment::segment_file_name(id));
         let bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),
         };
         let scan = scan_segment(&bytes);
+        records += scan.records.len();
         for scanned in &scan.records {
-            unit_records += 1;
-            *unit_keys.entry(scanned.record.key).or_insert(0) += 1;
             let entry = LiveEntry {
                 key: scanned.record.key,
                 kind: scanned.record.value.kind_name(),
@@ -230,7 +178,13 @@ fn scan_unit(
                 output_tokens: scanned.record.output_tokens,
                 epoch: scanned.record.epoch,
             };
-            live.insert(entry.key, entry);
+            match position.entry(entry.key) {
+                Entry::Occupied(seen) => live[*seen.get()] = entry,
+                Entry::Vacant(new) => {
+                    new.insert(live.len());
+                    live.push(entry);
+                }
+            }
         }
         segments.push(SegmentReport {
             path,
@@ -244,62 +198,37 @@ fn scan_unit(
             discarded_bytes: scan.discarded_bytes,
         });
     }
-    Ok(UnitReport {
-        dir: dir.to_path_buf(),
-        shard,
-        slot,
-        segments,
-        live_records: unit_keys.len(),
-        dead_records: unit_records - unit_keys.len(),
-    })
-}
-
-/// Scans the store at `root` without mutating it (see the module docs).
-pub fn inspect(root: &Path) -> io::Result<InspectReport> {
-    let (sharded, shard_count, unit_dirs) = segment_units(root)?;
-    let mut live = LastWriteWins::new();
-    let mut units = Vec::with_capacity(unit_dirs.len());
-    for (shard, slot, dir) in unit_dirs {
-        units.push(scan_unit(shard, slot, &dir, &mut live)?);
-    }
-    let total_file_bytes = units
-        .iter()
-        .flat_map(|u| u.segments.iter())
-        .map(|s| s.file_bytes)
-        .sum();
+    let total_file_bytes = segments.iter().map(|s| s.file_bytes).sum();
     Ok(InspectReport {
         root: root.to_path_buf(),
-        sharded,
-        shard_count,
-        units,
-        live: live.into_vec(),
+        segments,
+        dead_records: records - live.len(),
+        live,
         total_file_bytes,
     })
 }
 
-/// Runs the full checksum scan over every segment of every unit and returns
-/// the problems found (empty = clean). Strictly read-only: a deliberately
-/// truncated segment is *reported*, with its exact recovered-prefix length,
-/// and left byte-for-byte untouched.
+/// Runs the full checksum scan over every segment and returns the problems
+/// found (empty = clean). Strictly read-only: a deliberately truncated
+/// segment is *reported*, with its exact recovered-prefix length, and left
+/// byte-for-byte untouched.
 pub fn verify(root: &Path) -> io::Result<Vec<VerifyIssue>> {
     let report = inspect(root)?;
     let mut issues = Vec::new();
-    for unit in report.units {
-        for segment in unit.segments {
-            if let Some(issue) = segment.header_issue {
-                issues.push(VerifyIssue::UnreadableHeader {
-                    path: segment.path,
-                    issue,
-                    file_bytes: segment.file_bytes,
-                });
-            } else if segment.torn {
-                issues.push(VerifyIssue::TornTail {
-                    path: segment.path,
-                    records_recovered: segment.records,
-                    valid_bytes: segment.valid_bytes,
-                    discarded_bytes: segment.discarded_bytes,
-                });
-            }
+    for segment in report.segments {
+        if let Some(issue) = segment.header_issue {
+            issues.push(VerifyIssue::UnreadableHeader {
+                path: segment.path,
+                issue,
+                file_bytes: segment.file_bytes,
+            });
+        } else if segment.torn {
+            issues.push(VerifyIssue::TornTail {
+                path: segment.path,
+                records_recovered: segment.records,
+                valid_bytes: segment.valid_bytes,
+                discarded_bytes: segment.discarded_bytes,
+            });
         }
     }
     Ok(issues)
@@ -308,7 +237,8 @@ pub fn verify(root: &Path) -> io::Result<Vec<VerifyIssue>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{now_epoch, StoreRecord};
+    use crate::codec::{encode_record, now_epoch, StoreRecord};
+    use crate::segment::encode_header;
     use crate::store::{ResponseStore, StoreConfig};
     use std::sync::atomic::{AtomicU32, Ordering};
     use zeroed_llm::Response;
@@ -363,11 +293,9 @@ mod tests {
         store.sync().unwrap();
 
         let report = inspect(&dir).unwrap();
-        assert!(!report.sharded);
-        assert_eq!(report.shard_count, 1);
-        assert_eq!(report.units.len(), 1);
+        assert_eq!(report.segments.len(), 1);
         assert_eq!(report.live.len(), 2);
-        assert_eq!(report.dead_records(), 1);
+        assert_eq!(report.dead_records, 1);
         assert!(report.total_file_bytes > 0);
         assert_eq!(report.kind_counts(), vec![("flags", 2)]);
         let (min, max) = report.epoch_range().unwrap();
@@ -377,20 +305,25 @@ mod tests {
     }
 
     #[test]
-    fn inspect_walks_sharded_layouts() {
+    fn sharded_era_roots_are_refused_without_writing() {
+        // The layout an older build created with more than one shard: the
+        // meta file at the root and segments under shard-KK/writer-WWW/.
         let dir = temp_dir();
-        let config = StoreConfig::new(dir.to_str().unwrap()).with_shards(3);
-        let store = crate::ShardedStore::open(config).unwrap();
-        for key in 0..12u128 {
-            store.append(&record(key)).unwrap();
-        }
-        store.sync().unwrap();
-        let report = inspect(&dir).unwrap();
-        assert!(report.sharded);
-        assert_eq!(report.shard_count, 3);
-        assert_eq!(report.units.len(), 3, "one claimed slot per shard");
-        assert_eq!(report.live.len(), 12);
-        drop(store);
+        let writer_dir = dir.join("shard-00").join("writer-000");
+        std::fs::create_dir_all(&writer_dir).unwrap();
+        std::fs::write(dir.join("sharding.meta"), "shards=2\n").unwrap();
+        let mut segment = encode_header(0).to_vec();
+        segment.extend_from_slice(&encode_record(&record(7)));
+        std::fs::write(writer_dir.join("seg-000000.zseg"), &segment).unwrap();
+
+        let before = snapshot(&dir);
+        let err = ResponseStore::open(StoreConfig::new(dir.to_str().unwrap())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert!(err.to_string().contains("sharding.meta"), "{err}");
+        let err = inspect(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert!(err.to_string().contains("sharding.meta"), "{err}");
+        assert_eq!(before, snapshot(&dir), "a refused root is left untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

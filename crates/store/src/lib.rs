@@ -6,10 +6,9 @@
 //!
 //! ZeroED's dominant cost is the LLM reasoning stage: criteria analysis,
 //! guideline generation and batch labelling re-issue largely identical
-//! prompts across benchmark sweeps, service restarts and multi-dataset
-//! experiment bins. The runtime already dedups those calls *in-process*; this
-//! crate persists every published response so a *later process* can replay
-//! them and skip the model entirely.
+//! prompts when a detection is run again. The runtime already dedups those
+//! calls *in-process*; this crate persists every published response so a
+//! *later process* can replay them and skip the model entirely.
 //!
 //! ## Quickstart
 //!
@@ -31,7 +30,7 @@
 //!         key: 0x0123_4567_89ab_cdef,          // RequestKey::to_u128()
 //!         input_tokens: 321,
 //!         output_tokens: 13,
-//!         epoch: now_epoch(),                  // TTL clock starts here
+//!         epoch: now_epoch(),                  // written-at, printed by the tool
 //!         value: Response::Flags(vec![true, false]),
 //!     })?;
 //! }
@@ -47,16 +46,13 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! For multi-process fleets, open the same configuration through
-//! [`ShardedStore`] with [`StoreConfig::shards`] > 1 — same API, but N
-//! processes can append concurrently (see [`shard`] for the layout).
-//!
 //! ## Layout
 //!
 //! A store is a directory of numbered segment files:
 //!
 //! ```text
 //! store-dir/
+//!   .lock                the single-writer advisory lock
 //!   seg-000000.zseg      sealed segment (earlier generation)
 //!   seg-000001.zseg      sealed segment
 //!   seg-000002.zseg      active segment (this process appends here)
@@ -65,7 +61,7 @@
 //! ┌──────────────────────────── header (28 bytes) ────────────────────────────┐
 //! │ magic "ZEDSTOR1" │ format u16 │ key schema u16 │ segment id u64 │ cksum u64│
 //! ├──────────────────────────── record frames ────────────────────────────────┤
-//! │ len u32 │ checksum u64 │ payload: key u128 · tokens 2×u64 · value         │
+//! │ len u32 │ checksum u64 │ payload: key u128 · tokens 2×u64 · epoch · value │
 //! │ len u32 │ checksum u64 │ payload                                          │
 //! │ ...                                                                       │
 //! └───────────────────────────────────────────────────────────────────────────┘
@@ -93,7 +89,7 @@
 //!
 //! Appends always go to a *fresh* segment (never a recovered tail), so one
 //! damaged run cannot poison the next. The [`FsyncPolicy`] decides when data
-//! is forced to disk: per record, on segment seal, or never.
+//! is forced to disk: per record, or on segment seal.
 //!
 //! ## Versioning rules
 //!
@@ -113,52 +109,38 @@
 //! `zeroed-runtime` asserts both constants alongside its golden keys, so a
 //! drive-by change to either contract fails CI.
 //!
-//! ## Compaction and TTL/GC
+//! ## Compaction
 //!
-//! Superseded and capacity-evicted records are dead weight. When the
-//! dead-to-live ratio crosses [`StoreConfig::compact_threshold`], the store
-//! rewrites every live record into a fresh generation (fsynced before any old
-//! file is deleted) and removes the previous segments.
+//! Superseded records are dead weight. When the dead-to-live ratio crosses
+//! [`StoreConfig::compact_threshold`], the store rewrites every live record
+//! into a fresh generation (fsynced before any old file is deleted) and
+//! removes the previous segments.
 //!
-//! The compactor doubles as the garbage collector for stale experiment bins:
-//! every record carries a coarse written-at epoch ([`StoreRecord::epoch`]),
-//! and with [`StoreConfig::ttl_secs`] set, expired records are dropped at
-//! open, filtered by every compaction, and sweepable on demand via
-//! [`ResponseStore::gc`]. [`StoreConfig::gc`] `= false` defers all of that to
-//! the explicit sweep, for operators who want to inspect stale bins before
-//! reclaiming them. Expiry counts surface in [`StoreStats::expired_records`],
-//! which a detector exposes through `ZeroEd::store()`.
+//! ## One writer
 //!
-//! ## Sharding
-//!
-//! A single store directory is deliberately single-writer (an advisory lock
-//! turns concurrent-open data races into a fast, explicit error). For fleets
-//! of detector processes sharing one store root, [`ShardedStore`] partitions
-//! the key space across `shard-KK/` directories and gives each process its
-//! own locked *writer slot* per shard, merging all slots on read — see the
-//! [`shard`] module docs for the layout and its invariants.
+//! A store directory has one writer at a time: an advisory lock on `.lock`
+//! turns a second [`ResponseStore::open`] into an immediate `WouldBlock`
+//! error instead of two writers racing segment ids. Clones of one detector
+//! share its store. A root that an older build laid out in shards (it holds
+//! `sharding.meta`) is refused with `Unsupported` and left untouched, never
+//! opened as an empty store.
 //!
 //! ## Inspection
 //!
 //! The `zeroed-store-tool` binary (`stat` / `ls` / `verify`, backed by the
 //! [`inspect`](mod@inspect) module) answers "what is in this store and is it intact?"
-//! without booting a detector — and without taking locks, truncating tails
-//! or deleting files, so it is safe against a store that live writers are
-//! appending to.
+//! without booting a detector — and without taking the lock, truncating tails
+//! or deleting files, so it is safe against a store a detector has open.
 
 pub mod codec;
 pub mod inspect;
 pub mod segment;
-pub mod shard;
 pub mod store;
 
 pub use codec::{
     canonical_criteria, checksum64, now_epoch, DecodeError, StoreRecord, FORMAT_VERSION,
     KEY_SCHEMA_VERSION, MIN_READ_FORMAT_VERSION,
 };
-pub use inspect::{
-    inspect, verify, InspectReport, LiveEntry, SegmentReport, UnitReport, VerifyIssue,
-};
+pub use inspect::{inspect, verify, InspectReport, LiveEntry, SegmentReport, VerifyIssue};
 pub use segment::{HeaderIssue, HEADER_LEN, MAGIC};
-pub use shard::ShardedStore;
 pub use store::{FsyncPolicy, RecoveryReport, ResponseStore, StoreConfig, StoreStats};

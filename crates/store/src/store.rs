@@ -6,9 +6,9 @@
 //! Appends go to the *active* segment (created lazily; every process run
 //! starts a fresh segment rather than appending to a possibly-torn tail).
 //! When the active segment exceeds [`StoreConfig::segment_max_bytes`] it is
-//! sealed (optionally fsynced) and a new one is started. Re-appending a key
-//! supersedes the earlier record: recovery and compaction both resolve
-//! duplicates to the record in the highest `(segment, offset)` position, so
+//! sealed (fsynced) and a new one is started. Re-appending a key supersedes
+//! the earlier record: recovery and compaction both resolve duplicates to
+//! the record in the highest `(segment, offset)` position, so
 //! last-write-wins holds across crashes.
 //!
 //! ## Recovery
@@ -17,23 +17,23 @@
 //! tails are truncated at the first bad frame (see
 //! [`crate::segment::scan_segment`]); segments with damaged or
 //! version-mismatched headers are skipped wholesale. Opening never fails on
-//! *content* — only real I/O errors (permissions, missing directory parent)
-//! surface as `Err`.
+//! segment *content* — only real I/O errors (permissions, missing directory
+//! parent), a directory another store holds, or a root an older build laid
+//! out in shards surface as `Err`.
 //!
 //! ## Compaction
 //!
-//! Superseded and capacity-evicted records are *dead*: they occupy disk but
-//! can never be served. When `dead / max(live, 1)` crosses
-//! [`StoreConfig::compact_threshold`], the store rewrites every live record
-//! into a fresh segment (fsynced before any old file is deleted, so a crash
-//! mid-compaction leaves a recoverable superset) and deletes the old
-//! generation.
+//! Superseded records are *dead*: they occupy disk but can never be served.
+//! When `dead / max(live, 1)` crosses [`StoreConfig::compact_threshold`], the
+//! store rewrites every live record into a fresh segment (fsynced before any
+//! old file is deleted, so a crash mid-compaction leaves a recoverable
+//! superset) and deletes the old generation.
 
-use crate::codec::{encode_record, now_epoch, StoreRecord, FORMAT_VERSION, FRAME_PREFIX_LEN};
+use crate::codec::{encode_record, StoreRecord, FORMAT_VERSION, FRAME_PREFIX_LEN};
 use crate::segment::{
     encode_header, parse_segment_file_name, scan_segment, segment_file_name, HEADER_LEN,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -44,9 +44,6 @@ use std::time::Instant;
 /// When the store calls `fsync` on segment data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Never fsync (durability left to the OS; fastest, survives process
-    /// crashes but not power loss).
-    Never,
     /// Fsync when a segment is sealed, after compaction and on
     /// [`ResponseStore::sync`] — the default.
     OnSeal,
@@ -55,41 +52,17 @@ pub enum FsyncPolicy {
     Always,
 }
 
-/// Configuration of a [`ResponseStore`] (and, through
-/// [`crate::ShardedStore`], of every writer slot in a sharded store).
+/// Configuration of a [`ResponseStore`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Directory holding the segment files (created if missing). For a
-    /// sharded store this is the *root*; each shard's writer slots live in
-    /// `shard-KK/writer-WWW/` subdirectories underneath it.
+    /// Directory holding the segment files (created if missing).
     pub dir: String,
-    /// Maximum live entries retained (0 = unbounded). When an append pushes
-    /// the live count past the capacity, the oldest live entries are evicted
-    /// (they become dead records reclaimed by compaction). In a sharded
-    /// store the bound applies per writer slot.
-    pub capacity: usize,
     /// Fsync policy for appended data.
     pub fsync: FsyncPolicy,
     /// Active-segment size that triggers a roll to a new segment.
     pub segment_max_bytes: u64,
     /// Dead-to-live record ratio beyond which the store compacts.
     pub compact_threshold: f64,
-    /// Number of key-space shards (0 or 1 = unsharded single-directory
-    /// layout, the default). Only consulted when *creating* a store through
-    /// [`crate::ShardedStore::open`]; an existing directory keeps the layout
-    /// it was created with (recorded in `sharding.meta`).
-    pub shards: usize,
-    /// Seconds a record stays servable after its written-at epoch
-    /// ([`StoreRecord::epoch`]); 0 disables expiry. v1 records (epoch 0) are
-    /// maximally stale, so any TTL expires them.
-    pub ttl_secs: u64,
-    /// Automatically enforce the TTL: expired records found at open are
-    /// dropped during recovery (compacting the store if enough of it died),
-    /// and every compaction filters newly expired entries. When `false`,
-    /// expiry happens only on an explicit [`ResponseStore::gc`] call — an
-    /// operator choice for inspecting stale experiment bins before
-    /// reclaiming them.
-    pub gc: bool,
 }
 
 impl StoreConfig {
@@ -97,27 +70,10 @@ impl StoreConfig {
     pub fn new(dir: impl Into<String>) -> Self {
         Self {
             dir: dir.into(),
-            capacity: 0,
             fsync: FsyncPolicy::OnSeal,
             segment_max_bytes: 8 << 20,
             compact_threshold: 0.5,
-            shards: 1,
-            ttl_secs: 0,
-            gc: true,
         }
-    }
-
-    /// Partitions the key space across `shards` independent segment
-    /// directories (see [`crate::ShardedStore`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Expires records `ttl_secs` after their written-at epoch.
-    pub fn with_ttl_secs(mut self, ttl_secs: u64) -> Self {
-        self.ttl_secs = ttl_secs;
-        self
     }
 }
 
@@ -137,25 +93,6 @@ pub struct RecoveryReport {
     pub tails_truncated: usize,
     /// Bytes discarded by truncation and skipped segments.
     pub bytes_discarded: u64,
-    /// Records dropped at open because their TTL had lapsed (only when
-    /// [`StoreConfig::gc`] is set; they become dead records for compaction).
-    pub records_expired: usize,
-}
-
-impl RecoveryReport {
-    /// Component-wise sum (used by [`crate::ShardedStore`] to aggregate the
-    /// per-slot reports).
-    pub fn merge(&self, other: &RecoveryReport) -> RecoveryReport {
-        RecoveryReport {
-            segments_scanned: self.segments_scanned + other.segments_scanned,
-            segments_skipped: self.segments_skipped + other.segments_skipped,
-            records_recovered: self.records_recovered + other.records_recovered,
-            records_superseded: self.records_superseded + other.records_superseded,
-            tails_truncated: self.tails_truncated + other.tails_truncated,
-            bytes_discarded: self.bytes_discarded + other.bytes_discarded,
-            records_expired: self.records_expired + other.records_expired,
-        }
-    }
 }
 
 /// Counters describing store activity since open.
@@ -163,54 +100,23 @@ impl RecoveryReport {
 pub struct StoreStats {
     /// Live (servable) records.
     pub live_records: u64,
-    /// Dead records awaiting compaction (superseded or evicted).
+    /// Superseded records awaiting compaction.
     pub dead_records: u64,
     /// Records appended since open.
     pub appended_records: u64,
     /// Frame bytes appended since open.
     pub appended_bytes: u64,
-    /// Live entries evicted by the capacity bound.
-    pub evicted_records: u64,
-    /// Records expired by the TTL policy (at open, during compaction, or by
-    /// an explicit [`ResponseStore::gc`] sweep).
-    pub expired_records: u64,
     /// Compactions performed.
     pub compactions: u64,
     /// `fsync` calls issued.
     pub fsyncs: u64,
-    /// Wall time [`ResponseStore::open`] spent opening this store, including
-    /// crash recovery, TTL expiry at open and any open-triggered compaction,
-    /// in nanoseconds.
+    /// Wall time [`ResponseStore::open`] spent opening this store, crash
+    /// recovery included, in nanoseconds.
     pub open_nanos: u64,
     /// Wall time spent inside completed compactions, in nanoseconds.
     pub compaction_nanos: u64,
-    /// Wall time spent in explicit [`ResponseStore::gc`] sweeps (including
-    /// compactions those sweeps triggered, which also count toward
-    /// `compaction_nanos`), in nanoseconds.
-    pub gc_nanos: u64,
     /// Wall time spent waiting on `fsync`, in nanoseconds.
     pub fsync_nanos: u64,
-}
-
-impl StoreStats {
-    /// Component-wise sum (used by [`crate::ShardedStore`] to aggregate the
-    /// per-slot counters).
-    pub fn merge(&self, other: &StoreStats) -> StoreStats {
-        StoreStats {
-            live_records: self.live_records + other.live_records,
-            dead_records: self.dead_records + other.dead_records,
-            appended_records: self.appended_records + other.appended_records,
-            appended_bytes: self.appended_bytes + other.appended_bytes,
-            evicted_records: self.evicted_records + other.evicted_records,
-            expired_records: self.expired_records + other.expired_records,
-            compactions: self.compactions + other.compactions,
-            fsyncs: self.fsyncs + other.fsyncs,
-            open_nanos: self.open_nanos + other.open_nanos,
-            compaction_nanos: self.compaction_nanos + other.compaction_nanos,
-            gc_nanos: self.gc_nanos + other.gc_nanos,
-            fsync_nanos: self.fsync_nanos + other.fsync_nanos,
-        }
-    }
 }
 
 struct IndexEntry {
@@ -218,9 +124,6 @@ struct IndexEntry {
     offset: u64,
     frame_len: u32,
     seq: u64,
-    /// Written-at epoch, mirrored from the record so TTL sweeps run off the
-    /// in-memory index without touching disk.
-    epoch: u64,
 }
 
 struct ActiveSegment {
@@ -232,9 +135,6 @@ struct ActiveSegment {
 
 struct Inner {
     index: HashMap<u128, IndexEntry>,
-    /// Insertion order for capacity eviction (lazy: stale entries are skipped
-    /// when their seq no longer matches the index).
-    order: VecDeque<(u64, u128)>,
     next_seq: u64,
     /// Sealed segments by id (recovered ones and rolled ones).
     sealed: Vec<u64>,
@@ -253,9 +153,9 @@ struct Inner {
     formats: HashMap<u64, u16>,
     /// Live records decoded during the open scan, kept so the warm-start
     /// preload does not read and decode the whole store a second time.
-    /// Mirrors the index (superseded/evicted entries removed); consumed by
-    /// the first [`ResponseStore::load_live`], invalidated by any append or
-    /// compaction in between.
+    /// Mirrors the index (superseded entries removed); consumed by the first
+    /// [`ResponseStore::load_live`], invalidated by any append or compaction
+    /// in between.
     stash: Option<HashMap<u128, (u64, StoreRecord)>>,
 }
 
@@ -263,13 +163,10 @@ struct Inner {
 struct Counters {
     appended_records: AtomicU64,
     appended_bytes: AtomicU64,
-    evicted_records: AtomicU64,
-    expired_records: AtomicU64,
     compactions: AtomicU64,
     fsyncs: AtomicU64,
     open_nanos: AtomicU64,
     compaction_nanos: AtomicU64,
-    gc_nanos: AtomicU64,
     fsync_nanos: AtomicU64,
 }
 
@@ -299,10 +196,13 @@ impl std::fmt::Debug for ResponseStore {
 impl ResponseStore {
     /// Opens (or creates) the store at `config.dir`, running recovery over
     /// existing segments. Damaged content is truncated or skipped, never
-    /// fatal; only real I/O errors return `Err`.
+    /// fatal. `Err` means a real I/O error, a directory another store holds
+    /// (`WouldBlock`), or a root an older build laid out in shards
+    /// (`Unsupported`, with nothing written).
     pub fn open(config: StoreConfig) -> io::Result<Self> {
         let t_open = Instant::now();
         let dir = PathBuf::from(&config.dir);
+        refuse_sharded_root(&dir)?;
         std::fs::create_dir_all(&dir)?;
 
         // Single-writer enforcement: two stores on one directory would race
@@ -337,7 +237,6 @@ impl ResponseStore {
         let mut report = RecoveryReport::default();
         let mut inner = Inner {
             index: HashMap::new(),
-            order: VecDeque::new(),
             next_seq: 0,
             sealed: Vec::new(),
             preserved: Vec::new(),
@@ -347,7 +246,6 @@ impl ResponseStore {
             formats: HashMap::new(),
             stash: Some(HashMap::new()),
         };
-        let now = now_epoch();
 
         for &id in &segment_ids {
             let path = dir.join(segment_file_name(id));
@@ -379,15 +277,6 @@ impl ResponseStore {
             }
             inner.formats.insert(id, scan.format);
             for scanned in scan.records {
-                // TTL enforcement at open: an expired record is dead on
-                // arrival — skipped entirely (it must also not resurrect a
-                // key a previous record established, so it is dropped before
-                // duplicate resolution, not after).
-                if config.gc && expired_at(config.ttl_secs, scanned.record.epoch, now) {
-                    report.records_expired += 1;
-                    inner.dead_records += 1;
-                    continue;
-                }
                 let seq = inner.next_seq;
                 inner.next_seq += 1;
                 let previous = inner.index.insert(
@@ -397,10 +286,8 @@ impl ResponseStore {
                         offset: scanned.offset,
                         frame_len: scanned.frame_len,
                         seq,
-                        epoch: scanned.record.epoch,
                     },
                 );
-                inner.order.push_back((seq, scanned.record.key));
                 if previous.is_some() {
                     report.records_superseded += 1;
                     inner.dead_records += 1;
@@ -424,21 +311,6 @@ impl ResponseStore {
             recovery: report,
             _dir_lock: dir_lock,
         };
-        store
-            .counters
-            .expired_records
-            .store(report.records_expired as u64, Ordering::Relaxed);
-        // Enforce the capacity bound on recovered entries too (oldest out),
-        // and reclaim stale experiment bins right away: if TTL expiry just
-        // killed enough of the store, compact before serving (open is the
-        // natural maintenance point for a store whose writers come and go).
-        {
-            let mut inner = store.inner.lock().unwrap_or_else(|e| e.into_inner());
-            store.evict_over_capacity(&mut inner);
-            if store.config.gc && report.records_expired > 0 && store.should_compact(&inner) {
-                store.compact_locked(&mut inner)?;
-            }
-        }
         store.counters.open_nanos.store(
             t_open.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             Ordering::Relaxed,
@@ -473,13 +345,10 @@ impl ResponseStore {
             dead_records: inner.dead_records,
             appended_records: self.counters.appended_records.load(Ordering::Relaxed),
             appended_bytes: self.counters.appended_bytes.load(Ordering::Relaxed),
-            evicted_records: self.counters.evicted_records.load(Ordering::Relaxed),
-            expired_records: self.counters.expired_records.load(Ordering::Relaxed),
             compactions: self.counters.compactions.load(Ordering::Relaxed),
             fsyncs: self.counters.fsyncs.load(Ordering::Relaxed),
             open_nanos: self.counters.open_nanos.load(Ordering::Relaxed),
             compaction_nanos: self.counters.compaction_nanos.load(Ordering::Relaxed),
-            gc_nanos: self.counters.gc_nanos.load(Ordering::Relaxed),
             fsync_nanos: self.counters.fsync_nanos.load(Ordering::Relaxed),
         }
     }
@@ -514,12 +383,10 @@ impl ResponseStore {
         })
     }
 
-    /// Seals the active segment (fsync per policy) and moves it to `sealed`.
+    /// Seals the active segment (fsynced) and moves it to `sealed`.
     fn seal_active(&self, inner: &mut Inner) -> io::Result<()> {
         if let Some(active) = inner.active.take() {
-            if self.config.fsync != FsyncPolicy::Never {
-                self.fsync(&active.file)?;
-            }
+            self.fsync(&active.file)?;
             inner.sealed.push(active.id);
         }
         Ok(())
@@ -540,29 +407,6 @@ impl ResponseStore {
             inner.formats.insert(id, FORMAT_VERSION);
         }
         Ok(())
-    }
-
-    fn evict_over_capacity(&self, inner: &mut Inner) {
-        if self.config.capacity == 0 {
-            return;
-        }
-        while inner.index.len() > self.config.capacity {
-            let Some((seq, key)) = inner.order.pop_front() else {
-                break;
-            };
-            // Lazy queue: skip entries superseded since they were enqueued.
-            let current = inner.index.get(&key).map(|e| e.seq) == Some(seq);
-            if current {
-                inner.index.remove(&key);
-                if let Some(stash) = inner.stash.as_mut() {
-                    stash.remove(&key);
-                }
-                inner.dead_records += 1;
-                self.counters
-                    .evicted_records
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Appends (or supersedes) one record, returning the frame bytes written.
@@ -612,10 +456,8 @@ impl ResponseStore {
                 offset,
                 frame_len: frame.len() as u32,
                 seq,
-                epoch: record.epoch,
             },
         );
-        inner.order.push_back((seq, record.key));
         if previous.is_some() {
             inner.dead_records += 1;
         }
@@ -625,7 +467,6 @@ impl ResponseStore {
         self.counters
             .appended_bytes
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        self.evict_over_capacity(&mut inner);
         if self.should_compact(&inner) {
             self.compact_locked(&mut inner)?;
         }
@@ -649,25 +490,11 @@ impl ResponseStore {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
-    /// Whether the TTL policy hides records whose epoch has lapsed by `now`
-    /// from reads (expiry is *enforced* on every read path; *reclaiming* the
-    /// frames is the job of open/gc/compaction).
-    fn read_filter_expired(&self) -> bool {
-        self.config.gc && self.config.ttl_secs > 0
-    }
-
-    /// Fetches the live record for `key`, reading it from disk. Records
-    /// whose TTL lapsed after open are not served (matching what a sharded
-    /// reader's foreign scan — or the next open — would conclude).
+    /// Fetches the live record for `key`, reading it from disk.
     pub fn get(&self, key: u128) -> io::Result<Option<StoreRecord>> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         match inner.index.get(&key) {
             Some(entry) => {
-                if self.read_filter_expired()
-                    && expired_at(self.config.ttl_secs, entry.epoch, now_epoch())
-                {
-                    return Ok(None);
-                }
                 let format = segment_format(&inner, entry.segment);
                 Ok(Some(self.read_entry(entry, format)?))
             }
@@ -675,26 +502,22 @@ impl ResponseStore {
         }
     }
 
-    /// Reads and decodes a batch of live entries, opening each referenced
-    /// segment file exactly once. Returns `(seq, record)` pairs in arbitrary
-    /// order; the caller sorts as needed.
-    fn read_entries_grouped(
-        &self,
-        formats: &HashMap<u64, u16>,
-        entries: &[(u64, u64, u64, u32)], // (seq, segment, offset, frame_len)
-    ) -> io::Result<Vec<(u64, StoreRecord)>> {
+    /// Reads and decodes every live entry, opening each referenced segment
+    /// file exactly once. Returns `(seq, record)` pairs sorted by `seq`
+    /// (stable append order).
+    fn read_live(&self, inner: &Inner) -> io::Result<Vec<(u64, StoreRecord)>> {
         let mut by_segment: std::collections::BTreeMap<u64, Vec<(u64, u64, u32)>> =
             std::collections::BTreeMap::new();
-        for &(seq, segment, offset, frame_len) in entries {
+        for e in inner.index.values() {
             by_segment
-                .entry(segment)
+                .entry(e.segment)
                 .or_default()
-                .push((seq, offset, frame_len));
+                .push((e.seq, e.offset, e.frame_len));
         }
-        let mut out = Vec::with_capacity(entries.len());
+        let mut out = Vec::with_capacity(inner.index.len());
         for (segment, frames) in by_segment {
             let bytes = std::fs::read(self.segment_path(segment))?;
-            let format = formats.get(&segment).copied().unwrap_or(FORMAT_VERSION);
+            let format = segment_format(inner, segment);
             for (seq, offset, frame_len) in frames {
                 let start = offset as usize + FRAME_PREFIX_LEN;
                 let end = offset as usize + frame_len as usize;
@@ -709,51 +532,30 @@ impl ResponseStore {
                 out.push((seq, record));
             }
         }
+        out.sort_by_key(|&(seq, _)| seq);
         Ok(out)
-    }
-
-    fn live_entry_list(inner: &Inner) -> Vec<(u64, u64, u64, u32)> {
-        inner
-            .index
-            .values()
-            .map(|e| (e.seq, e.segment, e.offset, e.frame_len))
-            .collect()
     }
 
     /// Loads every live record (in stable append order) — the warm-start
     /// preload path. Each segment file is read once, however many records it
-    /// holds. Records whose TTL lapsed after open are filtered, exactly as
-    /// [`ResponseStore::get`] filters them.
+    /// holds.
     pub fn load_live(&self) -> io::Result<Vec<StoreRecord>> {
-        let now = now_epoch();
-        let expired =
-            |epoch: u64| self.read_filter_expired() && expired_at(self.config.ttl_secs, epoch, now);
         // The lock is held across the reads so a concurrent compaction
         // cannot delete a segment out from under the index snapshot.
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         // First load after open: the recovery scan already decoded every
         // live record — serve (and free) that stash instead of reading and
         // decoding the whole store a second time.
-        if let Some(stash) = inner.stash.take() {
-            debug_assert_eq!(stash.len(), inner.index.len());
-            drop(inner);
-            let mut records: Vec<(u64, StoreRecord)> = stash.into_values().collect();
-            records.sort_by_key(|&(seq, _)| seq);
-            return Ok(records
-                .into_iter()
-                .filter(|(_, record)| !expired(record.epoch))
-                .map(|(_, record)| record)
-                .collect());
-        }
-        let entries: Vec<(u64, u64, u64, u32)> = inner
-            .index
-            .values()
-            .filter(|e| !expired(e.epoch))
-            .map(|e| (e.seq, e.segment, e.offset, e.frame_len))
-            .collect();
-        let mut records = self.read_entries_grouped(&inner.formats, &entries)?;
-        drop(inner);
-        records.sort_by_key(|&(seq, _)| seq);
+        let records = match inner.stash.take() {
+            Some(stash) => {
+                debug_assert_eq!(stash.len(), inner.index.len());
+                drop(inner);
+                let mut records: Vec<(u64, StoreRecord)> = stash.into_values().collect();
+                records.sort_by_key(|&(seq, _)| seq);
+                records
+            }
+            None => self.read_live(&inner)?,
+        };
         Ok(records.into_iter().map(|(_, record)| record).collect())
     }
 
@@ -771,32 +573,16 @@ impl ResponseStore {
         // Seal the active segment so its content is readable and accounted.
         self.seal_active(inner)?;
 
-        // Read every live record, one pass per segment file, then restore
-        // stable append order. Re-encoding (rather than raw frame copy)
-        // validates each record a final time, so compaction can never carry
-        // corruption forward.
-        let mut records =
-            self.read_entries_grouped(&inner.formats, &Self::live_entry_list(inner))?;
-        records.sort_by_key(|&(seq, _)| seq);
-
-        // The compactor is also the TTL garbage collector: records whose TTL
-        // lapsed since open are dropped here instead of being carried into
-        // the new generation.
-        if self.config.gc && self.config.ttl_secs > 0 {
-            let now = now_epoch();
-            let before = records.len();
-            records.retain(|(_, record)| !expired_at(self.config.ttl_secs, record.epoch, now));
-            let expired = (before - records.len()) as u64;
-            self.counters
-                .expired_records
-                .fetch_add(expired, Ordering::Relaxed);
-        }
+        // Read every live record, one pass per segment file, in stable
+        // append order. Re-encoding (rather than raw frame copy) validates
+        // each record a final time, so compaction can never carry corruption
+        // forward.
+        let records = self.read_live(inner)?;
 
         let new_id = inner.next_segment_id;
         inner.next_segment_id += 1;
         let mut new_segment = self.create_segment(new_id)?;
         let mut new_entries: HashMap<u128, IndexEntry> = HashMap::with_capacity(records.len());
-        let mut new_order: VecDeque<(u64, u128)> = VecDeque::with_capacity(records.len());
         for (i, (_, record)) in records.iter().enumerate() {
             let frame = encode_record(record);
             let offset = new_segment.bytes;
@@ -810,10 +596,8 @@ impl ResponseStore {
                     offset,
                     frame_len: frame.len() as u32,
                     seq: i as u64,
-                    epoch: record.epoch,
                 },
             );
-            new_order.push_back((i as u64, record.key));
         }
         let live_count = records.len();
         drop(records);
@@ -839,7 +623,6 @@ impl ResponseStore {
         inner.sealed = vec![new_id];
         inner.active = None;
         inner.index = new_entries;
-        inner.order = new_order;
         inner.next_seq = live_count as u64;
         inner.dead_records = 0;
         inner.formats = HashMap::from([(new_id, FORMAT_VERSION)]);
@@ -849,46 +632,6 @@ impl ResponseStore {
             Ordering::Relaxed,
         );
         Ok(())
-    }
-
-    /// Sweeps the TTL over the live index — entries whose TTL has lapsed
-    /// since open become dead — and compacts if the sweep pushed the dead
-    /// ratio over the threshold. Returns how many records expired. This is
-    /// the explicit GC entry point for stores configured with
-    /// [`StoreConfig::gc`] `= false` (automatic stores run the same logic at
-    /// open and inside every compaction).
-    pub fn gc(&self) -> io::Result<u64> {
-        if self.config.ttl_secs == 0 {
-            return Ok(0);
-        }
-        let t_gc = Instant::now();
-        let now = now_epoch();
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let expired_keys: Vec<u128> = inner
-            .index
-            .iter()
-            .filter(|(_, entry)| expired_at(self.config.ttl_secs, entry.epoch, now))
-            .map(|(&key, _)| key)
-            .collect();
-        for key in &expired_keys {
-            inner.index.remove(key);
-            if let Some(stash) = inner.stash.as_mut() {
-                stash.remove(key);
-            }
-            inner.dead_records += 1;
-        }
-        let expired = expired_keys.len() as u64;
-        self.counters
-            .expired_records
-            .fetch_add(expired, Ordering::Relaxed);
-        if expired > 0 && self.should_compact(&inner) {
-            self.compact_locked(&mut inner)?;
-        }
-        self.counters.gc_nanos.fetch_add(
-            t_gc.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        Ok(expired)
     }
 
     /// Forces an fsync of the active segment (a durability barrier regardless
@@ -909,17 +652,31 @@ impl ResponseStore {
 
 impl Drop for ResponseStore {
     fn drop(&mut self) {
-        if self.config.fsync != FsyncPolicy::Never {
-            let _ = self.sync();
-        }
+        let _ = self.sync();
     }
 }
 
-/// Whether a record written at `epoch` has outlived `ttl_secs` by `now`
-/// (`ttl_secs == 0` disables expiry). Shared with the sharded store's
-/// read-only foreign-slot scans so one expiry rule governs every path.
-pub(crate) fn expired_at(ttl_secs: u64, epoch: u64, now: u64) -> bool {
-    ttl_secs > 0 && epoch.saturating_add(ttl_secs) < now
+/// The file an older build wrote at the root of a store it laid out in
+/// `shard-KK/writer-WWW/` subdirectories (a store created with more than one
+/// shard).
+const SHARDED_META: &str = "sharding.meta";
+
+/// Refuses a root an older build laid out in shards. This build reads only
+/// the flat layout: opening such a root would write flat segments next to
+/// `shard-KK/`, which the older build never reads, and show an empty store.
+pub(crate) fn refuse_sharded_root(dir: &Path) -> io::Result<()> {
+    let meta = dir.join(SHARDED_META);
+    if meta.try_exists()? {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!(
+                "{} exists: this store was laid out in shards by an older build, \
+                 and this build reads only the flat layout",
+                meta.display()
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// The frame format of `segment` (segments this process writes are always
@@ -935,6 +692,7 @@ fn segment_format(inner: &Inner, segment: u64) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::now_epoch;
     use std::sync::atomic::AtomicU32;
     use zeroed_llm::Response;
 
@@ -949,15 +707,11 @@ mod tests {
     }
 
     fn record(key: u128, flags: &[bool]) -> StoreRecord {
-        record_at(key, flags, now_epoch())
-    }
-
-    fn record_at(key: u128, flags: &[bool], epoch: u64) -> StoreRecord {
         StoreRecord {
             key,
             input_tokens: 100 + key as u64,
             output_tokens: key as u64,
-            epoch,
+            epoch: now_epoch(),
             value: Response::Flags(flags.to_vec()),
         }
     }
@@ -1076,28 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_oldest_live_entries() {
-        let dir = temp_dir();
-        let mut config = StoreConfig::new(dir.to_str().unwrap());
-        config.capacity = 3;
-        config.compact_threshold = 100.0;
-        let store = ResponseStore::open(config.clone()).unwrap();
-        for key in 0..5u128 {
-            store.append(&record(key, &[true])).unwrap();
-        }
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.stats().evicted_records, 2);
-        assert!(store.get(0).unwrap().is_none());
-        assert!(store.get(1).unwrap().is_none());
-        assert!(store.get(4).unwrap().is_some());
-        drop(store);
-        // Recovery enforces the bound too.
-        let store = ResponseStore::open(config).unwrap();
-        assert_eq!(store.len(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn second_store_on_the_same_dir_is_refused_until_the_first_closes() {
         let dir = temp_dir();
         let config = StoreConfig::new(dir.to_str().unwrap());
@@ -1112,120 +844,6 @@ mod tests {
         let second = ResponseStore::open(config).unwrap();
         assert_eq!(second.len(), 1);
         drop(second);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn expired_records_are_dropped_at_open_and_reclaimed() {
-        let dir = temp_dir();
-        let now = now_epoch();
-        let mut config = StoreConfig::new(dir.to_str().unwrap()).with_ttl_secs(3_600);
-        config.compact_threshold = 0.25;
-        {
-            // Write without a TTL so the stale records land on disk.
-            let store = ResponseStore::open(StoreConfig::new(dir.to_str().unwrap())).unwrap();
-            store
-                .append(&record_at(1, &[true], now.saturating_sub(10_000)))
-                .unwrap();
-            store
-                .append(&record_at(2, &[true], now.saturating_sub(20_000)))
-                .unwrap();
-            store.append(&record_at(3, &[true], now)).unwrap();
-            store.append(&record_at(4, &[false], 0)).unwrap(); // v1-style epoch
-        }
-        let store = ResponseStore::open(config.clone()).unwrap();
-        assert_eq!(store.recovery().records_expired, 3);
-        assert_eq!(store.len(), 1, "only the fresh record survives");
-        assert!(store.get(1).unwrap().is_none());
-        assert!(store.get(3).unwrap().is_some());
-        assert_eq!(store.stats().expired_records, 3);
-        // 3 dead vs 1 live crossed the threshold: open compacted the bin.
-        assert_eq!(store.stats().compactions, 1);
-        assert_eq!(store.stats().dead_records, 0);
-        drop(store);
-        // The compacted store no longer contains the expired frames at all.
-        let reopened = ResponseStore::open(config).unwrap();
-        assert_eq!(reopened.recovery().records_expired, 0);
-        assert_eq!(reopened.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_false_serves_stale_records_until_an_explicit_sweep() {
-        let dir = temp_dir();
-        let now = now_epoch();
-        let mut config = StoreConfig::new(dir.to_str().unwrap()).with_ttl_secs(60);
-        config.gc = false;
-        config.compact_threshold = 0.25;
-        let store = ResponseStore::open(config.clone()).unwrap();
-        store
-            .append(&record_at(1, &[true], now.saturating_sub(1_000)))
-            .unwrap();
-        store.append(&record_at(2, &[true], now)).unwrap();
-        drop(store);
-
-        // gc = false: the stale record is still recovered and served.
-        let store = ResponseStore::open(config).unwrap();
-        assert_eq!(store.recovery().records_expired, 0);
-        assert_eq!(store.len(), 2);
-        assert!(store.get(1).unwrap().is_some());
-        // The explicit sweep expires it (and compacts past the threshold).
-        assert_eq!(store.gc().unwrap(), 1);
-        assert_eq!(store.len(), 1);
-        assert!(store.get(1).unwrap().is_none());
-        assert!(store.get(2).unwrap().is_some());
-        assert_eq!(store.stats().expired_records, 1);
-        assert_eq!(store.gc().unwrap(), 0, "a second sweep finds nothing");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reads_never_serve_records_that_expired_after_open() {
-        // A record that outlives its TTL while the store handle stays open
-        // must disappear from get()/load_live() immediately — the same
-        // verdict a sharded foreign reader or the next open would reach —
-        // even before gc()/compaction reclaims the frame.
-        let dir = temp_dir();
-        let now = now_epoch();
-        let mut config = StoreConfig::new(dir.to_str().unwrap()).with_ttl_secs(3_600);
-        config.compact_threshold = 100.0;
-        let store = ResponseStore::open(config).unwrap();
-        store
-            .append(&record_at(1, &[true], now.saturating_sub(10_000)))
-            .unwrap();
-        store.append(&record_at(2, &[true], now)).unwrap();
-        assert!(
-            store.get(1).unwrap().is_none(),
-            "expired record is hidden from get"
-        );
-        assert!(store.get(2).unwrap().is_some());
-        let live = store.load_live().unwrap();
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].key, 2);
-        // The frame itself is still on disk until gc/compaction reclaims it.
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.gc().unwrap(), 1);
-        assert_eq!(store.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_filters_entries_that_expired_since_open() {
-        let dir = temp_dir();
-        let now = now_epoch();
-        let mut config = StoreConfig::new(dir.to_str().unwrap()).with_ttl_secs(3_600);
-        config.compact_threshold = 100.0; // manual compaction only
-        let store = ResponseStore::open(config).unwrap();
-        // Appended while the store is open (bypasses open-time expiry).
-        store
-            .append(&record_at(1, &[true], now.saturating_sub(10_000)))
-            .unwrap();
-        store.append(&record_at(2, &[true], now)).unwrap();
-        assert_eq!(store.len(), 2);
-        store.compact().unwrap();
-        assert_eq!(store.len(), 1, "the compactor drops the expired record");
-        assert!(store.get(1).unwrap().is_none());
-        assert_eq!(store.stats().expired_records, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1247,13 +865,10 @@ mod tests {
         let dir = temp_dir();
         let mut config = StoreConfig::new(dir.to_str().unwrap());
         config.fsync = FsyncPolicy::Always;
-        config.ttl_secs = 1;
-        config.gc = false;
         let store = ResponseStore::open(config).unwrap();
         let stats = store.stats();
         assert!(stats.open_nanos > 0, "open wall time recorded");
         assert_eq!(stats.compaction_nanos, 0);
-        assert_eq!(stats.gc_nanos, 0);
 
         store.append(&record(1, &[true])).unwrap();
         assert!(
@@ -1265,14 +880,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.compactions, 1);
         assert!(stats.compaction_nanos > 0, "compaction wall time recorded");
-
-        store.gc().unwrap();
-        assert!(store.stats().gc_nanos > 0, "gc sweep wall time recorded");
-
-        // Aggregation sums timing fields like any other counter.
-        let doubled = stats.merge(&stats);
-        assert_eq!(doubled.open_nanos, stats.open_nanos * 2);
-        assert_eq!(doubled.compaction_nanos, stats.compaction_nanos * 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

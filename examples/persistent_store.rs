@@ -1,17 +1,15 @@
-//! Persistence operations: sharded cross-process warm starts, TTL/GC and
-//! read-only store inspection.
+//! Persistence: a cross-process warm start and read-only store inspection.
 //!
 //! ```text
 //! cargo run --release --example persistent_store
 //! ```
 //!
-//! Three detectors ("processes") share one sharded store root concurrently,
-//! then a fresh detector warm-starts from the merged writer slots with zero
-//! LLM requests, and the store is inspected the way `zeroed-store-tool`
-//! would — without taking any locks.
+//! Three steps: a cold detector writes every response to a store directory,
+//! a fresh detector ("the next process") replays the store with zero LLM
+//! requests and a bit-identical mask, and the store is inspected and
+//! verified the way `zeroed-store-tool` would, without taking its lock.
 
 use zeroed::prelude::*;
-use zeroed::runtime::StoreConfig;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("zeroed-example-store-{}", std::process::id()));
@@ -25,74 +23,46 @@ fn main() {
             error_spec: None,
         },
     );
-    // Shard the key space 4 ways so concurrent detector processes can write
-    // one store root without contending on a single lock; expire records
-    // after a week so stale experiment bins reclaim themselves.
-    let config = ZeroEdConfig::fast().with_store(
-        StoreConfig::new(dir.to_str().unwrap())
-            .with_shards(4)
-            .with_ttl_secs(7 * 24 * 3600),
+    let config = ZeroEdConfig::fast().with_store_dir(dir.to_string_lossy());
+    let llm = || SimLlm::default_model(7).with_oracle(ds.mask.clone());
+
+    // 1. Cold: every request reaches the model and is written through.
+    let cold_llm = llm();
+    let cold = ZeroEd::new(config.clone()).detect(&ds.dirty, &cold_llm);
+    println!(
+        "cold: {} LLM requests, {} responses persisted",
+        cold_llm.ledger().usage().requests,
+        cold.stats.persist.persisted_records
     );
+    // ^ the detector is dropped here: its writer drains and syncs the store.
 
-    // Three concurrent writers, disjoint workloads (distinct LLM seeds).
-    // Constructed up front so all three hold their writer slots at once.
-    println!("cold: 3 concurrent detectors writing one sharded store root …");
-    let detectors: Vec<ZeroEd> = (0..3).map(|_| ZeroEd::new(config.clone())).collect();
-    let cold_masks: Vec<ErrorMask> = std::thread::scope(|scope| {
-        let handles: Vec<_> = detectors
-            .into_iter()
-            .enumerate()
-            .map(|(w, detector)| {
-                let w = w as u64;
-                let ds = &ds;
-                scope.spawn(move || {
-                    let llm = SimLlm::default_model(w).with_oracle(ds.mask.clone());
-                    let outcome = detector.detect(&ds.dirty, &llm);
-                    // The run's own write-through count, and a fact about
-                    // the store the detector keeps.
-                    let shards = detector
-                        .store()
-                        .map_or(0, |layer| layer.store().shard_count());
-                    println!(
-                        "  writer {w}: {} responses persisted across {shards} shards",
-                        outcome.stats.persist.persisted_records
-                    );
-                    outcome.mask
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // A fresh detector merges every writer slot and replays all three
-    // workloads without a single model call.
-    println!("warm: fresh detector reopening the store …");
+    // 2. Warm: a fresh detector preloads the store and never asks the model.
     let warm_detector = ZeroEd::new(config);
-    println!("  {} records preloaded", warm_detector.cache().len());
-    for (w, cold_mask) in cold_masks.iter().enumerate() {
-        let llm = SimLlm::default_model(w as u64).with_oracle(ds.mask.clone());
-        let outcome = warm_detector.detect(&ds.dirty, &llm);
-        assert_eq!(&outcome.mask, cold_mask, "bit-identical replay");
-        assert_eq!(llm.ledger().usage().requests, 0, "zero LLM requests");
-        println!(
-            "  workload {w}: mask identical, 0 LLM requests, {} tokens saved",
-            outcome.stats.cache.tokens_saved()
-        );
-    }
+    let preloaded = warm_detector.cache().len();
+    let warm_llm = llm();
+    let warm = warm_detector.detect(&ds.dirty, &warm_llm);
+    assert_eq!(warm.mask, cold.mask, "bit-identical replay");
+    assert_eq!(warm_llm.ledger().usage().requests, 0, "zero LLM requests");
+    println!(
+        "warm: {preloaded} records preloaded, mask identical, 0 LLM requests, {} tokens saved",
+        warm.stats.cache.tokens_saved()
+    );
     drop(warm_detector);
 
-    // Inspect the store read-only — what `zeroed-store-tool stat` prints.
+    // 3. Inspect and verify read-only — what `zeroed-store-tool stat` and
+    //    `verify` print.
     let report = zeroed::store::inspect(&dir).expect("store readable");
     println!(
-        "store: {} shards, {} writer dirs, {} live records, {} bytes",
-        report.shard_count,
-        report.units.len(),
+        "store: {} segment(s), {} live records, {} dead, {} bytes",
+        report.segments.len(),
         report.live.len(),
+        report.dead_records,
         report.total_file_bytes
     );
     for (kind, count) in report.kind_counts() {
         println!("  kind {kind:<10} {count}");
     }
+    assert_eq!(report.live.len(), preloaded);
     assert!(zeroed::store::verify(&dir).expect("verify runs").is_empty());
     println!("verify: every header and record checksum intact");
 

@@ -21,14 +21,15 @@
 //! * [`runtime`] — the concurrent LLM orchestration runtime (worker-pool
 //!   scheduler, request-dedup response cache and its write-through
 //!   persistence layer);
-//! * [`store`] — the crash-safe on-disk response store (sharded writers,
-//!   TTL/GC, read-only inspection) behind cross-process warm starts;
+//! * [`store`] — the crash-safe on-disk response store (one directory, one
+//!   writer, read-only inspection) behind cross-process warm starts;
 //! * [`baselines`] — dBoost, NADEEF, KATARA, Raha, ActiveClean and FM_ED;
 //! * [`core`] — the ZeroED pipeline itself.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour,
-//! `examples/persistent_store.rs` for the sharded-persistence operations
-//! tour, and ARCHITECTURE.md for the crate map and serving-stack overview.
+//! `examples/persistent_store.rs` for a cold run, a zero-request warm start
+//! from the store and a read-only inspection of it, and ARCHITECTURE.md for
+//! the crate map and serving-stack overview.
 //!
 //! ```
 //! use zeroed::prelude::*;
