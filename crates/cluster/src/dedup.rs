@@ -20,6 +20,7 @@ use crate::lanes::{CentroidLanes, PointLanes};
 use crate::{sq_dist, Clustering};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Rotate-xor-multiply (FxHash-style) hasher: the keys are content hashes of
 /// short f32 rows, for which SipHash's DoS resistance is wasted cost.
@@ -69,6 +70,12 @@ fn rows_bit_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Rows [`DedupPoints::build`] copies into its chunk buffer at a time.
+const BUILD_CHUNK_ROWS: usize = 256;
+
+/// End of a hash bucket's chain in [`DedupPoints::build_chunked`].
+const NO_NEXT: u32 = u32::MAX;
+
 /// A set of input rows factored into distinct vectors plus per-row codes.
 #[derive(Debug, Clone)]
 pub struct DedupPoints {
@@ -86,37 +93,66 @@ pub struct DedupPoints {
 }
 
 impl DedupPoints {
-    /// Groups `data` rows by exact bit pattern.
+    /// Groups `data` rows by exact bit pattern: [`DedupPoints::build_chunked`]
+    /// over the rows, copied into its buffer a chunk at a time. Panics when a
+    /// row's length differs from the first row's.
     pub fn build(data: &[&[f32]]) -> Self {
-        let dim = data.first().map(|r| r.len()).unwrap_or(0);
+        let dim = data.first().map_or(0, |r| r.len());
+        Self::build_chunked(data.len(), dim, BUILD_CHUNK_ROWS, |rows, out| {
+            for (r, src) in data[rows].iter().enumerate() {
+                out[r * dim..(r + 1) * dim].copy_from_slice(src);
+            }
+        })
+    }
+
+    /// Groups `n_rows` rows of `dim` values by exact bit pattern, reading
+    /// them through `fill` at most `chunk_rows` rows at a time.
+    /// `fill(rows, out)` must write every value of rows `rows`, row-major,
+    /// into `out` (`rows.len() × dim` values). Only the chunk buffer and the
+    /// distinct vectors are held, never all `n_rows × dim` values, so a
+    /// caller that generates its rows (the pipeline fills them from the
+    /// fitted feature caches) needs no matrix. The result does not depend
+    /// on `chunk_rows`.
+    pub fn build_chunked(
+        n_rows: usize,
+        dim: usize,
+        chunk_rows: usize,
+        mut fill: impl FnMut(Range<usize>, &mut [f32]),
+    ) -> Self {
+        let chunk_rows = chunk_rows.clamp(1, n_rows.max(1));
+        let mut buf = vec![0.0f32; chunk_rows * dim];
         let mut unique: Vec<f32> = Vec::new();
-        let mut codes: Vec<u32> = Vec::with_capacity(data.len());
+        let mut codes: Vec<u32> = Vec::with_capacity(n_rows);
         let mut counts: Vec<u32> = Vec::new();
         let mut first_rows: Vec<u32> = Vec::new();
-        // hash -> candidate unique ids (collisions resolved by bit comparison).
-        let mut by_hash: HashMap<u64, Vec<u32>, FxBuild> = HashMap::default();
-        for (i, row) in data.iter().enumerate() {
-            debug_assert_eq!(row.len(), dim, "ragged clustering input");
-            let candidates = by_hash.entry(hash_row(row)).or_default();
-            let found = candidates
-                .iter()
-                .copied()
-                .find(|&u| rows_bit_equal(&unique[u as usize * dim..(u as usize + 1) * dim], row));
-            let code = match found {
-                Some(u) => {
-                    counts[u as usize] += 1;
-                    u
+        // Row hash -> the last distinct vector with that hash; `next` chains
+        // the earlier ones (collisions resolved by bit comparison).
+        let mut head: HashMap<u64, u32, FxBuild> = HashMap::default();
+        let mut next: Vec<u32> = Vec::new();
+        for start in (0..n_rows).step_by(chunk_rows) {
+            let end = (start + chunk_rows).min(n_rows);
+            let chunk = &mut buf[..(end - start) * dim];
+            fill(start..end, chunk);
+            for r in 0..end - start {
+                let row = &chunk[r * dim..(r + 1) * dim];
+                let slot = head.entry(hash_row(row)).or_insert(NO_NEXT);
+                let mut u = *slot;
+                while u != NO_NEXT
+                    && !rows_bit_equal(&unique[u as usize * dim..(u as usize + 1) * dim], row)
+                {
+                    u = next[u as usize];
                 }
-                None => {
-                    let u = counts.len() as u32;
+                if u == NO_NEXT {
+                    u = counts.len() as u32;
                     unique.extend_from_slice(row);
-                    counts.push(1);
-                    first_rows.push(i as u32);
-                    candidates.push(u);
-                    u
+                    counts.push(0);
+                    first_rows.push((start + r) as u32);
+                    next.push(*slot);
+                    *slot = u;
                 }
-            };
-            codes.push(code);
+                counts[u as usize] += 1;
+                codes.push(u);
+            }
         }
         Self {
             unique,
@@ -146,6 +182,17 @@ impl DedupPoints {
     #[inline]
     pub fn unique_row(&self, u: usize) -> &[f32] {
         &self.unique[u * self.dim..(u + 1) * self.dim]
+    }
+
+    /// Applies `f` to every distinct vector in place, in code order. Codes,
+    /// counts and first rows stay as they are, so afterwards the vectors
+    /// need no longer be pairwise distinct: the detector standardises them
+    /// this way and reads them by code only.
+    pub fn map_unique_rows(&mut self, mut f: impl FnMut(&mut [f32])) {
+        let dim = self.dim;
+        for u in 0..self.n_unique() {
+            f(&mut self.unique[u * dim..(u + 1) * dim]);
+        }
     }
 
     /// Per-row codes into the distinct vectors.

@@ -295,3 +295,82 @@ fn no_duplicate_centroids_when_at_least_k_distinct_points() {
         }
     }
 }
+
+/// The grouping [`DedupPoints`] must produce, by a quadratic scan: distinct
+/// bit patterns in first-occurrence order, one code per row, multiplicities
+/// and first rows.
+type Grouping = (Vec<Vec<u32>>, Vec<u32>, Vec<u32>, Vec<u32>);
+
+fn naive_grouping(rows: &[&[f32]]) -> Grouping {
+    let mut unique: Vec<Vec<u32>> = Vec::new();
+    let (mut codes, mut counts, mut first_rows) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, row) in rows.iter().enumerate() {
+        let bits: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
+        let u = match unique.iter().position(|v| *v == bits) {
+            Some(u) => u,
+            None => {
+                unique.push(bits);
+                counts.push(0);
+                first_rows.push(i as u32);
+                unique.len() - 1
+            }
+        };
+        counts[u] += 1;
+        codes.push(u as u32);
+    }
+    (unique, codes, counts, first_rows)
+}
+
+fn grouping_of(dd: &DedupPoints) -> Grouping {
+    let unique = (0..dd.n_unique())
+        .map(|u| dd.unique_row(u).iter().map(|x| x.to_bits()).collect())
+        .collect();
+    (
+        unique,
+        dd.codes().to_vec(),
+        dd.counts().to_vec(),
+        dd.first_rows().to_vec(),
+    )
+}
+
+#[test]
+fn chunked_build_matches_the_row_slice_build_bit_for_bit() {
+    let nan = f32::from_bits(0x7fc0_0001);
+    let mut tables: Vec<(Vec<Vec<f32>>, usize)> = vec![
+        (duplicated_table(300, 17, 5), 5),
+        (sampling_shape_table(97, 6, 3), 6),
+        (Vec::new(), 4),
+        (vec![Vec::new(); 9], 0),
+    ];
+    // -0.0 and 0.0 stay apart; NaNs group by payload.
+    let signed: Vec<Vec<f32>> = (0..40)
+        .map(|i| match i % 5 {
+            0 => vec![0.0, 1.0],
+            1 => vec![-0.0, 1.0],
+            2 => vec![f32::NAN, 1.0],
+            3 => vec![nan, 1.0],
+            _ => vec![(i % 3) as f32, -0.0],
+        })
+        .collect();
+    tables.push((signed, 2));
+    for (data, dim) in &tables {
+        let rows = refs(data);
+        let n = rows.len();
+        let expected = naive_grouping(&rows);
+        let built = DedupPoints::build(&rows);
+        assert_eq!(grouping_of(&built), expected, "build, n={n}");
+        for chunk in [1usize, 7, 256, n + 1, n + 300] {
+            let mut calls = 0;
+            let dd = DedupPoints::build_chunked(n, *dim, chunk, |range, out| {
+                calls += 1;
+                assert!(range.len() <= chunk && out.len() == range.len() * dim);
+                for (r, src) in rows[range].iter().enumerate() {
+                    out[r * dim..(r + 1) * dim].copy_from_slice(src);
+                }
+            });
+            assert_eq!(grouping_of(&dd), expected, "n={n} chunk={chunk}");
+            assert_eq!((dd.n_rows(), dd.dim()), (n, *dim), "chunk={chunk}");
+            assert_eq!(calls, n.div_ceil(chunk), "n={n} chunk={chunk}");
+        }
+    }
+}

@@ -6,18 +6,21 @@
 //! standardised per attribute before training.
 //!
 //! This stage shared the non-LLM wall with sampling at 50k rows, so
-//! [`train_and_predict`] runs in *dedup-weighted* form: the column's unified
-//! feature matrix is factored through its distinct rows once
-//! ([`DedupPoints`]), the scaler fits weighted moments over distinct training
-//! vectors ([`StandardScaler::fit_weighted`]), the MLP trains on distinct
-//! `(vector, label)` pairs weighted by multiplicity through the batched
-//! trainer ([`Mlp::fit_weighted`]), and prediction standardises + forwards
-//! each distinct vector exactly once, scattering flags back by code — so the
-//! per-column cost scales with the number of *distinct* values, not rows, and
-//! no per-cell `to_vec` copies remain. The scalar trainer is retained in
+//! [`train_and_predict_distinct`] runs in *dedup-weighted* form over the
+//! column's distinct unified vectors ([`DedupPoints`]; the pipeline streams
+//! them from the fitted caches and never builds the column's matrix): the
+//! scaler fits weighted moments over distinct training vectors
+//! ([`StandardScaler::fit_weighted`]), then standardises every distinct
+//! vector once, in place, the MLP trains on distinct `(vector, label)` pairs
+//! weighted by multiplicity through the batched trainer
+//! ([`Mlp::fit_weighted`]), and prediction forwards each distinct vector
+//! exactly once, scattering flags back by code — so the per-column cost
+//! scales with the number of *distinct* values, not rows, and no per-cell
+//! or per-distinct copies remain. [`train_and_predict`] runs the same core
+//! over a matrix's distinct rows. The scalar trainer is retained in
 //! `zeroed-ml` as the batched path's bit-identity oracle.
 //!
-//! [`train_and_predict`] is free of cross-attribute state and seeds its MLP
+//! The detector is free of cross-attribute state and seeds its MLP
 //! from `(config seed, column)` alone, so the concurrent runtime path runs it
 //! per attribute on the attribute chains' CPU lane, as soon as that
 //! attribute's training data is ready, with bit-identical predictions to the
@@ -32,8 +35,22 @@ use zeroed_features::{FeatureMatrix, FittedFeatures};
 use zeroed_ml::{Mlp, MlpConfig, StandardScaler};
 use zeroed_table::Table;
 
-/// Trains the per-attribute detector and predicts every cell of the column.
-/// Returns one `is_error` flag per row.
+/// One attribute's detector output.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnPrediction {
+    /// One `is_error` flag per row.
+    pub flags: Vec<bool>,
+    /// Augmented error examples left out of training because their feature
+    /// width differs from the column's unified vectors (see
+    /// `PipelineStats::augmented_dropped`).
+    pub augmented_dropped: usize,
+}
+
+/// Trains the per-attribute detector on the column's unified feature matrix
+/// and predicts every cell of the column: [`train_and_predict_distinct`]
+/// over the matrix's distinct rows, with the same flags. Returns one
+/// `is_error` flag per row. `ZeroEd::detect` calls
+/// [`train_and_predict_distinct`] directly and never builds the matrix.
 pub fn train_and_predict(
     table: &Table,
     column: usize,
@@ -42,15 +59,26 @@ pub fn train_and_predict(
     data: &ColumnTrainingData,
     config: &ZeroEdConfig,
 ) -> Vec<bool> {
+    let dd = DedupPoints::build(&unified.row_refs());
+    train_and_predict_distinct(table, column, fitted, dd, data, config).flags
+}
+
+/// Trains the per-attribute detector on the column's distinct unified
+/// vectors `dd` (one code per table row) and predicts every cell of the
+/// column. Consumes `dd`: its vectors are standardised in place.
+pub fn train_and_predict_distinct(
+    table: &Table,
+    column: usize,
+    fitted: &FittedFeatures<'_>,
+    mut dd: DedupPoints,
+    data: &ColumnTrainingData,
+    config: &ZeroEdConfig,
+) -> ColumnPrediction {
     let n_rows = table.n_rows();
     if n_rows == 0 {
-        return Vec::new();
+        return ColumnPrediction::default();
     }
-
-    // Factor the column's features through their distinct rows once; training,
-    // scaling and prediction below all run per distinct vector.
-    let row_refs = unified.row_refs();
-    let dd = DedupPoints::build(&row_refs);
+    debug_assert_eq!(dd.n_rows(), n_rows, "one code per table row");
 
     // Augmented error examples: featurise the fabricated value in the context
     // of its source row. When criteria features are in use, the fabricated
@@ -62,6 +90,7 @@ pub fn train_and_predict(
         _ => None,
     };
     let mut augmented_rows: Vec<Vec<f32>> = Vec::new();
+    let mut augmented_dropped = 0;
     for (context_row, value) in &data.augmented {
         let extra_override: Option<Vec<f32>> = data.criteria.as_ref().map(|set| {
             augmented_criteria_features(
@@ -80,9 +109,12 @@ pub fn train_and_predict(
             extra_override.as_deref(),
         );
         // Guard against dimension drift (e.g. refined criteria adding checks):
-        // only use the example when its dimensionality matches the matrix.
-        if feat.len() == unified.n_cols() {
+        // only use the example when its dimensionality matches the column's
+        // vectors, and count the rest.
+        if feat.len() == dd.dim() {
             augmented_rows.push(feat);
+        } else {
+            augmented_dropped += 1;
         }
     }
 
@@ -93,7 +125,10 @@ pub fn train_and_predict(
         // "clean" when we saw nothing at all), mirroring the behaviour of a
         // classifier trained on a single class.
         let default_flag = n_error > 0;
-        return vec![default_flag; n_rows];
+        return ColumnPrediction {
+            flags: vec![default_flag; n_rows],
+            augmented_dropped,
+        };
     }
 
     // Weighted dedup training set: one slot per (distinct vector, label) —
@@ -154,17 +189,17 @@ pub fn train_and_predict(
     }
     let scaler = StandardScaler::fit_weighted(&train_refs, &weights);
 
-    // Standardise the distinct matrix once; it serves both training (slots
-    // reference their scaled distinct row) and prediction below.
-    let scaled_uniques: Vec<Vec<f32>> = (0..dd.n_unique())
-        .map(|u| scaler.transform(dd.unique_row(u)))
-        .collect();
-    let scaled_augmented: Vec<Vec<f32>> =
-        augmented_rows.iter().map(|r| scaler.transform(r)).collect();
+    // Standardise every distinct vector and augmented example once, in
+    // place; the distinct vectors serve both training (slots reference
+    // their row by code) and prediction below.
+    dd.map_unique_rows(|row| scaler.transform_in_place(row));
+    for row in &mut augmented_rows {
+        scaler.transform_in_place(row);
+    }
     let scaled_train: Vec<&[f32]> = slot_codes
         .iter()
-        .map(|&c| scaled_uniques[c as usize].as_slice())
-        .chain(scaled_augmented.iter().map(|r| r.as_slice()))
+        .map(|&c| dd.unique_row(c as usize))
+        .chain(augmented_rows.iter().map(Vec::as_slice))
         .collect();
     // The dedup set holds `t` slots standing in for `expanded` virtual rows,
     // so one epoch now provides `t/expanded` of the former optimiser steps —
@@ -207,13 +242,16 @@ pub fn train_and_predict(
 
     // Predict each distinct vector once and scatter the flags back to rows
     // by code.
-    let scaled_refs: Vec<&[f32]> = scaled_uniques.iter().map(|r| r.as_slice()).collect();
+    let scaled: Vec<&[f32]> = (0..dd.n_unique()).map(|u| dd.unique_row(u)).collect();
     let flags: Vec<bool> = mlp
-        .predict_proba_batch(&scaled_refs)
+        .predict_proba_batch(&scaled)
         .into_iter()
         .map(|p| p >= 0.5)
         .collect();
-    dd.scatter(&flags)
+    ColumnPrediction {
+        flags: dd.scatter(&flags),
+        augmented_dropped,
+    }
 }
 
 /// Evaluates the column's criteria for a fabricated value placed in the
@@ -295,9 +333,14 @@ mod tests {
     fn detector_finds_the_planted_errors() {
         let t = table();
         let data = training_data();
+        let set = data.criteria.as_ref().unwrap();
         let extra = vec![
-            Vec::new(),
-            zeroed_criteria::criteria_features_dict(data.criteria.as_ref().unwrap(), &t.intern()),
+            FeatureMatrix::zeros(0, 0),
+            FeatureMatrix::from_flat(
+                t.n_rows(),
+                set.len(),
+                zeroed_criteria::criteria_features_dict(set, &t.intern()),
+            ),
         ];
         let builder = FeatureBuilder::new(FeatureConfig {
             embed_dim: 8,
@@ -344,6 +387,36 @@ mod tests {
         let none = ColumnTrainingData::default();
         let preds = train_and_predict(&t, 1, &fitted, &unified, &none, &config);
         assert!(preds.iter().all(|&p| !p));
+    }
+
+    /// Augmented examples whose width differs from the column's vectors
+    /// are left out of training and counted.
+    #[test]
+    fn augmented_examples_of_another_width_are_counted() {
+        let t = table();
+        let mut data = training_data();
+        let builder = FeatureBuilder::new(FeatureConfig {
+            embed_dim: 8,
+            top_k_corr: 1,
+            ..FeatureConfig::default()
+        });
+        let config = ZeroEdConfig::fast();
+        // The fitted vectors carry no criteria block while the training
+        // data checks one criterion: both augmented examples are one value
+        // wider than the column's vectors.
+        let fitted = builder.fit(&t, &[]);
+        let dropped = |data: &ColumnTrainingData| {
+            let dd = crate::pipeline::features::distinct_vectors(&fitted, 1);
+            train_and_predict_distinct(&t, 1, &fitted, dd, data, &config).augmented_dropped
+        };
+        assert_eq!(dropped(&data), 2);
+        // Without criteria the widths agree and nothing is dropped.
+        data.criteria = None;
+        assert_eq!(dropped(&data), 0);
+        // A degenerate training set still reports what it dropped.
+        data.clean_rows.clear();
+        data.criteria = training_data().criteria;
+        assert_eq!(dropped(&data), 2);
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! This module computes the correlated attributes, asks the LLM for
 //! error-checking criteria per attribute, and turns those criteria into the
 //! binary feature block passed to `zeroed-features` as `extra` features.
+//! Past the fit, [`distinct_vectors`] streams one attribute's unified
+//! vectors from the fitted caches into the distinct vectors its sampling
+//! and its detector read.
 
 use crate::config::{CriteriaEngine, ZeroEdConfig};
+use zeroed_cluster::DedupPoints;
 use zeroed_criteria::{criteria_features_dict, CriteriaSet};
 use zeroed_features::nmi::top_k_correlated_dict;
+use zeroed_features::{FeatureMatrix, FittedFeatures};
 use zeroed_llm::{AttributeContext, LlmClient};
 use zeroed_table::{Table, TableDict};
 
@@ -66,28 +71,53 @@ pub fn generate_criteria_on(
 }
 
 /// Evaluates every column's criteria over the full table, producing the
-/// per-column extra feature blocks for the feature builder (columns without
-/// criteria get an empty block). One scheduler task per column (criteria
-/// evaluation is CPU-bound and embarrassingly parallel per column),
-/// honouring the configured evaluation engine: compiled-VM per-distinct
-/// evaluation by default, the per-cell AST oracle when pinned. `dict` must
-/// describe `table`.
+/// per-column extra feature blocks for the feature builder: one flat
+/// `n_rows × n_criteria` matrix per column, and a 0×0 matrix for a column
+/// without criteria. One scheduler task per column (criteria evaluation is
+/// CPU-bound and embarrassingly parallel per column), honouring the
+/// configured evaluation engine: compiled-VM per-distinct evaluation by
+/// default, the per-cell AST oracle when pinned. `dict` must describe
+/// `table`.
 pub fn criteria_extra_dict_on(
     scheduler: &zeroed_runtime::Scheduler,
     criteria: &[Option<CriteriaSet>],
     table: &Table,
     dict: &TableDict,
     engine: CriteriaEngine,
-) -> Vec<Vec<Vec<f32>>> {
+) -> Vec<FeatureMatrix> {
     scheduler.run(criteria.len(), |j| match &criteria[j] {
-        Some(set) if !set.is_empty() => match engine {
-            CriteriaEngine::Compiled => criteria_features_dict(set, dict),
-            CriteriaEngine::AstOracle => {
-                zeroed_criteria::verify::oracle::criteria_features(set, table)
-            }
-        },
-        _ => Vec::new(),
+        Some(set) if !set.is_empty() => {
+            let block = match engine {
+                CriteriaEngine::Compiled => criteria_features_dict(set, dict),
+                CriteriaEngine::AstOracle => {
+                    zeroed_criteria::verify::oracle::criteria_features(set, table)
+                }
+            };
+            FeatureMatrix::from_flat(table.n_rows(), set.len(), block)
+        }
+        _ => FeatureMatrix::zeros(0, 0),
     })
+}
+
+/// Rows [`distinct_vectors`] fills per chunk: a 256-row buffer of a
+/// ~110-wide attribute is ~110 KB, against ~21 MB for the whole matrix of
+/// a 50k-row one.
+const DISTINCT_CHUNK_ROWS: usize = 256;
+
+/// Attribute `col`'s unified feature vectors, deduplicated: filled from the
+/// fitted caches ([`FittedFeatures::unified_rows_into`]) a chunk of rows at
+/// a time and grouped by bit pattern as they arrive
+/// ([`DedupPoints::build_chunked`]), so only the distinct vectors and one
+/// chunk are ever held, never the attribute's `n_rows × width` matrix.
+/// Bit-identical to [`DedupPoints::build`] over
+/// [`FittedFeatures::unified_matrix`]`(col)` on a table with rows.
+pub fn distinct_vectors(fitted: &FittedFeatures<'_>, col: usize) -> DedupPoints {
+    DedupPoints::build_chunked(
+        fitted.dict().n_rows(),
+        fitted.unified_dim(col),
+        DISTINCT_CHUNK_ROWS,
+        |rows, out| fitted.unified_rows_into(col, rows, out),
+    )
 }
 
 #[cfg(test)]
@@ -133,7 +163,8 @@ mod tests {
         };
         let extra = extra_of(&crit);
         assert_eq!(extra.len(), ds.dirty.n_cols());
-        assert_eq!(extra[0].len(), ds.dirty.n_rows());
+        assert_eq!(extra[0].n_rows(), ds.dirty.n_rows());
+        assert_eq!(extra[0].n_cols(), crit[0].as_ref().unwrap().len());
 
         let none = generate_criteria_on(
             &scheduler,
@@ -143,7 +174,56 @@ mod tests {
             &llm,
         );
         assert!(none.iter().all(|c| c.is_none()));
-        assert!(extra_of(&none).iter().all(|e| e.is_empty()));
+        assert!(extra_of(&none).iter().all(|e| e.n_rows() == 0));
+    }
+
+    /// The streamed distinct vectors equal the dedup of the whole unified
+    /// matrix bit for bit, on a table longer than one chunk with criteria
+    /// blocks, duplicated rows and all-distinct attributes alike.
+    #[test]
+    fn distinct_vectors_match_the_dedup_of_the_unified_matrix() {
+        let ds = generate(
+            DatasetSpec::Flights,
+            &GenerateOptions {
+                n_rows: 2 * DISTINCT_CHUNK_ROWS + 37,
+                seed: 5,
+                error_spec: None,
+            },
+        );
+        let config = ZeroEdConfig::default();
+        let scheduler = zeroed_runtime::Scheduler::with_workers(1);
+        let dict = std::sync::Arc::new(ds.dirty.intern());
+        let corr = compute_correlated_dict(&dict, &config);
+        let llm = SimLlm::default_model(0);
+        let crit = generate_criteria_on(&scheduler, &ds.dirty, &corr, &config, &llm);
+        let extra = criteria_extra_dict_on(
+            &scheduler,
+            &crit,
+            &ds.dirty,
+            &dict,
+            CriteriaEngine::Compiled,
+        );
+        let builder = zeroed_features::FeatureBuilder::new(zeroed_features::FeatureConfig {
+            embed_dim: config.embed_dim,
+            top_k_corr: config.effective_top_k(),
+            ..zeroed_features::FeatureConfig::default()
+        });
+        let fitted = builder.fit_prepared(&ds.dirty, dict, corr, &extra);
+        let bits = |dd: &DedupPoints| -> Vec<u32> {
+            (0..dd.n_unique())
+                .flat_map(|u| dd.unique_row(u).iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        for j in 0..ds.dirty.n_cols() {
+            let matrix = fitted.unified_matrix(j);
+            let expected = DedupPoints::build(&matrix.row_refs());
+            let streamed = distinct_vectors(&fitted, j);
+            assert_eq!(streamed.dim(), matrix.n_cols(), "column {j}");
+            assert_eq!(bits(&streamed), bits(&expected), "column {j}");
+            assert_eq!(streamed.codes(), expected.codes(), "column {j}");
+            assert_eq!(streamed.counts(), expected.counts(), "column {j}");
+            assert_eq!(streamed.first_rows(), expected.first_rows(), "column {j}");
+        }
     }
 
     #[test]

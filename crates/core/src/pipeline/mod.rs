@@ -11,13 +11,15 @@
 //! another attribute (§III-C/D), so the scheduler streams each attribute's
 //! chain ([`zeroed_runtime::Scheduler::run_chain`]) and one attribute's
 //! detector overlaps another's waits on the model. Attribute j's unified
-//! matrix has two readers, its sampling and its detector, and each of those
-//! phases builds it from the fitted caches
-//! ([`zeroed_features::FittedFeatures::unified_matrix`]) and drops it on
-//! return. At most one matrix per CPU-lane worker is therefore alive,
-//! instead of every attribute's base and unified matrices. Stage order holds
-//! within an attribute, and results come back in attribute order, so the
-//! worker count never changes the mask.
+//! vectors have two readers, its sampling and its detector, and both read
+//! only the distinct ones. Each of those phases streams them from the
+//! fitted caches a chunk of rows at a time into a
+//! [`zeroed_cluster::DedupPoints`] ([`features::distinct_vectors`]) and
+//! drops it on return, so no attribute's `n_rows × width` matrix is ever
+//! built: a CPU-lane worker holds one attribute's distinct vectors, its
+//! row codes and one chunk. Stage order holds within an attribute, and
+//! results come back in attribute order, so the worker count never changes
+//! the mask.
 //!
 //! The work runs at two widths. What mostly waits on the model (criteria
 //! generation; labelling with training-data construction) keeps as many
@@ -356,16 +358,17 @@ impl ZeroEd {
         // labelling (analysis → guideline → label batches) and Algorithm 1
         // (propagation → refinement → verification → augmentation) at the
         // model's width, and one attribute's detector overlaps another's
-        // LLM waits. Attribute j's unified matrix has no other reader, so
-        // its sampling and its detector each build it from the fitted
-        // caches and drop it on return: at most one matrix per CPU-lane
-        // worker is alive. (Handing the sampling phase's matrix on to the
-        // detector would keep every attribute's alive, because the lane
-        // runs all the samplings before any detector.)
+        // LLM waits. Attribute j's unified vectors have no other reader, so
+        // its sampling and its detector each stream its distinct vectors
+        // from the fitted caches and drop them on return: a CPU-lane worker
+        // holds one attribute's distinct vectors and never a matrix.
+        // (Handing the sampling phase's vectors on to the detector would
+        // keep every attribute's alive, because the lane runs all the
+        // samplings before any detector.)
         // ------------------------------------------------------------------
         let t1 = Instant::now();
         let step = root.child("attributes");
-        let matrix_dist = step.child_dist("unified_matrix");
+        let vectors_dist = step.child_dist("distinct_vectors");
         let sample_dist = step.child_dist("sample_column");
         let label_dist = step.child_dist("label_attribute");
         let construct_dist = step.child_dist("construct_attribute");
@@ -374,10 +377,10 @@ impl ZeroEd {
         let chains = scheduler.run_chain(
             n_cols,
             |j| {
-                let unified = matrix_dist.time(|| fitted.unified_matrix(j));
+                let vectors = vectors_dist.time(|| features::distinct_vectors(&fitted, j));
                 sample_dist.time(|| {
-                    sampling::sample_column(
-                        &unified,
+                    sampling::sample_distinct(
+                        &vectors,
                         config.clusters_for(n_rows),
                         config.sampling.into(),
                         config.seed.wrapping_add(j as u64),
@@ -410,15 +413,17 @@ impl ZeroEd {
                 (labels, training)
             },
             |j, (labels, training)| {
-                let unified = matrix_dist.time(|| fitted.unified_matrix(j));
-                let predictions = predict_dist.time(|| {
-                    detector::train_and_predict(dirty, j, &fitted, &unified, &training, config)
+                let vectors = vectors_dist.time(|| features::distinct_vectors(&fitted, j));
+                let prediction = predict_dist.time(|| {
+                    detector::train_and_predict_distinct(
+                        dirty, j, &fitted, vectors, &training, config,
+                    )
                 });
-                (labels, training, predictions)
+                (labels, training, prediction)
             },
         );
         let mut mask = ErrorMask::for_table(dirty);
-        for (j, (labels, training, predictions)) in chains.iter().enumerate() {
+        for (j, (labels, training, prediction)) in chains.iter().enumerate() {
             stats.llm_labeled_cells += labels.labels.len();
             stats.label_fallback_cells += labels.fallback_cells;
             stats.label_defaulted_cells += labels.defaulted_cells;
@@ -426,8 +431,9 @@ impl ZeroEd {
             stats.verified_clean_rows += training.clean_rows.len();
             stats.error_rows += training.error_rows.len();
             stats.augmented_rows += training.augmented.len();
+            stats.augmented_dropped += prediction.augmented_dropped;
             stats.criteria_count += training.criteria.as_ref().map_or(0, |c| c.len());
-            for (i, &flag) in predictions.iter().enumerate() {
+            for (i, &flag) in prediction.flags.iter().enumerate() {
                 if flag {
                     mask.set(i, j, true);
                 }
@@ -511,8 +517,8 @@ mod tests {
     /// sequential run alike: the tree reconciles, the `features` and
     /// `attributes` spans cover at least 90% of the run, every phase node
     /// under `attributes` ran once per attribute, and each attribute's
-    /// unified matrix was built twice (for its sampling and its detector)
-    /// instead of at the features barrier.
+    /// distinct vectors were streamed twice (for its sampling and its
+    /// detector) instead of a matrix being built at the features barrier.
     fn assert_stage_profile(profile: &StageProfile, n_cols: usize) {
         assert!(profile.accounting_ok(), "\n{}", profile.render_table());
         assert!(
@@ -537,15 +543,16 @@ mod tests {
             assert_eq!(node.count, n_cols as u64, "{phase} runs once per attribute");
         }
         let builds = profile
-            .find("attributes/unified_matrix")
-            .expect("missing node unified_matrix");
-        assert!(builds.parallel, "unified_matrix is task wall time");
+            .find("attributes/distinct_vectors")
+            .expect("missing node distinct_vectors");
+        assert!(builds.parallel, "distinct_vectors is task wall time");
         assert_eq!(
             builds.count,
             2 * n_cols as u64,
             "one build for each attribute's sampling and one for its detector"
         );
         assert!(profile.find("features/build_matrices").is_none());
+        assert!(profile.find("attributes/unified_matrix").is_none());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! This stage dominated the non-LLM wall at 50k rows, so the hot path runs
 //! over *deduplicated* feature rows: per-attribute vectors are assembled per
-//! distinct value and scattered to rows (`zeroed-features`), so an attribute
-//! with `n` rows carries only `u ≪ n` distinct vectors. [`sample_column`]
-//! factors the matrix through [`DedupPoints`] once and then
+//! distinct value (`zeroed-features`), so an attribute with `n` rows
+//! carries only `u ≪ n` distinct vectors. [`sample_distinct`] takes them as
+//! a [`DedupPoints`] — the pipeline streams it from the fitted caches
+//! ([`super::features::distinct_vectors`]) and never builds the attribute's
+//! matrix; [`sample_column`] factors a matrix through one first — and then
 //!
 //! * k-means runs its Lloyd loops per distinct vector
 //!   ([`zeroed_cluster::kmeans_dedup`]), weighting centroid updates by
@@ -20,15 +22,16 @@
 //! oracles — assert in the cluster crate's test suite; debug builds also
 //! check every incremental pass against a full sweep. The distances come
 //! from the bit-identical lane-wise kernels of `zeroed_cluster::lanes`, and
-//! [`sample_column`] runs entirely on the calling thread: the pipeline's
+//! [`sample_distinct`] runs entirely on the calling thread: the pipeline's
 //! scheduler supplies the parallelism, one attribute per worker of the
 //! attribute chains' CPU lane.
 //!
 //! Two compute policies bound the stage: the `max_cluster_rows` cap applies
 //! to the *distinct* count (only attributes whose cardinality exceeds it
-//! fall back to a strided row subsample), and the stage's k-means runs under
-//! a reduced Lloyd budget (`sampling_kmeans_config`) — representative
-//! selection stabilises long before full convergence.
+//! fall back to a strided row subsample, read by code from the distinct
+//! vectors), and the stage's k-means runs under a reduced Lloyd budget
+//! (`sampling_kmeans_config`) — representative selection stabilises long
+//! before full convergence.
 
 use zeroed_cluster::{
     cluster, kmeans, kmeans_dedup, Clustering, DedupPoints, KMeansConfig, SamplingMethod,
@@ -71,8 +74,28 @@ fn sampling_kmeans_config() -> KMeansConfig {
     }
 }
 
-/// Clusters one attribute's unified features into `k` clusters and picks the
-/// centroid representatives.
+/// Clusters one attribute's unified feature matrix into `k` clusters and
+/// picks the centroid representatives: [`sample_distinct`] over the
+/// matrix's distinct rows, with the same result. `ZeroEd::detect` calls
+/// [`sample_distinct`] directly and never builds the matrix.
+pub fn sample_column(
+    features: &FeatureMatrix,
+    k: usize,
+    method: SamplingMethod,
+    seed: u64,
+    max_rows: usize,
+) -> ColumnSampling {
+    sample_distinct(
+        &DedupPoints::build(&features.row_refs()),
+        k,
+        method,
+        seed,
+        max_rows,
+    )
+}
+
+/// Clusters one attribute's unified features, given as their distinct
+/// vectors `dd`, into `k` clusters and picks the centroid representatives.
 ///
 /// `max_rows` caps the clustering *compute*, and compute on the dedup path
 /// scales with the distinct count: an attribute whose `n_unique()` fits the
@@ -81,14 +104,14 @@ fn sampling_kmeans_config() -> KMeansConfig {
 /// evenly strided row subsample, with the remaining rows assigned to their
 /// nearest centroid — which keeps the step linear for the 200k-row Tax
 /// dataset while leaving representative selection unchanged.
-pub fn sample_column(
-    features: &FeatureMatrix,
+pub fn sample_distinct(
+    dd: &DedupPoints,
     k: usize,
     method: SamplingMethod,
     seed: u64,
     max_rows: usize,
 ) -> ColumnSampling {
-    let n_rows = features.n_rows();
+    let n_rows = dd.n_rows();
     if n_rows == 0 {
         return ColumnSampling {
             clustering: Clustering {
@@ -100,8 +123,6 @@ pub fn sample_column(
         };
     }
     let k = k.clamp(1, n_rows);
-    let rows = features.row_refs();
-    let dd = DedupPoints::build(&rows);
 
     // The Lloyd cost of the dedup path scales with the *distinct* count, so
     // the `max_rows` compute cap applies to `n_unique()`, not to `n_rows`:
@@ -112,8 +133,11 @@ pub fn sample_column(
     if n_rows <= max_rows || direct_kmeans {
         let clustering = match method {
             // The paper-default method gets the dedup-weighted Lloyd loop.
-            SamplingMethod::KMeans => kmeans_dedup(&dd, k, &sampling_kmeans_config(), seed),
-            _ => cluster(method, &rows, k, seed),
+            SamplingMethod::KMeans => kmeans_dedup(dd, k, &sampling_kmeans_config(), seed),
+            _ => {
+                let rows: Vec<&[f32]> = (0..n_rows).map(|i| dd.row(i)).collect();
+                cluster(method, &rows, k, seed)
+            }
         };
         let representatives = dd.representatives(&clustering);
         return ColumnSampling {
@@ -124,8 +148,7 @@ pub fn sample_column(
 
     // Subsampled clustering for very large high-cardinality attributes.
     let stride = subsample_stride(n_rows, max_rows);
-    let sample_indices: Vec<usize> = (0..n_rows).step_by(stride).collect();
-    let sample_rows: Vec<&[f32]> = sample_indices.iter().map(|&i| features.row(i)).collect();
+    let sample_rows: Vec<&[f32]> = (0..n_rows).step_by(stride).map(|i| dd.row(i)).collect();
     let sub = match method {
         SamplingMethod::KMeans => kmeans(&sample_rows, k, &sampling_kmeans_config(), seed),
         _ => cluster(method, &sample_rows, k, seed),
@@ -214,6 +237,79 @@ mod tests {
         let a = capped.clustering.assignments[capped.representatives[0]];
         let b = capped.clustering.assignments[capped.representatives[1]];
         assert_ne!(a, b);
+    }
+
+    /// A matrix whose rows repeat with period 7 while every 3rd row is
+    /// unique, so it has more distinct rows than a small cap and keeps
+    /// duplicates on the strided sample.
+    fn mixed_matrix(n: usize) -> FeatureMatrix {
+        FeatureMatrix::from_rows(
+            (0..n)
+                .map(|i| {
+                    let id = if i % 3 == 0 { i } else { i % 7 };
+                    vec![(id % 13) as f32 * 0.7 - 2.0, (id / 13) as f32 * 0.3, -0.0]
+                })
+                .collect(),
+        )
+    }
+
+    fn centroid_bits(c: &Clustering) -> Vec<Vec<u32>> {
+        c.centroids
+            .iter()
+            .map(|v| v.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// On the strided-subsample path the distinct core reads the sampled
+    /// rows by code (`dd.row(i)`). That equals the former path over the
+    /// matrix rows, restated here with the scalar oracles, and
+    /// `sample_column` over the matrix, for every method.
+    #[test]
+    fn distinct_core_matches_the_matrix_on_the_subsample_path() {
+        use zeroed_cluster::assign_to_nearest_reference;
+        let (n, k, max_rows) = (600usize, 5usize, 90usize);
+        let feats = mixed_matrix(n);
+        let rows = feats.row_refs();
+        let dd = DedupPoints::build(&rows);
+        assert!(dd.n_unique() > max_rows && dd.n_unique() < n);
+        for method in [
+            SamplingMethod::KMeans,
+            SamplingMethod::Random,
+            SamplingMethod::Agglomerative,
+        ] {
+            let got = sample_distinct(&dd, k, method, 4, max_rows);
+            let stride = subsample_stride(n, max_rows);
+            let sample: Vec<&[f32]> = (0..n).step_by(stride).map(|i| feats.row(i)).collect();
+            let sub = match method {
+                SamplingMethod::KMeans => kmeans(&sample, k, &sampling_kmeans_config(), 4),
+                _ => cluster(method, &sample, k, 4),
+            };
+            let expected = Clustering {
+                k: sub.k,
+                assignments: assign_to_nearest_reference(&rows, &sub.centroids),
+                centroids: sub.centroids,
+            };
+            let name = method.name();
+            assert_eq!(got.clustering.k, expected.k, "{name}");
+            assert_eq!(got.clustering.assignments, expected.assignments, "{name}");
+            assert_eq!(
+                centroid_bits(&got.clustering),
+                centroid_bits(&expected),
+                "{name}"
+            );
+            assert_eq!(
+                got.representatives,
+                expected.representatives_reference(&rows),
+                "{name}"
+            );
+            let wrapped = sample_column(&feats, k, method, 4, max_rows);
+            assert_eq!(wrapped.clustering.assignments, got.clustering.assignments);
+            assert_eq!(
+                centroid_bits(&wrapped.clustering),
+                centroid_bits(&got.clustering)
+            );
+            assert_eq!(wrapped.representatives, got.representatives, "{name}");
+        }
     }
 
     /// Boundary regression for the subsample cap: at `n = max_rows + 1` the

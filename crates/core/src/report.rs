@@ -23,9 +23,15 @@ pub struct PipelineStats {
     pub error_rows: usize,
     /// Synthetic error examples returned by the LLM's augmentation step.
     /// This counts what the LLM returned, not what the detector trained on:
-    /// the detector drops every example whose feature width differs from
-    /// its attribute's unified matrix.
+    /// [`PipelineStats::augmented_dropped`] of them never reached it.
     pub augmented_rows: usize,
+    /// Augmented error examples the detector left out of training because
+    /// their feature width differs from their attribute's unified vectors.
+    /// Augmented values are re-checked against the refined and verified
+    /// criteria, while the unified vectors hold the generated criteria's
+    /// indicators, so the widths part whenever verification changes the
+    /// criteria count.
+    pub augmented_dropped: usize,
     /// Total error-checking criteria in use after refinement/verification.
     pub criteria_count: usize,
     /// Cells relabelled individually because a labelling batch returned

@@ -112,51 +112,50 @@ pub mod oracle {
 
     /// Evaluates a column's criteria over every row, producing the binary
     /// error-reason-aware feature block (`f_cri`) consumed by
-    /// `zeroed-features::FeatureBuilder` as `extra` features. Satisfied
-    /// criteria map to `1.0`, violated ones to `0.0`.
-    pub fn criteria_features(set: &CriteriaSet, table: &Table) -> Vec<Vec<f32>> {
+    /// `zeroed-features::FeatureBuilder` as `extra` features: one flat
+    /// row-major `n_rows × set.len()` buffer, row `i` at
+    /// `[i * set.len()..][..set.len()]`. Satisfied criteria map to `1.0`,
+    /// violated ones to `0.0`; an empty set gives an empty buffer.
+    pub fn criteria_features(set: &CriteriaSet, table: &Table) -> Vec<f32> {
         if set.is_empty() {
             return Vec::new();
         }
         (0..table.n_rows())
-            .map(|row| {
-                set.evaluate_cell(table, row)
-                    .into_iter()
-                    .map(|b| if b { 1.0 } else { 0.0 })
-                    .collect()
-            })
+            .flat_map(|row| set.evaluate_cell(table, row))
+            .map(|b| if b { 1.0 } else { 0.0 })
             .collect()
     }
 }
 
-fn matrix_to_f32(per_criterion: Vec<Vec<bool>>, n_rows: usize) -> Vec<Vec<f32>> {
-    (0..n_rows)
-        .map(|row| {
-            per_criterion
-                .iter()
-                .map(|col| if col[row] { 1.0 } else { 0.0 })
-                .collect()
-        })
-        .collect()
-}
-
 /// Evaluates a column's criteria over every row, producing the binary
 /// error-reason-aware feature block (`f_cri`) consumed by
-/// `zeroed-features::FeatureBuilder` as `extra` features: satisfied criteria
-/// map to `1.0`, violated ones to `0.0`. Per-distinct evaluation straight
-/// off the caller's `dict`, which must describe the same table the criteria
-/// were generated for. Oracle: [`oracle::criteria_features`].
-pub fn criteria_features_dict(set: &CriteriaSet, dict: &TableDict) -> Vec<Vec<f32>> {
+/// `zeroed-features::FeatureBuilder` as `extra` features: one flat
+/// row-major `n_rows × set.len()` buffer, row `i` at
+/// `[i * set.len()..][..set.len()]`. Satisfied criteria map to `1.0`,
+/// violated ones to `0.0`; an empty set gives an empty buffer. Per-distinct
+/// evaluation straight off the caller's `dict`, which must describe the
+/// same table the criteria were generated for, scattered one criterion at
+/// a time. Oracle: [`oracle::criteria_features`].
+pub fn criteria_features_dict(set: &CriteriaSet, dict: &TableDict) -> Vec<f32> {
     if set.is_empty() {
         return Vec::new();
     }
     let compiled = compile_set(set);
-    let per_criterion: Vec<Vec<bool>> = compiled
+    let width = compiled.len();
+    let mut block = vec![0.0f32; dict.n_rows() * width];
+    for (c, mut ev) in compiled
         .evaluators(|col| dict.column(col))
         .into_iter()
-        .map(|mut ev| ev.eval_all_rows())
-        .collect();
-    matrix_to_f32(per_criterion, dict.n_rows())
+        .enumerate()
+    {
+        let cells = block.iter_mut().skip(c).step_by(width);
+        for (cell, pass) in cells.zip(ev.eval_all_rows()) {
+            if pass {
+                *cell = 1.0;
+            }
+        }
+    }
+    block
 }
 
 /// Drops criteria whose accuracy on clean-labelled rows is below `threshold`
@@ -337,9 +336,9 @@ mod tests {
         let s = set();
         let dict = t.intern();
         let feats = criteria_features_dict(&s, &dict);
-        assert_eq!(feats.len(), 5);
-        assert_eq!(feats[0], vec![1.0, 1.0, 1.0]);
-        assert_eq!(feats[3], vec![0.0, 0.0, 0.0]);
+        assert_eq!(feats.len(), 5 * 3);
+        assert_eq!(feats[..3], [1.0, 1.0, 1.0]);
+        assert_eq!(feats[9..12], [0.0, 0.0, 0.0]);
         assert!(criteria_features_dict(&CriteriaSet::new(0), &dict).is_empty());
     }
 

@@ -265,6 +265,29 @@ fn columnar_distinct_eval_matches_the_per_cell_vm() {
     }
 }
 
+/// The compiled criteria block equals the oracle's bit for bit, has the
+/// flat row-major `n_rows × set.len()` shape (empty for an empty set), and
+/// row `i` holds the `1.0`/`0.0` verdicts of `set.evaluate_cell(table, i)`.
+fn assert_flat_block(block: &[f32], oracle: &[f32], set: &CriteriaSet, table: &Table) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(block), bits(oracle));
+    let width = set.len();
+    let n_rows = if width == 0 { 0 } else { table.n_rows() };
+    assert_eq!(block.len(), n_rows * width);
+    for row in 0..n_rows {
+        let expected: Vec<f32> = set
+            .evaluate_cell(table, row)
+            .into_iter()
+            .map(|b| if b { 1.0 } else { 0.0 })
+            .collect();
+        assert_eq!(
+            bits(&block[row * width..][..width]),
+            bits(&expected),
+            "row {row}"
+        );
+    }
+}
+
 #[test]
 fn verify_entry_points_match_their_oracles_bitwise() {
     let mut rng = Rng::new(0xFEED_F00D);
@@ -277,9 +300,15 @@ fn verify_entry_points_match_their_oracles_bitwise() {
         let threshold = [0.0, 0.25, 0.5, 0.9, 1.0][rng.below(5)];
         let clean_rows: Vec<usize> = (0..n_rows).filter(|_| rng.below(3) != 0).collect();
 
-        // criteria_features: the full matrix.
+        // criteria_features: the flat n_rows × set.len() block, bit for
+        // bit, and each of its rows is that cell's `evaluate_cell` verdicts.
         let oracle = verify::oracle::criteria_features(&set, &table);
-        assert_eq!(verify::criteria_features_dict(&set, &dict), oracle);
+        assert_flat_block(
+            &verify::criteria_features_dict(&set, &dict),
+            &oracle,
+            &set,
+            &table,
+        );
 
         // filter_criteria / filter_rows: the verdicts of criterion_accuracy
         // and pass_rate against the threshold, criterion by criterion and
@@ -368,9 +397,11 @@ fn empty_tables_are_handled_identically() {
     let dict = table.intern();
     let mut rng = Rng::new(9);
     let set = random_set(&mut rng, 2);
-    assert_eq!(
-        verify::criteria_features_dict(&set, &dict),
-        verify::oracle::criteria_features(&set, &table)
+    assert_flat_block(
+        &verify::criteria_features_dict(&set, &dict),
+        &verify::oracle::criteria_features(&set, &table),
+        &set,
+        &table,
     );
     assert_eq!(
         verify::filter_rows_dict(&set, &dict, &[], 0.5),

@@ -12,8 +12,8 @@
 //!   for the paper's FastText vectors ([`embed`]);
 //! * **error-reason-aware criteria features** — binary indicators of whether
 //!   the value satisfies each LLM-derived error-checking criterion (produced
-//!   by `zeroed-criteria` / `zeroed-llm` and passed into the builder as extra
-//!   columns).
+//!   by `zeroed-criteria` / `zeroed-llm` and passed into the builder as one
+//!   flat `n_rows × n_criteria` extra matrix per attribute).
 //!
 //! Base vectors of the top-`k` correlated attributes (by normalised mutual
 //! information, [`nmi`]) are concatenated to form the *unified representation*
@@ -34,21 +34,24 @@
 //! * [`embed::HashEmbedder::embed_into`] is allocation-free (no per-window
 //!   `String`, no per-call `Vec`; thread-local scratch) and the fitted state
 //!   caches one embedding per distinct value per column;
-//! * [`unified::FittedFeatures::unified_matrix`] fills one attribute's
-//!   unified matrix straight from the cached per-distinct blocks, one base
-//!   block at a time, into a preallocated [`matrix::FeatureMatrix`] on the
-//!   calling thread. Detection builds each attribute's matrix inside the two
-//!   phases that read it, its sampling and its detector, so the fitted
-//!   caches, not the matrices, are what every attribute shares.
-//!   [`unified::FittedFeatures::build_all`] fills every attribute's base and
-//!   unified matrices at once through the same block filler, for callers
-//!   that want the whole table side by side (benchmarks and the equivalence
-//!   tests).
+//! * [`unified::FittedFeatures::unified_rows_into`] fills any row range of
+//!   one attribute's unified vectors straight from the cached per-distinct
+//!   blocks, one base block at a time, into the caller's buffer on the
+//!   calling thread. Detection streams each attribute's rows through it a
+//!   chunk at a time, inside the two phases that read them (its sampling
+//!   and its detector), and keeps only the distinct vectors, so the fitted
+//!   caches, not matrices, are what every attribute shares.
+//!   [`unified::FittedFeatures::unified_matrix`] fills all of one
+//!   attribute's rows, and [`unified::FittedFeatures::build_all`] every
+//!   attribute's base and unified matrices at once, through the same block
+//!   filler, for callers that want the whole table side by side
+//!   (`paper_bench`'s traced run, benchmarks and the equivalence tests).
 //!
 //! Invariants the fast path must uphold (enforced by `tests/equivalence.rs`
 //! against the seed implementation preserved in [`reference`](mod@reference)):
 //!
-//! 1. `base_row` / `unified_row` / `unified_matrix` / `build_all` output is
+//! 1. `base_row` / `unified_row` / `unified_rows_into` / `unified_matrix` /
+//!    `build_all` output is
 //!    **bit-identical** to the per-cell reference path, for every config
 //!    combination — including
 //!    `value_override` cells whose value is *not* in the dictionary (they fall

@@ -48,8 +48,8 @@ pub fn base_row_reference(
         fitted
             .extra
             .get(col)
-            .filter(|v| !v.is_empty())
-            .map(|v| v[row].as_slice())
+            .filter(|m| m.n_rows() > 0)
+            .map(|m| m.row(row))
     });
     if let Some(extra) = extra_cell {
         feat.extend(extra.iter().copied());

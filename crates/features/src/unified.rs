@@ -20,12 +20,15 @@
 //! flag) and the semantic embedding. A cell's base vector is then assembled by
 //! copying its distinct value's cached blocks and filling only the genuinely
 //! row-dependent slots (vicinity frequencies, keyed by `(u32, u32)` code
-//! pairs; criteria indicators, which are per-row inputs).
-//! [`FittedFeatures::unified_matrix`] fills one attribute's unified matrix
-//! from those blocks, one base block at a time, into a preallocated
-//! [`FeatureMatrix`] on the calling thread — no per-cell `Vec`, no
-//! `from_rows` materialisation, no base matrices to concatenate.
-//! [`FittedFeatures::build_all`] does the same for every attribute at once.
+//! pairs; criteria indicators, which are per-row inputs held in one flat
+//! `n_rows × n_criteria` [`FeatureMatrix`] per attribute).
+//! [`FittedFeatures::unified_rows_into`] fills any row range of one
+//! attribute's unified vectors from those blocks, one base block at a time,
+//! into a caller's buffer on the calling thread — no per-cell `Vec`, no
+//! `from_rows` materialisation, no base matrices to concatenate. The
+//! pipeline streams an attribute through it a chunk of rows at a time;
+//! [`FittedFeatures::unified_matrix`] fills all rows at once, and
+//! [`FittedFeatures::build_all`] does that for every attribute.
 //! The [`crate::reference`] module keeps the seed's per-cell implementation
 //! as the correctness oracle; equivalence tests assert the two paths produce
 //! bit-identical output.
@@ -105,7 +108,7 @@ pub struct FittedFeatures<'a> {
     pub(crate) config: FeatureConfig,
     pub(crate) embedder: &'a HashEmbedder,
     pub(crate) table: &'a Table,
-    pub(crate) extra: &'a [Vec<Vec<f32>>],
+    pub(crate) extra: &'a [FeatureMatrix],
     pub(crate) freq: FrequencyModel,
     pub(crate) correlated: Vec<Vec<usize>>,
     /// Interned view of `table` (shared with the frequency model).
@@ -136,11 +139,11 @@ impl FeatureBuilder {
     /// [`FeatureBuilder::fit_with_dict`] when a dictionary already exists.
     ///
     /// `extra` supplies optional per-attribute, per-row additional features —
-    /// ZeroED passes the binary error-checking-criteria indicators here. Use an
-    /// empty slice (or empty inner vectors) when there are none. `extra[j]`,
-    /// when present, must contain one vector per row, all of one width;
-    /// fitting panics otherwise.
-    pub fn fit<'a>(&'a self, table: &'a Table, extra: &'a [Vec<Vec<f32>>]) -> FittedFeatures<'a> {
+    /// ZeroED passes the binary error-checking-criteria indicators here, one
+    /// flat `n_rows × n_criteria` matrix per attribute. Use an empty slice
+    /// (or 0-row matrices) when there are none. `extra[j]`, when it has
+    /// rows, must have one per table row; fitting panics otherwise.
+    pub fn fit<'a>(&'a self, table: &'a Table, extra: &'a [FeatureMatrix]) -> FittedFeatures<'a> {
         self.fit_with_dict(table, Arc::new(table.intern()), extra)
     }
 
@@ -151,7 +154,7 @@ impl FeatureBuilder {
         &'a self,
         table: &'a Table,
         dict: Arc<TableDict>,
-        extra: &'a [Vec<Vec<f32>>],
+        extra: &'a [FeatureMatrix],
     ) -> FittedFeatures<'a> {
         let correlated: Vec<Vec<usize>> = (0..table.n_cols())
             .map(|j| {
@@ -176,7 +179,7 @@ impl FeatureBuilder {
         table: &'a Table,
         dict: Arc<TableDict>,
         correlated: Vec<Vec<usize>>,
-        extra: &'a [Vec<Vec<f32>>],
+        extra: &'a [FeatureMatrix],
     ) -> FittedFeatures<'a> {
         assert_eq!(
             dict.n_rows(),
@@ -203,16 +206,12 @@ impl FeatureBuilder {
             }
         }
         let n_rows = table.n_rows();
-        for (j, block) in extra.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+        for (j, block) in extra.iter().enumerate().filter(|(_, b)| b.n_rows() > 0) {
             assert_eq!(
-                block.len(),
+                block.n_rows(),
                 n_rows,
                 "extra block of column {j} has {} rows for a {n_rows}-row table",
-                block.len()
-            );
-            assert!(
-                block.iter().all(|r| r.len() == block[0].len()),
-                "extra block of column {j} is ragged: its rows must share one width"
+                block.n_rows()
             );
         }
         let mut freq = FrequencyModel::from_dict(dict.clone());
@@ -267,7 +266,7 @@ impl FeatureBuilder {
     }
 
     /// Builds features for every attribute of `table` (fit + materialise).
-    pub fn build(&self, table: &Table, extra: &[Vec<Vec<f32>>]) -> TableFeatures {
+    pub fn build(&self, table: &Table, extra: &[FeatureMatrix]) -> TableFeatures {
         self.fit(table, extra).build_all()
     }
 }
@@ -283,13 +282,14 @@ impl<'a> FittedFeatures<'a> {
         &self.dict
     }
 
+    /// The table-extra block of column `col`, when it has rows.
+    fn extra_block(&self, col: usize) -> Option<&FeatureMatrix> {
+        self.extra.get(col).filter(|m| m.n_rows() > 0)
+    }
+
     /// Width of the table-extra block of column `col`.
     fn extra_width(&self, col: usize) -> usize {
-        self.extra
-            .get(col)
-            .filter(|v| !v.is_empty())
-            .map(|v| v[0].len())
-            .unwrap_or(0)
+        self.extra_block(col).map_or(0, FeatureMatrix::n_cols)
     }
 
     /// Base-vector width of column `col` given an extra block of `extra_len`
@@ -345,7 +345,7 @@ impl<'a> FittedFeatures<'a> {
             (&self.stats_cache[col], pairs)
         });
         let embed = self.config.include_semantic.then(|| &self.embed_cache[col]);
-        let extra = self.extra.get(col).filter(|v| !v.is_empty());
+        let extra = self.extra_block(col);
         for (r, row) in rows.enumerate() {
             let dst = &mut out[r * stride + offset..][..width];
             let code = codes[row] as usize;
@@ -368,7 +368,7 @@ impl<'a> FittedFeatures<'a> {
                 off += block.len();
             }
             if let Some(extra) = extra {
-                let block = extra[row].as_slice();
+                let block = extra.row(row);
                 dst[off..off + block.len()].copy_from_slice(block);
                 off += block.len();
             }
@@ -378,22 +378,47 @@ impl<'a> FittedFeatures<'a> {
         }
     }
 
+    /// Fills the base blocks of `cols` side by side for the table's rows
+    /// `rows`: row `rows.start + r` goes to `out[r * stride..][..stride]`,
+    /// `stride` being the sum of the blocks' widths, which `out` must hold
+    /// exactly `rows.len()` times.
+    fn fill_blocks(
+        &self,
+        cols: impl Iterator<Item = usize> + Clone,
+        rows: Range<usize>,
+        out: &mut [f32],
+    ) {
+        let stride: usize = cols.clone().map(|c| self.base_dim(c)).sum();
+        assert_eq!(
+            out.len(),
+            rows.len() * stride,
+            "the buffer must hold rows.len() rows of {stride} values"
+        );
+        let mut offset = 0;
+        for c in cols {
+            self.fill_base_block(c, rows.clone(), out, stride, offset);
+            offset += self.base_dim(c);
+        }
+    }
+
     /// The matrix whose rows hold the base blocks of `cols` side by side,
     /// one row per table row. A 0-row table yields a 0×0 matrix, as the
     /// seed path (`from_rows` of an empty vector) does.
-    fn blocks_matrix(&self, cols: &[usize]) -> FeatureMatrix {
+    fn blocks_matrix(&self, cols: impl Iterator<Item = usize> + Clone) -> FeatureMatrix {
         let n_rows = self.table.n_rows();
         if n_rows == 0 {
             return FeatureMatrix::zeros(0, 0);
         }
-        let stride = cols.iter().map(|&c| self.base_dim(c)).sum();
+        let stride = cols.clone().map(|c| self.base_dim(c)).sum();
         let mut matrix = FeatureMatrix::zeros(n_rows, stride);
-        let mut offset = 0;
-        for &c in cols {
-            self.fill_base_block(c, 0..n_rows, matrix.data_mut(), stride, offset);
-            offset += self.base_dim(c);
-        }
+        self.fill_blocks(cols, 0..n_rows, matrix.data_mut());
         matrix
+    }
+
+    /// Column `col` followed by its correlated attributes: the base blocks
+    /// of a unified vector, in order.
+    fn unified_cols(&self, col: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        std::iter::once(col).chain(self.correlated[col].iter().copied())
     }
 
     /// General path: fills the base vector of a cell, honouring value and
@@ -461,12 +486,8 @@ impl<'a> FittedFeatures<'a> {
             }
             off += dim;
         }
-        let extra_cell: Option<&[f32]> = extra_override.or_else(|| {
-            self.extra
-                .get(col)
-                .filter(|v| !v.is_empty())
-                .map(|v| v[row].as_slice())
-        });
+        let extra_cell: Option<&[f32]> =
+            extra_override.or_else(|| self.extra_block(col).map(|m| m.row(row)));
         if let Some(block) = extra_cell {
             out[off..off + block.len()].copy_from_slice(block);
             off += block.len();
@@ -543,21 +564,36 @@ impl<'a> FittedFeatures<'a> {
         out
     }
 
+    /// Unified feature dimensionality of column `col`: its base block plus
+    /// the base blocks of its correlated attributes.
+    pub fn unified_dim(&self, col: usize) -> usize {
+        self.unified_cols(col).map(|c| self.base_dim(c)).sum()
+    }
+
+    /// Fills attribute `col`'s unified vectors of the table's rows `rows`
+    /// into `out`, row-major: row `rows.start + r` goes to
+    /// `out[r * unified_dim(col)..][..unified_dim(col)]`, and `out` must
+    /// hold exactly `rows.len() × unified_dim(col)` values. The values are
+    /// bit-identical to those rows of [`FittedFeatures::unified_matrix`], so
+    /// a caller can stream an attribute's vectors through a buffer of a few
+    /// rows instead of materialising its matrix; `ZeroEd::detect` does so
+    /// for each attribute's sampling and detector.
+    pub fn unified_rows_into(&self, col: usize, rows: Range<usize>, out: &mut [f32]) {
+        self.fill_blocks(self.unified_cols(col), rows, out);
+    }
+
     /// Attribute `col`'s unified matrix: per row, its base block followed by
-    /// the base blocks of its correlated attributes. The blocks are filled
-    /// straight from the fitted per-distinct caches, one after another, so
-    /// no base matrix is built on the way. Bit-identical to
+    /// the base blocks of its correlated attributes, filled as
+    /// [`FittedFeatures::unified_rows_into`] fills them. Bit-identical to
     /// `build_all().unified[col]`, including the 0×0 matrix of a 0-row
     /// table.
     ///
-    /// Only attribute `col`'s own sampling and detector read this matrix,
-    /// so `ZeroEd::detect` builds it inside each of those two phases and
-    /// drops it when the phase returns.
+    /// Holding it costs `n_rows × unified_dim(col)` values, which
+    /// `ZeroEd::detect` never pays: its sampling and detector read the
+    /// attribute's distinct vectors, streamed from
+    /// [`FittedFeatures::unified_rows_into`] a chunk of rows at a time.
     pub fn unified_matrix(&self, col: usize) -> FeatureMatrix {
-        let cols: Vec<usize> = std::iter::once(col)
-            .chain(self.correlated[col].iter().copied())
-            .collect();
-        self.blocks_matrix(&cols)
+        self.blocks_matrix(self.unified_cols(col))
     }
 
     /// Materialises the full base and unified matrices for every attribute,
@@ -575,7 +611,9 @@ impl<'a> FittedFeatures<'a> {
         let n_cols = self.table.n_cols();
         TableFeatures {
             unified: (0..n_cols).map(|j| self.unified_matrix(j)).collect(),
-            base: (0..n_cols).map(|j| self.blocks_matrix(&[j])).collect(),
+            base: (0..n_cols)
+                .map(|j| self.blocks_matrix(std::iter::once(j)))
+                .collect(),
             correlated: self.correlated.clone(),
         }
     }
@@ -633,10 +671,10 @@ mod tests {
             top_k_corr: 1,
             ..Default::default()
         });
-        let extra: Vec<Vec<Vec<f32>>> = vec![
-            (0..60).map(|_| vec![1.0, 0.0]).collect(),
-            Vec::new(),
-            Vec::new(),
+        let extra = vec![
+            FeatureMatrix::from_rows((0..60).map(|_| vec![1.0, 0.0]).collect()),
+            FeatureMatrix::zeros(0, 0),
+            FeatureMatrix::zeros(0, 0),
         ];
         let feats = builder.build(&t, &extra);
         // Column 0 has 2 extra dims compared to columns 1 and 2.
@@ -655,17 +693,7 @@ mod tests {
     #[should_panic(expected = "extra block of column 1 has 3 rows for a 6-row table")]
     fn fitting_rejects_a_short_extra_block() {
         let t = six_row_table();
-        let extra = vec![Vec::new(), vec![vec![1.0f32]; 3]];
-        let _ = FeatureBuilder::new(FeatureConfig::default()).fit(&t, &extra);
-    }
-
-    #[test]
-    #[should_panic(expected = "extra block of column 0 is ragged")]
-    fn fitting_rejects_a_ragged_extra_block() {
-        let t = six_row_table();
-        let mut block = vec![vec![1.0f32, 0.0]; 6];
-        block[1] = vec![1.0];
-        let extra = vec![block];
+        let extra = vec![FeatureMatrix::zeros(0, 0), FeatureMatrix::zeros(3, 1)];
         let _ = FeatureBuilder::new(FeatureConfig::default()).fit(&t, &extra);
     }
 

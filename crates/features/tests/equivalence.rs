@@ -10,7 +10,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use zeroed_features::reference::{base_row_reference, build_all_reference, unified_row_reference};
-use zeroed_features::{FeatureBuilder, FeatureConfig};
+use zeroed_features::{FeatureBuilder, FeatureConfig, FeatureMatrix};
 use zeroed_table::Table;
 
 /// A random table with duplicate-heavy columns: each column draws from a pool
@@ -114,16 +114,7 @@ fn build_all_with_extra_blocks_is_bit_identical() {
     for _case in 0..4 {
         let n_rows = rng.gen_range(30..80usize);
         let table = random_table(&mut rng, n_rows, 3, 6);
-        // Criteria indicators on columns 0 and 2 (column 1 has none).
-        let extra: Vec<Vec<Vec<f32>>> = vec![
-            (0..n_rows)
-                .map(|_| vec![f32::from(rng.gen_bool(0.5)), f32::from(rng.gen_bool(0.2))])
-                .collect(),
-            Vec::new(),
-            (0..n_rows)
-                .map(|_| vec![f32::from(rng.gen_bool(0.8))])
-                .collect(),
-        ];
+        let extra = criteria_blocks(&mut rng, n_rows);
         let extra_configs = std::iter::once(FeatureConfig {
             embed_dim: 7,
             top_k_corr: 2,
@@ -149,6 +140,75 @@ fn build_all_with_extra_blocks_is_bit_identical() {
                     naive.unified[j],
                     "config {ci}: streamed unified matrix of column {j}"
                 );
+            }
+        }
+    }
+}
+
+/// Flat criteria-indicator blocks for a 3-column table: two criteria on
+/// column 0, none on column 1, one on column 2.
+fn criteria_blocks(rng: &mut ChaCha8Rng, n_rows: usize) -> Vec<FeatureMatrix> {
+    let mut block = |p: &[f64]| {
+        let data = (0..n_rows * p.len())
+            .map(|i| f32::from(rng.gen_bool(p[i % p.len()])))
+            .collect();
+        FeatureMatrix::from_flat(n_rows, p.len(), data)
+    };
+    vec![
+        block(&[0.5, 0.2]),
+        FeatureMatrix::zeros(0, 0),
+        block(&[0.8]),
+    ]
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `unified_rows_into` over row ranges equals the matching rows of
+/// `unified_matrix` bit for bit: every chunking of the table (chunks of 1
+/// row up to past the table's end, so ranges cross every chunk boundary a
+/// streaming caller uses), plus ranges that start and end mid-table and
+/// empty ranges.
+#[test]
+fn unified_row_ranges_match_the_matrix_bit_for_bit() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5EA7);
+    for case in 0..3 {
+        let n_rows = rng.gen_range(40..90usize);
+        let table = random_table(&mut rng, n_rows, 3, 7);
+        let extra = criteria_blocks(&mut rng, n_rows);
+        for (ci, config) in configs().into_iter().enumerate() {
+            let builder = FeatureBuilder::new(config);
+            for extra in [&extra[..], &[]] {
+                let fitted = builder.fit(&table, extra);
+                for j in 0..3 {
+                    let matrix = fitted.unified_matrix(j);
+                    let dim = fitted.unified_dim(j);
+                    assert_eq!(matrix.n_cols(), dim);
+                    let rows_of = |range: std::ops::Range<usize>| {
+                        let mut out = vec![f32::NAN; range.len() * dim];
+                        fitted.unified_rows_into(j, range, &mut out);
+                        out
+                    };
+                    for chunk in [1usize, 7, 13, 64, n_rows + 5] {
+                        let mut streamed = Vec::with_capacity(n_rows * dim);
+                        for start in (0..n_rows).step_by(chunk) {
+                            streamed.extend(rows_of(start..(start + chunk).min(n_rows)));
+                        }
+                        assert_eq!(
+                            bits(&streamed),
+                            bits(matrix.as_slice()),
+                            "case {case} config {ci} column {j} chunk {chunk}"
+                        );
+                    }
+                    for range in [3..17, n_rows - 5..n_rows, 9..9, n_rows..n_rows] {
+                        assert_eq!(
+                            bits(&rows_of(range.clone())),
+                            bits(&matrix.as_slice()[range.start * dim..range.end * dim]),
+                            "case {case} config {ci} column {j} rows {range:?}"
+                        );
+                    }
+                }
             }
         }
     }

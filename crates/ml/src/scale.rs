@@ -113,6 +113,15 @@ impl StandardScaler {
             .collect()
     }
 
+    /// Standardises the first `dim()` values of `row` in place, with the
+    /// same arithmetic as [`StandardScaler::transform`]; the detector scales
+    /// its distinct feature vectors this way instead of copying them.
+    pub fn transform_in_place(&self, row: &mut [f32]) {
+        for ((x, &m), &s) in row.iter_mut().zip(&self.means).zip(&self.stds) {
+            *x = (*x - m) / s;
+        }
+    }
+
     /// Standardises a batch of rows.
     pub fn transform_all(&self, rows: &[&[f32]]) -> Vec<Vec<f32>> {
         rows.iter().map(|r| self.transform(r)).collect()
@@ -145,6 +154,38 @@ mod tests {
         let scaler = StandardScaler::fit(&rows);
         let t = scaler.transform(&[5.0, 1.5]);
         assert_eq!(t[0], 0.0);
+    }
+
+    /// In-place standardisation writes the bits `transform` returns,
+    /// including for NaN, infinite, signed-zero and constant dimensions.
+    #[test]
+    fn in_place_transform_matches_transform_bitwise() {
+        let data: Vec<Vec<f32>> = (0..40)
+            .map(|i| {
+                vec![
+                    (i % 7) as f32 * 0.37 - 1.1,
+                    5.0,
+                    if i % 9 == 0 {
+                        -0.0
+                    } else {
+                        (i * i) as f32 * 1e-3
+                    },
+                    (i % 4) as f32 * 1e6,
+                ]
+            })
+            .collect();
+        let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
+        let weights: Vec<f32> = (0..rows.len()).map(|i| (i % 3 + 1) as f32).collect();
+        let scaler = StandardScaler::fit_weighted(&rows, &weights);
+        let mut probes = data.clone();
+        probes.push(vec![f32::NAN, f32::INFINITY, -0.0, f32::MIN_POSITIVE]);
+        for row in &probes {
+            let expected = scaler.transform(row);
+            let mut in_place = row.clone();
+            scaler.transform_in_place(&mut in_place);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&in_place), bits(&expected), "row {row:?}");
+        }
     }
 
     #[test]

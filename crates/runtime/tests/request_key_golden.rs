@@ -86,9 +86,10 @@ fn store_key_schema_version_is_pinned_with_these_golden_keys() {
     // without bumping the schema version (or vice versa) silently corrupts
     // warm starts, so the pairing is asserted here.
     assert_eq!(zeroed_store::KEY_SCHEMA_VERSION, 1);
-    // FORMAT_VERSION 2 added the per-record epoch (TTL/GC) — a byte-layout
-    // change only; key derivation and the key schema are untouched, and v1
-    // segments keyed under schema 1 remain readable.
+    // FORMAT_VERSION 2 added the per-record written-at epoch (a timestamp
+    // `zeroed-store-tool` prints) — a byte-layout change only; key
+    // derivation and the key schema are untouched, and v1 segments keyed
+    // under schema 1 remain readable.
     assert_eq!(zeroed_store::FORMAT_VERSION, 2);
     assert_eq!(zeroed_store::MIN_READ_FORMAT_VERSION, 1);
     // Round-trip through the store's index key: a warm-starting process
