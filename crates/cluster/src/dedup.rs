@@ -231,10 +231,14 @@ impl DedupPoints {
             .collect()
     }
 
-    /// The distinct vectors transposed into lanes, for distance sweeps
-    /// against one centre at a time (k-means++ seeding).
-    pub(crate) fn point_lanes(&self) -> PointLanes {
-        PointLanes::new(&self.unique, self.n_unique())
+    /// The distinct vectors transposed into lanes *in place*, for distance
+    /// sweeps against one centre at a time (k-means++ seeding), next to the
+    /// per-row codes the seeding's D² scan walks. The view borrows the
+    /// vectors' own storage and holds one extra `32 × dim` block; dropping
+    /// it transposes the vectors back, bit for bit.
+    pub(crate) fn lanes_in_place(&mut self) -> (PointLanes<'_>, &[u32]) {
+        let (n, dim) = (self.n_unique(), self.dim);
+        (PointLanes::new(&mut self.unique, n, dim), &self.codes)
     }
 
     /// Nearest-centroid index per input row: one distance evaluation per

@@ -10,10 +10,11 @@
 //!   distances come from the lane-wise kernels of [`crate::lanes`]: an
 //!   assignment pass transposes centroids once and sweeps every distinct
 //!   vector against them with the centroids as lanes, and seeding
-//!   transposes the distinct vectors once and sweeps each new centre against
-//!   all of them with the points as lanes. Both add every distance's terms
-//!   in [`sq_dist`]'s order, so they change no bit. Everything runs on the
-//!   calling thread.
+//!   transposes the distinct vectors *in place* (no copy of them is made)
+//!   and sweeps each new centre against all of them with the points as
+//!   lanes, then transposes them back before the Lloyd loop. Both add every
+//!   distance's terms in [`sq_dist`]'s order, so they change no bit.
+//!   Everything runs on the calling thread.
 //! * [`kmeans_reference`] — the scalar full-row oracle, kept for the
 //!   equivalence suite. Its distances are [`sq_dist`] calls. On inputs whose
 //!   weighted centroid sums are exact in f64 (e.g. integer-valued features,
@@ -44,10 +45,16 @@
 //! `s[u]` then becomes the minimum of itself, the moved centroids' distances
 //! other than the winner's, and `q[u]` when a stationary `a[u]` lost.
 //! Otherwise, and whenever `q[u]` is not finite, `u` is swept against all
-//! `k` centroids; on the first pass every centroid counts as moved, so that
-//! pass is a full sweep. Every comparison is between computed f32
-//! distances, with no epsilon, so the assignments are the full sweep's bit
-//! for bit; debug builds assert that after every pass.
+//! `k` centroids. Every comparison is between computed f32 distances, with
+//! no epsilon, so the assignments are the full sweep's bit for bit; debug
+//! builds assert that after every pass.
+//!
+//! The first pass has no history: every centroid counts as moved, so it is
+//! a full sweep. k-means++ seeding has already computed every distance that
+//! sweep needs, one centre at a time, with the same operand order, so
+//! [`kmeans_dedup`] folds them into `a`, `q` and `s` as seeding goes and
+//! the Lloyd loop starts from that assignment with no centroid moved,
+//! skipping the `u × k` first pass (`Assignment::add_centre`).
 //!
 //! ## Empty clusters
 //!
@@ -102,20 +109,29 @@ pub fn kmeans(data: &[&[f32]], k: usize, config: &KMeansConfig, seed: u64) -> Cl
     if data.is_empty() || k == 0 {
         return empty_clustering();
     }
-    kmeans_dedup(&DedupPoints::build(data), k, config, seed)
+    kmeans_dedup(&mut DedupPoints::build(data), k, config, seed)
 }
 
 /// [`kmeans`] over an already-deduplicated input (lets callers that hold a
 /// [`DedupPoints`] skip rebuilding it).
-pub fn kmeans_dedup(dd: &DedupPoints, k: usize, config: &KMeansConfig, seed: u64) -> Clustering {
+///
+/// Seeding transposes `dd`'s distinct vectors in place and transposes them
+/// back before it returns, so `dd` is borrowed mutably but comes back
+/// bit-identical.
+pub fn kmeans_dedup(
+    dd: &mut DedupPoints,
+    k: usize,
+    config: &KMeansConfig,
+    seed: u64,
+) -> Clustering {
     let n = dd.n_rows();
     if n == 0 || k == 0 {
         return empty_clustering();
     }
     let k = k.min(n);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut centroids = plus_plus_init_dedup(dd, k, &mut rng);
-    let nearest = lloyd_dedup(dd, &mut centroids, config);
+    let (mut centroids, assignment) = plus_plus_init_dedup(dd, k, &mut rng);
+    let nearest = lloyd_dedup(dd, &mut centroids, assignment, config);
     Clustering {
         k,
         assignments: dd.scatter(&nearest),
@@ -136,7 +152,8 @@ pub fn kmeans_with_initial(
     }
     let dd = DedupPoints::build(data);
     let mut centroids = initial.to_vec();
-    let nearest = lloyd_dedup(&dd, &mut centroids, config);
+    let assignment = Assignment::full(&dd, &centroids);
+    let nearest = lloyd_dedup(&dd, &mut centroids, assignment, config);
     Clustering {
         k: centroids.len(),
         assignments: dd.scatter(&nearest),
@@ -201,8 +218,9 @@ fn farthest_row(dists: impl Iterator<Item = f32>) -> usize {
 /// passes of one Lloyd run so that a pass re-sweeps only the centroids that
 /// moved (see the module docs for the rules).
 struct Assignment {
-    /// `a[u]`: the centroid distinct vector `u` is assigned to.
-    nearest: Vec<usize>,
+    /// `a[u]`: the centroid distinct vector `u` is assigned to (`u32`, like
+    /// the codes, so that seeding's fold runs 32-bit lanes throughout).
+    nearest: Vec<u32>,
     /// `q[u]`: its computed squared distance to `a[u]`; infinite before
     /// the first pass.
     dist: Vec<f32>,
@@ -223,11 +241,63 @@ impl Assignment {
         }
     }
 
+    /// The first pass over `centroids`: every centroid counts as moved.
+    fn full(dd: &DedupPoints, centroids: &[Vec<f32>]) -> Self {
+        let mut assignment = Self::new(dd.n_unique());
+        let all: Vec<usize> = (0..centroids.len()).collect();
+        assignment.pass(dd, centroids, &all);
+        assignment
+    }
+
+    /// The first pass over centroid 0 alone, from every distinct vector's
+    /// distance to it: `a` is 0, `q` that distance, and `s` infinite.
+    fn first_centre(dists: &[f32]) -> Self {
+        Self {
+            nearest: vec![0; dists.len()],
+            dist: dists.to_vec(),
+            bound: vec![f32::INFINITY; dists.len()],
+        }
+    }
+
+    /// Extends a first pass over centroids `0..c` to `0..=c`, given every
+    /// distinct vector's distance to centroid `c`: the values a full sweep
+    /// over `0..=c` computes ([`nearest_two`]'s rule), bit for bit.
+    ///
+    /// `c` takes over as the first minimum only when its distance `d` is
+    /// strictly below every earlier non-NaN distance. That minimum is `q`,
+    /// unless no distance so far is below infinity: then `a` is 0 and `q`
+    /// its distance, infinite or NaN, and the test is `d < ∞`. The test
+    /// `d < ∞ & (d < q | q.is_nan())` covers both cases and is false for a
+    /// NaN `d`. The distance that does not win (the displaced `q`, or `d`)
+    /// joins the others' minimum `s` unless it is NaN (`other < s` is false
+    /// then). Compares and selects on 32-bit lanes, with no branch and no
+    /// NaN-aware `min`, so the loop vectorises and costs little next to the
+    /// sweep that feeds it.
+    fn add_centre(&mut self, c: usize, dists: &[f32]) {
+        let c = u32::try_from(c).expect("centroid indices fit u32, like the codes");
+        let rows = self.nearest.iter_mut().zip(&mut self.dist);
+        for (((a, q), s), &d) in rows.zip(&mut self.bound).zip(dists) {
+            let closer = (d < f32::INFINITY) & ((d < *q) | q.is_nan());
+            let other = if closer { *q } else { d };
+            *s = if other < *s { other } else { *s };
+            *q = if closer { d } else { *q };
+            *a = if closer { c } else { *a };
+        }
+    }
+
     /// Assigns every distinct vector to its nearest of `centroids`, given
-    /// that only the centroids listed in `moved` (ascending) changed since
-    /// the last pass. Bit-identical to [`DedupPoints::assign_unique`].
+    /// that the assignment was exact before and only the centroids listed
+    /// in `moved` (ascending) changed since; with none moved it already is.
+    /// Bit-identical to [`DedupPoints::assign_unique`].
     fn pass(&mut self, dd: &DedupPoints, centroids: &[Vec<f32>], moved: &[usize]) {
         const STATIONARY: usize = usize::MAX;
+        if moved.is_empty() {
+            return;
+        }
+        assert!(
+            u32::try_from(centroids.len()).is_ok(),
+            "centroid indices fit u32, like the codes"
+        );
         let all_moved = moved.len() == centroids.len();
         let mut lane_of = vec![STATIONARY; centroids.len()];
         for (lane, &c) in moved.iter().enumerate() {
@@ -237,18 +307,15 @@ impl Assignment {
         let mut all_lanes: Option<CentroidLanes> = None;
         for u in 0..dd.n_unique() {
             let x = dd.unique_row(u);
-            let (a, q, s) = (self.nearest[u], self.dist[u], self.bound[u]);
+            let (a, q, s) = (self.nearest[u] as usize, self.dist[u], self.bound[u]);
             if all_moved || q.is_finite() {
-                if moved.is_empty() {
-                    continue;
-                }
                 let dists = moved_lanes.sq_dists(x);
                 let (lane, runner_up) = nearest_two(dists);
                 let (w, qw) = (moved[lane], dists[lane]);
                 if lane_of[a] == STATIONARY {
                     // `a` keeps `q`, which beat every stationary centroid.
                     if qw < q || (qw == q && w < a) {
-                        self.nearest[u] = w;
+                        self.nearest[u] = w as u32;
                         self.dist[u] = qw;
                         self.bound[u] = s.min(runner_up).min(q);
                     } else {
@@ -260,7 +327,7 @@ impl Assignment {
                 // came no farther, or stays strictly below their bound.
                 let qa = dists[lane_of[a]];
                 if all_moved || qa <= q || qa < s {
-                    self.nearest[u] = w;
+                    self.nearest[u] = w as u32;
                     self.dist[u] = qw;
                     self.bound[u] = if all_moved {
                         runner_up
@@ -274,43 +341,61 @@ impl Assignment {
             let lanes = all_lanes.get_or_insert_with(|| CentroidLanes::new(centroids));
             let dists = lanes.sq_dists(x);
             let (w, runner_up) = nearest_two(dists);
-            self.nearest[u] = w;
+            self.nearest[u] = w as u32;
             self.dist[u] = dists[w];
             self.bound[u] = runner_up;
         }
         debug_assert_eq!(
-            self.nearest,
+            self.assigned(),
             dd.assign_unique(centroids),
             "incremental assignment left the full sweep"
         );
+    }
+
+    /// `a` as centroid indices, one per distinct vector.
+    fn assigned(&self) -> Vec<usize> {
+        self.nearest.iter().map(|&a| a as usize).collect()
     }
 }
 
 /// Lloyd iterations over the deduplicated points, mutating `centroids` in
 /// place, and the nearest centroid per distinct vector under the final
-/// centroids. Each assignment pass re-sweeps only the centroids that moved
+/// centroids. `assignment` must be the full sweep's over the initial
+/// `centroids`, so the first iteration needs no pass; each later
+/// assignment pass re-sweeps only the centroids that moved
 /// ([`Assignment::pass`]).
-fn lloyd_dedup(dd: &DedupPoints, centroids: &mut [Vec<f32>], config: &KMeansConfig) -> Vec<usize> {
-    let mut assignment = Assignment::new(dd.n_unique());
-    let mut moved: Vec<usize> = (0..centroids.len()).collect();
+fn lloyd_dedup(
+    dd: &DedupPoints,
+    centroids: &mut [Vec<f32>],
+    mut assignment: Assignment,
+    config: &KMeansConfig,
+) -> Vec<usize> {
+    debug_assert_eq!(
+        assignment.assigned(),
+        dd.assign_unique(centroids),
+        "the initial assignment is not the full sweep's"
+    );
+    let mut sums = vec![0.0f64; centroids.len() * dd.dim()];
+    let mut moved: Vec<usize> = Vec::new();
     for _ in 0..config.max_iters {
         assignment.pass(dd, centroids, &moved);
-        let (movement, next) = update_dedup(dd, centroids, &assignment.nearest);
+        let (movement, next) = update_dedup(dd, centroids, &assignment.nearest, &mut sums);
         moved = next;
         if movement < config.tolerance {
             break;
         }
     }
     assignment.pass(dd, centroids, &moved);
-    assignment.nearest
+    assignment.assigned()
 }
 
 /// One Lloyd update over the deduplicated points, from `nearest` (the
 /// centroid per distinct vector): each non-empty cluster's centroid becomes
 /// its members' mean, weighting each distinct by its multiplicity, and each
-/// empty cluster is re-seeded. Returns the total centroid movement and the
-/// centroids whose bits changed, re-seeded ones included, in ascending
-/// order.
+/// empty cluster is re-seeded. `sums` is the caller's `k × dim` buffer for
+/// the clusters' f64 sums, reused across updates. Returns the total
+/// centroid movement and the centroids whose bits changed, re-seeded ones
+/// included, in ascending order.
 #[allow(
     clippy::needless_range_loop,
     reason = "`u` indexes parallel arrays in a loop pinned by the bit-identity oracles"
@@ -318,19 +403,21 @@ fn lloyd_dedup(dd: &DedupPoints, centroids: &mut [Vec<f32>], config: &KMeansConf
 fn update_dedup(
     dd: &DedupPoints,
     centroids: &mut [Vec<f32>],
-    nearest: &[usize],
+    nearest: &[u32],
+    sums: &mut [f64],
 ) -> (f32, Vec<usize>) {
     let k = centroids.len();
     let dim = dd.dim();
     let nu = dd.n_unique();
-    let mut sums = vec![vec![0.0f64; dim]; k];
+    sums.fill(0.0);
     let mut counts = vec![0u64; k];
     for u in 0..nu {
-        let a = nearest[u];
+        let a = nearest[u] as usize;
         let w = dd.counts()[u] as u64;
         counts[a] += w;
         let wf = w as f64;
-        for (s, &x) in sums[a].iter_mut().zip(dd.unique_row(u)) {
+        let sum = &mut sums[a * dim..(a + 1) * dim];
+        for (s, &x) in sum.iter_mut().zip(dd.unique_row(u)) {
             *s += wf * (x as f64);
         }
     }
@@ -342,23 +429,24 @@ fn update_dedup(
             empties.push(c);
             continue;
         }
-        let mut new_centroid = vec![0.0f32; dim];
-        for (nc, s) in new_centroid.iter_mut().zip(sums[c].iter()) {
-            *nc = (*s / counts[c] as f64) as f32;
+        // The mean overwrites the old centroid coordinate by coordinate;
+        // `shift` adds their squared differences in `sq_dist`'s order.
+        let mut shift = 0.0f32;
+        for (old, &s) in centroids[c].iter_mut().zip(&sums[c * dim..(c + 1) * dim]) {
+            let new = (s / counts[c] as f64) as f32;
+            let d = *old - new;
+            shift += d * d;
+            moved[c] |= old.to_bits() != new.to_bits();
+            *old = new;
         }
-        movement += sq_dist(&centroids[c], &new_centroid);
-        moved[c] = centroids[c]
-            .iter()
-            .zip(&new_centroid)
-            .any(|(old, new)| old.to_bits() != new.to_bits());
-        centroids[c] = new_centroid;
+        movement += shift;
     }
     // Iterative empty-cluster re-seeding against the *updated* centroids,
     // refreshing distances after each pick so simultaneously-empty
     // clusters receive distinct points.
     if !empties.is_empty() {
         let mut udist: Vec<f32> = (0..nu)
-            .map(|u| sq_dist(dd.unique_row(u), &centroids[nearest[u]]))
+            .map(|u| sq_dist(dd.unique_row(u), &centroids[nearest[u] as usize]))
             .collect();
         for c in empties {
             let far = farthest_row(dd.codes().iter().map(|&u| udist[u as usize]));
@@ -469,25 +557,36 @@ fn plus_plus_init(data: &[&[f32]], k: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f3
 }
 
 /// [`plus_plus_init`] with distances evaluated once per distinct vector,
-/// through the point-lane kernel (the distinct vectors are transposed once).
+/// through the point-lane kernel over the distinct vectors transposed in
+/// place ([`DedupPoints::lanes_in_place`]; they are transposed back before
+/// this returns). Also returns the [`Assignment`] a first full pass over
+/// the centres computes, folded in as each centre's distances arrive
+/// ([`Assignment::add_centre`]).
 ///
 /// The D² scan still walks *rows* (each row contributes its distinct's
 /// distance), so the consumed RNG stream and the sampled centres are
-/// bit-identical to the reference's.
-fn plus_plus_init_dedup(dd: &DedupPoints, k: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f32>> {
+/// bit-identical to the reference's. Its weights `udists` keep the
+/// reference's running `nd < d`, which never leaves a NaN first distance,
+/// so they are kept apart from the assignment's `q`.
+fn plus_plus_init_dedup(
+    dd: &mut DedupPoints,
+    k: usize,
+    rng: &mut ChaCha8Rng,
+) -> (Vec<Vec<f32>>, Assignment) {
     let n = dd.n_rows();
-    let mut points = dd.point_lanes();
+    let (mut points, codes) = dd.lanes_in_place();
     let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
-    centroids.push(dd.row(rng.gen_range(0..n)).to_vec());
-    let mut udists = points.sq_dists(&centroids[0]).to_vec();
+    centroids.push(points.point(codes[rng.gen_range(0..n)] as usize));
+    let mut assignment = Assignment::first_centre(points.sq_dists(&centroids[0]));
+    let mut udists = assignment.dist.clone();
     while centroids.len() < k {
-        let total: f64 = dd.codes().iter().map(|&u| udists[u as usize] as f64).sum();
+        let total: f64 = codes.iter().map(|&u| udists[u as usize] as f64).sum();
         let next = if total <= f64::EPSILON {
             rng.gen_range(0..n)
         } else {
             let mut target = rng.gen::<f64>() * total;
             let mut chosen = n - 1;
-            for (i, &u) in dd.codes().iter().enumerate() {
+            for (i, &u) in codes.iter().enumerate() {
                 target -= udists[u as usize] as f64;
                 if target <= 0.0 {
                     chosen = i;
@@ -496,15 +595,16 @@ fn plus_plus_init_dedup(dd: &DedupPoints, k: usize, rng: &mut ChaCha8Rng) -> Vec
             }
             chosen
         };
-        centroids.push(dd.row(next).to_vec());
+        centroids.push(points.point(codes[next] as usize));
         let fresh = points.sq_dists(centroids.last().expect("just pushed"));
         for (d, &nd) in udists.iter_mut().zip(fresh) {
             if nd < *d {
                 *d = nd;
             }
         }
+        assignment.add_centre(centroids.len() - 1, fresh);
     }
-    centroids
+    (centroids, assignment)
 }
 
 #[cfg(test)]
@@ -519,25 +619,29 @@ mod tests {
         centroids: &mut [Vec<f32>],
         config: &KMeansConfig,
     ) -> Vec<usize> {
+        let mut sums = vec![0.0f64; centroids.len() * dd.dim()];
         for _ in 0..config.max_iters {
-            let nearest = dd.assign_unique(centroids);
-            if update_dedup(dd, centroids, &nearest).0 < config.tolerance {
+            let nearest: Vec<u32> = (dd.assign_unique(centroids).iter())
+                .map(|&a| a as u32)
+                .collect();
+            if update_dedup(dd, centroids, &nearest, &mut sums).0 < config.tolerance {
                 break;
             }
         }
         dd.assign_unique(centroids)
     }
 
-    /// [`kmeans_dedup`] on the full-sweep loop.
+    /// [`kmeans_dedup`] on the full-sweep loop, which ignores the
+    /// assignment seeding carries and sweeps from the seeded centres.
     fn kmeans_dedup_full_sweep(
-        dd: &DedupPoints,
+        dd: &mut DedupPoints,
         k: usize,
         config: &KMeansConfig,
         seed: u64,
     ) -> Clustering {
         let k = k.min(dd.n_rows());
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut centroids = plus_plus_init_dedup(dd, k, &mut rng);
+        let (mut centroids, _) = plus_plus_init_dedup(dd, k, &mut rng);
         let nearest = lloyd_full_sweep(dd, &mut centroids, config);
         Clustering {
             k,
@@ -587,16 +691,18 @@ mod tests {
     /// path's weighted sums, and only the full-sweep loop is an exact oracle.
     fn duplicated_fractional_table(n: usize, u: usize, dim: usize) -> Vec<Vec<f32>> {
         (0..n)
-            .map(|i| {
-                let v = (i * 7 + i / 11) % u;
-                (0..dim)
-                    .map(|d| match v % 3 {
-                        _ if d + 1 < dim => ((v * (d + 3) + d * d) % 23) as f32 * 0.37,
-                        0 => 0.25,
-                        1 => -0.25,
-                        _ => (v + 1) as f32 * 1e-20,
-                    })
-                    .collect()
+            .map(|i| fractional_vector((i * 7 + i / 11) % u, dim))
+            .collect()
+    }
+
+    /// Distinct vector `v` of [`duplicated_fractional_table`].
+    fn fractional_vector(v: usize, dim: usize) -> Vec<f32> {
+        (0..dim)
+            .map(|d| match v % 3 {
+                _ if d + 1 < dim => ((v * (d + 3) + d * d) % 23) as f32 * 0.37,
+                0 => 0.25,
+                1 => -0.25,
+                _ => (v + 1) as f32 * 1e-20,
             })
             .collect()
     }
@@ -616,13 +722,13 @@ mod tests {
         ] {
             let data = duplicated_fractional_table(n, u, dim);
             let rows = refs(&data);
-            let dd = DedupPoints::build(&rows);
+            let mut dd = DedupPoints::build(&rows);
             for config in [KMeansConfig::default(), budget.clone()] {
-                let fast = kmeans_dedup(&dd, k, &config, seed);
+                let fast = kmeans_dedup(&mut dd, k, &config, seed);
                 let what = format!("n={n} u={u} k={k} iters={}", config.max_iters);
                 assert_same(
                     &fast,
-                    &kmeans_dedup_full_sweep(&dd, k, &config, seed),
+                    &kmeans_dedup_full_sweep(&mut dd, k, &config, seed),
                     &what,
                 );
                 let reference = kmeans_reference(&rows, k, &config, seed);
@@ -674,14 +780,14 @@ mod tests {
                 );
             }
         }
-        let dd = DedupPoints::build(&rows);
+        let mut dd = DedupPoints::build(&rows);
         // k = 1, k at the distinct count (30) and past it (duplicate seeds).
         for k in [1usize, 29, 30, 45] {
             for config in [default.clone(), iters(0), iters(1)] {
                 for seed in 0..3 {
                     assert_same(
-                        &kmeans_dedup(&dd, k, &config, seed),
-                        &kmeans_dedup_full_sweep(&dd, k, &config, seed),
+                        &kmeans_dedup(&mut dd, k, &config, seed),
+                        &kmeans_dedup_full_sweep(&mut dd, k, &config, seed),
                         &format!("grid k={k} iters={} seed={seed}", config.max_iters),
                     );
                 }
@@ -694,13 +800,13 @@ mod tests {
         odd[77][2] = f32::NEG_INFINITY;
         odd[120] = vec![f32::INFINITY, f32::NEG_INFINITY, 1.0];
         let rows = refs(&odd);
-        let dd = DedupPoints::build(&rows);
+        let mut dd = DedupPoints::build(&rows);
         for k in [1usize, 5, 40] {
             for config in [default.clone(), iters(1)] {
                 for seed in 0..3 {
                     assert_same(
-                        &kmeans_dedup(&dd, k, &config, seed),
-                        &kmeans_dedup_full_sweep(&dd, k, &config, seed),
+                        &kmeans_dedup(&mut dd, k, &config, seed),
+                        &kmeans_dedup_full_sweep(&mut dd, k, &config, seed),
                         &format!("non-finite k={k} iters={} seed={seed}", config.max_iters),
                     );
                 }
@@ -711,23 +817,19 @@ mod tests {
     /// Checks what a pass leaves behind against every centroid's computed
     /// distance: the full sweep's assignment, `q` equal to the assigned
     /// centroid's distance, and `s` no larger than any other centroid's.
-    fn check_pass(state: &Assignment, dd: &DedupPoints, centroids: &[Vec<f32>], step: usize) {
-        assert_eq!(state.nearest, dd.assign_unique(centroids), "step {step}");
+    fn check_pass(state: &Assignment, dd: &DedupPoints, centroids: &[Vec<f32>], what: &str) {
+        assert_eq!(state.assigned(), dd.assign_unique(centroids), "{what}");
         for u in 0..dd.n_unique() {
-            let a = state.nearest[u];
+            let a = state.nearest[u] as usize;
             let dists: Vec<f32> = centroids
                 .iter()
                 .map(|c| sq_dist(dd.unique_row(u), c))
                 .collect();
-            assert_eq!(
-                state.dist[u].to_bits(),
-                dists[a].to_bits(),
-                "step {step} u={u}"
-            );
+            assert_eq!(state.dist[u].to_bits(), dists[a].to_bits(), "{what} u={u}");
             for (c, &d) in dists.iter().enumerate() {
                 assert!(
                     c == a || d.is_nan() || state.bound[u] <= d,
-                    "step {step} u={u}: bound {} above centroid {c}'s {d}",
+                    "{what} u={u}: bound {} above centroid {c}'s {d}",
                     state.bound[u]
                 );
             }
@@ -748,7 +850,7 @@ mod tests {
             };
             let moved: Vec<usize> = (0..centroids.len()).filter(|&c| changed(c)).collect();
             state.pass(&dd, centroids, &moved);
-            check_pass(&state, &dd, centroids, step);
+            check_pass(&state, &dd, centroids, &format!("step {step}"));
         }
     }
 
@@ -797,6 +899,70 @@ mod tests {
             steps.push(centroids.clone());
         }
         replay(&points, &steps);
+    }
+
+    fn f32_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Seeds `data` and checks the assignment seeding carries into the
+    /// Lloyd loop: `check_pass` against every centre's computed distance,
+    /// and the same `a`, `q` bits and `s` bits as a first full pass with
+    /// every centroid moved. Seeding must also leave the distinct vectors
+    /// as they were.
+    fn check_seeded_assignment(data: &[Vec<f32>], k: usize, seed: u64, what: &str) {
+        let rows = refs(data);
+        let mut dd = DedupPoints::build(&rows);
+        let before: Vec<Vec<u32>> = (0..dd.n_unique())
+            .map(|u| f32_bits(dd.unique_row(u)))
+            .collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let k = k.min(dd.n_rows());
+        let (centroids, seeded) = plus_plus_init_dedup(&mut dd, k, &mut rng);
+        for (u, row) in before.iter().enumerate() {
+            assert_eq!(&f32_bits(dd.unique_row(u)), row, "{what}: vector {u}");
+        }
+        check_pass(&seeded, &dd, &centroids, what);
+        let first = Assignment::full(&dd, &centroids);
+        assert_eq!(seeded.nearest, first.nearest, "{what}");
+        assert_eq!(f32_bits(&seeded.dist), f32_bits(&first.dist), "{what}");
+        assert_eq!(f32_bits(&seeded.bound), f32_bits(&first.bound), "{what}");
+    }
+
+    /// The fused seeding sweep against the first pass it replaces: distinct
+    /// counts around the 32-lane block, seeds repeated past the distinct
+    /// count (the all-coincident branch, whose duplicate centres tie every
+    /// distance), k = 1, rows with NaN and infinities, and zero-width rows.
+    #[test]
+    fn seeding_carries_the_first_full_pass() {
+        for u in [1usize, 31, 32, 33, 65] {
+            // 7 is prime to every `u` here, so the first `u` rows cover
+            // every distinct vector.
+            let data: Vec<Vec<f32>> = (0..3 * u + 7)
+                .map(|i| fractional_vector(i * 7 % u, 5))
+                .collect();
+            assert_eq!(DedupPoints::build(&refs(&data)).n_unique(), u);
+            for k in [1usize, u.div_ceil(2), u, u + 9] {
+                for seed in 0..3 {
+                    check_seeded_assignment(&data, k, seed, &format!("u={u} k={k} seed={seed}"));
+                }
+            }
+        }
+        let mut odd = duplicated_fractional_table(200, 65, 3);
+        odd[0][1] = f32::NAN;
+        odd[50][0] = f32::INFINITY;
+        odd[77][2] = f32::NEG_INFINITY;
+        odd[120] = vec![f32::INFINITY, f32::NEG_INFINITY, 1.0];
+        odd[121] = vec![f32::NAN, f32::INFINITY, 2.0];
+        for k in [1usize, 5, 40, 80] {
+            for seed in 0..6 {
+                check_seeded_assignment(&odd, k, seed, &format!("non-finite k={k} seed={seed}"));
+            }
+        }
+        let zero_width = vec![Vec::<f32>::new(); 9];
+        for k in [1usize, 3] {
+            check_seeded_assignment(&zero_width, k, 4, &format!("zero width k={k}"));
+        }
     }
 
     fn two_blobs() -> Vec<Vec<f32>> {

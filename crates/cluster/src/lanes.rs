@@ -15,10 +15,15 @@
 //!   `dist[c] += (x[i] - centroid_c[i])²`. [`crate::assign_to_nearest`]
 //!   uses it, and so does every k-means assignment pass, over all
 //!   centroids or over only the ones that moved since the last pass.
-//! * `PointLanes` transposes a set of points the same way, so the
-//!   distances from every point to one centre sweep the centre's coordinates
-//!   once per block, with the points as lanes. k-means++ seeding, which adds
-//!   one centre at a time, uses it.
+//! * `PointLanes` is the same layout over a set of points, made *in place*:
+//!   each full block of 32 row-major points occupies exactly the `32 × dim`
+//!   values of one lane block, so it is transposed inside its own storage
+//!   through a `32 × dim` buffer, and the last `n % 32` points go into that
+//!   buffer as one zero-padded block. The distances from every point to one
+//!   centre then sweep the centre's coordinates once per block, with the
+//!   points as lanes. k-means++ seeding, which adds one centre at a time,
+//!   uses it over the distinct vectors, and dropping the view transposes
+//!   them back, bit for bit.
 //!
 //! Every lane's sum is therefore bit-identical to `sq_dist`.
 //! `nearest_two`, behind [`CentroidLanes::nearest`], returns the first
@@ -41,7 +46,8 @@
 /// latency.
 const BLOCK: usize = 32;
 
-/// One block: coordinate `i` of 32 centroids (or points).
+/// One block row: coordinate `i` of 32 centroids (or points). The sweeps
+/// read a block as `dim` of these, stored flat as `dim × BLOCK` values.
 type Block = [f32; BLOCK];
 
 /// Writes `items` (all `dim` wide) into blocks of [`BLOCK`] lanes: block `b`
@@ -103,7 +109,7 @@ impl CentroidLanes {
             self.blocks.len() * BLOCK,
             "dims differ"
         );
-        dispatch::<false>(x, &self.blocks, &mut self.dists);
+        dispatch::<false>(x, self.blocks.as_flattened(), &mut self.dists);
         &self.dists[..self.k]
     }
 
@@ -161,27 +167,79 @@ pub(crate) fn nearest_two(dists: &[f32]) -> (usize, f32) {
     (index, runner_up)
 }
 
-/// Points transposed into lanes for distance-to-one-centre queries.
-#[derive(Debug, Clone)]
-pub(crate) struct PointLanes {
+/// Writes the rows of `src` (`cols` values each) as the columns of `dst`,
+/// whose rows are `dst_cols` wide: `dst[c·dst_cols + r] = src[r·cols + c]`.
+/// Values are copied, never computed, so every bit pattern survives.
+fn transpose_into(src: &[f32], cols: usize, dst: &mut [f32], dst_cols: usize) {
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &x) in row.iter().enumerate() {
+            dst[c * dst_cols + r] = x;
+        }
+    }
+}
+
+/// `n` row-major points of `dim` values, transposed in place into blocks of
+/// [`BLOCK`] lanes for distance-to-one-centre queries; dropping the view
+/// transposes them back.
+///
+/// The points' storage is borrowed, not copied. Each full block of
+/// [`BLOCK`] rows holds exactly the `BLOCK × dim` values of one lane block,
+/// so it is transposed inside its own footprint through `tail`, a
+/// `BLOCK × dim` buffer. The last `n % BLOCK` rows stay row-major in the
+/// storage, and `tail` then holds them as one zero-padded lane block.
+pub(crate) struct PointLanes<'a> {
+    /// The points' storage: its full blocks transposed, `dim` rows of
+    /// [`BLOCK`] lanes each, followed by the row-major tail rows.
+    points: &'a mut [f32],
     /// Number of points.
     n: usize,
-    /// The points in blocks of [`BLOCK`] lanes (see [`transpose`]).
-    blocks: Vec<Block>,
+    /// Point dimensionality.
+    dim: usize,
+    /// The tail rows as one zero-padded lane block; the buffer the full
+    /// blocks are transposed through.
+    tail: Vec<f32>,
     /// Every lane's distance to one centre, reused across queries.
     dists: Vec<f32>,
 }
 
-impl PointLanes {
-    /// Transposes `n` points, stored row-major in `flat`, into lanes.
-    pub(crate) fn new(flat: &[f32], n: usize) -> Self {
-        let dim = flat.len().checked_div(n).unwrap_or(0);
-        debug_assert_eq!(n * dim, flat.len(), "ragged points");
-        let rows = (0..n).map(|p| &flat[p * dim..(p + 1) * dim]);
+impl<'a> PointLanes<'a> {
+    /// Transposes the `n` points stored row-major in `points` (`n × dim`
+    /// values) into lanes, in place.
+    pub(crate) fn new(points: &'a mut [f32], n: usize, dim: usize) -> Self {
+        debug_assert_eq!(points.len(), n * dim, "ragged points");
+        let mut tail = vec![0.0; BLOCK * dim];
+        if dim > 0 {
+            let full = n / BLOCK * BLOCK * dim;
+            for block in points[..full].chunks_exact_mut(BLOCK * dim) {
+                tail.copy_from_slice(block);
+                transpose_into(&tail, dim, block, BLOCK);
+            }
+            tail.fill(0.0);
+            transpose_into(&points[full..], dim, &mut tail, BLOCK);
+        }
         Self {
+            points,
             n,
-            blocks: transpose(rows, n, dim),
+            dim,
+            tail,
             dists: vec![0.0; n.div_ceil(BLOCK) * BLOCK],
+        }
+    }
+
+    /// Length of the storage's transposed prefix: the full blocks' values.
+    fn full_blocks_len(&self) -> usize {
+        self.n / BLOCK * BLOCK * self.dim
+    }
+
+    /// Point `p`'s coordinates, gathered from its lane.
+    pub(crate) fn point(&self, p: usize) -> Vec<f32> {
+        let dim = self.dim;
+        let base = p / BLOCK * BLOCK * dim;
+        if base < self.full_blocks_len() {
+            let block = &self.points[base..base + BLOCK * dim];
+            (0..dim).map(|i| block[i * BLOCK + p % BLOCK]).collect()
+        } else {
+            self.points[p * dim..(p + 1) * dim].to_vec()
         }
     }
 
@@ -189,21 +247,44 @@ impl PointLanes {
     /// slot `p` is bit-identical to `sq_dist(point_p, centre)`. With
     /// zero-width points every distance is `0.0`.
     pub(crate) fn sq_dists(&mut self, centre: &[f32]) -> &[f32] {
-        dispatch::<true>(centre, &self.blocks, &mut self.dists);
+        debug_assert_eq!(centre.len(), self.dim, "dims differ");
+        let full = self.full_blocks_len();
+        let (full_dists, tail_dists) = self.dists.split_at_mut(self.n / BLOCK * BLOCK);
+        dispatch::<true>(centre, &self.points[..full], full_dists);
+        dispatch::<true>(centre, &self.tail, tail_dists);
         &self.dists[..self.n]
     }
 }
 
+impl Drop for PointLanes<'_> {
+    /// Transposes the full blocks back, through `tail`; the tail rows never
+    /// left their place.
+    fn drop(&mut self) {
+        let dim = self.dim;
+        if dim == 0 {
+            return;
+        }
+        let full = self.full_blocks_len();
+        for block in self.points[..full].chunks_exact_mut(BLOCK * dim) {
+            self.tail.copy_from_slice(block);
+            transpose_into(&self.tail, BLOCK, block, dim);
+        }
+    }
+}
+
 /// `out[b·BLOCK + j] = Σᵢ dᵢ²`, summed in `i` order from `0.0`, where `dᵢ`
-/// is `s[i] - blocks[b·dim + i][j]` for centroid lanes (`s` is the point)
-/// and `blocks[b·dim + i][j] - s[i]` for point lanes (`s` is the centre):
-/// `sq_dist(point, centre)`'s operand order either way.
+/// is `s[i] - lanes[b·dim + i][j]` for centroid lanes (`s` is the point)
+/// and `lanes[b·dim + i][j] - s[i]` for point lanes (`s` is the centre):
+/// `sq_dist(point, centre)`'s operand order either way. `blocks` is flat,
+/// one [`Block`] row of [`BLOCK`] values after another.
 #[inline(always)]
-fn sweep<const POINT_LANES: bool>(s: &[f32], blocks: &[Block], out: &mut [f32]) {
+fn sweep<const POINT_LANES: bool>(s: &[f32], blocks: &[f32], out: &mut [f32]) {
     let dim = s.len();
+    let (lanes, rest) = blocks.as_chunks::<BLOCK>();
+    debug_assert!(rest.is_empty(), "a partial block row");
     for (b, out) in out.chunks_exact_mut(BLOCK).enumerate() {
         let mut acc = [0.0f32; BLOCK];
-        for (&si, lanes) in s.iter().zip(&blocks[b * dim..(b + 1) * dim]) {
+        for (&si, lanes) in s.iter().zip(&lanes[b * dim..(b + 1) * dim]) {
             for (a, &lane) in acc.iter_mut().zip(lanes) {
                 let d = if POINT_LANES { lane - si } else { si - lane };
                 *a += d * d;
@@ -215,11 +296,11 @@ fn sweep<const POINT_LANES: bool>(s: &[f32], blocks: &[Block], out: &mut [f32]) 
 
 /// [`sweep`], compiled for AVX when the CPU has it (checked once and cached
 /// by `std`) and for the baseline target otherwise.
-fn dispatch<const POINT_LANES: bool>(s: &[f32], blocks: &[Block], out: &mut [f32]) {
+fn dispatch<const POINT_LANES: bool>(s: &[f32], blocks: &[f32], out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
         #[target_feature(enable = "avx")]
-        fn avx<const POINT_LANES: bool>(s: &[f32], blocks: &[Block], out: &mut [f32]) {
+        fn avx<const POINT_LANES: bool>(s: &[f32], blocks: &[f32], out: &mut [f32]) {
             sweep::<POINT_LANES>(s, blocks, out)
         }
         // SAFETY: the CPU supports AVX, checked just above.
@@ -233,7 +314,7 @@ mod tests {
     use super::*;
     use crate::sq_dist;
 
-    type Sweep = fn(&[f32], &[Block], &mut [f32]);
+    type Sweep = fn(&[f32], &[f32], &mut [f32]);
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -256,10 +337,69 @@ mod tests {
     #[test]
     fn point_lanes_match_sq_dist_bitwise() {
         let points = [0.1f32, -2.7, 3.9, 10.0, 0.5, -0.25, -0.0, 0.0, 1e-30];
-        let mut lanes = PointLanes::new(&points, 3);
         let centre = [0.3f32, -0.7, 0.9];
         let scalar: Vec<f32> = points.chunks(3).map(|p| sq_dist(p, &centre)).collect();
+        let mut storage = points;
+        let mut lanes = PointLanes::new(&mut storage, 3, 3);
         assert_eq!(bits(lanes.sq_dists(&centre)), bits(&scalar));
+    }
+
+    /// The same distance, or NaN on both sides: a NaN result's payload is
+    /// not specified by Rust's float semantics, only a copied value's is.
+    fn same_distance(lanes: f32, scalar: f32) -> bool {
+        lanes.to_bits() == scalar.to_bits() || (lanes.is_nan() && scalar.is_nan())
+    }
+
+    /// Transposing points in place and back restores every bit — `-0.0`,
+    /// two NaN payloads and both infinities included — across full blocks,
+    /// a partial tail and no tail at all; in between, every point reads back
+    /// from its lane and the sweep equals `sq_dist` lane by lane.
+    #[test]
+    fn point_lanes_transpose_in_place_and_back() {
+        let specials = [
+            -0.0f32,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffa0_0002),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        for n in [0usize, 1, 31, 32, 33, 64, 65] {
+            for dim in [0usize, 1, 13, 108] {
+                let rows: Vec<Vec<f32>> = (0..n)
+                    .map(|p| {
+                        (0..dim)
+                            .map(|i| match (p * dim + i) % 23 {
+                                s @ 0..5 if p % 3 == 0 => specials[s],
+                                r => (p * 31 + i * 7 + r) as f32 * 0.173 - 9.5,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let original: Vec<f32> = rows.concat();
+                let mut storage = original.clone();
+                let mut lanes = PointLanes::new(&mut storage, n, dim);
+                for (p, row) in rows.iter().enumerate() {
+                    assert_eq!(bits(&lanes.point(p)), bits(row), "n={n} dim={dim} p={p}");
+                }
+                let centres = [
+                    rows.first().cloned().unwrap_or_else(|| vec![0.5; dim]),
+                    (0..dim).map(|i| (i as f32 * 0.61).cos() * 4.0).collect(),
+                ];
+                for centre in &centres {
+                    let swept = lanes.sq_dists(centre);
+                    assert_eq!(swept.len(), n);
+                    for (p, (&got, row)) in swept.iter().zip(&rows).enumerate() {
+                        let want = sq_dist(row, centre);
+                        assert!(
+                            same_distance(got, want),
+                            "n={n} dim={dim} p={p}: lanes {got} vs sq_dist {want}"
+                        );
+                    }
+                }
+                drop(lanes);
+                assert_eq!(bits(&storage), bits(&original), "n={n} dim={dim}");
+            }
+        }
     }
 
     /// The dispatched sweeps (the AVX build on CPUs that have it) equal the
@@ -281,9 +421,9 @@ mod tests {
             ];
             for (baseline_sweep, dispatched_sweep) in pairs {
                 let mut baseline = vec![0.0f32; n_blocks * BLOCK];
-                baseline_sweep(&s, &blocks, &mut baseline);
+                baseline_sweep(&s, blocks.as_flattened(), &mut baseline);
                 let mut dispatched = vec![1.0f32; n_blocks * BLOCK];
-                dispatched_sweep(&s, &blocks, &mut dispatched);
+                dispatched_sweep(&s, blocks.as_flattened(), &mut dispatched);
                 assert_eq!(bits(&dispatched), bits(&baseline), "{n_blocks} blocks");
             }
         }
@@ -340,7 +480,7 @@ mod tests {
         let mut centroids = CentroidLanes::new(&[Vec::new(), Vec::new()]);
         assert_eq!(centroids.sq_dists(&[]), &[0.0, 0.0]);
         assert_eq!(centroids.nearest(&[]), 0);
-        let mut points = PointLanes::new(&[], 4);
+        let mut points = PointLanes::new(&mut [], 4, 0);
         assert_eq!(points.sq_dists(&[]), &[0.0; 4]);
     }
 }

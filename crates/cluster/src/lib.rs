@@ -20,11 +20,14 @@
 //! experiment binary) can swap them without touching call sites:
 //!
 //! * [`kmeans()`] — Lloyd's iterations with k-means++-style seeding, the
-//!   §III-C default, over the `u` distinct vectors: O(k · u · d) for
-//!   seeding and for the first assignment pass, then O(m · u · d) per pass,
-//!   where `m` counts the centroids the last update moved, plus a full
-//!   O(k · d) sweep for each vector whose history cannot decide its nearest
-//!   centroid. The distances come from the lane-wise kernels of [`lanes`].
+//!   §III-C default, over the `u` distinct vectors: one O(k · u · d) sweep
+//!   seeds the centres and yields the first assignment to them, then each
+//!   pass costs O(m · u · d), where `m` counts the centroids the last
+//!   update moved, plus a full O(k · d) sweep for each vector whose history
+//!   cannot decide its nearest centroid. Seeding transposes the distinct
+//!   vectors in place and back, so beyond them the extra memory is
+//!   O(k · d + u). The distances come from the lane-wise kernels of
+//!   [`lanes`].
 //! * [`agglomerative()`] — bottom-up Ward merging ("AGC" in Table VI); more
 //!   faithful to irregular cluster shapes, quadratic in n, so the pipeline
 //!   caps its input size (`max_cluster_rows`).

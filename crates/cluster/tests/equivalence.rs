@@ -245,7 +245,7 @@ fn degenerate_shapes_match_the_oracle() {
             assert_eq!(fast.assignments, oracle.assignments);
             assert_eq!(fast.centroids, oracle.centroids);
             assert_eq!(
-                kmeans_dedup(&DedupPoints::build(&rows), k, &config, 4).assignments,
+                kmeans_dedup(&mut DedupPoints::build(&rows), k, &config, 4).assignments,
                 oracle.assignments
             );
         }

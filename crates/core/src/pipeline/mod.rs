@@ -377,10 +377,10 @@ impl ZeroEd {
         let chains = scheduler.run_chain(
             n_cols,
             |j| {
-                let vectors = vectors_dist.time(|| features::distinct_vectors(&fitted, j));
+                let mut vectors = vectors_dist.time(|| features::distinct_vectors(&fitted, j));
                 sample_dist.time(|| {
                     sampling::sample_distinct(
-                        &vectors,
+                        &mut vectors,
                         config.clusters_for(n_rows),
                         config.sampling.into(),
                         config.seed.wrapping_add(j as u64),

@@ -8,11 +8,14 @@
 //! ([`super::features::distinct_vectors`]) and never builds the attribute's
 //! matrix; [`sample_column`] factors a matrix through one first — and then
 //!
-//! * k-means runs its Lloyd loops per distinct vector
-//!   ([`zeroed_cluster::kmeans_dedup`]), weighting centroid updates by
-//!   multiplicity, and after the first pass each assignment pass re-sweeps
-//!   only the centroids the last update moved (the `zeroed_cluster::kmeans`
-//!   module docs),
+//! * k-means seeds over the distinct vectors transposed *in place* into
+//!   32-lane blocks ([`zeroed_cluster::kmeans_dedup`], which is why
+//!   [`sample_distinct`] borrows them mutably; they come back bit-identical),
+//!   so a CPU-lane worker holds one copy of an attribute's distinct vectors,
+//!   not two. The seeding sweep also yields the first assignment, and the
+//!   Lloyd loops then run per distinct vector, weighting centroid updates by
+//!   multiplicity, each assignment pass re-sweeping only the centroids the
+//!   last update moved (the `zeroed_cluster::kmeans` module docs),
 //! * the final full-column assignment, the last of those passes, is
 //!   scattered to rows by code, and
 //! * representative selection scans distincts instead of rows.
@@ -86,7 +89,7 @@ pub fn sample_column(
     max_rows: usize,
 ) -> ColumnSampling {
     sample_distinct(
-        &DedupPoints::build(&features.row_refs()),
+        &mut DedupPoints::build(&features.row_refs()),
         k,
         method,
         seed,
@@ -104,8 +107,11 @@ pub fn sample_column(
 /// evenly strided row subsample, with the remaining rows assigned to their
 /// nearest centroid — which keeps the step linear for the 200k-row Tax
 /// dataset while leaving representative selection unchanged.
+///
+/// `dd` is borrowed mutably because k-means seeds over its vectors
+/// transposed in place; they come back bit-identical.
 pub fn sample_distinct(
-    dd: &DedupPoints,
+    dd: &mut DedupPoints,
     k: usize,
     method: SamplingMethod,
     seed: u64,
@@ -270,14 +276,14 @@ mod tests {
         let (n, k, max_rows) = (600usize, 5usize, 90usize);
         let feats = mixed_matrix(n);
         let rows = feats.row_refs();
-        let dd = DedupPoints::build(&rows);
+        let mut dd = DedupPoints::build(&rows);
         assert!(dd.n_unique() > max_rows && dd.n_unique() < n);
         for method in [
             SamplingMethod::KMeans,
             SamplingMethod::Random,
             SamplingMethod::Agglomerative,
         ] {
-            let got = sample_distinct(&dd, k, method, 4, max_rows);
+            let got = sample_distinct(&mut dd, k, method, 4, max_rows);
             let stride = subsample_stride(n, max_rows);
             let sample: Vec<&[f32]> = (0..n).step_by(stride).map(|i| feats.row(i)).collect();
             let sub = match method {
