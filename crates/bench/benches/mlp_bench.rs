@@ -45,8 +45,20 @@ fn bench_mlp(c: &mut Criterion) {
     let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
     let config = MlpConfig::default();
 
-    // The lane kernel and its scalar oracle (bit-identical — see the mlp
-    // module docs) on the same weighted set.
+    // Check before timing: at this shape the dispatched lane kernel must
+    // train to its scalar oracle's loss and predictions bit for bit (see the
+    // mlp module docs), so no run times a kernel that has drifted.
+    let mut model = Mlp::new(DIM, &config);
+    let mut oracle = model.clone();
+    let loss = model.train_weighted(&refs, &labels, &weights, &config);
+    let oracle_loss = oracle.train_weighted_scalar(&refs, &labels, &weights, &config);
+    assert_eq!(loss.to_bits(), oracle_loss.to_bits(), "kernel loss");
+    let probs = model.predict_proba_batch(&refs);
+    for (r, (row, p)) in refs.iter().zip(&probs).enumerate() {
+        let want = oracle.predict_proba(row);
+        assert_eq!(p.to_bits(), want.to_bits(), "kernel prediction, row {r}");
+    }
+
     c.bench_function("mlp/train_weighted_1200x111_30epochs", |b| {
         b.iter(|| {
             let mut mlp = Mlp::new(DIM, &config);
@@ -60,7 +72,6 @@ fn bench_mlp(c: &mut Criterion) {
         })
     });
 
-    let model = Mlp::fit_weighted(&refs, &labels, &weights, &config);
     c.bench_function("mlp/predict_1200x111", |b| {
         b.iter(|| {
             for row in &refs {

@@ -154,6 +154,10 @@ impl DedupPoints {
                 codes.push(u);
             }
         }
+        // The pushes grew these by doubling; hold only the vectors.
+        unique.shrink_to_fit();
+        counts.shrink_to_fit();
+        first_rows.shrink_to_fit();
         Self {
             unique,
             dim,
@@ -330,6 +334,24 @@ mod tests {
             dd.assign_to_nearest(&centroids),
             crate::assign_to_nearest_reference(&r, &centroids)
         );
+    }
+
+    /// A chunked build holds no slack past its distinct vectors: on an
+    /// all-distinct input the doubling pushes would leave up to twice the
+    /// vectors' bytes.
+    #[test]
+    fn chunked_build_trims_its_buffers() {
+        let (n, dim) = (1_000, 3);
+        let dd = DedupPoints::build_chunked(n, dim, 256, |rows, out| {
+            for (r, row) in rows.zip(out.chunks_exact_mut(dim)) {
+                row.fill(r as f32);
+            }
+        });
+        assert_eq!(dd.n_unique(), n);
+        assert_eq!(dd.unique.capacity(), dd.unique.len());
+        assert_eq!(dd.counts.capacity(), dd.counts.len());
+        assert_eq!(dd.first_rows.capacity(), dd.first_rows.len());
+        assert_eq!(dd.codes.capacity(), dd.codes.len());
     }
 
     #[test]

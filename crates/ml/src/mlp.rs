@@ -30,27 +30,40 @@
 //!   still starts at `b1[j]` and adds its terms in `i` order. The output
 //!   logits, each one dependent chain over `j`, are summed for eight
 //!   examples side by side.
-//! * **`gw2` and `gb1`:** summed example by example with the hidden units as
-//!   lanes. An inactive unit adds `+0.0` to `gb1[j]` instead of being
-//!   skipped. That is exact: `gb1[j]` starts at `+0.0`, and a round-to-nearest
-//!   sum is `-0.0` only when both operands are, so it never becomes `-0.0`,
-//!   and `s + 0.0 == s` for every other `s`.
-//! * **`w1` gradient:** each unit first lists its active examples (the ones
-//!   with `h[j] > 0`), branch-free. Its gradient row is then summed over that
-//!   list in register blocks of up to 64 inputs of the padded batch — the
-//!   scalar loop's per-location order — and written into the unit's lane of
-//!   the input-major gradient.
+//! * **`gw2`, `gb1` and `dL/dh`:** summed example by example with the
+//!   hidden units as lanes. Each example also gets a `dL/dh` row,
+//!   `dh[j] = wdlogit · w2[j]` for an active unit (`h[j] > 0`) and `+0.0` for
+//!   an inactive one, and adds it to `gb1`.
+//! * **`w1` gradient:** the hidden units are the lanes again. For each tile
+//!   of `T` inputs one loop sums `dh[j] · x[i]` over the batch's examples, in
+//!   order, with the tile's `T` rows of running sums in registers, and
+//!   stores them straight into the input-major gradient's rows. `T` is a
+//!   per-build constant: 4 in the AVX-512 build, where four rows of 64 lanes
+//!   take 16 of the 32 vector registers, and 1 in the others.
 //!
-//! On x86-64 CPUs with AVX the whole call runs a copy of the same code
-//! compiled for 256-bit vectors, chosen once per call at run time as
-//! `zeroed_cluster::lanes` does. No `fma` target feature is enabled, and
-//! every lane performs the same rounded multiply, add, square root and
-//! divide at any vector width, so the choice changes no bit.
-//! [`Mlp::predict_proba_batch`] runs the same forward kernel, dispatched the
-//! same way, with one transpose per call. At the detector's shape (1,200
-//! weighted rows × 111 inputs, hidden 64, batch 64, 570 Adam steps) the
-//! kernel trains about 3x faster than the lane-wise loop it replaced
-//! (`mlp_bench` on a 2-core Xeon with AVX-512: 130–145 ms → 39–46 ms).
+//! The scalar loop skips an inactive unit's terms; the kernel adds them, and
+//! that is exact. Each sum starts at `+0.0`, and a round-to-nearest sum is
+//! `-0.0` only when both operands are, so it is never `-0.0`; adding `±0.0`
+//! changes no bit of any other value. The term an inactive unit adds to
+//! `gb1[j]` is its `+0.0`, and to the `w1` gradient `+0.0 · x[i]`, which is
+//! `±0.0` for every finite `x[i]`. `0 · ±inf` and `0 · NaN` are NaN, so when
+//! a call's rows hold a non-finite value the same loop, behind a
+//! const-generic flag, adds `if h > 0 { dh · x } else { 0.0 }` instead.
+//!
+//! The whole call runs one of three builds of the same source, chosen once
+//! per call at run time in this order: AVX-512 (`avx512f`, 512-bit
+//! vectors), AVX (256-bit) and the target's baseline. No build fuses a
+//! multiply and an add (see `Build`), and every lane performs the same
+//! rounded multiply, add, square root and divide at any vector width, so
+//! the choice changes no bit. [`Mlp::predict_proba_batch`] runs the same
+//! forward kernel, dispatched the same way, with one transpose per call. At
+//! the detector's shape (1,200 weighted rows × 111 inputs, hidden 64, batch
+//! 64, 570 Adam steps; `mlp_bench`'s) on a 2-core Xeon with AVX-512, the
+//! median of 15 calls per build timed alternately in one process is 18.3 ms
+//! for the AVX-512 build, 23.6 ms for AVX and 49.1 ms for the baseline,
+//! against 28.1 ms and 46.1 ms for the AVX and baseline builds of the
+//! per-unit `w1` gradient this loop replaced (which had taken the lane-wise
+//! loop before it from 130–145 ms to 39–46 ms).
 //!
 //! [`Mlp::train_weighted`] folds a per-example weight into `dL/dlogit` (and
 //! the loss), which with unit weights multiplies by `1.0` exactly — so
@@ -330,28 +343,19 @@ impl Mlp {
         weights: &[f32],
         config: &MlpConfig,
     ) -> f32 {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            #[target_feature(enable = "avx")]
-            fn avx(
-                mlp: &mut Mlp,
-                rows: &[&[f32]],
-                labels: &[f32],
-                weights: &[f32],
-                config: &MlpConfig,
-            ) -> f32 {
-                mlp.train_lanes(rows, labels, weights, config)
-            }
-            // SAFETY: the CPU supports AVX, checked just above.
-            return unsafe { avx(self, rows, labels, weights, config) };
-        }
-        self.train_lanes(rows, labels, weights, config)
+        Build::best().run(Train {
+            mlp: self,
+            rows,
+            labels,
+            weights,
+            config,
+        })
     }
 
     /// The lane kernel behind [`Mlp::train_weighted`], compiled into each
-    /// build its dispatch chooses from.
+    /// [`Build`]; `T` is the build's `w1`-gradient tile ([`GradTiles`]).
     #[inline(always)]
-    fn train_lanes(
+    fn train_lanes<const T: usize>(
         &mut self,
         rows: &[&[f32]],
         labels: &[f32],
@@ -393,13 +397,15 @@ impl Mlp {
         let mut gw2 = vec![0.0f32; hidden];
         // Per step: the zero-padded batch; its hidden activations (one
         // `width`-lane row per example, in whole groups of `GROUP` rows) and
-        // logits, which become the weighted `dL/dlogit`s; and one unit's
-        // active examples.
+        // logits, which become the weighted `dL/dlogit`s; and each example's
+        // `dL/dh` row, zero past `hidden`.
         let groups = batch.div_ceil(GROUP);
         let mut xs = vec![0.0f32; batch * stride];
         let mut acts = vec![0.0f32; groups * GROUP * width];
         let mut wdlogits = vec![0.0f32; groups * GROUP];
-        let mut active = vec![0usize; batch];
+        let mut dhs = vec![0.0f32; batch * width];
+        // Whether an inactive unit's `+0.0 · x[i]` is exact (see `GradTiles`).
+        let finite = rows.iter().all(|r| r.iter().all(|x| x.is_finite()));
 
         for _epoch in 0..config.epochs {
             // Fisher-Yates shuffle — same RNG stream as the scalar trainer.
@@ -443,38 +449,33 @@ impl Mlp {
                 let acts = &acts[..chunk.len() * width];
                 let wdlogits = &wdlogits[..chunk.len()];
 
-                // `gw2` and `gb1`, example by example with the units as
-                // lanes; an inactive unit adds an exact `+0.0` to `gb1`.
+                // `gw2`, `gb1` and the `dL/dh` rows, example by example with
+                // the units as lanes: an inactive unit's `dh` is an exact
+                // `+0.0`, and so is what it adds to `gb1`.
                 gw2.fill(0.0);
                 gb1.fill(0.0);
-                for (h, &wdlogit) in acts.chunks_exact(width).zip(wdlogits) {
-                    let units = gw2.iter_mut().zip(&mut gb1).zip(h).zip(&self.w2.value);
-                    for (((gw2_j, gb1_j), &h_j), &w2_j) in units {
+                let dhs = &mut dhs[..chunk.len() * width];
+                let examples = acts.chunks_exact(width).zip(dhs.chunks_exact_mut(width));
+                for ((h, dh), &wdlogit) in examples.zip(wdlogits) {
+                    let units = gw2.iter_mut().zip(&mut gb1).zip(dh).zip(h);
+                    for ((((gw2_j, gb1_j), dh_j), &h_j), &w2_j) in units.zip(&self.w2.value) {
                         *gw2_j += wdlogit * h_j;
-                        *gb1_j += if h_j > 0.0 { wdlogit * w2_j } else { 0.0 };
+                        *dh_j = if h_j > 0.0 { wdlogit * w2_j } else { 0.0 };
+                        *gb1_j += *dh_j;
                     }
                 }
 
-                // Unit `j`'s `w1` gradient over its active examples, in
-                // example order.
-                if input_dim > 0 {
-                    for (unit, &w2_j) in self.w2.value.iter().enumerate() {
-                        let active =
-                            active_examples(&acts[unit..], width, &mut active[..wdlogits.len()]);
-                        let mut block = GradBlock {
-                            xs: &xs,
-                            stride,
-                            active,
-                            wdlogits,
-                            w2_j,
-                            input_dim,
-                            unit,
-                            width,
-                            gw1t: &mut gw1t,
-                        };
-                        for_each_block(stride, &mut block);
-                    }
-                }
+                // The `w1` gradient, input tile by input tile.
+                let mut grad = GradTiles::<T> {
+                    xs: &xs,
+                    stride,
+                    dhs,
+                    acts,
+                    width,
+                    finite,
+                    gw1t: &mut gw1t,
+                };
+                for_each_block(width, &mut grad);
                 adam_step(
                     &mut self.steps,
                     [&mut w1t, &mut self.b1, &mut self.w2, &mut self.b2],
@@ -492,20 +493,11 @@ impl Mlp {
     }
 
     /// Predicted probabilities for a batch of rows through the lane forward
-    /// kernel (one `w1` transpose per call, AVX-dispatched like
+    /// kernel (one `w1` transpose per call, dispatched like
     /// [`Mlp::train_weighted`]); bit-identical to calling
     /// [`Mlp::predict_proba`] per row.
     pub fn predict_proba_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            #[target_feature(enable = "avx")]
-            fn avx(mlp: &Mlp, rows: &[&[f32]]) -> Vec<f32> {
-                mlp.predict_lanes(rows)
-            }
-            // SAFETY: the CPU supports AVX, checked just above.
-            return unsafe { avx(self, rows) };
-        }
-        self.predict_lanes(rows)
+        Build::best().run(Predict { mlp: self, rows })
     }
 
     /// The forward kernel behind [`Mlp::predict_proba_batch`].
@@ -577,6 +569,122 @@ fn adam_step(
     }
 }
 
+/// The builds of the lane kernels, in dispatch order, each compiling the
+/// same [`Mlp::train_lanes`] and [`Mlp::predict_lanes`] source. None calls
+/// `mul_add`, and Rust never contracts a multiply and an add into a fused
+/// one, so no build fuses them, although LLVM's `avx512f` implies its `fma`
+/// feature.
+#[derive(Clone, Copy, Debug)]
+enum Build {
+    /// 512-bit vectors.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// 256-bit vectors.
+    #[cfg(target_arch = "x86_64")]
+    Avx,
+    /// The target's baseline instruction set.
+    Baseline,
+}
+
+impl Build {
+    /// Every build, in dispatch order.
+    const ALL: &[Build] = &[
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx,
+        Build::Baseline,
+    ];
+
+    /// Whether this CPU can run the build (checked once and cached by `std`).
+    fn runs_here(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx => std::arch::is_x86_feature_detected!("avx"),
+            Build::Baseline => true,
+        }
+    }
+
+    /// The first build in dispatch order that this CPU runs.
+    fn best() -> Build {
+        let mut builds = Build::ALL.iter().copied();
+        builds.find(|b| b.runs_here()).unwrap_or(Build::Baseline)
+    }
+
+    /// Runs `kernel` compiled for this build, with the build's `w1`-gradient
+    /// tile. Panics if the CPU cannot run the build.
+    fn run<K: Kernel>(self, kernel: K) -> K::Output {
+        assert!(self.runs_here(), "this CPU cannot run the {self:?} build");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx512 => {
+                #[target_feature(enable = "avx512f")]
+                fn avx512<K: Kernel>(kernel: K) -> K::Output {
+                    // Four rows of 64 lanes are 16 of the 32 zmm registers.
+                    kernel.call::<4>()
+                }
+                // SAFETY: the CPU supports AVX-512F, asserted above.
+                unsafe { avx512(kernel) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx => {
+                #[target_feature(enable = "avx")]
+                fn avx<K: Kernel>(kernel: K) -> K::Output {
+                    // One row of 64 lanes is 8 of the 16 ymm registers; a
+                    // tile of 4 spills its sums.
+                    kernel.call::<1>()
+                }
+                // SAFETY: the CPU supports AVX, asserted above.
+                unsafe { avx(kernel) }
+            }
+            Build::Baseline => kernel.call::<1>(),
+        }
+    }
+}
+
+/// A lane-kernel call that [`Build::run`] compiles into each build.
+trait Kernel {
+    type Output;
+    /// Runs the call with `T` inputs per `w1`-gradient tile.
+    fn call<const T: usize>(self) -> Self::Output;
+}
+
+/// A [`Mlp::train_lanes`] call.
+struct Train<'a> {
+    mlp: &'a mut Mlp,
+    rows: &'a [&'a [f32]],
+    labels: &'a [f32],
+    weights: &'a [f32],
+    config: &'a MlpConfig,
+}
+
+impl Kernel for Train<'_> {
+    type Output = f32;
+
+    #[inline(always)]
+    fn call<const T: usize>(self) -> f32 {
+        self.mlp
+            .train_lanes::<T>(self.rows, self.labels, self.weights, self.config)
+    }
+}
+
+/// A [`Mlp::predict_lanes`] call.
+struct Predict<'a> {
+    mlp: &'a Mlp,
+    rows: &'a [&'a [f32]],
+}
+
+impl Kernel for Predict<'_> {
+    type Output = Vec<f32>;
+
+    #[inline(always)]
+    fn call<const T: usize>(self) -> Vec<f32> {
+        self.mlp.predict_lanes(self.rows)
+    }
+}
+
 /// The narrowest register block: lane widths and padded strides are
 /// multiples of it. Eight f32 lanes are one 256-bit vector.
 const LANES: usize = 8;
@@ -613,31 +721,6 @@ fn from_lanes(lanes: &[f32], w: &mut [f32], width: usize) {
     }
 }
 
-/// The active examples of one unit, in order: the `e < active.len()` whose
-/// activation `acts[e · width]` is positive, listed at the front of
-/// `active`. Branch-free: every example is written, and only an active one
-/// advances the count. Kept out of line, where its few pointers and
-/// counters get registers of their own.
-#[inline(never)]
-fn active_examples<'a>(acts: &[f32], width: usize, active: &'a mut [usize]) -> &'a [usize] {
-    let mut n_active = 0;
-    for e in 0..active.len() {
-        active[n_active] = e;
-        n_active += (acts[e * width] > 0.0) as usize;
-    }
-    &active[..n_active]
-}
-
-/// Writes `values` down lane `lane` of consecutive `width`-lane rows of
-/// `rows`. Kept out of line, where the strided stores get registers of
-/// their own.
-#[inline(never)]
-fn scatter_lane(values: &[f32], rows: &mut [f32], width: usize, lane: usize) {
-    for (row, &v) in rows.chunks_exact_mut(width).zip(values) {
-        row[lane] = v;
-    }
-}
-
 /// A loop over `L` adjacent lanes whose running sums stay in registers.
 trait LaneBlock {
     /// Runs the loop over lanes `off..off + L`.
@@ -645,10 +728,11 @@ trait LaneBlock {
 }
 
 /// Runs `block` over lanes `0..width` (a multiple of [`LANES`]): 64-lane
-/// blocks, then one block of the rest. A 64-lane block keeps its sums in
-/// eight 256-bit registers, leaving half the register file for operands,
-/// and one block of the rest keeps as many sums in flight as it can, where
-/// 8-lane blocks would each wait on one add chain.
+/// blocks, then one block of the rest. A 64-lane row of sums takes eight of
+/// the AVX build's sixteen 256-bit registers, leaving half for operands (the
+/// AVX-512 build holds four such rows in half of its thirty-two), and one
+/// block of the rest keeps as many sums in flight as it can, where 8-lane
+/// blocks would each wait on one add chain.
 #[inline(always)]
 fn for_each_block(width: usize, block: &mut impl LaneBlock) {
     debug_assert_eq!(width % LANES, 0, "unpadded width");
@@ -741,39 +825,69 @@ impl LaneBlock for HiddenBlock<'_> {
     }
 }
 
-/// One block of a unit's `w1`-gradient row: `Σ dh · x[i]` with
-/// `dh = wdlogit · w2_j`, over the unit's active examples in order, from
-/// `0.0`, for inputs `off..off + L` of the zero-padded batch `xs`. The sums
-/// land in the unit's lane of the input-major gradient `gw1t`; the padding
-/// inputs past `input_dim` are dropped.
-struct GradBlock<'a> {
+/// The `w1` gradient of one batch with the hidden units as lanes: row `i`
+/// of the input-major `gw1t` gets `Σₑ dh_e[j] · x_e[i]` in lane `j`, summed
+/// over the batch's examples in order from `+0.0`. Inputs go `T` at a
+/// time: each example's block of `dh` lanes is loaded once per tile, and
+/// the tile's `T` rows of running sums stay in registers. An inactive
+/// unit's term is `+0.0 · x[i]` when every row is finite and a selected
+/// `0.0` otherwise; the module docs show why both are exact.
+struct GradTiles<'a, const T: usize> {
+    /// The zero-padded batch, `stride` values per example.
     xs: &'a [f32],
     stride: usize,
-    active: &'a [usize],
-    wdlogits: &'a [f32],
-    w2_j: f32,
-    input_dim: usize,
-    unit: usize,
+    /// Each example's `dL/dh` row: `wdlogit · w2[j]` for an active unit,
+    /// `+0.0` for an inactive one and past `hidden`.
+    dhs: &'a [f32],
+    /// Each example's hidden activations.
+    acts: &'a [f32],
     width: usize,
+    /// Whether every row holds only finite values.
+    finite: bool,
     gw1t: &'a mut [f32],
 }
 
-impl LaneBlock for GradBlock<'_> {
+impl<const T: usize> GradTiles<'_, T> {
+    /// The tiles of lanes `off..off + L`.
     #[inline(always)]
-    fn run<const L: usize>(&mut self, off: usize) {
-        let mut acc = [0.0f32; L];
-        for &e in self.active {
-            let dh = self.wdlogits[e] * self.w2_j;
-            let x: &[f32; L] = self.xs[e * self.stride + off..][..L]
-                .try_into()
-                .expect("block within the stride");
-            for (a, &x_i) in acc.iter_mut().zip(x) {
-                *a += dh * x_i;
+    fn tiles<const L: usize, const FINITE: bool>(&mut self, off: usize) {
+        const { assert!(LANES.is_multiple_of(T), "a tile must end within the stride") };
+        let (width, stride) = (self.width, self.stride);
+        for (tile, grads) in self.gw1t.chunks_mut(T * width).enumerate() {
+            let mut acc = [[0.0f32; L]; T];
+            let examples = self
+                .dhs
+                .chunks_exact(width)
+                .zip(self.acts.chunks_exact(width));
+            for ((dh, h), x) in examples.zip(self.xs.chunks_exact(stride)) {
+                let dh: &[f32; L] = dh[off..off + L].try_into().expect("block within the width");
+                let h: &[f32; L] = h[off..off + L].try_into().expect("block within the width");
+                let x: &[f32; T] = x[tile * T..][..T]
+                    .try_into()
+                    .expect("tile within the stride");
+                for (acc, &x_i) in acc.iter_mut().zip(x) {
+                    for ((a, &dh_j), &h_j) in acc.iter_mut().zip(dh).zip(h) {
+                        let term = dh_j * x_i;
+                        *a += if FINITE || h_j > 0.0 { term } else { 0.0 };
+                    }
+                }
+            }
+            // A last tile past `input_dim` drops its padding inputs' sums.
+            for (row, acc) in grads.chunks_exact_mut(width).zip(&acc) {
+                row[off..off + L].copy_from_slice(acc);
             }
         }
-        let end = self.input_dim.min(off + L);
-        let lanes = &mut self.gw1t[off * self.width..];
-        scatter_lane(&acc[..end - off], lanes, self.width, self.unit);
+    }
+}
+
+impl<const T: usize> LaneBlock for GradTiles<'_, T> {
+    #[inline(always)]
+    fn run<const L: usize>(&mut self, off: usize) {
+        if self.finite {
+            self.tiles::<L, true>(off);
+        } else {
+            self.tiles::<L, false>(off);
+        }
     }
 }
 
@@ -979,17 +1093,20 @@ mod tests {
         assert!(correct >= 110, "only {correct}/120 correct");
     }
 
+    /// The bits of each value, with every NaN as one pattern: arithmetic
+    /// NaN payloads are unspecified, so builds may differ in them.
     fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
+        let canonical = |x: f32| if x.is_nan() { f32::NAN } else { x };
+        v.iter().map(|&x| canonical(x).to_bits()).collect()
     }
 
-    /// Trains the weighted scalar oracle and both builds of the kernel — the
-    /// dispatched one (the AVX build on CPUs that have it) and the baseline
-    /// build — from the same initialisation, twice, so that the second call
+    /// Trains the weighted scalar oracle and every build of the kernel this
+    /// CPU runs from the same initialisation, twice, so that the second call
     /// starts from trained weights and non-zero Adam moments. Asserts after
-    /// each call that both builds' losses, parameters and moments are
-    /// bit-identical to the oracle's, then that their batch predictions are
-    /// too, and returns the oracle.
+    /// each call that each build's loss, parameters and moments are
+    /// bit-identical to the oracle's, then that its batch predictions equal
+    /// the oracle's per-row ones, and returns the oracle. A build the CPU
+    /// cannot run is named in the test output.
     fn assert_kernel_matches_scalar(
         rows: &[Vec<f32>],
         labels: &[f32],
@@ -999,22 +1116,27 @@ mod tests {
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         let dim = refs.first().map_or(0, |r| r.len());
         let mut oracle = Mlp::new(dim, config);
-        let mut dispatched = oracle.clone();
-        let mut baseline = oracle.clone();
+        let (builds, lacking): (Vec<Build>, _) = Build::ALL.iter().partition(|b| b.runs_here());
+        for build in lacking {
+            println!("{build:?} build not checked: this CPU cannot run it");
+        }
+        let mut kernels: Vec<(Build, Mlp)> = builds.iter().map(|&b| (b, oracle.clone())).collect();
         for call in 1..=2 {
             let oracle_loss = oracle.train_weighted_scalar(&refs, labels, weights, config);
-            let dispatched_loss = dispatched.train_weighted(&refs, labels, weights, config);
-            let baseline_loss = baseline.train_lanes(&refs, labels, weights, config);
-            for (build, kernel, loss) in [
-                ("dispatched", &dispatched, dispatched_loss),
-                ("baseline", &baseline, baseline_loss),
-            ] {
+            for (build, kernel) in &mut kernels {
+                let loss = build.run(Train {
+                    mlp: kernel,
+                    rows: &refs,
+                    labels,
+                    weights,
+                    config,
+                });
                 assert_eq!(
-                    oracle_loss.to_bits(),
-                    loss.to_bits(),
-                    "call {call}: {build} loss"
+                    bits(&[oracle_loss]),
+                    bits(&[loss]),
+                    "call {call}: {build:?} loss"
                 );
-                assert_eq!(oracle.steps, kernel.steps, "call {call}: {build} steps");
+                assert_eq!(oracle.steps, kernel.steps, "call {call}: {build:?} steps");
                 for (name, want, got) in [
                     ("w1", &oracle.w1, &kernel.w1),
                     ("b1", &oracle.b1, &kernel.b1),
@@ -1024,35 +1146,29 @@ mod tests {
                     assert_eq!(
                         bits(&want.value),
                         bits(&got.value),
-                        "call {call}: {build} {name}"
+                        "call {call}: {build:?} {name}"
                     );
                     assert_eq!(
                         bits(&want.m),
                         bits(&got.m),
-                        "call {call}: {build} {name} moment 1"
+                        "call {call}: {build:?} {name} moment 1"
                     );
                     assert_eq!(
                         bits(&want.v),
                         bits(&got.v),
-                        "call {call}: {build} {name} moment 2"
+                        "call {call}: {build:?} {name} moment 2"
                     );
                 }
             }
         }
-        let expected: Vec<u32> = refs
-            .iter()
-            .map(|r| oracle.predict_proba(r).to_bits())
-            .collect();
-        assert_eq!(
-            bits(&oracle.predict_proba_batch(&refs)),
-            expected,
-            "dispatched predictions"
-        );
-        assert_eq!(
-            bits(&oracle.predict_lanes(&refs)),
-            expected,
-            "baseline predictions"
-        );
+        let expected: Vec<f32> = refs.iter().map(|r| oracle.predict_proba(r)).collect();
+        for build in builds {
+            let got = build.run(Predict {
+                mlp: &oracle,
+                rows: &refs,
+            });
+            assert_eq!(bits(&got), bits(&expected), "{build:?} predictions");
+        }
         oracle
     }
 
@@ -1150,24 +1266,70 @@ mod tests {
             .collect()
     }
 
-    /// Both builds of the kernel equal the weighted scalar oracle bit for
-    /// bit at the detector's shape, with the detector's kind of weights,
-    /// across hidden widths of 64 and 61 (a remainder past the last full
-    /// vector), 113 and 0 inputs, and a ragged last batch (203 = 3 × 64 + 11).
+    /// Every build of the kernel equals the weighted scalar oracle bit for
+    /// bit with the detector's kind of weights, across hidden widths of 8,
+    /// 24 (`ZeroEdConfig::fast()`), 61 (a remainder past the last full
+    /// vector), 64 (the default) and 72 (a second lane block); 0, 1, 107 and
+    /// 113 inputs; and batches of 1, 3 and 64, where 67 rows leave a ragged
+    /// last chunk (22 × 3 + 1 and 64 + 3).
     #[test]
-    fn both_builds_match_the_weighted_oracle() {
-        for dim in [113, 0] {
-            let (rows, labels) = detector_shape_data(203, dim);
+    fn every_build_matches_the_weighted_oracle() {
+        for dim in [0, 1, 107, 113] {
+            let (rows, labels) = detector_shape_data(67, dim);
             let weights = detector_weights(&labels);
-            for hidden in [64, 61] {
-                let config = MlpConfig {
-                    hidden,
-                    epochs: 3,
-                    batch_size: 64,
-                    seed: 23,
-                    ..Default::default()
+            for hidden in [8, 24, 61, 64, 72] {
+                for batch_size in [1, 3, 64] {
+                    let config = MlpConfig {
+                        hidden,
+                        epochs: 2,
+                        batch_size,
+                        seed: 23,
+                        ..Default::default()
+                    };
+                    assert_kernel_matches_scalar(&rows, &labels, &weights, &config);
+                }
+            }
+        }
+    }
+
+    /// Rows holding NaN, ±inf and ±0.0 run the kernel's selecting loop and
+    /// still equal the oracle. A NaN input leaves every unit of its row
+    /// inactive (`NaN.max(0.0)` is `0.0`), so the oracle skips the row in
+    /// the `w1` gradient and stays finite, where `+0.0 · NaN` or `+0.0 · inf`
+    /// summed into it would not. A lone `+inf` drives the network to NaN,
+    /// which every build must reach the same way.
+    #[test]
+    fn non_finite_rows_match_the_oracle() {
+        for dim in [1, 107] {
+            let (mut rows, labels) = detector_shape_data(67, dim);
+            for (r, row) in rows.iter_mut().enumerate().filter(|(r, _)| r % 7 == 2) {
+                row[r % dim] = f32::NAN;
+                let inf = if r % 2 == 0 {
+                    f32::INFINITY
+                } else {
+                    -f32::INFINITY
                 };
-                assert_kernel_matches_scalar(&rows, &labels, &weights, &config);
+                row[(r + 1) % dim] = if dim > 1 { inf } else { f32::NAN };
+            }
+            let weights = detector_weights(&labels);
+            for hidden in [8, 64, 72] {
+                for batch_size in [3, 64] {
+                    let config = MlpConfig {
+                        hidden,
+                        epochs: 2,
+                        batch_size,
+                        seed: 29,
+                        ..Default::default()
+                    };
+                    let oracle = assert_kernel_matches_scalar(&rows, &labels, &weights, &config);
+                    assert!(
+                        oracle.w1.value.iter().all(|w| w.is_finite()),
+                        "NaN rows must leave the oracle finite"
+                    );
+                    rows[5][0] = f32::INFINITY;
+                    assert_kernel_matches_scalar(&rows, &labels, &weights, &config);
+                    rows[5][0] = 1.0;
+                }
             }
         }
     }
