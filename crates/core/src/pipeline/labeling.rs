@@ -2,9 +2,12 @@
 //!
 //! The pipeline calls [`label_representatives`] in the middle phase of each
 //! attribute's streamed chain, right after the attribute's sampling and
-//! before its training-data construction, at the model's serving width. The
-//! calls below (distribution analysis → guideline → label batches) stay
-//! ordered within the attribute while attributes proceed in parallel.
+//! before its training-data construction, at the model's serving width.
+//! Within the attribute, distribution analysis → guideline stay ordered;
+//! the label batches depend only on the guideline, so once it is back they
+//! go out together, up to the model's width
+//! ([`zeroed_runtime::RuntimeConfig::run_nested_llm`]), while attributes
+//! proceed in parallel.
 
 use crate::config::ZeroEdConfig;
 use crate::pipeline::repair;
@@ -32,12 +35,16 @@ pub struct LabelOutcome {
 /// full data is summarised in a [`zeroed_llm::DistributionAnalysis`]) and then
 /// derives an attribute-specific detection guideline, which is included in
 /// every labelling prompt. Representatives are labelled in batches of
-/// `config.batch_size`.
+/// `config.batch_size`. The batches run concurrently on the calling thread
+/// and scoped helpers, at most as many at once as `config.runtime` allows
+/// the model (one under [`ZeroEdConfig::sequential_runtime`], which runs
+/// them in order), and their labels merge in batch order, so the outcome
+/// does not depend on the width.
 ///
 /// A model may answer a batch with fewer labels than it was asked for (a
 /// truncated or malformed response). Those rows are never dropped silently:
-/// they are relabelled individually, and rows that still come back empty are
-/// recorded as defaulted-to-clean in the outcome's counters.
+/// the batch relabels them individually, and rows that still come back
+/// empty are recorded as defaulted-to-clean in the outcome's counters.
 pub fn label_representatives(
     ctx: &AttributeContext<'_>,
     config: &ZeroEdConfig,
@@ -57,18 +64,20 @@ pub fn label_representatives(
     } else {
         None
     };
-    for batch in representatives.chunks(config.batch_size.max(1)) {
-        let batch_labels = llm.label_batch(ctx, guideline.as_ref(), batch);
-        for (&row, &is_error) in batch.iter().zip(batch_labels.iter()) {
-            outcome.labels.insert(row, is_error);
-        }
-        // Short response: the zip above consumed the answered prefix; the
+    let batches: Vec<&[usize]> = representatives.chunks(config.batch_size.max(1)).collect();
+    let labelled = config.runtime.run_nested_llm(llm, batches.len(), |b| {
+        let batch = batches[b];
+        let labels = llm.label_batch(ctx, guideline.as_ref(), batch);
+        // Short response: the answered prefix keeps its labels; the
         // unanswered suffix goes through the shared per-row repair helper.
-        let unanswered = &batch[batch_labels.len().min(batch.len())..];
-        outcome.fallback_cells += unanswered.len();
-        for (row, is_error, defaulted) in
-            repair::relabel_rows_individually(llm, ctx, guideline.as_ref(), unanswered)
-        {
+        let unanswered = &batch[labels.len().min(batch.len())..];
+        let repaired = repair::relabel_rows_individually(llm, ctx, guideline.as_ref(), unanswered);
+        (batch.iter().copied().zip(labels), repaired)
+    });
+    for (answered, repaired) in labelled {
+        outcome.labels.extend(answered);
+        outcome.fallback_cells += repaired.len();
+        for (row, is_error, defaulted) in repaired {
             if defaulted {
                 outcome.defaulted_cells += 1;
             }
@@ -81,8 +90,11 @@ pub fn label_representatives(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
     use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
     use zeroed_llm::{Request, Response, SimLlm};
+    use zeroed_runtime::RuntimeConfig;
 
     fn fixture() -> (zeroed_datagen::GeneratedDataset, SimLlm) {
         let ds = generate(
@@ -198,6 +210,9 @@ mod tests {
         fn ledger(&self) -> &zeroed_llm::TokenLedger {
             self.inner.ledger()
         }
+        fn max_in_flight(&self) -> Option<usize> {
+            self.inner.max_in_flight()
+        }
         fn complete(&self, request: &Request<'_>) -> Response {
             match *request {
                 Request::Labels { rows: &[row], .. } if self.mute.contains(&row) => {
@@ -247,5 +262,117 @@ mod tests {
         // The repaired labels agree with what the model answers individually.
         let single = llm.label_batch(&ctx, None, &[7]);
         assert_eq!(outcome.labels[&7], single[0]);
+    }
+
+    /// Wraps a client, forwarding `max_in_flight`, and counts the label
+    /// requests in flight. With `rendezvous` set, the first label request
+    /// waits until a second one arrives (or a generous bound passes), so
+    /// two batches overlap whenever the runtime lets them.
+    struct OverlapProbe<L> {
+        inner: L,
+        rendezvous: bool,
+        labels: Mutex<InFlight>,
+        arrived: Condvar,
+    }
+
+    #[derive(Default)]
+    struct InFlight {
+        now: usize,
+        peak: usize,
+        seen: usize,
+    }
+
+    impl<L> OverlapProbe<L> {
+        fn new(inner: L, rendezvous: bool) -> Self {
+            Self {
+                inner,
+                rendezvous,
+                labels: Mutex::default(),
+                arrived: Condvar::new(),
+            }
+        }
+
+        fn peak(&self) -> usize {
+            self.labels.lock().unwrap().peak
+        }
+    }
+
+    impl<L: LlmClient> LlmClient for OverlapProbe<L> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn ledger(&self) -> &zeroed_llm::TokenLedger {
+            self.inner.ledger()
+        }
+        fn max_in_flight(&self) -> Option<usize> {
+            self.inner.max_in_flight()
+        }
+        fn complete(&self, request: &Request<'_>) -> Response {
+            if !matches!(request, Request::Labels { .. }) {
+                return self.inner.complete(request);
+            }
+            let mut labels = self.labels.lock().unwrap();
+            labels.now += 1;
+            labels.peak = labels.peak.max(labels.now);
+            labels.seen += 1;
+            self.arrived.notify_all();
+            if self.rendezvous && labels.seen == 1 {
+                labels = self
+                    .arrived
+                    .wait_timeout_while(labels, Duration::from_secs(60), |l| l.seen < 2)
+                    .unwrap()
+                    .0;
+            }
+            drop(labels);
+            let response = self.inner.complete(request);
+            self.labels.lock().unwrap().now -= 1;
+            response
+        }
+    }
+
+    #[test]
+    fn label_batches_overlap_and_merge_in_batch_order() {
+        let (ds, _) = fixture();
+        let corr = vec![0usize];
+        let reps: Vec<usize> = (0..30).collect();
+        let ctx = AttributeContext {
+            table: &ds.dirty,
+            column: 1,
+            correlated: &corr,
+            sample_rows: &reps,
+        };
+        // Three batches of ten, each answered with six labels; rows 8 and
+        // 17 (batches 0 and 1) never get an answer at all.
+        let label = |config: ZeroEdConfig, rendezvous: bool| {
+            let truncating = TruncatingLlm {
+                inner: SimLlm::default_model(2).with_oracle(ds.mask.clone()),
+                keep: 6,
+                mute: vec![8, 17],
+            };
+            let llm = OverlapProbe::new(truncating, rendezvous);
+            let config = ZeroEdConfig {
+                batch_size: 10,
+                ..config
+            };
+            let outcome = label_representatives(&ctx, &config, &llm, &reps);
+            (outcome, llm.peak(), llm.ledger().usage())
+        };
+        let (seq, seq_peak, seq_usage) = label(ZeroEdConfig::fast().sequential_runtime(), false);
+        assert_eq!(seq_peak, 1, "the sequential run labels one batch at a time");
+        assert_eq!(seq.labels.len(), 30);
+        assert_eq!(seq.fallback_cells, 12);
+        assert_eq!(seq.defaulted_cells, 2);
+        let pinned = ZeroEdConfig::fast().with_runtime(RuntimeConfig {
+            workers: 4,
+            ..RuntimeConfig::default()
+        });
+        for (name, config) in [("pinned", pinned), ("default", ZeroEdConfig::fast())] {
+            let (outcome, peak, usage) = label(config, true);
+            assert!(peak >= 2, "{name}: label requests never overlapped");
+            assert_eq!(outcome.labels, seq.labels, "{name}");
+            assert_eq!(outcome.fallback_cells, seq.fallback_cells, "{name}");
+            assert_eq!(outcome.defaulted_cells, seq.defaulted_cells, "{name}");
+            assert_eq!(usage, seq_usage, "{name}");
+        }
     }
 }

@@ -25,7 +25,9 @@
 //! generation; labelling with training-data construction) keeps as many
 //! requests in flight as the model can serve
 //! ([`zeroed_llm::LlmClient::max_in_flight`]; 8 for the simulator), on the
-//! runtime's long-lived request threads. CPU-bound work (criteria
+//! runtime's long-lived request threads; an attribute's label batches fan
+//! out at that width again, on scoped helpers of its middle phase
+//! ([`labeling`]). CPU-bound work (criteria
 //! evaluation, sampling, the detector) runs one worker per core. A pinned
 //! `RuntimeConfig::workers` sets both widths.
 //! When the request cache is on (the default), the
@@ -355,10 +357,11 @@ impl ZeroEd {
         // (Algorithm 1), then the detector (§III-D). Past the features
         // barrier attribute j reads nothing of another attribute, so the
         // chains stream: sampling and the detector run on the CPU lane,
-        // labelling (analysis → guideline → label batches) and Algorithm 1
-        // (propagation → refinement → verification → augmentation) at the
-        // model's width, and one attribute's detector overlaps another's
-        // LLM waits. Attribute j's unified vectors have no other reader, so
+        // labelling (analysis → guideline, then the label batches fanned
+        // out together on scoped helpers) and Algorithm 1 (propagation →
+        // refinement → verification → augmentation) at the model's width,
+        // and one attribute's detector overlaps another's LLM waits.
+        // Attribute j's unified vectors have no other reader, so
         // its sampling and its detector each stream its distinct vectors
         // from the fitted caches and drop them on return: a CPU-lane worker
         // holds one attribute's distinct vectors and never a matrix.

@@ -25,11 +25,12 @@
 //!   mini-batch is copied into a zero-padded `batch × stride` buffer
 //!   (`stride` is `input_dim` rounded up to a multiple of 8).
 //! * **Forward:** the hidden units are the lanes. One example sweeps its
-//!   inputs once per block of up to 64 units, with the block's running sums
-//!   `h[j] += w1[j][i] · x[i]` in registers for the whole sweep; each sum
-//!   still starts at `b1[j]` and adds its terms in `i` order. The output
-//!   logits, each one dependent chain over `j`, are summed for eight
-//!   examples side by side.
+//!   inputs once per block of up to `B` units (a per-build constant: 64 in
+//!   the AVX-512 and AVX builds, 32 in the baseline), with the block's
+//!   running sums `h[j] += w1[j][i] · x[i]` in registers for the whole
+//!   sweep; each sum still starts at `b1[j]` and adds its terms in `i`
+//!   order. The output logits, each one dependent chain over `j`, are
+//!   summed for eight examples side by side.
 //! * **`gw2`, `gb1` and `dL/dh`:** summed example by example with the
 //!   hidden units as lanes. Each example also gets a `dL/dh` row,
 //!   `dh[j] = wdlogit · w2[j]` for an active unit (`h[j] > 0`) and `+0.0` for
@@ -60,10 +61,12 @@
 //! the detector's shape (1,200 weighted rows × 111 inputs, hidden 64, batch
 //! 64, 570 Adam steps; `mlp_bench`'s) on a 2-core Xeon with AVX-512, the
 //! median of 15 calls per build timed alternately in one process is 18.3 ms
-//! for the AVX-512 build, 23.6 ms for AVX and 49.1 ms for the baseline,
-//! against 28.1 ms and 46.1 ms for the AVX and baseline builds of the
-//! per-unit `w1` gradient this loop replaced (which had taken the lane-wise
-//! loop before it from 130–145 ms to 39–46 ms).
+//! for the AVX-512 build, 23.6 ms for AVX and 49.1 ms for the baseline with
+//! 64-lane blocks, against 28.1 ms and 46.1 ms for the AVX and baseline
+//! builds of the per-unit `w1` gradient this loop replaced (which had taken
+//! the lane-wise loop before it from 130–145 ms to 39–46 ms). The
+//! baseline's 32-lane blocks took it from 46.9 / 45.6 ms to 39.7 / 38.9 ms
+//! (two runs, 64- and 32-lane calls alternated in one process).
 //!
 //! [`Mlp::train_weighted`] folds a per-example weight into `dL/dlogit` (and
 //! the loss), which with unit weights multiplies by `1.0` exactly — so
@@ -353,9 +356,10 @@ impl Mlp {
     }
 
     /// The lane kernel behind [`Mlp::train_weighted`], compiled into each
-    /// [`Build`]; `T` is the build's `w1`-gradient tile ([`GradTiles`]).
+    /// [`Build`]; `B` is the build's widest lane block ([`for_each_block`])
+    /// and `T` its `w1`-gradient tile ([`GradTiles`]).
     #[inline(always)]
-    fn train_lanes<const T: usize>(
+    fn train_lanes<const B: usize, const T: usize>(
         &mut self,
         rows: &[&[f32]],
         labels: &[f32],
@@ -432,7 +436,7 @@ impl Mlp {
                 for (&idx, (x, h)) in chunk.iter().zip(rows_and_acts) {
                     let x = &mut x[..input_dim];
                     x.copy_from_slice(rows[idx]);
-                    net.hidden(x, h);
+                    net.hidden::<B>(x, h);
                 }
                 let used = chunk.len().div_ceil(GROUP) * GROUP;
                 net.logits(&acts[..used * width], &mut wdlogits[..used]);
@@ -475,7 +479,7 @@ impl Mlp {
                     finite,
                     gw1t: &mut gw1t,
                 };
-                for_each_block(width, &mut grad);
+                for_each_block::<B>(width, &mut grad);
                 adam_step(
                     &mut self.steps,
                     [&mut w1t, &mut self.b1, &mut self.w2, &mut self.b2],
@@ -500,9 +504,10 @@ impl Mlp {
         Build::best().run(Predict { mlp: self, rows })
     }
 
-    /// The forward kernel behind [`Mlp::predict_proba_batch`].
+    /// The forward kernel behind [`Mlp::predict_proba_batch`], with lane
+    /// blocks of up to `B` lanes.
     #[inline(always)]
-    fn predict_lanes(&self, rows: &[&[f32]]) -> Vec<f32> {
+    fn predict_lanes<const B: usize>(&self, rows: &[&[f32]]) -> Vec<f32> {
         let width = self.hidden.next_multiple_of(LANES);
         let w1t = to_lanes(&self.w1.value, self.input_dim, width);
         let mut b1 = vec![0.0f32; width];
@@ -520,7 +525,7 @@ impl Mlp {
         for group in rows.chunks(GROUP) {
             for (x, h) in group.iter().zip(acts.chunks_exact_mut(width)) {
                 debug_assert_eq!(x.len(), self.input_dim);
-                net.hidden(x, h);
+                net.hidden::<B>(x, h);
             }
             net.logits(&acts, &mut logits);
             probs.extend(logits[..group.len()].iter().map(|&z| sigmoid(z)));
@@ -613,8 +618,8 @@ impl Build {
         builds.find(|b| b.runs_here()).unwrap_or(Build::Baseline)
     }
 
-    /// Runs `kernel` compiled for this build, with the build's `w1`-gradient
-    /// tile. Panics if the CPU cannot run the build.
+    /// Runs `kernel` compiled for this build, with the build's lane block
+    /// and `w1`-gradient tile. Panics if the CPU cannot run the build.
     fn run<K: Kernel>(self, kernel: K) -> K::Output {
         assert!(self.runs_here(), "this CPU cannot run the {self:?} build");
         match self {
@@ -623,7 +628,7 @@ impl Build {
                 #[target_feature(enable = "avx512f")]
                 fn avx512<K: Kernel>(kernel: K) -> K::Output {
                     // Four rows of 64 lanes are 16 of the 32 zmm registers.
-                    kernel.call::<4>()
+                    kernel.call::<64, 4>()
                 }
                 // SAFETY: the CPU supports AVX-512F, asserted above.
                 unsafe { avx512(kernel) }
@@ -634,12 +639,14 @@ impl Build {
                 fn avx<K: Kernel>(kernel: K) -> K::Output {
                     // One row of 64 lanes is 8 of the 16 ymm registers; a
                     // tile of 4 spills its sums.
-                    kernel.call::<1>()
+                    kernel.call::<64, 1>()
                 }
                 // SAFETY: the CPU supports AVX, asserted above.
                 unsafe { avx(kernel) }
             }
-            Build::Baseline => kernel.call::<1>(),
+            // On x86-64 that is SSE2: one row of 32 lanes is 8 of the 16
+            // xmm registers, where 64 lanes would take all of them.
+            Build::Baseline => kernel.call::<32, 1>(),
         }
     }
 }
@@ -647,8 +654,9 @@ impl Build {
 /// A lane-kernel call that [`Build::run`] compiles into each build.
 trait Kernel {
     type Output;
-    /// Runs the call with `T` inputs per `w1`-gradient tile.
-    fn call<const T: usize>(self) -> Self::Output;
+    /// Runs the call with lane blocks of up to `B` lanes and `T` inputs per
+    /// `w1`-gradient tile.
+    fn call<const B: usize, const T: usize>(self) -> Self::Output;
 }
 
 /// A [`Mlp::train_lanes`] call.
@@ -664,9 +672,9 @@ impl Kernel for Train<'_> {
     type Output = f32;
 
     #[inline(always)]
-    fn call<const T: usize>(self) -> f32 {
+    fn call<const B: usize, const T: usize>(self) -> f32 {
         self.mlp
-            .train_lanes::<T>(self.rows, self.labels, self.weights, self.config)
+            .train_lanes::<B, T>(self.rows, self.labels, self.weights, self.config)
     }
 }
 
@@ -680,8 +688,8 @@ impl Kernel for Predict<'_> {
     type Output = Vec<f32>;
 
     #[inline(always)]
-    fn call<const T: usize>(self) -> Vec<f32> {
-        self.mlp.predict_lanes(self.rows)
+    fn call<const B: usize, const T: usize>(self) -> Vec<f32> {
+        self.mlp.predict_lanes::<B>(self.rows)
     }
 }
 
@@ -727,18 +735,24 @@ trait LaneBlock {
     fn run<const L: usize>(&mut self, off: usize);
 }
 
-/// Runs `block` over lanes `0..width` (a multiple of [`LANES`]): 64-lane
-/// blocks, then one block of the rest. A 64-lane row of sums takes eight of
-/// the AVX build's sixteen 256-bit registers, leaving half for operands (the
-/// AVX-512 build holds four such rows in half of its thirty-two), and one
-/// block of the rest keeps as many sums in flight as it can, where 8-lane
-/// blocks would each wait on one add chain.
+/// Runs `block` over lanes `0..width` (a multiple of [`LANES`]): `B`-lane
+/// blocks, then one block of the rest. `B` is a per-build constant (see
+/// [`Build::run`]): a row of `B` sums should take about half of the build's
+/// vector registers, leaving the rest for operands, and one block of the
+/// rest keeps as many sums in flight as it can, where 8-lane blocks would
+/// each wait on one add chain.
 #[inline(always)]
-fn for_each_block(width: usize, block: &mut impl LaneBlock) {
+fn for_each_block<const B: usize>(width: usize, block: &mut impl LaneBlock) {
+    const {
+        assert!(
+            B.is_multiple_of(LANES) && LANES <= B && B <= 64,
+            "B must be a multiple of LANES up to 64"
+        )
+    };
     debug_assert_eq!(width % LANES, 0, "unpadded width");
     let mut off = 0;
     while off < width {
-        let lanes = (width - off).min(64);
+        let lanes = (width - off).min(B);
         match lanes {
             64 => block.run::<64>(off),
             56 => block.run::<56>(off),
@@ -770,9 +784,9 @@ impl LaneForward<'_> {
     /// bit-identical to [`Mlp::forward`]'s: each lane starts at `b1[j]`,
     /// adds `w1[j][i] · x[i]` in `i` order and goes through the ReLU.
     #[inline(always)]
-    fn hidden(&self, x: &[f32], h: &mut [f32]) {
+    fn hidden<const B: usize>(&self, x: &[f32], h: &mut [f32]) {
         debug_assert_eq!(x.len() * self.width, self.w1t.len(), "input width");
-        for_each_block(self.width, &mut HiddenBlock { net: self, x, h });
+        for_each_block::<B>(self.width, &mut HiddenBlock { net: self, x, h });
     }
 
     /// The output logits of whole groups of [`GROUP`] activation rows:

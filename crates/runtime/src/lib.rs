@@ -41,7 +41,10 @@
 //!    many as the model can serve
 //!    ([`zeroed_llm::LlmClient::max_in_flight`]), on a process-wide pool of
 //!    long-lived request threads — and the chains' CPU phases (sampling,
-//!    the detector) overlap them on a lane of one worker per core.
+//!    the detector) overlap them on a lane of one worker per core. The one
+//!    step whose requests do not depend on each other, an attribute's
+//!    label batches once its guideline is back, fans out again inside the
+//!    phase ([`RuntimeConfig::run_nested_llm`]).
 //! 4. **Publish** — the [`zeroed_llm::Response`] and its exact token cost
 //!    (the prompt and [`zeroed_llm::Request::render`]'s response text) are
 //!    stored under the key; parked waiters wake. Each lookup is counted once, by

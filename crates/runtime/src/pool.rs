@@ -4,9 +4,10 @@
 //!
 //! [`scatter`] runs one fan-out: the calling thread claims task indices in
 //! order and so do its helpers, either scoped threads spawned for the
-//! fan-out (CPU work, [`crate::Scheduler::run`]) or turns of the request
-//! threads ([`crate::Scheduler::run_llm`] and the middle phase of
-//! [`crate::Scheduler::run_chain`]). Because the caller works too, a
+//! fan-out (CPU work, [`crate::Scheduler::run`], and request fan-outs
+//! nested inside a task, [`crate::RuntimeConfig::run_nested_llm`]) or turns
+//! of the request threads ([`crate::Scheduler::run_llm`] and the middle
+//! phase of [`crate::Scheduler::run_chain`]). Because the caller works too, a
 //! fan-out finishes even when every request thread is busy elsewhere (for
 //! example inside another caller's fan-out), and it never returns before
 //! every task has finished or been skipped: the tasks borrow the caller's
@@ -18,7 +19,10 @@
 //! allocations then spread across them, raising the process's peak RSS. The
 //! pool keeps its request threads for the life of the process instead,
 //! growing only when a fan-out asks for more than it has, and CPU work never
-//! runs on them.
+//! runs on them. A fan-out nested inside one of their tasks spawns scoped
+//! threads instead: its few short requests allocate little, while growing
+//! the pool for nested fan-outs would keep those threads, and their arenas,
+//! for the life of the process.
 
 use crate::fifo::Fifo;
 use std::any::Any;

@@ -20,6 +20,10 @@
 //!   construction) at the model's width. A task's phases run in order while
 //!   tasks proceed concurrently, and no fan-out barrier separates the
 //!   phases, so one task's CPU work overlaps another's waits on the model.
+//! * [`RuntimeConfig::run_nested_llm`] fans out requests from inside a
+//!   task (an attribute's label batches inside its middle phase) at the
+//!   model's width, on the calling thread and scoped threads spawned for
+//!   the call, so the request threads stay with the outer fan-out.
 //!
 //! An explicit [`RuntimeConfig::workers`] pins both widths, so one worker
 //! runs every task in order on the calling thread. Either way results come
@@ -99,6 +103,26 @@ impl RuntimeConfig {
             Some(capacity) if self.workers == 0 => capacity.max(1),
             _ => self.effective_workers(),
         }
+    }
+
+    /// Runs tasks `0..n` that mostly wait on `llm` from inside another
+    /// task (one attribute's label batches inside its chain's middle
+    /// phase), and returns their results in task order.
+    ///
+    /// Up to the LLM width this config resolves for `llm` run at once: the
+    /// calling thread and scoped threads spawned for the call claim the
+    /// tasks in order, as in [`Scheduler::run`]. The long-lived request
+    /// threads neither help nor grow, so the outer fan-out keeps them. At
+    /// width one every task runs in order on the calling thread. A task
+    /// panic propagates with its own payload once the started tasks have
+    /// finished.
+    pub fn run_nested_llm<T, F>(&self, llm: &dyn LlmClient, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let helpers = Helpers::Scoped(self.llm_width(llm.max_in_flight()) - 1);
+        gather(helpers, n, f).unwrap_or_else(|panicked| resume_unwind(panicked.payload))
     }
 }
 
@@ -274,25 +298,22 @@ impl Scheduler {
         if width <= 1 || n <= 1 {
             return (0..n).map(|i| self.run_now(fanout, i, || f(i))).collect();
         }
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         // Every task is submitted up front; its queue wait runs until a
         // thread picks it up.
         let batch_start = Instant::now();
         for i in 0..n {
             self.journal(fanout, EventKind::TaskSubmit, i);
         }
-        let body = |i: usize| {
+        let task = |i: usize| {
             self.queue_wait.record(batch_start.elapsed());
-            let value = self.run_task(fanout, i, || f(i));
-            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
+            self.run_task(fanout, i, || f(i))
         };
-        if let Err(panicked) = pool::scatter(helpers(width - 1), n, &body) {
+        gather(helpers(width - 1), n, task).unwrap_or_else(|panicked| {
             self.counters
                 .skipped
                 .fetch_add(panicked.skipped as u64, Ordering::Relaxed);
-            resume_unwind(panicked.payload);
-        }
-        collect(slots)
+            resume_unwind(panicked.payload)
+        })
     }
 
     /// Runs every task's three phases, `first` → `middle` → `last`, each
@@ -542,6 +563,22 @@ impl<A, B, C> Chain<A, B, C> {
     }
 }
 
+/// Runs `f(i)` for every `i` in `0..n` through [`pool::scatter`] and
+/// returns the results in task order.
+fn gather<T, F>(helpers: Helpers, n: usize, f: F) -> Result<Vec<T>, pool::Panicked>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let body = |i: usize| {
+        let value = f(i);
+        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
+    };
+    pool::scatter(helpers, n, &body)?;
+    Ok(collect(slots))
+}
+
 /// Unwraps a fan-out's result slots, all filled once it returns.
 fn collect<T>(slots: Vec<Mutex<Option<T>>>) -> Vec<T> {
     slots
@@ -711,6 +748,53 @@ mod tests {
             .map(|e| e.trace.raw())
             .collect();
         assert_eq!(ids.len(), 80 + 3 * 16);
+    }
+
+    #[test]
+    fn nested_llm_fanout_follows_the_model_width() {
+        let llm = zeroed_llm::SimLlm::default_model(0);
+        let caller = std::thread::current().id();
+        let out = RuntimeConfig::default().run_nested_llm(&llm, 40, |i| i * 3);
+        assert_eq!(out, (0..40).map(|i| i * 3).collect::<Vec<_>>());
+
+        // Nested inside an LLM fan-out, each task runs on the request
+        // thread that called it or on a scoped helper, never on another
+        // request thread.
+        let s = Scheduler::for_client(&RuntimeConfig::default(), &llm);
+        let placements = s.run_llm(8, |_| {
+            let outer = std::thread::current().id();
+            RuntimeConfig::default().run_nested_llm(&llm, 8, |_| {
+                let here = std::thread::current();
+                here.id() == outer || here.name().is_none()
+            })
+        });
+        assert!(placements.iter().flatten().all(|&ok| ok));
+
+        // At width one every task runs on the calling thread, in order.
+        let log = Mutex::new(Vec::new());
+        let out = RuntimeConfig::sequential().run_nested_llm(&llm, 5, |i| {
+            log.lock().unwrap().push((i, std::thread::current().id()));
+            i
+        });
+        assert_eq!(out, vec![0, 1, 2, 3, 4]);
+        let expected: Vec<_> = (0..5).map(|i| (i, caller)).collect();
+        assert_eq!(*log.lock().unwrap(), expected);
+
+        // A task panic reaches the caller with its own payload.
+        let pinned = RuntimeConfig {
+            workers: 4,
+            ..RuntimeConfig::default()
+        };
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pinned.run_nested_llm(&llm, 16, |i| {
+                if i == 3 {
+                    panic!("batch 3 failed");
+                }
+                i
+            })
+        }))
+        .expect_err("the task panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"batch 3 failed"));
     }
 
     #[test]
