@@ -39,8 +39,8 @@
 //! one worker and no cache: the scheduler then runs every task in order on
 //! the calling thread. It is the reference that 4-worker, cached, mangled
 //! and store-warmed runs must match bit for bit (the
-//! `runtime_equivalence`, `store_warm_start`, `mangle_conformance` and
-//! `trace_pipeline` integration tests).
+//! `runtime_equivalence`, `store_warm_start` and `mangle_conformance`
+//! integration tests).
 //!
 //! With [`ZeroEdConfig::with_store`] the cache additionally persists every
 //! published response to a crash-safe on-disk store (`zeroed-store`) and
@@ -68,7 +68,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zeroed_features::{FeatureBuilder, FeatureConfig};
 use zeroed_llm::{AttributeContext, LlmClient};
-use zeroed_obs::{EventKind, Profiler, StageProfile, TraceId, TraceRecorder};
+use zeroed_obs::{Profiler, StageProfile};
 use zeroed_runtime::{CachedLlm, ResponseCache, Scheduler, StoreLayer};
 use zeroed_table::{ErrorMask, Table};
 
@@ -104,8 +104,6 @@ pub struct ZeroEd {
     /// Persistence layer (shared by clones; the last drop drains pending
     /// writes and syncs the store).
     store: Option<Arc<StoreLayer>>,
-    /// Records preloaded into the cache from the store at construction.
-    store_preloaded: usize,
 }
 
 impl ZeroEd {
@@ -129,19 +127,18 @@ impl ZeroEd {
         const CACHE_CAPACITY: usize = 1 << 20;
         let cache = Arc::new(ResponseCache::new(CACHE_CAPACITY));
         let runtime = &config.runtime;
-        let (store, store_preloaded) = match runtime.store.as_ref().filter(|_| runtime.cache) {
+        let store = match runtime.store.as_ref().filter(|_| runtime.cache) {
             Some(store_config) => {
                 let layer = StoreLayer::open(store_config.clone())?;
-                let preloaded = layer.preload_into(&cache)?;
-                (Some(Arc::new(layer)), preloaded)
+                layer.preload_into(&cache)?;
+                Some(Arc::new(layer))
             }
-            None => (None, 0),
+            None => None,
         };
         Ok(Self {
             config,
             cache,
             store,
-            store_preloaded,
         })
     }
 
@@ -184,11 +181,6 @@ impl ZeroEd {
     /// client, persisted stores always hold repaired responses and warm
     /// starts replay them bit-identically with zero requests.
     pub fn detect(&self, dirty: &Table, llm: &dyn LlmClient) -> DetectionOutcome {
-        // One flight recorder per run, seeded with the config seed so trace
-        // ids are stable across execution modes (same request key + same
-        // nonce → same [`TraceId`] whether the run is sequential, concurrent
-        // or warm).
-        let recorder = TraceRecorder::new(self.config.seed);
         // One profiler per run: the features barrier and the streamed
         // attribute chains record sequential stage spans under the root,
         // while the per-attribute phases, the repair ladder, the scheduler,
@@ -197,32 +189,17 @@ impl ZeroEd {
         // cache-lifetime sums, not coordinating-thread wall time).
         let profiler = Profiler::new("detect");
         let repairing = repair::RepairLlm::new(llm, self.config.reask_budget)
-            .with_span(profiler.root().child_parallel("repair"))
-            .with_recorder(Arc::clone(&recorder));
+            .with_span(profiler.root().child_parallel("repair"));
         let mut outcome = if self.config.runtime.cache {
-            let mut cached = CachedLlm::for_table(&repairing, Arc::clone(&self.cache), dirty)
-                .with_recorder(Arc::clone(&recorder));
+            let mut cached = CachedLlm::for_table(&repairing, Arc::clone(&self.cache), dirty);
             // A fresh sink per run: its counters attribute write-through
             // activity to this run alone, even when cloned detectors
             // share the layer and persist concurrently.
-            let sink = self
-                .store
-                .as_ref()
-                .map(|layer| layer.sink().with_recorder(Arc::clone(&recorder)));
+            let sink = self.store.as_ref().map(|layer| layer.sink());
             if let Some(sink) = &sink {
                 cached = cached.with_persistence(sink.clone());
             }
-            if self.store.is_some() {
-                // The preload itself ran at construction (before this
-                // recorder existed); journal it here so the trace ledger
-                // carries the warm-start size this run actually saw.
-                recorder.emit(
-                    TraceId::NONE,
-                    EventKind::StorePreload,
-                    self.store_preloaded as u64,
-                );
-            }
-            let mut outcome = self.run_stages(dirty, &cached, &profiler, &recorder);
+            let mut outcome = self.run_stages(dirty, &cached, &profiler);
             // The run's own adapter and sink counters: clones of this
             // detector share the cache and the store and may detect
             // concurrently.
@@ -236,13 +213,9 @@ impl ZeroEd {
             }
             outcome
         } else {
-            self.run_stages(dirty, &repairing, &profiler, &recorder)
+            self.run_stages(dirty, &repairing, &profiler)
         };
         outcome.stats.repair = repairing.counters();
-        // Summarised after every layer has settled: the store drain above is
-        // the last event producer (its writer thread journals persists), so
-        // the counts below reconcile exactly against the layer stats.
-        outcome.stats.trace = Some(recorder.summary(5));
         if let Some(profile) = outcome.stats.stage_profile.as_mut() {
             // Graft the response-cache and store distributions. Both live
             // longer than one run (clones share the cache; the store is
@@ -296,7 +269,6 @@ impl ZeroEd {
         dirty: &Table,
         llm: &dyn LlmClient,
         profiler: &Profiler,
-        recorder: &Arc<TraceRecorder>,
     ) -> DetectionOutcome {
         let config = &self.config;
         let n_rows = dirty.n_rows();
@@ -312,8 +284,7 @@ impl ZeroEd {
 
         let root = profiler.root();
         let t_run = Instant::now();
-        let scheduler =
-            Scheduler::for_client(&config.runtime, llm).with_recorder(Arc::clone(recorder));
+        let scheduler = Scheduler::for_client(&config.runtime, llm);
 
         // ------------------------------------------------------------------
         // Step 1 — feature representation with criteria reasoning (§III-B).
@@ -558,6 +529,12 @@ mod tests {
         assert!(profile.find("attributes/unified_matrix").is_none());
     }
 
+    /// Records made across the whole tree: span records plus the grafted
+    /// histogram samples.
+    fn profile_records(p: &StageProfile) -> u64 {
+        p.count + p.children.iter().map(profile_records).sum::<u64>()
+    }
+
     #[test]
     fn stage_profile_accounts_for_the_run() {
         let ds = small_dataset();
@@ -568,13 +545,29 @@ mod tests {
             ..ZeroEdConfig::fast()
         };
         let detector = ZeroEd::new(config.clone());
+        let t = Instant::now();
         let outcome = detector.detect(&ds.dirty, &llm);
+        let wall = t.elapsed();
         let profile = outcome
             .stats
             .stage_profile
             .as_ref()
             .expect("a non-empty run must carry a stage profile");
         assert_stage_profile(profile, n_cols);
+        // Always-on profiling stays cheap: the cost of one record, times the
+        // records this run made, is under 2% of the run's wall.
+        const PROBE_RECORDS: u32 = 50_000;
+        let probe = Profiler::new("probe").root().child_dist("record");
+        let t = Instant::now();
+        for i in 0..PROBE_RECORDS {
+            probe.record(Duration::from_nanos(u64::from(i)));
+        }
+        let per_record = t.elapsed() / PROBE_RECORDS;
+        let cost = per_record.as_secs_f64() * profile_records(profile) as f64;
+        assert!(
+            cost < 0.02 * wall.as_secs_f64(),
+            "profiler overhead {cost:.6} s exceeds 2% of the run's {wall:?}"
+        );
         assert!(profile.find("features/criteria_llm").is_some());
         let execute = profile.find("runtime/execute").expect("scheduler node");
         assert!(execute.parallel && execute.count > 0);

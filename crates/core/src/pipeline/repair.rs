@@ -146,11 +146,6 @@ pub struct RepairLlm<'a> {
     /// (the ladder runs on scheduler workers, so step totals are CPU time
     /// across threads, not coordinating-thread wall time).
     span: Option<zeroed_obs::Span>,
-    /// Optional flight recorder; when set, each ladder outcome journals one
-    /// `repair_*` [`zeroed_obs::TraceEvent`], stamped with the caller's
-    /// current trace scope id (requests resolved through the cache run inside
-    /// a scope; sequential-mode events carry [`zeroed_obs::TraceId::NONE`]).
-    recorder: Option<std::sync::Arc<zeroed_obs::TraceRecorder>>,
 }
 
 impl std::fmt::Debug for RepairLlm<'_> {
@@ -171,7 +166,6 @@ impl<'a> RepairLlm<'a> {
             reask_budget,
             counters: Mutex::new(RepairCounters::default()),
             span: None,
-            recorder: None,
         }
     }
 
@@ -179,13 +173,6 @@ impl<'a> RepairLlm<'a> {
     /// `salvage` and `reask` steps record per-call durations.
     pub fn with_span(mut self, span: zeroed_obs::Span) -> Self {
         self.span = Some(span);
-        self
-    }
-
-    /// Attach a flight recorder: every ladder outcome (`mangled`, `repaired`,
-    /// `reasked`, `defaulted`) journals a matching `repair_*` trace event.
-    pub fn with_recorder(mut self, recorder: std::sync::Arc<zeroed_obs::TraceRecorder>) -> Self {
-        self.recorder = Some(recorder);
         self
     }
 
@@ -210,14 +197,6 @@ impl<'a> RepairLlm<'a> {
         apply(stage(&mut self.counters.lock().unwrap()));
     }
 
-    /// Journal one ladder outcome into the attached recorder (no-op without
-    /// one), under the caller's current trace scope id.
-    fn journal(&self, kind: zeroed_obs::EventKind) {
-        if let Some(rec) = &self.recorder {
-            rec.emit(zeroed_obs::current_id(), kind, 0);
-        }
-    }
-
     /// The shared repair ladder (module docs): validate → salvage → re-ask →
     /// default. `salvage` repairs a value in place and returns whether it
     /// now passes `validate`; `default` builds the deterministic fallback
@@ -236,11 +215,9 @@ impl<'a> RepairLlm<'a> {
             return raw;
         }
         self.bump(stage, |s| s.mangled += 1);
-        self.journal(zeroed_obs::EventKind::RepairMangled);
         if self.time_step("salvage", || salvage(&mut raw)) {
             debug_assert!(validate(&raw), "salvage must produce a valid value");
             self.bump(stage, |s| s.repaired += 1);
-            self.journal(zeroed_obs::EventKind::RepairSalvaged);
             return raw;
         }
         let mut failed = vec![raw];
@@ -255,13 +232,11 @@ impl<'a> RepairLlm<'a> {
                 || self.time_step("salvage", || salvage(&mut retry))
             {
                 self.bump(stage, |s| s.reasked += 1);
-                self.journal(zeroed_obs::EventKind::RepairReasked);
                 return retry;
             }
             failed.push(retry);
         }
         self.bump(stage, |s| s.defaulted += 1);
-        self.journal(zeroed_obs::EventKind::RepairDefaulted);
         default(failed)
     }
 

@@ -75,13 +75,6 @@ pub struct PipelineStats {
     /// node sum to at most the node's own wall time —
     /// `zeroed_obs::StageProfile::accounting_ok` checks the whole tree.
     pub stage_profile: Option<zeroed_obs::StageProfile>,
-    /// Per-request causal trace for the run: exact per-kind event counts,
-    /// ring drop count (0 in every shipped configuration), the journal and
-    /// the slowest request-rooted exemplars. `TraceSummary::verify` checks
-    /// the journal's causality invariants; the tests and the bench reconcile
-    /// its counts against `cache`, `persist`, `repair` and `runtime_tasks`
-    /// with zero tolerance.
-    pub trace: Option<zeroed_obs::TraceSummary>,
 }
 
 /// The result of running ZeroED on a dirty table.

@@ -196,7 +196,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nearest_rank_matches_router_semantics() {
+    fn quantile_is_the_nearest_rank_sample() {
         let h = Histogram::new();
         for ms in 1..=100u64 {
             h.record(Duration::from_millis(ms));

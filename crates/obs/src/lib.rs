@@ -11,17 +11,13 @@
 //! * [`Histogram`] — latency histogram: lifetime count/total/max plus a
 //!   bounded sliding window of raw samples for **exact** nearest-rank
 //!   p50/p95/p99 extraction (`idx = ceil(q·n) − 1` over the sorted window).
-//! * [`TraceRecorder`] / [`TraceEvent`] — the per-request causal **flight
-//!   recorder**: deterministic [`TraceId`]s minted from request keys, a
-//!   bounded drop-oldest [`EventRing`] with exact per-kind counts and drop
-//!   accounting, a causality checker ([`check_causality`]) and exporters to
-//!   a JSONL journal and Chrome trace-event format ([`chrome_trace_json`]).
 //!
 //! The crate has **no dependencies** (not even the workspace's vendored
-//! stubs) so every layer — store, runtime, core, bench — can link it without
-//! cycles, and it is cheap enough to leave on unconditionally: a span timer
-//! is two `Instant` reads plus two relaxed atomic adds, and a histogram
-//! record is two atomic adds, an atomic max and one short mutex push.
+//! stubs) so the layers that record into it — `zeroed-runtime` and
+//! `zeroed-core` — link it without cycles, and it is cheap enough to leave
+//! on unconditionally: a timed span is two `Instant` reads plus two relaxed
+//! atomic adds, and a histogram record is two atomic adds, an atomic max
+//! and one short mutex push.
 //!
 //! ```
 //! use zeroed_obs::Profiler;
@@ -41,14 +37,7 @@
 //! ```
 
 mod hist;
-mod json;
 mod profile;
-mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use profile::{Profiler, Quantiles, Span, SpanTimer, StageProfile};
-pub use trace::{
-    check_causality, chrome_trace_json, current_id, emit_current, journal_jsonl, request_scope,
-    EventKind, EventRing, TraceEvent, TraceExemplar, TraceId, TraceRecorder, TraceScope,
-    TraceSummary,
-};
+pub use profile::{Profiler, Quantiles, Span, StageProfile};

@@ -4,14 +4,15 @@
 //! [`Span`] handles (cheap `Arc` clones), create named children with
 //! get-or-create semantics — repeated invocations of the same stage
 //! accumulate into one node — and record monotonic wall-time into them with
-//! [`Span::record`], [`Span::time`] or a drop-guard [`SpanTimer`].
+//! [`Span::record`] or [`Span::time`].
 //!
 //! Two kinds of node exist:
 //!
 //! * **sequential** ([`Span::child`]) — timed on the coordinating thread;
 //!   the wall-times of a parent's sequential children are disjoint intervals
 //!   inside the parent's own interval, so they sum to ≤ the parent's wall
-//!   time. This is the accounting invariant the tier-1 bench asserts.
+//!   time. This is the accounting invariant the pipeline's tier-1 tests
+//!   assert on every `detect` profile.
 //! * **parallel** ([`Span::child_parallel`], [`Span::child_dist`]) — recorded
 //!   from worker threads; the total is task wall time summed across workers
 //!   and may exceed any wall clock. It is not CPU time: a task that waits on
@@ -20,7 +21,6 @@
 //!   invariant and from [`StageProfile::coverage`].
 
 use crate::hist::Histogram;
-use crate::json::fmt_ms;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -149,11 +149,6 @@ impl Span {
         }
     }
 
-    /// This span's name.
-    pub fn name(&self) -> &str {
-        &self.node.name
-    }
-
     /// Record one invocation of `d` wall time.
     pub fn record(&self, d: Duration) {
         let nanos = d.as_nanos().min(u64::MAX as u128) as u64;
@@ -164,49 +159,12 @@ impl Span {
         }
     }
 
-    /// Add pre-aggregated time: `total` across `count` invocations (used to
-    /// graft externally measured totals, e.g. store shard counters).
-    pub fn add(&self, total: Duration, count: u64) {
-        let nanos = total.as_nanos().min(u64::MAX as u128) as u64;
-        self.node.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.node.count.fetch_add(count, Ordering::Relaxed);
-    }
-
-    /// Start a drop-guard timer; the elapsed time records when it drops.
-    pub fn timer(&self) -> SpanTimer {
-        SpanTimer {
-            span: self.clone(),
-            start: Instant::now(),
-        }
-    }
-
     /// Time a closure and record its duration.
     pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
         self.record(start.elapsed());
         out
-    }
-}
-
-/// Drop guard returned by [`Span::timer`]; records the elapsed wall time
-/// into its span when dropped (including during unwinding).
-#[derive(Debug)]
-pub struct SpanTimer {
-    span: Span,
-    start: Instant,
-}
-
-impl SpanTimer {
-    /// Stop early and record now instead of at drop.
-    pub fn stop(self) {
-        drop(self);
-    }
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        self.span.record(self.start.elapsed());
     }
 }
 
@@ -297,9 +255,9 @@ impl StageProfile {
     }
 
     /// Fraction of this node's wall time covered by its sequential children
-    /// (1.0 when it has none, or when its own wall is zero). The tier-1
-    /// bench asserts this is ≥ 0.9 at the root: no untracked time silently
-    /// appearing between stages.
+    /// (1.0 when it has none, or when its own wall is zero). The pipeline's
+    /// tier-1 tests assert this is ≥ 0.9 at a `detect` profile's root: no
+    /// untracked time silently appearing between stages.
     pub fn coverage(&self) -> f64 {
         if self.children.iter().all(|c| c.parallel) {
             return 1.0;
@@ -402,6 +360,12 @@ impl StageProfile {
     }
 }
 
+/// Format a nanosecond count as fractional milliseconds with microsecond
+/// precision (`12.345`), the table's time columns.
+fn fmt_ms(nanos: u64) -> String {
+    format!("{:.3}", nanos as f64 / 1_000_000.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,15 +388,12 @@ mod tests {
     }
 
     #[test]
-    fn timer_records_on_drop_and_time_wraps() {
+    fn time_returns_the_closure_value_and_records_once() {
         let p = Profiler::new("r");
         let span = p.root().child("work");
-        {
-            let _t = span.timer();
-        }
         let out = span.time(|| 42);
         assert_eq!(out, 42);
-        assert_eq!(p.snapshot().child("work").unwrap().count, 2);
+        assert_eq!(p.snapshot().child("work").unwrap().count, 1);
     }
 
     #[test]
@@ -487,5 +448,12 @@ mod tests {
         let table = root.render_table();
         assert!(table.contains("detect"));
         assert!(table.contains("  features"));
+    }
+
+    #[test]
+    fn formats_ms() {
+        assert_eq!(fmt_ms(0), "0.000");
+        assert_eq!(fmt_ms(1_500_000), "1.500");
+        assert_eq!(fmt_ms(12_345_678), "12.346");
     }
 }

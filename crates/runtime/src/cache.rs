@@ -5,16 +5,15 @@
 //! thread that asks for the same key while that computation is in flight
 //! parks on a condition variable and receives the published response without
 //! a second model call. Each lookup tells its caller how it was satisfied
-//! ([`Lookup`]) and journals one event; the caller keeps the counts
-//! ([`crate::CachedLlm::stats`]), so one run's activity is its own even when
-//! several runs share the cache.
+//! ([`Lookup`]); the caller keeps the counts ([`crate::CachedLlm::stats`]),
+//! so one run's activity is its own even when several runs share the cache.
 
 use crate::key::RequestKey;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use zeroed_llm::Response;
-use zeroed_obs::{emit_current, EventKind, Histogram, HistogramSnapshot};
+use zeroed_obs::{Histogram, HistogramSnapshot};
 
 /// Where a published response came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,16 +265,7 @@ impl ResponseCache {
                         drop(map);
                         self.timings.lock_hold.record_nanos(held_nanos);
                         if let Some(t) = park_start {
-                            let parked = t.elapsed();
-                            self.timings.park_wait.record(parked);
-                            emit_current(
-                                EventKind::CacheParkWait,
-                                parked.as_nanos().min(u64::MAX as u128) as u64,
-                            );
-                        }
-                        emit_current(EventKind::CacheHit, 0);
-                        if waited {
-                            emit_current(EventKind::CacheCoalesced, 0);
+                            self.timings.park_wait.record(t.elapsed());
                         }
                         return (stored, Lookup::Hit { coalesced: waited });
                     }
@@ -332,14 +322,8 @@ impl ResponseCache {
         if let Some(t) = park_start {
             // Parked behind a computation that was vacated by a panic; this
             // caller's wait ends here (it recomputes itself below).
-            let parked = t.elapsed();
-            self.timings.park_wait.record(parked);
-            emit_current(
-                EventKind::CacheParkWait,
-                parked.as_nanos().min(u64::MAX as u128) as u64,
-            );
+            self.timings.park_wait.record(t.elapsed());
         }
-        emit_current(EventKind::CacheMiss, 0);
 
         // Release the in-flight claim if `compute` unwinds, so parked waiters
         // wake up and recompute instead of deadlocking.
@@ -397,7 +381,6 @@ impl ResponseCache {
         drop(map);
         self.timings.lock_hold.record_nanos(held_nanos);
         self.published.notify_all();
-        emit_current(EventKind::CachePublish, 0);
         (stored, Lookup::Miss)
     }
 }

@@ -21,7 +21,6 @@ use crate::persist::StoreSink;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use zeroed_llm::{count_tokens, LlmClient, Request, Response, TokenLedger};
-use zeroed_obs::{request_scope, TraceRecorder};
 use zeroed_table::Table;
 
 /// One adapter's cache activity, from [`CachedLlm::stats`].
@@ -57,11 +56,6 @@ pub struct CachedLlm<'a> {
     /// Write-through persistence: misses are offered here (off the hot path)
     /// so later processes can warm-start from the on-disk store.
     persist: Option<StoreSink>,
-    /// Per-request flight recorder. When present, [`CachedLlm::resolve`] mints
-    /// the request's [`zeroed_obs::TraceId`] from its [`RequestKey`] and
-    /// installs a thread-local trace scope around the cache lookup, so every
-    /// layer underneath (cache, repair) journals into the same trace.
-    recorder: Option<Arc<TraceRecorder>>,
     /// Activity of *this adapter only*: the one count of each lookup, so a
     /// detection run's `PipelineStats` stay its own even when cloned
     /// detectors sharing the cache run concurrently.
@@ -97,7 +91,6 @@ impl<'a> CachedLlm<'a> {
             cache,
             table_fp: table_fingerprint(table),
             persist: None,
-            recorder: None,
             counters: Counters::default(),
         }
     }
@@ -108,16 +101,6 @@ impl<'a> CachedLlm<'a> {
     /// warm-start later processes.
     pub fn with_persistence(mut self, sink: StoreSink) -> Self {
         self.persist = Some(sink);
-        self
-    }
-
-    /// Attaches a flight recorder: every request resolved through this
-    /// adapter runs inside a [`zeroed_obs::TraceScope`] whose id is minted
-    /// deterministically from the request's key
-    /// ([`TraceRecorder::trace_for_key`]), so cache and repair events
-    /// correlate per logical request across execution modes.
-    pub fn with_recorder(mut self, recorder: Arc<TraceRecorder>) -> Self {
-        self.recorder = Some(recorder);
         self
     }
 
@@ -162,13 +145,6 @@ impl<'a> CachedLlm<'a> {
     fn resolve(&self, request: &Request<'_>) -> Arc<StoredResponse> {
         let prompt = request.prompt();
         let key = self.key(request, &prompt);
-        // Install the per-request trace scope for the duration of the lookup
-        // (and, on a miss, the wrapped-client computation inside it): the
-        // single choke point every logical request passes through.
-        let _scope = self
-            .recorder
-            .as_ref()
-            .map(|rec| request_scope(rec, rec.trace_for_key(key.to_u128())));
         let (stored, lookup) = self.cache.get_or_compute(key, || {
             let value = self.inner.complete(request);
             StoredResponse {
@@ -287,6 +263,36 @@ mod tests {
             stats.output_tokens_saved as usize,
             usage_after_first.output_tokens
         );
+    }
+
+    #[test]
+    fn concurrent_identical_requests_miss_once_and_count_coalesced_hits() {
+        let table = fixture();
+        let sim = SimLlm::default_model(3).with_latency_scale(1.0);
+        let cache = Arc::new(ResponseCache::new(1 << 10));
+        let llm = CachedLlm::for_table(&sim, cache, &table);
+        let corr = vec![0usize];
+        let samples: Vec<usize> = (0..10).collect();
+        let ctx = AttributeContext {
+            table: &table,
+            column: 1,
+            correlated: &corr,
+            sample_rows: &samples,
+        };
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| llm.label_batch(&ctx, None, &samples));
+            }
+        });
+        let stats = llm.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 3), "{stats:?}");
+        // Callers that arrived while the model was answering parked behind
+        // the one computation; a coalesced hit is still a hit.
+        assert!(
+            stats.coalesced >= 1 && stats.coalesced <= stats.hits,
+            "{stats:?}"
+        );
+        assert_eq!(sim.ledger().usage().requests, 1);
     }
 
     #[test]

@@ -26,21 +26,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use zeroed_obs::{EventKind, TraceId, TraceRecorder};
 use zeroed_store::{now_epoch, ResponseStore, StoreConfig, StoreRecord};
 
 enum Job {
     /// Append one published response, attributing the outcome to the
-    /// offering sink's counters. Carries the offering sink's flight recorder
-    /// (if any) so the writer thread can journal the append under the
-    /// request's own trace id, re-derived from the key — the persist happens
-    /// off the request thread, where no trace scope is installed.
-    Write(
-        RequestKey,
-        Arc<StoredResponse>,
-        Arc<Counters>,
-        Option<Arc<TraceRecorder>>,
-    ),
+    /// offering sink's counters.
+    Write(RequestKey, Arc<StoredResponse>, Arc<Counters>),
     /// Wake the barrier's waiter once every job queued before it has been
     /// written (the queue is FIFO, so reaching the barrier implies that).
     Barrier(mpsc::Sender<()>),
@@ -84,9 +75,6 @@ pub struct StoreSink {
     queue: Arc<Fifo<Job>>,
     /// This sink's counters (shared only with its clones).
     counters: Arc<Counters>,
-    /// Flight recorder for journaling successful appends
-    /// ([`zeroed_obs::EventKind::StorePersist`]).
-    recorder: Option<Arc<TraceRecorder>>,
 }
 
 impl std::fmt::Debug for StoreSink {
@@ -98,15 +86,6 @@ impl std::fmt::Debug for StoreSink {
 }
 
 impl StoreSink {
-    /// Attaches a flight recorder: every response this sink successfully
-    /// persists is journaled as a [`zeroed_obs::EventKind::StorePersist`]
-    /// event on the originating request's trace (id re-derived from the
-    /// request key on the writer thread).
-    pub fn with_recorder(mut self, recorder: Arc<TraceRecorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
     /// Offers one published response for persistence. Never blocks on disk;
     /// returns immediately after enqueueing.
     pub fn offer(&self, key: RequestKey, response: &Arc<StoredResponse>) {
@@ -115,7 +94,6 @@ impl StoreSink {
             key,
             Arc::clone(response),
             Arc::clone(&self.counters),
-            self.recorder.clone(),
         )) {
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -187,7 +165,7 @@ impl StoreLayer {
                 .spawn(move || {
                     while let Some(job) = queue.pop() {
                         match job {
-                            Job::Write(key, response, counters, recorder) => {
+                            Job::Write(key, response, counters) => {
                                 let record = StoreRecord {
                                     key: key.to_u128(),
                                     input_tokens: response.input_tokens as u64,
@@ -203,13 +181,6 @@ impl StoreLayer {
                                         counters
                                             .persisted_bytes
                                             .fetch_add(bytes, Ordering::Relaxed);
-                                        if let Some(rec) = &recorder {
-                                            rec.emit(
-                                                TraceId::from_key(key.to_u128(), rec.nonce()),
-                                                EventKind::StorePersist,
-                                                bytes,
-                                            );
-                                        }
                                     }
                                     Err(_) => {
                                         counters.append_errors.fetch_add(1, Ordering::Relaxed);
@@ -256,7 +227,6 @@ impl StoreLayer {
         StoreSink {
             queue: Arc::clone(&self.queue),
             counters: Arc::new(Counters::default()),
-            recorder: None,
         }
     }
 

@@ -35,10 +35,10 @@ use crate::pool::{self, Helpers};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 use zeroed_llm::LlmClient;
-use zeroed_obs::{EventKind, Histogram, HistogramSnapshot, TraceId, TraceRecorder};
+use zeroed_obs::{Histogram, HistogramSnapshot};
 
 /// Configuration of the orchestration runtime.
 #[derive(Debug, Clone)]
@@ -167,13 +167,6 @@ pub struct Scheduler {
     counters: Counters,
     queue_wait: Histogram,
     execute: Histogram,
-    /// Per-run flight recorder (see [`Scheduler::with_recorder`]); when set,
-    /// every task journals submit/start/end under a deterministic
-    /// [`TraceId::for_task`] id.
-    recorder: Option<Arc<TraceRecorder>>,
-    /// Numbers each fan-out (each phase of a chain) so task trace ids stay
-    /// unique across the many batches one detection runs.
-    fanouts: AtomicU64,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -196,8 +189,6 @@ impl Scheduler {
             counters: Counters::default(),
             queue_wait: Histogram::new(),
             execute: Histogram::new(),
-            recorder: None,
-            fanouts: AtomicU64::new(0),
         }
     }
 
@@ -216,15 +207,6 @@ impl Scheduler {
             workers: workers.max(1),
             ..RuntimeConfig::default()
         })
-    }
-
-    /// Attach a flight recorder: every task emits
-    /// [`EventKind::TaskSubmit`] / [`EventKind::TaskStart`] /
-    /// [`EventKind::TaskEnd`] (`arg` = task index) under a deterministic
-    /// per-task [`TraceId`].
-    pub fn with_recorder(mut self, recorder: Arc<TraceRecorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
     }
 
     /// Resolved CPU width ([`Scheduler::run`], a chain's CPU lane).
@@ -294,19 +276,16 @@ impl Scheduler {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let fanout = self.begin_fanout(1);
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
         if width <= 1 || n <= 1 {
-            return (0..n).map(|i| self.run_now(fanout, i, || f(i))).collect();
+            return (0..n).map(|i| self.run_task(|| f(i))).collect();
         }
         // Every task is submitted up front; its queue wait runs until a
         // thread picks it up.
         let batch_start = Instant::now();
-        for i in 0..n {
-            self.journal(fanout, EventKind::TaskSubmit, i);
-        }
         let task = |i: usize| {
             self.queue_wait.record(batch_start.elapsed());
-            self.run_task(fanout, i, || f(i))
+            self.run_task(|| f(i))
         };
         gather(helpers(width - 1), n, task).unwrap_or_else(|panicked| {
             self.counters
@@ -330,7 +309,7 @@ impl Scheduler {
     /// lane without waiting for `last`, so no request thread runs CPU-lane
     /// work, and one task's `last` overlaps other tasks' `middle`.
     ///
-    /// Every phase is journaled, timed and counted as a scheduler task. If a
+    /// Every phase is timed and counted as a scheduler task. If a
     /// phase panics, the phases not yet started are skipped (counted in
     /// [`SchedulerStats::skipped`]), a `middle` waiting for a `first` that
     /// will never run is woken, and the panic is re-raised with its own
@@ -346,14 +325,13 @@ impl Scheduler {
         M: Fn(usize, A) -> B + Sync,
         L: Fn(usize, B) -> C + Sync,
     {
-        let fanout = self.begin_fanout(3);
-        let (first_fanout, middle_fanout, last_fanout) = (fanout, fanout + 1, fanout + 2);
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
         if (self.workers <= 1 && self.llm_width <= 1) || n <= 1 {
             return (0..n)
                 .map(|i| {
-                    let a = self.run_now(first_fanout, i, || first(i));
-                    let b = self.run_now(middle_fanout, i, || middle(i, a));
-                    self.run_now(last_fanout, i, || last(i, b))
+                    let a = self.run_task(|| first(i));
+                    let b = self.run_task(|| middle(i, a));
+                    self.run_task(|| last(i, b))
                 })
                 .collect();
         }
@@ -369,10 +347,7 @@ impl Scheduler {
                     while let Some(job) = lane.pop() {
                         if job < n {
                             let i = job;
-                            let a =
-                                self.run_phase(&chain, first_fanout, i, batch_start, || first(i));
-                            if let Some(a) = a {
-                                self.journal(middle_fanout, EventKind::TaskSubmit, i);
+                            if let Some(a) = self.run_phase(&chain, batch_start, || first(i)) {
                                 chain.hand_first(i, a);
                             }
                         } else {
@@ -382,24 +357,22 @@ impl Scheduler {
                                 .unwrap_or_else(|e| e.into_inner())
                                 .take()
                                 .expect("a task's last is queued after its middle hands off");
-                            let c = self.run_phase(&chain, last_fanout, i, ready, || last(i, b));
+                            let c = self.run_phase(&chain, ready, || last(i, b));
                             *chain.results[i].lock().unwrap_or_else(|e| e.into_inner()) = c;
                         }
                     }
                 });
             }
             for i in 0..n {
-                self.journal(first_fanout, EventKind::TaskSubmit, i);
                 lane.push(i);
             }
             let body = |i: usize| {
                 let Some((a, ready)) = chain.wait_first(i) else {
                     return;
                 };
-                if let Some(b) = self.run_phase(&chain, middle_fanout, i, ready, || middle(i, a)) {
+                if let Some(b) = self.run_phase(&chain, ready, || middle(i, a)) {
                     *chain.middles[i].lock().unwrap_or_else(|e| e.into_inner()) =
                         Some((b, Instant::now()));
-                    self.journal(last_fanout, EventKind::TaskSubmit, i);
                     lane.push(n + i);
                 }
             };
@@ -426,54 +399,21 @@ impl Scheduler {
         collect(chain.results)
     }
 
-    /// Counts one fan-out and reserves `phases` consecutive fan-out numbers
-    /// for it (one per phase of its tasks), returning the first. The numbers
-    /// keep task trace ids unique across the many fan-outs one detection
-    /// runs.
-    fn begin_fanout(&self, phases: u64) -> u64 {
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.fanouts.fetch_add(phases, Ordering::Relaxed)
-    }
-
-    /// Journals one task event under the task's deterministic trace id
-    /// (a no-op without a recorder).
-    fn journal(&self, fanout: u64, kind: EventKind, i: usize) {
-        if let Some(rec) = &self.recorder {
-            rec.emit(
-                TraceId::for_task(rec.nonce(), fanout, i as u64),
-                kind,
-                i as u64,
-            );
-        }
-    }
-
-    /// Runs task `i` of `fanout`: journals its start and end, and times and
-    /// counts it.
-    fn run_task<T>(&self, fanout: u64, i: usize, f: impl FnOnce() -> T) -> T {
-        self.journal(fanout, EventKind::TaskStart, i);
+    /// Runs one task, timing and counting it.
+    fn run_task<T>(&self, f: impl FnOnce() -> T) -> T {
         let t = Instant::now();
         let value = f();
         self.execute.record(t.elapsed());
-        self.journal(fanout, EventKind::TaskEnd, i);
         self.counters.tasks.fetch_add(1, Ordering::Relaxed);
         value
     }
 
-    /// Submits and runs task `i` of `fanout` on the calling thread.
-    fn run_now<T>(&self, fanout: u64, i: usize, f: impl FnOnce() -> T) -> T {
-        self.journal(fanout, EventKind::TaskSubmit, i);
-        self.run_task(fanout, i, f)
-    }
-
-    /// Runs one phase of task `i` of a [`Scheduler::run_chain`] unless the
-    /// chain has failed: records its queue wait since it became `ready`,
-    /// runs it as a task of `fanout`, and turns a panic into the chain's
-    /// failure.
+    /// Runs one phase of a [`Scheduler::run_chain`] task unless the chain
+    /// has failed: records its queue wait since it became `ready`, runs it
+    /// as a task, and turns a panic into the chain's failure.
     fn run_phase<A, B, C, T>(
         &self,
         chain: &Chain<A, B, C>,
-        fanout: u64,
-        i: usize,
         ready: Instant,
         f: impl FnOnce() -> T,
     ) -> Option<T> {
@@ -482,7 +422,7 @@ impl Scheduler {
         }
         self.queue_wait.record(ready.elapsed());
         chain.started.fetch_add(1, Ordering::Relaxed);
-        match catch_unwind(AssertUnwindSafe(|| self.run_task(fanout, i, f))) {
+        match catch_unwind(AssertUnwindSafe(|| self.run_task(f))) {
             Ok(value) => Some(value),
             Err(payload) => {
                 chain.fail(payload);
@@ -657,27 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_journals_every_task_exactly_once() {
-        let rec = TraceRecorder::new(5);
-        let s = Scheduler::with_workers(4).with_recorder(Arc::clone(&rec));
-        let _ = s.run(32, |i| i);
-        let _ = s.run(8, |i| i); // second fan-out mints distinct trace ids
-        assert_eq!(rec.count(EventKind::TaskSubmit), 40);
-        assert_eq!(rec.count(EventKind::TaskStart), 40);
-        assert_eq!(rec.count(EventKind::TaskEnd), 40);
-        assert_eq!(rec.dropped(), 0);
-        zeroed_obs::check_causality(&rec.events()).expect("well-formed task stream");
-
-        // The inline fast path journals the same triple.
-        let rec = TraceRecorder::new(5);
-        let inline = Scheduler::with_workers(1).with_recorder(Arc::clone(&rec));
-        let _ = inline.run(4, |i| i);
-        assert_eq!(rec.count(EventKind::TaskSubmit), 4);
-        assert_eq!(rec.count(EventKind::TaskEnd), 4);
-        zeroed_obs::check_causality(&rec.events()).expect("inline stream");
-    }
-
-    #[test]
     fn config_resolves_workers_and_modes() {
         let c = RuntimeConfig::default();
         assert!(c.cache);
@@ -719,35 +638,20 @@ mod tests {
     }
 
     #[test]
-    fn recorder_journals_both_widths_once_per_task() {
-        let rec = TraceRecorder::new(5);
+    fn both_widths_and_the_chain_count_each_task_once() {
         let llm = zeroed_llm::SimLlm::default_model(0);
-        let s =
-            Scheduler::for_client(&RuntimeConfig::default(), &llm).with_recorder(Arc::clone(&rec));
+        let s = Scheduler::for_client(&RuntimeConfig::default(), &llm);
         let _ = s.run(32, |i| i);
         let _ = s.run_llm(32, |i| i);
         let _ = s.run(8, |i| i);
         let _ = s.run_llm(8, |i| i);
-        // A chain journals each of its three phases as a task.
+        // A chain counts each of its three phases as a task, and the whole
+        // chain as one batch.
         let _ = s.run_chain(16, |i| i, |_, a| a, |_, b| b);
-        for kind in [
-            EventKind::TaskSubmit,
-            EventKind::TaskStart,
-            EventKind::TaskEnd,
-        ] {
-            assert_eq!(rec.count(kind), 80 + 3 * 16, "{kind:?}");
-        }
-        assert_eq!(rec.dropped(), 0);
-        let events = rec.events();
-        zeroed_obs::check_causality(&events).expect("well-formed task stream");
-        // Fan-outs of both widths and every chain phase share one
-        // numbering, so no two tasks share a trace id.
-        let ids: std::collections::HashSet<u64> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::TaskSubmit)
-            .map(|e| e.trace.raw())
-            .collect();
-        assert_eq!(ids.len(), 80 + 3 * 16);
+        assert_eq!(s.stats().tasks, 80 + 3 * 16);
+        assert_eq!(s.stats().batches, 5);
+        assert_eq!(s.stats().skipped, 0);
+        assert_eq!(s.timings().execute.count, 80 + 3 * 16);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   `LlmClient::complete`), prompt templates, token ledger and the
 //!   simulated LLM;
 //! * [`obs`] — the always-on observability layer (hierarchical stage
-//!   profiler, latency histograms with exact quantiles, per-request flight
-//!   recorder);
+//!   profiler, latency histograms with exact quantiles);
 //! * [`runtime`] — the concurrent LLM orchestration runtime (worker-pool
 //!   scheduler, request-dedup response cache and its write-through
 //!   persistence layer);
