@@ -638,7 +638,28 @@ mod tests {
     }
 
     #[test]
-    fn both_widths_and_the_chain_count_each_task_once() {
+    fn recorder_journals_every_task_exactly_once() {
+        // Each task is counted and timed once, across fan-outs on one
+        // scheduler.
+        let s = Scheduler::with_workers(4);
+        let _ = s.run(32, |i| i);
+        let _ = s.run(8, |i| i);
+        assert_eq!(s.stats().tasks, 40);
+        assert_eq!(s.stats().batches, 2);
+        assert_eq!(s.stats().skipped, 0);
+        assert_eq!(s.timings().execute.count, 40);
+        assert_eq!(s.timings().queue_wait.count, 40);
+
+        // The inline fast path counts and times the same way.
+        let inline = Scheduler::with_workers(1);
+        let _ = inline.run(4, |i| i);
+        assert_eq!(inline.stats().tasks, 4);
+        assert_eq!(inline.stats().batches, 1);
+        assert_eq!(inline.timings().execute.count, 4);
+    }
+
+    #[test]
+    fn recorder_journals_both_widths_once_per_task() {
         let llm = zeroed_llm::SimLlm::default_model(0);
         let s = Scheduler::for_client(&RuntimeConfig::default(), &llm);
         let _ = s.run(32, |i| i);
