@@ -46,8 +46,7 @@ impl Default for DBoost {
 impl DBoost {
     /// The seed per-cell implementation: recomputes numeric parses and format
     /// generalisations for every cell over string-keyed histograms. Kept as
-    /// the correctness oracle for the interned fast path and as the slow side
-    /// of the `bench_features` baselines ledger.
+    /// the correctness oracle for the interned fast path.
     pub fn detect_reference(&self, input: &BaselineInput<'_>) -> ErrorMask {
         let table = input.dirty;
         let mut mask = ErrorMask::for_table(table);

@@ -67,9 +67,9 @@ impl LabeledTuple {
     /// A labelling budget with both classes represented: the first `n` rows
     /// that contain errors plus the first `n` row indices outright (mostly
     /// clean), labelled from the ground-truth mask. This is the deterministic
-    /// recipe the Fig. 6 style sweeps, the interning-equivalence suite and
-    /// the `bench_features` ledger all share — one definition, so they can
-    /// never silently measure different inputs.
+    /// recipe the Fig. 6 style sweeps and the interning-equivalence suite
+    /// share — one definition, so they can never silently measure different
+    /// inputs.
     pub fn mixed_from_mask(mask: &ErrorMask, n: usize) -> Vec<LabeledTuple> {
         let error_rows: Vec<usize> = (0..mask.n_rows())
             .filter(|&row| (0..mask.n_cols()).any(|col| mask.get(row, col)))

@@ -209,10 +209,10 @@ impl Raha {
 
     /// The seed per-cell implementation: recomputes value lookups, format
     /// generalisations and majority lookups for every cell over string-keyed
-    /// maps. Kept as the correctness oracle for the interned fast path and
-    /// as the slow side of the `bench_features` baselines ledger. (Majority
-    /// ties are broken deterministically by `(count, value)` — pinned, so
-    /// the oracle itself is reproducible across hasher instances.)
+    /// maps. Kept as the correctness oracle for the interned fast path.
+    /// (Majority ties are broken deterministically by `(count, value)` —
+    /// pinned, so the oracle itself is reproducible across hasher
+    /// instances.)
     pub fn detect_reference(&self, input: &BaselineInput<'_>) -> ErrorMask {
         let table = input.dirty;
         let n_rows = table.n_rows();

@@ -50,12 +50,11 @@ fn bench_features(c: &mut Criterion) {
         ..FeatureConfig::default()
     });
     c.bench_function("features/full_build_500x20", |b| {
-        b.iter(|| black_box(builder.build(table, &[])))
+        b.iter(|| black_box(builder.fit(table, &[]).build_all()))
     });
 
     // Interned fast path vs. the seed per-cell reference on the same fitted
-    // state — the speedup this pair reports is what BENCH_features.json
-    // tracks across PRs.
+    // state.
     let fitted = builder.fit(table, &[]);
     c.bench_function("features/build_all_interned_500x20", |b| {
         b.iter(|| black_box(fitted.build_all()))

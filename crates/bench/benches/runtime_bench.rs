@@ -31,7 +31,7 @@ fn bench_runtime(c: &mut Criterion) {
     });
 
     group.bench_function("cache_hit", |b| {
-        let cache = ResponseCache::new(1 << 12);
+        let cache = ResponseCache::new();
         let key = key_for(42);
         let _ = cache.get_or_compute(key, || StoredResponse {
             value: Response::Flags(vec![true; 20]),
@@ -43,7 +43,7 @@ fn bench_runtime(c: &mut Criterion) {
     });
 
     group.bench_function("cache_miss_insert", |b| {
-        let cache = ResponseCache::new(1 << 20);
+        let cache = ResponseCache::new();
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(1);
@@ -69,7 +69,7 @@ fn bench_runtime(c: &mut Criterion) {
     group.bench_function("scheduler_fanout_shared_cache", |b| {
         let scheduler = Scheduler::with_workers(8);
         b.iter(|| {
-            let cache = Arc::new(ResponseCache::new(1 << 10));
+            let cache = Arc::new(ResponseCache::new());
             let out = scheduler.run(32, |i| {
                 let (stored, _) = cache.get_or_compute(key_for(7), || StoredResponse {
                     value: Response::Flags(vec![true]),

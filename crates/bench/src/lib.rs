@@ -2,8 +2,7 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! ZeroED paper's evaluation section (one `exp_*` binary each, below), plus
-//! criterion micro-benchmarks for the individual pipeline stages and the
-//! `bench_features` featurisation ledger.
+//! criterion micro-benchmarks for the individual pipeline stages.
 //!
 //! ## Paper experiments
 //!
@@ -24,17 +23,12 @@
 //! (`--rows 600`) so a full sweep finishes in minutes on a laptop; pass
 //! `--rows 0` to use the paper's original sizes.
 //!
-//! ## Featurisation ledger
+//! ## Measurement
 //!
-//! `bench_features` is the only ledger emitter here. It writes
-//! `BENCH_features.json` (drop `--quick` to regenerate the 50k-row file):
-//! interned vs seed-reference wall-times for featurisation and for the
-//! dBoost/NADEEF/KATARA/Raha baselines, asserting mask equivalence as it
-//! measures. End-to-end throughput, CPU, memory, LLM cost and F1 are the
-//! repo benchmark's (`paper_bench/`, declared in `BENCHMARK.json`).
-//!
-//! Criterion micro-benchmarks for individual stages live under `benches/`
-//! (`cargo bench --no-run` compiles them in tier-1).
+//! This crate writes no perf ledger. End-to-end throughput, CPU, memory, LLM
+//! cost and F1 are the repo benchmark's (`paper_bench/`, declared in
+//! `BENCHMARK.json`). Criterion micro-benchmarks for individual stages live
+//! under `benches/` (`cargo bench --no-run` compiles them in tier-1).
 
 pub mod harness;
 pub mod methods;

@@ -92,11 +92,13 @@ fn parallel_leaf(name: &str, nanos: u64, count: u64) -> StageProfile {
 /// The detector owns the runtime's response cache, which persists across
 /// [`ZeroEd::detect`] calls (and is shared by clones): re-running detection
 /// over the same table and model replays cached responses instead of paying
-/// for the LLM again. With [`ZeroEdConfig::with_store`] the cache is also
-/// backed by a crash-safe on-disk store: published responses are written
-/// through in the background, and construction preloads every persisted
-/// response — a *new process* pointed at the same store directory replays
-/// the previous run's answers with zero LLM requests.
+/// for the LLM again. The cache never evicts: it holds one entry per distinct
+/// request for as long as the detector or a clone lives. With
+/// [`ZeroEdConfig::with_store`] the cache is also backed by a crash-safe
+/// on-disk store: published responses are written through in the
+/// background, and construction preloads every persisted response — a *new
+/// process* pointed at the same store directory replays the previous run's
+/// answers with zero LLM requests.
 #[derive(Debug, Clone)]
 pub struct ZeroEd {
     config: ZeroEdConfig,
@@ -123,9 +125,7 @@ impl ZeroEd {
     /// opened (locked and preloaded) only when the cache is on: nothing else
     /// reads or writes it.
     pub fn try_new(config: ZeroEdConfig) -> std::io::Result<Self> {
-        /// Completed response-cache entries kept before a generational flush.
-        const CACHE_CAPACITY: usize = 1 << 20;
-        let cache = Arc::new(ResponseCache::new(CACHE_CAPACITY));
+        let cache = Arc::new(ResponseCache::new());
         let runtime = &config.runtime;
         let store = match runtime.store.as_ref().filter(|_| runtime.cache) {
             Some(store_config) => {

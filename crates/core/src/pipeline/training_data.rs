@@ -234,7 +234,8 @@ mod tests {
             top_k_corr: 2,
             ..FeatureConfig::default()
         })
-        .build(&ds.dirty, &extra);
+        .fit(&ds.dirty, &extra)
+        .build_all();
         let sampling = sample_column(
             &feats.unified[column],
             20,

@@ -5,8 +5,8 @@
 //! [`FrequencyModel`] accessors and a fresh embedding per value — exactly what
 //! `FittedFeatures` did before the distinct-value interning refactor. The
 //! equivalence tests (`tests/equivalence.rs`) assert the fast path produces
-//! bit-identical output, and the `zeroed-bench` `bench_features` emitter uses
-//! [`build_all_reference`] as the "before" timing when reporting speedups.
+//! bit-identical output, and the `zeroed-bench` `features_bench`
+//! micro-benchmark times [`build_all_reference`] next to the fast path.
 //!
 //! [`FrequencyModel`]: crate::stats::FrequencyModel
 

@@ -264,11 +264,6 @@ impl FeatureBuilder {
             embed_cache,
         }
     }
-
-    /// Builds features for every attribute of `table` (fit + materialise).
-    pub fn build(&self, table: &Table, extra: &[FeatureMatrix]) -> TableFeatures {
-        self.fit(table, extra).build_all()
-    }
 }
 
 impl<'a> FittedFeatures<'a> {
@@ -604,9 +599,9 @@ impl<'a> FittedFeatures<'a> {
     /// unified widths, so detection does not call this. Its callers are
     /// the ones that want the whole table's features side by side:
     /// `paper_bench`'s traced driver, which restates the pipeline with
-    /// barriers between the stages; the `bench_features` ledger and the
-    /// `features_bench` micro-benchmark, which time it against the
-    /// [`reference`](crate::reference) oracle; and the equivalence tests.
+    /// barriers between the stages; the `features_bench` micro-benchmark,
+    /// which times it against the [`reference`](crate::reference) oracle;
+    /// and the equivalence tests.
     pub fn build_all(&self) -> TableFeatures {
         let n_cols = self.table.n_cols();
         TableFeatures {
@@ -648,7 +643,7 @@ mod tests {
             top_k_corr: 2,
             ..Default::default()
         });
-        let feats = builder.build(&t, &[]);
+        let feats = builder.fit(&t, &[]).build_all();
         assert_eq!(feats.base.len(), 3);
         assert_eq!(feats.unified.len(), 3);
         for j in 0..3 {
@@ -676,7 +671,7 @@ mod tests {
             FeatureMatrix::zeros(0, 0),
             FeatureMatrix::zeros(0, 0),
         ];
-        let feats = builder.build(&t, &extra);
+        let feats = builder.fit(&t, &extra).build_all();
         // Column 0 has 2 extra dims compared to columns 1 and 2.
         assert_eq!(feats.base[0].n_cols(), feats.base[1].n_cols() + 2);
         assert_eq!(feats.base[0].row(0)[feats.base[0].n_cols() - 2], 1.0);
@@ -705,7 +700,8 @@ mod tests {
             top_k_corr: 1,
             ..Default::default()
         })
-        .build(&t, &[]);
+        .fit(&t, &[])
+        .build_all();
         assert_eq!(stats_only.base[0].n_cols(), 4 + 1 + 2);
         let sem_only = FeatureBuilder::new(FeatureConfig {
             include_stats: false,
@@ -713,7 +709,8 @@ mod tests {
             top_k_corr: 0,
             ..Default::default()
         })
-        .build(&t, &[]);
+        .fit(&t, &[])
+        .build_all();
         assert_eq!(sem_only.base[0].n_cols(), 6);
         assert!(sem_only.correlated[0].is_empty());
     }
@@ -726,7 +723,8 @@ mod tests {
             top_k_corr: 1,
             ..Default::default()
         })
-        .build(&t, &[]);
+        .fit(&t, &[])
+        .build_all();
         // Rows 0 and 12 hold the same (name, gender, salary) combination.
         assert_eq!(feats.unified[0].row(0), feats.unified[0].row(12));
     }

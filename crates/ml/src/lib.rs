@@ -25,8 +25,7 @@
 //!   suites (sequential vs concurrent vs warm-started) rest on this.
 //! * **No external math stack.** The workspace builds offline; everything
 //!   here is plain `f32` loops, which also keeps the per-column models cheap
-//!   enough to train one per attribute on 50k-row tables (see
-//!   `BENCH_features.json`'s pipeline rows).
+//!   enough to train one per attribute on 50k-row tables.
 //!
 //! [`metrics`] carries the confusion-matrix helpers the experiment harness
 //! uses to score masks against ground truth.

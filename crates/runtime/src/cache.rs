@@ -7,10 +7,18 @@
 //! a second model call. Each lookup tells its caller how it was satisfied
 //! ([`Lookup`]); the caller keeps the counts ([`crate::CachedLlm::stats`]),
 //! so one run's activity is its own even when several runs share the cache.
+//!
+//! The cache never evicts. It lives as long as its detector and the
+//! detector's clones, and holds one entry per distinct request they have
+//! made or preloaded: a run's few hundred responses, not a working set that
+//! needs a bound. An entry leaves the map only when the caller computing it
+//! panics, which hands the flight to the next caller.
 
 use crate::key::RequestKey;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 use zeroed_llm::Response;
 use zeroed_obs::{Histogram, HistogramSnapshot};
@@ -44,22 +52,6 @@ enum Slot {
     InFlight,
     /// The response has been published.
     Ready(Arc<StoredResponse>),
-    /// The computing worker unwound while callers were still parked. The
-    /// entry must survive (the parked callers' pins reference it); the first
-    /// waiter to wake claims the flight and recomputes, the rest stay
-    /// coalesced behind the new computation.
-    Vacated,
-}
-
-/// One cache entry: its slot plus the number of callers currently parked on
-/// (or waking up for) it. The waiter count *pins* the entry across
-/// generational flushes: a response published while callers are still parked
-/// must survive until every one of them has consumed it, otherwise a flush
-/// racing the wake-up would evict the entry and force the waiters to
-/// recompute — a duplicated model call the single-flight contract forbids.
-struct Entry {
-    slot: Slot,
-    waiters: usize,
 }
 
 /// How a [`ResponseCache::get_or_compute`] call was satisfied. Returned to
@@ -96,74 +88,52 @@ pub struct CacheTimings {
     pub preload: HistogramSnapshot,
 }
 
+#[derive(Default)]
 struct Timings {
     lock_hold: Histogram,
     park_wait: Histogram,
     preload: Histogram,
 }
 
-impl Default for Timings {
-    fn default() -> Self {
-        Self {
-            lock_hold: Histogram::new(),
-            park_wait: Histogram::new(),
-            preload: Histogram::new(),
-        }
-    }
-}
-
-/// Thread-safe single-flight response cache.
-///
-/// Cloneable handles share one store ([`Arc`] inside), mirroring
-/// [`zeroed_llm::TokenLedger`]'s sharing model.
+/// Thread-safe single-flight response cache. It has no bound and never
+/// evicts: it holds one entry per distinct request for as long as it lives.
+/// A detector shares it with its clones behind an [`Arc`].
+#[derive(Default)]
 pub struct ResponseCache {
-    map: Mutex<HashMap<RequestKey, Entry>>,
+    map: Mutex<HashMap<RequestKey, Slot>>,
     published: Condvar,
     timings: Timings,
-    /// Entry budget; exceeding it flushes completed entries (generational
-    /// eviction — in-flight slots survive so waiters are never orphaned).
-    capacity: usize,
+    /// Callers parked on `published` right now (tests only).
+    #[cfg(test)]
+    parked: AtomicUsize,
 }
 
 impl std::fmt::Debug for ResponseCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResponseCache")
             .field("entries", &self.len())
-            .field("capacity", &self.capacity)
             .finish()
     }
 }
 
 impl ResponseCache {
-    /// Creates a cache holding at most `capacity` completed entries.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            map: Mutex::new(HashMap::new()),
-            published: Condvar::new(),
-            timings: Timings::default(),
-            capacity: capacity.max(1),
-        }
+    /// Creates an empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<RequestKey, Slot>> {
+        self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Number of entries currently stored (including in-flight slots).
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.lock().len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of callers currently pinning `key` (tests only).
-    #[cfg(test)]
-    fn waiter_count(&self, key: &RequestKey) -> usize {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .map(|entry| entry.waiters)
-            .unwrap_or(0)
     }
 
     /// Contention distributions: per-call map-lock hold time, condvar park
@@ -176,54 +146,21 @@ impl ResponseCache {
         }
     }
 
-    /// Evicts completed entries, retaining in-flight computations and any
-    /// entry with parked waiters (either would orphan callers otherwise).
-    /// Returns how many entries were evicted.
-    fn flush_locked(map: &mut HashMap<RequestKey, Entry>) -> usize {
-        let before = map.len();
-        map.retain(|_, entry| matches!(entry.slot, Slot::InFlight) || entry.waiters > 0);
-        before - map.len()
-    }
-
-    /// Drops every completed entry (an explicit generational flush) and
-    /// returns how many entries were evicted. Entries that are still in
-    /// flight, or whose response has parked waiters that have not consumed it
-    /// yet, survive — flushing can never orphan a caller or force a duplicate
-    /// computation.
-    pub fn flush(&self) -> usize {
-        Self::flush_locked(&mut self.map.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
     /// Inserts a completed response for `key` without counting a miss or a
     /// hit — the warm-start preload path from a persisted store. Returns
-    /// `false` (and drops `response`) when the key is already present
-    /// (published or in flight) or the preload budget is exhausted.
-    ///
-    /// The budget is the capacity minus a 1/8 headroom (for capacities ≥ 8):
-    /// filling the map *exactly* to capacity would make the very next novel
-    /// request trigger a generational flush that evicts every preloaded
-    /// entry — a warm start silently discarded. The headroom lets a run
-    /// absorb novel requests while keeping the preloaded generation alive.
+    /// `false` (and drops `response`) when the key is already present,
+    /// published or in flight. Every other record is kept: the cache has no
+    /// bound, so a warm start holds the whole store.
     pub fn preload(&self, key: RequestKey, response: StoredResponse) -> bool {
-        use std::collections::hash_map::Entry as MapEntry;
+        use std::collections::hash_map::Entry;
         let t = Instant::now();
-        let budget = self.capacity - self.capacity / 8;
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        let loaded = if map.len() >= budget {
-            false
-        } else {
-            match map.entry(key) {
-                MapEntry::Occupied(_) => false,
-                MapEntry::Vacant(slot) => {
-                    slot.insert(Entry {
-                        slot: Slot::Ready(Arc::new(response)),
-                        waiters: 0,
-                    });
-                    true
-                }
+        let loaded = match self.lock().entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(Slot::Ready(Arc::new(response)));
+                true
             }
         };
-        drop(map);
         self.timings.preload.record(t.elapsed());
         loaded
     }
@@ -233,86 +170,46 @@ impl ResponseCache {
     ///
     /// Exactly one caller executes `compute` per key (single flight);
     /// concurrent callers with the same key block until the response is
-    /// published. If `compute` panics, the in-flight slot is released and the
-    /// panic propagates (waiters retry the computation themselves).
+    /// published. If `compute` panics, its in-flight entry is removed, the
+    /// parked callers wake and the panic propagates: the first of them to
+    /// find no entry claims the flight and the rest coalesce behind it.
     pub fn get_or_compute(
         &self,
         key: RequestKey,
         compute: impl FnOnce() -> StoredResponse,
     ) -> (Arc<StoredResponse>, Lookup) {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        let mut map = self.lock();
         // Observability: `held_nanos` accumulates this call's time under the
         // map mutex (parked intervals excluded); `park_start` marks the first
-        // park so total coalesced wait records as one sample on exit.
+        // park, so total coalesced wait records as one sample on exit.
         let mut hold_start = Instant::now();
         let mut held_nanos: u64 = 0;
         let mut park_start: Option<Instant> = None;
-        // `waited` marks a coalesced hit; `pinned` tracks whether this
-        // caller currently holds a waiter pin on the entry. They are distinct:
-        // a waiter that claims a vacated flight has waited but no longer pins.
-        let mut waited = false;
-        let mut pinned = false;
         loop {
-            match map.get_mut(&key) {
-                Some(entry) => match &entry.slot {
-                    Slot::Ready(stored) => {
-                        let stored = Arc::clone(stored);
-                        if pinned {
-                            // Release the pin taken before parking.
-                            entry.waiters -= 1;
-                        }
-                        held_nanos += hold_start.elapsed().as_nanos() as u64;
-                        drop(map);
-                        self.timings.lock_hold.record_nanos(held_nanos);
-                        if let Some(t) = park_start {
-                            self.timings.park_wait.record(t.elapsed());
-                        }
-                        return (stored, Lookup::Hit { coalesced: waited });
+            match map.get(&key) {
+                Some(Slot::Ready(stored)) => {
+                    let stored = Arc::clone(stored);
+                    held_nanos += hold_start.elapsed().as_nanos() as u64;
+                    drop(map);
+                    self.timings.lock_hold.record_nanos(held_nanos);
+                    if let Some(t) = park_start {
+                        self.timings.park_wait.record(t.elapsed());
                     }
-                    Slot::InFlight => {
-                        if !pinned {
-                            // Pin the entry so a generational flush racing
-                            // the publish cannot evict the response before
-                            // this caller wakes up and reads it.
-                            entry.waiters += 1;
-                            pinned = true;
-                        }
-                        waited = true;
-                        park_start.get_or_insert_with(Instant::now);
-                        held_nanos += hold_start.elapsed().as_nanos() as u64;
-                        map = self.published.wait(map).unwrap_or_else(|e| e.into_inner());
-                        hold_start = Instant::now();
-                    }
-                    Slot::Vacated => {
-                        // The previous computer panicked. Claim the flight in
-                        // place (releasing our pin — the computer does not pin
-                        // itself); other parked waiters keep theirs and stay
-                        // coalesced behind us.
-                        if pinned {
-                            entry.waiters -= 1;
-                        }
-                        entry.slot = Slot::InFlight;
-                        break;
-                    }
-                },
+                    let coalesced = park_start.is_some();
+                    return (stored, Lookup::Hit { coalesced });
+                }
+                Some(Slot::InFlight) => {
+                    park_start.get_or_insert_with(Instant::now);
+                    held_nanos += hold_start.elapsed().as_nanos() as u64;
+                    #[cfg(test)]
+                    self.parked.fetch_add(1, Ordering::SeqCst);
+                    map = self.published.wait(map).unwrap_or_else(|e| e.into_inner());
+                    #[cfg(test)]
+                    self.parked.fetch_sub(1, Ordering::SeqCst);
+                    hold_start = Instant::now();
+                }
                 None => {
-                    // A pinned waiter's entry is never removed (a panicking
-                    // computer vacates it instead), so reaching here means
-                    // this caller holds no pin: claim a fresh flight.
-                    debug_assert!(!pinned);
-                    if map.len() >= self.capacity {
-                        // Generational flush: drop completed entries, keep
-                        // in-flight slots and pinned responses alive for
-                        // their waiters.
-                        Self::flush_locked(&mut map);
-                    }
-                    map.insert(
-                        key,
-                        Entry {
-                            slot: Slot::InFlight,
-                            waiters: 0,
-                        },
-                    );
+                    map.insert(key, Slot::InFlight);
                     break;
                 }
             }
@@ -320,63 +217,30 @@ impl ResponseCache {
         held_nanos += hold_start.elapsed().as_nanos() as u64;
         drop(map);
         if let Some(t) = park_start {
-            // Parked behind a computation that was vacated by a panic; this
-            // caller's wait ends here (it recomputes itself below).
+            // Parked behind a computation whose caller panicked; this
+            // caller's wait ends here (it computes itself below).
             self.timings.park_wait.record(t.elapsed());
         }
 
-        // Release the in-flight claim if `compute` unwinds, so parked waiters
-        // wake up and recompute instead of deadlocking.
+        // Remove the in-flight entry if `compute` unwinds, so parked callers
+        // wake up and one of them claims the flight instead of deadlocking.
         struct FlightGuard<'a> {
             cache: &'a ResponseCache,
             key: RequestKey,
-            armed: bool,
         }
         impl Drop for FlightGuard<'_> {
             fn drop(&mut self) {
-                if self.armed {
-                    let mut map = self.cache.map.lock().unwrap_or_else(|e| e.into_inner());
-                    match map.get_mut(&self.key) {
-                        // Parked waiters pin the entry; removing it would
-                        // orphan their pins (a later decrement would
-                        // underflow a fresh entry's count). Vacate in place:
-                        // the first waiter to wake claims the flight.
-                        Some(entry) if entry.waiters > 0 => entry.slot = Slot::Vacated,
-                        Some(_) => {
-                            map.remove(&self.key);
-                        }
-                        None => {}
-                    }
-                    drop(map);
-                    self.cache.published.notify_all();
-                }
+                self.cache.lock().remove(&self.key);
+                self.cache.published.notify_all();
             }
         }
-        let mut guard = FlightGuard {
-            cache: self,
-            key,
-            armed: true,
-        };
-
+        let guard = FlightGuard { cache: self, key };
         let stored = Arc::new(compute());
-        guard.armed = false;
+        std::mem::forget(guard);
 
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        let mut map = self.lock();
         let hold_start = Instant::now();
-        // Publish in place: the entry's waiter pin count must survive, so the
-        // response stays flush-proof until every parked caller has read it.
-        match map.get_mut(&key) {
-            Some(entry) => entry.slot = Slot::Ready(Arc::clone(&stored)),
-            None => {
-                map.insert(
-                    key,
-                    Entry {
-                        slot: Slot::Ready(Arc::clone(&stored)),
-                        waiters: 0,
-                    },
-                );
-            }
-        }
+        map.insert(key, Slot::Ready(Arc::clone(&stored)));
         held_nanos += hold_start.elapsed().as_nanos() as u64;
         drop(map);
         self.timings.lock_hold.record_nanos(held_nanos);
@@ -389,7 +253,6 @@ impl ResponseCache {
 mod tests {
     use super::*;
     use crate::key::{RequestKey, RequestKind};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn test_key(n: u64) -> RequestKey {
         let mut b = RequestKey::builder(RequestKind::LabelBatch, "m");
@@ -408,7 +271,7 @@ mod tests {
 
     #[test]
     fn hit_replays_the_stored_value_and_counts_savings() {
-        let cache = ResponseCache::new(16);
+        let cache = ResponseCache::new();
         let calls = AtomicUsize::new(0);
         let mut saved = 0;
         for round in 0..3 {
@@ -434,7 +297,7 @@ mod tests {
 
     #[test]
     fn single_flight_under_contention_computes_once() {
-        let cache = ResponseCache::new(64);
+        let cache = ResponseCache::new();
         let calls = AtomicUsize::new(0);
         let n_threads = 8;
         let lookups: Vec<Lookup> = std::thread::scope(|s| {
@@ -464,21 +327,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_flush_keeps_working() {
-        let cache = ResponseCache::new(2);
-        for i in 0..10 {
-            let _ = cache.get_or_compute(test_key(i), || response(true));
-        }
-        assert!(cache.len() <= 2, "the capacity bound flushed");
-        // Still functional after flushes.
-        let (stored, lookup) = cache.get_or_compute(test_key(99), || response(true));
-        assert!(matches!(stored.value, Response::Flags(_)));
-        assert_eq!(lookup, Lookup::Miss);
-    }
-
-    #[test]
     fn panic_in_compute_releases_the_flight() {
-        let cache = ResponseCache::new(8);
+        let cache = ResponseCache::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_compute(test_key(5), || panic!("boom"));
         }));
@@ -490,79 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn flush_never_evicts_a_response_with_parked_waiters() {
-        // Regression: the generational flush used to retain only in-flight
-        // slots, so a response published while callers were still parked
-        // could be evicted before they woke — forcing a duplicate model call.
-        // Waiter pins must keep the entry alive until the last parked caller
-        // has consumed it.
-        use std::sync::mpsc;
-        let cache = ResponseCache::new(4);
-        let calls = AtomicUsize::new(0);
-        let (started_tx, started_rx) = mpsc::channel();
-        let (go_tx, go_rx) = mpsc::channel::<()>();
-        let cache = &cache;
-        let calls = &calls;
-        std::thread::scope(|s| {
-            // T1 claims the flight and blocks inside compute.
-            let t1 = s.spawn(move || {
-                cache.get_or_compute(test_key(7), || {
-                    calls.fetch_add(1, Ordering::SeqCst);
-                    started_tx.send(()).unwrap();
-                    go_rx.recv().unwrap();
-                    response(true)
-                })
-            });
-            started_rx.recv().unwrap();
-            // T2 parks behind the in-flight computation.
-            let t2 = s.spawn(|| {
-                cache.get_or_compute(test_key(7), || {
-                    calls.fetch_add(1, Ordering::SeqCst);
-                    response(false)
-                })
-            });
-            while cache.waiter_count(&test_key(7)) == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            // Publish, then hammer flushes while T2 races to wake up.
-            go_tx.send(()).unwrap();
-            for _ in 0..10_000 {
-                cache.flush();
-            }
-            let (stored1, l1) = t1.join().unwrap();
-            let (stored2, l2) = t2.join().unwrap();
-            assert_eq!(l1, Lookup::Miss);
-            assert_eq!(
-                l2,
-                Lookup::Hit { coalesced: true },
-                "the parked waiter must receive the published response"
-            );
-            for stored in [&stored1, &stored2] {
-                match &stored.value {
-                    Response::Flags(f) => assert_eq!(f, &vec![true]),
-                    other => panic!("wrong variant: {other:?}"),
-                }
-            }
-        });
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            1,
-            "a flush racing the wake-up must never force a recompute"
-        );
-        // Once the waiter has consumed the entry, flushing may evict it.
-        cache.flush();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn panicking_computer_hands_the_flight_to_a_parked_waiter() {
-        // Regression: the panic path used to remove the entry wholesale,
-        // orphaning parked waiters' pins — a waiter that re-parked behind a
-        // later computation would then decrement a fresh entry's zero count
-        // (underflow). Vacating in place keeps pins valid: the parked waiter
-        // claims the flight, recomputes, and bookkeeping balances.
         use std::sync::mpsc;
-        let cache = ResponseCache::new(8);
+        let cache = ResponseCache::new();
         let calls = AtomicUsize::new(0);
         let (started_tx, started_rx) = mpsc::channel();
         let (go_tx, go_rx) = mpsc::channel::<()>();
@@ -578,83 +358,40 @@ mod tests {
                 })
             });
             started_rx.recv().unwrap();
-            // T2 parks (and pins) behind the in-flight computation.
+            // T2 parks behind the in-flight computation.
             let t2 = s.spawn(move || {
                 cache_ref.get_or_compute(test_key(11), || {
                     calls_ref.fetch_add(1, Ordering::SeqCst);
                     response(true)
                 })
             });
-            while cache.waiter_count(&test_key(11)) == 0 {
+            while cache.parked.load(Ordering::SeqCst) == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             go_tx.send(()).unwrap();
             assert!(t1.join().is_err(), "T1's panic must propagate");
             let (stored, lookup) = t2.join().unwrap();
-            assert_eq!(lookup, Lookup::Miss, "the waiter claims the vacated flight");
+            assert_eq!(
+                lookup,
+                Lookup::Miss,
+                "the waiter claims the released flight"
+            );
             assert!(matches!(stored.value, Response::Flags(_)));
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        // Pins are balanced: the entry is flushable and the cache reusable.
-        assert_eq!(cache.waiter_count(&test_key(11)), 0);
-        cache.flush();
-        assert!(cache.is_empty());
+        // Nobody is left parked, and the cache is reusable: T2's response
+        // serves the key, and a new key computes.
+        assert_eq!(cache.parked.load(Ordering::SeqCst), 0);
+        assert_eq!(cache.len(), 1);
         let (_, lookup) = cache.get_or_compute(test_key(11), || response(false));
+        assert_eq!(lookup, Lookup::Hit { coalesced: false });
+        let (_, lookup) = cache.get_or_compute(test_key(12), || response(false));
         assert_eq!(lookup, Lookup::Miss);
     }
 
     #[test]
-    fn explicit_flush_spares_in_flight_entries() {
-        let cache = ResponseCache::new(64);
-        let _ = cache.get_or_compute(test_key(1), || response(true));
-        let cache = &cache;
-        std::thread::scope(|s| {
-            let (tx, rx) = std::sync::mpsc::channel::<()>();
-            let (started_tx, started_rx) = std::sync::mpsc::channel();
-            s.spawn(move || {
-                let _ = cache.get_or_compute(test_key(2), || {
-                    started_tx.send(()).unwrap();
-                    rx.recv().unwrap();
-                    response(false)
-                });
-            });
-            started_rx.recv().unwrap();
-            cache.flush();
-            // The completed entry is gone; the in-flight one survives.
-            assert_eq!(cache.len(), 1);
-            tx.send(()).unwrap();
-        });
-        // The in-flight entry completed normally after the flush.
-        let (_, lookup) = cache.get_or_compute(test_key(2), || response(true));
-        assert_eq!(lookup, Lookup::Hit { coalesced: false });
-    }
-
-    #[test]
-    fn flush_reports_how_many_entries_it_evicted() {
-        let cache = ResponseCache::new(64);
-        for i in 0..5 {
-            let _ = cache.get_or_compute(test_key(i), || response(true));
-        }
-        assert_eq!(cache.flush(), 5);
-        assert!(cache.is_empty());
-        assert_eq!(cache.flush(), 0, "second flush has nothing left");
-    }
-
-    #[test]
-    fn capacity_flush_counts_evicted_entries_too() {
-        let cache = ResponseCache::new(2);
-        for i in 0..3 {
-            let _ = cache.get_or_compute(test_key(i), || response(true));
-        }
-        // The third insert found the map full and evicted both entries.
-        assert_eq!(cache.len(), 1);
-        let (_, lookup) = cache.get_or_compute(test_key(0), || response(true));
-        assert_eq!(lookup, Lookup::Miss, "an evicted entry recomputes");
-    }
-
-    #[test]
     fn preloaded_entries_hit_without_a_miss_and_count_store_hits() {
-        let cache = ResponseCache::new(16);
+        let cache = ResponseCache::new();
         let preloaded = StoredResponse {
             value: Response::Flags(vec![true, true]),
             input_tokens: 40,
@@ -687,39 +424,33 @@ mod tests {
     }
 
     #[test]
-    fn preload_respects_the_capacity_bound() {
-        let cache = ResponseCache::new(2);
-        assert!(cache.preload(test_key(1), response(true)));
-        assert!(cache.preload(test_key(2), response(true)));
-        assert!(!cache.preload(test_key(3), response(true)), "cache full");
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn preload_leaves_headroom_so_a_novel_miss_cannot_wipe_the_warm_start() {
-        // Capacity 16 → preload budget 14. Filling to capacity would make
-        // the first novel request's generational flush evict every preloaded
-        // entry; the headroom keeps the warm generation alive.
-        let cache = ResponseCache::new(16);
-        let mut loaded = 0;
-        for i in 0..16 {
-            if cache.preload(test_key(i), response(true)) {
-                loaded += 1;
+    fn preload_accepts_every_distinct_record() {
+        let cache = ResponseCache::new();
+        let persisted = |i: u64| StoredResponse {
+            value: Response::Flags(vec![i.is_multiple_of(2)]),
+            input_tokens: 10,
+            output_tokens: 3,
+            origin: ResponseOrigin::Persisted,
+        };
+        for i in 0..1_000 {
+            assert!(cache.preload(test_key(i), persisted(i)), "record {i}");
+        }
+        assert_eq!(cache.len(), 1_000);
+        for i in 0..1_000 {
+            let (stored, lookup) =
+                cache.get_or_compute(test_key(i), || panic!("record {i} must not compute"));
+            assert_eq!(lookup, Lookup::Hit { coalesced: false });
+            assert_eq!(stored.origin, ResponseOrigin::Persisted);
+            match &stored.value {
+                Response::Flags(f) => assert_eq!(f, &vec![i.is_multiple_of(2)]),
+                other => panic!("wrong variant: {other:?}"),
             }
         }
-        assert_eq!(loaded, 14, "1/8 headroom withheld");
-        // A novel request computes without flushing the preloads.
-        let (_, lookup) = cache.get_or_compute(test_key(100), || response(false));
-        assert_eq!(lookup, Lookup::Miss);
-        assert_eq!(cache.len(), 15, "no flush while headroom lasts");
-        // Preloaded entries still serve.
-        let (_, lookup) = cache.get_or_compute(test_key(0), || response(false));
-        assert_eq!(lookup, Lookup::Hit { coalesced: false });
     }
 
     #[test]
     fn timings_record_holds_parks_and_preloads() {
-        let cache = ResponseCache::new(64);
+        let cache = ResponseCache::new();
         let _ = cache.get_or_compute(test_key(1), || response(true));
         let _ = cache.get_or_compute(test_key(1), || response(true));
         assert!(cache.preload(test_key(2), response(false)));

@@ -230,7 +230,7 @@ mod tests {
     fn repeated_requests_hit_the_cache_and_charge_no_tokens() {
         let table = fixture();
         let sim = SimLlm::default_model(3);
-        let cache = Arc::new(ResponseCache::new(1 << 10));
+        let cache = Arc::new(ResponseCache::new());
         let llm = CachedLlm::for_table(&sim, cache, &table);
         let corr = vec![0usize];
         let samples: Vec<usize> = (0..10).collect();
@@ -269,7 +269,7 @@ mod tests {
     fn concurrent_identical_requests_miss_once_and_count_coalesced_hits() {
         let table = fixture();
         let sim = SimLlm::default_model(3).with_latency_scale(1.0);
-        let cache = Arc::new(ResponseCache::new(1 << 10));
+        let cache = Arc::new(ResponseCache::new());
         let llm = CachedLlm::for_table(&sim, cache, &table);
         let corr = vec![0usize];
         let samples: Vec<usize> = (0..10).collect();
@@ -299,7 +299,7 @@ mod tests {
     fn different_rows_never_share_an_entry() {
         let table = fixture();
         let sim = SimLlm::default_model(3);
-        let cache = Arc::new(ResponseCache::new(1 << 10));
+        let cache = Arc::new(ResponseCache::new());
         let llm = CachedLlm::for_table(&sim, cache, &table);
         let corr = vec![0usize];
         let samples: Vec<usize> = (0..4).collect();
@@ -321,7 +321,7 @@ mod tests {
     fn full_surface_round_trips_through_the_cache() {
         let table = fixture();
         let sim = SimLlm::default_model(1);
-        let cache = Arc::new(ResponseCache::new(1 << 10));
+        let cache = Arc::new(ResponseCache::new());
         let llm = CachedLlm::for_table(&sim, cache, &table);
         let corr = vec![0usize];
         let samples: Vec<usize> = (0..8).collect();

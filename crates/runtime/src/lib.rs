@@ -28,7 +28,9 @@
 //!    An entry that another worker is currently computing parks the caller on
 //!    a condition variable until the response lands (*single-flight
 //!    coalescing*: concurrent identical requests cost one model call). A
-//!    miss claims the in-flight slot and proceeds.
+//!    miss claims the in-flight slot and proceeds. The cache never evicts:
+//!    it lives as long as its detector and holds one entry per distinct
+//!    request, a run's few hundred responses.
 //! 3. **Execute** — the wrapped [`zeroed_llm::LlmClient`] performs the actual
 //!    call (for [`zeroed_llm::SimLlm`]: deterministic simulation plus token
 //!    accounting plus optional simulated serving latency, in one of its

@@ -243,7 +243,7 @@ impl StoreLayer {
 
     /// Replays every live persisted record into `cache` as
     /// `ResponseOrigin::Persisted` entries. Returns how many were inserted
-    /// (entries already present, or beyond the cache capacity, are skipped).
+    /// (entries already present are skipped).
     pub fn preload_into(&self, cache: &ResponseCache) -> io::Result<usize> {
         let t = Instant::now();
         let mut inserted = 0usize;
@@ -326,7 +326,7 @@ mod tests {
 
         let layer = StoreLayer::open(config).unwrap();
         assert_eq!(layer.store().recovery().records_recovered, 2);
-        let cache = ResponseCache::new(64);
+        let cache = ResponseCache::new();
         assert_eq!(layer.preload_into(&cache).unwrap(), 2);
 
         // The preloaded entry answers without computing, as a persisted
@@ -415,7 +415,7 @@ mod tests {
             assert_eq!(layer.timings().preload_nanos, 0, "nothing preloaded yet");
         }
         let layer = StoreLayer::open(config).unwrap();
-        let cache = ResponseCache::new(16);
+        let cache = ResponseCache::new();
         assert_eq!(layer.preload_into(&cache).unwrap(), 1);
         let t = layer.timings();
         assert!(t.open_nanos > 0);

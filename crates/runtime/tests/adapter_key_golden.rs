@@ -112,7 +112,7 @@ fn criteria(column: usize, name: &str) -> CriteriaSet {
 fn replays<T>(key: u128, sentinel: Response, call: impl FnOnce(&CachedLlm<'_>) -> T) -> T {
     let table = table();
     let sim = sim(&table);
-    let cache = Arc::new(ResponseCache::new(64));
+    let cache = Arc::new(ResponseCache::new());
     let stored = StoredResponse {
         value: sentinel,
         input_tokens: 11,
